@@ -54,19 +54,22 @@ class _Peer:
     """One established session, serviced by a reader thread."""
 
     def __init__(self, speaker: "BgpSpeaker", connection: socket.socket,
-                 peer_asn: int) -> None:
+                 peer_asn: int, residual: bytes) -> None:
         self.speaker = speaker
         self.connection = connection
         self.peer_asn = peer_asn
         self.established = threading.Event()
-        self._buffer = b""
+        # Bytes the handshake read past the peer's OPEN.
+        self._buffer = residual
 
     def send(self, message: BgpMessage) -> None:
         self.connection.sendall(encode_message(message))
 
     def reader_loop(self) -> None:
         try:
-            while True:
+            # Drain before the first recv: the handshake residue may
+            # already hold whole messages and nothing more may follow.
+            while self._drain():
                 try:
                     chunk = self.connection.recv(65536)
                 except OSError:
@@ -74,8 +77,6 @@ class _Peer:
                 if not chunk:
                     break
                 self._buffer += chunk
-                if not self._drain():
-                    break
         finally:
             self.speaker._drop_peer(self)
 
@@ -195,14 +196,14 @@ class BgpSpeaker:
         """Open a session to a remote speaker; returns the peer ASN."""
         connection = socket.create_connection((host, port), timeout=timeout)
         connection.sendall(encode_message(self._open_message()))
-        peer_open = self._read_one_open(connection, timeout)
+        peer_open, residual = self._read_one_open(connection, timeout)
         if expected_asn is not None and peer_open.asn != expected_asn:
             connection.close()
             raise BgpSessionError(
                 f"expected AS{expected_asn}, peer claims AS{peer_open.asn}"
             )
         connection.sendall(encode_message(KeepaliveMessage()))
-        self._install_peer(connection, peer_open.asn)
+        self._install_peer(connection, peer_open.asn, residual)
         return peer_open.asn
 
     def _open_message(self) -> OpenMessage:
@@ -213,7 +214,14 @@ class BgpSpeaker:
         )
 
     @staticmethod
-    def _read_one_open(connection: socket.socket, timeout: float) -> OpenMessage:
+    def _read_one_open(
+        connection: socket.socket, timeout: float
+    ) -> tuple[OpenMessage, bytes]:
+        """The peer's OPEN, plus whatever arrived behind it.
+
+        TCP may coalesce the OPEN with the KEEPALIVE and first UPDATEs
+        that follow; those bytes belong to the session's reader.
+        """
         connection.settimeout(timeout)
         buffer = b""
         while True:
@@ -226,7 +234,7 @@ class BgpSpeaker:
                 buffer += chunk
                 continue
             if isinstance(message, OpenMessage):
-                return message
+                return message, buffer[consumed:]
             if isinstance(message, KeepaliveMessage):
                 buffer = buffer[consumed:]
                 continue
@@ -239,16 +247,18 @@ class BgpSpeaker:
             except OSError:
                 return
             try:
-                peer_open = self._read_one_open(connection, 5.0)
+                peer_open, residual = self._read_one_open(connection, 5.0)
                 connection.sendall(encode_message(self._open_message()))
                 connection.sendall(encode_message(KeepaliveMessage()))
             except (BgpSessionError, OSError):
                 connection.close()
                 continue
-            self._install_peer(connection, peer_open.asn)
+            self._install_peer(connection, peer_open.asn, residual)
 
-    def _install_peer(self, connection: socket.socket, peer_asn: int) -> None:
-        peer = _Peer(self, connection, peer_asn)
+    def _install_peer(
+        self, connection: socket.socket, peer_asn: int, residual: bytes
+    ) -> None:
+        peer = _Peer(self, connection, peer_asn, residual)
         with self._lock:
             self._peers[peer_asn] = peer
             # Existing routes are advertised to the new peer.

@@ -13,8 +13,6 @@ Subcommands mirror the paper's workflow:
 * ``lint``      — the :mod:`repro.lint` invariant linter over the
   library's own sources (RNG discipline, import layering, async
   safety, docstring policy); gates CI.
-* ``rtr-serve`` — serve a VRP CSV to routers over RPKI-to-Router
-  (legacy thread-per-connection server).
 * ``serve``     — the full serving tier: async high-fanout RTR
   distribution plus the origin-validation HTTP/JSON query service;
   ``--jobs --jobs-store DIR`` upgrades it to the always-on experiment
@@ -223,15 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="emit the findings as JSON (schema 1)")
     lint.add_argument("--list-rules", action="store_true",
                       help="print the rule catalog and exit")
-
-    rtr_serve = sub.add_parser(
-        "rtr-serve", help="serve VRPs over RTR (legacy threaded server)"
-    )
-    rtr_serve.add_argument("vrps", help="input VRP CSV")
-    rtr_serve.add_argument("--host", default="127.0.0.1")
-    rtr_serve.add_argument("--port", type=int, default=8282)
-    rtr_serve.add_argument("--compress", action="store_true",
-                           help="compress before serving")
 
     serve = sub.add_parser(
         "serve",
@@ -655,29 +644,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     else:
         print(render_text(findings))
     return EXIT_FINDINGS if findings else EXIT_CLEAN
-
-
-def _cmd_rtr_serve(args: argparse.Namespace) -> int:
-    # Imported here so the CLI works without loading socket machinery
-    # for the pure-analysis commands.
-    from .core.pipeline import LocalCache
-
-    cache = LocalCache(compress=args.compress)
-    cache.refresh_from_vrps(read_vrp_csv(args.vrps))
-    server = cache.serve(host=args.host, port=args.port, backend="thread")
-    print(
-        f"serving {len(cache.pdus)} PDUs on {server.host}:{server.port} "
-        f"(compress={'on' if args.compress else 'off'}); Ctrl-C to stop"
-    )
-    try:
-        import time
-
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        return 0
-    finally:
-        cache.close()
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -1491,7 +1457,6 @@ _COMMANDS = {
     "lint": _cmd_lint,
     "table1": _cmd_table1,
     "figure3": _cmd_figure3,
-    "rtr-serve": _cmd_rtr_serve,
     "serve": _cmd_serve,
     "experiment": _cmd_experiment,
     "results": _cmd_results,

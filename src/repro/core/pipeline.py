@@ -13,7 +13,7 @@ to routers and conforms with today's RPKI architecture" (§7.1).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 from ..rpki import (
     Repository,
@@ -22,13 +22,10 @@ from ..rpki import (
     Vrp,
     scan_roas,
 )
-from ..rtr.cache import RtrCacheServer
 from ..serve.rtr_async import ThreadedRtrServer
 from .compress import CompressionStats, compress_vrps
 
 __all__ = ["LocalCache"]
-
-RtrServer = Union[ThreadedRtrServer, RtrCacheServer]
 
 
 class LocalCache:
@@ -48,7 +45,7 @@ class LocalCache:
         self._pdus: list[Vrp] = []
         self._raw_count = 0
         self._last_run: Optional[ValidationRun] = None
-        self._server: Optional[RtrServer] = None
+        self._server: Optional[ThreadedRtrServer] = None
 
     # ------------------------------------------------------------------
     # Refresh
@@ -99,37 +96,20 @@ class LocalCache:
     # ------------------------------------------------------------------
 
     def serve(
-        self,
-        *,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        backend: str = "async",
-    ) -> RtrServer:
+        self, *, host: str = "127.0.0.1", port: int = 0
+    ) -> ThreadedRtrServer:
         """Start (or return) the RTR server publishing this cache's PDUs.
 
-        ``backend`` selects the serving tier: ``"async"`` (default) is
-        the high-fanout :class:`repro.serve.ThreadedRtrServer` —
-        asyncio sessions behind a synchronous facade, with per-serial
-        pre-encoded frames; ``"thread"`` keeps the legacy
-        thread-per-connection :class:`RtrCacheServer`.  Both speak the
-        same RFC 6810 wire protocol.
+        The server is :class:`repro.serve.ThreadedRtrServer`: asyncio
+        sessions behind a synchronous facade, with per-serial
+        pre-encoded frames (RFC 6810 on the wire).
         """
-        backends = {"async": ThreadedRtrServer, "thread": RtrCacheServer}
-        server_type = backends.get(backend)
-        if server_type is None:
-            raise ValueError(f"unknown RTR backend {backend!r}")
         if self._server is None:
             # Assign only after a successful start: a bind failure must
             # not cache a dead server that poisons every later serve().
-            server = server_type(self._pdus, host=host, port=port)
+            server = ThreadedRtrServer(self._pdus, host=host, port=port)
             server.start()
             self._server = server
-        elif not isinstance(self._server, server_type):
-            raise ValueError(
-                f"RTR server already running with backend "
-                f"{type(self._server).__name__}; close() it before "
-                f"switching to {backend!r}"
-            )
         return self._server
 
     def close(self) -> None:

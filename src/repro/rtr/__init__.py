@@ -1,6 +1,8 @@
-"""RPKI-to-Router protocol (RFC 6810/8210): PDUs, cache server, client."""
+"""RPKI-to-Router protocol (RFC 6810/8210): PDUs, cache state, client.
 
-from .cache import RtrCacheServer
+The server side lives in :mod:`repro.serve.rtr_async`.
+"""
+
 from .client import RtrClient, RtrClientError
 from .pdu import (
     CacheResetPdu,
@@ -47,7 +49,6 @@ __all__ = [
     "PduBuffer",
     "PduError",
     "ResetQueryPdu",
-    "RtrCacheServer",
     "RtrClient",
     "RtrClientError",
     "SerialNotifyPdu",

@@ -1,9 +1,8 @@
 """Asyncio RTR distribution: one cache, thousands of router sessions.
 
-:class:`repro.rtr.cache.RtrCacheServer` spends a thread per router and
-re-encodes the table per Reset Query; neither survives contact with
-the paper's deployment story (§6: the local cache must be cheap on
-general-purpose hardware).  This server is the scaling rewrite:
+The paper's deployment story (§6) needs the local cache to be cheap on
+general-purpose hardware, which rules out a thread per router and a
+table re-encode per Reset Query.  This is the repo's one RTR server:
 
 * **One event loop, zero per-client threads.**  Each router session is
   a coroutine multiplexed by asyncio; concurrency is bounded by file
@@ -22,17 +21,16 @@ general-purpose hardware).  This server is the scaling rewrite:
   updates are coalesced there) and broadcasts the cached notify frame.
 
 :class:`ThreadedRtrServer` wraps the async server in a dedicated
-event-loop thread with the same synchronous surface as the legacy
-server (``start/update/close/host/port/state``), so
-:class:`repro.core.pipeline.LocalCache` and synchronous tests drive it
-unchanged.  :class:`AsyncRtrClient` is the matching coroutine client
-used by the fan-out benchmark and tests.
+event-loop thread behind a synchronous surface
+(``start/update/close/host/port/state``) — the only synchronous entry,
+used by :class:`repro.core.pipeline.LocalCache` and synchronous tests.
+:class:`AsyncRtrClient` is the matching coroutine client used by the
+fan-out benchmark and tests.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 from typing import Iterable, Optional, Set
 
 from ..faults import fire_async
@@ -57,6 +55,7 @@ from ..rtr.pdu import (
     pdu_to_vrp,
 )
 from ..rtr.session import CacheState, VrpDiff
+from ._loopthread import LoopThread
 from .frames import FrameCache
 from .metrics import ServeMetrics, ensure_metrics
 
@@ -261,11 +260,10 @@ class AsyncRtrServer:
 class ThreadedRtrServer:
     """:class:`AsyncRtrServer` behind a synchronous facade.
 
-    Runs a private event loop in a daemon thread and proxies
-    ``start/update/close`` through ``run_coroutine_threadsafe``.  The
-    surface matches the legacy ``RtrCacheServer`` closely enough that
+    Proxies ``start/update/close`` onto a private
+    :class:`~repro.serve._loopthread.LoopThread`, so
     :class:`~repro.core.pipeline.LocalCache` and the synchronous
-    :class:`~repro.rtr.client.RtrClient` interoperate unchanged.
+    :class:`~repro.rtr.client.RtrClient` never touch asyncio.
     """
 
     def __init__(
@@ -290,8 +288,7 @@ class ThreadedRtrServer:
             max_clients=max_clients,
             client_deadline=client_deadline,
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+        self._loop = LoopThread("rtr-async-loop")
 
     @property
     def state(self) -> CacheState:
@@ -314,55 +311,14 @@ class ThreadedRtrServer:
         return self._async.port
 
     def start(self) -> "ThreadedRtrServer":
-        ready = threading.Event()
-        self._loop = asyncio.new_event_loop()
-
-        def run() -> None:
-            assert self._loop is not None
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(ready.set)
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="rtr-async-loop", daemon=True)
-        self._thread.start()
-        ready.wait()
-        try:
-            self._call(self._async.start())
-        except BaseException:
-            # Don't leak the loop thread when the bind fails.
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
-            self._loop.close()
-            self._loop = None
-            self._thread = None
-            raise
+        self._loop.start(self._async.start)
         return self
 
     def update(self, vrps: Iterable[Vrp]) -> VrpDiff:
-        return self._call(self._async.update(list(vrps)))
+        return self._loop.call(self._async.update(list(vrps)))
 
     def close(self) -> None:
-        if self._loop is None:
-            return
-        self._call(self._async.close())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            if self._thread.is_alive():
-                # Closing the loop under a still-running thread would
-                # corrupt it; surface the wedge instead of pretending
-                # the server stopped.
-                raise ReproError(
-                    "rtr-async-loop thread did not stop within 5s"
-                )
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    def _call(self, coro):  # type: ignore[no-untyped-def]
-        assert self._loop is not None, "server not started"
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+        self._loop.stop(self._async.close)
 
     def __enter__(self) -> "ThreadedRtrServer":
         return self.start()

@@ -19,9 +19,8 @@ implementation of that contract:
   - ``POST /shards/<i>/cancel`` — stop a running shard.
   - ``GET /status`` — topology digest and shard count.
 
-* :class:`ThreadedShardWorkerServer` — the synchronous facade, one
-  private event loop in a daemon thread (the
-  :class:`~repro.serve.rtr_async.ThreadedRtrServer` idiom).
+* :class:`ThreadedShardWorkerServer` — the synchronous facade over a
+  private :class:`~repro.serve._loopthread.LoopThread`.
 
 * :class:`HttpShardTransport` — the coordinator-side client.  Shard
   *k*, attempt *a* lands on host ``(k + a) % len(hosts)``, so a retry
@@ -43,7 +42,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -56,6 +54,7 @@ from ..exper.spec import ExperimentSpec
 from ..faults import RetryPolicy, fire, install_from_env
 from ..netbase.errors import ReproError
 from ..results.sinks import JsonlSink, RunHeader, topology_digest
+from ._loopthread import LoopThread
 from .http import HttpRequestError, HttpServerBase, TextPayload
 from .metrics import ServeMetrics
 
@@ -144,13 +143,14 @@ class ShardWorkerServer(HttpServerBase):
         self._jobs: Dict[int, _WorkerJob] = {}
 
     async def start(self) -> "ShardWorkerServer":
-        if self._workdir is None:
-            self._own_workdir = Path(mkdtemp(prefix="repro-shard-worker-"))
-            self._workdir = self._own_workdir
         # A worker launched under a fault plan honors it: fresh parse,
         # fresh hit counters, deterministic per process.
         install_from_env()
         await super().start()
+        # After the bind, so a failed start leaves no directory behind.
+        if self._workdir is None:
+            self._own_workdir = Path(mkdtemp(prefix="repro-shard-worker-"))
+            self._workdir = self._own_workdir
         return self
 
     async def close(self) -> None:
@@ -176,7 +176,8 @@ class ShardWorkerServer(HttpServerBase):
 
             await asyncio.get_running_loop().run_in_executor(
                 None, shutil.rmtree, self._own_workdir, True)
-            self._own_workdir = None
+            # Forget the path too: a restart makes (and removes) its own.
+            self._own_workdir = self._workdir = None
         if stuck:
             raise ReproError(
                 f"{len(stuck)} shard job(s) still running after close "
@@ -357,11 +358,10 @@ def _read_text(path: Path) -> str:
 class ThreadedShardWorkerServer:
     """:class:`ShardWorkerServer` behind a synchronous facade.
 
-    Runs a private event loop in a daemon thread and proxies
-    ``start/close`` through ``run_coroutine_threadsafe`` — the same
-    idiom as :class:`~repro.serve.rtr_async.ThreadedRtrServer`, so
-    synchronous tests and the ``repro-roa shard-worker`` command can
-    hold a live worker without touching asyncio.
+    Proxies ``start/close`` onto a private
+    :class:`~repro.serve._loopthread.LoopThread`, so synchronous tests
+    and the ``repro-roa shard-worker`` command can hold a live worker
+    without touching asyncio.
     """
 
     def __init__(
@@ -377,8 +377,7 @@ class ThreadedShardWorkerServer:
             topology, host=host, port=port, workdir=workdir,
             metrics=metrics,
         )
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._thread: Optional[threading.Thread] = None
+        self._loop = LoopThread("shard-worker-loop")
 
     @property
     def topology_hash(self) -> str:
@@ -397,52 +396,11 @@ class ThreadedShardWorkerServer:
         return self._async.port
 
     def start(self) -> "ThreadedShardWorkerServer":
-        ready = threading.Event()
-        self._loop = asyncio.new_event_loop()
-
-        def run() -> None:
-            assert self._loop is not None
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(ready.set)
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="shard-worker-loop", daemon=True)
-        self._thread.start()
-        ready.wait()
-        try:
-            self._call(self._async.start())
-        except BaseException:
-            # Don't leak the loop thread when the bind fails.
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=5)
-            self._loop.close()
-            self._loop = None
-            self._thread = None
-            raise
+        self._loop.start(self._async.start)
         return self
 
     def close(self) -> None:
-        if self._loop is None:
-            return
-        self._call(self._async.close())
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-            if self._thread.is_alive():
-                # Closing the loop under a still-running thread would
-                # corrupt it; surface the wedge instead of pretending
-                # the worker stopped.
-                raise ReproError(
-                    "shard-worker-loop thread did not stop within 5s"
-                )
-        self._loop.close()
-        self._loop = None
-        self._thread = None
-
-    def _call(self, coro):  # type: ignore[no-untyped-def]
-        assert self._loop is not None, "server not started"
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result()
+        self._loop.stop(self._async.close)
 
     def __enter__(self) -> "ThreadedShardWorkerServer":
         return self.start()

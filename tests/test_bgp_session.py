@@ -5,7 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.bgp import Announcement, VrpIndex
-from repro.bgp.session import BgpSessionError, BgpSpeaker
+from repro.bgp.message import (
+    KeepaliveMessage,
+    OpenMessage,
+    announcement_to_update,
+    encode_message,
+)
+from repro.bgp.session import BgpSessionError, BgpSpeaker, _Peer
 from repro.netbase import Prefix
 from repro.rpki import Vrp
 
@@ -75,6 +81,54 @@ class TestRouteExchange:
         origin.announce(Announcement(p("2001:db8::/32"), (111,)))
         route = transit.wait_for_route(p("2001:db8::/32"))
         assert route.prefix.family == 6
+
+
+class _ScriptedConnection:
+    """Stands in for a socket: ``recv`` hands out pre-cut chunks, then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = list(chunks)
+
+    def settimeout(self, timeout):
+        pass
+
+    def recv(self, size):
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+class _RecordingSpeaker:
+    """The two hooks a ``_Peer`` calls on its speaker."""
+
+    def __init__(self):
+        self.messages = []
+
+    def _handle_message(self, peer, message):
+        self.messages.append(message)
+        return True
+
+    def _drop_peer(self, peer):
+        pass
+
+
+class TestHandshakeSegmentation:
+    def test_nothing_lost_behind_the_open_at_any_split(self):
+        # However TCP cuts OPEN + KEEPALIVE + UPDATE — including not at
+        # all — the handshake takes the OPEN and the session reader
+        # sees everything after it.
+        sent = [
+            OpenMessage(asn=111, hold_time=90, bgp_identifier=0x0A00006F),
+            KeepaliveMessage(),
+            announcement_to_update(
+                Announcement(p("168.122.0.0/16"), (111,))),
+        ]
+        stream = b"".join(encode_message(message) for message in sent)
+        for cut in range(len(stream)):  # cut 0 feeds the stream whole
+            chunks = [c for c in (stream[:cut], stream[cut:]) if c]
+            connection = _ScriptedConnection(chunks)
+            peer_open, residual = BgpSpeaker._read_one_open(connection, 1.0)
+            speaker = _RecordingSpeaker()
+            _Peer(speaker, connection, peer_open.asn, residual).reader_loop()
+            assert [peer_open] + speaker.messages == sent, cut
 
 
 class TestOriginValidationAtIngress:

@@ -42,7 +42,7 @@ class TestParser:
     def test_known_subcommands(self):
         parser = build_parser()
         for command in ["compress", "minimal", "analyze", "generate",
-                        "table1", "figure3", "rtr-serve", "serve"]:
+                        "table1", "figure3", "serve"]:
             assert parser.parse_args(
                 [command] + {
                     "compress": ["x.csv"],
@@ -51,7 +51,6 @@ class TestParser:
                     "generate": ["--out-dir", "/tmp/x"],
                     "table1": [],
                     "figure3": [],
-                    "rtr-serve": ["x.csv"],
                     "serve": ["x.csv"],
                 }[command]
             ).command == command

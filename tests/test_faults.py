@@ -561,9 +561,10 @@ class TestClientAndTransportSites:
         assert "jobs.execute" in SITES
 
     def test_rtr_client_send_fault_injected(self):
-        from repro.rtr import RtrCacheServer, RtrClient
+        from repro.rtr import RtrClient
+        from repro.serve import ThreadedRtrServer
 
-        with RtrCacheServer([]) as server:
+        with ThreadedRtrServer([]) as server:
             install(FaultPlan(rules=(
                 FaultRule(site="rtr.client.send", action="reset",
                           at=(1,)),
@@ -576,9 +577,10 @@ class TestClientAndTransportSites:
                 client.sync()  # healthy again without the plan
 
     def test_rtr_client_recv_fault_injected(self):
-        from repro.rtr import RtrCacheServer, RtrClient
+        from repro.rtr import RtrClient
+        from repro.serve import ThreadedRtrServer
 
-        with RtrCacheServer([]) as server:
+        with ThreadedRtrServer([]) as server:
             install(FaultPlan(rules=(
                 FaultRule(site="rtr.client.recv", action="error",
                           error="io", at=(1,)),

@@ -6,8 +6,9 @@ import pytest
 
 from repro.netbase import Prefix
 from repro.rpki import Vrp
-from repro.rtr import RtrCacheServer, RtrClient
+from repro.rtr import RtrClient
 from repro.rtr.session import CacheState, VrpDiff
+from repro.serve import ThreadedRtrServer
 
 
 def p(text: str) -> Prefix:
@@ -81,7 +82,7 @@ class TestCacheState:
 
 @pytest.fixture()
 def server():
-    with RtrCacheServer([V1, V2]) as running:
+    with ThreadedRtrServer([V1, V2]) as running:
         yield running
 
 
@@ -144,7 +145,7 @@ class TestLiveProtocol:
             Vrp(Prefix(4, (10 << 24) + (i << 8), 24), 24, 65000 + (i % 100))
             for i in range(3000)
         ]
-        with RtrCacheServer(many) as big_server:
+        with ThreadedRtrServer(many) as big_server:
             with RtrClient(big_server.host, big_server.port) as client:
                 processed = client.sync()
                 assert len(client.vrps) == 3000

@@ -178,14 +178,24 @@ class TestStreamDecoding:
         from repro.rtr import PduBuffer
 
         blob = b"".join(encode_pdu(pdu) for pdu in ALL_PDUS)
-        buffer = PduBuffer()
-        decoded = []
-        for offset in range(0, len(blob), 3):  # odd chunking, mid-header
-            buffer.feed(blob[offset:offset + 3])
-            while (pdu := buffer.next()) is not None:
-                decoded.append(pdu)
-        assert decoded == ALL_PDUS
-        assert buffer.next() is None
+        # Odd 3-byte chunking (mid-header), then every two-way split.
+        chunkings = [
+            [blob[offset:offset + 3] for offset in range(0, len(blob), 3)]
+        ] + [[blob[:cut], blob[cut:]] for cut in range(len(blob) + 1)]
+        for chunks in chunkings:
+            buffer = PduBuffer()
+            decoded = []
+            via_stream, rest = [], b""
+            for chunk in chunks:
+                buffer.feed(chunk)
+                while (pdu := buffer.next()) is not None:
+                    decoded.append(pdu)
+                pdus, rest = decode_stream(rest + chunk)
+                via_stream += pdus
+            assert decoded == ALL_PDUS
+            assert buffer.next() is None
+            assert via_stream == ALL_PDUS
+            assert rest == b""
 
     def test_pdu_buffer_raises_on_garbage(self):
         from repro.rtr import PduBuffer

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
+import socket
+import threading
 
 import pytest
 
 from repro.bgp import ValidationState
 from repro.core import LocalCache
+from repro.data import TopologyProfile, generate_topology
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
 from repro.rpki import Vrp
@@ -30,6 +34,7 @@ from repro.serve import (
     QueryService,
     ServeMetrics,
     ThreadedRtrServer,
+    ThreadedShardWorkerServer,
 )
 
 
@@ -385,7 +390,7 @@ class TestThreadedFacadeAndPipeline:
     def test_local_cache_async_backend(self):
         with LocalCache() as cache:
             cache.refresh_from_vrps([V1, V2])
-            server = cache.serve()  # default async backend
+            server = cache.serve()
             assert isinstance(server, ThreadedRtrServer)
             with RtrClient(server.host, server.port) as client:
                 client.sync()
@@ -395,25 +400,7 @@ class TestThreadedFacadeAndPipeline:
                 client.sync()
                 assert client.vrps == {V3}
 
-    def test_local_cache_legacy_backend(self):
-        from repro.rtr.cache import RtrCacheServer
-
-        with LocalCache() as cache:
-            cache.refresh_from_vrps([V1])
-            server = cache.serve(backend="thread")
-            assert isinstance(server, RtrCacheServer)
-            with RtrClient(server.host, server.port) as client:
-                client.sync()
-                assert client.vrps == {V1}
-
-    def test_unknown_backend_rejected(self):
-        with LocalCache() as cache:
-            with pytest.raises(ValueError):
-                cache.serve(backend="carrier-pigeon")
-
     def test_failed_start_does_not_poison_later_serves(self):
-        import socket
-
         blocker = socket.create_server(("127.0.0.1", 0))
         _, taken_port = blocker.getsockname()[:2]
         try:
@@ -427,15 +414,6 @@ class TestThreadedFacadeAndPipeline:
                     assert client.vrps == {V1}
         finally:
             blocker.close()
-
-    def test_backend_mismatch_on_running_server_rejected(self):
-        with LocalCache() as cache:
-            cache.serve()  # async backend
-            with pytest.raises(ValueError, match="already running"):
-                cache.serve(backend="thread")
-            with pytest.raises(ValueError):
-                cache.serve(backend="carrier-pigeon")
-            cache.serve()  # same backend: fine, returns the server
 
     def test_fanout_encode_count_via_threaded_server(self):
         table = [Vrp(Prefix(4, (10 << 24) + (i << 8), 24), 24, 65000 + i % 100)
@@ -451,6 +429,61 @@ class TestThreadedFacadeAndPipeline:
                     client.close()
             assert server.metrics["frame_encodes"] == 1
             assert server.metrics["frame_hits"] == 7
+
+
+def _rtr_facade(port: int = 0) -> ThreadedRtrServer:
+    return ThreadedRtrServer([V1], port=port)
+
+
+def _shard_worker_facade(port: int = 0) -> ThreadedShardWorkerServer:
+    topology = generate_topology(TopologyProfile(ases=20), random.Random(9))
+    return ThreadedShardWorkerServer(topology, port=port)
+
+
+def _threads_since(before: set, name: str) -> list:
+    return [
+        thread for thread in set(threading.enumerate()) - before
+        if thread.name == name
+    ]
+
+
+@pytest.mark.parametrize("make, thread_name", [
+    (_rtr_facade, "rtr-async-loop"),
+    (_shard_worker_facade, "shard-worker-loop"),
+])
+class TestLoopThreadFacades:
+    """The one loop-in-a-thread helper, through both facades holding it."""
+
+    def test_bind_failure_raises_and_leaks_no_loop_thread(
+        self, make, thread_name, tmp_path, monkeypatch
+    ):
+        # The shard worker's scratch directory would land here.
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        blocker = socket.create_server(("127.0.0.1", 0))
+        before = set(threading.enumerate())
+        try:
+            with pytest.raises(OSError):
+                make(port=blocker.getsockname()[1]).start()
+        finally:
+            blocker.close()
+        assert _threads_since(before, thread_name) == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_close_twice_then_start_again(self, make, thread_name):
+        before = set(threading.enumerate())
+        facade = make()
+        facade.close()  # never started: nothing to stop
+        facade.start()
+        first_port = facade.port
+        socket.create_connection((facade.host, first_port), timeout=5).close()
+        facade.close()
+        facade.close()
+        with pytest.raises(OSError):
+            socket.create_connection((facade.host, first_port), timeout=5)
+        with facade:
+            socket.create_connection(
+                (facade.host, facade.port), timeout=5).close()
+        assert _threads_since(before, thread_name) == []
 
 
 # ----------------------------------------------------------------------

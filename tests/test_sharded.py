@@ -442,6 +442,26 @@ class TestHttpTransport:
                 executor="sharded", shards=2, shard_transport=transport)
         assert sharded_bytes == serial_bytes
 
+    def test_restarted_worker_executes_shards(
+        self, topology, tmp_path, monkeypatch
+    ):
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr("tempfile.tempdir", str(scratch))
+        spec = small_spec(trials=2, fractions=(None,))
+        _, serial_bytes = run_recorded(
+            topology, spec, tmp_path / "serial.jsonl", executor="serial")
+        worker = ThreadedShardWorkerServer(topology)
+        worker.start()
+        worker.close()  # takes its scratch directory with it
+        with worker:
+            transport = HttpShardTransport([f"127.0.0.1:{worker.port}"])
+            _, sharded_bytes = run_recorded(
+                topology, spec, tmp_path / "http.jsonl",
+                executor="sharded", shards=2, shard_transport=transport)
+        assert sharded_bytes == serial_bytes
+        assert list(scratch.iterdir()) == []  # second directory gone too
+
     def test_topology_mismatch_refused(self, topology):
         other = generate_topology(
             TopologyProfile(ases=80), random.Random(2))
