@@ -9,11 +9,24 @@ also works uninstalled with ``PYTHONPATH=src`` (``repro-roa`` ≡
 ``python -m repro.cli``).
 """
 
+import re
+from pathlib import Path
+
 from setuptools import find_packages, setup
+
+# The one version literal lives in the package; read it without
+# importing (setup must not depend on the package being importable).
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"$',
+    (Path(__file__).parent / "src" / "repro" / "__init__.py").read_text(
+        encoding="utf-8"
+    ),
+    re.MULTILINE,
+).group(1)
 
 setup(
     name="repro-roa",
-    version="0.3.0",
+    version=VERSION,
     description=(
         "Reproduction of 'MaxLength Considered Harmful to the RPKI' "
         "(CoNEXT'17): RPKI object model, compress_roas, hijack "

@@ -25,8 +25,13 @@ The package layers, bottom to top:
   distribution and the origin-validation query service.
 """
 
+from ._lazy import lazy_exports
+
+#: The one version literal: ``setup.py`` reads it with a regex and
+#: ``repro-roa --version`` prints it.
 __version__ = "1.0.0"
 
-from .netbase import Prefix, PrefixSet, PrefixTrie, RadixTree
-
-__all__ = ["Prefix", "PrefixSet", "PrefixTrie", "RadixTree", "__version__"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "netbase": ("Prefix", "PrefixSet", "PrefixTrie", "RadixTree"),
+})
+__all__.append("__version__")

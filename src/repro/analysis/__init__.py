@@ -1,39 +1,18 @@
 """Measurement suite: every table, figure, and in-text number."""
 
-from .deployment import DeploymentPoint, DeploymentSweep, run_deployment_sweep
-from .figure3 import (
-    Figure3Panel,
-    Figure3Series,
-    compute_figure3a,
-    compute_figure3b,
-    render_panel,
-)
-from .hijack_eval import HijackStudyResult, run_hijack_study
-from .measurements import Section6Measurements, measure_section6
-from .overhead import OverheadMeasurement, measure_compression_overhead
-from .table1 import PAPER_TABLE1, Table1, Table1Row, compute_table1
-from .timeline import TimelinePoint, VulnerabilityTimeline, compute_timeline
+from .._lazy import lazy_exports
 
-__all__ = [
-    "DeploymentPoint",
-    "DeploymentSweep",
-    "Figure3Panel",
-    "Figure3Series",
-    "HijackStudyResult",
-    "OverheadMeasurement",
-    "PAPER_TABLE1",
-    "Section6Measurements",
-    "Table1",
-    "Table1Row",
-    "TimelinePoint",
-    "VulnerabilityTimeline",
-    "compute_figure3a",
-    "compute_figure3b",
-    "compute_table1",
-    "compute_timeline",
-    "measure_compression_overhead",
-    "measure_section6",
-    "render_panel",
-    "run_deployment_sweep",
-    "run_hijack_study",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "deployment": (
+        "DeploymentPoint", "DeploymentSweep", "run_deployment_sweep",
+    ),
+    "figure3": (
+        "Figure3Panel", "Figure3Series", "compute_figure3a",
+        "compute_figure3b", "render_panel",
+    ),
+    "hijack_eval": ("HijackStudyResult", "run_hijack_study"),
+    "measurements": ("Section6Measurements", "measure_section6"),
+    "overhead": ("OverheadMeasurement", "measure_compression_overhead"),
+    "table1": ("PAPER_TABLE1", "Table1", "Table1Row", "compute_table1"),
+    "timeline": ("TimelinePoint", "VulnerabilityTimeline", "compute_timeline"),
+})

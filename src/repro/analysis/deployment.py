@@ -23,14 +23,10 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..bgp.topology import AsTopology
-from ..exper import (
-    ExperimentRunner,
-    ExperimentSpec,
-    MaxLengthLooseRoa,
-    MinimalRoa,
-    ScenarioCell,
-)
-from ..netbase import Prefix
+from ..exper.runner import ExperimentRunner
+from ..exper.scenarios import MaxLengthLooseRoa, MinimalRoa, ScenarioCell
+from ..exper.spec import ExperimentSpec
+from ..netbase.prefix import Prefix
 
 __all__ = ["DeploymentPoint", "DeploymentSweep", "run_deployment_sweep"]
 

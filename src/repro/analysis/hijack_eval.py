@@ -24,15 +24,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..bgp.topology import AsTopology
-from ..exper import (
-    ExperimentRunner,
-    ExperimentSpec,
+from ..exper.runner import ExperimentRunner
+from ..exper.scenarios import (
     MaxLengthLooseRoa,
     MinimalRoa,
     NoRoa,
     ScenarioCell,
 )
-from ..netbase import Prefix
+from ..exper.spec import ExperimentSpec
+from ..netbase.prefix import Prefix
 
 __all__ = ["HijackStudyResult", "run_hijack_study"]
 

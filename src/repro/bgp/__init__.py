@@ -1,94 +1,32 @@
 """BGP substrate: announcements, RIBs, validation, propagation, attacks."""
 
-from .announcement import Announcement, AnnouncementError
-from .message import (
-    AsPathSegment,
-    BgpHeader,
-    BgpMessage,
-    BgpMessageError,
-    KeepaliveMessage,
-    NotificationMessage,
-    OpenMessage,
-    UpdateMessage,
-    announcement_to_update,
-    decode_message,
-    encode_message,
-    update_to_announcements,
-)
-from .attacks import (
-    ENGINES,
-    AttackKind,
-    AttackOutcome,
-    AttackScenario,
-    coerce_engine,
-    evaluate_attack,
-    evaluate_attack_seeds,
-)
-from .fastprop import (
-    AttackCase,
-    PropagationWorkspace,
-    evaluate_attack_seeds_array,
-    evaluate_attack_seeds_array_batch,
-    propagate_prefix_array,
-)
-from .origin_validation import ValidationState, VrpIndex, validate_announcement
-from .rib import AdjRibIn, Rib
-from .session import BgpSessionError, BgpSpeaker
-from .simulation import (
-    Route,
-    RouteClass,
-    Seed,
-    SimulationError,
-    propagate_prefix,
-)
-from .topology import (
-    AsTopology,
-    CompiledTopology,
-    Relationship,
-    TopologyError,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AdjRibIn",
-    "Announcement",
-    "AnnouncementError",
-    "AsPathSegment",
-    "BgpHeader",
-    "BgpMessage",
-    "BgpMessageError",
-    "KeepaliveMessage",
-    "NotificationMessage",
-    "OpenMessage",
-    "UpdateMessage",
-    "announcement_to_update",
-    "decode_message",
-    "encode_message",
-    "update_to_announcements",
-    "AsTopology",
-    "CompiledTopology",
-    "BgpSessionError",
-    "BgpSpeaker",
-    "AttackCase",
-    "AttackKind",
-    "AttackOutcome",
-    "AttackScenario",
-    "PropagationWorkspace",
-    "Relationship",
-    "Rib",
-    "Route",
-    "RouteClass",
-    "Seed",
-    "SimulationError",
-    "TopologyError",
-    "ValidationState",
-    "VrpIndex",
-    "ENGINES",
-    "coerce_engine",
-    "evaluate_attack",
-    "evaluate_attack_seeds",
-    "evaluate_attack_seeds_array",
-    "evaluate_attack_seeds_array_batch",
-    "propagate_prefix",
-    "propagate_prefix_array",
-    "validate_announcement",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "announcement": ("Announcement", "AnnouncementError"),
+    "attacks": (
+        "AttackKind", "AttackOutcome", "AttackScenario", "ENGINES",
+        "coerce_engine", "evaluate_attack", "evaluate_attack_seeds",
+    ),
+    "fastprop": (
+        "AttackCase", "PropagationWorkspace", "evaluate_attack_seeds_array",
+        "evaluate_attack_seeds_array_batch", "propagate_prefix_array",
+    ),
+    "message": (
+        "AsPathSegment", "BgpHeader", "BgpMessage", "BgpMessageError",
+        "KeepaliveMessage", "NotificationMessage", "OpenMessage",
+        "UpdateMessage", "announcement_to_update", "decode_message",
+        "encode_message", "update_to_announcements",
+    ),
+    "origin_validation": (
+        "ValidationState", "VrpIndex", "validate_announcement",
+    ),
+    "rib": ("AdjRibIn", "Rib"),
+    "session": ("BgpSessionError", "BgpSpeaker"),
+    "simulation": (
+        "Route", "RouteClass", "Seed", "SimulationError", "propagate_prefix",
+    ),
+    "topology": (
+        "AsTopology", "CompiledTopology", "Relationship", "TopologyError",
+    ),
+})

@@ -16,8 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..netbase import Prefix, validate_asn
+from ..netbase.asnum import validate_asn
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 
 __all__ = ["Announcement", "AnnouncementError"]
 

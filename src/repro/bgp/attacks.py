@@ -30,8 +30,8 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..netbase import Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 from .origin_validation import ValidationState, VrpIndex
 from .simulation import Route, Seed, propagate_prefix
 from .topology import AsTopology

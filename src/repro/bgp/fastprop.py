@@ -59,8 +59,8 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
-from ..netbase import Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 from ..obs.metrics import MetricsRegistry, get_registry
 from .origin_validation import ValidationState, VrpIndex
 from .simulation import Route, RouteClass, Seed, SimulationError

@@ -24,8 +24,9 @@ import struct
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
-from ..netbase import AF_INET, AF_INET6, Prefix, validate_asn
+from ..netbase.asnum import validate_asn
 from ..netbase.errors import ReproError
+from ..netbase.prefix import AF_INET, AF_INET6, Prefix
 from .announcement import Announcement
 
 __all__ = [

@@ -20,7 +20,8 @@ from __future__ import annotations
 import enum
 from typing import Iterable
 
-from ..netbase import Prefix, RadixTree
+from ..netbase.prefix import Prefix
+from ..netbase.radix import RadixTree
 from ..rpki.vrp import Vrp
 from .announcement import Announcement
 

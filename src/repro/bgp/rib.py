@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from ..netbase import AF_INET, AF_INET6, Prefix, RadixTree
+from ..netbase.prefix import AF_INET, AF_INET6, Prefix
+from ..netbase.radix import RadixTree
 from .announcement import Announcement
 
 __all__ = ["Rib", "AdjRibIn"]

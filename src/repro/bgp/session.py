@@ -24,8 +24,8 @@ import socket
 import threading
 from typing import Optional
 
-from ..netbase import Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 from .announcement import Announcement
 from .message import (
     BgpMessage,

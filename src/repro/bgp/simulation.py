@@ -33,8 +33,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..netbase import Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 from .origin_validation import ValidationState, VrpIndex
 from .topology import AsTopology
 

@@ -39,6 +39,9 @@ Subcommands mirror the paper's workflow:
   store's pending jobs in the foreground (also the crash-recovery
   path — interrupted jobs resume to byte-identical runs).
 
+``repro-roa --version`` prints the package version; like ``--help`` it
+is answered by the parser, before any subsystem is imported.
+
 Examples::
 
     repro-roa generate --scale 0.05 --out-dir /tmp/snap
@@ -70,21 +73,11 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .analysis import (
-    compute_figure3a,
-    compute_figure3b,
-    compute_table1,
-    measure_section6,
-    render_panel,
-)
-from .core.compress import CompressionStats, compress_vrps
-from .core.minimal import to_minimal_vrps
-from .core.recommend import Severity, lint_roas
-from .rpki.roa import Roa, RoaPrefix
-from .data.internet import GeneratorConfig, generate_snapshot
-from .data.routeviews import read_origin_pairs, write_origin_pairs
-from .data.rpki_archive import read_vrp_csv, write_vrp_csv
-from .data.snapshots import SeriesConfig, generate_weekly_series
+from . import __version__
+
+# No subsystem is imported here: build_parser() is pure argparse and
+# every handler imports what it runs in its own body, so a command
+# pays only for the layers it executes (tests/test_import_budget.py).
 
 __all__ = ["main", "build_parser"]
 
@@ -160,6 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-roa",
         description="MaxLength-considered-harmful reproduction toolkit",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -509,6 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_compress(args: argparse.Namespace) -> int:
+    from .core.compress import CompressionStats, compress_vrps
+    from .data.rpki_archive import read_vrp_csv, write_vrp_csv
+
     vrps = list(read_vrp_csv(args.vrps))
     compressed = compress_vrps(vrps)
     stats = CompressionStats(len(vrps), len(compressed))
@@ -521,6 +520,10 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 
 
 def _cmd_minimal(args: argparse.Namespace) -> int:
+    from .core.minimal import to_minimal_vrps
+    from .data.routeviews import read_origin_pairs
+    from .data.rpki_archive import read_vrp_csv, write_vrp_csv
+
     vrps = list(read_vrp_csv(args.vrps))
     announced = list(read_origin_pairs(args.rib))
     minimal = to_minimal_vrps(vrps, announced)
@@ -537,6 +540,10 @@ def _cmd_minimal(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis.measurements import measure_section6
+    from .data.routeviews import read_origin_pairs
+    from .data.rpki_archive import read_vrp_csv
+
     vrps = list(read_vrp_csv(args.vrps))
     announced = list(read_origin_pairs(args.rib))
     measurements = measure_section6(vrps, announced)
@@ -546,6 +553,10 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .data.internet import GeneratorConfig, generate_snapshot
+    from .data.routeviews import write_origin_pairs
+    from .data.rpki_archive import write_vrp_csv
+
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     snapshot = generate_snapshot(
@@ -561,13 +572,20 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .analysis.table1 import compute_table1
+
     if args.vrps:
         if not args.rib:
             print("--rib is required with --vrps", file=sys.stderr)
             return 2
+        from .data.routeviews import read_origin_pairs
+        from .data.rpki_archive import read_vrp_csv
+
         vrps = list(read_vrp_csv(args.vrps))
         announced = list(read_origin_pairs(args.rib))
     else:
+        from .data.internet import GeneratorConfig, generate_snapshot
+
         snapshot = generate_snapshot(
             GeneratorConfig(scale=args.scale, seed=args.seed)
         )
@@ -578,6 +596,14 @@ def _cmd_table1(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure3(args: argparse.Namespace) -> int:
+    from .analysis.figure3 import (
+        compute_figure3a,
+        compute_figure3b,
+        render_panel,
+    )
+    from .data.internet import GeneratorConfig
+    from .data.snapshots import SeriesConfig, generate_weekly_series
+
     series = generate_weekly_series(
         SeriesConfig(base=GeneratorConfig(scale=args.scale, seed=args.seed))
     )
@@ -588,6 +614,11 @@ def _cmd_figure3(args: argparse.Namespace) -> int:
 
 
 def _cmd_roa_lint(args: argparse.Namespace) -> int:
+    from .core.recommend import Severity, lint_roas
+    from .data.routeviews import read_origin_pairs
+    from .data.rpki_archive import read_vrp_csv
+    from .rpki.roa import Roa, RoaPrefix
+
     announced = list(read_origin_pairs(args.rib))
     # Group VRP rows into per-AS ROAs: the CSV does not preserve ROA
     # boundaries, so each AS's tuples are reviewed as one ROA.
@@ -617,16 +648,16 @@ def _cmd_roa_lint(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import json
 
-    from .lint import (
+    from .lint.engine import lint_paths
+    from .lint.model import LintUsageError
+    from .lint.report import (
         EXIT_CLEAN,
         EXIT_FINDINGS,
         EXIT_USAGE,
-        LintUsageError,
-        lint_paths,
         render_text,
-        rule_catalog,
         to_json,
     )
+    from .lint.rules import rule_catalog
 
     if args.list_rules:
         for rule_id, summary in rule_catalog().items():
@@ -650,15 +681,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so the pure-analysis commands stay socket-free.
     import asyncio
 
-    from .serve import (
-        AsyncRtrServer,
-        QueryHttpServer,
-        QueryService,
-        ServeMetrics,
-    )
+    from .data.rpki_archive import read_vrp_csv
+    from .serve.http import QueryHttpServer
+    from .serve.metrics import ServeMetrics
+    from .serve.query import QueryService
+    from .serve.rtr_async import AsyncRtrServer
 
     vrps = list(read_vrp_csv(args.vrps))
     if args.compress:
+        from .core.compress import compress_vrps
+
         vrps = compress_vrps(vrps)
 
     if args.jobs and not args.jobs_store:
@@ -669,7 +701,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = None
     scheduler = None
     if args.results or args.jobs:
-        from .results import ResultsStore, RunRegistry
+        from .results.live import RunRegistry
+        from .results.store import ResultsStore
 
         runs = RunRegistry()
         if args.results:
@@ -677,8 +710,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             loaded = runs.load_store(store)
             print(f"results: {loaded} recorded runs from {args.results}")
     if args.jobs:
-        from .faults import install_from_env
-        from .jobs import JobScheduler, JobStore
+        from .faults.plan import install_from_env
+        from .jobs.http import JobsHttpServer
+        from .jobs.scheduler import JobScheduler
+        from .jobs.store import JobStore
 
         # Dispatched fault plans (repro-roa chaos; CI drills) apply to
         # the scheduler's jobs.* sites too.
@@ -696,7 +731,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         import json
         import signal
 
-        from .obs import get_registry
+        from .obs.metrics import get_registry
 
         # The process registry, not a private one: a single
         # /metrics?format=prometheus scrape then covers everything the
@@ -714,8 +749,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             else 10.0
         )
         if scheduler is not None:
-            from .jobs import JobsHttpServer
-
             http = JobsHttpServer(
                 service, scheduler,
                 host=args.http_host, port=args.http_port,
@@ -782,13 +815,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _experiment_spec_from_args(args: argparse.Namespace):
-    from .exper import (
+    from .exper.scenarios import (
         AnyAsPairSampler,
         AttackConfig,
-        ExperimentSpec,
         StubPairSampler,
         policy_from_name,
     )
+    from .exper.spec import ExperimentSpec
+    from .netbase.prefix import Prefix
 
     # A threshold/cadence flag without --stopping means the user wants
     # stopping: imply "ci" rather than silently ignoring the flag.
@@ -835,8 +869,6 @@ def _experiment_spec_from_args(args: argparse.Namespace):
     sampler = (
         AnyAsPairSampler() if args.sampler == "any" else StubPairSampler()
     )
-    from .netbase import Prefix
-
     stop_kwargs = {
         name: value
         for name in ("stopping", "stop_ci_width", "stop_min_trials",
@@ -862,7 +894,6 @@ def _experiment_spec_from_args(args: argparse.Namespace):
 def _cmd_experiment(args: argparse.Namespace) -> int:
     import json
 
-    from .exper import ExperimentRunner
     from .netbase.errors import ReproError
 
     try:
@@ -876,19 +907,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(spec.to_json())
         return 0
 
-    if args.topology:
-        from .data import read_caida
+    from .exper.runner import ExperimentRunner
 
-        topology = read_caida(args.topology)
-    else:
-        from .data import TopologyProfile, generate_topology
-
-        topology = generate_topology(
-            TopologyProfile(ases=args.ases), random.Random(args.topology_seed)
-        )
+    topology = _topology_from_args(args)
     sink = None
     if args.sink:
-        from .results import JsonlSink
+        from .results.sinks import JsonlSink
 
         sink = JsonlSink(args.sink)
     elif args.resume:
@@ -896,18 +920,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         return 2
     reporter = None
     if args.progress:
-        from .obs import ProgressReporter
+        from .obs.progress import ProgressReporter
 
         reporter = ProgressReporter(
             spec, interval=args.progress_interval
         )
     if args.trace:
-        from .obs import enable_tracing
+        from .obs.trace import enable_tracing
 
         enable_tracing()
     shard_transport = None
     if args.shard_hosts:
-        from .serve import HttpShardTransport
+        from .serve.shards import HttpShardTransport
 
         try:
             shard_transport = HttpShardTransport(
@@ -945,7 +969,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         if reporter is not None:
             reporter.finish()
         if args.trace:
-            from .obs import disable_tracing, write_chrome_trace
+            from .obs.trace import disable_tracing, write_chrome_trace
 
             disable_tracing()
             events = write_chrome_trace(args.trace)
@@ -963,7 +987,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _result_to_json(result) -> dict:
-    from .results import result_to_json
+    from .results.store import result_to_json
 
     return result_to_json(result)
 
@@ -972,7 +996,8 @@ def _cmd_results(args: argparse.Namespace) -> int:
     import json
 
     from .netbase.errors import ReproError
-    from .results import merge_runs, read_run, run_result
+    from .results.sinks import read_run
+    from .results.store import merge_runs, run_result
 
     try:
         if args.results_command == "merge":
@@ -1003,12 +1028,14 @@ def _cmd_results(args: argparse.Namespace) -> int:
     return 0
 
 
-def _shard_worker_topology(args: argparse.Namespace):
-    if args.topology:
-        from .data import read_caida
+def _topology_from_args(args: argparse.Namespace):
+    """``--topology FILE`` where the command has that flag and it is
+    given, else the synthetic ``--ases``/``--topology-seed`` graph."""
+    if getattr(args, "topology", None):
+        from .data.caida import read_caida
 
         return read_caida(args.topology)
-    from .data import TopologyProfile, generate_topology
+    from .data.asgraph import TopologyProfile, generate_topology
 
     return generate_topology(
         TopologyProfile(ases=args.ases), random.Random(args.topology_seed)
@@ -1021,9 +1048,9 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
     if args.listen:
         import time as time_module
 
-        from .serve import ThreadedShardWorkerServer
+        from .serve.shards import ThreadedShardWorkerServer
 
-        topology = _shard_worker_topology(args)
+        topology = _topology_from_args(args)
         try:
             server = ThreadedShardWorkerServer(
                 topology, host=args.host, port=args.port
@@ -1054,14 +1081,15 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    from .exper import ExperimentSpec, plan_shards, run_shard
-    from .results import JsonlSink
+    from .exper.sharded import plan_shards, run_shard
+    from .exper.spec import ExperimentSpec
+    from .results.sinks import JsonlSink
 
     try:
         spec = ExperimentSpec.from_json(
             Path(args.spec).read_text(encoding="utf-8")
         )
-        topology = _shard_worker_topology(args)
+        topology = _topology_from_args(args)
         plan = plan_shards(spec, args.shards)
         if not 0 <= args.shard < len(plan):
             raise ReproError(
@@ -1089,7 +1117,7 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
 
 
 def _chaos_plan(args: argparse.Namespace):
-    from .faults import FaultPlan
+    from .faults.plan import FaultPlan
 
     if args.plan:
         return FaultPlan.from_json(
@@ -1111,10 +1139,10 @@ def _chaos_experiment(args: argparse.Namespace, plan) -> int:
     import json
     import os as os_module
 
-    from .data import TopologyProfile, generate_topology
-    from .exper import AttackConfig, ExperimentRunner, ExperimentSpec
-    from .exper import policy_from_name
-    from .faults import PLAN_ENV, install
+    from .exper.runner import ExperimentRunner
+    from .exper.scenarios import AttackConfig, policy_from_name
+    from .exper.spec import ExperimentSpec
+    from .faults.plan import PLAN_ENV, install
     from .netbase.errors import ReproError
 
     # The exact default grid of `repro-roa experiment` (attacks,
@@ -1129,9 +1157,7 @@ def _chaos_experiment(args: argparse.Namespace, plan) -> int:
         trials=args.trials,
         seed=args.spec_seed,
     )
-    topology = generate_topology(
-        TopologyProfile(ases=args.ases), random.Random(args.topology_seed)
-    )
+    topology = _topology_from_args(args)
     # Ship the plan to shard workers through the environment (local
     # processes inherit it; install_from_env() gives each attempt
     # fresh hit counters) and install it here for any in-process path.
@@ -1139,7 +1165,7 @@ def _chaos_experiment(args: argparse.Namespace, plan) -> int:
     install(plan)
     sink = None
     if args.sink:
-        from .results import JsonlSink
+        from .results.sinks import JsonlSink
 
         sink = JsonlSink(args.sink)
     try:
@@ -1164,7 +1190,7 @@ def _chaos_experiment(args: argparse.Namespace, plan) -> int:
     # Worker faults fire inside worker processes; the coordinator
     # observes them as shard failures and retries, so those counters
     # are the drill's evidence (plan.fired covers in-process sites).
-    from .obs import get_registry
+    from .obs.metrics import get_registry
 
     snap = get_registry().snapshot()
     print(
@@ -1192,10 +1218,11 @@ def _chaos_serve(args: argparse.Namespace, plan) -> int:
     import asyncio
     import json
 
-    from .faults import install
-    from .netbase import Prefix
-    from .rpki import Vrp
-    from .serve import QueryHttpServer, QueryService
+    from .faults.plan import install
+    from .netbase.prefix import Prefix
+    from .rpki.vrp import Vrp
+    from .serve.http import QueryHttpServer
+    from .serve.query import QueryService
 
     install(plan)
 
@@ -1291,7 +1318,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _job_spec_from_args(args: argparse.Namespace):
-    from .jobs import JobSpec
+    from .jobs.model import JobSpec
 
     return JobSpec(
         spec=_experiment_spec_from_args(args),
@@ -1329,7 +1356,8 @@ def _jobs_request(
 def _jobs_local(args: argparse.Namespace, store_dir: str) -> int:
     import json
 
-    from .jobs import JobScheduler, JobStore
+    from .jobs.scheduler import JobScheduler
+    from .jobs.store import JobStore
 
     store = JobStore(store_dir)
     command = args.jobs_command
@@ -1367,7 +1395,7 @@ def _jobs_local(args: argparse.Namespace, store_dir: str) -> int:
         print(f"{args.job} cancelled (was {state.status})")
         return 0
     if command == "diff":
-        from .results import run_diff_document
+        from .results.store import run_diff_document
 
         results = store.results_store()
         a_header, a_records = results.read(args.a)
@@ -1381,7 +1409,7 @@ def _jobs_local(args: argparse.Namespace, store_dir: str) -> int:
                          separators=(",", ":")))
         return 0
     # "run": the foreground drain — also the crash-recovery path.
-    from .faults import install_from_env
+    from .faults.plan import install_from_env
 
     install_from_env()
     executed = JobScheduler(store).run_pending()

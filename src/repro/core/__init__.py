@@ -9,65 +9,26 @@
 * :mod:`repro.core.pipeline` — the Figure 1 local-cache pipeline.
 """
 
-from ..rpki.vrp import Vrp
-from .bounds import lower_bound_pdu_count, maximally_permissive_vrps
-from .compress import (
-    CompressionStats,
-    build_tries,
-    compress_trie,
-    compress_vrps,
-    compress_vrps_optimal,
-)
-from .minimal import (
-    OriginPair,
-    additional_prefix_count,
-    build_origin_index,
-    minimal_roa_for,
-    to_minimal_vrps,
-)
-from .pipeline import LocalCache
-from .recommend import (
-    Finding,
-    FindingCode,
-    RoaReview,
-    Severity,
-    lint_roa,
-    lint_roas,
-)
-from .vulnerability import (
-    VulnerabilityReport,
-    analyze_vrps,
-    announced_count_under,
-    hijackable_prefixes,
-    is_minimal,
-    is_vulnerable,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CompressionStats",
-    "Finding",
-    "FindingCode",
-    "LocalCache",
-    "RoaReview",
-    "Severity",
-    "lint_roa",
-    "lint_roas",
-    "OriginPair",
-    "Vrp",
-    "VulnerabilityReport",
-    "additional_prefix_count",
-    "analyze_vrps",
-    "announced_count_under",
-    "build_origin_index",
-    "build_tries",
-    "compress_trie",
-    "compress_vrps",
-    "compress_vrps_optimal",
-    "hijackable_prefixes",
-    "is_minimal",
-    "is_vulnerable",
-    "lower_bound_pdu_count",
-    "maximally_permissive_vrps",
-    "minimal_roa_for",
-    "to_minimal_vrps",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bounds": ("lower_bound_pdu_count", "maximally_permissive_vrps"),
+    # Vrp is defined in repro.rpki.vrp; compress takes and returns it.
+    "compress": (
+        "CompressionStats", "Vrp", "build_tries", "compress_trie",
+        "compress_vrps", "compress_vrps_optimal",
+    ),
+    "minimal": (
+        "OriginPair", "additional_prefix_count", "build_origin_index",
+        "minimal_roa_for", "to_minimal_vrps",
+    ),
+    "pipeline": ("LocalCache",),
+    "recommend": (
+        "Finding", "FindingCode", "RoaReview", "Severity", "lint_roa",
+        "lint_roas",
+    ),
+    "vulnerability": (
+        "VulnerabilityReport", "analyze_vrps", "announced_count_under",
+        "hijackable_prefixes", "is_minimal", "is_vulnerable",
+    ),
+})

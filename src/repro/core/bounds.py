@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..netbase import Prefix
+from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
 from .minimal import OriginPair
 

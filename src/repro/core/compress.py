@@ -45,8 +45,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from ..netbase import Prefix, PrefixTrie
 from ..netbase.errors import PrefixLengthError
+from ..netbase.prefix import Prefix
+from ..netbase.trie import PrefixTrie
 from ..rpki.vrp import Vrp
 
 __all__ = [

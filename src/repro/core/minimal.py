@@ -21,11 +21,14 @@ This module implements the conversions of §6–§7:
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from ..netbase import Prefix, RadixTree
-from ..rpki.roa import Roa, RoaPrefix
+from ..netbase.prefix import Prefix
+from ..netbase.radix import RadixTree
 from ..rpki.vrp import Vrp
+
+if TYPE_CHECKING:
+    from ..rpki.roa import Roa
 
 __all__ = [
     "OriginPair",
@@ -107,6 +110,10 @@ def minimal_roa_for(
     AS announces nothing the ROA authorizes — in which case the ROA
     protects nothing and the paper's recommendation is to review it.
     """
+    # The caller holds a Roa, so rpki.roa (and the DER codec under it)
+    # is loaded already; the VRP-level functions above never need it.
+    from ..rpki.roa import Roa, RoaPrefix
+
     index = (
         announced
         if isinstance(announced, dict)

@@ -15,13 +15,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from ..rpki import (
-    Repository,
-    ResourceCertificate,
-    ValidationRun,
-    Vrp,
-    scan_roas,
-)
+from ..rpki.cert import ResourceCertificate
+from ..rpki.repository import Repository
+from ..rpki.scan import scan_roas
+from ..rpki.validator import ValidationRun
+from ..rpki.vrp import Vrp
 from ..serve.rtr_async import ThreadedRtrServer
 from .compress import CompressionStats, compress_vrps
 

@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..netbase import RadixTree
+from ..netbase.radix import RadixTree
 from ..rpki.roa import Roa, RoaPrefix
 from ..rpki.vrp import Vrp
 from .compress import compress_vrps

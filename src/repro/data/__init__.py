@@ -5,51 +5,21 @@ see DESIGN.md §2 for the substitution rationale and the calibration
 arithmetic behind :class:`GeneratorConfig`'s defaults.
 """
 
-from .allocation import AddressAllocator, Allocation, AllocationError
-from .asgraph import TopologyProfile, generate_topology
-from .caida import (
-    CaidaFormatError,
-    read_caida,
-    read_caida_compiled,
-    write_caida,
-)
-from .distributions import capped_pareto_int, geometric_int, weighted_choice
-from .internet import GeneratorConfig, InternetSnapshot, generate_snapshot
-from .routeviews import (
-    RibFormatError,
-    read_origin_pairs,
-    read_rib,
-    write_origin_pairs,
-    write_rib,
-)
-from .rpki_archive import ArchiveFormatError, read_vrp_csv, write_vrp_csv
-from .snapshots import WEEKLY_LABELS, SeriesConfig, generate_weekly_series
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AddressAllocator",
-    "Allocation",
-    "AllocationError",
-    "ArchiveFormatError",
-    "CaidaFormatError",
-    "GeneratorConfig",
-    "InternetSnapshot",
-    "RibFormatError",
-    "SeriesConfig",
-    "TopologyProfile",
-    "WEEKLY_LABELS",
-    "capped_pareto_int",
-    "generate_snapshot",
-    "generate_topology",
-    "generate_weekly_series",
-    "read_caida",
-    "read_caida_compiled",
-    "write_caida",
-    "geometric_int",
-    "read_origin_pairs",
-    "read_rib",
-    "read_vrp_csv",
-    "weighted_choice",
-    "write_origin_pairs",
-    "write_rib",
-    "write_vrp_csv",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "allocation": ("AddressAllocator", "Allocation", "AllocationError"),
+    "asgraph": ("TopologyProfile", "generate_topology"),
+    "caida": (
+        "CaidaFormatError", "read_caida", "read_caida_compiled",
+        "write_caida",
+    ),
+    "distributions": ("capped_pareto_int", "geometric_int", "weighted_choice"),
+    "internet": ("GeneratorConfig", "InternetSnapshot", "generate_snapshot"),
+    "routeviews": (
+        "RibFormatError", "read_origin_pairs", "read_rib",
+        "write_origin_pairs", "write_rib",
+    ),
+    "rpki_archive": ("ArchiveFormatError", "read_vrp_csv", "write_vrp_csv"),
+    "snapshots": ("SeriesConfig", "WEEKLY_LABELS", "generate_weekly_series"),
+})

@@ -12,8 +12,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ..netbase import AF_INET, AF_INET6, Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import AF_INET, AF_INET6, Prefix
 from .distributions import weighted_choice
 
 __all__ = ["AllocationError", "AddressAllocator", "Allocation"]

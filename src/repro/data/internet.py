@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterator, Optional
 
-from ..netbase import AF_INET, AF_INET6, Prefix
+from ..netbase.prefix import AF_INET, AF_INET6, Prefix
 from ..rpki.roa import Roa, RoaPrefix
 from ..rpki.scan import scan_roa_payloads
 from ..rpki.vrp import Vrp

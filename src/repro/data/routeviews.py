@@ -19,8 +19,8 @@ import io
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
-from ..netbase import Prefix
 from ..netbase.errors import PrefixError, ReproError
+from ..netbase.prefix import Prefix
 from ..bgp.announcement import Announcement
 
 __all__ = [

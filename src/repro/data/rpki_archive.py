@@ -17,8 +17,8 @@ import csv
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
-from ..netbase import Prefix
 from ..netbase.errors import PrefixError, ReproError
+from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
 
 __all__ = ["ArchiveFormatError", "write_vrp_csv", "read_vrp_csv"]

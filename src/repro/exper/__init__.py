@@ -42,82 +42,29 @@ The layers, bottom to top:
   :mod:`repro.results.accumulate`.
 """
 
-from .aggregate import (
-    CellStats,
-    ExperimentResult,
-    aggregate_records,
-    prefix_ci_width,
-)
-from .evaluate import (
-    RECORD_SCHEMA,
-    TrialRecord,
-    evaluate_trial,
-    evaluate_trials,
-)
-from .runner import EXECUTORS, ExperimentRunner, resolve_executor
-from .scenarios import (
-    AnyAsPairSampler,
-    AttackConfig,
-    CustomRoa,
-    FixedPairSampler,
-    MaxLengthLooseRoa,
-    MinimalRoa,
-    NoRoa,
-    PartialCoverageRoa,
-    RoaPolicy,
-    ScenarioCell,
-    StubPairSampler,
-    VictimAttackerSampler,
-    policy_from_name,
-)
-from .sharded import (
-    LocalShardTransport,
-    Shard,
-    ShardCoordinator,
-    plan_shards,
-    run_shard,
-)
-from .spec import (
-    ExperimentSpec,
-    TrialSpec,
-    derive_trial_seed,
-    iter_trials,
-    materialize_trials,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AnyAsPairSampler",
-    "AttackConfig",
-    "CellStats",
-    "CustomRoa",
-    "EXECUTORS",
-    "ExperimentResult",
-    "ExperimentRunner",
-    "ExperimentSpec",
-    "FixedPairSampler",
-    "LocalShardTransport",
-    "MaxLengthLooseRoa",
-    "MinimalRoa",
-    "NoRoa",
-    "PartialCoverageRoa",
-    "RECORD_SCHEMA",
-    "RoaPolicy",
-    "ScenarioCell",
-    "Shard",
-    "ShardCoordinator",
-    "StubPairSampler",
-    "TrialRecord",
-    "TrialSpec",
-    "VictimAttackerSampler",
-    "aggregate_records",
-    "derive_trial_seed",
-    "evaluate_trial",
-    "evaluate_trials",
-    "iter_trials",
-    "materialize_trials",
-    "plan_shards",
-    "policy_from_name",
-    "prefix_ci_width",
-    "resolve_executor",
-    "run_shard",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "aggregate": (
+        "CellStats", "ExperimentResult", "aggregate_records",
+        "prefix_ci_width",
+    ),
+    "evaluate": (
+        "RECORD_SCHEMA", "TrialRecord", "evaluate_trial", "evaluate_trials",
+    ),
+    "runner": ("EXECUTORS", "ExperimentRunner", "resolve_executor"),
+    "scenarios": (
+        "AnyAsPairSampler", "AttackConfig", "CustomRoa", "FixedPairSampler",
+        "MaxLengthLooseRoa", "MinimalRoa", "NoRoa", "PartialCoverageRoa",
+        "RoaPolicy", "ScenarioCell", "StubPairSampler",
+        "VictimAttackerSampler", "policy_from_name",
+    ),
+    "sharded": (
+        "LocalShardTransport", "Shard", "ShardCoordinator", "plan_shards",
+        "run_shard",
+    ),
+    "spec": (
+        "ExperimentSpec", "TrialSpec", "derive_trial_seed", "iter_trials",
+        "materialize_trials",
+    ),
+})

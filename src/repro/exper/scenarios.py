@@ -35,8 +35,8 @@ from typing import Optional
 from ..bgp.attacks import AttackKind
 from ..bgp.origin_validation import VrpIndex
 from ..bgp.topology import AsTopology
-from ..netbase import Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
 
 __all__ = [

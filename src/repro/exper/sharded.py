@@ -61,7 +61,8 @@ from typing import Callable, Iterator, Optional, Union
 
 from ..bgp.fastprop import PropagationWorkspace
 from ..bgp.topology import AsTopology, CompiledTopology
-from ..faults import RetryPolicy, fire, install_from_env
+from ..faults.plan import fire, install_from_env
+from ..faults.retry import RetryPolicy
 from ..netbase.errors import ReproError
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry

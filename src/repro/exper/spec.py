@@ -33,8 +33,8 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bgp.attacks import coerce_engine
 from ..bgp.topology import AsTopology
-from ..netbase import Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
 from .scenarios import (
     AnyAsPairSampler,

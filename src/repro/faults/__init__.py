@@ -10,30 +10,12 @@ byte-identical to a fault-free serial run (architecture.md invariant
 7).  See ``docs/robustness.md``.
 """
 
-from .plan import (
-    PLAN_ENV,
-    SITES,
-    FaultPlan,
-    FaultRule,
-    active_plan,
-    fire,
-    fire_async,
-    install,
-    install_from_env,
-    uninstall,
-)
-from .retry import RetryPolicy
+from .._lazy import lazy_exports
 
-__all__ = [
-    "PLAN_ENV",
-    "SITES",
-    "FaultPlan",
-    "FaultRule",
-    "RetryPolicy",
-    "active_plan",
-    "fire",
-    "fire_async",
-    "install",
-    "install_from_env",
-    "uninstall",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "plan": (
+        "FaultPlan", "FaultRule", "PLAN_ENV", "SITES", "active_plan", "fire",
+        "fire_async", "install", "install_from_env", "uninstall",
+    ),
+    "retry": ("RetryPolicy",),
+})

@@ -44,7 +44,6 @@ the same fresh schedule.
 
 from __future__ import annotations
 
-import asyncio
 import errno
 import hashlib
 import json
@@ -453,4 +452,8 @@ async def fire_async(site: str, **context: object) -> None:
     rule, hit = decision
     delay = _execute(plan, rule, site, hit)
     if delay > 0:
+        # Only a running event loop reaches here, so asyncio is loaded
+        # already; the synchronous sites never pay for importing it.
+        import asyncio
+
         await asyncio.sleep(delay)

@@ -37,16 +37,11 @@ serve --jobs`` are the CLI faces; ``jobs.*`` metrics and the
 ``docs/platform.md``.
 """
 
-from .http import JobsHttpServer
-from .model import JobRecord, JobSpec, JobState
-from .scheduler import JobScheduler
-from .store import JobStore
+from .._lazy import lazy_exports
 
-__all__ = [
-    "JobRecord",
-    "JobScheduler",
-    "JobSpec",
-    "JobState",
-    "JobStore",
-    "JobsHttpServer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "http": ("JobsHttpServer",),
+    "model": ("JobRecord", "JobSpec", "JobState"),
+    "scheduler": ("JobScheduler",),
+    "store": ("JobStore",),
+})

@@ -97,7 +97,7 @@ class JobSpec:
 
     def build_topology(self):
         """The job's AS graph, identical to the CLI's construction."""
-        from ..data import TopologyProfile, generate_topology
+        from ..data.asgraph import TopologyProfile, generate_topology
 
         return generate_topology(
             TopologyProfile(ases=self.ases),

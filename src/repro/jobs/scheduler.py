@@ -30,8 +30,7 @@ import time
 from pathlib import Path
 from typing import Optional
 
-from ..exper.runner import ExperimentRunner
-from ..faults import fire
+from ..faults.plan import fire
 from ..netbase.errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
 from ..results.live import RunRegistry
@@ -264,6 +263,10 @@ class JobScheduler:
             self._refresh_depth(metrics)
 
     def _run_job(self, state: JobState) -> None:
+        # Imported where a job executes: submit/cancel/list clients
+        # construct a scheduler without loading the propagation stack.
+        from ..exper.runner import ExperimentRunner
+
         spec = state.spec
         run_id = spec.run
         if run_id is None:  # enqueue() pins it; belt and braces

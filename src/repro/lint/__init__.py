@@ -23,49 +23,20 @@ CLI: ``repro-roa lint [--json] [--rule RULE] [paths]`` (defaults to
 the installed ``repro`` package); the CI ``lint`` job gates every
 push on a clean tree.  See ``docs/linting.md`` for the rule catalog
 and suppression syntax.  The package is stdlib-only and imports
-nothing else from ``repro`` — it has to pass its own layering rule.
+nothing else from ``repro`` (bar the lazy-export helper every package
+``__init__`` uses) — it has to pass its own layering rule.
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .engine import (
-    PARSE_RULE,
-    discover_files,
-    iter_suppressions,
-    lint_paths,
-    lint_source,
-    lint_sources,
-    module_name_for,
-)
-from .model import Finding, LintUsageError, SourceModule, SuppressionSite
-from .report import (
-    EXIT_CLEAN,
-    EXIT_FINDINGS,
-    EXIT_USAGE,
-    render_text,
-    to_json,
-)
-from .rules import Rule, make_rules, register, rule_catalog
-
-__all__ = [
-    "EXIT_CLEAN",
-    "EXIT_FINDINGS",
-    "EXIT_USAGE",
-    "Finding",
-    "LintUsageError",
-    "PARSE_RULE",
-    "Rule",
-    "SourceModule",
-    "SuppressionSite",
-    "discover_files",
-    "iter_suppressions",
-    "lint_paths",
-    "lint_source",
-    "lint_sources",
-    "make_rules",
-    "module_name_for",
-    "register",
-    "render_text",
-    "rule_catalog",
-    "to_json",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "engine": (
+        "PARSE_RULE", "discover_files", "iter_suppressions", "lint_paths",
+        "lint_source", "lint_sources", "module_name_for",
+    ),
+    "model": ("Finding", "LintUsageError", "SourceModule", "SuppressionSite"),
+    "report": (
+        "EXIT_CLEAN", "EXIT_FINDINGS", "EXIT_USAGE", "render_text", "to_json",
+    ),
+    "rules": ("Rule", "make_rules", "register", "rule_catalog"),
+})

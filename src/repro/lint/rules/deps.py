@@ -8,7 +8,7 @@
 * **DEP002** — cross-package imports must respect the layer order
   (low to high)::
 
-      obs                                   (leaf: imports no repro)
+      obs / _lazy                           (leaves: import no repro)
       netbase / asn1 / crypto / faults
       rpki / bgp / data / rtr
       exper / results
@@ -19,11 +19,12 @@
 
   A module may import its own layer or any lower one; ``repro.obs``
   is importable from everywhere but must itself import nothing from
-  ``repro``.  On top of the layer check, DEP002 detects import cycles
-  at module granularity over *runtime module-level* imports — edges
-  inside ``if TYPE_CHECKING:`` blocks or function bodies are lazy by
-  construction and excluded from the cycle graph (they still count
-  for layering).
+  ``repro`` except ``repro._lazy``, the helper every package
+  ``__init__`` builds its exports with.  On top of the layer check,
+  DEP002 detects import cycles at module granularity over *runtime
+  module-level* imports — edges inside ``if TYPE_CHECKING:`` blocks
+  or function bodies are lazy by construction and excluded from the
+  cycle graph (they still count for layering).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .base import Rule, register
 __all__ = ["ImportEdge", "LayeringRule", "StdlibOnlyRule", "module_edges"]
 
 _LAYERS: Tuple[Tuple[str, ...], ...] = (
-    ("obs",),
+    ("_lazy", "obs"),
     ("netbase", "asn1", "crypto", "faults"),
     ("rpki", "bgp", "data", "rtr"),
     ("exper", "results"),
@@ -137,7 +138,13 @@ def module_edges(src: SourceModule) -> List[ImportEdge]:
 
 def _package_of(module: str) -> str:
     parts = module.split(".")
-    return parts[1] if len(parts) > 1 else ""
+    if len(parts) == 1:
+        return ""
+    name = parts[1]
+    if name.startswith("__") and name.endswith("__"):
+        # `from . import __version__`: a dunder of the package root.
+        return ""
+    return name
 
 
 @register
@@ -200,7 +207,7 @@ class LayeringRule(Rule):
             target_package = _package_of(edge.target)
             if target_package == source_package:
                 continue
-            if source_package == "obs":
+            if source_package == "obs" and target_package != "_lazy":
                 findings.append(Finding(
                     src.path, edge.line, edge.col, self.rule_id,
                     f"repro.obs is a leaf: it is importable from every "

@@ -4,50 +4,19 @@ This subpackage is dependency-free (standard library only) and provides
 the value types everything else is built on.
 """
 
-from .asnum import (
-    AS_TRANS,
-    MAX_ASN,
-    format_asn,
-    is_private_asn,
-    is_reserved_asn,
-    parse_asn,
-    validate_asn,
-)
-from .errors import (
-    AsnError,
-    PrefixError,
-    PrefixLengthError,
-    PrefixParseError,
-    ReproError,
-    TrieError,
-    ValidationError,
-)
-from .prefix import AF_INET, AF_INET6, Prefix
-from .prefixset import PrefixSet, aggregate
-from .radix import RadixTree
-from .trie import PrefixTrie, TrieNode
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AF_INET",
-    "AF_INET6",
-    "AS_TRANS",
-    "MAX_ASN",
-    "AsnError",
-    "Prefix",
-    "PrefixError",
-    "PrefixLengthError",
-    "PrefixParseError",
-    "PrefixSet",
-    "PrefixTrie",
-    "RadixTree",
-    "ReproError",
-    "TrieError",
-    "TrieNode",
-    "ValidationError",
-    "aggregate",
-    "format_asn",
-    "is_private_asn",
-    "is_reserved_asn",
-    "parse_asn",
-    "validate_asn",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "asnum": (
+        "AS_TRANS", "MAX_ASN", "format_asn", "is_private_asn",
+        "is_reserved_asn", "parse_asn", "validate_asn",
+    ),
+    "errors": (
+        "AsnError", "PrefixError", "PrefixLengthError", "PrefixParseError",
+        "ReproError", "TrieError", "ValidationError",
+    ),
+    "prefix": ("AF_INET", "AF_INET6", "Prefix"),
+    "prefixset": ("PrefixSet", "aggregate"),
+    "radix": ("RadixTree",),
+    "trie": ("PrefixTrie", "TrieNode"),
+})

@@ -28,44 +28,17 @@ gated in ``bench_trial_throughput``:
 2. with tracing off, total telemetry overhead stays ≤2% of trials/sec.
 """
 
-from .metrics import (
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    MetricsRegistry,
-    MetricsView,
-    NullRegistry,
-    NULL_REGISTRY,
-    get_registry,
-    set_registry,
-    use_registry,
-)
-from .progress import ProgressReporter
-from .trace import (
-    Tracer,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
-    span,
-    write_chrome_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
-    "MetricsRegistry",
-    "MetricsView",
-    "NullRegistry",
-    "NULL_REGISTRY",
-    "ProgressReporter",
-    "Tracer",
-    "disable_tracing",
-    "enable_tracing",
-    "get_registry",
-    "get_tracer",
-    "set_registry",
-    "span",
-    "use_registry",
-    "write_chrome_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "metrics": (
+        "Counter", "Gauge", "LatencyHistogram", "MetricsRegistry",
+        "MetricsView", "NULL_REGISTRY", "NullRegistry", "get_registry",
+        "set_registry", "use_registry",
+    ),
+    "progress": ("ProgressReporter",),
+    "trace": (
+        "Tracer", "disable_tracing", "enable_tracing", "get_tracer", "span",
+        "write_chrome_trace",
+    ),
+})

@@ -41,50 +41,18 @@ Quick start::
     ).run()          # re-running after a crash continues, not restarts
 """
 
-from .accumulate import CellAccumulator, GridAccumulator
-from .live import RunRegistry, ServePublisher
-from .sinks import (
-    HEADER_SCHEMA,
-    JsonlSink,
-    MemorySink,
-    ResultSink,
-    RunHeader,
-    SinkWriteError,
-    TeeSink,
-    check_header_compatible,
-    read_run,
-    topology_digest,
-)
-from .store import (
-    ResultsStore,
-    merge_runs,
-    result_to_json,
-    run_ci_document,
-    run_diff_document,
-    run_result,
-    shard_run_id,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CellAccumulator",
-    "GridAccumulator",
-    "HEADER_SCHEMA",
-    "JsonlSink",
-    "MemorySink",
-    "ResultSink",
-    "ResultsStore",
-    "RunHeader",
-    "RunRegistry",
-    "ServePublisher",
-    "SinkWriteError",
-    "TeeSink",
-    "check_header_compatible",
-    "merge_runs",
-    "read_run",
-    "result_to_json",
-    "run_ci_document",
-    "run_diff_document",
-    "run_result",
-    "shard_run_id",
-    "topology_digest",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "accumulate": ("CellAccumulator", "GridAccumulator"),
+    "live": ("RunRegistry", "ServePublisher"),
+    "sinks": (
+        "HEADER_SCHEMA", "JsonlSink", "MemorySink", "ResultSink", "RunHeader",
+        "SinkWriteError", "TeeSink", "check_header_compatible", "read_run",
+        "topology_digest",
+    ),
+    "store": (
+        "ResultsStore", "merge_runs", "result_to_json", "run_ci_document",
+        "run_diff_document", "run_result", "shard_run_id",
+    ),
+})

@@ -46,7 +46,7 @@ from typing import (
     Union,
 )
 
-from ..faults import fire
+from ..faults.plan import fire
 from ..netbase.errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
 

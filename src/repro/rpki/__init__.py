@@ -6,38 +6,18 @@ resource certificates (RFC 6487/3779), ROAs (RFC 6482), manifests
 validator that turns it all into Validated ROA Payloads (VRPs).
 """
 
-from .ca import DEFAULT_VALIDITY_SECONDS, CertificateAuthority
-from .cert import INHERIT, AsRange, ResourceCertificate
-from .manifest import Crl, Manifest, sha256_hex
-from .repository import ObjectKind, PublicationPoint, PublishedObject, Repository
-from .roa import Roa, RoaPrefix
-from .scan import scan_roa_payloads, scan_roas
-from .signed_object import SignedObject
-from .validator import RelyingParty, ValidationIssue, ValidationRun
-from .vrp import Vrp, parse_vrp, sort_vrps
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsRange",
-    "CertificateAuthority",
-    "Crl",
-    "DEFAULT_VALIDITY_SECONDS",
-    "INHERIT",
-    "Manifest",
-    "ObjectKind",
-    "PublicationPoint",
-    "PublishedObject",
-    "RelyingParty",
-    "Repository",
-    "ResourceCertificate",
-    "Roa",
-    "RoaPrefix",
-    "SignedObject",
-    "ValidationIssue",
-    "ValidationRun",
-    "Vrp",
-    "parse_vrp",
-    "scan_roa_payloads",
-    "scan_roas",
-    "sha256_hex",
-    "sort_vrps",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "ca": ("CertificateAuthority", "DEFAULT_VALIDITY_SECONDS"),
+    "cert": ("AsRange", "INHERIT", "ResourceCertificate"),
+    "manifest": ("Crl", "Manifest", "sha256_hex"),
+    "repository": (
+        "ObjectKind", "PublicationPoint", "PublishedObject", "Repository",
+    ),
+    "roa": ("Roa", "RoaPrefix"),
+    "scan": ("scan_roa_payloads", "scan_roas"),
+    "signed_object": ("SignedObject",),
+    "validator": ("RelyingParty", "ValidationIssue", "ValidationRun"),
+    "vrp": ("Vrp", "parse_vrp", "sort_vrps"),
+})

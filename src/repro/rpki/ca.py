@@ -22,9 +22,9 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from ..crypto import RsaPrivateKey, generate_keypair
-from ..netbase import Prefix
+from ..crypto.rsa import RsaPrivateKey, generate_keypair
 from ..netbase.errors import ValidationError
+from ..netbase.prefix import Prefix
 from .cert import INHERIT, AsRange, ResourceCertificate
 from .manifest import Crl, Manifest, sha256_hex
 from .oids import OID_ROA_ECONTENT

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from ..asn1 import (
+from ..asn1.der import (
     Asn1Error,
     BitString,
     ContextTag,
@@ -28,9 +28,9 @@ from ..asn1 import (
     decode,
     encode,
 )
-from ..crypto import RsaPrivateKey, RsaPublicKey
-from ..netbase import Prefix
+from ..crypto.rsa import RsaPrivateKey, RsaPublicKey
 from ..netbase.errors import ValidationError
+from ..netbase.prefix import Prefix
 from .oids import OID_SHA256_RSA
 
 __all__ = ["AsRange", "ResourceCertificate", "INHERIT"]

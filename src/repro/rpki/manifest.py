@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 
-from ..asn1 import (
+from ..asn1.der import (
     Asn1Error,
     Integer,
     OctetString,
@@ -21,7 +21,7 @@ from ..asn1 import (
     decode,
     encode,
 )
-from ..crypto import RsaPrivateKey, RsaPublicKey
+from ..crypto.rsa import RsaPrivateKey, RsaPublicKey
 from ..netbase.errors import ValidationError
 
 __all__ = ["Manifest", "Crl", "sha256_hex"]

@@ -1,6 +1,6 @@
 """Object identifiers used by the simulated RPKI profiles."""
 
-from ..asn1 import ObjectIdentifier
+from ..asn1.der import ObjectIdentifier
 
 #: RFC 6482: id-ct-routeOriginAuthz
 OID_ROA_ECONTENT = ObjectIdentifier("1.2.840.113549.1.9.16.1.24")

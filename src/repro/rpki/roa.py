@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..asn1 import (
+from ..asn1.der import (
     Asn1Error,
     Asn1Value,
     BitString,
@@ -39,8 +39,9 @@ from ..asn1 import (
     decode,
     encode,
 )
-from ..netbase import AF_INET, AF_INET6, Prefix, validate_asn
+from ..netbase.asnum import validate_asn
 from ..netbase.errors import PrefixLengthError, ValidationError
+from ..netbase.prefix import AF_INET, AF_INET6, Prefix
 from .vrp import Vrp
 
 __all__ = ["RoaPrefix", "Roa"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..asn1 import (
+from ..asn1.der import (
     Asn1Error,
     ObjectIdentifier,
     OctetString,

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..netbase import Prefix
 from ..netbase.errors import ReproError, ValidationError
+from ..netbase.prefix import Prefix
 from .cert import INHERIT, AsRange, ResourceCertificate
 from .manifest import Crl, Manifest, sha256_hex
 from .oids import OID_ROA_ECONTENT

@@ -11,7 +11,7 @@ from __future__ import annotations
 import socket
 from typing import Optional
 
-from ..faults import fire
+from ..faults.plan import fire
 from ..netbase.errors import ReproError
 from ..rpki.vrp import Vrp
 from .pdu import (

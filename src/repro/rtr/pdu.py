@@ -16,8 +16,8 @@ import struct
 from dataclasses import dataclass
 from typing import ClassVar, Optional, Union
 
-from ..netbase import AF_INET, AF_INET6, Prefix
 from ..netbase.errors import ReproError
+from ..netbase.prefix import AF_INET, AF_INET6, Prefix
 from ..rpki.vrp import Vrp
 
 __all__ = [

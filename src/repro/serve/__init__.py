@@ -68,30 +68,16 @@ Or from the command line::
     repro-roa serve vrps.csv --rtr-port 8282 --http-port 8080
 """
 
-from .frames import FrameCache
-from .http import HttpRequestError, HttpServerBase, QueryHttpServer
-from .metrics import LatencyHistogram, ServeMetrics
-from .query import QueryService, ValidityResult
-from .rtr_async import AsyncRtrClient, AsyncRtrServer, ThreadedRtrServer
-from .shards import (
-    HttpShardTransport,
-    ShardWorkerServer,
-    ThreadedShardWorkerServer,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AsyncRtrClient",
-    "AsyncRtrServer",
-    "FrameCache",
-    "HttpRequestError",
-    "HttpServerBase",
-    "HttpShardTransport",
-    "LatencyHistogram",
-    "QueryHttpServer",
-    "QueryService",
-    "ServeMetrics",
-    "ShardWorkerServer",
-    "ThreadedRtrServer",
-    "ThreadedShardWorkerServer",
-    "ValidityResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "frames": ("FrameCache",),
+    "http": ("HttpRequestError", "HttpServerBase", "QueryHttpServer"),
+    "metrics": ("LatencyHistogram", "ServeMetrics"),
+    "query": ("QueryService", "ValidityResult"),
+    "rtr_async": ("AsyncRtrClient", "AsyncRtrServer", "ThreadedRtrServer"),
+    "shards": (
+        "HttpShardTransport", "ShardWorkerServer",
+        "ThreadedShardWorkerServer",
+    ),
+})

@@ -46,9 +46,9 @@ import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
-from ..faults import fire_async
-from ..netbase import Prefix
+from ..faults.plan import fire_async
 from ..netbase.errors import ReproError
+from ..netbase.prefix import Prefix
 from .metrics import ServeMetrics, ensure_metrics
 from .query import QueryService
 

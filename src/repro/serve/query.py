@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..bgp.origin_validation import ValidationState, VrpIndex
-from ..netbase import Prefix
+from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
 from .metrics import ServeMetrics, ensure_metrics
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import asyncio
 from typing import Iterable, Optional, Set
 
-from ..faults import fire_async
+from ..faults.plan import fire_async
 from ..netbase.errors import ReproError
 from ..rpki.vrp import Vrp
 from ..rtr.pdu import (

@@ -51,7 +51,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exper.sharded import FAULT_ENV, Shard, _parse_fault, run_shard
 from ..exper.spec import ExperimentSpec
-from ..faults import RetryPolicy, fire, install_from_env
+from ..faults.plan import fire, install_from_env
+from ..faults.retry import RetryPolicy
 from ..netbase.errors import ReproError
 from ..results.sinks import JsonlSink, RunHeader, topology_digest
 from ._loopthread import LoopThread

@@ -55,6 +55,27 @@ class TestParser:
                 }[command]
             ).command == command
 
+    def test_version_is_the_package_literal(self, capsys):
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--version"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out == f"repro-roa {repro.__version__}\n"
+        # setup.py reads the same literal (with a regex, no import).
+        pytest.importorskip("setuptools")
+        completed = subprocess.run(
+            [sys.executable, "setup.py", "--version"],
+            cwd=Path(__file__).resolve().parent.parent,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split()[-1] == repro.__version__
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "x.csv"])
         assert args.rtr_port == 8282

@@ -15,7 +15,10 @@ Three layers:
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 import textwrap
 from pathlib import Path
 
@@ -82,6 +85,18 @@ class TestEngine:
 
     def test_catalog_is_complete(self):
         assert tuple(rule_catalog()) == ALL_RULES
+
+    def test_catalog_is_complete_in_a_fresh_interpreter(self):
+        # Rules register as a side effect of importing lint.rules.*;
+        # the lazy package __init__ must still trigger all of it.
+        completed = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.lint; print(*repro.lint.rule_catalog())"],
+            env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert tuple(completed.stdout.split()) == ALL_RULES
 
     def test_reporters(self):
         findings = lint_source(
@@ -222,6 +237,25 @@ class TestDep002:
     def test_obs_importable_from_lowest_layer(self):
         text = "from repro.obs import get_registry\n"
         assert flags(text, "repro.netbase.fixture", "DEP002") == []
+
+    def test_obs_may_use_the_lazy_export_helper(self):
+        text = "from .._lazy import lazy_exports\n"
+        assert flags(text, "repro.obs", "DEP002") == []
+        assert flags(text, "repro.netbase", "DEP002") == []
+
+    def test_root_dunder_is_the_root_not_a_package(self):
+        text = "from . import __version__\n"
+        assert flags(text, "repro.cli", "DEP002") == []
+        text = "from .. import __version__\n"
+        assert flags(text, "repro.netbase.fixture", "DEP002") == ["DEP002"]
+
+    def test_function_body_imports_still_count_for_layering(self):
+        text = (
+            "def late():\n"
+            "    from ..serve.http import QueryHttpServer\n"
+            "    return QueryHttpServer\n"
+        )
+        assert flags(text, "repro.rpki.fixture", "DEP002") == ["DEP002"]
 
     def test_downward_and_same_layer_imports_pass(self):
         text = (
