@@ -57,10 +57,16 @@ from ..results.sinks import (
     ResultSink,
     RunHeader,
     check_header_compatible,
+    complete_trials,
 )
 from .aggregate import ExperimentResult, aggregate_records, prefix_ci_width
 from .evaluate import TrialRecord, evaluate_trials
-from .sharded import ShardCoordinator
+from .sharded import (
+    ShardCoordinator,
+    attach_shared_blob,
+    release_shared,
+    share_topology,
+)
 from .spec import EXECUTORS, ExperimentSpec, TrialSpec, iter_trials
 
 __all__ = ["ExperimentRunner", "EXECUTORS", "resolve_executor"]
@@ -111,28 +117,10 @@ _MAX_AUTO_BATCH = 64
 _WORKER: dict = {}
 
 
-def _attach_shared_blob(name: str):
-    """Attach a shared-memory segment without adopting its lifecycle.
-
-    The driver owns creation and unlinking; a worker only maps the
-    segment.  On Python 3.13+ ``track=False`` keeps the attach out of
-    the resource tracker entirely; before that, pool workers share the
-    driver's tracker, where re-registering the same name is idempotent
-    and the driver's unlink unregisters it exactly once — so a plain
-    attach is already lifecycle-clean.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        return shared_memory.SharedMemory(name=name)
-
-
 def _init_worker(payload: tuple, spec: ExperimentSpec) -> None:
     kind, value = payload
     if kind == "shm":
-        shm = _attach_shared_blob(value)
+        shm = attach_shared_blob(value)
         _WORKER["shm"] = shm
         compiled = CompiledTopology.from_blob(shm.buf)
     else:  # "blob"
@@ -480,8 +468,8 @@ class ExperimentRunner:
 
         Only *complete* trials — every cell's record present — are
         replayed and skipped; a trial the interrupted run recorded
-        partially is re-evaluated whole (its re-written records are
-        byte-identical, so durable files tolerate the duplication).
+        partially is re-evaluated whole (a durable sink drops the
+        partial block when it re-opens its file, so nothing repeats).
         """
         if self.resume_from is None:
             return [], frozenset()
@@ -496,7 +484,6 @@ class ExperimentRunner:
             header, self._run_header(), "resume source"
         )
         spec = self.spec
-        by_trial: dict[tuple[int, int], list[TrialRecord]] = {}
         for record in records:
             if not (
                 0 <= record.fraction_index < len(spec.fractions)
@@ -509,22 +496,11 @@ class ExperimentRunner:
                     f"{record.trial_index}, {record.cell_index}) "
                     f"outside the spec"
                 )
-            by_trial.setdefault(
-                (record.fraction_index, record.trial_index), []
-            ).append(record)
-        finished = frozenset(
-            key
-            for key, cell_records in by_trial.items()
-            if len(cell_records) == len(spec.cells)
-        )
+        finished = complete_trials(records, len(spec.cells))
         replay = [
-            record
-            for key in sorted(finished)
-            for record in sorted(
-                by_trial[key], key=lambda r: r.cell_index
-            )
+            record for key in sorted(finished) for record in finished[key]
         ]
-        return replay, finished
+        return replay, frozenset(finished)
 
     def _run_header(self) -> RunHeader:
         """This run's identity: spec hash plus topology digest."""
@@ -648,7 +624,9 @@ class ExperimentRunner:
             ),
         )
         with trace.span("exper.share_topology"):
-            payload, shm = self._share_topology()
+            payload, shm = share_topology(self.topology)
+        # The most recent run's segment name (observability only).
+        self.last_shared_segment = None if shm is None else shm.name
         try:
             with multiprocessing.Pool(
                 processes=self.workers,
@@ -660,11 +638,7 @@ class ExperimentRunner:
                 )
         finally:
             if shm is not None:
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
+                release_shared(shm)
 
     def _pump_pool(
         self,
@@ -769,38 +743,6 @@ class ExperimentRunner:
             yield from coordinator.records()
         finally:
             self.last_shared_segment = coordinator.last_shared_segment
-
-    # ------------------------------------------------------------------
-    # Shared-memory topology shipping
-    # ------------------------------------------------------------------
-
-    def _share_topology(self) -> tuple:
-        """Compile once, publish the blob, return (payload, handle).
-
-        Preferred transport: a shared-memory segment all workers attach
-        zero-copy — the caller owns the returned handle and unlinks it
-        when its run ends.  Fallback (no ``/dev/shm``, permissions):
-        the blob rides the initializer's pickle — still one flat
-        buffer, still no per-worker recompile.
-        ``last_shared_segment`` records the most recent run's segment
-        name (observability only).
-        """
-        blob = self.topology.compiled().to_blob()
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(create=True, size=len(blob))
-        except (ImportError, OSError):
-            self.last_shared_segment = None
-            return ("blob", blob), None
-        try:
-            shm.buf[: len(blob)] = blob
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        self.last_shared_segment = shm.name
-        return ("shm", shm.name), shm
 
     # ------------------------------------------------------------------
     # One-shot aggregation

@@ -22,8 +22,9 @@ the withhold discipline for early stopping).
 
 Failure semantics: a shard that dies — killed, crashed, or silent past
 the progress timeout — is retried up to ``retries`` times, resuming
-its own partial shard file (complete trials are skipped; the partial
-tail is truncated), so a retried shard converges on the same bytes an
+its own partial shard file (complete trials are skipped; the sink
+cuts a partial tail line and a half-recorded trial when it re-opens
+the file), so a retried shard converges on the same bytes an
 undisturbed one writes.  The coordinator babysits workers through a
 deliberately narrow transport interface (start/poll/stop/collect);
 :class:`LocalShardTransport` runs them as local processes sharing the
@@ -32,18 +33,15 @@ serve tier's ``HttpShardTransport`` dispatches them to remote worker
 hosts over HTTP (the layering DAG forbids importing it from here; the
 CLI wires it in).
 
-Fault injection for the test suite and CI rides two channels.  The
-legacy ``REPRO_SHARD_FAULT`` environment variable —
-``"<shard>:<kill|raise>:<after-records>"`` — is honoured only on a
-shard's first attempt, so a faulted run exercises death *and*
-recovery.  The general mechanism is a :class:`~repro.faults.FaultPlan`
-carried via :data:`~repro.faults.PLAN_ENV`: workers install it at
-entry (:func:`~repro.faults.install_from_env`, resetting
-fork-inherited hit counters) and :func:`run_shard` fires the
-``exper.shard.record`` injection point after every record, tagged
-with ``shard`` and ``attempt`` so plans can scope faults to first
-attempts and specific shards.  Retry pacing is a
-:class:`~repro.faults.RetryPolicy` — deterministic
+Fault injection for the test suite and CI is a
+:class:`~repro.faults.FaultPlan` carried via
+:data:`~repro.faults.PLAN_ENV`: workers install it at entry
+(:func:`~repro.faults.install_from_env`, resetting fork-inherited hit
+counters) and :func:`run_shard` fires the ``exper.shard.record``
+injection point after every record, tagged with ``shard`` and
+``attempt`` — a rule matching ``attempt=0`` fires on a shard's first
+attempt only, so a faulted run exercises death *and* recovery.  Retry
+pacing is a :class:`~repro.faults.RetryPolicy` — deterministic
 backoff-with-jitter keyed on the run base and shard index — replacing
 the old immediate-relaunch loop (the default policy keeps zero delay,
 so existing behaviour is unchanged unless a policy is passed).
@@ -70,6 +68,7 @@ from ..results.sinks import (
     JsonlSink,
     RunHeader,
     check_header_compatible,
+    complete_trials,
     read_run,
 )
 from ..results.store import ResultsStore, shard_run_id
@@ -77,18 +76,12 @@ from .evaluate import TrialRecord, evaluate_trials
 from .spec import ExperimentSpec, iter_trials
 
 __all__ = [
-    "FAULT_ENV",
     "LocalShardTransport",
     "Shard",
     "ShardCoordinator",
     "plan_shards",
     "run_shard",
 ]
-
-#: Environment variable carrying a one-shot fault injection directive:
-#: ``"<shard-index>:<kill|raise>:<after-records>"``.  Applied by shard
-#: workers on attempt 0 only, so retries recover.
-FAULT_ENV = "REPRO_SHARD_FAULT"
 
 
 @dataclass(frozen=True)
@@ -201,45 +194,6 @@ def plan_shards(spec: ExperimentSpec, shards: int) -> tuple[Shard, ...]:
     return tuple(plan)
 
 
-def _parse_fault(
-    value: Optional[str], shard_index: int, attempt: int
-) -> Optional[tuple[str, int]]:
-    """Decode :data:`FAULT_ENV` for one worker; ``None`` when inert.
-
-    Faults fire on a shard's first attempt only — the whole point is
-    proving the retry converges.
-    """
-    if not value or attempt > 0:
-        return None
-    parts = value.split(":")
-    if len(parts) != 3:
-        raise ReproError(
-            f"bad {FAULT_ENV} {value!r}: expected "
-            f"'<shard>:<kill|raise>:<after-records>'"
-        )
-    try:
-        target, mode, after = int(parts[0]), parts[1], int(parts[2])
-    except ValueError:
-        raise ReproError(f"bad {FAULT_ENV} {value!r}") from None
-    if mode not in ("kill", "raise"):
-        raise ReproError(
-            f"bad {FAULT_ENV} mode {mode!r}: expected 'kill' or 'raise'"
-        )
-    if target != shard_index:
-        return None
-    return mode, after
-
-
-def _trigger_fault(mode: str, shard: Shard) -> None:
-    if mode == "kill":
-        import signal
-
-        os.kill(os.getpid(), signal.SIGKILL)
-    raise ReproError(
-        f"injected fault: shard {shard.shard_index} raised mid-stream"
-    )
-
-
 def run_shard(
     topology: AsTopology,
     spec: ExperimentSpec,
@@ -252,7 +206,6 @@ def run_shard(
     eval_topology=None,
     workspace: Optional[PropagationWorkspace] = None,
     on_record: Optional[Callable[[TrialRecord], None]] = None,
-    fault: Optional[tuple[str, int]] = None,
     attempt: int = 0,
 ) -> int:
     """Evaluate one shard serially, in grid order; return records written.
@@ -268,12 +221,10 @@ def run_shard(
     complete trials are treated the same way, so a retried shard picks
     up where its dead predecessor flushed.
 
-    ``fault`` is the decoded :data:`FAULT_ENV` directive; after the
-    given number of records the worker kills itself or raises.  The
-    installed :class:`~repro.faults.FaultPlan` (if any) is consulted
-    after every record at the ``exper.shard.record`` injection point,
-    with ``shard``/``attempt`` context so plans can target specific
-    shards and first attempts only.
+    The installed :class:`~repro.faults.FaultPlan` (if any) is
+    consulted after every record at the ``exper.shard.record``
+    injection point, with ``shard``/``attempt`` context so plans can
+    target specific shards and first attempts only.
     """
     if header is None:
         header = RunHeader.for_spec(spec, topology)
@@ -282,15 +233,7 @@ def run_shard(
         prior, records = sink.resume_scan(spec)
         if prior is not None:
             check_header_compatible(prior, header, "shard resume source")
-            by_trial: dict[tuple[int, int], int] = {}
-            for record in records:
-                key = (record.fraction_index, record.trial_index)
-                by_trial[key] = by_trial.get(key, 0) + 1
-            done.update(
-                key
-                for key, cells in by_trial.items()
-                if cells == len(spec.cells)
-            )
+            done.update(complete_trials(records, len(spec.cells)))
     if sink is not None:
         sink.begin(header)
 
@@ -302,7 +245,6 @@ def run_shard(
 
     trials = iter_trials(spec, topology, wants=wants)
     written = 0
-    countdown = fault[1] if fault is not None else None
     for record in evaluate_trials(
         eval_topology if eval_topology is not None else topology,
         spec,
@@ -314,10 +256,6 @@ def run_shard(
         written += 1
         if on_record is not None:
             on_record(record)
-        if countdown is not None:
-            countdown -= 1
-            if countdown <= 0:
-                _trigger_fault(fault[0], shard)
         fire(
             "exper.shard.record",
             shard=shard.shard_index,
@@ -326,6 +264,64 @@ def run_shard(
     if sink is not None:
         sink.finish(())
     return written
+
+
+# ----------------------------------------------------------------------
+# Shared-memory topology shipping (local shard workers and the process
+# executor's pool both use this one pair)
+# ----------------------------------------------------------------------
+
+
+def share_topology(topology: AsTopology) -> tuple:
+    """Compile once, publish the blob, return ``(payload, handle)``.
+
+    Preferred transport: a shared-memory segment all workers attach
+    zero-copy — ``payload`` is ``("shm", name)`` and the caller owns
+    ``handle``, passing it to :func:`release_shared` when its run ends.
+    Fallback (no ``/dev/shm``, permissions): ``("blob", bytes)`` with a
+    ``None`` handle; the blob rides the worker arguments' pickle —
+    still one flat buffer, still no per-worker recompile.
+    """
+    blob = topology.compiled().to_blob()
+    try:
+        from multiprocessing import shared_memory
+
+        shm = shared_memory.SharedMemory(create=True, size=len(blob))
+    except (ImportError, OSError):
+        return ("blob", blob), None
+    try:
+        shm.buf[: len(blob)] = blob
+    except BaseException:
+        release_shared(shm)
+        raise
+    return ("shm", shm.name), shm
+
+
+def attach_shared_blob(name: str):
+    """Attach a shared-memory segment without adopting its lifecycle.
+
+    The driver owns creation and unlinking; a worker only maps the
+    segment.  On Python 3.13+ ``track=False`` keeps the attach out of
+    the resource tracker entirely; before that, workers share the
+    driver's tracker, where re-registering the same name is idempotent
+    and the driver's unlink unregisters it exactly once — so a plain
+    attach is already lifecycle-clean.
+    """
+    from multiprocessing import shared_memory
+
+    try:
+        return shared_memory.SharedMemory(name=name, track=False)
+    except TypeError:  # Python < 3.13: no track parameter
+        return shared_memory.SharedMemory(name=name)
+
+
+def release_shared(shm) -> None:
+    """Close and unlink the segment :func:`share_topology` created."""
+    shm.close()
+    try:
+        shm.unlink()
+    except FileNotFoundError:
+        pass
 
 
 # ----------------------------------------------------------------------
@@ -355,9 +351,6 @@ def _run_attached(
     workspace = (
         PropagationWorkspace(compiled) if spec.engine == "array" else None
     )
-    fault = _parse_fault(
-        os.environ.get(FAULT_ENV), shard.shard_index, attempt
-    )
     run_shard(
         topology,
         spec,
@@ -368,7 +361,6 @@ def _run_attached(
         header=header,
         eval_topology=eval_topology,
         workspace=workspace,
-        fault=fault,
         attempt=attempt,
     )
 
@@ -399,14 +391,7 @@ def _local_shard_main(
     # the coordinator's installed plan, so re-parse it from the
     # environment to start counting this attempt's hits from zero.
     install_from_env()
-    shm = None
-    if kind == "shm":
-        from multiprocessing import shared_memory
-
-        try:
-            shm = shared_memory.SharedMemory(name=value, track=False)
-        except TypeError:  # Python < 3.13: no track parameter
-            shm = shared_memory.SharedMemory(name=value)
+    shm = attach_shared_blob(value) if kind == "shm" else None
     sink = JsonlSink(path)
     try:
         _run_attached(
@@ -482,28 +467,6 @@ class LocalShardTransport:
         self._jobs: dict[int, _LocalJob] = {}
         self._ctx = mp_context or multiprocessing.get_context()
 
-    def _ensure_payload(self) -> tuple:
-        if self._payload is not None:
-            return self._payload
-        blob = self.topology.compiled().to_blob()
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(create=True, size=len(blob))
-        except (ImportError, OSError):
-            self._payload = ("blob", blob)
-            return self._payload
-        try:
-            shm.buf[: len(blob)] = blob
-        except BaseException:
-            shm.close()
-            shm.unlink()
-            raise
-        self._shm = shm
-        self.last_shared_segment = shm.name
-        self._payload = ("shm", shm.name)
-        return self._payload
-
     def start(
         self,
         shard: Shard,
@@ -512,11 +475,14 @@ class LocalShardTransport:
         attempt: int,
         header: RunHeader,
     ) -> None:
-        payload = self._ensure_payload()
+        if self._payload is None:
+            self._payload, self._shm = share_topology(self.topology)
+            if self._shm is not None:
+                self.last_shared_segment = self._shm.name
         process = self._ctx.Process(
             target=_local_shard_main,
             args=(
-                payload, self.spec, shard, str(path), finished,
+                self._payload, self.spec, shard, str(path), finished,
                 attempt, header,
             ),
             daemon=True,
@@ -585,11 +551,7 @@ class LocalShardTransport:
             self.stop(index)
         self._jobs.clear()
         if self._shm is not None:
-            self._shm.close()
-            try:
-                self._shm.unlink()
-            except FileNotFoundError:
-                pass
+            release_shared(self._shm)
             self._shm = None
         self._payload = None
 

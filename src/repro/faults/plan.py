@@ -1,8 +1,9 @@
 """Seeded, deterministic fault injection for the whole stack.
 
 PR 8 proved one narrow fault survives: a shard worker killed
-mid-stream (``REPRO_SHARD_FAULT``) still converges on the serial
-bytes.  This module generalizes that discipline.  A :class:`FaultPlan`
+mid-stream still converges on the serial bytes (today a ``crash``
+rule at ``exper.shard.record``).  This module generalizes that
+discipline.  A :class:`FaultPlan`
 is a *schedule* of :class:`FaultRule`\\ s over named injection sites
 threaded through the serve and results tiers::
 

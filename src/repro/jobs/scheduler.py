@@ -24,10 +24,8 @@ observable and drillable like every other tier.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
-from pathlib import Path
 from typing import Optional
 
 from ..faults.plan import fire
@@ -69,44 +67,6 @@ class _JobsMetrics:
 
 class _JobCancelled(ReproError):
     """Internal: a cancel request interrupted the job mid-run."""
-
-
-def _trim_to_trial_boundary(path: Path, cell_count: int) -> None:
-    """Truncate a crash-interrupted run file to its last complete trial.
-
-    A trial records one line per grid cell, and every executor emits
-    those lines as one contiguous block.  ``JsonlSink`` resume
-    re-evaluates any trial whose block is only partially durable and
-    appends the *whole* block again — readers deduplicate, but the
-    file would carry the orphaned partial block and no longer be
-    byte-identical to an uninterrupted run.  Dropping the incomplete
-    trailing block first restores byte-identity (invariant 8): the
-    re-evaluated trial lands exactly where the crash cut it off.
-    """
-    try:
-        data = path.read_bytes()
-    except (FileNotFoundError, OSError):
-        return
-    end = data.rfind(b"\n") + 1  # a partial tail line always goes
-    lines = data[:end].split(b"\n")[:-1]
-    tail_key = None
-    keep = len(lines)
-    for index in range(len(lines) - 1, 0, -1):  # line 0 is the header
-        try:
-            record = json.loads(lines[index])
-            key = (record["fraction_index"], record["trial_index"])
-        except (ValueError, KeyError, TypeError):
-            break  # not a trial record; leave it to the sink's checks
-        if tail_key is None:
-            tail_key = key
-        elif key != tail_key:
-            break
-        keep = index
-    if tail_key is not None and len(lines) - keep < cell_count:
-        end = sum(len(line) + 1 for line in lines[:keep])
-    if end < len(data):
-        with open(path, "r+b") as handle:
-            handle.truncate(end)
 
 
 class JobScheduler:
@@ -290,15 +250,12 @@ class JobScheduler:
             if self._cancelled(job_id):
                 raise _JobCancelled(f"job {job_id} cancelled")
 
-        # THE invariant-8 recipe: trim a crash-cut file back to a
-        # trial boundary, then one JsonlSink object as both sink and
-        # resume source.  The runner re-emits replayed records
-        # downstream (the registry sees the full stream) but never
-        # re-writes them into the file — so fresh, resumed, and
+        # THE invariant-8 recipe: one JsonlSink object as both sink
+        # and resume source (opening it recovers a crash-cut file to
+        # its last complete trial).  The runner re-emits replayed
+        # records downstream (the registry sees the full stream) but
+        # never re-writes them into the file — so fresh, resumed, and
         # direct-CLI runs of one spec are the same bytes.
-        _trim_to_trial_boundary(
-            self.results.path(run_id), len(spec.spec.cells)
-        )
         sink = self.results.sink(run_id)
         runner = ExperimentRunner(
             topology,

@@ -6,25 +6,26 @@ Layout convention (what ``repro-roa jobs --store DIR`` points at)::
         queue.jsonl       # header line, then one JobRecord per event
         runs/             # the jobs' ResultsStore (one run per job)
 
-The queue file follows the run-file discipline of
-:mod:`repro.results.sinks`: a versioned header line first, canonical
-JSON (sorted keys, no whitespace) per line, every append flushed and
-fsynced, and a reader that tolerates exactly one trailing partial
-line — the most a crash mid-append can leave.  Interior corruption is
-an error, never silently skipped.  State is *folded*, not stored: a
-job's status is the last of its events, so recovery after SIGKILL is
-a re-scan, and two processes never disagree about what the bytes say.
+The queue file is the same line log run files are
+(:mod:`repro.results.appendlog`): a versioned header line first,
+canonical JSON per line, every append flushed and fsynced, and a
+reader that tolerates exactly one trailing partial line — the most a
+crash mid-append can leave.  A corrupt *complete* line is an error
+wherever it sits, never silently skipped.  State is *folded*, not
+stored: a job's status is the last of its events, so recovery after
+SIGKILL is a re-scan, and two processes never disagree about what the
+bytes say.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from ..netbase.errors import ReproError
+from ..results import appendlog
 from ..results.store import ResultsStore
 from .model import (
     JOB_SCHEMA,
@@ -36,14 +37,6 @@ from .model import (
 )
 
 __all__ = ["JobStore"]
-
-
-def _encode_line(data: dict) -> bytes:
-    # Canonical form, mirroring repro.results.sinks: the same record
-    # is always the same bytes.
-    return json.dumps(
-        data, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8") + b"\n"
 
 
 class JobStore:
@@ -73,15 +66,7 @@ class JobStore:
         return self._scan()
 
     def _scan(self) -> List[JobRecord]:
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
-        lines = data.split(b"\n")
-        # No trailing newline on the last piece → a partial append
-        # from a crash; drop it (split leaves b"" when the file ends
-        # cleanly, which the loop skips anyway).
-        complete = lines[:-1]
+        complete, _, _ = appendlog.scan(self.path)
         if not complete:
             return []
         header = self._decode(complete[0], 1)
@@ -190,23 +175,13 @@ class JobStore:
             self._append(record)
 
     def _append(self, record: JobRecord) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        needs_header = True
-        if self.path.exists():
-            data = self.path.read_bytes()
-            if data and not data.endswith(b"\n"):
-                # Crash mid-append: keep the complete prefix only, so
-                # the new line never fuses with a partial one.
-                cut = data.rfind(b"\n") + 1
-                with open(self.path, "r+b") as handle:
-                    handle.truncate(cut)
-                data = data[:cut]
-            needs_header = not data
-        with open(self.path, "ab") as handle:
-            if needs_header:
-                handle.write(_encode_line(
+        line = appendlog.encode_line(record.to_json_dict())
+        # Shared, not single-writer: `jobs submit` may append while a
+        # scheduler in another process is marking, and both events
+        # must survive.
+        with appendlog.open_shared(self.path) as handle:
+            if handle.tell() == 0:
+                line = appendlog.encode_line(
                     {"schema": JOB_SCHEMA, "kind": QUEUE_KIND}
-                ))
-            handle.write(_encode_line(record.to_json_dict()))
-            handle.flush()
-            os.fsync(handle.fileno())
+                ) + line
+            appendlog.append(handle, line, fsync=True)

@@ -48,8 +48,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "live": ("RunRegistry", "ServePublisher"),
     "sinks": (
         "HEADER_SCHEMA", "JsonlSink", "MemorySink", "ResultSink", "RunHeader",
-        "SinkWriteError", "TeeSink", "check_header_compatible", "read_run",
-        "topology_digest",
+        "SinkWriteError", "TeeSink", "check_header_compatible",
+        "complete_trials", "read_run", "topology_digest",
     ),
     "store": (
         "ResultsStore", "merge_runs", "result_to_json", "run_ci_document",

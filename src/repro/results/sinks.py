@@ -5,12 +5,15 @@ A :class:`ResultSink` receives the run header, then every released
 trial counts.  Implementations here:
 
 * :class:`MemorySink` — records in a list (tests, small runs).
-* :class:`JsonlSink` — the durable form: an append-only file of JSON
-  lines, one versioned record per line, with a header line carrying
-  the spec hash, seed, and engine.  Every write is flushed, so a
-  killed run loses at most the line being written — and the scanner
-  recovers from exactly that, dropping a truncated or corrupt *tail*
-  line while refusing silently-corrupt interiors.
+* :class:`JsonlSink` — the durable form: an append-only line log
+  (:mod:`repro.results.appendlog`), one versioned record per line,
+  with a header line carrying the spec hash, seed, and engine.  Every
+  write is flushed, so a killed run loses at most the line being
+  written — and the scanner recovers from exactly that, dropping a
+  truncated or corrupt *tail* line while refusing silently-corrupt
+  interiors.  The durable unit is a whole trial: re-opening a file
+  also drops the cells of a half-recorded trailing trial, so a
+  resumed file is the bytes an uninterrupted run writes.
 * :class:`TeeSink` — fan out one record stream to several sinks
   (e.g. a durable file *and* a live serve-tier publisher).
 
@@ -22,16 +25,16 @@ The JSONL file format, line by line::
     {"schema": 1, "fraction_index": 0, "trial_index": 0, …}
     …
 
-Record lines may legitimately repeat a (fraction, trial, cell)
-coordinate with identical content — a resumed run re-evaluates trials
-whose records were only partially written — so readers deduplicate
-identical duplicates and reject conflicting ones.
+A resumed run does not repeat a (fraction, trial, cell) coordinate,
+but files written before sinks recovered to whole trials (resume
+re-recorded a half-written trial after its orphaned cells), or merged
+by hand, may — so readers deduplicate identical duplicates and reject
+conflicting ones.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,6 +52,7 @@ from typing import (
 from ..faults.plan import fire
 from ..netbase.errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
+from . import appendlog
 
 if TYPE_CHECKING:  # pragma: no cover — typing only; runtime imports
     # are deferred because repro.exper.aggregate imports this package.
@@ -64,6 +68,7 @@ __all__ = [
     "SinkWriteError",
     "TeeSink",
     "check_header_compatible",
+    "complete_trials",
     "read_run",
     "topology_digest",
 ]
@@ -149,6 +154,11 @@ class RunHeader:
             ),
         )
 
+    @property
+    def cell_count(self) -> int:
+        """Records per trial — the size of the run's durable unit."""
+        return len(self.spec["cells"])
+
     def experiment_spec(self) -> "ExperimentSpec":
         """Reconstruct the spec this run executed."""
         from ..exper.spec import ExperimentSpec
@@ -180,7 +190,7 @@ class RunHeader:
             )
         try:
             topology_hash = data.get("topology_hash")
-            return cls(
+            header = cls(
                 spec_hash=str(data["spec_hash"]),
                 seed=int(data["seed"]),
                 engine=str(data["engine"]),
@@ -189,6 +199,9 @@ class RunHeader:
                     None if topology_hash is None else str(topology_hash)
                 ),
             )
+            if not header.cell_count:
+                raise ValueError("spec has no cells")
+            return header
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"bad run header: {exc}") from None
 
@@ -323,9 +336,11 @@ class JsonlSink(ResultSink):
     """Append-only, crash-safe JSONL persistence for one run.
 
     ``begin`` on a fresh path writes the header line; on an existing
-    file it verifies the header's spec hash, truncates a partial tail
-    line left by a crash, and positions for append — so
-    ``JsonlSink(path)`` is both "start a run" and "continue one".
+    file it verifies the header's spec hash, cuts what a crash left
+    past the last complete trial (a partial tail line, the cells of a
+    half-recorded trial), and positions for append — so
+    ``JsonlSink(path)`` is both "start a run" and "continue one", and
+    the continued file is byte-identical to an uninterrupted one.
     Every ``write`` is flushed to the OS; pass ``fsync=True`` to also
     force each line to stable storage (slower, stronger).
 
@@ -401,18 +416,14 @@ class JsonlSink(ResultSink):
             check_header_compatible(
                 existing, header, f"sink {self.path}"
             )
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._fh = appendlog.open_at(self.path, data_end)
         if existing is None:
-            self._fh = open(self.path, "wb")
-            self._fh.write(_encode_line(header.to_json_dict()))
-        else:
-            # Continue the existing file: drop the recovered-past tail
-            # (a partial final line) so the file stays clean JSONL.
-            self._fh = open(self.path, "r+b")
-            self._fh.seek(data_end)
-            self._fh.truncate()
+            appendlog.append(
+                self._fh,
+                appendlog.encode_line(header.to_json_dict()),
+                fsync=self.fsync,
+            )
         self._header = header
-        self._flush()
         self._scanned = None  # the file is live now; scans would lie
 
     def write(self, record: "TrialRecord") -> None:
@@ -425,7 +436,7 @@ class JsonlSink(ResultSink):
             raise ReproError(
                 f"sink {self.path} received a record before begin()"
             )
-        line = _encode_line(record.to_json_dict())
+        line = appendlog.encode_line(record.to_json_dict())
         if not self._metrics_enabled:
             self._write_line(line)
             return
@@ -438,8 +449,7 @@ class JsonlSink(ResultSink):
     def _write_line(self, line: bytes) -> None:
         try:
             fire("results.sink.write", path=str(self.path))
-            self._fh.write(line)
-            self._flush()
+            appendlog.append(self._fh, line, fsync=self.fsync)
         except OSError as exc:
             self._degrade()
             raise SinkWriteError(self.path, exc) from exc
@@ -463,18 +473,13 @@ class JsonlSink(ResultSink):
 
     def finish(self, trial_counts: Sequence[int]) -> None:
         if self._fh is not None:
-            self._flush(force=True)
+            appendlog.sync(self._fh)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
         self._scanned = None
-
-    def _flush(self, force: bool = False) -> None:
-        self._fh.flush()
-        if self.fsync or force:
-            os.fsync(self._fh.fileno())
 
 
 # ----------------------------------------------------------------------
@@ -497,12 +502,6 @@ def read_run(path: Union[str, Path]) -> Tuple[RunHeader, List["TrialRecord"]]:
     return header, records
 
 
-def _encode_line(data: dict) -> bytes:
-    return json.dumps(
-        data, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8") + b"\n"
-
-
 def _dedupe(
     records: Iterable["TrialRecord"], where: str
 ) -> List["TrialRecord"]:
@@ -521,65 +520,74 @@ def _dedupe(
     return [seen[key] for key in sorted(seen)]
 
 
+def complete_trials(
+    records: Iterable["TrialRecord"], cell_count: int
+) -> Dict[Tuple[int, int], List["TrialRecord"]]:
+    """The trials ``records`` hold in full, each with its records in
+    cell order, keyed by ``(fraction_index, trial_index)``.
+
+    A trial is the durable unit of a run: it counts only once every
+    one of its ``cell_count`` cells is present.  Runner resume, shard
+    resume and the sink's own recovery all share this one definition.
+    """
+    by_trial: Dict[Tuple[int, int], Dict[int, "TrialRecord"]] = {}
+    for record in records:
+        by_trial.setdefault(
+            (record.fraction_index, record.trial_index), {}
+        )[record.cell_index] = record
+    return {
+        key: [cells[index] for index in sorted(cells)]
+        for key, cells in by_trial.items()
+        if len(cells) == cell_count
+    }
+
+
 def _scan_file(
     path: Path,
 ) -> Tuple[Optional[RunHeader], List["TrialRecord"], int]:
     """Parse a run file with tail recovery.
 
-    Returns ``(header, records, data_end)`` where ``data_end`` is the
-    byte offset just past the last intact line — the truncation point
-    a resuming writer appends from.  A missing or empty file (or one
-    holding only a partial header line) is ``(None, [], 0)``.
+    Returns ``(header, records, data_end)``: every intact record
+    (deduplicated), and the byte offset a resuming writer appends from
+    — just past the last *complete trial*, so the trial resume
+    re-evaluates whole is not preceded by its own orphaned cells.
+    Every executor writes a trial's cells as one contiguous block, so
+    only the trailing block can be partial.  A missing or empty file
+    (or one holding only a partial header line) is ``(None, [], 0)``.
     """
-    try:
-        data = path.read_bytes()
-    except FileNotFoundError:
-        return None, [], 0
-    if not data:
-        return None, [], 0
-
-    lines: List[Tuple[int, bytes, bool]] = []  # (start, line, terminated)
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start)
-        if end < 0:
-            lines.append((start, data[start:], False))
-            break
-        lines.append((start, data[start:end], True))
-        start = end + 1
+    lines, end, torn = appendlog.scan(path)
+    if not lines:
+        return None, [], 0  # at most a crash mid-header: nothing durable
 
     from ..exper.evaluate import TrialRecord
 
-    def parse(index: int, line: bytes, what: str) -> object:
+    def parse(index: int, what: str) -> object:
         try:
-            return json.loads(line.decode("utf-8"))
+            return json.loads(lines[index].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ReproError(
                 f"{path}: corrupt {what} at line {index + 1}: {exc}"
             ) from None
 
-    first_start, first_line, first_done = lines[0]
-    if not first_done:
-        return None, [], 0  # crash mid-header: nothing durable yet
-    header = RunHeader.from_json_dict(parse(0, first_line, "run header"))
-    data_end = first_start + len(first_line) + 1
-
+    header = RunHeader.from_json_dict(parse(0, "run header"))
     records: List["TrialRecord"] = []
-    for index, (line_start, line, terminated) in enumerate(
-        lines[1:], start=1
-    ):
-        is_tail = index == len(lines) - 1
-        if not terminated:
-            break  # partial tail: recovered by truncation
+    for index in range(1, len(lines)):
         try:
             records.append(
-                TrialRecord.from_json_dict(
-                    parse(index, line, "trial record")
-                )
+                TrialRecord.from_json_dict(parse(index, "trial record"))
             )
         except ReproError:
-            if is_tail:
+            if index == len(lines) - 1 and not torn:
                 break  # corrupt tail line: recovered by truncation
-            raise
-        data_end = line_start + len(line) + 1
-    return header, _dedupe(records, str(path)), data_end
+            raise  # interior: more was written after it
+    # Walk back over the trailing block (the last trial's lines) and
+    # keep it only if it is whole.
+    keep = len(records)
+    while keep and (
+        records[keep - 1].sort_key[:2] == records[-1].sort_key[:2]
+    ):
+        keep -= 1
+    if complete_trials(records[keep:], header.cell_count):
+        keep = len(records)
+    dropped = sum(len(line) + 1 for line in lines[1 + keep:])
+    return header, _dedupe(records, str(path)), end - dropped

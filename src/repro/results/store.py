@@ -33,10 +33,10 @@ from typing import (
 )
 
 from ..netbase.errors import ReproError
+from . import appendlog
 from .sinks import (
     RunHeader,
     _dedupe,
-    _encode_line,
     check_header_compatible,
     read_run,
 )
@@ -158,12 +158,10 @@ def merge_runs(
             check_header_compatible(run_header, header, str(path))
         pooled.extend(records)
     merged = _dedupe(pooled, "merge input")
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "wb") as fh:
-        fh.write(_encode_line(header.to_json_dict()))
+    with appendlog.open_at(Path(out_path), 0) as fh:
+        fh.write(appendlog.encode_line(header.to_json_dict()))
         for record in merged:
-            fh.write(_encode_line(record.to_json_dict()))
+            fh.write(appendlog.encode_line(record.to_json_dict()))
     return header, len(merged)
 
 

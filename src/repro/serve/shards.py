@@ -29,10 +29,10 @@ implementation of that contract:
   coordinator's local shard store, after which merging, resume, and
   byte-identity work exactly as in the local-process case.
 
-Workers honor the same :data:`~repro.exper.sharded.FAULT_ENV` fault
-directives as local workers (in the *server's* environment), and
-install any :data:`~repro.faults.PLAN_ENV` fault plan at start — both
-are how the fault-injection tests exercise this path.  Hardening
+Workers install any :data:`~repro.faults.PLAN_ENV` fault plan (in the
+*server's* environment) at start and fire the same
+``exper.shard.record`` site local workers do — which is how the
+fault-injection tests exercise this path.  Hardening
 (connection caps, drain, ``/healthz``) comes from
 :class:`~repro.serve.http.HttpServerBase`.
 """
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import os
 import time
 import urllib.error
 import urllib.request
@@ -49,7 +48,7 @@ from pathlib import Path
 from tempfile import mkdtemp
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..exper.sharded import FAULT_ENV, Shard, _parse_fault, run_shard
+from ..exper.sharded import Shard, run_shard
 from ..exper.spec import ExperimentSpec
 from ..faults.plan import fire, install_from_env
 from ..faults.retry import RetryPolicy
@@ -314,11 +313,6 @@ class ShardWorkerServer(HttpServerBase):
                 shard=job.shard.shard_index,
                 attempt=job.attempt,
             )
-            fault = _parse_fault(
-                os.environ.get(FAULT_ENV),
-                job.shard.shard_index,
-                job.attempt,
-            )
 
             def on_record(record) -> None:
                 if job.cancelled:
@@ -337,7 +331,6 @@ class ShardWorkerServer(HttpServerBase):
                 finished=finished,
                 header=header,
                 on_record=on_record,
-                fault=fault,
                 attempt=job.attempt,
             )
         except BaseException as exc:

@@ -282,6 +282,48 @@ class TestRobustnessDocExamples:
                 plan = json.loads(completed.stdout)
                 assert plan["rules"], "emitted fault plan has no rules"
 
+    def test_shard_kill_worked_example(self, tmp_path):
+        """The plan block is real wire format, and the block after it
+        — serial run, sharded run under the plan, ``cmp`` — holds."""
+        from repro.faults import PLAN_ENV, FaultPlan
+
+        blocks = _fenced_blocks(ROBUSTNESS_DOC.read_text(encoding="utf-8"))
+        at = next(
+            index for index, (language, body) in enumerate(blocks)
+            if language == "json" and "repro.faults/plan" in body
+        )
+        plan = FaultPlan.from_json(blocks[at][1])
+        assert [rule.action for rule in plan.rules] == ["crash"]
+        script = blocks[at + 1][1].replace("\\\n", " ")
+        prefix = f'{PLAN_ENV}="$(cat plan.json)" '
+        assert prefix in script and "cmp " in script
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            part
+            for part in (str(REPO / "src"), env.get("PYTHONPATH"))
+            if part
+        )
+        for line in script.strip().splitlines():
+            faulted = line.startswith(prefix)
+            argv = shlex.split(line[len(prefix):] if faulted else line)
+            if argv[0] == "cmp":
+                left, right = (tmp_path / name for name in argv[1:])
+                assert left.read_bytes() == right.read_bytes()
+                continue
+            assert argv[0] == "repro-roa"
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro.cli", *argv[1:]],
+                cwd=tmp_path,
+                env={**env, PLAN_ENV: plan.to_json()} if faulted else env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert completed.returncode == 0, completed.stderr
+        trace = (tmp_path / "sharded.trace.json").read_text()
+        assert trace.count("exper.shard_retried") == 1
+        assert "killed by signal 9" in trace
+
 
 class TestPlatformDocExamples:
     """docs/platform.md commands form one job-queue session (submit,

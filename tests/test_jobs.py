@@ -202,6 +202,53 @@ class TestJobStore:
         assert b"half a rec" not in store.path.read_bytes()
         assert store.job(a).status == "running"
 
+    @pytest.mark.parametrize("moment", ["after_scan", "before_open"])
+    def test_peer_append_between_scan_and_open_survives(
+        self, tmp_path, monkeypatch, moment
+    ):
+        # `jobs submit` against a running `serve --jobs`: a second
+        # process appends after we read the queue and before we open
+        # it (or write to it).  Both events must survive, whole and in
+        # arrival order.
+        from repro.results import appendlog
+
+        ours, peer = JobStore(tmp_path), JobStore(tmp_path)
+        a = ours.enqueue(job_spec())
+        before = ours.path.read_bytes()
+        target, name = {
+            "after_scan": (ours, "_scan"),
+            "before_open": (appendlog, "open_shared"),
+        }[moment]
+        real = getattr(target, name)
+
+        def with_peer_append(*args):
+            monkeypatch.setattr(target, name, real)
+            if moment == "after_scan":
+                result = real(*args)
+                peer.mark(a, "started")
+                return result
+            peer.mark(a, "started")
+            return real(*args)
+
+        monkeypatch.setattr(target, name, with_peer_append)
+        ours.mark(a, "cancelled")
+        assert [r.event for r in ours.records()] == [
+            "enqueued", "started", "cancelled"]
+        data = ours.path.read_bytes()
+        assert data.startswith(before) and data.count(b"\n") == 4
+
+    def test_peer_event_is_not_cut_with_a_torn_tail(self, tmp_path):
+        # Only the unterminated tail goes; a peer's complete line that
+        # precedes it is durable.
+        ours, peer = JobStore(tmp_path), JobStore(tmp_path)
+        a = ours.enqueue(job_spec())
+        peer.mark(a, "started")
+        with open(ours.path, "ab") as handle:
+            handle.write(b'{"half a rec')
+        ours.mark(a, "finished")
+        assert [r.event for r in ours.records()] == [
+            "enqueued", "started", "finished"]
+
     def test_interior_corruption_is_loud(self, tmp_path):
         store = JobStore(tmp_path)
         store.enqueue(job_spec())

@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import json
+import os
 import random
 import statistics
 
@@ -214,6 +215,19 @@ class TestJsonlDurability:
         _, records = read_run(path)
         assert len(records) == 4
 
+    def test_corrupt_line_before_a_torn_tail_is_interior(
+        self, topology, tmp_path
+    ):
+        # Something was written after the corrupt line, so it is not
+        # the line a crash tore: same rule as any interior corruption.
+        path = tmp_path / "run.jsonl"
+        _, lines = run_full(topology, small_spec(), path)
+        path.write_bytes(
+            b"".join(lines[:5]) + b'{"schema": 1, garbage\n' + lines[5][:11]
+        )
+        with pytest.raises(ReproError, match="corrupt trial record"):
+            read_run(path)
+
     def test_corrupt_interior_rejected(self, topology, tmp_path):
         path = tmp_path / "run.jsonl"
         _, lines = run_full(topology, small_spec(), path)
@@ -389,6 +403,64 @@ class TestResume:
         sink.close()
         assert resumed == full
         assert read_run(part) == read_run(full_path)
+        if executor == "serial":
+            # The file itself, not just its deduplicated reading: the
+            # half-recorded trial 3 was cut before it was re-recorded.
+            # (A process run's file is in arrival order.)
+            assert part.read_bytes() == full_path.read_bytes()
+
+    @pytest.mark.parametrize("variant", [
+        dict(seeding="derived"),
+        dict(seeding="stream"),
+        dict(trials=12, fractions=(None,), engine="array", stopping="ci",
+             stop_ci_width=0.5, stop_min_trials=4, stop_check_every=2),
+    ], ids=["derived", "stream", "ci"])
+    def test_resume_from_any_byte_is_byte_identical(
+        self, topology, tmp_path, variant
+    ):
+        """Segmentation: wherever the writer died — on any line
+        boundary, or inside any line — a fresh sink resumes the file
+        to exactly the uninterrupted run's bytes."""
+        spec = small_spec(**{"trials": 3, **variant})
+        full_path = tmp_path / "full.jsonl"
+        full, lines = run_full(topology, spec, full_path)
+        if spec.stopping == "ci":
+            assert full.trial_counts[0] < spec.trials  # it did stop early
+        data = full_path.read_bytes()
+        cuts, start = [0], 0
+        for line in lines:
+            cuts += [start + len(line) // 2, start + len(line)]
+            start += len(line)
+        part = tmp_path / "part.jsonl"
+        for cut in cuts:
+            part.write_bytes(data[:cut])
+            sink = JsonlSink(part)
+            resumed = ExperimentRunner(
+                topology, spec, sink=sink, resume_from=sink
+            ).run()
+            sink.close()
+            assert part.read_bytes() == data, f"cut at byte {cut}"
+            assert resumed == full, f"cut at byte {cut}"
+
+    def test_begin_leaves_whole_trials_alone(self, topology, tmp_path):
+        """Recovery cuts only what is partial: a file ending on a trial
+        boundary, and a complete run, are not written to by begin()."""
+        spec = small_spec()
+        path = tmp_path / "run.jsonl"
+        _, lines = run_full(topology, spec, path)
+        header = RunHeader.for_spec(spec, topology)
+        for keep in (1 + 2 * len(spec.cells), len(lines)):
+            interrupt(path, lines, keep=keep, partial_tail=False)
+            os.utime(path, ns=(10**18, 10**18))
+            before = path.stat()
+            sink = JsonlSink(path)
+            sink.begin(header)
+            sink.finish(())
+            sink.close()
+            after = path.stat()
+            assert (after.st_size, after.st_mtime_ns) == (
+                before.st_size, before.st_mtime_ns)
+            assert record_lines(path) == lines[:keep]
 
     def test_finished_trials_not_reevaluated(
         self, topology, tmp_path, monkeypatch

@@ -45,7 +45,7 @@ from repro.exper import (
     plan_shards,
     resolve_executor,
 )
-from repro.exper.sharded import FAULT_ENV
+from repro.faults import PLAN_ENV, FaultPlan, FaultRule, uninstall
 from repro.netbase.errors import ReproError
 from repro.results import JsonlSink, ResultsStore, read_run, shard_run_id
 from repro.serve import HttpShardTransport, ThreadedShardWorkerServer
@@ -68,6 +68,26 @@ def small_spec(**kwargs) -> ExperimentSpec:
     )
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)
+
+
+def shard_fault(shard: int, action: str, after: int) -> str:
+    """A plan (as ``PLAN_ENV`` JSON) that hits shard ``shard`` once it
+    has written ``after`` records — on its first attempt only, so the
+    retry recovers."""
+    return FaultPlan(rules=(
+        FaultRule(
+            site="exper.shard.record", action=action, at=(after,),
+            match=(("shard", str(shard)), ("attempt", "0")),
+        ),
+    )).to_json()
+
+
+def shard_files(store: ResultsStore) -> dict:
+    """Every shard run file in ``store``: name -> bytes."""
+    return {
+        path.name: path.read_bytes()
+        for path in sorted(store.root.glob("*.jsonl"))
+    }
 
 
 def run_recorded(topology, spec, path, **runner_kwargs):
@@ -267,10 +287,12 @@ class TestShardedEquivalence:
 
 
 class TestFaultInjection:
-    @pytest.mark.parametrize("mode", ["kill", "raise"])
+    @pytest.mark.parametrize("action", [
+        pytest.param("crash", id="kill"), pytest.param("error", id="raise"),
+    ])
     @pytest.mark.parametrize("seeding", ["derived", "stream"])
     def test_shard_death_mid_stream_retried_byte_identical(
-        self, topology, tmp_path, monkeypatch, mode, seeding
+        self, topology, tmp_path, monkeypatch, action, seeding
     ):
         spec = small_spec(seeding=seeding)
         _, serial_bytes = run_recorded(
@@ -278,7 +300,7 @@ class TestFaultInjection:
         # Shard 1 dies after 3 records on its first attempt; the
         # retry must pick up from its flushed partial and the merged
         # stream must not show a seam.
-        monkeypatch.setenv(FAULT_ENV, f"1:{mode}:3")
+        monkeypatch.setenv(PLAN_ENV, shard_fault(1, action, 3))
         sharded, sharded_bytes = run_recorded(
             topology, spec, tmp_path / "sharded.jsonl",
             executor="sharded", shards=3)
@@ -290,7 +312,7 @@ class TestFaultInjection:
         spec = small_spec()
         _, serial_bytes = run_recorded(
             topology, spec, tmp_path / "serial.jsonl", executor="serial")
-        monkeypatch.setenv(FAULT_ENV, "0:kill:0")
+        monkeypatch.setenv(PLAN_ENV, shard_fault(0, "crash", 1))
         store = ResultsStore(tmp_path / "shards")
         _, sharded_bytes = run_recorded(
             topology, spec, tmp_path / "sharded.jsonl",
@@ -302,7 +324,7 @@ class TestFaultInjection:
     ):
         before = set(glob.glob("/tmp/repro-shards-*"))
         spec = small_spec(trials=3)
-        monkeypatch.setenv(FAULT_ENV, "1:kill:2")
+        monkeypatch.setenv(PLAN_ENV, shard_fault(1, "crash", 2))
         runner = ExperimentRunner(topology, spec, executor="sharded",
                                   shards=2)
         runner.run(bootstrap_resamples=100)
@@ -318,21 +340,32 @@ class TestFaultInjection:
 
     def test_retries_exhausted_raises(self, topology, monkeypatch):
         spec = small_spec(trials=3)
-        monkeypatch.setenv(FAULT_ENV, "0:kill:0")
+        monkeypatch.setenv(PLAN_ENV, shard_fault(0, "crash", 1))
         coordinator = ShardCoordinator(
             topology, spec, shards=2, retries=0)
         with pytest.raises(ReproError, match="failed after 1 attempts"):
             list(coordinator.records())
 
-    def test_fault_env_only_fires_on_first_attempt(self, monkeypatch):
-        from repro.exper.sharded import _parse_fault
-
-        assert _parse_fault("1:kill:3", 1, 0) == ("kill", 3)
-        assert _parse_fault("1:kill:3", 1, 1) is None
-        assert _parse_fault("1:kill:3", 0, 0) is None
-        assert _parse_fault(None, 1, 0) is None
-        with pytest.raises(ReproError, match="bad .*FAULT"):
-            _parse_fault("nonsense", 0, 0)
+    def test_retried_shard_file_equals_undisturbed(
+        self, topology, tmp_path, monkeypatch
+    ):
+        """A shard killed mid-trial leaves half a trial's cells in its
+        file; the retry must cut them, not record the trial again
+        after them — every shard file, not just the merged stream, is
+        the bytes an undisturbed worker writes."""
+        spec = small_spec()
+        calm = ResultsStore(tmp_path / "calm")
+        run_recorded(
+            topology, spec, tmp_path / "calm.jsonl",
+            executor="sharded", shards=3, shard_store=calm)
+        # 3 records = one whole trial and the first cell of the next.
+        monkeypatch.setenv(PLAN_ENV, shard_fault(1, "crash", 3))
+        rough = ResultsStore(tmp_path / "rough")
+        run_recorded(
+            topology, spec, tmp_path / "rough.jsonl",
+            executor="sharded", shards=3, shard_store=rough)
+        assert len(shard_files(calm)) == 3
+        assert shard_files(rough) == shard_files(calm)
 
 
 # ----------------------------------------------------------------------
@@ -363,13 +396,14 @@ class TestCoordinatorResume:
         finally:
             sink.close()
         assert resumed == full
-        # The half-recorded trial is re-evaluated whole; its re-written
-        # records are byte-identical, so the *deduplicated* stream is
-        # byte-for-byte the uninterrupted run (the durable-sink resume
-        # contract, same as the serial executor's).
+        # The half-recorded trial is cut when the sink re-opens the
+        # file and re-evaluated whole, so the file is byte-for-byte
+        # the uninterrupted run (the durable-sink resume contract,
+        # same as the serial executor's).
         assert read_run(part) == read_run(full_path)
         assert sorted(set(part.read_bytes().splitlines())) == sorted(
             set(full_bytes.splitlines()))
+        assert part.read_bytes() == full_bytes
 
     def test_resume_with_persistent_store_reuses_shard_files(
         self, topology, tmp_path, monkeypatch
@@ -423,6 +457,37 @@ class TestHttpTransport:
                 topology, spec, tmp_path / "http.jsonl",
                 executor="sharded", shards=3, shard_transport=transport)
         assert sharded_bytes == serial_bytes
+
+    def test_retried_shard_file_equals_undisturbed(
+        self, topology, tmp_path, monkeypatch
+    ):
+        """The HTTP twin of the local-transport test.  The worker runs
+        in this process, so the fault is an ``error`` (a ``crash``
+        would take pytest down with it)."""
+        spec = small_spec(trials=4)
+
+        def run(name: str) -> tuple:
+            store = ResultsStore(tmp_path / name)
+            try:
+                # start() installs the environment's plan process-wide.
+                with ThreadedShardWorkerServer(topology) as worker:
+                    transport = HttpShardTransport(
+                        [f"127.0.0.1:{worker.port}"])
+                    _, run_bytes = run_recorded(
+                        topology, spec, tmp_path / f"{name}.jsonl",
+                        executor="sharded", shards=3, shard_store=store,
+                        shard_transport=transport)
+                    failures = worker.metrics["shard_failures"]
+            finally:
+                uninstall()
+            return shard_files(store), run_bytes, failures
+
+        calm_files, calm_bytes, calm_failures = run("calm")
+        monkeypatch.setenv(PLAN_ENV, shard_fault(1, "error", 3))
+        rough_files, rough_bytes, rough_failures = run("rough")
+        assert len(calm_files) == 3
+        assert (calm_failures, rough_failures) == (0, 1)
+        assert (rough_files, rough_bytes) == (calm_files, calm_bytes)
 
     def test_dead_host_reassigned(self, topology, tmp_path):
         spec = small_spec(trials=4, fractions=(None,))
