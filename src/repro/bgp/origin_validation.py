@@ -18,14 +18,19 @@ the paper's whole point.
 from __future__ import annotations
 
 import enum
+from itertools import groupby
+from operator import attrgetter
 from typing import Iterable
 
 from ..netbase.prefix import Prefix
 from ..netbase.radix import RadixTree
-from ..rpki.vrp import Vrp
+from ..rpki.vrp import Vrp, sort_vrps
 from .announcement import Announcement
 
 __all__ = ["ValidationState", "VrpIndex", "validate_announcement"]
+
+
+_prefix_of = attrgetter("prefix")
 
 
 class ValidationState(enum.Enum):
@@ -42,36 +47,76 @@ class VrpIndex:
     Routers hold exactly this structure: RFC 6811 calls for finding all
     covering VRPs of an announced prefix, which is a radix-tree walk
     along the prefix bits.
+
+    Each stored prefix maps to its *bucket*: the distinct VRPs at that
+    prefix as a tuple in :meth:`Vrp.sort_key` order.  Buckets are never
+    changed once stored and tree nodes are never changed once the
+    constructor returns — :meth:`updated` (and :meth:`add` /
+    :meth:`remove`, which are built on it) derive new trees by path
+    copying — so the order of ``covering`` depends on the VRP set alone,
+    not on how the index came to hold it, and an index handed to a
+    reader stays valid whatever happens to the one it was derived from.
     """
 
     def __init__(self, vrps: Iterable[Vrp] = ()) -> None:
-        self._trees: dict[int, RadixTree[list[Vrp]]] = {}
+        self._trees: dict[int, RadixTree[tuple[Vrp, ...]]] = {}
         self._count = 0
-        for vrp in vrps:
-            self.add(vrp)
+        for prefix, group in groupby(sort_vrps(set(vrps)), key=_prefix_of):
+            tree = self._trees.get(prefix.family)
+            if tree is None:
+                tree = self._trees[prefix.family] = RadixTree(prefix.family)
+            bucket = tuple(group)
+            tree.insert(prefix, bucket)
+            self._count += len(bucket)
+
+    def updated(
+        self, announced: Iterable[Vrp], withdrawn: Iterable[Vrp]
+    ) -> "VrpIndex":
+        """A new index with ``withdrawn`` dropped and ``announced`` added.
+
+        This index is left untouched and shares every tree node off the
+        changed paths with the result, so the cost is proportional to
+        the delta.  Withdrawing an absent VRP or announcing a present
+        one is a no-op; a VRP in both ends up present.
+        """
+        changes: dict[Prefix, tuple[set[Vrp], set[Vrp]]] = {}
+        for vrp in withdrawn:
+            changes.setdefault(vrp.prefix, (set(), set()))[0].add(vrp)
+        for vrp in announced:
+            changes.setdefault(vrp.prefix, (set(), set()))[1].add(vrp)
+        result = VrpIndex()
+        result._trees = dict(self._trees)
+        result._count = self._count
+        for prefix, (drop, add) in changes.items():
+            tree = result._trees.get(prefix.family)
+            if tree is None:
+                tree = RadixTree(prefix.family)
+            old = set(tree.get(prefix, ()))
+            new = (old - drop) | add
+            if new == old:
+                continue
+            result._count += len(new) - len(old)
+            if new:
+                tree = tree.inserted(prefix, tuple(sort_vrps(new)))
+            else:
+                tree = tree.removed(prefix)
+            if len(tree):
+                result._trees[prefix.family] = tree
+            else:
+                del result._trees[prefix.family]
+        return result
 
     def add(self, vrp: Vrp) -> None:
-        tree = self._trees.get(vrp.prefix.family)
-        if tree is None:
-            tree = RadixTree[list[Vrp]](vrp.prefix.family)
-            self._trees[vrp.prefix.family] = tree
-        bucket = tree.setdefault(vrp.prefix, [])
-        if vrp not in bucket:
-            bucket.append(vrp)
-            self._count += 1
+        self._adopt(self.updated((vrp,), ()))
 
     def remove(self, vrp: Vrp) -> bool:
-        tree = self._trees.get(vrp.prefix.family)
-        if tree is None:
-            return False
-        bucket = tree.get(vrp.prefix)
-        if not bucket or vrp not in bucket:
-            return False
-        bucket.remove(vrp)
-        self._count -= 1
-        if not bucket:
-            tree.remove(vrp.prefix)
-        return True
+        before = self._count
+        self._adopt(self.updated((), (vrp,)))
+        return self._count < before
+
+    def _adopt(self, other: "VrpIndex") -> None:
+        self._trees = other._trees
+        self._count = other._count
 
     def __len__(self) -> int:
         return self._count

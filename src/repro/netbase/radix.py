@@ -8,8 +8,19 @@ bit (ideal for the compression algorithm's sibling arithmetic), the radix
 tree compresses single-child chains, so depth is bounded by the number of
 *stored* prefixes along a path rather than by 32/128.
 
-Values are arbitrary; one key maps to one value (use a list value for
+Values are arbitrary; one key maps to one value (use a tuple value for
 multimaps, as the origin-validation table does).
+
+One tree, two update styles.  :meth:`RadixTree.insert`,
+:meth:`~RadixTree.remove` and :meth:`~RadixTree.setdefault` change the
+tree in place (the RIB, bulk index builds).  :meth:`RadixTree.inserted`
+and :meth:`~RadixTree.removed` are *persistent*: they return a new tree
+that copies only the nodes on the path from the root to the change and
+shares every other node with the old tree, which stays exactly as it
+was.  The serve tier refreshes its VRP snapshot that way, so the work
+is proportional to the delta and a reader holding the old tree needs
+no lock.  Nodes are shared between versions, so a tree that has
+persistent relatives must never be updated in place.
 """
 
 from __future__ import annotations
@@ -48,6 +59,18 @@ class _RadixNode(Generic[V]):
         else:
             self.left = node
 
+    def with_child(
+        self, bit: int, node: Optional["_RadixNode[V]"]
+    ) -> "_RadixNode[V]":
+        """A copy of this node whose ``bit`` child is ``node``."""
+        clone = _RadixNode(self.prefix)
+        clone.value = self.value
+        clone.has_value = self.has_value
+        clone.left = self.left
+        clone.right = self.right
+        clone.set_child(bit, node)
+        return clone
+
 
 def _common_prefix(a: Prefix, b: Prefix) -> Prefix:
     """The longest prefix covering both ``a`` and ``b`` (same family)."""
@@ -62,8 +85,9 @@ class RadixTree(Generic[V]):
     """Patricia tree mapping :class:`Prefix` keys to values.
 
     Supports exact lookup, longest-prefix match, covering and covered
-    enumeration, insertion, and deletion.  All keys must share the
-    address family given at construction.
+    enumeration, insertion, and deletion — in place, or persistently
+    (see the module docstring).  All keys must share the address family
+    given at construction.
     """
 
     def __init__(self, family: int) -> None:
@@ -174,6 +198,93 @@ class RadixTree(Generic[V]):
             survivor = node.left if node.left is not None else node.right
             self._replace(parent, parent_bit, survivor)
         return True
+
+    # ------------------------------------------------------------------
+    # Persistent (path-copying) updates
+    # ------------------------------------------------------------------
+
+    def inserted(self, prefix: Prefix, value: V) -> "RadixTree[V]":
+        """A new tree that also maps ``prefix`` to ``value``.
+
+        This tree is left untouched; the two share every node off the
+        path from the root to ``prefix``.
+        """
+        self._check(prefix)
+        new_node = _RadixNode(prefix)
+        new_node.value = value
+        new_node.has_value = True
+        subtree = new_node
+        size = self._size + 1
+        path: list[tuple[_RadixNode[V], int]] = []
+        node = self._root
+        while node is not None:
+            if node.prefix == prefix:
+                new_node.left = node.left
+                new_node.right = node.right
+                if node.has_value:
+                    size -= 1
+                break
+            if node.prefix.covers(prefix):
+                bit = node.branch_bit(prefix)
+                path.append((node, bit))
+                node = node.child(bit)
+                continue
+            # Diverged: same split as `insert`, on fresh nodes only.
+            glue_prefix = _common_prefix(node.prefix, prefix)
+            if glue_prefix == prefix:
+                new_node.set_child(new_node.branch_bit(node.prefix), node)
+            else:
+                subtree = _RadixNode(glue_prefix)
+                subtree.set_child(subtree.branch_bit(node.prefix), node)
+                subtree.set_child(subtree.branch_bit(prefix), new_node)
+            break
+        return self._derived(path, subtree, size)
+
+    def removed(self, prefix: Prefix) -> "RadixTree[V]":
+        """A new tree without ``prefix``; this tree itself when absent.
+
+        Valueless nodes left with fewer than two children are dropped
+        from the copy (one level up as well: removing a leaf can strand
+        its glue parent), so the result has the shape of a tree built
+        from the remaining keys alone.
+        """
+        self._check(prefix)
+        path: list[tuple[_RadixNode[V], int]] = []
+        node = self._root
+        while node is not None and node.prefix != prefix:
+            if not node.prefix.covers(prefix):
+                return self
+            bit = node.branch_bit(prefix)
+            path.append((node, bit))
+            node = node.child(bit)
+        if node is None or not node.has_value:
+            return self
+        subtree: Optional[_RadixNode[V]]
+        if node.left is not None and node.right is not None:
+            subtree = _RadixNode(node.prefix)
+            subtree.left = node.left
+            subtree.right = node.right
+        else:
+            subtree = node.left if node.left is not None else node.right
+            if subtree is None and path and not path[-1][0].has_value:
+                glue, bit = path.pop()
+                subtree = glue.child(1 - bit)
+        return self._derived(path, subtree, self._size - 1)
+
+    def _derived(
+        self,
+        path: list[tuple[_RadixNode[V], int]],
+        subtree: Optional[_RadixNode[V]],
+        size: int,
+    ) -> "RadixTree[V]":
+        """The tree whose ``path`` (root first) is copied to end in
+        ``subtree``."""
+        for node, bit in reversed(path):
+            subtree = node.with_child(bit, subtree)
+        tree = RadixTree(self._family)
+        tree._root = subtree
+        tree._size = size
+        return tree
 
     # ------------------------------------------------------------------
     # Lookup

@@ -93,6 +93,14 @@ class Vrp:
     def key(self) -> tuple[Prefix, int, int]:
         return (self.prefix, self.max_length, self.asn)
 
+    def sort_key(self) -> tuple[int, int, int, int, int]:
+        """``(family, value, length, maxLength, asn)``: the dataclass
+        ordering as a tuple of ints, so sorting a table compares tuples
+        in C instead of calling ``__lt__`` on each VRP and prefix."""
+        prefix = self.prefix
+        return (prefix.family, prefix.value, prefix.length,
+                self.max_length, self.asn)
+
     def __str__(self) -> str:
         if self.uses_max_length:
             return f"{self.prefix}-{self.max_length} => AS{self.asn}"
@@ -119,4 +127,4 @@ def parse_vrp(text: str) -> Vrp:
 
 def sort_vrps(vrps: Iterable[Vrp]) -> list[Vrp]:
     """Deterministic ordering: by prefix, then maxLength, then ASN."""
-    return sorted(vrps)
+    return sorted(vrps, key=Vrp.sort_key)

@@ -56,6 +56,12 @@ FLAG_WITHDRAW = 0
 
 _HEADER = struct.Struct("!BBHI")  # version, type, session/flags, length
 
+# Bodies of the fixed-layout PDUs, unpacked in place at ``offset + 8``.
+_SERIAL_BODY = struct.Struct("!I")        # Serial Notify/Query, End of Data
+_INTERVALS_BODY = struct.Struct("!IIII")  # End of Data, version 1
+_IPV4_BODY = struct.Struct("!BBBxII")     # flags, length, maxLength, -, address, asn
+_IPV6_BODY = struct.Struct("!BBBxQQI")    # ... address as two 64-bit halves
+
 
 class PduError(ReproError):
     """Malformed or unsupported PDU bytes."""
@@ -330,39 +336,42 @@ def decode_pdu(data: bytes, offset: int = 0) -> tuple[Pdu, int]:
         raise PduError(f"implausible PDU length {length}")
     if available < length:
         raise IncompletePdu(length - available)
-    body = data[offset + 8:offset + length]
+    body_length = length - 8
+    at = offset + 8
 
+    if pdu_type == Ipv4PrefixPdu.pdu_type:
+        _expect(body_length, 12, "IPv4 Prefix")
+        return Ipv4PrefixPdu(*_IPV4_BODY.unpack_from(data, at)), length
+    if pdu_type == Ipv6PrefixPdu.pdu_type:
+        _expect(body_length, 24, "IPv6 Prefix")
+        flags, plen, mlen, high, low, asn = _IPV6_BODY.unpack_from(data, at)
+        return Ipv6PrefixPdu(flags, plen, mlen, high << 64 | low, asn), length
     if pdu_type == SerialNotifyPdu.pdu_type:
-        _expect(body, 4, "Serial Notify")
-        return SerialNotifyPdu(session_field, _u32(body)), length
+        _expect(body_length, 4, "Serial Notify")
+        return SerialNotifyPdu(
+            session_field, *_SERIAL_BODY.unpack_from(data, at)), length
     if pdu_type == SerialQueryPdu.pdu_type:
-        _expect(body, 4, "Serial Query")
-        return SerialQueryPdu(session_field, _u32(body)), length
+        _expect(body_length, 4, "Serial Query")
+        return SerialQueryPdu(
+            session_field, *_SERIAL_BODY.unpack_from(data, at)), length
     if pdu_type == ResetQueryPdu.pdu_type:
-        _expect(body, 0, "Reset Query")
+        _expect(body_length, 0, "Reset Query")
         return ResetQueryPdu(), length
     if pdu_type == CacheResponsePdu.pdu_type:
-        _expect(body, 0, "Cache Response")
+        _expect(body_length, 0, "Cache Response")
         return CacheResponsePdu(session_field), length
-    if pdu_type == Ipv4PrefixPdu.pdu_type:
-        _expect(body, 12, "IPv4 Prefix")
-        flags, plen, mlen, _zero = body[0], body[1], body[2], body[3]
-        value = int.from_bytes(body[4:8], "big")
-        asn = _u32(body[8:12])
-        return Ipv4PrefixPdu(flags, plen, mlen, value, asn), length
-    if pdu_type == Ipv6PrefixPdu.pdu_type:
-        _expect(body, 24, "IPv6 Prefix")
-        flags, plen, mlen = body[0], body[1], body[2]
-        value = int.from_bytes(body[4:20], "big")
-        asn = _u32(body[20:24])
-        return Ipv6PrefixPdu(flags, plen, mlen, value, asn), length
     if pdu_type == EndOfDataPdu.pdu_type:
-        if len(body) == 16:
-            serial, refresh, retry, expire = struct.unpack("!IIII", body)
-            return EndOfDataPdu(session_field, serial, refresh, retry,
-                                expire), length
-        _expect(body, 4, "End of Data")
-        return EndOfDataPdu(session_field, _u32(body)), length
+        if body_length == 16:
+            return EndOfDataPdu(
+                session_field, *_INTERVALS_BODY.unpack_from(data, at)), length
+        _expect(body_length, 4, "End of Data")
+        return EndOfDataPdu(
+            session_field, *_SERIAL_BODY.unpack_from(data, at)), length
+    if pdu_type == CacheResetPdu.pdu_type:
+        _expect(body_length, 0, "Cache Reset")
+        return CacheResetPdu(), length
+
+    body = data[at:offset + length]
     if pdu_type == RouterKeyPdu.pdu_type:
         if version != PROTOCOL_VERSION_1:
             raise PduError("Router Key PDU on a version-0 session")
@@ -372,9 +381,6 @@ def decode_pdu(data: bytes, offset: int = 0) -> tuple[Pdu, int]:
         asn = _u32(body[20:24])
         spki = body[24:]
         return RouterKeyPdu(session_field >> 8, ski, asn, spki), length
-    if pdu_type == CacheResetPdu.pdu_type:
-        _expect(body, 0, "Cache Reset")
-        return CacheResetPdu(), length
     if pdu_type == ErrorReportPdu.pdu_type:
         if len(body) < 8:
             raise PduError("truncated Error Report")
@@ -464,6 +470,6 @@ def _u32(body: bytes) -> int:
     return struct.unpack("!I", body[:4])[0]
 
 
-def _expect(body: bytes, size: int, name: str) -> None:
-    if len(body) != size:
-        raise PduError(f"{name} body must be {size} bytes, got {len(body)}")
+def _expect(body_length: int, size: int, name: str) -> None:
+    if body_length != size:
+        raise PduError(f"{name} body must be {size} bytes, got {body_length}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..rpki.vrp import Vrp
+from ..rpki.vrp import Vrp, sort_vrps
 
 __all__ = ["VrpDiff", "CacheState"]
 
@@ -70,8 +70,8 @@ class CacheState:
         if new_set == self._vrps:
             return VrpDiff(announced=(), withdrawn=())
         diff = VrpDiff(
-            announced=tuple(sorted(new_set - self._vrps)),
-            withdrawn=tuple(sorted(self._vrps - new_set)),
+            announced=tuple(sort_vrps(new_set - self._vrps)),
+            withdrawn=tuple(sort_vrps(self._vrps - new_set)),
         )
         self.serial += 1
         self._vrps = new_set
@@ -114,4 +114,5 @@ class CacheState:
                     announced.discard(vrp)
                 else:
                     withdrawn.add(vrp)
-        return VrpDiff(tuple(sorted(announced)), tuple(sorted(withdrawn)))
+        return VrpDiff(
+            tuple(sort_vrps(announced)), tuple(sort_vrps(withdrawn)))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+from ..rpki.vrp import sort_vrps
 from ..rtr.pdu import (
     CacheResponsePdu,
     EndOfDataPdu,
@@ -65,7 +66,7 @@ class FrameCache:
             self.metrics.increment("frame_hits")
             return cached
         parts = [encode_pdu(CacheResponsePdu(self.state.session_id))]
-        for vrp in sorted(self.state.vrps):
+        for vrp in sort_vrps(self.state.vrps):
             parts.append(encode_pdu(vrp_to_pdu(vrp, announce=True)))
         parts.append(encode_pdu(
             EndOfDataPdu(self.state.session_id, serial)))

@@ -164,6 +164,25 @@ class TestOriginValidation:
         assert not index.remove(vrp)
         assert index.validate(p("10.0.0.0/8"), 1) is ValidationState.NOTFOUND
 
+    def test_covering_order_ignores_input_order(self):
+        vrps = [Vrp(p("10.0.0.0/8"), 16, 2), Vrp(p("10.0.0.0/8"), 8, 3),
+                Vrp(p("10.0.0.0/8"), 8, 1), Vrp(p("10.0.0.0/16"), 16, 1)]
+        expected = sorted(vrps)
+        for table in (vrps, vrps[::-1], vrps + vrps):
+            assert list(VrpIndex(table).covering(p("10.0.0.0/24"))) == expected
+
+    def test_updated_returns_new_index_and_keeps_the_old(self):
+        a, b, c = (Vrp(p("10.0.0.0/8"), 8, asn) for asn in (1, 2, 3))
+        old = VrpIndex([a, c])
+        new = old.updated(announced=[b, c], withdrawn=[a, Vrp(p("9.0.0.0/8"), 8, 1)])
+        assert list(old.covering(p("10.0.0.0/8"))) == [a, c]
+        assert list(new.covering(p("10.0.0.0/8"))) == [b, c]
+        assert (len(old), len(new)) == (2, 2)
+        gone = new.updated((), [b, c])
+        assert len(gone) == 0
+        assert gone.validate(p("10.0.0.0/8"), 2) is ValidationState.NOTFOUND
+        assert new.validate(p("10.0.0.0/8"), 2) is ValidationState.VALID
+
     def test_empty_index_everything_notfound(self):
         index = VrpIndex()
         assert index.validate(p("10.0.0.0/8"), 1) is ValidationState.NOTFOUND

@@ -36,6 +36,7 @@ OBSERVABILITY_DOC = DOCS / "observability.md"
 LINTING_DOC = DOCS / "linting.md"
 ROBUSTNESS_DOC = DOCS / "robustness.md"
 PLATFORM_DOC = DOCS / "platform.md"
+SERVING_DOC = DOCS / "serving.md"
 
 _FENCE = re.compile(r"```(\w*)\n(.*?)```", re.DOTALL)
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
@@ -365,6 +366,22 @@ class TestPlatformDocExamples:
         assert document["a"]["run"] == "job-000001"
         assert document["b"]["run"] == "job-000002"
         assert document["cells"], "diff document has no cells"
+
+
+class TestServingDocExamples:
+    """docs/serving.md's "Refreshing the table" example runs as
+    written; its own asserts check the update → notify → reload
+    sequence it describes."""
+
+    def test_refresh_example_executes(self):
+        text = SERVING_DOC.read_text(encoding="utf-8")
+        _, heading, section = text.partition("## Refreshing the table\n")
+        assert heading, "serving.md lost its refresh section"
+        section = section.split("\n## ", 1)[0]
+        examples = [body for language, body in _fenced_blocks(section)
+                    if language == "python"]
+        assert len(examples) == 1, "expected one python example"
+        exec(compile(examples[0], str(SERVING_DOC), "exec"), {})
 
 
 class TestDocsTree:

@@ -198,3 +198,116 @@ class TestAgainstBruteForce:
         assert sorted(tree.keys()) == sorted(model)
         for key, value in model.items():
             assert tree.get(key) == value
+
+
+def shape(tree: RadixTree) -> list:
+    """Every node of ``tree``, glue included, in preorder."""
+    out = []
+    stack = [(tree._root, 0)]
+    while stack:
+        node, depth = stack.pop()
+        if node is not None:
+            out.append((depth, node.prefix, node.has_value, node.value))
+            stack += [(node.right, depth + 1), (node.left, depth + 1)]
+    return out
+
+
+class TestPersistentUpdates:
+    def test_inserted_leaves_the_old_tree_alone(self):
+        old = RadixTree[int](AF_INET)
+        old.insert(p("10.0.0.0/8"), 8)
+        new = old.inserted(p("10.1.0.0/16"), 16)
+        assert list(old.items()) == [(p("10.0.0.0/8"), 8)]
+        assert list(new.items()) == [(p("10.0.0.0/8"), 8),
+                                     (p("10.1.0.0/16"), 16)]
+        assert (len(old), len(new)) == (1, 2)
+
+    def test_inserted_overwrites_in_the_copy_only(self):
+        old = RadixTree[int](AF_INET).inserted(p("10.0.0.0/8"), 1)
+        new = old.inserted(p("10.0.0.0/8"), 2)
+        assert (old.get(p("10.0.0.0/8")), new.get(p("10.0.0.0/8"))) == (1, 2)
+        assert (len(old), len(new)) == (1, 1)
+
+    def test_untouched_subtrees_are_shared_not_copied(self):
+        old = RadixTree[int](AF_INET)
+        for text in ["10.0.0.0/24", "10.0.1.0/24", "192.168.0.0/16"]:
+            old.insert(p(text), 0)
+        new = old.inserted(p("192.168.1.0/24"), 1)
+        # root glue 0.0.0.0/0: the 10/23 side is the very same node.
+        assert new._root is not old._root
+        assert new._root.left is old._root.left
+
+    def test_removed_absent_key_returns_the_same_tree(self):
+        tree = RadixTree[int](AF_INET).inserted(p("10.0.0.0/24"), 1)
+        assert tree.removed(p("10.0.1.0/24")) is tree
+        assert tree.removed(p("10.0.0.0/16")) is tree
+        empty = RadixTree[int](AF_INET)
+        assert empty.removed(p("10.0.0.0/8")) is empty
+
+    def test_removed_leaf_drops_its_stranded_glue(self):
+        tree = RadixTree[int](AF_INET)
+        tree.insert(p("10.0.0.0/24"), 1)
+        tree.insert(p("10.0.1.0/24"), 2)   # glue 10.0.0.0/23 above both
+        after = tree.removed(p("10.0.0.0/24"))
+        assert shape(after) == [(0, p("10.0.1.0/24"), True, 2)]
+        assert len(shape(tree)) == 3
+
+    def test_removed_interior_value_keeps_descendants(self):
+        tree = RadixTree[int](AF_INET)
+        for text, value in [("10.0.0.0/8", 8), ("10.0.0.0/24", 24),
+                            ("10.0.1.0/24", 25)]:
+            tree.insert(p(text), value)
+        after = tree.removed(p("10.0.0.0/8"))
+        assert dict(after.items()) == {p("10.0.0.0/24"): 24,
+                                       p("10.0.1.0/24"): 25}
+        assert tree.get(p("10.0.0.0/8")) == 8
+
+    def test_family_check(self):
+        tree = RadixTree[int](AF_INET)
+        with pytest.raises(TrieError):
+            tree.inserted(p("::/0"), 1)
+        with pytest.raises(TrieError):
+            tree.removed(p("::/0"))
+
+    operations = st.lists(
+        st.tuples(
+            st.booleans(),
+            # few distinct addresses and lengths, so that removes hit
+            # and keys nest
+            st.sampled_from([0x0A000000, 0x0A000100, 0x0A010000,
+                             0x0A800000, 0xC0A80000, 0xC0A80080]),
+            st.sampled_from([8, 9, 16, 23, 24, 25, 32]),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(operations, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_any_interleaving_equals_a_rebuild_and_keeps_every_version(
+            self, operations, probe_value):
+        tree = RadixTree[int](AF_INET)
+        model: dict[Prefix, int] = {}
+        versions = [(tree, [])]
+        for step, (insert, value, length) in enumerate(operations):
+            prefix = Prefix(AF_INET, value, length)
+            if insert:
+                tree = tree.inserted(prefix, step)
+                model[prefix] = step
+            else:
+                tree = tree.removed(prefix)
+                model.pop(prefix, None)
+            versions.append((tree, sorted(model.items())))
+
+        rebuilt = RadixTree[int](AF_INET)
+        for prefix in sorted(model):
+            rebuilt.insert(prefix, model[prefix])
+        assert shape(tree) == shape(rebuilt)
+        assert len(tree) == len(model)
+        probes = [Prefix(AF_INET, probe_value, 32)] + [
+            Prefix(AF_INET, value | 1, 32) for _, value, _ in operations]
+        for probe in probes:
+            assert list(tree.covering(probe)) == list(rebuilt.covering(probe))
+            assert tree.longest_match(probe) == rebuilt.longest_match(probe)
+        for version, items in versions:
+            assert list(version.items()) == items
+            assert len(version) == len(items)

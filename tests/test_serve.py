@@ -15,6 +15,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp import ValidationState
 from repro.core import LocalCache
@@ -23,7 +25,13 @@ from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
 from repro.rpki import Vrp
 from repro.rtr import RtrClient
-from repro.rtr.pdu import ResetQueryPdu, encode_pdu
+from repro.rtr.pdu import (
+    CacheResponsePdu,
+    EndOfDataPdu,
+    ResetQueryPdu,
+    encode_pdu,
+    vrp_to_pdu,
+)
 from repro.rtr.session import CacheState
 from repro.serve import (
     AsyncRtrClient,
@@ -111,6 +119,35 @@ class TestFrameCache:
         assert count == 3 + 2  # cache response + VRPs + end of data
         assert metrics["frame_encodes"] == 1
         assert metrics["frame_hits"] == 99
+
+    def test_frames_are_in_vrp_order_byte_for_byte(self):
+        """The tuple sort key must give the bytes plain ``sorted()`` on
+        ``Vrp`` (prefix, maxLength, asn) gave."""
+        rng = random.Random(5)
+        table = [
+            Vrp(Prefix(family, rng.getrandbits(8) << shift, 8 + length),
+                8 + length + extra, asn)
+            for family, shift in ((4, 24), (6, 120))
+            for length in (0, 8) for extra in (0, 3) for asn in (3, 1, 2)
+        ]
+        rng.shuffle(table)
+        state = CacheState()
+        state.update(table[:12])
+        state.update(table[6:])
+
+        def frame(announced, withdrawn=()):
+            pdus = [CacheResponsePdu(state.session_id)]
+            pdus += [vrp_to_pdu(vrp, announce=True) for vrp in announced]
+            pdus += [vrp_to_pdu(vrp, announce=False) for vrp in withdrawn]
+            pdus.append(EndOfDataPdu(state.session_id, state.serial))
+            return b"".join(encode_pdu(pdu) for pdu in pdus)
+
+        frames = FrameCache(state)
+        assert frames.full_table()[0] == frame(sorted(set(table[6:])))
+        assert frames.diff(1)[0] == frame(
+            sorted(set(table[12:]) - set(table[:12])),
+            sorted(set(table[:6]) - set(table[6:])))
+        assert frames.diff(0)[0] == frame(sorted(set(table[6:])))
 
     def test_new_serial_new_frame(self):
         state = CacheState()
@@ -247,6 +284,122 @@ class TestQueryServiceRfc6811:
             is ValidationState.VALID
         assert service.validity(7, p("2001:db8::/64")).state \
             is ValidationState.INVALID
+
+
+# ----------------------------------------------------------------------
+# Query service: refreshing the table (delta reload, snapshot contract)
+# ----------------------------------------------------------------------
+
+#: Nested and sibling prefixes, several VRPs per prefix, both families.
+UNIVERSE = [
+    Vrp(p(text), max_length, asn)
+    for text, spreads in [
+        ("10.0.0.0/8", (0, 8)), ("10.0.0.0/16", (0, 8)),
+        ("10.0.0.0/24", (0,)), ("10.0.1.0/24", (0, 4)),
+        ("10.128.0.0/9", (0,)), ("192.168.0.0/16", (0, 8)),
+        ("2001:db8::/32", (0, 16)), ("2001:db8:1::/48", (0,)),
+    ]
+    for max_length in [p(text).length + spread for spread in spreads]
+    for asn in (3, 1, 2)
+]
+IPV4 = [vrp for vrp in UNIVERSE if vrp.prefix.is_ipv4]
+IPV6 = [vrp for vrp in UNIVERSE if vrp.prefix.is_ipv6]
+PROBES = [
+    (asn, prefix)
+    for prefix in sorted(
+        {vrp.prefix for vrp in UNIVERSE}
+        | {p("10.0.0.0/28"), p("10.0.1.128/25"), p("10.200.0.0/16"),
+           p("192.168.7.0/24"), p("2001:db8:1:2::/64"), p("2001:db9::/32"),
+           p("11.0.0.0/8")})
+    for asn in (1, 2, 4)
+]
+
+
+def answers(service):
+    return [json.dumps(service.validity(asn, prefix).to_json())
+            for asn, prefix in PROBES]
+
+
+class TestQueryServiceReload:
+    @pytest.mark.parametrize("first, second", [
+        pytest.param(UNIVERSE, UNIVERSE[1:] + [V2], id="small-delta"),
+        pytest.param(UNIVERSE[:20], UNIVERSE[10:], id="above-threshold"),
+        pytest.param(UNIVERSE, UNIVERSE[2:] * 2, id="duplicates-in-input"),
+        pytest.param(IPV4 + IPV6[:1], IPV4, id="last-ipv6-withdrawn"),
+        pytest.param(IPV4, IPV4 + IPV6[:1], id="ipv6-appears"),
+        pytest.param(UNIVERSE, [], id="to-empty"),
+        pytest.param([], UNIVERSE, id="from-empty"),
+        pytest.param([], [], id="empty-to-empty"),
+        pytest.param(UNIVERSE, list(reversed(UNIVERSE)), id="no-change"),
+    ])
+    def test_reloaded_answers_like_freshly_built(self, first, second):
+        service = QueryService(first)
+        service.reload(second, serial=2)
+        fresh = QueryService(second)
+        assert answers(service) == answers(fresh)
+        assert len(service) == len(fresh) == len(set(second))
+        assert service.serial == 2
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.sets(st.sampled_from(UNIVERSE)),
+        st.lists(st.sets(st.sampled_from(UNIVERSE), max_size=6), max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_reload_sequence_answers_like_freshly_built(
+            self, table, flips, rng):
+        """Flipping a few VRPs at a time takes the delta path for large
+        tables and the rebuild path for small ones; either way, and in
+        whatever order the input lists its rows, the answers are those
+        of a service built over the final table."""
+        service = QueryService(table)
+        for flip in flips:
+            table = table ^ flip
+            rows = sorted(table) + sorted(flip & table)
+            rng.shuffle(rows)
+            service.reload(rows)
+            assert answers(service) == answers(QueryService(table))
+            assert len(service) == len(table)
+
+    def test_small_delta_shares_untouched_trees_large_delta_rebuilds(self):
+        service = QueryService(UNIVERSE)
+        before = service._index
+        service.reload([vrp for vrp in UNIVERSE if vrp != IPV4[0]])
+        assert service._index is not before
+        assert service._index._trees[6] is before._trees[6]
+        assert service._index._trees[4] is not before._trees[4]
+        before = service._index
+        service.reload(UNIVERSE[:len(UNIVERSE) // 2] + IPV6)
+        assert service._index._trees[6] is not before._trees[6]
+
+    def test_batch_in_flight_stays_on_the_snapshot_it_started_with(self):
+        old_table = UNIVERSE[:-1]
+        new_table = [vrp for vrp in UNIVERSE[3:] if vrp not in IPV6[:2]]
+        service = QueryService(old_table)
+        expected_old = answers(QueryService(old_table))
+        expected_new = answers(QueryService(new_table))
+        assert expected_old != expected_new
+
+        class ReloadsMidway(list):
+            def __iter__(self):
+                rows = super().__iter__()
+                yield next(rows)
+                service.reload(new_table)
+                yield from rows
+
+        batch = service.validity_batch(ReloadsMidway(PROBES))
+        assert [json.dumps(r.to_json()) for r in batch] == expected_old
+        assert answers(service) == expected_new
+
+    def test_reload_leaves_the_previous_snapshot_unchanged(self):
+        service = QueryService(UNIVERSE)
+        snapshot = service._index
+        before = [list(snapshot.covering(prefix)) for _, prefix in PROBES]
+        for keep in (UNIVERSE[1:], UNIVERSE[5:], IPV4[2:], UNIVERSE):
+            service.reload(keep)
+        assert [list(snapshot.covering(prefix))
+                for _, prefix in PROBES] == before
+        assert len(snapshot) == len(UNIVERSE)
 
 
 # ----------------------------------------------------------------------

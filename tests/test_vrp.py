@@ -110,6 +110,25 @@ class TestOrdering:
         assert ordered[0].prefix == p("9.0.0.0/8")
         assert ordered[1].max_length == 16
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.tuples(
+            st.sampled_from([4, 6]),
+            st.integers(min_value=0, max_value=2**32 - 1),
+            st.integers(min_value=0, max_value=32),
+            st.integers(min_value=0, max_value=2),
+            st.integers(min_value=1, max_value=3),
+        ),
+        max_size=30,
+    ))
+    def test_sort_key_is_the_dataclass_order(self, rows):
+        vrps = [
+            Vrp(Prefix(family, value, length), min(32, length + extra), asn)
+            for family, value, length, extra, asn in rows
+        ]
+        assert sorted(vrps, key=Vrp.sort_key) == sorted(vrps)
+        assert sort_vrps(vrps) == sorted(vrps)
+
     def test_hashable(self):
         a = Vrp(p("10.0.0.0/16"), 24, 1)
         b = Vrp(p("10.0.0.0/16"), 24, 1)
