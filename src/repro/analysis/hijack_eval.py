@@ -23,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ..bgp.attacks import DEFAULT_ENGINE
 from ..bgp.topology import AsTopology
 from ..exper.runner import ExperimentRunner
 from ..exper.scenarios import (
@@ -85,7 +86,7 @@ def hijack_study_spec(
     samples: int = 50,
     seed: int = 0,
     victim_prefix: Prefix = Prefix.parse("168.122.0.0/16"),
-    engine: str = "object",
+    engine: str = DEFAULT_ENGINE,
 ) -> ExperimentSpec:
     """The study as a declarative spec: the four historical cells.
 
@@ -116,7 +117,7 @@ def run_hijack_study(
     victim_prefix: Prefix = Prefix.parse("168.122.0.0/16"),
     executor: str = "serial",
     workers: Optional[int] = None,
-    engine: str = "object",
+    engine: str = DEFAULT_ENGINE,
 ) -> HijackStudyResult:
     """Sample attacks between random stub pairs and average capture.
 
@@ -125,7 +126,7 @@ def run_hijack_study(
     against the edge), gives the victim a /16 with either a minimal
     ROA ``(p, len(p))`` or a non-minimal ``(p, maxLength 24)``, and
     measures each attack variant's capture fraction.  ``engine``
-    selects the propagation backend (``"array"`` for large graphs).
+    selects the propagation backend (``"object"`` is the reference).
     """
     if len(topology.stub_ases()) < 2:
         raise ValueError("topology has too few stub ASes for a study")

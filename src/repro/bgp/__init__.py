@@ -5,8 +5,8 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "announcement": ("Announcement", "AnnouncementError"),
     "attacks": (
-        "AttackKind", "AttackOutcome", "AttackScenario", "ENGINES",
-        "coerce_engine", "evaluate_attack", "evaluate_attack_seeds",
+        "AttackKind", "AttackOutcome", "AttackScenario", "DEFAULT_ENGINE",
+        "ENGINES", "coerce_engine", "evaluate_attack", "evaluate_attack_seeds",
     ),
     "fastprop": (
         "AttackCase", "PropagationWorkspace", "evaluate_attack_seeds_array",

@@ -40,18 +40,23 @@ __all__ = [
     "AttackKind",
     "AttackScenario",
     "AttackOutcome",
+    "DEFAULT_ENGINE",
     "ENGINES",
     "coerce_engine",
     "evaluate_attack",
     "evaluate_attack_seeds",
 ]
 
-#: The two propagation backends: ``"object"`` is the readable bucketed
-#: BFS in :mod:`repro.bgp.simulation`; ``"array"`` is the flat-array
-#: engine in :mod:`repro.bgp.fastprop`.  They are bit-identical (a
-#: tested invariant) — ``"array"`` is simply what makes CAIDA-scale
-#: grids practical.
+#: The two propagation backends: ``"array"`` is the flat-array engine
+#: in :mod:`repro.bgp.fastprop`, the one everything runs on;
+#: ``"object"`` is the readable bucketed BFS in
+#: :mod:`repro.bgp.simulation`, kept selectable as the reference the
+#: array engine is tested against (architecture invariant 3: identical
+#: routes, fractions and RNG stream).
 ENGINES = ("object", "array")
+
+#: What a spec, a CLI run or a direct call gets when it names no engine.
+DEFAULT_ENGINE = "array"
 
 
 def coerce_engine(engine: str) -> str:
@@ -184,7 +189,7 @@ def evaluate_attack(
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
     rng: Optional[random.Random] = None,
-    engine: str = "object",
+    engine: str = DEFAULT_ENGINE,
 ) -> AttackOutcome:
     """Simulate a hijack and measure who captures the attacked space.
 
@@ -224,7 +229,7 @@ def evaluate_attack_seeds(
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
     rng: Optional[random.Random] = None,
-    engine: str = "object",
+    engine: str = DEFAULT_ENGINE,
     workspace=None,
 ) -> tuple[tuple[float, float, float], bool]:
     """The measurement core, generalized to any attacker seed list.
@@ -237,8 +242,8 @@ def evaluate_attack_seeds(
     by longest-prefix match as in :func:`evaluate_attack`.
 
     ``engine`` selects the propagation backend (see :data:`ENGINES`);
-    both produce identical results, ``"array"`` an order of magnitude
-    faster on large graphs.  ``workspace`` — an array-engine
+    both produce identical results, the default ``"array"`` an order of
+    magnitude faster on large graphs.  ``workspace`` — an array-engine
     :class:`~repro.bgp.fastprop.PropagationWorkspace` — lets repeated
     evaluations reuse state arrays and propagation profiles; it is
     ignored by the object engine and never changes results.

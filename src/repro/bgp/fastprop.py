@@ -38,18 +38,36 @@ engine.
 propagations on one topology, so the per-propagation constants matter
 as much as the sweep itself.  A :class:`PropagationWorkspace` keeps
 the per-AS state arrays alive across propagations (reset in O(touched
-ASes), not O(n)), caches the per-trial validation bitmask, and — the
-big one — caches *single-seed propagation profiles*: with one seed
-there is no inter-seed competition, so the adoption structure and the
-sequence of tie-break candidate counts are a deterministic function of
-(seed, blocked set) alone, independent of what the RNG actually
-returns.  A repeated single-seed propagation (the victim's covering
-route evaluated for every grid cell, or an attack announcement whose
-RFC 6811 verdict repeats across cells) therefore replays the recorded
-candidate counts through the RNG — consuming the identical random
-stream — without re-running the sweep.  Multi-seed propagations are
-never cached: there the chosen winner decides which seed's blocked
-set gates later offers, so the structure is draw-dependent.
+ASes), not O(n)), caches the per-trial validator set, and — the big
+one — treats *single-seed propagations* for what they are.  With one
+seed there is no inter-seed competition, so every AS that is offered
+the route adopts it, and two things follow:
+
+* *Who adopts* is a reachability closure of (seed, blocked set) —
+  independent of path lengths and of what the RNG returns.
+  :func:`_closure` computes it as set algebra over the CSR rows: no
+  lane, no candidate lists, no draws.
+* *How much randomness* an ordered sweep would consume is a fixed
+  sequence of tie-break candidate counts.  A sweep records it in the
+  propagation's cached *profile*, and a repeated propagation (the
+  victim's covering route evaluated for every grid cell, or an attack
+  announcement whose RFC 6811 verdict repeats across cells) replays
+  the counts through the RNG — consuming the identical random stream —
+  without re-running the sweep.
+
+Which one a single-seed propagation pays for is decided by whether
+there is an RNG position to maintain.  A caller that passes ``rng``
+to :func:`evaluate_attack_seeds_array` owns the stream and gets it
+back exactly where the object engine would leave it: ordered sweep,
+then replays.  With ``rng=None`` there is nothing to maintain and the
+closure answers.  :func:`evaluate_attack_seeds_array_batch` sees a
+whole trial's cases at once, so it maintains the stream only as far as
+some result depends on it — through the last case in which seeds
+compete — and evaluates the rest draw-free; a grid of subprefix
+attacks only (the paper's sec. 4/5 experiments) never sweeps and never
+draws.  Multi-seed propagations are never cached: there the chosen
+winner decides which seed's blocked set gates later offers, so the
+structure is draw-dependent.
 """
 
 from __future__ import annotations
@@ -81,7 +99,16 @@ _PROVIDER = int(RouteClass.PROVIDER)
 
 #: Single-seed profiles kept per workspace before the cache recycles
 #: (bounds worker memory on CAIDA-scale graphs; within one trial a
-#: grid needs at most one profile per cell).
+#: grid needs at most one profile per cell).  A profile is a frozenset
+#: of adopted indices — a hash table of 16 bytes a slot at load ≤ 0.6,
+#: the ints shared with the CSR rows — so one in which every AS adopts
+#: costs 0.5 MiB at 10 k ASes and 4 MiB at 75 k (2 MiB when the
+#: ordered sweep made it), plus a byte per adoption once it holds
+#: tie-break counts; it was 2 bytes per AS (20 KB, 150 KB) as a flag
+#: string.  A validator epoch ends the cache, so a full one — 16 MiB /
+#: 128 MiB — takes 32 distinct announcements under one validator set:
+#: many trials of universal validation, nothing a sampled-validator
+#: grid does (grid_10k holds at most 4 profiles, ≈ 2 MiB).
 _PROFILE_CAP = 32
 
 
@@ -162,11 +189,13 @@ class _Lane:
 
 class _State:
     """Raw propagation outcome: the lane's five parallel per-AS-index
-    arrays plus per-seed adoption counts (maintained during the
-    sweeps, so capture fractions never need an O(n) scan)."""
+    arrays, its list of adopted indices, and per-seed adoption counts
+    (maintained during the sweeps, so capture fractions never need an
+    O(n) scan).  Everything here aliases the lane: read it before the
+    lane is reset."""
 
     __slots__ = ("seed_list", "adopted", "slot", "parent", "plen", "klass",
-                 "counts")
+                 "touched", "counts")
 
     def __init__(self, seed_list: list[Seed], lane: _Lane,
                  counts: list[int]) -> None:
@@ -176,6 +205,7 @@ class _State:
         self.parent = lane.parent
         self.plen = lane.plen
         self.klass = lane.klass
+        self.touched = lane.touched
         self.counts = counts
 
 
@@ -183,21 +213,23 @@ class _State:
 class _Profile:
     """Cached outcome of one single-seed propagation.
 
-    ``counts_seq`` is the tie-break candidate count of every adoption,
-    in draw order — the complete description of the propagation's RNG
-    consumption, replayed by :func:`_replay_draws`.  Stored as
-    ``bytes`` when every count fits (the overwhelmingly common case;
-    candidate counts are bounded by node degree), which keeps a
-    CAIDA-scale profile at one byte per adoption.
+    ``adopted`` is the set of adopting AS indices, whichever of the
+    closure or the ordered sweep produced it.  ``counts_seq`` is the
+    tie-break candidate count of every adoption, in draw order — the
+    complete description of the propagation's RNG consumption,
+    replayed by :func:`_replay_draws`; ``None`` on a profile the
+    closure made, until a lookup that has an RNG to advance asks for
+    it.  Stored as ``bytes`` when every count fits (the overwhelmingly
+    common case; candidate counts are bounded by node degree), one
+    byte per adoption.
     """
 
-    adopted: bytes
-    total: int
-    counts_seq: Union[bytes, tuple[int, ...]]
+    adopted: frozenset[int]
+    counts_seq: Union[bytes, tuple[int, ...], None]
 
     @staticmethod
     def pack_counts(counts: Sequence[int]) -> Union[bytes, tuple[int, ...]]:
-        if all(count < 256 for count in counts):
+        if max(counts, default=0) < 256:
             return bytes(counts)
         return tuple(counts)
 
@@ -241,7 +273,7 @@ class _WorkspaceMetrics:
     """
 
     __slots__ = (
-        "enabled", "sweeps", "touched_ases", "lane_resets",
+        "enabled", "sweeps", "closures", "touched_ases", "lane_resets",
         "profile_hits", "profile_misses", "mask_builds", "epochs",
     )
 
@@ -249,6 +281,7 @@ class _WorkspaceMetrics:
         view = registry.view("fastprop")
         self.enabled = registry.enabled
         self.sweeps = view.counter("sweeps")
+        self.closures = view.counter("closures")
         self.touched_ases = view.counter("touched_ases")
         self.lane_resets = view.counter("lane_resets")
         self.profile_hits = view.counter("profile_hits")
@@ -263,18 +296,20 @@ class PropagationWorkspace:
     Allocate one per (worker, topology) and pass it to
     :func:`evaluate_attack_seeds_array` /
     :func:`evaluate_attack_seeds_array_batch`: the per-AS state arrays
-    are allocated once and reset in O(touched) between propagations,
-    the validation bitmask is computed once per validator set instead
-    of once per propagation, and single-seed propagations repeated
-    under the same validator set are served from the profile cache
-    (see the module docstring).  Results are byte-identical to the
-    workspace-free path — including RNG consumption — which the test
-    suite pins.
+    are allocated on the first ordered sweep and reset in O(touched)
+    between propagations, the validator set is indexed once per epoch
+    instead of once per propagation, and single-seed propagations are
+    closures or profile replays (see the module docstring).  Results
+    are byte-identical to the workspace-free path — per call including
+    RNG consumption — which the test suite pins.
 
-    The workspace counts its own behavior (sweeps run, ASes touched,
-    profile cache hits/misses, mask builds) into ``registry`` under the
-    ``fastprop.`` namespace; by default the process registry at
-    construction time, so worker processes each record into their own.
+    The workspace counts its own behavior into ``registry`` under the
+    ``fastprop.`` namespace — ``sweeps`` (ordered sweeps run),
+    ``closures`` (adopted sets computed as reachability),
+    ``touched_ases`` (ASes adopted, by either), profile cache
+    hits/misses, ``mask_builds`` (validator sets indexed) — by default
+    the process registry at construction time, so worker processes
+    each record into their own.
 
     Not thread-safe; share nothing across threads or processes.
     """
@@ -292,8 +327,14 @@ class PropagationWorkspace:
         self._lanes: list[_Lane] = []
         self._profiles: dict[tuple, _Profile] = {}
         self._validators_token: object = self  # sentinel: no epoch yet
+        self._validators: Optional[frozenset[int]] = None
         self._mask: Optional[bytearray] = None
         self._universal_mask: Optional[bytearray] = None
+        #: ASes with at least one customer: the only ones a downward
+        #: closure step has to expand (most of an AS graph is stubs).
+        self.has_customers = frozenset(
+            i for i, row in enumerate(self.compiled.customer_rows) if row
+        )
 
     def lane(self, index: int = 0) -> _Lane:
         while len(self._lanes) <= index:
@@ -310,45 +351,84 @@ class PropagationWorkspace:
         """
         if validating_ases is not self._validators_token:
             self._validators_token = validating_ases
+            self._validators = None
             self._mask = None
             self._profiles.clear()
             self.metrics.epochs.inc()
 
-    def mask(self) -> bytearray:
-        """The current epoch's validation bitmask, computed lazily."""
-        if self._validators_token is self:
+    def validators(self) -> Optional[frozenset[int]]:
+        """The current epoch's validating AS *indices*, computed lazily
+        straight from the ASN set (ASNs outside the topology are
+        ignored); ``None`` means every AS validates."""
+        validating_ases = self._validators_token
+        if validating_ases is self:
             raise ReproError("workspace epoch not opened; call begin()")
+        if validating_ases is None:
+            return None
+        if self._validators is None:
+            index_of = self.compiled.index_of
+            self._validators = frozenset(
+                index_of[asn] for asn in validating_ases if asn in index_of
+            )
+            if self._mask is None:  # one build per epoch, in either form
+                self.metrics.mask_builds.inc()
+        return self._validators
+
+    def mask(self) -> bytearray:
+        """The current epoch's validators as the per-AS-index bitmask
+        the ordered sweep reads, computed lazily."""
         if self._mask is None:
-            validators = self._validators_token
-            if validators is None:
+            validating_ases = self._validators_token
+            if validating_ases is self:
+                raise ReproError("workspace epoch not opened; call begin()")
+            if validating_ases is None:
                 if self._universal_mask is None:
-                    self._universal_mask = bytearray(
-                        b"\x01" * len(self.compiled)
-                    )
+                    self._universal_mask = self.compiled.validation_mask(None)
                 self._mask = self._universal_mask
             else:
-                self._mask = self.compiled.validation_mask(validators)
-                self.metrics.mask_builds.inc()
+                self._mask = self.compiled.validation_mask(validating_ases)
+                if self._validators is None:
+                    self.metrics.mask_builds.inc()
         return self._mask
 
-    def profile(self, key: tuple) -> Optional[_Profile]:
+    def profile(
+        self, key: tuple, need_counts: bool = False
+    ) -> Optional[_Profile]:
+        """The cached profile under ``key``, if it can serve the lookup:
+        a profile the closure made cannot serve one that has draws to
+        replay, so that lookup is a miss (it sweeps and re-stores)."""
         profile = self._profiles.get(key)
-        if profile is not None:
+        if profile is not None and (
+            profile.counts_seq is not None or not need_counts
+        ):
             # Refresh recency (dict order is insertion order), so the
             # cap evicts the least recently used profile — never a hot
             # one like the trial's victim-cover profile.
             del self._profiles[key]
             self._profiles[key] = profile
             self.metrics.profile_hits.inc()
-        else:
-            self.metrics.profile_misses.inc()
-        return profile
+            return profile
+        self.metrics.profile_misses.inc()
+        return None
 
     def store_profile(self, key: tuple, profile: _Profile) -> None:
         profiles = self._profiles
-        if len(profiles) >= _PROFILE_CAP:
+        if key not in profiles and len(profiles) >= _PROFILE_CAP:
             del profiles[next(iter(profiles))]
         profiles[key] = profile
+
+
+def _check_seeds(
+    compiled: CompiledTopology, seed_list: Sequence[Seed]
+) -> None:
+    """Reject what the object engine rejects, with the same error."""
+    seen: set[int] = set()
+    for seed in seed_list:
+        if seed.asn not in compiled.index_of:
+            raise SimulationError(f"seed AS{seed.asn} not in topology")
+        if seed.asn in seen:
+            raise SimulationError(f"duplicate seed for AS{seed.asn}")
+        seen.add(seed.asn)
 
 
 def _propagate(
@@ -375,14 +455,7 @@ def _propagate(
     """
     n = len(compiled)
     index_of = compiled.index_of
-
-    seen: set[int] = set()
-    for seed in seed_list:
-        if seed.asn not in index_of:
-            raise SimulationError(f"seed AS{seed.asn} not in topology")
-        if seed.asn in seen:
-            raise SimulationError(f"duplicate seed for AS{seed.asn}")
-        seen.add(seed.asn)
+    _check_seeds(compiled, seed_list)
 
     # One validation verdict per seed: every propagated copy claims the
     # seed's origin, so the object engine's per-offer radix walk is a
@@ -698,6 +771,17 @@ class AttackCase:
             self, "attacker_seeds", tuple(self.attacker_seeds)
         )
 
+    @property
+    def reads_draws(self) -> bool:
+        """Can a tie-break draw change this case's outcome?  Only when
+        seeds compete inside one propagation: a same-prefix attack
+        (victim against attackers) or several attackers at once.  A
+        lone announcement is adopted by whoever it reaches."""
+        return (
+            self.attack_prefix == self.victim_prefix
+            or len(self.attacker_seeds) != 1
+        )
+
 
 @contextlib.contextmanager
 def _lane_propagation(
@@ -740,6 +824,54 @@ def _lane_propagation(
         used_lane.reset()
 
 
+def _closure(
+    workspace: PropagationWorkspace, seed: Seed, invalid: bool
+) -> frozenset[int]:
+    """The adopted index set of a single-seed propagation, as
+    reachability.
+
+    With one seed nothing competes: every AS that is offered the route
+    adopts it, so *who* adopts depends on neither path lengths nor
+    tie-break draws.  It is the three Gao–Rexford phases read as a
+    closure — up over provider edges, one hop over peer edges, down
+    over customer edges — never entering the seed's blocked set (its
+    initial path; the validating ASes too when the seed is
+    RFC 6811-invalid).  Each step is one C-level union of CSR rows.
+    """
+    compiled = workspace.compiled
+    _check_seeds(compiled, (seed,))
+    index_of = compiled.index_of
+    origin = index_of[seed.asn]
+    blocked = frozenset(
+        index_of[asn] for asn in seed.path if asn in index_of
+    )
+    if invalid:
+        validators = workspace.validators()
+        if validators is None or origin in validators:
+            return frozenset()
+        blocked |= validators
+
+    reached = {origin}
+    frontier = reached
+    rows = compiled.provider_rows.__getitem__
+    while frontier:
+        frontier = set().union(*map(rows, frontier)) - reached
+        frontier -= blocked
+        reached |= frontier
+    reached |= (
+        set().union(*map(compiled.peer_rows.__getitem__, reached)) - blocked
+    )
+    has_customers = workspace.has_customers
+    rows = compiled.customer_rows.__getitem__
+    frontier = reached & has_customers
+    while frontier:
+        frontier = set().union(*map(rows, frontier)) - reached
+        frontier -= blocked
+        reached |= frontier
+        frontier &= has_customers
+    return frozenset(reached)
+
+
 def _single_seed_outcome(
     compiled: CompiledTopology,
     prefix: Prefix,
@@ -748,42 +880,52 @@ def _single_seed_outcome(
     validating_ases: Optional[frozenset[int]],
     rng: Optional[random.Random],
     workspace: Optional[PropagationWorkspace],
-) -> tuple[Union[bytes, bytearray], int]:
-    """(adopted flags, total adoptions) of a single-seed propagation.
+) -> frozenset[int]:
+    """The adopted index set of a single-seed propagation.
 
     With a workspace, served from the profile cache when this (seed,
-    verdict) was already propagated under the current validator epoch
-    — replaying the recorded candidate counts so the RNG advances
-    exactly as a real sweep would.  Cache misses run the sweep on a
-    workspace lane, record the profile, and release the lane.
+    verdict) was already propagated under the current validator epoch.
+    What a miss costs depends on whether there is an RNG position to
+    maintain.  Without one (``rng is None``) the set is the
+    :func:`_closure`.  With one, the ordered sweep runs on a workspace
+    lane and records its tie-break candidate counts, and a later hit
+    replays them, so the RNG advances exactly as the object engine's
+    would; a profile the closure made cannot serve such a lookup, which
+    is then a miss and sweeps once to get them.
     """
     if workspace is None:
         state, _lane = _propagate(
             compiled, prefix, [seed], vrp_index, validating_ases, rng
         )
-        return state.adopted, state.counts[0]
+        return frozenset(state.touched)
 
     invalid = vrp_index is not None and (
         vrp_index.validate(prefix, seed.path[-1]) is ValidationState.INVALID
     )
     key = (seed.asn, seed.path, invalid)
-    profile = workspace.profile(key)
+    profile = workspace.profile(key, need_counts=rng is not None)
     if profile is not None:
         _replay_draws(profile.counts_seq, rng)
-        return profile.adopted, profile.total
+        return profile.adopted
 
-    mask = workspace.mask() if invalid else None
-    capture: list[int] = []
-    with _lane_propagation(
-        compiled, prefix, [seed], vrp_index, validating_ases, rng,
-        workspace, mask=mask, invalid=[invalid], capture=capture,
-    ) as state:
-        profile = _Profile(
-            bytes(state.adopted), state.counts[0],
-            _Profile.pack_counts(capture),
-        )
+    if rng is None:
+        profile = _Profile(_closure(workspace, seed, invalid), None)
+        metrics = workspace.metrics
+        if metrics.enabled:
+            metrics.closures.inc()
+            metrics.touched_ases.inc(len(profile.adopted))
+    else:
+        capture: list[int] = []
+        with _lane_propagation(
+            compiled, prefix, [seed], vrp_index, validating_ases, rng,
+            workspace, mask=workspace.mask() if invalid else None,
+            invalid=[invalid], capture=capture,
+        ) as state:
+            profile = _Profile(
+                frozenset(state.touched), _Profile.pack_counts(capture)
+            )
     workspace.store_profile(key, profile)
-    return profile.adopted, profile.total
+    return profile.adopted
 
 
 def evaluate_attack_seeds_array(
@@ -802,8 +944,9 @@ def evaluate_attack_seeds_array(
     :func:`repro.bgp.attacks.evaluate_attack_seeds`.
 
     Same measurement, same return value, same RNG consumption — but the
-    capture fractions are counted straight off the raw adoption arrays,
-    so no path tuple or :class:`Route` is ever materialized.  Pass a
+    capture fractions are counted straight off adopted index sets and
+    raw adoption arrays, so no path tuple or :class:`Route` is ever
+    materialized.  Pass a
     :class:`PropagationWorkspace` (one per worker) to reuse state
     arrays and propagation profiles across calls; results are
     byte-identical either way.
@@ -834,17 +977,17 @@ def evaluate_attack_seeds_array(
     is_subprefix = attack_prefix != victim_prefix
 
     if is_subprefix:
-        cover_adopted, cover_total = _single_seed_outcome(
+        cover = _single_seed_outcome(
             compiled, victim_prefix, victim_seed,
             vrp_index, validating_ases, rng, workspace,
         )
         if len(attacker_seeds) == 1:
-            attack_adopted, attack_total = _single_seed_outcome(
+            attack = _single_seed_outcome(
                 compiled, attack_prefix, attacker_seeds[0],
                 vrp_index, validating_ases, rng, workspace,
             )
         else:
-            # The cover outcome above is immutable profile bytes, so
+            # The cover outcome above is an immutable index set, so
             # the multi-attacker sweep can reuse lane 0.
             mask = None
             if workspace is not None and vrp_index is not None:
@@ -853,22 +996,16 @@ def evaluate_attack_seeds_array(
                 compiled, attack_prefix, list(attacker_seeds),
                 vrp_index, validating_ases, rng, workspace, mask=mask,
             ) as attack_state:
-                attack_adopted = bytes(attack_state.adopted)
-                attack_total = sum(attack_state.counts)
-        filtered = attack_total == 0
+                attack = frozenset(attack_state.touched)
+        filtered = not attack
         # Longest-prefix match: an attack-prefix route wins wherever
-        # one was adopted; the covering route serves the rest.  The
-        # adoption flags are 0/1 bytes, so the cover-minus-overlap
-        # count is one bigint popcount instead of an O(n) scan.
-        attacker_count = attack_total
-        victim_count = (
-            int.from_bytes(cover_adopted, "big")
-            & ~int.from_bytes(attack_adopted, "big")
-        ).bit_count()
+        # one was adopted; the covering route serves the rest.
+        attacker_count = len(attack)
+        victim_count = len(cover - attack)
         for i in cast:
-            if attack_adopted[i]:
+            if i in attack:
                 attacker_count -= 1
-            elif cover_adopted[i]:
+            elif i in cover:
                 victim_count -= 1
     else:
         mask = None
@@ -920,23 +1057,38 @@ def evaluate_attack_seeds_array_batch(
     """Evaluate a batch of attack cases with one shared workspace.
 
     The batched entry point for grid trials: one call per trial, one
-    case per cell, all sharing ``rng`` (the trial's tie-break stream,
-    consumed case by case in order — exactly as per-call evaluation
-    would).  The workspace amortizes the validation bitmask and the
-    single-seed propagation profiles across the batch; a missing
-    workspace gets a transient one, which still amortizes within the
-    batch.
+    case per cell, all sharing ``rng`` (the trial's tie-break stream).
+    Results are exactly those of evaluating the cases one by one with
+    :func:`evaluate_attack_seeds_array` and the same ``rng``.
+
+    **RNG contract.**  The batch advances ``rng`` through the last case
+    whose outcome reads a draw (:attr:`AttackCase.reads_draws`) and no
+    further: up to there the stream is consumed case by case, in order,
+    exactly as per-call evaluation consumes it; the single-seed cases
+    after it get no RNG, so their adopted sets come from the closure
+    and the draws nothing would have read are never made.  A batch of
+    subprefix cases only — the paper's sec. 4/5 grids — leaves ``rng``
+    untouched.
+
+    The workspace amortizes the validator set and the single-seed
+    propagation profiles across the batch; a missing workspace gets a
+    transient one, which still amortizes within the batch.
     """
     if workspace is None:
         workspace = PropagationWorkspace(topology)
+    horizon = max(
+        (position + 1 for position, case in enumerate(cases)
+         if case.reads_draws),
+        default=0,
+    )
     return [
         evaluate_attack_seeds_array(
             topology, case.victim, case.victim_prefix, case.attack_prefix,
             case.attacker_seeds,
             vrp_index=case.vrp_index,
             validating_ases=case.validating_ases,
-            rng=rng,
+            rng=rng if position < horizon else None,
             workspace=workspace,
         )
-        for case in cases
+        for position, case in enumerate(cases)
     ]

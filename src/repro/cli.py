@@ -127,8 +127,9 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--engine", choices=("object", "array"),
-        help="propagation backend: object (default) or array (the "
-             "flat-array engine for CAIDA-scale topologies); "
+        help="propagation backend: array (the flat-array engine, "
+             "default) or object (the reference implementation it is "
+             "tested against; same results, several times slower); "
              "overrides the spec file's engine when given",
     )
     parser.add_argument(
@@ -815,6 +816,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _experiment_spec_from_args(args: argparse.Namespace):
+    from .bgp.attacks import DEFAULT_ENGINE
     from .exper.scenarios import (
         AnyAsPairSampler,
         AttackConfig,
@@ -885,7 +887,7 @@ def _experiment_spec_from_args(args: argparse.Namespace):
         attack_prefix=(
             Prefix.parse(args.attack_prefix) if args.attack_prefix else None
         ),
-        engine=args.engine or "object",
+        engine=args.engine or DEFAULT_ENGINE,
         executor=args.executor or "serial",
         **stop_kwargs,
     )

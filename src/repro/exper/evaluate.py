@@ -228,8 +228,9 @@ def evaluate_trial(
 
     if workspace is not None:
         # The array engine's batched entry: one call per trial, one
-        # case per cell, tie_rng consumed case by case in cell order —
-        # byte-identical to the per-cell path below.
+        # case per cell.  Same records as the per-cell path below; it
+        # advances tie_rng only through the last cell a draw can
+        # matter to, and tie_rng dies with this call either way.
         outcomes = evaluate_attack_seeds_array_batch(
             topology,
             [

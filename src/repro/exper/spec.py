@@ -31,7 +31,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from ..bgp.attacks import coerce_engine
+from ..bgp.attacks import DEFAULT_ENGINE, coerce_engine
 from ..bgp.topology import AsTopology
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
@@ -121,10 +121,11 @@ class ExperimentSpec:
         attack_prefix: the subprefix the attacker announces; ``None``
             derives ``victim_prefix`` extended by 8 bits.
         seeding: ``"derived"`` or ``"stream"`` (see module docstring).
-        engine: propagation backend — ``"object"`` (the readable
-            bucketed BFS) or ``"array"`` (the flat-array engine that
-            makes CAIDA-scale grids practical).  The two are
-            bit-identical, so this is purely a speed knob.
+        engine: propagation backend — ``"array"`` (the flat-array
+            engine, the default) or ``"object"`` (the readable
+            bucketed BFS, kept as the reference the array engine is
+            tested against).  The two produce identical records, so
+            this is purely a speed knob.
         executor: the default execution strategy — ``"serial"``,
             ``"process"``, ``"sharded"``, or ``"auto"`` (pick serial
             or process from available parallelism).  All executors
@@ -159,7 +160,7 @@ class ExperimentSpec:
     )
     attack_prefix: Optional[Prefix] = None
     seeding: str = "derived"
-    engine: str = "object"
+    engine: str = DEFAULT_ENGINE
     executor: str = "serial"
     stopping: str = "none"
     stop_ci_width: float = 0.05
@@ -335,7 +336,7 @@ class ExperimentSpec:
                     else Prefix.parse(attack_prefix)
                 ),
                 seeding=data.get("seeding", "derived"),
-                engine=data.get("engine", "object"),
+                engine=data.get("engine", DEFAULT_ENGINE),
                 executor=data.get("executor", "serial"),
                 stopping=data.get("stopping", "none"),
                 stop_ci_width=float(data.get("stop_ci_width", 0.05)),

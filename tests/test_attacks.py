@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.bgp import (
+    ENGINES,
     AttackKind,
     AttackScenario,
     VrpIndex,
@@ -176,3 +177,70 @@ class TestPaperClaims:
         scenario = AttackScenario(AttackKind.FORGED_ORIGIN, 111, 666, P16, P16)
         outcome = evaluate_attack(chain_topology, scenario, vrp_index=MINIMAL)
         assert "forged-origin" in str(outcome)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+class TestPaperClaimsOnEachEngine:
+    """TestPaperClaims runs the default engine; the same §4/§5 numbers
+    are pinned on each engine by name, so the object engine (the oracle
+    of architecture invariant 3) keeps a direct pin of its own."""
+
+    @pytest.mark.parametrize("kind, attack_prefix, vrps, captured, filtered", [
+        (AttackKind.SUBPREFIX_HIJACK, P24, None, 1.0, False),
+        (AttackKind.SUBPREFIX_HIJACK, P24, MINIMAL, 0.0, True),
+        (AttackKind.FORGED_ORIGIN_SUBPREFIX, P24, LOOSE, 1.0, False),
+        (AttackKind.FORGED_ORIGIN_SUBPREFIX, P24, MINIMAL, 0.0, True),
+        (AttackKind.PREFIX_HIJACK, P16, MINIMAL, 0.0, True),
+    ])
+    def test_chain_topology_claims(
+        self, chain_topology, engine, kind, attack_prefix, vrps, captured,
+        filtered,
+    ):
+        scenario = AttackScenario(kind, 111, 666, P16, attack_prefix)
+        outcome = evaluate_attack(
+            chain_topology, scenario, vrp_index=vrps, engine=engine
+        )
+        assert outcome.attacker_fraction == captured
+        assert outcome.attack_route_filtered == filtered
+
+    def test_same_prefix_attack_matches_default_engine(
+        self, chain_topology, engine
+    ):
+        """The draw-dependent cases: seeded, equal to the default run."""
+        for kind, validators in (
+            (AttackKind.FORGED_ORIGIN, None),
+            (AttackKind.PREFIX_HIJACK, frozenset({10})),
+        ):
+            scenario = AttackScenario(kind, 111, 666, P16, P16)
+            rng, default_rng = random.Random(3), random.Random(3)
+            outcome = evaluate_attack(
+                chain_topology, scenario, vrp_index=MINIMAL,
+                validating_ases=validators, rng=rng, engine=engine,
+            )
+            assert outcome == evaluate_attack(
+                chain_topology, scenario, vrp_index=MINIMAL,
+                validating_ases=validators, rng=default_rng,
+            )
+            assert rng.getstate() == default_rng.getstate()
+            assert 0.0 < outcome.attacker_fraction < 1.0
+
+    def test_attack_ordering_on_random_topology(self, small_topology, engine):
+        rng = random.Random(4)
+        victim, attacker = rng.sample(sorted(small_topology.stub_ases()), 2)
+        loose = VrpIndex([Vrp(P16, 24, victim)])
+        minimal = VrpIndex([Vrp(P16, 16, victim)])
+        forged_sub = AttackScenario(
+            AttackKind.FORGED_ORIGIN_SUBPREFIX, victim, attacker, P16, P24
+        )
+        forged_same = AttackScenario(
+            AttackKind.FORGED_ORIGIN, victim, attacker, P16, P16
+        )
+
+        def captured(scenario, vrps):
+            return evaluate_attack(
+                small_topology, scenario, vrp_index=vrps, engine=engine
+            ).attacker_fraction
+
+        assert captured(forged_sub, loose) == 1.0
+        assert captured(forged_sub, minimal) == 0.0
+        assert captured(forged_same, minimal) < 1.0

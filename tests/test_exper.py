@@ -471,6 +471,31 @@ class TestLegacyReplay:
         assert sweep.points[0].forged_subprefix_vs_nonminimal == 1.0
         assert sweep.points[1].subprefix_hijack == 0.0
 
+    def test_goldens_hold_on_the_object_engine(self, replay_topology):
+        """The two goldens above run the default (array) engine; the
+        reference engine is pinned to the same numbers directly, not
+        only through the cross-engine comparisons of invariant 3."""
+        from repro.analysis import run_deployment_sweep, run_hijack_study
+
+        result = run_hijack_study(
+            replay_topology, samples=7, seed=42, engine="object"
+        )
+        assert result.subprefix_no_rpki == 1.0
+        assert result.forged_subprefix_nonminimal == 1.0
+        assert result.forged_subprefix_minimal == 0.0
+        assert result.forged_origin_minimal == 0.2944015444015444
+
+        sweep = run_deployment_sweep(
+            replay_topology, fractions=(0.25, 0.75), samples=5, seed=9,
+            engine="object",
+        )
+        assert sweep.points[0].subprefix_hijack == 0.28378378378378377
+        assert sweep.points[0].forged_subprefix_vs_minimal == (
+            0.28378378378378377
+        )
+        assert sweep.points[0].forged_subprefix_vs_nonminimal == 1.0
+        assert sweep.points[1].subprefix_hijack == 0.0
+
     def test_studies_identical_across_executors(self, replay_topology):
         from repro.analysis import run_deployment_sweep, run_hijack_study
 

@@ -12,8 +12,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp import (
+    DEFAULT_ENGINE,
     AsTopology,
     CompiledTopology,
     Seed,
@@ -23,11 +26,17 @@ from repro.bgp import (
     propagate_prefix,
     propagate_prefix_array,
 )
+from repro.bgp.fastprop import (
+    PropagationWorkspace,
+    _propagate,
+    _single_seed_outcome,
+)
 from repro.data import read_caida_compiled, write_caida
 from repro.data.asgraph import TopologyProfile, generate_topology
 from repro.exper import ExperimentRunner, ExperimentSpec
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
+from repro.obs import MetricsRegistry
 from repro.rpki import Vrp
 
 PFX = Prefix.parse("168.122.0.0/16")
@@ -214,6 +223,7 @@ class TestEvaluateEquivalence:
         by_object = evaluate_attack_seeds(
             topology, victim, PFX, attack_prefix, seeds,
             vrp_index=vrps, validating_ases=val, rng=rng_a,
+            engine="object",
         )
         by_array = evaluate_attack_seeds(
             topology, victim, PFX, attack_prefix, seeds,
@@ -252,11 +262,15 @@ class TestExperimentEngineField:
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec
         assert '"engine": "array"' in spec.to_json()
-        # Older spec files without the field default to the object engine.
+        # A spec that names no engine gets the default one, the same
+        # for a constructed spec and for a spec file without the field.
         legacy = ExperimentSpec.from_json(
             '{"cells": [{"kind": "forged-origin"}], "trials": 1}'
         )
-        assert legacy.engine == "object"
+        assert legacy.engine == DEFAULT_ENGINE == "array"
+        assert legacy.engine == ExperimentSpec(
+            cells=spec.cells, trials=1
+        ).engine
 
     def test_bad_engine_rejected(self):
         from repro.exper import MinimalRoa, ScenarioCell
@@ -281,9 +295,9 @@ class TestExperimentEngineField:
             hijack_study_spec(samples=5, seed=42),
             deployment_sweep_spec(fractions=(0.5,), samples=3, seed=9),
         ):
-            by_object = ExperimentRunner(topology, spec).run(
-                bootstrap_resamples=100
-            )
+            by_object = ExperimentRunner(
+                topology, dataclasses.replace(spec, engine="object")
+            ).run(bootstrap_resamples=100)
             by_array = ExperimentRunner(
                 topology, dataclasses.replace(spec, engine="array")
             ).run(bootstrap_resamples=100)
@@ -318,3 +332,86 @@ class TestExperimentEngineField:
             topology, spec, executor="process", workers=2
         ).run(bootstrap_resamples=50)
         assert serial == parallel
+
+
+#: An ASN no generated world contains (worlds use multiples of 10).
+_OUTSIDE = 7
+
+
+@st.composite
+def _single_seed_worlds(draw):
+    """A small random AS graph, one seed, a validator set, a verdict.
+
+    Every AS pair independently gets no edge, a customer→provider edge
+    in either direction (so provider cycles occur too: reachability
+    does not care) or a peering.  The seed is a plain origination, a
+    forged origin, prepended, or names an AS outside the graph.
+    """
+    count = draw(st.integers(3, 12))
+    asns = [10 * (i + 1) for i in range(count)]
+    world = AsTopology()
+    for asn in asns:
+        world.add_as(asn)
+    for i, low in enumerate(asns):
+        for high in asns[i + 1:]:
+            edge = draw(st.sampled_from(
+                ("none", "none", "up", "down", "peer")
+            ))
+            if edge == "up":
+                world.add_customer_provider(low, high)
+            elif edge == "down":
+                world.add_customer_provider(high, low)
+            elif edge == "peer":
+                world.add_peering(low, high)
+
+    sender = draw(st.sampled_from(asns))
+    tail = draw(st.lists(
+        st.sampled_from(asns + [_OUTSIDE]), max_size=2
+    ))
+    seed = Seed(
+        sender, (sender,) * draw(st.integers(1, 3)) + tuple(tail)
+    )
+    validators = draw(st.one_of(
+        st.none(),                                   # universal
+        st.just(frozenset()),                        # nobody
+        st.frozensets(st.sampled_from(asns + [_OUTSIDE])),  # partial
+    ))
+    verdict = draw(st.sampled_from(("unchecked", "valid", "invalid")))
+    if verdict == "unchecked":
+        vrps = None
+    else:
+        origin = seed.path[-1] if verdict == "valid" else 64999
+        vrps = VrpIndex([Vrp(PFX, 16, origin)])
+    return world, seed, validators, vrps, draw(st.integers(0, 2 ** 16))
+
+
+class TestSingleSeedClosure:
+    """With one seed, who adopts is reachability: the set-algebra
+    closure equals the ordered sweep's adopted set, whatever the
+    tie-break draws were."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_single_seed_worlds())
+    def test_closure_equals_ordered_sweep(self, case):
+        world, seed, validators, vrps, tie_seed = case
+        compiled = world.compiled()
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(compiled, registry=registry)
+        workspace.begin(validators)
+        closure = _single_seed_outcome(
+            compiled, PFX, seed, vrps, validators, None, workspace
+        )
+        counters = registry.snapshot()
+        assert counters["fastprop.closures"] == 1
+        assert counters["fastprop.sweeps"] == 0
+        assert counters["fastprop.touched_ases"] == len(closure)
+
+        for rng in (None, random.Random(tie_seed)):
+            state, lane = _propagate(
+                compiled, PFX, [seed], vrps, validators, rng
+            )
+            assert closure == frozenset(lane.touched)
+            assert len(closure) == state.counts[0]
+            assert closure == {
+                i for i in range(len(compiled)) if state.adopted[i]
+            }

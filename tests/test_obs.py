@@ -508,11 +508,11 @@ class TestTelemetryInvariants:
         assert snapshot["exper.trials_completed"] == total
         assert snapshot["exper.records_released"] == total * len(spec.cells)
         assert snapshot["exper.trial_latency"]["count"] == total
-        # The array engine is spec'd per-cell... the default spec here
-        # is the object engine; fastprop counters appear only when a
-        # workspace ran.
-        if spec.engine == "array":
-            assert snapshot["fastprop.sweeps"] > 0
+        # The default engine is the array engine, so a workspace ran;
+        # an all-subprefix grid like this one is closures throughout.
+        assert spec.engine == "array"
+        assert snapshot["fastprop.closures"] > 0
+        assert snapshot["fastprop.sweeps"] == 0
         assert result is not None
 
     def test_fastprop_workspace_counters(self):
@@ -538,7 +538,11 @@ class TestTelemetryInvariants:
         )
         assert records
         snapshot = registry.snapshot()
-        assert snapshot["fastprop.sweeps"] > 0
+        # Every propagation here is single-seed with no same-prefix
+        # cell in the trial: adopted sets come from the closure, and
+        # the ordered sweep never runs.
+        assert snapshot["fastprop.closures"] > 0
+        assert snapshot["fastprop.sweeps"] == 0
         assert snapshot["fastprop.lane_resets"] == snapshot["fastprop.sweeps"]
         assert snapshot["fastprop.touched_ases"] > 0
         assert snapshot["fastprop.epochs"] >= 1

@@ -581,7 +581,8 @@ class TestRunnerIntegration:
         assert snapshot["exper.shards_completed"] == 2
 
     def test_array_engine_sharded_matches_object(self, topology, tmp_path):
-        object_spec = small_spec(trials=4, fractions=(None,))
+        object_spec = small_spec(
+            trials=4, fractions=(None,), engine="object")
         array_spec = small_spec(
             trials=4, fractions=(None,), engine="array")
         _, object_bytes = run_recorded(

@@ -29,6 +29,7 @@ from repro.bgp import (
     PropagationWorkspace,
     Seed,
     VrpIndex,
+    evaluate_attack_seeds,
     evaluate_attack_seeds_array,
     evaluate_attack_seeds_array_batch,
 )
@@ -47,6 +48,7 @@ from repro.exper import (
 )
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
+from repro.obs import MetricsRegistry
 from repro.rpki import Vrp
 
 PFX = Prefix.parse("168.122.0.0/16")
@@ -188,6 +190,142 @@ class TestWorkspaceEquivalence:
             for case in cases
         ]
         assert batched == per_call
+
+    def test_batch_rng_stops_at_the_last_case_that_reads_it(self, topology):
+        """The batch's RNG contract, pinned: single-seed cases before a
+        multi-seed case keep the stream in step; the ones after it are
+        closures and draw nothing — and every result is the per-call
+        one, across a validator change mid-batch."""
+        stubs = sorted(topology.stub_ases())
+        victim, attacker, attacker2 = stubs[1], stubs[-2], stubs[5]
+        half = frozenset(
+            random.Random(3).sample(sorted(topology.ases), 100)
+        )
+        minimal = VrpIndex([Vrp(PFX, 16, victim)])
+        loose = VrpIndex([Vrp(PFX, 24, victim)])
+        forged = (Seed.forged_origin(attacker, victim),)
+        cases = [
+            AttackCase(victim, PFX, SUB, forged, vrp_index=loose),
+            AttackCase(victim, PFX, SUB, (Seed.origin(attacker),),
+                       vrp_index=minimal, validating_ases=half),
+            # The horizon: two attackers compete inside one propagation.
+            AttackCase(victim, PFX, SUB,
+                       (Seed.origin(attacker),
+                        Seed.forged_origin(attacker2, victim)),
+                       vrp_index=minimal, validating_ases=half),
+            AttackCase(victim, PFX, SUB, forged,
+                       vrp_index=minimal, validating_ases=half),
+            AttackCase(victim, PFX, SUB, forged, vrp_index=loose),
+            AttackCase(victim, PFX, SUB, (Seed(attacker, (attacker,) * 3),)),
+        ]
+        assert [case.reads_draws for case in cases] == [
+            False, False, True, False, False, False
+        ]
+        horizon = 3
+
+        def per_call(case, rng):
+            return evaluate_attack_seeds_array(
+                topology, case.victim, case.victim_prefix,
+                case.attack_prefix, case.attacker_seeds,
+                vrp_index=case.vrp_index,
+                validating_ases=case.validating_ases, rng=rng,
+            )
+
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(topology, registry=registry)
+        batch_rng = random.Random(7)
+        batched = evaluate_attack_seeds_array_batch(
+            topology, cases, rng=batch_rng, workspace=workspace,
+        )
+        reference_rng = random.Random(7)
+        expected = [per_call(case, reference_rng) for case in cases[:horizon]]
+        assert batch_rng.getstate() == reference_rng.getstate()
+        # Past the horizon per-call evaluation goes on drawing; the
+        # results do not depend on it.
+        expected += [per_call(case, reference_rng) for case in cases[horizon:]]
+        assert batched == expected
+        assert batch_rng.getstate() != reference_rng.getstate()
+        counters = registry.snapshot()
+        assert counters["fastprop.closures"] > 0   # after the horizon
+        assert counters["fastprop.sweeps"] > 0     # up to it
+
+        # No case reads a draw: the RNG is not touched at all.
+        untouched = random.Random(7)
+        subprefix_only = [c for c in cases if not c.reads_draws]
+        assert evaluate_attack_seeds_array_batch(
+            topology, subprefix_only, rng=untouched,
+        ) == [per_call(case, None) for case in subprefix_only]
+        assert untouched.getstate() == random.Random(7).getstate()
+
+    def test_all_subprefix_trials_never_sweep(self, topology):
+        """A sec. 4/5 grid — every cell a subprefix attack — is closures
+        throughout, with the records of the workspace-free path."""
+        spec = ExperimentSpec(
+            cells=(
+                ScenarioCell("forged-origin-subprefix", MinimalRoa()),
+                ScenarioCell("forged-origin-subprefix", MaxLengthLooseRoa()),
+                ScenarioCell("subprefix-hijack", MinimalRoa()),
+            ),
+            trials=3,
+            seed=21,
+            fractions=(0.0, 0.5, None),
+            engine="array",
+        )
+        trials = materialize_trials(spec, topology)
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(topology, registry=registry)
+        records = list(
+            evaluate_trials(topology, spec, trials, workspace=workspace)
+        )
+        assert records == [
+            record
+            for trial in trials
+            for record in evaluate_trial(topology, spec, trial)
+        ]
+        counters = registry.snapshot()
+        assert counters["fastprop.sweeps"] == 0
+        assert counters["fastprop.closures"] == (
+            counters["fastprop.profile_misses"]
+        )
+        assert counters["fastprop.profile_hits"] > 0
+
+    def test_draw_free_profile_then_drawn_lookup(self, topology):
+        """A profile the closure made knows no tie-break counts; the
+        first lookup that has an RNG to advance sweeps once to get
+        them, and that lookup and every later one consume the object
+        engine's exact stream."""
+        stubs = sorted(topology.stub_ases())
+        victim, attacker = stubs[1], stubs[-2]
+        seeds = [Seed.forged_origin(attacker, victim)]
+        vrps = VrpIndex([Vrp(PFX, 24, victim)])
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(topology, registry=registry)
+
+        def with_workspace(rng):
+            return evaluate_attack_seeds_array(
+                topology, victim, PFX, SUB, seeds, vrp_index=vrps,
+                rng=rng, workspace=workspace,
+            )
+
+        draw_free = with_workspace(None)
+        assert registry.snapshot()["fastprop.sweeps"] == 0
+        for sweeps_so_far in (2, 2):  # cover + attack, then replayed
+            rng, object_rng = random.Random(5), random.Random(5)
+            assert with_workspace(rng) == draw_free
+            assert draw_free == evaluate_attack_seeds(
+                topology, victim, PFX, SUB, seeds, vrp_index=vrps,
+                rng=object_rng, engine="object",
+            )
+            assert rng.getstate() == object_rng.getstate()
+            assert rng.getstate() != random.Random(5).getstate()
+            assert registry.snapshot()["fastprop.sweeps"] == sweeps_so_far
+        # No propagation is both a hit and a sweep: the two drawn
+        # lookups that found closure-made profiles count as misses.
+        counters = registry.snapshot()
+        assert counters["fastprop.profile_misses"] == (
+            counters["fastprop.closures"] + counters["fastprop.sweeps"]
+        ) == 4
+        assert counters["fastprop.profile_hits"] == 2
 
     @pytest.mark.parametrize("golden", ["hijack", "deployment"])
     def test_golden_specs_byte_identical(self, topology, golden):
