@@ -12,16 +12,17 @@ topology, array engine.  Two engines run the *identical* trial set:
   propagation state (``evaluate_trial`` with no workspace).
 * **current** — the overhauled ``ExperimentRunner``: the compiled
   topology shipped once as a flat blob over shared memory, one
-  reusable ``PropagationWorkspace`` per worker, trials streamed in
-  bounded batches.
+  reusable ``PropagationWorkspace`` per worker, trials streamed
+  lazily; its multi-process arm is the sharded executor
+  (``--workers`` at once over ``--shards`` shards).
 
 Both are timed serial and multi-process, and both must produce
 byte-identical aggregated results — the equivalence gate that makes
 the speedup comparison meaningful.  Acceptance (CI-gated): the
 current engine clears **≥3× trials/sec** over the baseline at 10k
-ASes on the process executor.  A synthetic CAIDA-scale (75k-AS) run
-of the current engine is also recorded — reduced trial count, success
-plus trials/sec — unless ``--skip-75k``.
+ASes, multi-process against multi-process.  A synthetic CAIDA-scale
+(75k-AS) run of the current engine is also recorded — reduced trial
+count, success plus trials/sec — unless ``--skip-75k``.
 
 Durable recording must stay effectively free: the serial engine is
 also timed with a :class:`repro.results.JsonlSink` attached, and the
@@ -148,7 +149,7 @@ def run_baseline(topology, spec, executor, workers):
 def run_current(topology, spec, executor, workers, shards=None):
     runner = ExperimentRunner(
         topology, spec, executor=executor,
-        workers=workers if executor == "process" else None,
+        workers=workers if executor == "sharded" else None,
         shards=shards if executor == "sharded" else None,
     )
     return runner.run(bootstrap_resamples=200)
@@ -254,10 +255,9 @@ def main(argv=None) -> int:
     parser.add_argument("--big-trials", type=int, default=3)
     parser.add_argument("--skip-75k", action="store_true",
                         help="skip the CAIDA-scale run (CI time budget)")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="also time the sharded executor with this "
-                             "many shards (0 = skip; its results must "
-                             "match the serial run byte for byte)")
+    parser.add_argument("--shards", type=int, default=None,
+                        help="shard count of the current engine's "
+                             "multi-process arm (default: --workers)")
     parser.add_argument("--sink-repeats", type=int, default=3,
                         help="timing repetitions per sink-overhead arm; "
                              "best run counts")
@@ -280,13 +280,20 @@ def main(argv=None) -> int:
     runs = {}
     results = {}
     with phase("run"):
-        for engine, runner in (("baseline", run_baseline),
-                               ("current", run_current)):
-            for executor in ("serial", "process"):
+        # The baseline's multi-process arm is its own pool (above);
+        # the current engine's is the sharded executor.
+        for engine, runner, arms in (
+            ("baseline", run_baseline, ("serial", "process")),
+            ("current", run_current, ("serial", "sharded")),
+        ):
+            for executor in arms:
+                extra = (
+                    (args.shards,) if executor == "sharded" else ()
+                )
                 elapsed, result = timed(
                     f"{engine}/{executor} ({total} trials x "
                     f"{len(spec.cells)} cells)",
-                    runner, topology, spec, executor, workers,
+                    runner, topology, spec, executor, workers, *extra,
                 )
                 runs[f"{engine}_{executor}"] = {
                     "wall_seconds": round(elapsed, 4),
@@ -294,23 +301,6 @@ def main(argv=None) -> int:
                     "trials_per_second": round(total / elapsed, 2),
                 }
                 results[f"{engine}_{executor}"] = result
-
-    sharded_identical = None
-    if args.shards > 0:
-        with phase("run"):
-            elapsed, result = timed(
-                f"current/sharded x{args.shards} ({total} trials x "
-                f"{len(spec.cells)} cells)",
-                run_current, topology, spec, "sharded", workers,
-                args.shards,
-            )
-        runs["current_sharded"] = {
-            "wall_seconds": round(elapsed, 4),
-            "trials": total,
-            "shards": args.shards,
-            "trials_per_second": round(total / elapsed, 2),
-        }
-        sharded_identical = result == results["current_serial"]
 
     print(
         f"  sink overhead (serial, best of {args.sink_repeats})...",
@@ -336,10 +326,10 @@ def main(argv=None) -> int:
     with phase("aggregate"):
         identical = (
             results["baseline_serial"] == results["baseline_process"]
-            == results["current_serial"] == results["current_process"]
+            == results["current_serial"] == results["current_sharded"]
         )
-    process_speedup = round(
-        runs["current_process"]["trials_per_second"]
+    parallel_speedup = round(
+        runs["current_sharded"]["trials_per_second"]
         / runs["baseline_process"]["trials_per_second"], 2
     )
     serial_speedup = round(
@@ -382,10 +372,11 @@ def main(argv=None) -> int:
             "topology_ases": args.ases,
             "topology_edges": topology.edge_count(),
             "workers": workers,
+            "shards": args.shards or workers,
             "cpu_count": os.cpu_count() or 1,
             "cells": len(spec.cells),
             "runs": runs,
-            "speedup_process": process_speedup,
+            "speedup_parallel": parallel_speedup,
             "speedup_serial": serial_speedup,
             "sink_overhead": sink_overhead,
             "telemetry_overhead": telemetry_overhead,
@@ -393,7 +384,7 @@ def main(argv=None) -> int:
         },
         {
             "results_identical": identical,
-            "gte_3x_trials_per_second": process_speedup >= 3.0,
+            "gte_3x_trials_per_second": parallel_speedup >= 3.0,
             "sink_results_identical": sink_identical,
             "sink_overhead_lte_5pct": (
                 sink_overhead["sink_trials_per_second"]
@@ -404,8 +395,6 @@ def main(argv=None) -> int:
                 telemetry_overhead["on_trials_per_second"]
                 >= 0.98 * telemetry_overhead["off_trials_per_second"]
             ),
-            # null = skipped (no --shards)
-            "sharded_results_identical": sharded_identical,
             # null = skipped via --skip-75k
             "caida_scale_run": (
                 None if big_run is None else big_run["succeeded"]

@@ -16,7 +16,7 @@ The paper's argument reads straight off the grid:
 * at 50% ROA adoption the victim gets half the protection.
 
 Run:  python examples/experiment_grid.py [--ases 300] [--trials 12]
-      [--executor process]
+      [--executor sharded]
 """
 
 import argparse
@@ -38,7 +38,7 @@ def main() -> None:
     parser.add_argument("--ases", type=int, default=300)
     parser.add_argument("--trials", type=int, default=12)
     parser.add_argument("--seed", type=int, default=2017)
-    parser.add_argument("--executor", choices=("serial", "process"),
+    parser.add_argument("--executor", choices=("serial", "sharded"),
                         default="serial")
     args = parser.parse_args()
 

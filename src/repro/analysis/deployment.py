@@ -13,7 +13,7 @@ flat line at 100%.
 :mod:`repro.exper` engine: the sweep is one
 :class:`~repro.exper.ExperimentSpec` whose ``fractions`` axis is the
 deployment level (stream seeding keeps the numbers bit-identical to
-the nested loop this replaced).  Pass ``executor="process"`` to
+the nested loop this replaced).  Pass ``executor="sharded"`` to
 spread the trials over cores.
 """
 

@@ -14,7 +14,7 @@ The paper's argument rests on three comparative claims:
 :mod:`repro.exper` engine: it declares the four historical grid cells
 as an :class:`~repro.exper.ExperimentSpec` (stream seeding, so the
 numbers are bit-identical to the hand-rolled loop this replaced) and
-averages each cell's capture.  Pass ``executor="process"`` to spread
+averages each cell's capture.  Pass ``executor="sharded"`` to spread
 the trials over cores.
 """
 

@@ -50,7 +50,7 @@ Examples::
     repro-roa table1 --scale 0.05
     repro-roa experiment --kinds forged-origin-subprefix \\
         --policies minimal,maxlength-loose --fractions 0,0.5,1 \\
-        --trials 50 --executor process
+        --trials 50 --executor sharded --workers 2
     repro-roa experiment --trials 50 --sink run.jsonl --resume
     repro-roa experiment --trials 50 --executor sharded --shards 4 \\
         --shard-store /tmp/shards --sink run.jsonl
@@ -118,11 +118,11 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
                         default="stubs")
     parser.add_argument(
         "--executor",
-        choices=("serial", "process", "sharded", "auto"),
-        help="execution strategy: serial, process (multiprocessing "
-             "pool), sharded (crash-retried shard workers; see "
-             "--shards/--shard-hosts), or auto (serial on one core, "
-             "process otherwise); default: the spec's executor "
+        choices=("serial", "sharded", "auto"),
+        help="execution strategy: serial, sharded (parallel, "
+             "crash-retried shard workers; see --workers/--shards/"
+             "--shard-hosts), or auto (serial on one core, sharded "
+             "otherwise); default: the spec's executor "
              "(serial unless the spec file says otherwise)",
     )
     parser.add_argument(
@@ -280,12 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
                             help="synthetic topology size")
     experiment.add_argument("--topology-seed", type=int, default=11)
     experiment.add_argument("--workers", type=int,
-                            help="process-executor pool size (also the "
-                                 "sharded executor's in-flight window)")
+                            help="sharded executor: shard workers in "
+                                 "flight at once (default: CPU count)")
     experiment.add_argument(
         "--shards", type=int, metavar="N",
         help="sharded executor: split the grid into N shards "
-             "(default: the worker count)",
+             "(default: the worker count; with early stopping, at "
+             "least N)",
     )
     experiment.add_argument(
         "--shard-store", metavar="DIR",
@@ -471,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="synthetic topology size")
     submit.add_argument("--topology-seed", type=int, default=11)
     submit.add_argument("--workers", type=int,
-                        help="executor pool size")
+                        help="sharded executor: workers in flight")
     submit.add_argument("--shards", type=int, metavar="N",
                         help="sharded executor: shard count")
 

@@ -17,7 +17,7 @@ validation deployment — is one :class:`ExperimentSpec` away:
     ...     fractions=(0.0, 0.5, 1.0),
     ... )
     >>> result = ExperimentRunner(
-    ...     topology, spec, executor="process"
+    ...     topology, spec, executor="sharded"
     ... ).run()                                          # doctest: +SKIP
     >>> result.cell("forged-origin-subprefix/minimal", 1.0).mean
     0.0                                                 # doctest: +SKIP
@@ -31,9 +31,9 @@ The layers, bottom to top:
 * :mod:`repro.exper.evaluate` — pure (topology, spec, trial) →
   :class:`TrialRecord` evaluation, including multi-attacker and
   path-prepended generalizations.
-* :mod:`repro.exper.runner` — serial and multiprocessing executors,
-  plus durable-record sinks and resumption (see :mod:`repro.results`).
-* :mod:`repro.exper.sharded` — the sharded executor: grid
+* :mod:`repro.exper.runner` — the serial executor, early stopping,
+  durable-record sinks and resumption (see :mod:`repro.results`).
+* :mod:`repro.exper.sharded` — the parallel (sharded) executor: grid
   partitioning, crash-retried shard workers streaming durable
   partials, and the coordinator that unions them byte-identically to
   a serial run.

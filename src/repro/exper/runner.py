@@ -5,51 +5,42 @@ randomness) and an executor evaluates them (expensive, pure):
 
 * ``"serial"`` — a plain loop in this process, sharing one
   :class:`~repro.bgp.fastprop.PropagationWorkspace` across trials.
-* ``"process"`` — a :mod:`multiprocessing` pool.  The topology ships
-  to the workers exactly once, as a *compiled* flat blob — through a
-  :mod:`multiprocessing.shared_memory` segment that every worker
-  attaches zero-copy (falling back to one pickled blob when shared
-  memory is unavailable) — so no worker ever pickles or recompiles the
-  object topology.  Trials stream lazily into bounded batches (driver
-  memory stays flat on million-trial grids) and results stream back as
-  batches complete.
-* ``"sharded"`` — the grid is partitioned into contiguous shards,
-  each evaluated by an independent worker streaming into its own
-  durable run file, retried on death, and unioned back in grid order
-  (see :mod:`repro.exper.sharded`).  This is the multi-host path: the
-  default transport runs workers as local processes, and the serve
+* ``"sharded"`` — the one parallel executor: the grid is partitioned
+  into contiguous shards, each evaluated by an independent worker
+  streaming into its own durable run file, retried on death, and
+  unioned back in grid order (see :mod:`repro.exper.sharded`).  The
+  default transport runs workers as local processes that attach the
+  compiled topology through one shared-memory segment; the serve
   tier's HTTP transport dispatches them to remote hosts.
 * ``"auto"`` — :func:`resolve_executor` picks ``"serial"`` or
-  ``"process"`` from the parallelism actually available, so one-core
-  machines never pay process-pool overhead for nothing.
+  ``"sharded"`` from the parallelism actually available, so one-core
+  machines never pay worker-process overhead for nothing.
 
-Because trials are pure functions of (topology, spec, trial), all
-executors produce identical record sets and therefore byte-identical
-aggregated results — a property the test suite enforces.
+Because trials are pure functions of (topology, spec, trial), both
+executors stream identical records in the same (grid) order and
+therefore write byte-identical run files and aggregated results — a
+property the test suite enforces.
 
 **Early stopping.**  With ``spec.stopping == "ci"`` the runner
 aggregates incrementally: per fraction it advances a watermark over
 *consecutively completed* trials and, at spec-configured checkpoints,
 bootstraps each cell's CI over that completed-trial prefix.  Once
 every cell of a fraction is narrower than ``spec.stop_ci_width``, the
-fraction stops: later trials are neither scheduled nor emitted (ones
-already in flight are discarded on arrival).  Decisions depend only on
-completed-trial prefixes — never on arrival order — so every executor
-stops each fraction at the same trial count with identical records,
-and ``stopping == "none"`` reproduces the pre-stopping engine byte for
-byte.
+fraction stops: later trials are neither scheduled nor emitted (the
+shard coordinator stops workers past the stop and dispatches no more of
+that fraction; records already written are discarded).  Decisions
+depend only on completed-trial prefixes — never on arrival order — so
+every executor stops each fraction at the same trial count with
+identical records, and ``stopping == "none"`` reproduces the
+pre-stopping engine byte for byte.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import queue
-import time
 from typing import Callable, Iterator, Optional, Sequence
 
-from ..bgp.fastprop import PropagationWorkspace
-from ..bgp.topology import AsTopology, CompiledTopology
+from ..bgp.topology import AsTopology
 from ..netbase.errors import ReproError
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -61,12 +52,7 @@ from ..results.sinks import (
 )
 from .aggregate import ExperimentResult, aggregate_records, prefix_ci_width
 from .evaluate import TrialRecord, evaluate_trials
-from .sharded import (
-    ShardCoordinator,
-    attach_shared_blob,
-    release_shared,
-    share_topology,
-)
+from .sharded import ShardCoordinator
 from .spec import EXECUTORS, ExperimentSpec, TrialSpec, iter_trials
 
 __all__ = ["ExperimentRunner", "EXECUTORS", "resolve_executor"]
@@ -81,12 +67,12 @@ def resolve_executor(
 ) -> str:
     """Resolve ``"auto"`` to a concrete executor; pass others through.
 
-    ``"auto"`` picks ``"process"`` only when it can actually win:
+    ``"auto"`` picks ``"sharded"`` only when it can actually win:
     on a one-core machine (``cpu_count() == 1``), or when the caller
-    pins ``workers`` or ``shards`` to one, pool overhead is pure loss
-    (the ROADMAP records the 1-core process executor at 0.87× serial),
-    so ``"serial"`` is chosen instead.  ``cpu_count`` overrides the
-    detected core count (tests pin the selection logic with it).
+    pins ``workers`` or ``shards`` to one, worker processes are pure
+    overhead, so ``"serial"`` is chosen instead.  ``cpu_count``
+    overrides the detected core count (tests pin the selection logic
+    with it).
     """
     if executor not in EXECUTORS:
         raise ReproError(
@@ -101,61 +87,7 @@ def resolve_executor(
         return "serial"
     if workers is not None and workers <= 1:
         return "serial"
-    return "process"
-
-#: Cap on the self-chosen trials-per-task batch: large enough to
-#: amortize IPC, small enough that the bounded in-flight window holds
-#: O(workers) trials — not a fixed share of the grid — so driver
-#: memory stays flat and early stopping stops *scheduling* promptly.
-_MAX_AUTO_BATCH = 64
-
-#: Worker-process state, installed once by the pool initializer:
-#: the attached compiled topology (plus the shared-memory handle
-#: keeping its buffers alive), the spec, and lazily a reusable
-#: propagation workspace and — for the object engine — the
-#: reconstructed object topology.
-_WORKER: dict = {}
-
-
-def _init_worker(payload: tuple, spec: ExperimentSpec) -> None:
-    kind, value = payload
-    if kind == "shm":
-        shm = attach_shared_blob(value)
-        _WORKER["shm"] = shm
-        compiled = CompiledTopology.from_blob(shm.buf)
-    else:  # "blob"
-        compiled = CompiledTopology.from_blob(value)
-    _WORKER["compiled"] = compiled
-    _WORKER["spec"] = spec
-    _WORKER["topology"] = None
-    _WORKER["workspace"] = None
-
-
-def _worker_topology():
-    """The evaluation topology: compiled for the array engine, the
-    reconstructed object form for the object engine (built once per
-    worker, from the blob — the object graph never crosses a pipe)."""
-    topology = _WORKER["topology"]
-    if topology is None:
-        compiled = _WORKER["compiled"]
-        if _WORKER["spec"].engine == "array":
-            topology = compiled
-        else:
-            topology = compiled.to_topology()
-        _WORKER["topology"] = topology
-    return topology
-
-
-def _run_batch(batch: list[TrialSpec]) -> list[TrialRecord]:
-    spec = _WORKER["spec"]
-    topology = _worker_topology()
-    workspace = _WORKER["workspace"]
-    if workspace is None and spec.engine == "array":
-        workspace = PropagationWorkspace(_WORKER["compiled"])
-        _WORKER["workspace"] = workspace
-    return list(
-        evaluate_trials(topology, spec, batch, workspace=workspace)
-    )
+    return "sharded"
 
 
 class _RunnerMetrics:
@@ -168,26 +100,19 @@ class _RunnerMetrics:
     """
 
     __slots__ = (
-        "enabled", "runs", "trials_completed", "trials_dispatched",
-        "records_released", "records_replayed", "batches_dispatched",
-        "batches_retired", "fractions_stopped", "trial_latency",
-        "batch_latency", "inflight_batches",
+        "enabled", "runs", "trials_completed", "records_released",
+        "records_replayed", "fractions_stopped", "trial_latency",
     )
 
     def __init__(self, registry: MetricsRegistry) -> None:
         view = registry.view("exper")
         self.enabled = registry.enabled
         self.runs = view.counter("runs")
-        self.trials_dispatched = view.counter("trials_dispatched")
         self.trials_completed = view.counter("trials_completed")
         self.records_released = view.counter("records_released")
         self.records_replayed = view.counter("records_replayed")
-        self.batches_dispatched = view.counter("batches_dispatched")
-        self.batches_retired = view.counter("batches_retired")
         self.fractions_stopped = view.counter("fractions_stopped")
         self.trial_latency = view.histogram("trial_latency")
-        self.batch_latency = view.histogram("batch_latency")
-        self.inflight_batches = view.gauge("inflight_batches")
 
     def observe_trial(self, trial: TrialSpec, seconds: float) -> None:
         """The serial executor's per-trial hook."""
@@ -229,17 +154,10 @@ class _StopTracker:
         # watermark) stop decision but cannot influence it.
         self._on_stop = on_stop
 
-    def stopped_at(self, fraction_index: int) -> Optional[int]:
-        return self._stop_at[fraction_index]
-
     def wants_index(self, fraction_index: int, trial_index: int) -> bool:
         """Should this grid coordinate still be evaluated?"""
         stop = self._stop_at[fraction_index]
         return stop is None or trial_index < stop
-
-    def wants(self, trial: TrialSpec) -> bool:
-        """Should this trial still be evaluated?"""
-        return self.wants_index(trial.fraction_index, trial.trial_index)
 
     def final_counts(self) -> tuple[int, ...]:
         return tuple(
@@ -316,13 +234,14 @@ class ExperimentRunner:
     Args:
         topology: the AS graph every trial propagates on.
         spec: the experiment grid.
-        executor: ``"serial"``, ``"process"``, ``"sharded"``, or
-            ``"auto"`` (resolved via :func:`resolve_executor`);
-            ``None`` (the default) defers to ``spec.executor``.
-        workers: pool size for ``"process"`` (default: CPU count).
-        batch_size: trials per pool task (default: balance ~4 tasks
-            per worker so stragglers do not serialize the tail).
-        shards: shard count for ``"sharded"`` (default: ``workers``).
+        executor: ``"serial"``, ``"sharded"``, or ``"auto"`` (resolved
+            via :func:`resolve_executor`); ``None`` (the default)
+            defers to ``spec.executor``.
+        workers: shard workers in flight at once under ``"sharded"``
+            (default: CPU count).
+        shards: shard count for ``"sharded"`` (default: ``workers``;
+            under ``stopping="ci"`` a lower bound — see
+            :func:`~repro.exper.sharded.plan_shards`).
         shard_store: directory (or
             :class:`~repro.results.store.ResultsStore`) holding the
             per-shard run files; default: a temporary directory
@@ -366,8 +285,8 @@ class ExperimentRunner:
             Instrumentation never touches a trial RNG, so results are
             byte-identical whichever registry is installed.
 
-    After a ``"process"`` run, :attr:`last_shared_segment` names the
-    shared-memory segment the run used (``None`` if the blob-pickle
+    After a local ``"sharded"`` run, :attr:`last_shared_segment` names
+    the shared-memory segment the run used (``None`` if the blob-pickle
     fallback shipped the topology); the segment itself is always
     unlinked by the time :meth:`iter_records` finishes — including on
     worker exceptions.
@@ -380,7 +299,6 @@ class ExperimentRunner:
         *,
         executor: Optional[str] = None,
         workers: Optional[int] = None,
-        batch_size: Optional[int] = None,
         shards: Optional[int] = None,
         shard_store=None,
         shard_transport=None,
@@ -395,8 +313,6 @@ class ExperimentRunner:
         requested = spec.executor if executor is None else executor
         if workers is not None and workers < 1:
             raise ReproError("workers must be positive")
-        if batch_size is not None and batch_size < 1:
-            raise ReproError("batch_size must be positive")
         if shards is not None and shards < 1:
             raise ReproError("shards must be positive")
         self.topology = topology
@@ -405,7 +321,6 @@ class ExperimentRunner:
             requested, workers=workers, shards=shards
         )
         self.workers = workers or os.cpu_count() or 1
-        self.batch_size = batch_size
         self.shards = shards or self.workers
         self.shard_store = shard_store
         self.shard_transport = shard_transport
@@ -432,26 +347,24 @@ class ExperimentRunner:
         )
 
     def _make_tracker(
-        self, metrics: Optional[_RunnerMetrics] = None
+        self, metrics: _RunnerMetrics
     ) -> Optional["_StopTracker"]:
         if self.spec.stopping != "ci":
             return None
-        on_stop = None
-        if metrics is not None:
 
-            def on_stop(fraction_index: int, watermark: int) -> None:
-                metrics.fractions_stopped.inc()
-                trace.get_tracer().instant(
-                    "exper.fraction_stopped",
-                    fraction_index=fraction_index,
-                    trials=watermark,
-                )
+        def on_stop(fraction_index: int, watermark: int) -> None:
+            metrics.fractions_stopped.inc()
+            trace.get_tracer().instant(
+                "exper.fraction_stopped",
+                fraction_index=fraction_index,
+                trials=watermark,
+            )
 
         return _StopTracker(self.spec, on_stop)
 
     def iter_records(self) -> Iterator[TrialRecord]:
-        """Stream TrialRecords as trials complete (unordered under the
-        process executor; the aggregator re-orders).
+        """Stream TrialRecords as trials complete, in grid order
+        under every executor.
 
         Under ``spec.stopping == "ci"`` the stream carries exactly the
         records of trials before each fraction's stop point.  With
@@ -511,13 +424,11 @@ class ExperimentRunner:
     def _records(
         self,
         tracker: Optional["_StopTracker"],
-        metrics: Optional[_RunnerMetrics] = None,
+        metrics: _RunnerMetrics,
     ) -> Iterator[TrialRecord]:
         """One run's record stream; all per-run state (stop tracker,
         shared-memory handle) lives in this generator, so overlapping
         or abandoned iterations cannot interfere with each other."""
-        if metrics is None:
-            metrics = self._metrics()
         metrics.runs.inc()
         with trace.span("exper.resume_scan"):
             replay, finished = self._load_resume()
@@ -541,19 +452,18 @@ class ExperimentRunner:
             # Shard workers materialize their own trials; the
             # coordinator streams their records back in grid order
             # (``finished`` coordinates excluded — they replay above).
-            raw = self._iter_sharded(finished)
+            raw = self._iter_sharded(finished, tracker)
         else:
-            trials = iter_trials(
-                self.spec,
-                self.topology,
-                wants=(
-                    wants if (finished or tracker is not None) else None
-                ),
+            # Trials are drawn one at a time, each after the tracker
+            # has seen every record of the one before, so ``wants``
+            # alone keeps a stopped fraction's trials from running.
+            trials = iter_trials(self.spec, self.topology, wants=wants)
+            raw = evaluate_trials(
+                self.topology, self.spec, trials,
+                # With the null registry the hook is omitted entirely,
+                # so the telemetry-off path skips even the clock reads.
+                observe=metrics.observe_trial if metrics.enabled else None,
             )
-            if self.executor == "serial":
-                raw = self._iter_serial(trials, tracker, metrics)
-            else:
-                raw = self._iter_process(trials, tracker, metrics)
 
         records_released = metrics.records_released
 
@@ -590,140 +500,17 @@ class ExperimentRunner:
                 else (self.spec.trials,) * len(self.spec.fractions)
             )
 
-    def _iter_serial(
-        self,
-        trials: Iterator[TrialSpec],
-        tracker: Optional[_StopTracker],
-        metrics: _RunnerMetrics,
-    ) -> Iterator[TrialRecord]:
-        # The trial generator already declines stopped trials via its
-        # ``wants`` hook; the extra filter catches trials yielded just
-        # before a stopping decision landed.
-        wanted = (
-            trial for trial in trials
-            if tracker is None or tracker.wants(trial)
-        )
-        yield from evaluate_trials(
-            self.topology, self.spec, wanted,
-            # With the null registry the hook is omitted entirely, so
-            # the telemetry-off path skips even the clock reads.
-            observe=metrics.observe_trial if metrics.enabled else None,
-        )
-
-    def _iter_process(
-        self,
-        trials: Iterator[TrialSpec],
-        tracker: Optional[_StopTracker],
-        metrics: _RunnerMetrics,
-    ) -> Iterator[TrialRecord]:
-        batch_size = self.batch_size or max(
-            1,
-            min(
-                self.spec.total_trials // (self.workers * 4),
-                _MAX_AUTO_BATCH,
-            ),
-        )
-        with trace.span("exper.share_topology"):
-            payload, shm = share_topology(self.topology)
-        # The most recent run's segment name (observability only).
-        self.last_shared_segment = None if shm is None else shm.name
-        try:
-            with multiprocessing.Pool(
-                processes=self.workers,
-                initializer=_init_worker,
-                initargs=(payload, self.spec),
-            ) as pool:
-                yield from self._pump_pool(
-                    pool, trials, batch_size, tracker, metrics
-                )
-        finally:
-            if shm is not None:
-                release_shared(shm)
-
-    def _pump_pool(
-        self,
-        pool,
-        trials: Iterator[TrialSpec],
-        batch_size: int,
-        tracker: Optional[_StopTracker],
-        metrics: _RunnerMetrics,
-    ) -> Iterator[TrialRecord]:
-        """Windowed task submission: at most ``2 × workers`` batches in
-        flight, so lazy trial materialization actually bounds memory
-        and early stopping stops *scheduling*, not just emitting.
-
-        Each in-flight batch is timed from dispatch to retirement
-        (queue wait plus evaluation — what the driver actually waits
-        for); per-propagation detail inside a worker process stays in
-        that worker's own registry.
-        """
-        results: queue.SimpleQueue = queue.SimpleQueue()
-        inflight = 0
-        tracer = trace.get_tracer()
-        clock = time.perf_counter
-
-        def next_batch() -> Optional[list[TrialSpec]]:
-            batch: list[TrialSpec] = []
-            for trial in trials:
-                if tracker is not None and not tracker.wants(trial):
-                    continue
-                batch.append(trial)
-                if len(batch) >= batch_size:
-                    break
-            return batch or None
-
-        def submit() -> None:
-            nonlocal inflight
-            while inflight < self.workers * 2:
-                batch = next_batch()
-                if batch is None:
-                    return
-                size = len(batch)
-                start = clock()
-                pool.apply_async(
-                    _run_batch,
-                    (batch,),
-                    callback=lambda r, s=start, n=size: results.put(
-                        (True, r, s, n)
-                    ),
-                    error_callback=lambda e, s=start, n=size: results.put(
-                        (False, e, s, n)
-                    ),
-                )
-                inflight += 1
-                metrics.batches_dispatched.inc()
-                metrics.trials_dispatched.inc(size)
-                metrics.inflight_batches.set(inflight)
-
-        submit()
-        while inflight:
-            ok, value, started, size = results.get()
-            inflight -= 1
-            metrics.inflight_batches.set(inflight)
-            if not ok:
-                raise value
-            elapsed = clock() - started
-            metrics.batches_retired.inc()
-            metrics.trials_completed.inc(size)
-            metrics.batch_latency.observe(elapsed)
-            tracer.complete(
-                "exper.batch", started, elapsed, trials=size
-            )
-            yield from value
-            submit()
-
     def _iter_sharded(
-        self, finished: frozenset
+        self, finished: frozenset, tracker: Optional[_StopTracker]
     ) -> Iterator[TrialRecord]:
         """Raw record stream of the sharded executor.
 
         The coordinator yields in grid order with ``finished``
         coordinates excluded, so downstream (tracker, sink, emit)
-        treats this exactly like the serial stream.  Early stopping is
-        honoured at the coordinator: workers evaluate their whole
-        slice, and the tracker discards post-stop records on arrival —
-        identical counts and records to serial, at the cost of some
-        wasted shard work.
+        treats this exactly like the serial stream.  It consults the
+        tracker's ``wants_index`` to leave out shards past a stop; what
+        a shard wrote past one before that, the tracker discards —
+        identical counts and records to serial.
         """
         coordinator = ShardCoordinator(
             self.topology,
@@ -738,6 +525,7 @@ class ExperimentRunner:
             finished=finished,
             registry=self.registry,
             progress=self.shard_progress,
+            wants=None if tracker is None else tracker.wants_index,
         )
         try:
             yield from coordinator.records()

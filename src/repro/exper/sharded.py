@@ -157,6 +157,27 @@ class Shard:
             raise ReproError(f"bad shard JSON value: {exc}") from None
 
 
+#: Longest run of one fraction's trials a shard holds under
+#: ``stopping == "ci"``: a stop takes effect between shards, so this
+#: bounds what it wastes.  Measured at 10 k ASes, 4 cells, 2 workers
+#: (docs/architecture.md): on grids that stop after 16–304 trials, 16,
+#: 32 and 64 run alike, 128 is slower and 256 twice as slow; on a grid
+#: that never stops, 64 costs nothing over one shard per worker while
+#: 16 pays a worker start-up per 16 trials (+30 %).
+_STOP_CHUNK_TRIALS = 64
+
+
+def _even_cuts(length: int, pieces: int) -> Iterator[tuple[int, int]]:
+    """``range(length)`` as ``pieces`` contiguous half-open slices whose
+    sizes differ by at most one (earlier slices take the remainder)."""
+    size, extra = divmod(length, pieces)
+    lo = 0
+    for piece in range(pieces):
+        hi = lo + size + (1 if piece < extra else 0)
+        yield lo, hi
+        lo = hi
+
+
 def plan_shards(spec: ExperimentSpec, shards: int) -> tuple[Shard, ...]:
     """Partition the spec's grid into near-even contiguous shards.
 
@@ -165,18 +186,32 @@ def plan_shards(spec: ExperimentSpec, shards: int) -> tuple[Shard, ...]:
     sizes differ by at most one (earlier shards take the remainder).
     Plans never contain empty shards: a request for more shards than
     trials yields one shard per trial.
+
+    Under ``spec.stopping == "ci"`` every fraction is cut separately,
+    into near-even chunks of at most ``_STOP_CHUNK_TRIALS`` trials, so
+    the coordinator can stop a fraction between chunks; ``shards`` is
+    then a lower bound on the plan's length (trials permitting).
     """
     if shards < 1:
         raise ReproError("shards must be positive")
     total = spec.total_trials
-    count = min(shards, total)
-    size, extra = divmod(total, count)
+    if spec.stopping == "ci":
+        pieces = min(
+            spec.trials,
+            max(
+                -(-spec.trials // _STOP_CHUNK_TRIALS),
+                -(-shards // len(spec.fractions)),
+            ),
+        )
+        cuts = [
+            (base + lo, base + hi)
+            for base in range(0, total, spec.trials)
+            for lo, hi in _even_cuts(spec.trials, pieces)
+        ]
+    else:
+        cuts = list(_even_cuts(total, min(shards, total)))
     plan = []
-    cursor = 0
-    for shard_index in range(count):
-        take = size + (1 if shard_index < extra else 0)
-        lo, hi = cursor, cursor + take
-        cursor = hi
+    for shard_index, (lo, hi) in enumerate(cuts):
         ranges = []
         for fraction_index in range(len(spec.fractions)):
             base = fraction_index * spec.trials
@@ -187,7 +222,7 @@ def plan_shards(spec: ExperimentSpec, shards: int) -> tuple[Shard, ...]:
         plan.append(
             Shard(
                 shard_index=shard_index,
-                shard_count=count,
+                shard_count=len(cuts),
                 ranges=tuple(ranges),
             )
         )
@@ -267,8 +302,7 @@ def run_shard(
 
 
 # ----------------------------------------------------------------------
-# Shared-memory topology shipping (local shard workers and the process
-# executor's pool both use this one pair)
+# Shared-memory topology shipping to local shard workers
 # ----------------------------------------------------------------------
 
 
@@ -438,7 +472,8 @@ class LocalShardTransport:
       | ("running", seconds_since_progress)}`` for every started
       shard; progress is the shard file growing (every record is
       flushed, so a live worker beats on every trial);
-    * ``stop(shard_index)`` — kill a worker (timeout reassignment);
+    * ``stop(shard_index)`` — kill a worker and forget it (timeout
+      reassignment, or a shard early stopping no longer wants);
     * ``collect(shard, path)`` — records are already at ``path``
       (workers write in place), so this just forgets the job;
     * ``close()`` — kill stragglers and release the shared-memory
@@ -447,15 +482,13 @@ class LocalShardTransport:
     The compiled topology is published once, to one shared-memory
     segment every worker attaches zero-copy (blob-pickle fallback when
     shared memory is unavailable); ``last_shared_segment`` records the
-    segment name for leak checks, mirroring the process executor.
+    segment name for leak checks.
     """
 
     def __init__(
         self,
         topology: AsTopology,
         spec: ExperimentSpec,
-        *,
-        mp_context=None,
     ) -> None:
         import multiprocessing
 
@@ -465,7 +498,7 @@ class LocalShardTransport:
         self._payload: Optional[tuple] = None
         self._shm = None
         self._jobs: dict[int, _LocalJob] = {}
-        self._ctx = mp_context or multiprocessing.get_context()
+        self._ctx = multiprocessing.get_context()
 
     def start(
         self,
@@ -527,8 +560,8 @@ class LocalShardTransport:
         return f"worker {what}" + (f": {detail}" if detail else "")
 
     def stop(self, shard_index: int) -> None:
-        """Kill a running worker (no-op once it has exited)."""
-        job = self._jobs.get(shard_index)
+        """Kill a worker (if still running) and forget it."""
+        job = self._jobs.pop(shard_index, None)
         if job is None:
             return
         if job.process.exitcode is None:
@@ -549,7 +582,6 @@ class LocalShardTransport:
     def close(self) -> None:
         for index in sorted(self._jobs):
             self.stop(index)
-        self._jobs.clear()
         if self._shm is not None:
             release_shared(self._shm)
             self._shm = None
@@ -620,6 +652,16 @@ class ShardCoordinator:
     ``GET /experiments/<run>`` shows per-shard progress while a
     sharded job runs.  It must not raise and cannot influence the
     record stream.
+
+    ``wants(fraction_index, trial_index)`` is how early stopping
+    reaches the workers: the runner passes its stop tracker's
+    ``wants_index``, whose answers change only while the consumer
+    absorbs the records yielded here.  A shard whose every range
+    starts at or past its fraction's stop is never dispatched, is
+    stopped through the transport if it is running — neither a failure
+    nor a retry — is passed over by the ordered re-stream, and is
+    published as ``"skipped"``.  Under ``stopping == "ci"`` the first
+    chunk of every fraction is dealt before any second chunk.
     """
 
     def __init__(
@@ -639,6 +681,7 @@ class ShardCoordinator:
         finished: frozenset = frozenset(),
         registry: Optional[MetricsRegistry] = None,
         progress: Optional[Callable[[dict], None]] = None,
+        wants: Optional[Callable[[int, int], bool]] = None,
     ) -> None:
         if retries < 0:
             raise ReproError("retries must be non-negative")
@@ -664,6 +707,7 @@ class ShardCoordinator:
         self.finished = finished
         self.registry = registry
         self.progress = progress
+        self.wants = wants
         self.last_shared_segment: Optional[str] = None
 
     def records(self) -> Iterator[TrialRecord]:
@@ -707,15 +751,21 @@ class ShardCoordinator:
         }
         attempts = {shard.shard_index: 0 for shard in plan}
         started = {}
-        pending: deque[int] = deque(range(len(plan)))
+        order = range(len(plan))
+        if self.spec.stopping == "ci":
+            # One range per shard: deal chunk k of every fraction
+            # before chunk k + 1 of any.
+            order = sorted(order, key=lambda i: (plan[i].ranges[0][1], i))
+        pending: deque[int] = deque(order)
         not_before: dict[int, float] = {}
         inflight: set[int] = set()
         completed: set[int] = set()
         tracer = trace.get_tracer()
         next_to_yield = 0
         states = {shard.shard_index: "queued" for shard in plan}
-        shard_records = {shard.shard_index: 0 for shard in plan}
+        shard_lines = {shard.shard_index: 0 for shard in plan}
         observed_sizes: dict[int, int] = {}
+        wants = self.wants
 
         def publish() -> None:
             if self.progress is None:
@@ -723,27 +773,44 @@ class ShardCoordinator:
             self.progress(
                 {
                     index: {
-                        "state": states[index],
+                        "state": (
+                            "skipped"
+                            if index not in completed and stopped(index)
+                            else states[index]
+                        ),
                         "attempt": attempts[index],
-                        "records": shard_records[index],
+                        # The first line is the run header.
+                        "records": max(0, shard_lines[index] - 1),
                     }
                     for index in states
                 }
             )
 
         def observe_running(index: int) -> bool:
-            """Refresh a running shard's record count from its file."""
+            """Refresh a running shard's line count from the bytes its
+            file gained since the last look."""
             try:
                 size = os.path.getsize(paths[index])
             except OSError:
                 return False
-            if observed_sizes.get(index) == size:
+            seen = observed_sizes.get(index, 0)
+            if size == seen:
                 return False
-            observed_sizes[index] = size
+            if size < seen:  # a retry's resume cut a torn tail
+                seen = shard_lines[index] = 0
             with open(paths[index], "rb") as handle:
-                lines = handle.read().count(b"\n")
-            shard_records[index] = max(0, lines - 1)  # header line
+                handle.seek(seen)
+                shard_lines[index] += handle.read(size - seen).count(b"\n")
+            observed_sizes[index] = size
             return True
+
+        def stopped(index: int) -> bool:
+            """Has early stopping stopped every fraction this shard
+            covers before the shard's first trial of it?"""
+            return wants is not None and not any(
+                wants(fraction_index, start)
+                for fraction_index, start, _ in plan[index].ranges
+            )
 
         def fail(index: int, reason: str) -> None:
             metrics.shards_failed.inc()
@@ -787,6 +854,9 @@ class ShardCoordinator:
                 index = pending[position]
                 del pending[position]
                 not_before.pop(index, None)
+                progressed = True
+                if stopped(index):
+                    continue
                 transport.start(
                     plan[index], paths[index], self.finished,
                     attempts[index], header,
@@ -802,7 +872,6 @@ class ShardCoordinator:
                     attempt=attempts[index],
                     trials=plan[index].trial_count,
                 )
-                progressed = True
             statuses = transport.poll()
             for index in sorted(inflight):
                 status, detail = statuses.get(index, ("running", 0.0))
@@ -829,7 +898,6 @@ class ShardCoordinator:
                     completed.add(index)
                     states[index] = "done"
                     if self.progress is not None:
-                        observed_sizes.pop(index, None)
                         observe_running(index)
                     metrics.shards_completed.inc()
                     metrics.shard_latency.observe(
@@ -841,7 +909,14 @@ class ShardCoordinator:
                 else:
                     transport.stop(index)  # reap before relaunch
                     fail(index, str(detail))
-            while next_to_yield in completed:
+            while True:
+                # A shard past a stop is neither waited for nor read,
+                # even if it finished before the stop was known.
+                while next_to_yield < len(plan) and stopped(next_to_yield):
+                    next_to_yield += 1
+                    progressed = True
+                if next_to_yield not in completed:
+                    break
                 shard = plan[next_to_yield]
                 run_header, records = read_run(paths[next_to_yield])
                 check_header_compatible(
@@ -860,6 +935,14 @@ class ShardCoordinator:
                         )
                     yield record
                 next_to_yield += 1
+                progressed = True
+            # The consumer fixes stops while it absorbs the records
+            # yielded above; running shards past one end here, which is
+            # neither a failure nor a retry.
+            for index in [i for i in sorted(inflight) if stopped(i)]:
+                transport.stop(index)
+                inflight.discard(index)
+                metrics.inflight_shards.set(len(inflight))
                 progressed = True
             if self.progress is not None:
                 counted = False

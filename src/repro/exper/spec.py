@@ -7,7 +7,7 @@ From a spec and a topology, :func:`materialize_trials` produces the
 fully-specified, self-contained :class:`TrialSpec` list the executors
 consume.  All randomness is drawn *here*, in the driver process — the
 expensive part (route propagation) is pure given a trial, which is
-what makes the serial and multiprocessing executors byte-identical.
+what makes the serial and sharded executors byte-identical.
 
 Two seeding disciplines are supported:
 
@@ -62,9 +62,9 @@ _SEEDINGS = ("derived", "stream")
 _STOPPINGS = ("none", "ci")
 
 #: Every executor a spec (or runner) may name.  ``"auto"`` resolves at
-#: run time to ``"serial"`` or ``"process"`` depending on available
+#: run time to ``"serial"`` or ``"sharded"`` depending on available
 #: parallelism (see :func:`repro.exper.runner.resolve_executor`).
-EXECUTORS = ("serial", "process", "sharded", "auto")
+EXECUTORS = ("serial", "sharded", "auto")
 
 
 def derive_trial_seed(seed: int, fraction_index: int, trial_index: int) -> int:
@@ -127,8 +127,8 @@ class ExperimentSpec:
             tested against).  The two produce identical records, so
             this is purely a speed knob.
         executor: the default execution strategy — ``"serial"``,
-            ``"process"``, ``"sharded"``, or ``"auto"`` (pick serial
-            or process from available parallelism).  All executors
+            ``"sharded"``, or ``"auto"`` (pick serial or sharded from
+            available parallelism).  All executors
             produce byte-identical results, so — like ``engine`` —
             this is purely a speed/topology knob: it round-trips
             through JSON but is *excluded* from :meth:`spec_hash`, so
@@ -298,9 +298,9 @@ class ExperimentSpec:
         Two specs share a hash exactly when their JSON round-trip
         forms are identical — except for ``executor``, which is an
         execution strategy rather than part of the experiment's
-        identity: serial, process, and sharded runs of the same grid
-        must share a hash so their records merge and resume across
-        executors.  Durable run records carry the hash so a sink can
+        identity: serial and sharded runs of the same grid must share
+        a hash so their records merge and resume across executors.
+        Durable run records carry the hash so a sink can
         refuse to mix records from different experiments (and resume
         can refuse a mismatched spec).
         """
@@ -319,6 +319,13 @@ class ExperimentSpec:
             cells = tuple(_cell_from_json(raw) for raw in data["cells"])
             trials = int(data["trials"])
             attack_prefix = data.get("attack_prefix")
+            executor = data.get("executor", "serial")
+            if executor == "process":
+                # Stored specs and queue lines may still name the
+                # retired multiprocessing pool; ``sharded`` is the one
+                # parallel executor, and the field is outside
+                # ``spec_hash``, so no run identity changes.
+                executor = "sharded"
             return cls(
                 cells=cells,
                 trials=trials,
@@ -337,7 +344,7 @@ class ExperimentSpec:
                 ),
                 seeding=data.get("seeding", "derived"),
                 engine=data.get("engine", DEFAULT_ENGINE),
-                executor=data.get("executor", "serial"),
+                executor=executor,
                 stopping=data.get("stopping", "none"),
                 stop_ci_width=float(data.get("stop_ci_width", 0.05)),
                 stop_min_trials=int(data.get("stop_min_trials", 16)),
@@ -476,7 +483,7 @@ def iter_trials(
     word, tie seed) so both seeding disciplines are stable contracts.
 
     Laziness is what keeps driver memory flat on grids with millions
-    of trials: the runner pulls trials into bounded batches instead of
+    of trials: executors pull trials one at a time instead of
     materializing the full list.
 
     ``wants(fraction_index, trial_index)`` lets an early-stopping

@@ -115,6 +115,10 @@ class JobStore:
                     )
                 state = JobState(job=record.job, spec=record.spec)
                 states[record.job] = state
+            elif record.event == "enqueued":
+                raise ReproError(
+                    f"{self.path}: job {record.job!r} is enqueued twice"
+                )
             state.status = STATUS_BY_EVENT[record.event]
             if record.detail:
                 state.detail = record.detail
@@ -144,9 +148,12 @@ class JobStore:
         events ever written — deterministic, so docs and tests can
         name them — and a spec without a pinned run id adopts the job
         id (a valid :class:`~repro.results.store.ResultsStore` run
-        id by construction).
+        id by construction).  Counting and appending happen under the
+        log's writer lock, so concurrent ``jobs submit`` processes get
+        distinct ids (and one header between them).
         """
-        with self._lock:
+        with self._lock, appendlog.open_shared(self.path) as handle:
+            appendlog.lock(handle)
             count = sum(
                 1 for record in self._scan()
                 if record.event == "enqueued"
@@ -159,7 +166,7 @@ class JobStore:
                 # the sink.
                 self.results_store().path(spec.run)
             self._append(
-                JobRecord(job=job_id, event="enqueued", spec=spec)
+                handle, JobRecord(job=job_id, event="enqueued", spec=spec)
             )
             return job_id
 
@@ -172,16 +179,16 @@ class JobStore:
                 raise ReproError(
                     f"no job named {job_id!r} in {self.path}"
                 )
-            self._append(record)
+            # Shared, not single-writer: `jobs submit` may append while
+            # a scheduler in another process is marking, and both
+            # events must survive.
+            with appendlog.open_shared(self.path) as handle:
+                self._append(handle, record)
 
-    def _append(self, record: JobRecord) -> None:
+    def _append(self, handle, record: JobRecord) -> None:
         line = appendlog.encode_line(record.to_json_dict())
-        # Shared, not single-writer: `jobs submit` may append while a
-        # scheduler in another process is marking, and both events
-        # must survive.
-        with appendlog.open_shared(self.path) as handle:
-            if handle.tell() == 0:
-                line = appendlog.encode_line(
-                    {"schema": JOB_SCHEMA, "kind": QUEUE_KIND}
-                ) + line
-            appendlog.append(handle, line, fsync=True)
+        if handle.tell() == 0:
+            line = appendlog.encode_line(
+                {"schema": JOB_SCHEMA, "kind": QUEUE_KIND}
+            ) + line
+        appendlog.append(handle, line, fsync=True)

@@ -178,8 +178,14 @@ class RadixTree(Generic[V]):
     # ------------------------------------------------------------------
 
     def remove(self, prefix: Prefix) -> bool:
-        """Delete the mapping for ``prefix``; returns True if present."""
+        """Delete the mapping for ``prefix``; returns True if present.
+
+        Like :meth:`removed`, leaves the shape of a tree built from the
+        remaining keys alone.
+        """
         self._check(prefix)
+        grand: Optional[_RadixNode[V]] = None
+        grand_bit = 0
         parent: Optional[_RadixNode[V]] = None
         parent_bit = 0
         node = self._root
@@ -187,6 +193,7 @@ class RadixTree(Generic[V]):
             if not node.prefix.covers(prefix):
                 return False
             bit = node.branch_bit(prefix)
+            grand, grand_bit = parent, parent_bit
             parent, parent_bit, node = node, bit, node.child(bit)
         if node is None or not node.has_value:
             return False
@@ -196,7 +203,12 @@ class RadixTree(Generic[V]):
         # Collapse: a valueless node with < 2 children is structural noise.
         if node.left is None or node.right is None:
             survivor = node.left if node.left is not None else node.right
-            self._replace(parent, parent_bit, survivor)
+            if survivor is None and parent is not None and not parent.has_value:
+                # Removing a leaf strands its glue parent: the sibling
+                # takes the glue's place.
+                self._replace(grand, grand_bit, parent.child(1 - parent_bit))
+            else:
+                self._replace(parent, parent_bit, survivor)
         return True
 
     # ------------------------------------------------------------------

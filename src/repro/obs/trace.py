@@ -12,9 +12,9 @@ Tracing never touches any RNG and never changes control flow, so
 results are byte-identical with tracing on or off — an invariant the
 test suite pins.
 
-The recorder is process-local: under the process executor, worker
-propagations do not appear in the driver's trace (their batches do,
-as ``exper.batch`` spans measured from dispatch to retirement).
+The recorder is process-local: under the sharded executor, worker
+propagations do not appear in the driver's trace (their shards do, as
+``exper.shard_dispatched`` / ``exper.shard_completed`` instants).
 """
 
 from __future__ import annotations

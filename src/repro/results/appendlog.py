@@ -8,7 +8,8 @@ returns it and both ways of opening cut it before the next append, so
 a new line can never fuse with half of an old one.  A log with one
 writer is continued with :func:`open_at`, from wherever that writer's
 durable unit ends; a log several processes append to is continued
-with :func:`open_shared`, which never cuts a complete line.
+with :func:`open_shared`, which never cuts a complete line, and a
+read-then-append step on such a log runs under :func:`lock`.
 
 What a line *means* — header checks, which corruption is tolerated,
 what the durable unit is — stays with the consumers
@@ -20,13 +21,15 @@ event, a run file flushes every record and fsyncs when it finishes.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 from pathlib import Path
 from typing import BinaryIO, List, Tuple
 
 __all__ = [
-    "append", "encode_line", "open_at", "open_shared", "scan", "sync",
+    "append", "encode_line", "lock", "open_at", "open_shared", "scan",
+    "sync",
 ]
 
 
@@ -91,6 +94,19 @@ def open_shared(path: Path) -> BinaryIO:
             handle.truncate(handle.read().rfind(b"\n") + 1)
             handle.seek(0, os.SEEK_END)
     return handle
+
+
+def lock(handle: BinaryIO) -> None:
+    """Hold a shared log's writer lock until ``handle`` closes.
+
+    For an append whose content depends on what the log already holds
+    (the queue numbers a job by counting those before it).  Advisory
+    (``flock``): only peers that take it too wait.  The handle is
+    re-positioned at the log's end as it is *now*, so ``tell() == 0``
+    still means the log is new.
+    """
+    fcntl.flock(handle, fcntl.LOCK_EX)
+    handle.seek(0, os.SEEK_END)
 
 
 def append(handle: BinaryIO, line: bytes, *, fsync: bool = False) -> None:

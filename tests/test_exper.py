@@ -1,7 +1,7 @@
 """Tests for the repro.exper experiment engine.
 
 Covers the scenario grammar, deterministic seed derivation, serial /
-multiprocessing executor equivalence, the aggregation layer, and the
+serial/sharded executor equivalence, the aggregation layer, and the
 scenario diversity the legacy loops could not express (multi-attacker,
 path prepending, per-AS partial ROA coverage).
 """
@@ -110,7 +110,9 @@ class TestSeedDerivation:
 class TestExecutorEquivalence:
     @pytest.mark.parametrize("seeding", ["derived", "stream"])
     def test_process_matches_serial(self, engine_topology, seeding):
-        """The headline property: byte-identical aggregated results."""
+        """The headline property: byte-identical aggregated results
+        from worker processes (the sharded executor; the test id
+        predates the pool executor's removal)."""
         spec = two_cell_spec(
             trials=6, fractions=(0.0, 0.5, None), seeding=seeding
         )
@@ -118,7 +120,7 @@ class TestExecutorEquivalence:
             engine_topology, spec, executor="serial"
         ).run(bootstrap_resamples=100)
         parallel = ExperimentRunner(
-            engine_topology, spec, executor="process", workers=2
+            engine_topology, spec, executor="sharded", workers=2
         ).run(bootstrap_resamples=100)
         assert serial == parallel
 
@@ -129,12 +131,13 @@ class TestExecutorEquivalence:
         )
         parallel = list(
             ExperimentRunner(
-                engine_topology, spec, executor="process",
-                workers=2, batch_size=2,
+                engine_topology, spec, executor="sharded", workers=2,
             ).iter_records()
         )
         key = lambda r: r.sort_key  # noqa: E731
         assert sorted(parallel, key=key) == sorted(serial, key=key)
+        # More than the same set: every executor streams in grid order.
+        assert parallel == serial == sorted(serial, key=key)
 
     def test_unknown_executor_rejected(self, engine_topology):
         with pytest.raises(ReproError, match="unknown executor"):
@@ -146,7 +149,9 @@ class TestExecutorEquivalence:
         with pytest.raises(ReproError):
             ExperimentRunner(engine_topology, two_cell_spec(), workers=0)
         with pytest.raises(ReproError):
-            ExperimentRunner(engine_topology, two_cell_spec(), batch_size=0)
+            ExperimentRunner(engine_topology, two_cell_spec(), shards=0)
+        with pytest.raises(TypeError):  # the pool's knob went with it
+            ExperimentRunner(engine_topology, two_cell_spec(), batch_size=2)
 
 
 class TestSpecValidation:
@@ -503,13 +508,13 @@ class TestLegacyReplay:
             replay_topology, samples=4, seed=1
         ) == run_hijack_study(
             replay_topology, samples=4, seed=1,
-            executor="process", workers=2,
+            executor="sharded", workers=2,
         )
         assert run_deployment_sweep(
             replay_topology, fractions=(0.5,), samples=3, seed=2
         ) == run_deployment_sweep(
             replay_topology, fractions=(0.5,), samples=3, seed=2,
-            executor="process", workers=2,
+            executor="sharded", workers=2,
         )
 
 

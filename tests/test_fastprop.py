@@ -315,8 +315,9 @@ class TestExperimentEngineField:
         assert result.forged_origin_minimal == 0.2944015444015444
 
     def test_array_engine_with_process_executor(self, topology):
-        """Engine and executor axes compose: array × process equals
-        array × serial equals object × serial."""
+        """Engine and executor axes compose: array × worker processes
+        (the sharded executor; the test id predates the pool's removal)
+        equals array × serial equals object × serial."""
         from repro.exper import MaxLengthLooseRoa, ScenarioCell
 
         spec = ExperimentSpec(
@@ -329,7 +330,7 @@ class TestExperimentEngineField:
         )
         serial = ExperimentRunner(topology, spec).run(bootstrap_resamples=50)
         parallel = ExperimentRunner(
-            topology, spec, executor="process", workers=2
+            topology, spec, executor="sharded", workers=2
         ).run(bootstrap_resamples=50)
         assert serial == parallel
 

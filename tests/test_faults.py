@@ -373,6 +373,41 @@ class TestChaosEquivalence:
         )
         assert chaotic_bytes == serial_bytes
 
+    def test_killed_worker_under_early_stopping_preserves_bytes(
+        self, topology, tmp_path, monkeypatch
+    ):
+        """The shard whose trials decide fraction 0's stop is SIGKILLed
+        mid-trial; its retry still fixes the serial run's stop, and the
+        chunks past it are skipped, not failed."""
+        from repro.obs import MetricsRegistry
+
+        spec = small_spec(
+            trials=24, stopping="ci", stop_ci_width=0.4,
+            stop_min_trials=3, stop_check_every=2,
+        )
+        serial, serial_bytes = run_recorded(
+            topology, spec, tmp_path / "serial.jsonl", executor="serial"
+        )
+        assert max(serial.trial_counts) < spec.trials
+        plan = FaultPlan(rules=(
+            FaultRule(site="exper.shard.record", action="crash",
+                      at=(3,),
+                      match=(("shard", "0"), ("attempt", "0"))),
+        ))
+        monkeypatch.setenv(PLAN_ENV, plan.to_json())
+        registry = MetricsRegistry()
+        chaotic, chaotic_bytes = run_recorded(
+            topology, spec, tmp_path / "chaos.jsonl",
+            executor="sharded", shards=8, workers=2, registry=registry,
+        )
+        assert chaotic_bytes == serial_bytes
+        assert chaotic.trial_counts == serial.trial_counts
+        counters = registry.snapshot()
+        # One death, one retry — and nothing else counted as either.
+        assert counters["exper.shards_failed"] == 1
+        assert counters["exper.shards_retried"] == 1
+        assert counters["exper.shards_completed"] < 8
+
 
 # ----------------------------------------------------------------------
 # Sink fail-safe degradation

@@ -285,6 +285,47 @@ class TestJobStore:
         with pytest.raises(ReproError, match="no job"):
             store.mark("job-000001", "started")
 
+    def test_duplicate_enqueued_id_is_loud(self, tmp_path):
+        # What two racing submitters used to be able to write: the
+        # fold must not quietly merge two jobs into one.
+        store = JobStore(tmp_path)
+        store.enqueue(job_spec())
+        header, event = store.path.read_bytes().splitlines(keepends=True)
+        store.path.write_bytes(header + event + event)
+        with pytest.raises(ReproError, match="enqueued twice"):
+            store.jobs()
+
+    def test_peer_enqueue_between_count_and_append_waits(
+        self, tmp_path, monkeypatch
+    ):
+        # A second store object stands in for a second process: its
+        # enqueue, started while ours sits between counting and
+        # appending, blocks on the log's writer lock and then takes
+        # the next id rather than the same one.
+        import threading
+
+        ours, peer = JobStore(tmp_path), JobStore(tmp_path)
+        first = ours.enqueue(job_spec())
+        real_scan = ours._scan
+        peer_ids = []
+        racer = threading.Thread(
+            target=lambda: peer_ids.append(peer.enqueue(job_spec())))
+
+        def scan_then_let_the_peer_in():
+            monkeypatch.setattr(ours, "_scan", real_scan)
+            records = real_scan()
+            racer.start()
+            racer.join(timeout=0.3)
+            assert racer.is_alive()  # held out until we have appended
+            return records
+
+        monkeypatch.setattr(ours, "_scan", scan_then_let_the_peer_in)
+        second = ours.enqueue(job_spec())
+        racer.join(timeout=10)
+        assert [first, second, *peer_ids] == [
+            "job-000001", "job-000002", "job-000003"]
+        assert sorted(ours.jobs()) == [first, second, *peer_ids]
+
 
 # ----------------------------------------------------------------------
 # The scheduler and invariant 8
@@ -472,6 +513,40 @@ class TestShardProgress:
         # Progress reporting never perturbs the run's bytes.
         direct = direct_run_bytes(
             job_spec(spec=small_spec(executor="sharded"), shards=2),
+            tmp_path / "direct.jsonl",
+        )
+        assert (
+            scheduler.results.path(state.spec.run).read_bytes() == direct
+        )
+
+    def test_stopped_fractions_publish_skipped_shards(self, tmp_path):
+        """A sharded job whose fractions stop early: the shards past
+        each stop show as ``skipped`` in the run's snapshot, and the
+        run file is still the direct (serial) run's."""
+        stopping = dict(
+            trials=24, stopping="ci", stop_ci_width=0.4,
+            stop_min_trials=3, stop_check_every=2,
+        )
+        runs = RunRegistry()
+        scheduler = JobScheduler(JobStore(tmp_path), runs=runs)
+        job_id = scheduler.submit(job_spec(
+            spec=small_spec(executor="sharded", **stopping),
+            shards=8, workers=2,
+        ))
+        assert scheduler.run_pending() == 1
+        state = scheduler.store.job(job_id)
+        assert state.status == "done"
+        shards = runs.snapshot(state.spec.run)["shards"]
+        assert len(shards) == 8
+        states = [shards[str(index)]["state"] for index in range(8)]
+        assert set(states) == {"done", "skipped"}
+        assert states.count("skipped") >= 4
+        assert all(
+            entry["records"] == 0
+            for entry in shards.values() if entry["state"] == "skipped"
+        )
+        direct = direct_run_bytes(
+            job_spec(spec=small_spec(**stopping)),
             tmp_path / "direct.jsonl",
         )
         assert (
@@ -681,7 +756,7 @@ SPEC_FLAGS = [
 ]
 
 
-def run_cli(argv, tmp_path, env_extra=None):
+def cli_env(env_extra=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         part
@@ -691,6 +766,11 @@ def run_cli(argv, tmp_path, env_extra=None):
     env.pop(PLAN_ENV, None)
     if env_extra:
         env.update(env_extra)
+    return env
+
+
+def run_cli(argv, tmp_path, env_extra=None):
+    env = cli_env(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *argv],
         capture_output=True, cwd=tmp_path, env=env, timeout=300,
@@ -698,6 +778,31 @@ def run_cli(argv, tmp_path, env_extra=None):
 
 
 class TestCliPlatform:
+    def test_concurrent_submitters_get_distinct_ids(self, tmp_path):
+        """12 `jobs submit` processes started together on one empty
+        store: one header, 12 whole events, 12 different ids."""
+        store = tmp_path / "jobs"
+        submitters = [
+            subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", "jobs", "submit",
+                 "--store", str(store), *SPEC_FLAGS],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                cwd=tmp_path, env=cli_env(),
+            )
+            for _ in range(12)
+        ]
+        printed = []
+        for submitter in submitters:
+            out, err = submitter.communicate(timeout=300)
+            assert submitter.returncode == 0, err.decode()
+            printed.append(out.split()[0].decode())
+        expected = [f"job-{n:06d}" for n in range(1, 13)]
+        assert sorted(printed) == expected
+        queue = JobStore(store)
+        assert sorted(queue.jobs()) == expected
+        assert [r.job for r in queue.records()] == expected
+        assert queue.path.read_bytes().count(b"\n") == 13
+
     def test_sigkill_mid_job_then_restart_resumes_bytes(self, tmp_path):
         """Invariant 8 end to end: submit through the CLI, SIGKILL the
         executing scheduler mid-run via an injected crash fault, drain

@@ -448,7 +448,7 @@ class TestTelemetryInvariants:
         spec = small_spec(trials=3)
         return topology, spec
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "sharded"])
     def test_results_byte_identical_with_telemetry_on_off(self, executor):
         topology, spec = self.grid()
         outcomes = {}
@@ -459,7 +459,7 @@ class TestTelemetryInvariants:
             with use_registry(registry):
                 runner = ExperimentRunner(
                     topology, spec, executor=executor,
-                    workers=2 if executor == "process" else None,
+                    workers=2 if executor == "sharded" else None,
                 )
                 result = runner.run(bootstrap_resamples=50)
             outcomes[arm] = json.dumps(

@@ -252,6 +252,17 @@ class TestPersistentUpdates:
         assert shape(after) == [(0, p("10.0.1.0/24"), True, 2)]
         assert len(shape(tree)) == 3
 
+    def test_in_place_remove_drops_the_stranded_glue_too(self):
+        tree = RadixTree[int](AF_INET)
+        tree.insert(p("10.0.0.0/8"), 0)
+        tree.insert(p("10.0.0.0/24"), 1)
+        tree.insert(p("10.0.1.0/24"), 2)   # glue 10.0.0.0/23 under the /8
+        assert tree.remove(p("10.0.0.0/24"))
+        assert shape(tree) == [(0, p("10.0.0.0/8"), True, 0),
+                               (1, p("10.0.1.0/24"), True, 2)]
+        assert tree.remove(p("10.0.1.0/24"))   # parent holds a value: stays
+        assert shape(tree) == [(0, p("10.0.0.0/8"), True, 0)]
+
     def test_removed_interior_value_keeps_descendants(self):
         tree = RadixTree[int](AF_INET)
         for text, value in [("10.0.0.0/8", 8), ("10.0.0.0/24", 24),
@@ -286,15 +297,18 @@ class TestPersistentUpdates:
     def test_any_interleaving_equals_a_rebuild_and_keeps_every_version(
             self, operations, probe_value):
         tree = RadixTree[int](AF_INET)
+        in_place = RadixTree[int](AF_INET)
         model: dict[Prefix, int] = {}
         versions = [(tree, [])]
         for step, (insert, value, length) in enumerate(operations):
             prefix = Prefix(AF_INET, value, length)
             if insert:
                 tree = tree.inserted(prefix, step)
+                in_place.insert(prefix, step)
                 model[prefix] = step
             else:
                 tree = tree.removed(prefix)
+                assert in_place.remove(prefix) == (prefix in model)
                 model.pop(prefix, None)
             versions.append((tree, sorted(model.items())))
 
@@ -302,7 +316,8 @@ class TestPersistentUpdates:
         for prefix in sorted(model):
             rebuilt.insert(prefix, model[prefix])
         assert shape(tree) == shape(rebuilt)
-        assert len(tree) == len(model)
+        assert shape(in_place) == shape(rebuilt)
+        assert len(tree) == len(in_place) == len(model)
         probes = [Prefix(AF_INET, probe_value, 32)] + [
             Prefix(AF_INET, value | 1, 32) for _, value, _ in operations]
         for probe in probes:

@@ -7,8 +7,9 @@ The contracts pinned here:
 * a JsonlSink survives being killed mid-write: a truncated or corrupt
   tail line is recovered, corruption anywhere else refuses loudly;
 * an interrupted-then-resumed run is byte-identical to an
-  uninterrupted one — aggregates and trial counts — under serial and
-  process executors, both seeding disciplines, and early stopping;
+  uninterrupted one — aggregates, trial counts and file bytes — under
+  serial and sharded executors, both seeding disciplines, and early
+  stopping;
 * merge_runs unions shard-partial runs of one spec into the same
   result a single machine would have produced;
 * the serve tier answers /experiments with live per-cell stats while
@@ -384,7 +385,7 @@ def interrupt(path, lines, keep, partial_tail=True):
 
 
 class TestResume:
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "sharded"])
     @pytest.mark.parametrize("seeding", ["derived", "stream"])
     def test_interrupted_run_resumes_byte_identical(
         self, topology, tmp_path, executor, seeding
@@ -403,11 +404,10 @@ class TestResume:
         sink.close()
         assert resumed == full
         assert read_run(part) == read_run(full_path)
-        if executor == "serial":
-            # The file itself, not just its deduplicated reading: the
-            # half-recorded trial 3 was cut before it was re-recorded.
-            # (A process run's file is in arrival order.)
-            assert part.read_bytes() == full_path.read_bytes()
+        # The file itself, not just its deduplicated reading: the
+        # half-recorded trial 3 was cut before it was re-recorded, and
+        # every executor streams in grid order.
+        assert part.read_bytes() == full_path.read_bytes()
 
     @pytest.mark.parametrize("variant", [
         dict(seeding="derived"),
@@ -534,14 +534,14 @@ class TestResume:
     def test_shm_cleaned_up_when_resume_finishes_early(
         self, topology, tmp_path
     ):
-        """A process-executor resume with nothing left to evaluate
-        still unlinks its shared topology segment."""
+        """A sharded resume with nothing left to evaluate still
+        unlinks its shared topology segment."""
         spec = small_spec()
         path = tmp_path / "run.jsonl"
         full, _ = run_full(topology, spec, path)
         sink = JsonlSink(path)
         runner = ExperimentRunner(
-            topology, spec, executor="process", workers=2,
+            topology, spec, executor="sharded", workers=2,
             sink=sink, resume_from=sink,
         )
         assert runner.run() == full
@@ -616,7 +616,7 @@ class TestResume:
                 topology, other, sink=sink, resume_from=sink
             ).run()
 
-    @pytest.mark.parametrize("executor", ["serial", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "sharded"])
     @pytest.mark.parametrize("golden", ["hijack", "deployment"])
     def test_golden_specs_resume_byte_identical(
         self, topology, tmp_path, golden, executor

@@ -7,12 +7,17 @@ on or off, **including** after a shard is killed or raises mid-stream
 (the coordinator retries/reassigns) and after the coordinator itself
 dies and is resumed.  Also pinned here:
 
-* shard planning tiles the grid's canonical order contiguously, and
+* shard planning tiles the grid's canonical order contiguously —
+  under early stopping one fraction at a time, in bounded chunks — and
   shard JSON round-trips;
-* ``executor="auto"`` resolves to serial on a single core (the 0.87x
-  one-core process regression) and to process otherwise;
-* a property-style sweep of randomized small specs agrees across
-  serial, process, and sharded executors;
+* ``executor="auto"`` resolves to serial on a single core and to
+  sharded otherwise; a stored ``"executor": "process"`` reads as
+  sharded without changing the spec hash;
+* a property-style sweep of randomized small specs (seeding, stopping
+  and its thresholds all drawn) agrees between serial and sharded;
+* early stopping reaches the workers: shards past a stop are never
+  dispatched, running ones are stopped without counting as failures,
+  over local processes and over HTTP;
 * crashed shards leak neither shared-memory segments nor temporary
   shard stores;
 * the HTTP transport (serve tier shard workers) produces the same
@@ -26,12 +31,14 @@ import glob
 import json
 import os
 import random
+import time
 import urllib.request
 
 import pytest
 
 from repro.data import TopologyProfile, generate_topology
 from repro.exper import (
+    EXECUTORS,
     AnyAsPairSampler,
     ExperimentRunner,
     ExperimentSpec,
@@ -78,6 +85,29 @@ def shard_fault(shard: int, action: str, after: int) -> str:
         FaultRule(
             site="exper.shard.record", action=action, at=(after,),
             match=(("shard", str(shard)), ("attempt", "0")),
+        ),
+    )).to_json()
+
+
+def stopping_spec(**kwargs) -> ExperimentSpec:
+    """A grid whose fractions stop after ~3 of 24 trials; with
+    ``shards=8`` it plans four 6-trial chunks per fraction."""
+    defaults = dict(
+        trials=24, stopping="ci", stop_ci_width=0.4, stop_min_trials=3,
+        stop_check_every=2,
+    )
+    defaults.update(kwargs)
+    return small_spec(**defaults)
+
+
+def stall_plan(shard: int, seconds: float, records: int = 1) -> str:
+    """A plan that holds shard ``shard`` for ``seconds`` after each of
+    its first ``records`` records."""
+    return FaultPlan(rules=(
+        FaultRule(
+            site="exper.shard.record", action="stall", delay=seconds,
+            at=tuple(range(1, records + 1)),
+            match=(("shard", str(shard)),),
         ),
     )).to_json()
 
@@ -129,6 +159,42 @@ class TestPlanning:
         # Walking the grid in canonical order visits shards in order.
         assert seen == sorted(seen)
 
+    def test_stopping_plan_cuts_each_fraction_into_bounded_chunks(self):
+        spec = small_spec(trials=150, stopping="ci")
+        plan = plan_shards(spec, 2)
+        # ceil(150 / 64) = 3 near-even chunks per fraction, grid order.
+        assert [shard.ranges for shard in plan] == [
+            ((0, 0, 50),), ((0, 50, 100),), ((0, 100, 150),),
+            ((1, 0, 50),), ((1, 50, 100),), ((1, 100, 150),),
+        ]
+        assert [shard.shard_index for shard in plan] == list(range(6))
+        assert {shard.shard_count for shard in plan} == {6}
+        # Asking for more shards than that cuts finer, never coarser...
+        assert [s.ranges for s in plan_shards(small_spec(
+            trials=5, stopping="ci"), 6)] == [
+            ((0, 0, 2),), ((0, 2, 4),), ((0, 4, 5),),
+            ((1, 0, 2),), ((1, 2, 4),), ((1, 4, 5),),
+        ]
+        # ...and never below one trial per shard.
+        assert len(plan_shards(small_spec(trials=2, stopping="ci"), 50)) == 4
+        assert max(
+            shard.trial_count
+            for shard in plan_shards(small_spec(
+                trials=1000, fractions=(None,), stopping="ci"), 1)
+        ) <= 64
+
+    def test_plan_without_stopping_is_what_it_always_was(self):
+        """``stopping="none"``: one near-even cut of the whole grid,
+        crossing fraction boundaries, however many trials."""
+        plan = plan_shards(small_spec(trials=150), 2)
+        assert [shard.ranges for shard in plan] == [
+            ((0, 0, 150),), ((1, 0, 150),),
+        ]
+        plan = plan_shards(small_spec(trials=100), 3)
+        assert [shard.ranges for shard in plan] == [
+            ((0, 0, 67),), ((0, 67, 100), (1, 0, 34)), ((1, 34, 100),),
+        ]
+
     def test_plan_clamps_to_total_trials(self):
         spec = small_spec(trials=2, fractions=(None,))
         plan = plan_shards(spec, 10)
@@ -164,20 +230,54 @@ class TestPlanning:
 
 class TestAutoExecutor:
     def test_auto_falls_back_to_serial_on_one_core(self):
-        # The one-core process executor was measured at 0.87x serial
-        # (ROADMAP): auto must never pick it there.
+        # Worker processes on one core are pure overhead: auto must
+        # never pick them there.
         assert resolve_executor("auto", cpu_count=1) == "serial"
 
     def test_auto_uses_process_with_parallelism(self):
-        assert resolve_executor("auto", cpu_count=4) == "process"
+        """With cores to spare, auto means worker processes — the
+        sharded executor (the test id predates the pool's removal)."""
+        assert resolve_executor("auto", cpu_count=4) == "sharded"
 
     def test_auto_respects_explicit_width_of_one(self):
         assert resolve_executor("auto", workers=1, cpu_count=8) == "serial"
         assert resolve_executor("auto", shards=1, cpu_count=8) == "serial"
 
     def test_concrete_executors_pass_through(self):
-        for name in ("serial", "process", "sharded"):
+        for name in ("serial", "sharded"):
             assert resolve_executor(name, cpu_count=1) == name
+
+    def test_process_executor_is_gone(self, topology):
+        assert EXECUTORS == ("serial", "sharded", "auto")
+        with pytest.raises(ReproError, match="unknown executor"):
+            resolve_executor("process")
+        with pytest.raises(ReproError, match="unknown executor"):
+            ExperimentRunner(topology, small_spec(), executor="process")
+        with pytest.raises(ReproError, match="unknown executor"):
+            small_spec(executor="process")
+
+    def test_stored_process_executor_reads_as_sharded(self, tmp_path):
+        """Spec files and queue lines written before the pool went
+        still load, as the one parallel executor, under the same
+        identity."""
+        from repro.jobs import JobSpec, JobStore
+
+        sharded = small_spec(executor="sharded")
+        stored = sharded.to_json_dict()
+        stored["executor"] = "process"
+        spec = ExperimentSpec.from_json(json.dumps(stored))
+        assert spec == sharded
+        assert spec.spec_hash() == sharded.spec_hash()
+
+        store = JobStore(tmp_path / "jobs")
+        job_id = store.enqueue(JobSpec(spec=sharded, workers=2))
+        queue = store.path.read_bytes()
+        assert queue.count(b'"executor":"sharded"') == 1
+        store.path.write_bytes(
+            queue.replace(b'"executor":"sharded"', b'"executor":"process"'))
+        job = store.job(job_id)
+        assert job.spec.spec.executor == "sharded"
+        assert job.spec.spec_hash == sharded.spec_hash()
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ReproError, match="unknown executor"):
@@ -238,8 +338,10 @@ class TestShardedEquivalence:
     def test_property_random_specs_agree_across_executors(
         self, topology, tmp_path
     ):
-        """~20 seeded random small specs: serial == process == sharded."""
+        """20 seeded random small specs: serial == sharded, in result,
+        trial counts and file bytes."""
         rng = random.Random(20250807)
+        stopped = 0
         kinds = ("forged-origin-subprefix", "forged-origin")
         policies = (MinimalRoa(), MaxLengthLooseRoa(), NoRoa())
         combos = [(kind, policy) for kind in kinds for policy in policies]
@@ -250,7 +352,7 @@ class TestShardedEquivalence:
             )
             spec = ExperimentSpec(
                 cells=cells,
-                trials=rng.randint(2, 5),
+                trials=rng.randint(2, 9),
                 seed=rng.randint(0, 999),
                 fractions=tuple(
                     rng.sample([None, 0.0, 0.5, 1.0], rng.randint(1, 2))
@@ -259,26 +361,167 @@ class TestShardedEquivalence:
                     [StubPairSampler(), AnyAsPairSampler()]),
                 seeding=rng.choice(["derived", "stream"]),
                 stopping=rng.choice(["none", "ci"]),
-                stop_ci_width=0.5, stop_min_trials=2, stop_check_every=1,
+                stop_ci_width=rng.choice([0.05, 0.3, 0.5, 1.0]),
+                stop_min_trials=rng.randint(2, 4),
+                stop_check_every=rng.randint(1, 3),
             )
             serial, serial_bytes = run_recorded(
                 topology, spec, tmp_path / f"{case}-serial.jsonl",
                 executor="serial")
-            process, process_bytes = run_recorded(
-                topology, spec, tmp_path / f"{case}-process.jsonl",
-                executor="process", workers=2)
             sharded, sharded_bytes = run_recorded(
                 topology, spec, tmp_path / f"{case}-sharded.jsonl",
-                executor="sharded", shards=rng.randint(2, 4))
-            assert process == serial and sharded == serial, f"case {case}"
-            # The process executor may interleave fractions in its
-            # sink (records release on completion watermarks); its
-            # record *set* is identical.  The sharded coordinator
-            # re-streams in grid order, so its file is byte-for-byte
-            # the serial one.
-            assert sorted(set(process_bytes.splitlines())) == sorted(
-                set(serial_bytes.splitlines())), f"case {case}"
+                executor="sharded", workers=2,
+                shards=rng.randint(2, 9))
+            assert sharded == serial, f"case {case}"
+            assert sharded.trial_counts == serial.trial_counts
+            # The coordinator re-streams in grid order, so the file is
+            # byte-for-byte the serial one, stopped or not.
             assert sharded_bytes == serial_bytes, f"case {case}"
+            stopped += min(serial.trial_counts) < spec.trials
+        assert stopped >= 3  # the draw does exercise early stops
+
+
+# ----------------------------------------------------------------------
+# Early stopping reaches the workers
+# ----------------------------------------------------------------------
+
+
+def stopped_run(topology, spec, tmp_path, name, **runner_kwargs):
+    """A recorded sharded run of a stopping grid beside its serial
+    twin; returns what the stop tests look at."""
+    from repro.obs import MetricsRegistry
+
+    serial, serial_bytes = run_recorded(
+        topology, spec, tmp_path / f"{name}-serial.jsonl",
+        executor="serial")
+    assert max(serial.trial_counts) < spec.trials  # it does stop
+    registry = MetricsRegistry()
+    store = ResultsStore(tmp_path / f"{name}-shards")
+    states: dict = {}
+    sharded, sharded_bytes = run_recorded(
+        topology, spec, tmp_path / f"{name}-sharded.jsonl",
+        executor="sharded", workers=2, shard_store=store,
+        registry=registry, shard_progress=states.update,
+        **runner_kwargs)
+    assert sharded == serial
+    assert sharded_bytes == serial_bytes
+    counters = registry.snapshot()
+    # A coordinator-stopped shard is neither a failure nor a retry.
+    assert counters["exper.shards_failed"] == 0
+    assert counters["exper.shards_retried"] == 0
+    stored = sum(
+        len(read_run(path)[1]) for path in store.root.glob("*.jsonl"))
+    assert stored < spec.total_trials * len(spec.cells)
+    return counters, {i: s["state"] for i, s in states.items()}, store
+
+
+class TestEarlyStopping:
+    def test_shards_past_a_stop_are_never_dispatched(
+        self, topology, tmp_path
+    ):
+        spec = stopping_spec()
+        plan = plan_shards(spec, 8)
+        counters, states, store = stopped_run(
+            topology, spec, tmp_path, "local", shards=8)
+        assert len(plan) == 8
+        assert counters["exper.shards_dispatched"] < len(plan)
+        assert counters["exper.fractions_stopped"] == 2
+        # Each fraction's first chunk decided its stop; the rest of it
+        # was skipped, and only dispatched shards left a file.
+        assert states[0] == states[4] == "done"
+        assert set(states.values()) == {"done", "skipped"}
+        assert len(store.run_ids()) == counters["exper.shards_dispatched"]
+
+    def test_running_shard_past_a_stop_is_stopped_not_failed(
+        self, topology, tmp_path, monkeypatch
+    ):
+        """Shard 1 is dealt beside shard 0 and hangs after one record;
+        shard 0 fixes the stop, and the coordinator ends shard 1
+        instead of waiting out its 60 s (or its timeout)."""
+        spec = stopping_spec(fractions=(None,))
+        monkeypatch.setenv(PLAN_ENV, stall_plan(1, 60.0))
+        began = time.monotonic()
+        counters, states, store = stopped_run(
+            topology, spec, tmp_path, "stall", shards=4)
+        assert time.monotonic() - began < 30.0
+        assert counters["exper.shards_dispatched"] == 2
+        assert counters["exper.shards_completed"] == 1
+        assert states == {
+            0: "done", 1: "skipped", 2: "skipped", 3: "skipped"}
+        # What the stopped worker had written stays a readable partial.
+        _, partial = read_run(store.path(plan_shards(spec, 4)[1].run_id(
+            f"grid-{spec.spec_hash()[:12]}")))
+        assert len(partial) <= 1
+
+    def test_http_workers_stop_early_too(
+        self, topology, tmp_path, monkeypatch
+    ):
+        """The same over HTTP: shard 1 crawls (0.25 s a record, 3 s in
+        all); the coordinator cancels it on its host and never sends
+        shards 2 and 3."""
+        spec = stopping_spec(fractions=(None,))
+        monkeypatch.setenv(PLAN_ENV, stall_plan(1, 0.25, records=12))
+        try:
+            # start() installs the environment's plan process-wide.
+            with ThreadedShardWorkerServer(topology) as worker:
+                base = f"http://127.0.0.1:{worker.port}"
+                counters, states, _ = stopped_run(
+                    topology, spec, tmp_path, "http", shards=4,
+                    shard_transport=HttpShardTransport([base]))
+                deadline = time.monotonic() + 10.0
+                while True:
+                    with urllib.request.urlopen(
+                            f"{base}/shards/1", timeout=5) as reply:
+                        remote = json.load(reply)
+                    if (remote["state"] != "running"
+                            or time.monotonic() > deadline):
+                        break
+                    time.sleep(0.05)
+                dispatches = worker.metrics["shard_dispatches"]
+        finally:
+            uninstall()
+        assert remote["state"] == "cancelled"
+        assert remote["records"] < 12
+        assert dispatches == counters["exper.shards_dispatched"] == 2
+        assert states == {
+            0: "done", 1: "skipped", 2: "skipped", 3: "skipped"}
+
+    def test_first_chunk_of_every_fraction_is_dealt_first(self, topology):
+        """Early trials decide the stops, so under ``stopping="ci"``
+        chunk k of every fraction starts before chunk k + 1 of any —
+        while records still come back in grid order."""
+        from repro.exper import LocalShardTransport
+
+        spec = stopping_spec(trials=8)
+        dealt = []
+
+        class Recording(LocalShardTransport):
+            def start(self, shard, *args):
+                dealt.append(shard.shard_index)
+                super().start(shard, *args)
+
+        transport = Recording(topology, spec)
+        try:
+            records = list(ShardCoordinator(
+                topology, spec, shards=8, transport=transport, parallel=1,
+            ).records())
+        finally:
+            transport.close()
+        # No tracker is attached, so nothing stops: the whole grid.
+        plain = small_spec(trials=8)
+        assert dealt == [0, 4, 1, 5, 2, 6, 3, 7]
+        assert records == list(
+            ExperimentRunner(topology, plain).iter_records())
+        # Without stopping the plan is dealt as it always was.
+        dealt.clear()
+        transport = Recording(topology, plain)
+        try:
+            list(ShardCoordinator(
+                topology, plain, shards=4, transport=transport, parallel=1,
+            ).records())
+        finally:
+            transport.close()
+        assert dealt == [0, 1, 2, 3]
 
 
 # ----------------------------------------------------------------------

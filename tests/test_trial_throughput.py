@@ -7,7 +7,7 @@ Three pillars:
 * the :class:`PropagationWorkspace` path — batched/workspace-reusing
   evaluation is byte-identical (records *and* RNG consumption) to
   per-trial allocation, including on the PR 2/PR 3 golden specs;
-* the executor overhaul — shared-memory segments are unlinked on pool
+* the executor overhaul — shared-memory segments are unlinked on run
   shutdown and on worker exceptions, trials stream lazily, and
   CI-width early stopping is deterministic across executors while
   ``stopping="none"`` stays byte-identical to the pre-stopping engine.
@@ -412,7 +412,7 @@ class TestSharedMemoryLifecycle:
     def test_unlinked_on_shutdown(self, topology):
         spec = stopping_spec(stopping="none", trials=4)
         runner = ExperimentRunner(
-            topology, spec, executor="process", workers=2, batch_size=2
+            topology, spec, executor="sharded", workers=2
         )
         result = runner.run(bootstrap_resamples=50)
         serial = ExperimentRunner(topology, spec).run(
@@ -432,7 +432,7 @@ class TestSharedMemoryLifecycle:
             sampler=FixedPairSampler(1, (2,)),
         )
         runner = ExperimentRunner(
-            tiny, spec, executor="process", workers=2, batch_size=1
+            tiny, spec, executor="sharded", workers=2
         )
         with pytest.raises(ReproError, match="too small"):
             list(runner.iter_records())
@@ -448,7 +448,7 @@ class TestSharedMemoryLifecycle:
             bootstrap_resamples=50
         )
         parallel = ExperimentRunner(
-            topology, spec, executor="process", workers=2
+            topology, spec, executor="sharded", workers=2
         ).run(bootstrap_resamples=50)
         assert serial == parallel
 
@@ -460,7 +460,7 @@ class TestEarlyStopping:
             bootstrap_resamples=100
         )
         parallel = ExperimentRunner(
-            topology, spec, executor="process", workers=2, batch_size=3
+            topology, spec, executor="sharded", workers=2
         ).run(bootstrap_resamples=100)
         assert serial == parallel
         assert serial.trial_counts[0] < spec.trials
