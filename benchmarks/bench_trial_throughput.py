@@ -1,28 +1,26 @@
 #!/usr/bin/env python3
-"""Experiment-engine trial throughput: pre-PR baseline vs the overhaul.
+"""Experiment-engine trial throughput: serial vs sharded, sink and
+telemetry overhead.
 
 The workload is the paper's §4/§5 ROA-granularity grid — a
 forged-origin/subprefix attacker evaluated against a spectrum of ROA
 maxLength choices (minimal … loose … none) — on a synthetic ≥10k-AS
-topology, array engine.  Two engines run the *identical* trial set:
+topology, array engine, run through ``ExperimentRunner``: the compiled
+topology shipped once as a flat blob over shared memory, one reusable
+``PropagationWorkspace`` per worker, trials streamed lazily.  It is
+timed serial and multi-process (the sharded executor, ``--workers`` at
+once over ``--shards`` shards), and both must produce byte-identical
+aggregated results.  A synthetic CAIDA-scale (75k-AS) serial run is
+also recorded — reduced trial count, success plus trials/sec — unless
+``--skip-75k``.
 
-* **baseline** — the pre-overhaul hot path, reconstructed here: the
-  object ``AsTopology`` shipped to each pool worker, every worker
-  compiling its own flat-array form, every trial allocating fresh
-  propagation state (``evaluate_trial`` with no workspace).
-* **current** — the overhauled ``ExperimentRunner``: the compiled
-  topology shipped once as a flat blob over shared memory, one
-  reusable ``PropagationWorkspace`` per worker, trials streamed
-  lazily; its multi-process arm is the sharded executor
-  (``--workers`` at once over ``--shards`` shards).
-
-Both are timed serial and multi-process, and both must produce
-byte-identical aggregated results — the equivalence gate that makes
-the speedup comparison meaningful.  Acceptance (CI-gated): the
-current engine clears **≥3× trials/sec** over the baseline at 10k
-ASes, multi-process against multi-process.  A synthetic CAIDA-scale
-(75k-AS) run of the current engine is also recorded — reduced trial
-count, success plus trials/sec — unless ``--skip-75k``.
+Until PR 22 this script also rebuilt a "pre-overhaul" baseline from
+``evaluate_trial`` with no workspace and gated ≥3× over it.  That slow
+path (fresh state arrays and an ordered sweep for every propagation)
+no longer exists in the library — a workspace-free call is now a
+transient workspace running the same closures — so the baseline arm
+and its gate are retired; the last recorded ratio was 18.9× (PR 21).
+Speed is tracked by the ledger's ``grid_10k`` workload instead.
 
 Durable recording must stay effectively free: the serial engine is
 also timed with a :class:`repro.results.JsonlSink` attached, and the
@@ -48,7 +46,6 @@ Run:  PYTHONPATH=src python benchmarks/bench_trial_throughput.py \\
 from __future__ import annotations
 
 import argparse
-import multiprocessing
 import os
 import random
 import sys
@@ -67,9 +64,6 @@ from repro.exper import (
     NoRoa,
     PartialCoverageRoa,
     ScenarioCell,
-    aggregate_records,
-    evaluate_trial,
-    materialize_trials,
 )
 from repro.results import JsonlSink
 
@@ -97,56 +91,7 @@ def granularity_spec(trials: int, seed: int) -> ExperimentSpec:
     )
 
 
-# ----------------------------------------------------------------------
-# The pre-PR baseline, reconstructed: object topology per worker,
-# per-worker recompilation, per-trial state allocation.
-# ----------------------------------------------------------------------
-
-_BASELINE: dict = {}
-
-
-def _baseline_init(topology, spec):
-    _BASELINE["topology"] = topology
-    _BASELINE["spec"] = spec
-
-
-def _baseline_batch(batch):
-    topology = _BASELINE["topology"]
-    spec = _BASELINE["spec"]
-    records = []
-    for trial in batch:
-        records.extend(evaluate_trial(topology, spec, trial))
-    return records
-
-
-def run_baseline(topology, spec, executor, workers):
-    trials = materialize_trials(spec, topology)
-    if executor == "serial":
-        records = [
-            record
-            for trial in trials
-            for record in evaluate_trial(topology, spec, trial)
-        ]
-    else:
-        batch_size = max(1, len(trials) // (workers * 4))
-        batches = [
-            trials[start:start + batch_size]
-            for start in range(0, len(trials), batch_size)
-        ]
-        with multiprocessing.Pool(
-            processes=workers,
-            initializer=_baseline_init,
-            initargs=(topology, spec),
-        ) as pool:
-            records = [
-                record
-                for chunk in pool.imap_unordered(_baseline_batch, batches)
-                for record in chunk
-            ]
-    return aggregate_records(spec, records, bootstrap_resamples=200)
-
-
-def run_current(topology, spec, executor, workers, shards=None):
+def run_engine(topology, spec, executor, workers, shards=None):
     runner = ExperimentRunner(
         topology, spec, executor=executor,
         workers=workers if executor == "sharded" else None,
@@ -280,27 +225,18 @@ def main(argv=None) -> int:
     runs = {}
     results = {}
     with phase("run"):
-        # The baseline's multi-process arm is its own pool (above);
-        # the current engine's is the sharded executor.
-        for engine, runner, arms in (
-            ("baseline", run_baseline, ("serial", "process")),
-            ("current", run_current, ("serial", "sharded")),
-        ):
-            for executor in arms:
-                extra = (
-                    (args.shards,) if executor == "sharded" else ()
-                )
-                elapsed, result = timed(
-                    f"{engine}/{executor} ({total} trials x "
-                    f"{len(spec.cells)} cells)",
-                    runner, topology, spec, executor, workers, *extra,
-                )
-                runs[f"{engine}_{executor}"] = {
-                    "wall_seconds": round(elapsed, 4),
-                    "trials": total,
-                    "trials_per_second": round(total / elapsed, 2),
-                }
-                results[f"{engine}_{executor}"] = result
+        for executor in ("serial", "sharded"):
+            elapsed, result = timed(
+                f"{executor} ({total} trials x {len(spec.cells)} cells)",
+                run_engine, topology, spec, executor, workers,
+                args.shards,
+            )
+            runs[executor] = {
+                "wall_seconds": round(elapsed, 4),
+                "trials": total,
+                "trials_per_second": round(total / elapsed, 2),
+            }
+            results[executor] = result
 
     print(
         f"  sink overhead (serial, best of {args.sink_repeats})...",
@@ -324,18 +260,7 @@ def main(argv=None) -> int:
     telemetry_identical = telemetry_overhead.pop("_identical")
 
     with phase("aggregate"):
-        identical = (
-            results["baseline_serial"] == results["baseline_process"]
-            == results["current_serial"] == results["current_sharded"]
-        )
-    parallel_speedup = round(
-        runs["current_sharded"]["trials_per_second"]
-        / runs["baseline_process"]["trials_per_second"], 2
-    )
-    serial_speedup = round(
-        runs["current_serial"]["trials_per_second"]
-        / runs["baseline_serial"]["trials_per_second"], 2
-    )
+        identical = results["serial"] == results["sharded"]
 
     big_run = None
     if not args.skip_75k:
@@ -348,9 +273,9 @@ def main(argv=None) -> int:
         big_total = big_spec.total_trials
         try:
             elapsed, _ = timed(
-                f"current/serial at {args.big_ases} ASes "
+                f"serial at {args.big_ases} ASes "
                 f"({big_total} trials)",
-                run_current, big_topology, big_spec, "serial", workers,
+                run_engine, big_topology, big_spec, "serial", workers,
             )
             big_run = {
                 "ases": args.big_ases,
@@ -376,15 +301,12 @@ def main(argv=None) -> int:
             "cpu_count": os.cpu_count() or 1,
             "cells": len(spec.cells),
             "runs": runs,
-            "speedup_parallel": parallel_speedup,
-            "speedup_serial": serial_speedup,
             "sink_overhead": sink_overhead,
             "telemetry_overhead": telemetry_overhead,
             "synthetic_75k": big_run,
         },
         {
             "results_identical": identical,
-            "gte_3x_trials_per_second": parallel_speedup >= 3.0,
             "sink_results_identical": sink_identical,
             "sink_overhead_lte_5pct": (
                 sink_overhead["sink_trials_per_second"]

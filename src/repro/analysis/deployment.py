@@ -13,8 +13,9 @@ flat line at 100%.
 :mod:`repro.exper` engine: the sweep is one
 :class:`~repro.exper.ExperimentSpec` whose ``fractions`` axis is the
 deployment level (stream seeding keeps the numbers bit-identical to
-the nested loop this replaced).  Pass ``executor="sharded"`` to
-spread the trials over cores.
+the nested loop this replaced: same casts and validator samples, and
+every cell a lone subprefix announcement, which reads no tie-break).
+Pass ``executor="sharded"`` to spread the trials over cores.
 """
 
 from __future__ import annotations

@@ -90,9 +90,13 @@ def hijack_study_spec(
 ) -> ExperimentSpec:
     """The study as a declarative spec: the four historical cells.
 
-    Stream seeding replays the exact RNG consumption of the original
-    sequential loop — same pairs, same tie-breaks, same numbers (the
-    ``"array"`` engine included, since the backends are bit-identical).
+    Stream seeding draws the casts exactly as the original sequential
+    loop did — same pairs, and the same numbers for the three subprefix
+    cells, which read no tie-break.  The same-prefix cell draws its
+    tie-breaks from the start of the trial's stream (the lone
+    announcements before it no longer draw), so its number is a
+    different sample of the same distribution than the loop's; both
+    engines give the same one, being bit-identical.
     """
     return ExperimentSpec(
         cells=(

@@ -9,8 +9,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ENGINES", "coerce_engine", "evaluate_attack", "evaluate_attack_seeds",
     ),
     "fastprop": (
-        "AttackCase", "PropagationWorkspace", "evaluate_attack_seeds_array",
-        "evaluate_attack_seeds_array_batch", "propagate_prefix_array",
+        "PropagationWorkspace", "evaluate_attack_seeds_array",
+        "propagate_prefix_array",
     ),
     "message": (
         "AsPathSegment", "BgpHeader", "BgpMessage", "BgpMessageError",

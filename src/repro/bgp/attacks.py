@@ -241,11 +241,17 @@ def evaluate_attack_seeds(
     over all judged ASes (everyone outside the cast), resolving each
     by longest-prefix match as in :func:`evaluate_attack`.
 
+    ``rng`` breaks ties where seeds compete inside one propagation — a
+    same-prefix attack, or any number of attackers other than one — and
+    is advanced only there; a subprefix attack by one attacker is two
+    lone announcements, reads no draw and leaves ``rng`` untouched.
+
     ``engine`` selects the propagation backend (see :data:`ENGINES`);
-    both produce identical results, the default ``"array"`` an order of
-    magnitude faster on large graphs.  ``workspace`` — an array-engine
+    both produce identical results and leave ``rng`` in the same state,
+    the default ``"array"`` an order of magnitude faster on large
+    graphs.  ``workspace`` — an array-engine
     :class:`~repro.bgp.fastprop.PropagationWorkspace` — lets repeated
-    evaluations reuse state arrays and propagation profiles; it is
+    evaluations reuse state arrays and cached adopted sets; it is
     ignored by the object engine and never changes results.
     """
     if coerce_engine(engine) == "array":
@@ -266,13 +272,17 @@ def evaluate_attack_seeds(
     is_subprefix = attack_prefix != victim_prefix
 
     if is_subprefix:
+        # A lone announcement is adopted by whoever it reaches, whatever
+        # a tie-break returns, so it is propagated without the RNG: the
+        # caller's stream advances only where seeds compete.
         covering_routes = propagate_prefix(
             topology, victim_prefix, [victim_seed],
-            vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
+            vrp_index=vrp_index, validating_ases=validating_ases,
         )
         attack_routes = propagate_prefix(
             topology, attack_prefix, list(attacker_seeds),
-            vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
+            vrp_index=vrp_index, validating_ases=validating_ases,
+            rng=rng if len(attacker_seeds) != 1 else None,
         )
     else:
         combined = propagate_prefix(

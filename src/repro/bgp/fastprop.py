@@ -34,47 +34,35 @@ random stream of the object engine.  This works because:
 The test suite pins this contract; keep it when touching either
 engine.
 
-**Trial throughput.**  Monte-Carlo grids evaluate thousands of
-propagations on one topology, so the per-propagation constants matter
-as much as the sweep itself.  A :class:`PropagationWorkspace` keeps
-the per-AS state arrays alive across propagations (reset in O(touched
-ASes), not O(n)), caches the per-trial validator set, and — the big
-one — treats *single-seed propagations* for what they are.  With one
-seed there is no inter-seed competition, so every AS that is offered
-the route adopts it, and two things follow:
+**Two paths.**  :func:`evaluate_attack_seeds_array` propagates an
+announcement in one of two ways, chosen by whether seeds compete.
 
-* *Who adopts* is a reachability closure of (seed, blocked set) —
-  independent of path lengths and of what the RNG returns.
+* *One seed* (the victim's covering route, a lone subprefix attacker):
+  nothing competes, so every AS that is offered the route adopts it and
+  *who adopts* is a reachability closure of (seed, blocked set) —
+  independent of path lengths and of anything an RNG could return.
   :func:`_closure` computes it as set algebra over the CSR rows: no
-  lane, no candidate lists, no draws.
-* *How much randomness* an ordered sweep would consume is a fixed
-  sequence of tie-break candidate counts.  A sweep records it in the
-  propagation's cached *profile*, and a repeated propagation (the
-  victim's covering route evaluated for every grid cell, or an attack
-  announcement whose RFC 6811 verdict repeats across cells) replays
-  the counts through the RNG — consuming the identical random stream —
-  without re-running the sweep.
+  lane, no candidate lists, no draws, and the caller's RNG is not
+  touched (neither is it by the object engine, which propagates a lone
+  announcement without one).  A :class:`PropagationWorkspace` caches
+  the adopted set per (seed, RFC 6811 verdict) for the validator epoch,
+  so the covering route is computed once per trial, not once per cell.
+* *Seeds compete* (a same-prefix attack, several attackers at once):
+  the ordered sweep of :func:`_propagate` on a workspace lane, drawing
+  tie-breaks from the caller's RNG exactly as the object engine does.
+  Never cached: the chosen winner decides which seed's blocked set
+  gates later offers, so the outcome is draw-dependent.
 
-Which one a single-seed propagation pays for is decided by whether
-there is an RNG position to maintain.  A caller that passes ``rng``
-to :func:`evaluate_attack_seeds_array` owns the stream and gets it
-back exactly where the object engine would leave it: ordered sweep,
-then replays.  With ``rng=None`` there is nothing to maintain and the
-closure answers.  :func:`evaluate_attack_seeds_array_batch` sees a
-whole trial's cases at once, so it maintains the stream only as far as
-some result depends on it — through the last case in which seeds
-compete — and evaluates the rest draw-free; a grid of subprefix
-attacks only (the paper's sec. 4/5 experiments) never sweeps and never
-draws.  Multi-seed propagations are never cached: there the chosen
-winner decides which seed's blocked set gates later offers, so the
-structure is draw-dependent.
+A grid of subprefix attacks only (the paper's sec. 4/5 experiments)
+never sweeps and never draws.  The workspace also keeps the lane's
+per-AS arrays alive across sweeps (reset in O(touched ASes), not O(n))
+and indexes the validator set once per trial.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from ..netbase.errors import ReproError
@@ -85,10 +73,8 @@ from .simulation import Route, RouteClass, Seed, SimulationError
 from .topology import AsTopology, CompiledTopology
 
 __all__ = [
-    "AttackCase",
     "PropagationWorkspace",
     "evaluate_attack_seeds_array",
-    "evaluate_attack_seeds_array_batch",
     "propagate_prefix_array",
 ]
 
@@ -102,13 +88,11 @@ _PROVIDER = int(RouteClass.PROVIDER)
 #: grid needs at most one profile per cell).  A profile is a frozenset
 #: of adopted indices — a hash table of 16 bytes a slot at load ≤ 0.6,
 #: the ints shared with the CSR rows — so one in which every AS adopts
-#: costs 0.5 MiB at 10 k ASes and 4 MiB at 75 k (2 MiB when the
-#: ordered sweep made it), plus a byte per adoption once it holds
-#: tie-break counts; it was 2 bytes per AS (20 KB, 150 KB) as a flag
-#: string.  A validator epoch ends the cache, so a full one — 16 MiB /
-#: 128 MiB — takes 32 distinct announcements under one validator set:
-#: many trials of universal validation, nothing a sampled-validator
-#: grid does (grid_10k holds at most 4 profiles, ≈ 2 MiB).
+#: costs 0.5 MiB at 10 k ASes and 4 MiB at 75 k.  A validator epoch
+#: ends the cache, so a full one — 16 MiB / 128 MiB — takes 32 distinct
+#: announcements under one validator set: many trials of universal
+#: validation, nothing a sampled-validator grid does (grid_10k holds at
+#: most 4 profiles, ≈ 2 MiB).
 _PROFILE_CAP = 32
 
 
@@ -209,54 +193,6 @@ class _State:
         self.counts = counts
 
 
-@dataclass(frozen=True)
-class _Profile:
-    """Cached outcome of one single-seed propagation.
-
-    ``adopted`` is the set of adopting AS indices, whichever of the
-    closure or the ordered sweep produced it.  ``counts_seq`` is the
-    tie-break candidate count of every adoption, in draw order — the
-    complete description of the propagation's RNG consumption,
-    replayed by :func:`_replay_draws`; ``None`` on a profile the
-    closure made, until a lookup that has an RNG to advance asks for
-    it.  Stored as ``bytes`` when every count fits (the overwhelmingly
-    common case; candidate counts are bounded by node degree), one
-    byte per adoption.
-    """
-
-    adopted: frozenset[int]
-    counts_seq: Union[bytes, tuple[int, ...], None]
-
-    @staticmethod
-    def pack_counts(counts: Sequence[int]) -> Union[bytes, tuple[int, ...]]:
-        if max(counts, default=0) < 256:
-            return bytes(counts)
-        return tuple(counts)
-
-
-def _replay_draws(
-    counts_seq: Sequence[int], rng: Optional[random.Random]
-) -> None:
-    """Consume exactly the random stream of a recorded propagation."""
-    if rng is None:
-        return
-    if _FAST_RANDBELOW and type(rng) is random.Random:
-        getrandbits = rng.getrandbits
-        for count in counts_seq:
-            if count == 1:
-                while getrandbits(1):
-                    pass
-            else:
-                bits = count.bit_length()
-                draw = getrandbits(bits)
-                while draw >= count:
-                    draw = getrandbits(bits)
-    else:
-        choice = rng.choice
-        for count in counts_seq:
-            choice(range(count))
-
-
 def _compiled_of(
     topology: Union[AsTopology, CompiledTopology]
 ) -> CompiledTopology:
@@ -273,7 +209,7 @@ class _WorkspaceMetrics:
     """
 
     __slots__ = (
-        "enabled", "sweeps", "closures", "touched_ases", "lane_resets",
+        "enabled", "sweeps", "closures", "touched_ases",
         "profile_hits", "profile_misses", "mask_builds", "epochs",
     )
 
@@ -283,7 +219,6 @@ class _WorkspaceMetrics:
         self.sweeps = view.counter("sweeps")
         self.closures = view.counter("closures")
         self.touched_ases = view.counter("touched_ases")
-        self.lane_resets = view.counter("lane_resets")
         self.profile_hits = view.counter("profile_hits")
         self.profile_misses = view.counter("profile_misses")
         self.mask_builds = view.counter("mask_builds")
@@ -294,14 +229,14 @@ class PropagationWorkspace:
     """Reusable per-worker state for array-engine trial evaluation.
 
     Allocate one per (worker, topology) and pass it to
-    :func:`evaluate_attack_seeds_array` /
-    :func:`evaluate_attack_seeds_array_batch`: the per-AS state arrays
-    are allocated on the first ordered sweep and reset in O(touched)
+    :func:`evaluate_attack_seeds_array`: the per-AS state arrays are
+    allocated on the first ordered sweep and reset in O(touched)
     between propagations, the validator set is indexed once per epoch
-    instead of once per propagation, and single-seed propagations are
-    closures or profile replays (see the module docstring).  Results
-    are byte-identical to the workspace-free path — per call including
-    RNG consumption — which the test suite pins.
+    instead of once per propagation, and a single-seed propagation's
+    adopted set is computed once per epoch (see the module docstring).
+    Results, RNG consumption included, are those of a call that is
+    given no workspace and makes a transient one — which the test
+    suite pins.
 
     The workspace counts its own behavior into ``registry`` under the
     ``fastprop.`` namespace — ``sweeps`` (ordered sweeps run),
@@ -325,16 +260,12 @@ class PropagationWorkspace:
             registry if registry is not None else get_registry()
         )
         self._lanes: list[_Lane] = []
-        self._profiles: dict[tuple, _Profile] = {}
+        self._profiles: dict[tuple, frozenset[int]] = {}
         self._validators_token: object = self  # sentinel: no epoch yet
         self._validators: Optional[frozenset[int]] = None
         self._mask: Optional[bytearray] = None
         self._universal_mask: Optional[bytearray] = None
-        #: ASes with at least one customer: the only ones a downward
-        #: closure step has to expand (most of an AS graph is stubs).
-        self.has_customers = frozenset(
-            i for i, row in enumerate(self.compiled.customer_rows) if row
-        )
+        self._has_customers: Optional[frozenset[int]] = None
 
     def lane(self, index: int = 0) -> _Lane:
         while len(self._lanes) <= index:
@@ -391,16 +322,22 @@ class PropagationWorkspace:
                     self.metrics.mask_builds.inc()
         return self._mask
 
-    def profile(
-        self, key: tuple, need_counts: bool = False
-    ) -> Optional[_Profile]:
-        """The cached profile under ``key``, if it can serve the lookup:
-        a profile the closure made cannot serve one that has draws to
-        replay, so that lookup is a miss (it sweeps and re-stores)."""
+    def has_customers(self) -> frozenset[int]:
+        """ASes with at least one customer — the only ones a downward
+        closure step has to expand (most of an AS graph is stubs).
+        Built on the first closure, so a workspace that only ever
+        sweeps never pays for it."""
+        if self._has_customers is None:
+            self._has_customers = frozenset(
+                i for i, row in enumerate(self.compiled.customer_rows)
+                if row
+            )
+        return self._has_customers
+
+    def profile(self, key: tuple) -> Optional[frozenset[int]]:
+        """The adopted set cached under ``key`` in this epoch, if any."""
         profile = self._profiles.get(key)
-        if profile is not None and (
-            profile.counts_seq is not None or not need_counts
-        ):
+        if profile is not None:
             # Refresh recency (dict order is insertion order), so the
             # cap evicts the least recently used profile — never a hot
             # one like the trial's victim-cover profile.
@@ -411,7 +348,7 @@ class PropagationWorkspace:
         self.metrics.profile_misses.inc()
         return None
 
-    def store_profile(self, key: tuple, profile: _Profile) -> None:
+    def store_profile(self, key: tuple, profile: frozenset[int]) -> None:
         profiles = self._profiles
         if key not in profiles and len(profiles) >= _PROFILE_CAP:
             del profiles[next(iter(profiles))]
@@ -441,17 +378,14 @@ def _propagate(
     *,
     lane: Optional[_Lane] = None,
     mask: Optional[bytearray] = None,
-    invalid: Optional[list[bool]] = None,
-    capture: Optional[list[int]] = None,
 ) -> tuple[_State, _Lane]:
     """The three Gao–Rexford phases as array sweeps.
 
     ``lane`` supplies reusable arrays (fresh ones are allocated when
     absent); it must satisfy the clean-lane invariant on entry and is
-    returned dirty — the caller resets it.  ``mask``/``invalid`` let a
-    workspace pass precomputed validation state; ``capture`` records
-    the tie-break candidate count of every adoption, in draw order,
-    for single-seed profile replay.
+    returned dirty — the caller resets it.  ``mask`` lets a workspace
+    pass the epoch's precomputed validator bitmask, in which case
+    ``validating_ases`` is not read.
     """
     n = len(compiled)
     index_of = compiled.index_of
@@ -460,14 +394,13 @@ def _propagate(
     # One validation verdict per seed: every propagated copy claims the
     # seed's origin, so the object engine's per-offer radix walk is a
     # constant here.
-    if invalid is None:
-        invalid = [False] * len(seed_list)
-        if vrp_index is not None:
-            for k, seed in enumerate(seed_list):
-                invalid[k] = (
-                    vrp_index.validate(prefix, seed.path[-1])
-                    is ValidationState.INVALID
-                )
+    invalid = [False] * len(seed_list)
+    if vrp_index is not None:
+        for k, seed in enumerate(seed_list):
+            invalid[k] = (
+                vrp_index.validate(prefix, seed.path[-1])
+                is ValidationState.INVALID
+            )
     if vrp_index is not None and mask is None and any(invalid):
         mask = compiled.validation_mask(validating_ases)
     validation_on = vrp_index is not None
@@ -572,8 +505,6 @@ def _propagate(
                     continue
                 srcs = offer_srcs[t]
                 count = len(srcs)
-                if capture is not None:
-                    capture.append(count)
                 if count == 1:
                     chosen = srcs[0]
                     if getrandbits is not None:
@@ -655,8 +586,6 @@ def _propagate(
     peer_targets.sort()
     for t in peer_targets:
         srcs = offer_srcs[t]
-        if capture is not None:
-            capture.append(len(srcs))
         chosen = _choose(srcs, rng)
         adopted[t] = 1
         k = slot[chosen]
@@ -750,78 +679,38 @@ def propagate_prefix_array(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AttackCase:
-    """One attack measurement for the batched array entry point.
-
-    Mirrors the arguments of :func:`evaluate_attack_seeds_array`; a
-    grid trial builds one case per cell and submits them together so
-    the workspace amortizes seed/validation setup across the batch.
-    """
-
-    victim: int
-    victim_prefix: Prefix
-    attack_prefix: Prefix
-    attacker_seeds: tuple[Seed, ...]
-    vrp_index: Optional[VrpIndex] = None
-    validating_ases: Optional[frozenset[int]] = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "attacker_seeds", tuple(self.attacker_seeds)
-        )
-
-    @property
-    def reads_draws(self) -> bool:
-        """Can a tie-break draw change this case's outcome?  Only when
-        seeds compete inside one propagation: a same-prefix attack
-        (victim against attackers) or several attackers at once.  A
-        lone announcement is adopted by whoever it reaches."""
-        return (
-            self.attack_prefix == self.victim_prefix
-            or len(self.attacker_seeds) != 1
-        )
-
-
 @contextlib.contextmanager
 def _lane_propagation(
-    compiled: CompiledTopology,
+    workspace: PropagationWorkspace,
     prefix: Prefix,
     seed_list: list[Seed],
     vrp_index: Optional[VrpIndex],
-    validating_ases: Optional[frozenset[int]],
     rng: Optional[random.Random],
-    workspace: Optional[PropagationWorkspace],
-    *,
-    mask: Optional[bytearray] = None,
-    invalid: Optional[list[bool]] = None,
-    capture: Optional[list[int]] = None,
 ):
     """The lane lifecycle protocol, shared by every sweep call site:
-    acquire a workspace lane (or a fresh one), propagate, yield the
-    raw state for the caller to read, then restore the clean-lane
-    invariant — O(touched) on success, a full reinitialization when
-    the sweep died partway and the bookkeeping cannot be trusted."""
-    lane = workspace.lane(0) if workspace is not None else None
+    acquire the workspace lane, propagate, yield the raw state for the
+    caller to read, then restore the clean-lane invariant — O(touched)
+    on success, a full reinitialization when the sweep died partway and
+    the bookkeeping cannot be trusted."""
+    lane = workspace.lane(0)
     try:
-        state, used_lane = _propagate(
-            compiled, prefix, seed_list, vrp_index, validating_ases,
-            rng, lane=lane, mask=mask, invalid=invalid, capture=capture,
+        state, _ = _propagate(
+            workspace.compiled, prefix, seed_list, vrp_index, None, rng,
+            lane=lane,
+            mask=workspace.mask() if vrp_index is not None else None,
         )
     except BaseException:
-        if lane is not None:
-            lane.hard_reset()
+        lane.hard_reset()
         raise
     try:
         yield state
     finally:
-        if workspace is not None and workspace.metrics.enabled:
+        metrics = workspace.metrics
+        if metrics.enabled:
             # Read the touched count BEFORE reset clears the list.
-            metrics = workspace.metrics
             metrics.sweeps.inc()
-            metrics.touched_ases.inc(len(used_lane.touched))
-            metrics.lane_resets.inc()
-        used_lane.reset()
+            metrics.touched_ases.inc(len(lane.touched))
+        lane.reset()
 
 
 def _closure(
@@ -861,7 +750,7 @@ def _closure(
     reached |= (
         set().union(*map(compiled.peer_rows.__getitem__, reached)) - blocked
     )
-    has_customers = workspace.has_customers
+    has_customers = workspace.has_customers()
     rows = compiled.customer_rows.__getitem__
     frontier = reached & has_customers
     while frontier:
@@ -873,59 +762,27 @@ def _closure(
 
 
 def _single_seed_outcome(
-    compiled: CompiledTopology,
+    workspace: PropagationWorkspace,
     prefix: Prefix,
     seed: Seed,
     vrp_index: Optional[VrpIndex],
-    validating_ases: Optional[frozenset[int]],
-    rng: Optional[random.Random],
-    workspace: Optional[PropagationWorkspace],
 ) -> frozenset[int]:
-    """The adopted index set of a single-seed propagation.
-
-    With a workspace, served from the profile cache when this (seed,
-    verdict) was already propagated under the current validator epoch.
-    What a miss costs depends on whether there is an RNG position to
-    maintain.  Without one (``rng is None``) the set is the
-    :func:`_closure`.  With one, the ordered sweep runs on a workspace
-    lane and records its tie-break candidate counts, and a later hit
-    replays them, so the RNG advances exactly as the object engine's
-    would; a profile the closure made cannot serve such a lookup, which
-    is then a miss and sweeps once to get them.
-    """
-    if workspace is None:
-        state, _lane = _propagate(
-            compiled, prefix, [seed], vrp_index, validating_ases, rng
-        )
-        return frozenset(state.touched)
-
+    """The adopted index set of a single-seed propagation: the
+    :func:`_closure`, computed once per (seed, RFC 6811 verdict) and
+    validator epoch."""
     invalid = vrp_index is not None and (
         vrp_index.validate(prefix, seed.path[-1]) is ValidationState.INVALID
     )
     key = (seed.asn, seed.path, invalid)
-    profile = workspace.profile(key, need_counts=rng is not None)
-    if profile is not None:
-        _replay_draws(profile.counts_seq, rng)
-        return profile.adopted
-
-    if rng is None:
-        profile = _Profile(_closure(workspace, seed, invalid), None)
+    adopted = workspace.profile(key)
+    if adopted is None:
+        adopted = _closure(workspace, seed, invalid)
         metrics = workspace.metrics
         if metrics.enabled:
             metrics.closures.inc()
-            metrics.touched_ases.inc(len(profile.adopted))
-    else:
-        capture: list[int] = []
-        with _lane_propagation(
-            compiled, prefix, [seed], vrp_index, validating_ases, rng,
-            workspace, mask=workspace.mask() if invalid else None,
-            invalid=[invalid], capture=capture,
-        ) as state:
-            profile = _Profile(
-                frozenset(state.touched), _Profile.pack_counts(capture)
-            )
-    workspace.store_profile(key, profile)
-    return profile.adopted
+            metrics.touched_ases.inc(len(adopted))
+        workspace.store_profile(key, adopted)
+    return adopted
 
 
 def evaluate_attack_seeds_array(
@@ -943,23 +800,21 @@ def evaluate_attack_seeds_array(
     """Array-engine core of
     :func:`repro.bgp.attacks.evaluate_attack_seeds`.
 
-    Same measurement, same return value, same RNG consumption — but the
-    capture fractions are counted straight off adopted index sets and
-    raw adoption arrays, so no path tuple or :class:`Route` is ever
-    materialized.  Pass a
+    Same measurement, same return value, same RNG consumption (none
+    unless seeds compete) — but the capture fractions are counted
+    straight off adopted index sets and raw adoption arrays, so no path
+    tuple or :class:`Route` is ever materialized.  Pass a
     :class:`PropagationWorkspace` (one per worker) to reuse state
-    arrays and propagation profiles across calls; results are
-    byte-identical either way.
+    arrays and adopted sets across calls; without one a transient
+    workspace serves this call, and results are byte-identical either
+    way.
     """
-    if workspace is not None:
-        compiled = workspace.compiled
-        if compiled is not _compiled_of(topology):
-            raise ReproError(
-                "workspace was built for a different topology"
-            )
-        workspace.begin(validating_ases)
-    else:
-        compiled = _compiled_of(topology)
+    if workspace is None:
+        workspace = PropagationWorkspace(topology)
+    elif workspace.compiled is not _compiled_of(topology):
+        raise ReproError("workspace was built for a different topology")
+    compiled = workspace.compiled
+    workspace.begin(validating_ases)
     n = len(compiled)
     index_of = compiled.index_of
 
@@ -978,23 +833,16 @@ def evaluate_attack_seeds_array(
 
     if is_subprefix:
         cover = _single_seed_outcome(
-            compiled, victim_prefix, victim_seed,
-            vrp_index, validating_ases, rng, workspace,
+            workspace, victim_prefix, victim_seed, vrp_index
         )
         if len(attacker_seeds) == 1:
             attack = _single_seed_outcome(
-                compiled, attack_prefix, attacker_seeds[0],
-                vrp_index, validating_ases, rng, workspace,
+                workspace, attack_prefix, attacker_seeds[0], vrp_index
             )
         else:
-            # The cover outcome above is an immutable index set, so
-            # the multi-attacker sweep can reuse lane 0.
-            mask = None
-            if workspace is not None and vrp_index is not None:
-                mask = workspace.mask()
             with _lane_propagation(
-                compiled, attack_prefix, list(attacker_seeds),
-                vrp_index, validating_ases, rng, workspace, mask=mask,
+                workspace, attack_prefix, list(attacker_seeds),
+                vrp_index, rng,
             ) as attack_state:
                 attack = frozenset(attack_state.touched)
         filtered = not attack
@@ -1008,12 +856,9 @@ def evaluate_attack_seeds_array(
             elif i in cover:
                 victim_count -= 1
     else:
-        mask = None
-        if workspace is not None and vrp_index is not None:
-            mask = workspace.mask()
         with _lane_propagation(
-            compiled, victim_prefix, [victim_seed, *attacker_seeds],
-            vrp_index, validating_ases, rng, workspace, mask=mask,
+            workspace, victim_prefix, [victim_seed, *attacker_seeds],
+            vrp_index, rng,
         ) as combined:
             adopted, slot = combined.adopted, combined.slot
             victim_count = combined.counts[0]
@@ -1045,50 +890,3 @@ def evaluate_attack_seeds_array(
         ),
         filtered,
     )
-
-
-def evaluate_attack_seeds_array_batch(
-    topology: Union[AsTopology, CompiledTopology],
-    cases: Sequence[AttackCase],
-    *,
-    rng: Optional[random.Random] = None,
-    workspace: Optional[PropagationWorkspace] = None,
-) -> list[tuple[tuple[float, float, float], bool]]:
-    """Evaluate a batch of attack cases with one shared workspace.
-
-    The batched entry point for grid trials: one call per trial, one
-    case per cell, all sharing ``rng`` (the trial's tie-break stream).
-    Results are exactly those of evaluating the cases one by one with
-    :func:`evaluate_attack_seeds_array` and the same ``rng``.
-
-    **RNG contract.**  The batch advances ``rng`` through the last case
-    whose outcome reads a draw (:attr:`AttackCase.reads_draws`) and no
-    further: up to there the stream is consumed case by case, in order,
-    exactly as per-call evaluation consumes it; the single-seed cases
-    after it get no RNG, so their adopted sets come from the closure
-    and the draws nothing would have read are never made.  A batch of
-    subprefix cases only — the paper's sec. 4/5 grids — leaves ``rng``
-    untouched.
-
-    The workspace amortizes the validator set and the single-seed
-    propagation profiles across the batch; a missing workspace gets a
-    transient one, which still amortizes within the batch.
-    """
-    if workspace is None:
-        workspace = PropagationWorkspace(topology)
-    horizon = max(
-        (position + 1 for position, case in enumerate(cases)
-         if case.reads_draws),
-        default=0,
-    )
-    return [
-        evaluate_attack_seeds_array(
-            topology, case.victim, case.victim_prefix, case.attack_prefix,
-            case.attacker_seeds,
-            vrp_index=case.vrp_index,
-            validating_ases=case.validating_ases,
-            rng=rng if position < horizon else None,
-            workspace=workspace,
-        )
-        for position, case in enumerate(cases)
-    ]

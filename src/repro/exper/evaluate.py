@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bgp.attacks import evaluate_attack_seeds
-from ..bgp.fastprop import (
-    AttackCase,
-    PropagationWorkspace,
-    evaluate_attack_seeds_array_batch,
-)
+from ..bgp.fastprop import PropagationWorkspace
 from ..bgp.simulation import Seed
 from ..bgp.topology import AsTopology, CompiledTopology
 from ..netbase.errors import ReproError
@@ -139,12 +135,20 @@ class TrialRecord:
 
         # Exact JSON types, no coercion: int("3"), bool("false"), or a
         # string iterated as an attacker list would all decode to
-        # something the writer never meant.
+        # something the writer never meant.  And only values a writer
+        # can produce: a grid index counts from 0, and every float in a
+        # record is a share of ASes — ``json`` reads NaN and Infinity,
+        # which fail the range test like any other stray number.
         def as_int(name: str) -> int:
             value = data[name]
             if isinstance(value, bool) or not isinstance(value, int):
                 raise bad(name)
             return value
+
+        def as_index(name: str) -> int:
+            if as_int(name) < 0:
+                raise bad(name)
+            return data[name]
 
         def as_float(name: str) -> float:
             value = data[name]
@@ -152,16 +156,12 @@ class TrialRecord:
                 value, (int, float)
             ):
                 raise bad(name)
+            if not 0 <= value <= 1:
+                raise bad(name)
             return float(value)
 
-        fraction = data["fraction"]
         if not isinstance(data["cell"], str):
             raise bad("cell")
-        if fraction is not None and (
-            isinstance(fraction, bool)
-            or not isinstance(fraction, (int, float))
-        ):
-            raise bad("fraction")
         attackers = data["attackers"]
         if isinstance(attackers, str) or not isinstance(
             attackers, (list, tuple)
@@ -175,10 +175,12 @@ class TrialRecord:
         if not isinstance(data["attack_route_filtered"], bool):
             raise bad("attack_route_filtered")
         return cls(
-            fraction_index=as_int("fraction_index"),
-            trial_index=as_int("trial_index"),
-            cell_index=as_int("cell_index"),
-            fraction=None if fraction is None else float(fraction),
+            fraction_index=as_index("fraction_index"),
+            trial_index=as_index("trial_index"),
+            cell_index=as_index("cell_index"),
+            fraction=(
+                None if data["fraction"] is None else as_float("fraction")
+            ),
             cell=data["cell"],
             victim=as_int("victim"),
             attackers=tuple(attackers),
@@ -201,64 +203,39 @@ def evaluate_trial(
     ``topology`` may be a pre-compiled topology when the spec runs the
     array engine (workers receive only the compiled form).
     ``workspace`` — one per worker — lets the array engine reuse
-    propagation state across trials; results are byte-identical with
-    or without it (a tested invariant), so it is purely a throughput
-    knob.  The object engine ignores it.
+    propagation state across trials (given none, it makes one for the
+    trial); results are byte-identical with or without it (a tested
+    invariant), so it is purely a throughput knob.  The object engine
+    ignores it.
     """
     tie_rng = random.Random(trial.tie_seed)
     victim_prefix = spec.victim_prefix
     subprefix = spec.effective_attack_prefix
     fraction = spec.fractions[trial.fraction_index]
-    if spec.engine != "array":
-        workspace = None
+    if workspace is None and spec.engine == "array":
+        workspace = PropagationWorkspace(topology)
 
-    prepared = []
-    for cell in spec.cells:
+    records = []
+    for cell_index, cell in enumerate(spec.cells):
         attack = cell.attack
         attackers = trial.attackers[: attack.attackers]
         attack_prefix = attack.attack_prefix_for(victim_prefix, subprefix)
         vrp_index = cell.policy.vrp_index(
             trial.victim, victim_prefix, attack_prefix, trial.trial_bits
         )
-        seeds = tuple(
-            _attacker_seed(attack, attacker, trial.victim)
-            for attacker in attackers
-        )
-        prepared.append((attackers, attack_prefix, vrp_index, seeds))
-
-    if workspace is not None:
-        # The array engine's batched entry: one call per trial, one
-        # case per cell.  Same records as the per-cell path below; it
-        # advances tie_rng only through the last cell a draw can
-        # matter to, and tie_rng dies with this call either way.
-        outcomes = evaluate_attack_seeds_array_batch(
-            topology,
+        fractions, filtered = evaluate_attack_seeds(
+            topology, trial.victim, victim_prefix, attack_prefix,
             [
-                AttackCase(
-                    trial.victim, victim_prefix, attack_prefix, seeds,
-                    vrp_index=vrp_index,
-                    validating_ases=trial.validating_ases,
-                )
-                for _, attack_prefix, vrp_index, seeds in prepared
+                _attacker_seed(attack, attacker, trial.victim)
+                for attacker in attackers
             ],
+            vrp_index=vrp_index,
+            validating_ases=trial.validating_ases,
             rng=tie_rng,
+            engine=spec.engine,
             workspace=workspace,
         )
-    else:
-        outcomes = [
-            evaluate_attack_seeds(
-                topology, trial.victim, victim_prefix, attack_prefix,
-                list(seeds),
-                vrp_index=vrp_index,
-                validating_ases=trial.validating_ases,
-                rng=tie_rng,
-                engine=spec.engine,
-            )
-            for _, attack_prefix, vrp_index, seeds in prepared
-        ]
-
-    return [
-        TrialRecord(
+        records.append(TrialRecord(
             fraction_index=trial.fraction_index,
             trial_index=trial.trial_index,
             cell_index=cell_index,
@@ -270,10 +247,8 @@ def evaluate_trial(
             victim_fraction=fractions[1],
             disconnected_fraction=fractions[2],
             attack_route_filtered=filtered,
-        )
-        for cell_index, (cell, (attackers, _, _, _), (fractions, filtered))
-        in enumerate(zip(spec.cells, prepared, outcomes))
-    ]
+        ))
+    return records
 
 
 def evaluate_trials(

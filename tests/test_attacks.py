@@ -10,8 +10,10 @@ from repro.bgp import (
     ENGINES,
     AttackKind,
     AttackScenario,
+    Seed,
     VrpIndex,
     evaluate_attack,
+    evaluate_attack_seeds,
 )
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
@@ -223,6 +225,45 @@ class TestPaperClaimsOnEachEngine:
             )
             assert rng.getstate() == default_rng.getstate()
             assert 0.0 < outcome.attacker_fraction < 1.0
+
+    def test_rng_advances_only_where_seeds_compete(
+        self, small_topology, engine
+    ):
+        """A lone announcement reads no draw: a one-attacker subprefix
+        case leaves the caller's RNG alone and is the ``rng=None``
+        result; a same-prefix or two-attacker case advances it, to the
+        state the object engine leaves it in."""
+        stubs = sorted(small_topology.stub_ases())
+        victim, attacker, second = stubs[1], stubs[-2], stubs[5]
+        minimal = VrpIndex([Vrp(P16, 16, victim)])
+        half = frozenset(
+            random.Random(3).sample(sorted(small_topology.ases), 200)
+        ) - {attacker, second}  # an invalid origin still announces
+        forged = [Seed.forged_origin(attacker, victim)]
+
+        def run(attack_prefix, seeds, rng, engine=engine):
+            return evaluate_attack_seeds(
+                small_topology, victim, P16, attack_prefix, seeds,
+                vrp_index=minimal, validating_ases=half, rng=rng,
+                engine=engine,
+            )
+
+        rng = random.Random(5)
+        for seeds in (
+            forged, [Seed.origin(attacker)], [Seed(attacker, (attacker,) * 3)]
+        ):
+            assert run(P24, seeds, rng) == run(P24, seeds, None)
+        assert rng.getstate() == random.Random(5).getstate()
+
+        for attack_prefix, seeds in (
+            (P16, forged), (P24, forged + [Seed.origin(second)]),
+        ):
+            rng, oracle = random.Random(5), random.Random(5)
+            assert run(attack_prefix, seeds, rng) == run(
+                attack_prefix, seeds, oracle, engine="object"
+            )
+            assert rng.getstate() == oracle.getstate()
+            assert rng.getstate() != random.Random(5).getstate()
 
     def test_attack_ordering_on_random_topology(self, small_topology, engine):
         rng = random.Random(4)

@@ -312,7 +312,7 @@ class TestExperimentEngineField:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.2944015444015444
+        assert result.forged_origin_minimal == 0.27413127413127414
 
     def test_array_engine_with_process_executor(self, topology):
         """Engine and executor axes compose: array × worker processes
@@ -399,9 +399,7 @@ class TestSingleSeedClosure:
         registry = MetricsRegistry()
         workspace = PropagationWorkspace(compiled, registry=registry)
         workspace.begin(validators)
-        closure = _single_seed_outcome(
-            compiled, PFX, seed, vrps, validators, None, workspace
-        )
+        closure = _single_seed_outcome(workspace, PFX, seed, vrps)
         counters = registry.snapshot()
         assert counters["fastprop.closures"] == 1
         assert counters["fastprop.sweeps"] == 0

@@ -538,16 +538,14 @@ class TestTelemetryInvariants:
         )
         assert records
         snapshot = registry.snapshot()
-        # Every propagation here is single-seed with no same-prefix
-        # cell in the trial: adopted sets come from the closure, and
-        # the ordered sweep never runs.
+        # Every propagation here is single-seed: adopted sets come
+        # from the closure, and the ordered sweep never runs.
         assert snapshot["fastprop.closures"] > 0
         assert snapshot["fastprop.sweeps"] == 0
-        assert snapshot["fastprop.lane_resets"] == snapshot["fastprop.sweeps"]
         assert snapshot["fastprop.touched_ases"] > 0
         assert snapshot["fastprop.epochs"] >= 1
         # Identical cells in one trial: the second cell's single-seed
-        # propagations replay from the profile cache.
+        # propagations are served from the profile cache.
         assert snapshot["fastprop.profile_hits"] > 0
         assert snapshot["fastprop.profile_misses"] > 0
 

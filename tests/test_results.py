@@ -155,6 +155,22 @@ class TestRecordWireSchema:
             ("attacker_fraction", "0.5"),
             ("fraction", "0.5"),
             ("cell", 7),
+            # json reads these tokens; no writer of ours emits them.
+            ("attacker_fraction", float("nan")),
+            ("victim_fraction", float("inf")),
+            ("disconnected_fraction", float("-inf")),
+            ("fraction", float("nan")),
+            # Shares of ASes lie in [0, 1], grid indices count from 0.
+            ("attacker_fraction", 3.0),
+            ("victim_fraction", -2.0),
+            pytest.param(  # float() would raise OverflowError
+                "disconnected_fraction", 10 ** 400, id="huge-int",
+            ),
+            ("fraction", 1.5),
+            ("fraction", -0.25),
+            ("fraction_index", -1),
+            ("trial_index", -1),
+            ("cell_index", -1),
         ],
     )
     def test_bad_value_rejected(self, field, value):
@@ -162,6 +178,14 @@ class TestRecordWireSchema:
         wire[field] = value
         with pytest.raises(ReproError, match="bad trial record value"):
             TrialRecord.from_json_dict(wire)
+
+    def test_range_ends_accepted(self):
+        record = sample_record(
+            fraction=1, fraction_index=0, trial_index=0, cell_index=0,
+            attacker_fraction=0, victim_fraction=1.0,
+            disconnected_fraction=0.0,
+        )
+        assert TrialRecord.from_json_dict(record.to_json_dict()) == record
 
 
 class TestRunHeader:
@@ -246,6 +270,37 @@ class TestJsonlDurability:
         path.write_bytes(b"".join(lines))
         with pytest.raises(ReproError, match="unknown fields"):
             read_run(path)
+
+    @pytest.mark.parametrize("values", [
+        {"attacker_fraction": float("nan")},
+        {"attacker_fraction": 3.0, "victim_fraction": -2.0},
+    ], ids=["nan", "out-of-range"])
+    def test_results_show_rejects_unwritable_values(
+        self, topology, tmp_path, capsys, values
+    ):
+        """A record no writer can produce is refused with the CLI's
+        one-line error — NaN used to die inside ``statistics`` with an
+        AttributeError, 3.0/-2.0 to be averaged into the cell mean.  As
+        the file's last line it is a corrupt tail like any other: cut,
+        and the run's complete trials are shown."""
+        from repro.cli import main
+
+        path = tmp_path / "run.jsonl"
+        _, lines = run_full(topology, small_spec(), path)
+        for index in (3, len(lines) - 1):
+            doctored = list(lines)
+            doctored[index] = json.dumps(
+                {**json.loads(lines[index]), **values}
+            ).encode() + b"\n"
+            path.write_bytes(b"".join(doctored))
+            code = main(["results", "show", str(path)])
+            out, err = capsys.readouterr()
+            if index == 3:
+                assert code == 1 and not out
+                assert err.startswith("results show failed: bad trial record")
+                assert err.count("\n") == 1
+            else:
+                assert code == 0 and "past the completed prefix" in err
 
     def test_partial_header_is_empty_run(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -23,15 +23,14 @@ import types
 import pytest
 
 from repro.bgp import (
+    ENGINES,
     AsTopology,
-    AttackCase,
     CompiledTopology,
     PropagationWorkspace,
     Seed,
     VrpIndex,
     evaluate_attack_seeds,
     evaluate_attack_seeds_array,
-    evaluate_attack_seeds_array_batch,
 )
 from repro.data.asgraph import TopologyProfile, generate_topology
 from repro.exper import (
@@ -124,7 +123,8 @@ class TestCompiledBuffers:
 
 
 class TestWorkspaceEquivalence:
-    """Workspace reuse is byte-identical to per-trial allocation."""
+    """Workspace reuse is byte-identical to a transient workspace per
+    call, and both to the object engine (independent code)."""
 
     def _scenario_grid(self, topology):
         stubs = sorted(topology.stub_ases())
@@ -150,11 +150,13 @@ class TestWorkspaceEquivalence:
     def test_results_and_rng_identical(self, topology):
         victim, cases = self._scenario_grid(topology)
         workspace = PropagationWorkspace(topology)
-        # Two passes through the same workspace: the second replays
-        # cached profiles, and must still match the fresh path.
+        # Two passes through the same workspace: the second is served
+        # from cached profiles, and must still match the transient one
+        # — and the object engine, which shares no code with either.
         for round_seed in (11, 12):
             rng_ws = random.Random(round_seed)
             rng_fresh = random.Random(round_seed)
+            rng_object = random.Random(round_seed)
             for attack_prefix, seeds, vrps, validators in cases:
                 with_ws = evaluate_attack_seeds_array(
                     topology, victim, PFX, attack_prefix, seeds,
@@ -166,100 +168,20 @@ class TestWorkspaceEquivalence:
                     vrp_index=vrps, validating_ases=validators,
                     rng=rng_fresh,
                 )
-                assert with_ws == fresh
-                assert rng_ws.getstate() == rng_fresh.getstate()
-
-    def test_batch_entry_point_matches_per_call(self, topology):
-        victim, grid = self._scenario_grid(topology)
-        cases = [
-            AttackCase(victim, PFX, attack_prefix, seeds,
-                       vrp_index=vrps, validating_ases=validators)
-            for attack_prefix, seeds, vrps, validators in grid
-        ]
-        batched = evaluate_attack_seeds_array_batch(
-            topology, cases, rng=random.Random(7),
-        )
-        rng = random.Random(7)
-        per_call = [
-            evaluate_attack_seeds_array(
-                topology, case.victim, case.victim_prefix,
-                case.attack_prefix, case.attacker_seeds,
-                vrp_index=case.vrp_index,
-                validating_ases=case.validating_ases, rng=rng,
-            )
-            for case in cases
-        ]
-        assert batched == per_call
-
-    def test_batch_rng_stops_at_the_last_case_that_reads_it(self, topology):
-        """The batch's RNG contract, pinned: single-seed cases before a
-        multi-seed case keep the stream in step; the ones after it are
-        closures and draw nothing — and every result is the per-call
-        one, across a validator change mid-batch."""
-        stubs = sorted(topology.stub_ases())
-        victim, attacker, attacker2 = stubs[1], stubs[-2], stubs[5]
-        half = frozenset(
-            random.Random(3).sample(sorted(topology.ases), 100)
-        )
-        minimal = VrpIndex([Vrp(PFX, 16, victim)])
-        loose = VrpIndex([Vrp(PFX, 24, victim)])
-        forged = (Seed.forged_origin(attacker, victim),)
-        cases = [
-            AttackCase(victim, PFX, SUB, forged, vrp_index=loose),
-            AttackCase(victim, PFX, SUB, (Seed.origin(attacker),),
-                       vrp_index=minimal, validating_ases=half),
-            # The horizon: two attackers compete inside one propagation.
-            AttackCase(victim, PFX, SUB,
-                       (Seed.origin(attacker),
-                        Seed.forged_origin(attacker2, victim)),
-                       vrp_index=minimal, validating_ases=half),
-            AttackCase(victim, PFX, SUB, forged,
-                       vrp_index=minimal, validating_ases=half),
-            AttackCase(victim, PFX, SUB, forged, vrp_index=loose),
-            AttackCase(victim, PFX, SUB, (Seed(attacker, (attacker,) * 3),)),
-        ]
-        assert [case.reads_draws for case in cases] == [
-            False, False, True, False, False, False
-        ]
-        horizon = 3
-
-        def per_call(case, rng):
-            return evaluate_attack_seeds_array(
-                topology, case.victim, case.victim_prefix,
-                case.attack_prefix, case.attacker_seeds,
-                vrp_index=case.vrp_index,
-                validating_ases=case.validating_ases, rng=rng,
-            )
-
-        registry = MetricsRegistry()
-        workspace = PropagationWorkspace(topology, registry=registry)
-        batch_rng = random.Random(7)
-        batched = evaluate_attack_seeds_array_batch(
-            topology, cases, rng=batch_rng, workspace=workspace,
-        )
-        reference_rng = random.Random(7)
-        expected = [per_call(case, reference_rng) for case in cases[:horizon]]
-        assert batch_rng.getstate() == reference_rng.getstate()
-        # Past the horizon per-call evaluation goes on drawing; the
-        # results do not depend on it.
-        expected += [per_call(case, reference_rng) for case in cases[horizon:]]
-        assert batched == expected
-        assert batch_rng.getstate() != reference_rng.getstate()
-        counters = registry.snapshot()
-        assert counters["fastprop.closures"] > 0   # after the horizon
-        assert counters["fastprop.sweeps"] > 0     # up to it
-
-        # No case reads a draw: the RNG is not touched at all.
-        untouched = random.Random(7)
-        subprefix_only = [c for c in cases if not c.reads_draws]
-        assert evaluate_attack_seeds_array_batch(
-            topology, subprefix_only, rng=untouched,
-        ) == [per_call(case, None) for case in subprefix_only]
-        assert untouched.getstate() == random.Random(7).getstate()
+                reference = evaluate_attack_seeds(
+                    topology, victim, PFX, attack_prefix, seeds,
+                    vrp_index=vrps, validating_ases=validators,
+                    rng=rng_object, engine="object",
+                )
+                assert with_ws == fresh == reference
+                assert (
+                    rng_ws.getstate() == rng_fresh.getstate()
+                    == rng_object.getstate()
+                )
 
     def test_all_subprefix_trials_never_sweep(self, topology):
         """A sec. 4/5 grid — every cell a subprefix attack — is closures
-        throughout, with the records of the workspace-free path."""
+        throughout, with the records of the object engine."""
         spec = ExperimentSpec(
             cells=(
                 ScenarioCell("forged-origin-subprefix", MinimalRoa()),
@@ -277,10 +199,11 @@ class TestWorkspaceEquivalence:
         records = list(
             evaluate_trials(topology, spec, trials, workspace=workspace)
         )
+        reference = dataclasses.replace(spec, engine="object")
         assert records == [
             record
             for trial in trials
-            for record in evaluate_trial(topology, spec, trial)
+            for record in evaluate_trial(topology, reference, trial)
         ]
         counters = registry.snapshot()
         assert counters["fastprop.sweeps"] == 0
@@ -289,43 +212,58 @@ class TestWorkspaceEquivalence:
         )
         assert counters["fastprop.profile_hits"] > 0
 
-    def test_draw_free_profile_then_drawn_lookup(self, topology):
-        """A profile the closure made knows no tie-break counts; the
-        first lookup that has an RNG to advance sweeps once to get
-        them, and that lookup and every later one consume the object
-        engine's exact stream."""
-        stubs = sorted(topology.stub_ases())
-        victim, attacker = stubs[1], stubs[-2]
-        seeds = [Seed.forged_origin(attacker, victim)]
-        vrps = VrpIndex([Vrp(PFX, 24, victim)])
+    def test_default_kinds_grid_sweeps_only_same_prefix_cells(self, topology):
+        """The CLI's default kinds × policies grid: one ordered sweep per
+        same-prefix cell and trial, and at most three closures a trial
+        (the covering route, the attack once per RFC 6811 verdict)."""
+        cells = tuple(
+            ScenarioCell(kind, policy)
+            for kind in ("forged-origin-subprefix", "forged-origin")
+            for policy in (MinimalRoa(), MaxLengthLooseRoa())
+        )
+        spec = ExperimentSpec(
+            cells=cells, trials=4, seed=21, fractions=(0.0, 0.5, None),
+            engine="array",
+        )
+        trials = materialize_trials(spec, topology)
         registry = MetricsRegistry()
         workspace = PropagationWorkspace(topology, registry=registry)
-
-        def with_workspace(rng):
-            return evaluate_attack_seeds_array(
-                topology, victim, PFX, SUB, seeds, vrp_index=vrps,
-                rng=rng, workspace=workspace,
-            )
-
-        draw_free = with_workspace(None)
-        assert registry.snapshot()["fastprop.sweeps"] == 0
-        for sweeps_so_far in (2, 2):  # cover + attack, then replayed
-            rng, object_rng = random.Random(5), random.Random(5)
-            assert with_workspace(rng) == draw_free
-            assert draw_free == evaluate_attack_seeds(
-                topology, victim, PFX, SUB, seeds, vrp_index=vrps,
-                rng=object_rng, engine="object",
-            )
-            assert rng.getstate() == object_rng.getstate()
-            assert rng.getstate() != random.Random(5).getstate()
-            assert registry.snapshot()["fastprop.sweeps"] == sweeps_so_far
-        # No propagation is both a hit and a sweep: the two drawn
-        # lookups that found closure-made profiles count as misses.
+        for _ in evaluate_trials(topology, spec, trials, workspace=workspace):
+            pass
         counters = registry.snapshot()
-        assert counters["fastprop.profile_misses"] == (
-            counters["fastprop.closures"] + counters["fastprop.sweeps"]
-        ) == 4
-        assert counters["fastprop.profile_hits"] == 2
+        assert counters["fastprop.sweeps"] == 2 * len(trials)
+        assert 0 < counters["fastprop.closures"] <= 3 * len(trials)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_same_prefix_records_ignore_preceding_cells(
+        self, topology, engine
+    ):
+        """Cell-order independence: subprefix cells draw nothing, so a
+        same-prefix cell behind them sees the tie-break stream from its
+        start — the records it has when it is the grid's only cell."""
+        same_prefix = ScenarioCell("forged-origin", MinimalRoa())
+        alone = ExperimentSpec(
+            cells=(same_prefix,), trials=4, seed=21,
+            fractions=(0.0, 0.5, None), engine=engine,
+        )
+        behind = dataclasses.replace(alone, cells=(
+            ScenarioCell("forged-origin-subprefix", MinimalRoa()),
+            ScenarioCell("subprefix-hijack", MaxLengthLooseRoa()),
+            same_prefix,
+        ))
+
+        def same_prefix_records(spec):
+            return [
+                dataclasses.replace(record, cell_index=0)
+                for trial in materialize_trials(spec, topology)
+                for record in evaluate_trial(topology, spec, trial)
+                if record.cell == same_prefix.name
+            ]
+
+        records = same_prefix_records(alone)
+        assert len(records) == 12
+        assert same_prefix_records(behind) == records
+        assert len({record.attacker_fraction for record in records}) > 1
 
     @pytest.mark.parametrize("golden", ["hijack", "deployment"])
     def test_golden_specs_byte_identical(self, topology, golden):
