@@ -31,6 +31,7 @@ __all__ = ["ValidationState", "VrpIndex", "validate_announcement"]
 
 
 _prefix_of = attrgetter("prefix")
+_family_of = attrgetter("prefix.family")
 
 
 class ValidationState(enum.Enum):
@@ -59,15 +60,20 @@ class VrpIndex:
     """
 
     def __init__(self, vrps: Iterable[Vrp] = ()) -> None:
-        self._trees: dict[int, RadixTree[tuple[Vrp, ...]]] = {}
-        self._count = 0
-        for prefix, group in groupby(sort_vrps(set(vrps)), key=_prefix_of):
-            tree = self._trees.get(prefix.family)
-            if tree is None:
-                tree = self._trees[prefix.family] = RadixTree(prefix.family)
-            bucket = tuple(group)
-            tree.insert(prefix, bucket)
-            self._count += len(bucket)
+        table = sort_vrps(set(vrps))
+        self._count = len(table)
+        # Sorted VRPs are each family's prefixes in tree order, so every
+        # tree is built in one pass.
+        self._trees: dict[int, RadixTree[tuple[Vrp, ...]]] = {
+            family: RadixTree.from_sorted(
+                family,
+                (
+                    (prefix, tuple(bucket))
+                    for prefix, bucket in groupby(rows, key=_prefix_of)
+                ),
+            )
+            for family, rows in groupby(table, key=_family_of)
+        }
 
     def updated(
         self, announced: Iterable[Vrp], withdrawn: Iterable[Vrp]

@@ -15,7 +15,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "bounds": ("lower_bound_pdu_count", "maximally_permissive_vrps"),
     # Vrp is defined in repro.rpki.vrp; compress takes and returns it.
     "compress": (
-        "CompressionStats", "Vrp", "build_tries", "compress_trie",
+        "CompressionStats", "Vrp", "build_tries", "compress_group",
         "compress_vrps", "compress_vrps_optimal",
     ),
     "minimal": (

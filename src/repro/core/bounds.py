@@ -18,10 +18,10 @@ for subprefixes of their prefixes".
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ..netbase.prefix import Prefix
-from ..rpki.vrp import Vrp
+from ..rpki.vrp import Vrp, sort_vrps
 from .minimal import OriginPair
 
 __all__ = [
@@ -30,39 +30,41 @@ __all__ = [
 ]
 
 
+def _uncovered_pairs(announced: Iterable[OriginPair]) -> Iterator[OriginPair]:
+    """The announced pairs whose origin announces no covering prefix."""
+    groups: dict[tuple[int, int], list[Prefix]] = {}
+    for prefix, origin in announced:
+        groups.setdefault((origin, prefix.family), []).append(prefix)
+    for (origin, _family), prefixes in groups.items():
+        # Sorted order puts ancestors before descendants, and any kept
+        # prefix covering the current one must be the most recently
+        # kept (kept ranges are disjoint or nested, and the scan never
+        # leaves a range before exhausting it), so one comparison per
+        # prefix suffices.  A repeated pair is covered by its first copy.
+        last_kept: Prefix | None = None
+        for prefix in sorted(prefixes, key=_value_length):
+            if last_kept is not None and last_kept.covers(prefix):
+                continue
+            yield prefix, origin
+            last_kept = prefix
+
+
+def _value_length(prefix: Prefix) -> tuple[int, int]:
+    return prefix.value, prefix.length
+
+
 def maximally_permissive_vrps(announced: Iterable[OriginPair]) -> list[Vrp]:
     """The smallest maximally-permissive VRP set covering ``announced``.
 
     One VRP per announced (prefix, origin) pair whose origin announces
     no covering prefix, with maxLength pinned to the family width.
     """
-    # Group by origin AS; within one AS, sorting prefixes puts ancestors
-    # immediately before descendants, so a single scan per family finds
-    # covered entries.
-    by_origin: dict[int, list[Prefix]] = {}
-    for prefix, origin in announced:
-        by_origin.setdefault(origin, []).append(prefix)
-
-    output: list[Vrp] = []
-    for origin, prefixes in by_origin.items():
-        for family in (4, 6):
-            family_prefixes = sorted(
-                {p for p in prefixes if p.family == family}
-            )
-            # Sorted order puts ancestors before descendants, and any
-            # kept prefix covering the current one must be the most
-            # recently kept (kept ranges are disjoint or nested, and the
-            # scan never leaves a range before exhausting it), so one
-            # comparison per prefix suffices.
-            last_kept: Prefix | None = None
-            for prefix in family_prefixes:
-                if last_kept is not None and last_kept.covers(prefix):
-                    continue
-                output.append(Vrp(prefix, prefix.max_family_length, origin))
-                last_kept = prefix
-    return sorted(output)
+    return sort_vrps(
+        Vrp(prefix, prefix.max_family_length, origin)
+        for prefix, origin in _uncovered_pairs(announced)
+    )
 
 
 def lower_bound_pdu_count(announced: Iterable[OriginPair]) -> int:
     """Table 1's last row: PDUs under maximally-permissive ROAs."""
-    return len(maximally_permissive_vrps(announced))
+    return sum(1 for _ in _uncovered_pairs(announced))

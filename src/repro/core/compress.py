@@ -20,6 +20,14 @@ absorbs them when their maxLengths allow::
             if lChild.value <= node.value: delete lChild
             if rChild.value <= node.value: delete rChild
 
+:func:`compress_group` is that procedure without the trie.  A group is
+a dict from ``(length, network bits)`` to its tuple, which is all the
+trie was used for: "as the DFS backtracks" means *children before
+parents*, i.e. keys in descending length, and the two direct children
+of the node at ``(length, value)`` that may merge are the keys
+``(length + 1, value)`` and ``(length + 1, value | next bit)`` — two
+dict probes.  The loop body is the pseudocode line for line.
+
 Worked example (Figure 2 of the paper)::
 
     >>> from repro.netbase import Prefix
@@ -48,11 +56,11 @@ from typing import Iterable
 from ..netbase.errors import PrefixLengthError
 from ..netbase.prefix import Prefix
 from ..netbase.trie import PrefixTrie
-from ..rpki.vrp import Vrp
+from ..rpki.vrp import Vrp, sort_vrps
 
 __all__ = [
     "build_tries",
-    "compress_trie",
+    "compress_group",
     "compress_vrps",
     "compress_vrps_optimal",
     "CompressionStats",
@@ -63,7 +71,9 @@ def build_tries(vrps: Iterable[Vrp]) -> dict[tuple[int, int], PrefixTrie[int]]:
     """Group VRPs into per-(origin AS, family) tries keyed by prefix.
 
     Duplicate prefixes for the same AS keep the larger maxLength (the
-    union of what the duplicates authorize).
+    union of what the duplicates authorize).  Only the optimal
+    extension below, which needs a bit-level trie of the *expanded*
+    authorization set, works on tries; Algorithm 1 does not.
     """
     tries: dict[tuple[int, int], PrefixTrie[int]] = {}
     for vrp in vrps:
@@ -79,37 +89,33 @@ def build_tries(vrps: Iterable[Vrp]) -> dict[tuple[int, int], PrefixTrie[int]]:
     return tries
 
 
-def compress_trie(trie: PrefixTrie[int]) -> None:
-    """Run Algorithm 1 in place on one trie.
+def compress_group(group: dict[tuple[int, int], Vrp], width: int) -> None:
+    """Run Algorithm 1 in place on one (origin AS, family) group.
 
-    Iterates the trie in postorder — equivalently, "as the DFS
-    backtracks" — and applies the compression function at every valued
-    node.  Children here are the *direct children* of §7.1: the nearest
-    valued descendants.  A merge happens only when both direct children
-    sit exactly one bit below the parent; a valued node strictly deeper
-    covers only part of its half, so absorbing it would authorize
-    prefixes the input did not (the forged-origin subprefix surface the
-    whole exercise is meant to avoid).
+    ``group`` maps ``(prefix length, network bits)`` to the tuple at
+    that prefix; ``width`` is the family's address width.  Children
+    here are the *direct children* of §7.1, and a merge happens only
+    when both sit exactly one bit below the parent: a tuple strictly
+    deeper covers only part of its half, so absorbing it would
+    authorize prefixes the input did not (the forged-origin subprefix
+    surface the whole exercise is meant to avoid).
     """
-    for node in trie.postorder_nodes():
-        if not node.has_value:
+    for key in sorted(group, reverse=True):  # children before parents
+        length, value = key
+        if length == width:
+            continue  # a host prefix has no children
+        left = (length + 1, value)
+        right = (length + 1, value | 1 << (width - length - 1))
+        if left not in group or right not in group:
             continue
-        left, right = node.left, node.right
-        if (
-            left is None
-            or right is None
-            or not left.has_value
-            or not right.has_value
-        ):
-            continue
-        assert node.value is not None
-        min_child = min(left.value, right.value)  # type: ignore[type-var]
-        if min_child > node.value:
-            node.value = min_child
-        if left.value <= node.value:  # type: ignore[operator]
-            trie.unmark(left)
-        if right.value <= node.value:  # type: ignore[operator]
-            trie.unmark(right)
+        node, l_child, r_child = group[key], group[left], group[right]
+        min_child = min(l_child.max_length, r_child.max_length)
+        if min_child > node.max_length:
+            node = group[key] = Vrp(node.prefix, min_child, node.asn)
+        if l_child.max_length <= node.max_length:
+            del group[left]
+        if r_child.max_length <= node.max_length:
+            del group[right]
 
 
 def compress_vrps(vrps: Iterable[Vrp]) -> list[Vrp]:
@@ -119,27 +125,29 @@ def compress_vrps(vrps: Iterable[Vrp]) -> list[Vrp]:
     input — see ``tests/test_compress.py`` for the property-based proof
     harness — and is sorted deterministically.
 
-    Tries are built and compressed one (AS, family) group at a time, so
-    peak memory is the tuple list plus a single AS's trie — the
-    full-deployment dataset (≈777k tuples) stays comfortably within the
-    footprint the paper reports for its own tool.
+    Tuples are grouped per (origin AS, family); duplicate prefixes for
+    the same AS keep the larger maxLength (the union of what the
+    duplicates authorize).  A group of fewer than three tuples has
+    nothing to merge.
     """
-    groups: dict[tuple[int, int], list[Vrp]] = {}
+    groups: dict[tuple[int, int], dict[tuple[int, int], Vrp]] = {}
     for vrp in vrps:
-        groups.setdefault((vrp.asn, vrp.prefix.family), []).append(vrp)
+        prefix = vrp.prefix
+        group = groups.get((vrp.asn, prefix.family))
+        if group is None:
+            group = groups[(vrp.asn, prefix.family)] = {}
+        key = (prefix.length, prefix.value)
+        held = group.get(key)
+        if held is None or held.max_length < vrp.max_length:
+            group[key] = vrp
 
     output: list[Vrp] = []
-    for (asn, family), group in groups.items():
-        trie = PrefixTrie[int](family)
-        for vrp in group:
-            trie.update(
-                vrp.prefix,
-                lambda old, new=vrp.max_length: new if old is None else max(old, new),
-            )
-        compress_trie(trie)
-        for prefix, max_length in trie.items():
-            output.append(Vrp(prefix, max_length, asn))
-    return sorted(output)
+    for group in groups.values():
+        if len(group) >= 3:
+            width = next(iter(group.values())).prefix.max_family_length
+            compress_group(group, width)
+        output.extend(group.values())
+    return sort_vrps(output)
 
 
 class CompressionStats:
@@ -285,4 +293,4 @@ def compress_vrps_optimal(
     output: list[Vrp] = []
     for (asn, _family), trie in tries.items():
         output.extend(_optimal_for_trie(trie, asn, max_spread))
-    return sorted(output)
+    return sort_vrps(output)

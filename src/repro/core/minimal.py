@@ -17,15 +17,23 @@ This module implements the conversions of §6–§7:
   no new ROAs or signatures are needed.
 * :func:`additional_prefix_count` — the "13K additional prefixes"
   measurement of §6.
+
+Two indexes do the work, both radix trees built in one pass from sorted
+keys: :func:`build_origin_index` maps each announced prefix to its
+origin ASes (what the vulnerability and linting code queries), and
+:func:`to_minimal_vrps` validates each announcement whose origin holds
+a VRP against a :class:`~repro.bgp.origin_validation.VrpIndex`, the
+structure routers hold.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from ..bgp.origin_validation import ValidationState, VrpIndex
 from ..netbase.prefix import Prefix
 from ..netbase.radix import RadixTree
-from ..rpki.vrp import Vrp
+from ..rpki.vrp import Vrp, sort_vrps
 
 if TYPE_CHECKING:
     from ..rpki.roa import Roa
@@ -50,19 +58,31 @@ def build_origin_index(
     Returns one radix tree per address family mapping each announced
     prefix to the set of ASes that originate it (MOAS — multi-origin —
     prefixes do occur and must keep all origins).
+
+    Every query against the index ends in ``asn in origins`` — RFC 6811
+    *matching* needs the route's origin to equal the VRP's AS — so a
+    caller that knows which ASes it will ask about (:func:`analyze_vrps
+    <repro.core.vulnerability.analyze_vrps>`, :func:`lint_roas
+    <repro.core.recommend.lint_roas>`) indexes only their
+    announcements.  Origins are grouped per prefix first, then each
+    family's tree is built from its sorted keys in one pass.
     """
-    index: dict[int, RadixTree[set[int]]] = {}
+    origins_at: dict[Prefix, set[int]] = {}
     for prefix, origin in announced:
-        tree = index.get(prefix.family)
-        if tree is None:
-            tree = RadixTree[set[int]](prefix.family)
-            index[prefix.family] = tree
-        origins = tree.get(prefix)
-        if origins is None:
-            origins = set()
-            tree.insert(prefix, origins)
-        origins.add(origin)
-    return index
+        origins_at.setdefault(prefix, set()).add(origin)
+    # Keys sort as ints; they are distinct, so a comparison never
+    # reaches the prefix or the set.
+    by_family: dict[int, list[tuple[int, int, Prefix, set[int]]]] = {}
+    for prefix, origins in origins_at.items():
+        by_family.setdefault(prefix.family, []).append(
+            (prefix.value, prefix.length, prefix, origins)
+        )
+    return {
+        family: RadixTree.from_sorted(
+            family, (entry[2:] for entry in sorted(entries))
+        )
+        for family, entries in by_family.items()
+    }
 
 
 def to_minimal_vrps(
@@ -75,30 +95,19 @@ def to_minimal_vrps(
     Routes that were valid and announced stay valid; authorized-but-
     unannounced slack — the forged-origin subprefix hijack surface —
     disappears.
+
+    An announcement whose origin holds no VRP cannot match (RFC 6811
+    matching needs equal origins) and is skipped before any tree walk.
     """
     vrp_list = list(vrps)
-    per_family: dict[int, RadixTree[list[Vrp]]] = {}
-    for vrp in vrp_list:
-        tree = per_family.get(vrp.prefix.family)
-        if tree is None:
-            tree = RadixTree[list[Vrp]](vrp.prefix.family)
-            per_family[vrp.prefix.family] = tree
-        bucket = tree.get(vrp.prefix)
-        if bucket is None:
-            bucket = []
-            tree.insert(vrp.prefix, bucket)
-        bucket.append(vrp)
-
-    minimal: set[Vrp] = set()
-    for prefix, origin in announced:
-        tree = per_family.get(prefix.family)
-        if tree is None:
-            continue
-        for _covering_prefix, bucket in tree.covering(prefix):
-            if any(vrp.matches(prefix, origin) for vrp in bucket):
-                minimal.add(Vrp(prefix, prefix.length, origin))
-                break
-    return sorted(minimal)
+    holders = {vrp.asn for vrp in vrp_list}
+    index = VrpIndex(vrp_list)
+    return sort_vrps({
+        Vrp(prefix, prefix.length, origin)
+        for prefix, origin in announced
+        if origin in holders
+        and index.validate(prefix, origin) is ValidationState.VALID
+    })
 
 
 def minimal_roa_for(

@@ -19,7 +19,7 @@ from ..rpki.cert import ResourceCertificate
 from ..rpki.repository import Repository
 from ..rpki.scan import scan_roas
 from ..rpki.validator import ValidationRun
-from ..rpki.vrp import Vrp
+from ..rpki.vrp import Vrp, sort_vrps
 from ..serve.rtr_async import ThreadedRtrServer
 from .compress import CompressionStats, compress_vrps
 
@@ -68,7 +68,7 @@ class LocalCache:
 
     def _install(self, vrps: list[Vrp]) -> None:
         self._raw_count = len(vrps)
-        self._pdus = compress_vrps(vrps) if self.compress else sorted(vrps)
+        self._pdus = compress_vrps(vrps) if self.compress else sort_vrps(vrps)
         if self._server is not None:
             self._server.update(self._pdus)
 

@@ -246,6 +246,14 @@ def lint_roa(
 def lint_roas(
     roas: Iterable[Roa], announced: Iterable[OriginPair]
 ) -> list[RoaReview]:
-    """Review a whole RPKI's worth of ROAs against one BGP table."""
-    index = build_origin_index(announced)
-    return [lint_roa(roa, index) for roa in roas]
+    """Review a whole RPKI's worth of ROAs against one BGP table.
+
+    The table is indexed once, over the announcements of the ASes under
+    review: every finding compares a ROA with routes of its own AS.
+    """
+    roa_list = list(roas)
+    holders = {roa.asn for roa in roa_list}
+    index = build_origin_index(
+        pair for pair in announced if pair[1] in holders
+    )
+    return [lint_roa(roa, index) for roa in roa_list]

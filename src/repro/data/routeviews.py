@@ -19,6 +19,7 @@ import io
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
+from ..netbase.asnum import validate_asn
 from ..netbase.errors import PrefixError, ReproError
 from ..netbase.prefix import Prefix
 from ..bgp.announcement import Announcement
@@ -137,9 +138,10 @@ def read_origin_pairs(
                 continue
             prefix_text, _, origin_text = line.partition("|")
             try:
-                yield Prefix.parse(prefix_text), int(origin_text)
-            except (PrefixError, ValueError) as exc:
+                pair = Prefix.parse(prefix_text), validate_asn(int(origin_text))
+            except (PrefixError, ValueError) as exc:  # AsnError is a ValueError
                 raise RibFormatError(f"line {line_number}: {exc}") from exc
+            yield pair
     finally:
         if own:
             stream.close()

@@ -11,21 +11,26 @@ tree compresses single-child chains, so depth is bounded by the number of
 Values are arbitrary; one key maps to one value (use a tuple value for
 multimaps, as the origin-validation table does).
 
-One tree, two update styles.  :meth:`RadixTree.insert`,
-:meth:`~RadixTree.remove` and :meth:`~RadixTree.setdefault` change the
-tree in place (the RIB, bulk index builds).  :meth:`RadixTree.inserted`
-and :meth:`~RadixTree.removed` are *persistent*: they return a new tree
-that copies only the nodes on the path from the root to the change and
-shares every other node with the old tree, which stays exactly as it
-was.  The serve tier refreshes its VRP snapshot that way, so the work
-is proportional to the delta and a reader holding the old tree needs
-no lock.  Nodes are shared between versions, so a tree that has
-persistent relatives must never be updated in place.
+Three ways to get a tree.  :meth:`RadixTree.from_sorted` builds one
+from keys already in sorted order in a single pass — a sorted sequence
+of distinct prefixes is the tree's preorder walk, so no key descends
+from the root; the whole-table index builds (``core``, ``VrpIndex``)
+use it.  :meth:`RadixTree.insert` and :meth:`~RadixTree.remove` change
+a tree in place, one key at a time in any order (the RIB).
+:meth:`RadixTree.inserted` and :meth:`~RadixTree.removed` are
+*persistent*: they return a new tree that copies only the nodes on the
+path from the root to the change and shares every other node with the
+old tree, which stays exactly as it was.  The serve tier refreshes its
+VRP snapshot that way, so the work is proportional to the delta and a
+reader holding the old tree needs no lock.  Nodes are shared between
+versions, so a tree that has persistent relatives must never be
+updated in place.  All three build the same tree, node for node, from
+the same keys.
 """
 
 from __future__ import annotations
 
-from typing import Generic, Iterator, Optional, TypeVar
+from typing import Generic, Iterable, Iterator, Optional, TypeVar
 
 from .errors import TrieError
 from .prefix import Prefix
@@ -111,6 +116,79 @@ class RadixTree(Generic[V]):
             raise TrieError(
                 f"IPv{prefix.family} key {prefix} used with IPv{self._family} tree"
             )
+
+    # ------------------------------------------------------------------
+    # Bulk build
+    # ------------------------------------------------------------------
+
+    @classmethod
+    def from_sorted(
+        cls, family: int, items: Iterable[tuple[Prefix, V]]
+    ) -> "RadixTree[V]":
+        """The tree mapping each ``(prefix, value)`` of ``items``.
+
+        ``items`` must be in strictly ascending prefix order — ancestors
+        before descendants, which is the tree's preorder — so each key
+        hangs off the path to the key before it: keep that path on a
+        stack, pop the nodes that do not cover the new key, and glue at
+        the common prefix of the last node popped and the key.  O(n),
+        and node for node the tree that :meth:`insert` builds.
+
+        Raises:
+            TrieError: on a key out of order, repeated, or of another
+                family.
+        """
+        tree = cls(family)
+        width = Prefix(family, 0, 0).max_family_length
+        # The path from the root to the newest node, with each node's
+        # (length, value) beside it so the covering test is int-only.
+        path: list[tuple[int, int, _RadixNode[V]]] = []
+        previous = (-1, -1)
+        for prefix, value in items:
+            tree._check(prefix)
+            key_value, key_length = prefix.value, prefix.length
+            if (key_value, key_length) <= previous:
+                raise TrieError(
+                    f"{prefix} is not after the key before it: from_sorted "
+                    "needs distinct keys in ascending order"
+                )
+            previous = (key_value, key_length)
+            node = _RadixNode(prefix)
+            node.value = value
+            node.has_value = True
+            tree._size += 1
+            popped: Optional[_RadixNode[V]] = None
+            while path:
+                length, top_value, top = path[-1]
+                if length <= key_length and not (
+                    (top_value ^ key_value) >> (width - length)
+                ):
+                    break
+                popped = path.pop()[2]
+            parent = path[-1][2] if path else None
+            if popped is not None:
+                # Sorted order rules out the key covering `popped`, so
+                # the two part ways below their common prefix: `popped`
+                # to the left, the key to the right.
+                glue_prefix = _common_prefix(popped.prefix, prefix)
+                if parent is None or glue_prefix.length != parent.prefix.length:
+                    glue = _RadixNode(glue_prefix)
+                    glue.left = popped
+                    if parent is None:
+                        tree._root = glue
+                    elif parent.right is popped:
+                        parent.right = glue
+                    else:
+                        parent.left = glue
+                    path.append((glue_prefix.length, glue_prefix.value, glue))
+                    parent = glue
+                parent.right = node
+            elif parent is None:
+                tree._root = node
+            else:
+                parent.set_child(parent.branch_bit(prefix), node)
+            path.append((key_length, key_value, node))
+        return tree
 
     # ------------------------------------------------------------------
     # Insertion
@@ -319,20 +397,6 @@ class RadixTree(Generic[V]):
         if node is None or not node.has_value:
             return default
         return node.value
-
-    def setdefault(self, prefix: Prefix, default: V) -> V:
-        """The value at ``prefix``, inserting ``default`` when absent.
-
-        Bulk index builds (one bucket per prefix, many entries per
-        bucket) hit the existing-key case constantly; answering it from
-        a single exact-match walk instead of a get-then-insert pair
-        roughly halves the tree traffic.
-        """
-        node = self._lookup_exact(prefix)
-        if node is not None and node.has_value:
-            return node.value  # type: ignore[return-value]
-        self.insert(prefix, default)
-        return default
 
     def longest_match(self, prefix: Prefix) -> Optional[tuple[Prefix, V]]:
         """The most-specific stored entry covering ``prefix``."""

@@ -20,7 +20,7 @@ from .cert import ResourceCertificate
 from .repository import Repository
 from .roa import Roa
 from .validator import RelyingParty, ValidationRun
-from .vrp import Vrp
+from .vrp import Vrp, sort_vrps
 
 __all__ = ["scan_roas", "scan_roa_payloads"]
 
@@ -49,4 +49,4 @@ def scan_roa_payloads(roas: Iterable[Roa]) -> list[Vrp]:
     unique: set[Vrp] = set()
     for roa in roas:
         unique.update(roa.vrps())
-    return sorted(unique)
+    return sort_vrps(unique)

@@ -17,11 +17,11 @@ from hypothesis import strategies as st
 from repro.core import (
     CompressionStats,
     build_tries,
-    compress_trie,
+    compress_group,
     compress_vrps,
     compress_vrps_optimal,
 )
-from repro.netbase import AF_INET, Prefix, PrefixTrie
+from repro.netbase import AF_INET, AF_INET6, Prefix
 from repro.netbase.errors import PrefixLengthError
 from repro.rpki import Vrp
 
@@ -142,13 +142,30 @@ class TestAlgorithmBehaviour:
         assert set(tries) == {(1, 4), (2, 4), (1, 6)}
         assert len(tries[(1, 4)]) == 2
 
-    def test_compress_trie_in_place(self):
-        trie = PrefixTrie[int](AF_INET)
-        trie.insert(p("10.0.0.0/16"), 16)
-        trie.insert(p("10.0.0.0/17"), 17)
-        trie.insert(p("10.0.128.0/17"), 17)
-        compress_trie(trie)
-        assert dict(trie.items()) == {p("10.0.0.0/16"): 17}
+    def test_compress_group_in_place(self):
+        tuples = [
+            Vrp(p("10.0.0.0/16"), 16, 1),
+            Vrp(p("10.0.0.0/17"), 17, 1),
+            Vrp(p("10.0.128.0/17"), 17, 1),
+        ]
+        group = {(v.prefix.length, v.prefix.value): v for v in tuples}
+        compress_group(group, 32)
+        assert group == {(16, p("10.0.0.0/16").value):
+                         Vrp(p("10.0.0.0/16"), 17, 1)}
+
+    def test_host_prefixes_are_leaves_in_both_families(self):
+        vrps = [
+            Vrp(p("10.0.0.0/31"), 31, 1),
+            Vrp(p("10.0.0.0/32"), 32, 1),
+            Vrp(p("10.0.0.1/32"), 32, 1),
+            Vrp(p("2a00::/127"), 127, 1),
+            Vrp(p("2a00::/128"), 128, 1),
+            Vrp(p("2a00::1/128"), 128, 1),
+        ]
+        assert compress_vrps(vrps) == [
+            Vrp(p("10.0.0.0/31"), 32, 1),
+            Vrp(p("2a00::/127"), 128, 1),
+        ]
 
 
 class TestCompressionStats:
@@ -192,7 +209,64 @@ def _small_vrps():
     )
 
 
+def algorithm1_on_tries(vrps) -> list[Vrp]:
+    """The oracle: §7.1's pseudocode transcribed onto the one-node-per-
+    bit trie, run "as the DFS backtracks" (postorder)."""
+    output = []
+    for (asn, _family), trie in build_tries(vrps).items():
+        for node in trie.postorder_nodes():
+            left, right = node.left, node.right
+            if not (node.has_value and left is not None and right is not None
+                    and left.has_value and right.has_value):
+                continue
+            min_child_val = min(left.value, right.value)
+            if min_child_val > node.value:
+                node.value = min_child_val
+            if left.value <= node.value:
+                trie.unmark(left)
+            if right.value <= node.value:
+                trie.unmark(right)
+        output += [Vrp(prefix, value, asn) for prefix, value in trie.items()]
+    return sorted(output)
+
+
+# Strategy: tuples within four bits of the host length under two
+# addresses, so that bags hold duplicate prefixes at different
+# maxLengths, full sibling pairs, chains, and /32 and /128 leaves —
+# for two ASes and both families.
+def _nested_vrps():
+    def build(entries):
+        vrps = []
+        for family, top, low, depth, spread, asn in entries:
+            width = 32 if family == AF_INET else 128
+            length = width - depth
+            prefix = Prefix(family, (top << (width - 8)) | low, length)
+            vrps.append(Vrp(prefix, min(width, length + spread), asn))
+        return vrps
+
+    return st.builds(
+        build,
+        st.lists(
+            st.tuples(
+                st.sampled_from([AF_INET, AF_INET6]),
+                st.sampled_from([10, 11]),
+                st.integers(min_value=0, max_value=15),
+                st.integers(min_value=0, max_value=4),
+                st.integers(min_value=0, max_value=3),
+                st.sampled_from([1, 2]),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+
+
 class TestProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(_nested_vrps(), _small_vrps()))
+    def test_sweep_equals_the_trie_transcription(self, vrps):
+        assert compress_vrps(vrps) == algorithm1_on_tries(vrps)
+
     @settings(max_examples=120, deadline=None)
     @given(_small_vrps())
     def test_compression_is_lossless(self, vrps):

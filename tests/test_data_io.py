@@ -82,6 +82,12 @@ class TestOriginPairsFormat:
         with pytest.raises(RibFormatError):
             list(read_origin_pairs(io.StringIO("10.0.0.0/16|x\n")))
 
+    @pytest.mark.parametrize("origin", ["-5", "99999999999", ""])
+    def test_origin_outside_32_bits_is_rejected_with_its_line(self, origin):
+        text = f"# prefix|origin_as\n10.0.0.0/8|1\n10.0.0.0/8|{origin}\n"
+        with pytest.raises(RibFormatError, match="line 3"):
+            list(read_origin_pairs(io.StringIO(text)))
+
 
 class TestVrpCsv:
     def test_round_trip_memory(self):

@@ -212,6 +212,88 @@ def shape(tree: RadixTree) -> list:
     return out
 
 
+class TestFromSorted:
+    def test_builds_the_tree_insert_builds(self):
+        keys = [p("10.0.0.0/8"), p("10.0.0.0/24"), p("10.0.1.0/24"),
+                p("192.168.0.0/16")]
+        bulk = RadixTree.from_sorted(AF_INET, [(k, str(k)) for k in keys])
+        one_by_one = RadixTree[str](AF_INET)
+        for key in reversed(keys):
+            one_by_one.insert(key, str(key))
+        assert shape(bulk) == shape(one_by_one)
+        assert len(bulk) == 4
+        assert [k for k, _ in bulk.covering(p("10.0.1.7/32"))] == [
+            p("10.0.0.0/8"), p("10.0.1.0/24")]
+
+    def test_empty_and_single(self):
+        assert len(RadixTree.from_sorted(AF_INET6, [])) == 0
+        tree = RadixTree.from_sorted(AF_INET6, [(p("::/0"), 0)])
+        assert list(tree.items()) == [(p("::/0"), 0)]
+
+    @pytest.mark.parametrize("keys", [
+        ["10.1.0.0/16", "10.0.0.0/16"],           # descending address
+        ["10.0.0.0/16", "10.0.0.0/8"],            # child before parent
+        ["10.0.0.0/8", "10.0.0.0/8"],             # repeated
+        ["10.0.0.0/8", "11.0.0.0/8", "10.5.0.0/16"],  # late straggler
+    ])
+    def test_unsorted_or_repeated_keys_are_rejected(self, keys):
+        with pytest.raises(TrieError):
+            RadixTree.from_sorted(AF_INET, [(p(k), 0) for k in keys])
+
+    def test_wrong_family_is_rejected(self):
+        with pytest.raises(TrieError):
+            RadixTree.from_sorted(AF_INET, [(p("2a00::/12"), 0)])
+
+    @staticmethod
+    def key_sets(family):
+        """Distinct keys that nest and branch: a few addresses differing
+        in high and low bits, cut at lengths from /0 to the host length."""
+        width = 32 if family == AF_INET else 128
+        addresses = st.builds(
+            lambda high, low: (high << (width - 8)) | low,
+            st.sampled_from([0, 10, 11, 128, 255]),
+            st.integers(min_value=0, max_value=7),
+        )
+        lengths = st.sampled_from(
+            [0, 1, 7, 8, 9, 16, width - 3, width - 2, width - 1, width])
+        return st.sets(
+            st.builds(lambda value, length: Prefix(family, value, length),
+                      addresses, lengths),
+            max_size=40,
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([AF_INET, AF_INET6]), st.data())
+    def test_equals_inserts_in_any_order(self, family, data):
+        keys = data.draw(self.key_sets(family))
+        shuffled = data.draw(st.permutations(sorted(keys)))
+        bulk = RadixTree.from_sorted(
+            family, [(key, str(key)) for key in sorted(keys)])
+        one_by_one = RadixTree[str](family)
+        for key in shuffled:
+            one_by_one.insert(key, str(key))
+        assert shape(bulk) == shape(one_by_one)
+        assert len(bulk) == len(one_by_one) == len(keys)
+        assert list(bulk.items()) == [(key, str(key)) for key in sorted(keys)]
+        width = 32 if family == AF_INET else 128
+        for probe in list(keys) + [Prefix(family, 10 << (width - 8), width)]:
+            assert list(bulk.covering(probe)) == list(
+                one_by_one.covering(probe))
+            assert list(bulk.covered(probe)) == list(
+                one_by_one.covered(probe))
+
+        # Persistent updates still copy the path and leave it alone.
+        before = shape(bulk)
+        extra = Prefix(family, 11 << (width - 8), 9)
+        grown = bulk.inserted(extra, "extra")
+        shrunk = bulk.removed(shuffled[0]) if shuffled else bulk
+        assert shape(bulk) == before
+        assert grown.get(extra) == "extra"
+        rest = sorted(keys - set(shuffled[:1]))
+        assert shape(shrunk) == shape(RadixTree.from_sorted(
+            family, [(key, str(key)) for key in rest]))
+
+
 class TestPersistentUpdates:
     def test_inserted_leaves_the_old_tree_alone(self):
         old = RadixTree[int](AF_INET)
