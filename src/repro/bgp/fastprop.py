@@ -193,6 +193,14 @@ class _State:
         self.counts = counts
 
 
+def _remember(cache: dict, key: tuple, value: object) -> None:
+    """Store into a per-epoch workspace cache, evicting its oldest
+    entry at :data:`_PROFILE_CAP` (dict order is insertion order)."""
+    if key not in cache and len(cache) >= _PROFILE_CAP:
+        del cache[next(iter(cache))]
+    cache[key] = value
+
+
 def _compiled_of(
     topology: Union[AsTopology, CompiledTopology]
 ) -> CompiledTopology:
@@ -261,11 +269,13 @@ class PropagationWorkspace:
         )
         self._lanes: list[_Lane] = []
         self._profiles: dict[tuple, frozenset[int]] = {}
+        self._judged: dict[tuple, int] = {}
         self._validators_token: object = self  # sentinel: no epoch yet
         self._validators: Optional[frozenset[int]] = None
         self._mask: Optional[bytearray] = None
         self._universal_mask: Optional[bytearray] = None
         self._has_customers: Optional[frozenset[int]] = None
+        self._transit_rows: dict[int, tuple[int, ...]] = {}
 
     def lane(self, index: int = 0) -> _Lane:
         while len(self._lanes) <= index:
@@ -277,14 +287,16 @@ class PropagationWorkspace:
 
         Epochs are tracked by object identity — a trial passes the
         same ``validating_ases`` object to every cell — so the check
-        is O(1).  A new epoch drops the cached mask and the profile
-        cache, whose invalid-seed entries depend on the mask.
+        is O(1).  A new epoch drops the cached mask, the profile cache,
+        whose invalid-seed entries depend on the mask, and the judge
+        memo, whose entries are counted off those profiles.
         """
         if validating_ases is not self._validators_token:
             self._validators_token = validating_ases
             self._validators = None
             self._mask = None
             self._profiles.clear()
+            self._judged.clear()
             self.metrics.epochs.inc()
 
     def validators(self) -> Optional[frozenset[int]]:
@@ -297,10 +309,12 @@ class PropagationWorkspace:
         if validating_ases is None:
             return None
         if self._validators is None:
-            index_of = self.compiled.index_of
-            self._validators = frozenset(
-                index_of[asn] for asn in validating_ases if asn in index_of
+            validators = frozenset(
+                map(self.compiled.index_of.get, validating_ases)
             )
+            if None in validators:  # an ASN outside the topology
+                validators -= {None}
+            self._validators = validators
             if self._mask is None:  # one build per epoch, in either form
                 self.metrics.mask_builds.inc()
         return self._validators
@@ -323,16 +337,30 @@ class PropagationWorkspace:
         return self._mask
 
     def has_customers(self) -> frozenset[int]:
-        """ASes with at least one customer — the only ones a downward
-        closure step has to expand (most of an AS graph is stubs).
-        Built on the first closure, so a workspace that only ever
-        sweeps never pays for it."""
+        """ASes with at least one customer — the transit core, the
+        only ASes a downward closure has to walk (most of an AS graph
+        is stubs).  Built on the first closure, :meth:`transit_rows`
+        with it, so a workspace that only ever sweeps never pays for
+        either."""
         if self._has_customers is None:
-            self._has_customers = frozenset(
-                i for i, row in enumerate(self.compiled.customer_rows)
-                if row
+            customer_rows = self.compiled.customer_rows
+            core = frozenset(
+                i for i, row in enumerate(customer_rows) if row
             )
+            for i in sorted(core):
+                inner = tuple(j for j in customer_rows[i] if j in core)
+                if inner:
+                    self._transit_rows[i] = inner
+            self._has_customers = core
         return self._has_customers
+
+    def transit_rows(self) -> dict[int, tuple[int, ...]]:
+        """``customer_rows`` restricted to the core: each AS's
+        customers that themselves have customers.  Sparse — an AS all
+        of whose customers are stubs, like a stub itself, has no
+        entry: 511 rows for 10 000 generated ASes."""
+        self.has_customers()
+        return self._transit_rows
 
     def profile(self, key: tuple) -> Optional[frozenset[int]]:
         """The adopted set cached under ``key`` in this epoch, if any."""
@@ -349,10 +377,29 @@ class PropagationWorkspace:
         return None
 
     def store_profile(self, key: tuple, profile: frozenset[int]) -> None:
-        profiles = self._profiles
-        if key not in profiles and len(profiles) >= _PROFILE_CAP:
-            del profiles[next(iter(profiles))]
-        profiles[key] = profile
+        _remember(self._profiles, key, profile)
+
+    def judged(
+        self,
+        cover_key: tuple, cover: frozenset[int],
+        attack_key: tuple, attack: frozenset[int],
+    ) -> int:
+        """``len(cover - attack)``, differenced once per pair of
+        profile keys and epoch.
+
+        Keyed by what the two sets *are* — their profile keys, which
+        with the epoch determine them — never by ``id()``: an epoch
+        lasts as long as callers pass one validator-set object, the
+        profile cache evicts inside a long one, and a recycled address
+        would answer for a set that is gone.  Bounded like the
+        profiles.
+        """
+        pair = (cover_key, attack_key)
+        count = self._judged.get(pair)
+        if count is None:
+            count = len(cover - attack)
+            _remember(self._judged, pair, count)
+        return count
 
 
 def _check_seeds(
@@ -726,6 +773,14 @@ def _closure(
     over customer edges — never entering the seed's blocked set (its
     initial path; the validating ASes too when the seed is
     RFC 6811-invalid).  Each step is one C-level union of CSR rows.
+
+    The down phase is where the graph is (every stub hangs off it), so
+    it walks only the transit core: the reached ASes that have
+    customers, closed over :meth:`~PropagationWorkspace.transit_rows`
+    — sets of at most core size — and then every core member's whole
+    customer row in one union, the blocked set taken out once.  A
+    blocked core AS is never walked, so its cone is cut; it is still
+    struck when another core member lists it as a customer.
     """
     compiled = workspace.compiled
     _check_seeds(compiled, (seed,))
@@ -750,14 +805,18 @@ def _closure(
     reached |= (
         set().union(*map(compiled.peer_rows.__getitem__, reached)) - blocked
     )
-    has_customers = workspace.has_customers()
-    rows = compiled.customer_rows.__getitem__
-    frontier = reached & has_customers
+    core = reached & workspace.has_customers()
+    transit = workspace.transit_rows()
+    rows = transit.__getitem__
+    frontier = core & transit.keys()
     while frontier:
-        frontier = set().union(*map(rows, frontier)) - reached
+        frontier = set().union(*map(rows, frontier)) - core
         frontier -= blocked
-        reached |= frontier
-        frontier &= has_customers
+        core |= frontier
+        frontier &= transit.keys()
+    reached.update(*map(compiled.customer_rows.__getitem__, core))
+    reached -= blocked
+    reached.add(origin)  # on its own path, so blocked — and adopted
     return frozenset(reached)
 
 
@@ -766,13 +825,18 @@ def _single_seed_outcome(
     prefix: Prefix,
     seed: Seed,
     vrp_index: Optional[VrpIndex],
-) -> frozenset[int]:
-    """The adopted index set of a single-seed propagation: the
-    :func:`_closure`, computed once per (seed, RFC 6811 verdict) and
-    validator epoch."""
+) -> tuple[tuple, frozenset[int]]:
+    """The profile key and adopted index set of a single-seed
+    propagation: the :func:`_closure`, computed once per (seed,
+    RFC 6811 verdict) and validator epoch.  Where nobody validates, a
+    verdict changes nothing, and an invalid seed shares the valid
+    seed's profile."""
     invalid = vrp_index is not None and (
         vrp_index.validate(prefix, seed.path[-1]) is ValidationState.INVALID
     )
+    if invalid:
+        validators = workspace.validators()
+        invalid = validators is None or len(validators) > 0
     key = (seed.asn, seed.path, invalid)
     adopted = workspace.profile(key)
     if adopted is None:
@@ -782,7 +846,7 @@ def _single_seed_outcome(
             metrics.closures.inc()
             metrics.touched_ases.inc(len(adopted))
         workspace.store_profile(key, adopted)
-    return adopted
+    return key, adopted
 
 
 def evaluate_attack_seeds_array(
@@ -832,12 +896,17 @@ def evaluate_attack_seeds_array(
     is_subprefix = attack_prefix != victim_prefix
 
     if is_subprefix:
-        cover = _single_seed_outcome(
+        cover_key, cover = _single_seed_outcome(
             workspace, victim_prefix, victim_seed, vrp_index
         )
+        # Longest-prefix match: an attack-prefix route wins wherever
+        # one was adopted; the covering route serves the rest.
         if len(attacker_seeds) == 1:
-            attack = _single_seed_outcome(
+            attack_key, attack = _single_seed_outcome(
                 workspace, attack_prefix, attacker_seeds[0], vrp_index
+            )
+            victim_count = workspace.judged(
+                cover_key, cover, attack_key, attack
             )
         else:
             with _lane_propagation(
@@ -845,11 +914,9 @@ def evaluate_attack_seeds_array(
                 vrp_index, rng,
             ) as attack_state:
                 attack = frozenset(attack_state.touched)
+            victim_count = len(cover - attack)
         filtered = not attack
-        # Longest-prefix match: an attack-prefix route wins wherever
-        # one was adopted; the covering route serves the rest.
         attacker_count = len(attack)
-        victim_count = len(cover - attack)
         for i in cast:
             if i in attack:
                 attacker_count -= 1

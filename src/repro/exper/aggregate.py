@@ -21,6 +21,7 @@ import hashlib
 import random
 import statistics
 from dataclasses import dataclass
+from math import floor
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..netbase.errors import ReproError
@@ -87,12 +88,25 @@ def _bootstrap_ci(
     resamples: int,
     confidence: float,
 ) -> tuple[float, float]:
-    """Percentile bootstrap CI for the mean of ``values``."""
+    """Percentile bootstrap CI for the mean of ``values``.
+
+    Every resample of a constant sample is that sample, so its interval
+    is its mean, twice, with nothing drawn — ``rng`` belongs to this
+    one cell, so no later draw shifts.  Otherwise a resample is
+    ``rng.choices(values, k=n)`` written out (``choices`` with equal
+    weights is ``values[floor(random() * n)]``, ``k`` times), summed in
+    the order drawn: same bounds, same draws.
+    """
     n = len(values)
-    if n == 1:
-        return values[0], values[0]
+    if values.count(values[0]) == n:
+        mean = sum(values) / n
+        return mean, mean
+    uniform = rng.random
+    span = n + 0.0
+    draws = range(n)
     means = sorted(
-        sum(rng.choices(values, k=n)) / n for _ in range(resamples)
+        sum([values[floor(uniform() * span)] for _ in draws]) / n
+        for _ in range(resamples)
     )
     tail = (1.0 - confidence) / 2.0
     low_index = min(int(tail * resamples), resamples - 1)

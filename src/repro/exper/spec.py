@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -470,6 +471,85 @@ def _sampler_from_json(data: Union[str, dict]) -> VictimAttackerSampler:
 # ----------------------------------------------------------------------
 
 
+def _sample_pools(n: int, count: int) -> bool:
+    """Does ``random.sample`` of ``count`` out of ``n`` copy the
+    population and swap picks out of it (rather than track picked
+    indices in a set)?  CPython's own size rule, transcribed."""
+    setsize = 21
+    if count > 5:
+        setsize += 4 ** math.ceil(math.log(count * 3, 4))
+    return 0 <= count <= n <= setsize
+
+
+def _pool_sample(
+    rng: random.Random, population: tuple[int, ...], count: int
+) -> list[int]:
+    """``random.sample``'s pool branch over ``rng.getrandbits``: the
+    draws, their order and the picks of ``rng.sample(population,
+    count)`` wherever :func:`_sample_pools` holds."""
+    getrandbits = rng.getrandbits
+    pool = list(population)
+    picks = [0] * count
+    remaining = len(pool)
+    bits = remaining.bit_length()
+    low = (1 << bits) >> 1  # the smallest int that is ``bits`` long
+    for slot in range(count):
+        j = getrandbits(bits)
+        while j >= remaining:
+            j = getrandbits(bits)
+        remaining -= 1
+        picks[slot] = pool[j]
+        pool[j] = pool[remaining]  # move a non-picked item into the gap
+        if remaining < low:
+            bits -= 1
+            low >>= 1
+    return picks
+
+
+def _fast_sample_ok() -> bool:
+    """Can we inline ``Random.sample``?
+
+    Drawing a trial's validators is up to one ``_randbelow`` call per
+    AS, three Python frames each.  This probe verifies once at import —
+    as :data:`repro.bgp.fastprop._FAST_RANDBELOW` does for ``choice`` —
+    that :func:`_pool_sample` returns ``rng.sample``'s list and leaves
+    its state, up to the very population size at which ``sample``
+    switches branch; :func:`_draw_validators` calls ``rng.sample`` if
+    it ever fails.
+    """
+    reference, inlined = random.Random(7), random.Random(7)
+    for n, count in ((1, 1), (5, 0), (21, 1), (21, 21), (33, 32),
+                     (85, 6), (277, 22), (64, 64)):
+        population = tuple(range(n))
+        if (
+            _pool_sample(inlined, population, count)
+            != reference.sample(population, count)
+            or reference.getstate() != inlined.getstate()
+        ):
+            return False
+    return True
+
+
+_FAST_SAMPLE = _fast_sample_ok()
+
+
+def _draw_validators(
+    rng: random.Random, population: tuple[int, ...], count: int
+) -> frozenset[int]:
+    """``frozenset(rng.sample(population, count))``, consuming exactly
+    its random stream.  Inlined for a plain :class:`random.Random`
+    where ``sample`` would take its pool branch (any fraction of a few
+    percent or more); anything else — a subclass, a small sample of a
+    large population, a failed import probe — is ``rng.sample``."""
+    if (
+        _FAST_SAMPLE
+        and type(rng) is random.Random
+        and _sample_pools(len(population), count)
+    ):
+        return frozenset(_pool_sample(rng, population, count))
+    return frozenset(rng.sample(population, count))
+
+
 def iter_trials(
     spec: ExperimentSpec,
     topology: AsTopology,
@@ -521,7 +601,7 @@ def iter_trials(
             validators: Optional[frozenset[int]] = None
             if fraction is not None:
                 count = round(fraction * len(all_pool))
-                validators = frozenset(rng.sample(all_pool, count))
+                validators = _draw_validators(rng, all_pool, count)
             trial_bits = (
                 rng.getrandbits(64) if spec.needs_trial_bits else 0
             )

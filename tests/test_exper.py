@@ -561,3 +561,160 @@ class TestEvaluateTrial:
         # the *scenario* is what matters, not of the luck.
         assert solo[0].cell == paired[1].cell
         assert solo[0].victim == paired[1].victim
+
+
+def _reference_bootstrap_ci(values, rng, resamples, confidence):
+    """``_bootstrap_ci`` as it read before ``rng.choices`` was inlined."""
+    n = len(values)
+    if n == 1:
+        return values[0], values[0]
+    means = sorted(
+        sum(rng.choices(values, k=n)) / n for _ in range(resamples)
+    )
+    tail = (1.0 - confidence) / 2.0
+    low_index = min(int(tail * resamples), resamples - 1)
+    high_index = max(int((1.0 - tail) * resamples) - 1, 0)
+    return means[low_index], means[high_index]
+
+
+class _CountingRandom(random.Random):
+    """A subclass: the draws must go through its own ``sample``."""
+
+    calls = 0
+
+    def sample(self, population, k, **kwargs):
+        type(self).calls += 1
+        return super().sample(population, k, **kwargs)
+
+
+class TestInlinedStdlibDraws:
+    """The two stdlib calls written out in the trial loop, against the
+    one-line originals: same values, same random stream."""
+
+    @pytest.mark.parametrize("values", [
+        (0.25, 0.5),
+        (0.0, 1.0, 0.0, 0.0, 1.0),
+        tuple(i / 97 for i in range(25)),
+        [0.1] * 24 + [0.30000000000000004],
+        tuple(map(random.Random(3).uniform, [0.0] * 64, [1.0] * 64)),
+    ], ids=["pair", "binary", "ramp", "one-off", "uniform"])
+    @pytest.mark.parametrize("resamples,confidence", [
+        (1, 0.95), (50, 0.95), (250, 0.9), (1000, 0.99),
+    ])
+    def test_bootstrap_equals_rng_choices(self, values, resamples, confidence):
+        from repro.exper.aggregate import _bootstrap_ci
+
+        inlined, reference = random.Random(11), random.Random(11)
+        assert _bootstrap_ci(
+            values, inlined, resamples, confidence
+        ) == _reference_bootstrap_ci(values, reference, resamples, confidence)
+        assert inlined.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize("values", [
+        (0.0,), (1.0,), (0.1,) * 3, (0.1,) * 25, [1 / 3] * 7, (0.7,) * 64,
+    ])
+    def test_constant_sample_draws_nothing(self, values):
+        from repro.exper.aggregate import _bootstrap_ci
+
+        rng = random.Random(5)
+        before = rng.getstate()
+        assert _bootstrap_ci(values, rng, 200, 0.95) == (
+            _reference_bootstrap_ci(values, random.Random(5), 200, 0.95)
+        )
+        assert rng.getstate() == before
+
+    def test_prefix_ci_width_unchanged(self):
+        from repro.exper.aggregate import _stop_seed, prefix_ci_width
+
+        rng = random.Random(9)
+        values = [rng.random() for _ in range(40)]
+        for prefix in (1, 2, 8, 40):
+            head = values[:prefix]
+            low, high = _reference_bootstrap_ci(
+                head, random.Random(_stop_seed(5, 1, 2, prefix)), 250, 0.95
+            )
+            assert prefix_ci_width(head, 5, 1, 2) == high - low
+        assert prefix_ci_width([0.3] * 16, 5, 0, 0) == 0.0
+
+    #: Population sizes on both sides of ``random.sample``'s switch from
+    #: a swapped pool to a set of picked indices, for small and large k.
+    SIZES = (1, 7, 21, 22, 85, 86, 277, 278, 1000, 5000)
+
+    @staticmethod
+    def _counts(n):
+        return sorted({0, 1, 5, 6, n // 2, n - 1, n} & set(range(n + 1)))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_validator_draw_equals_rng_sample(self, n):
+        from repro.exper.spec import _draw_validators
+
+        population = tuple(range(100, 100 + 3 * n, 3))
+        for count in self._counts(n):
+            inlined, reference = random.Random(n + count), random.Random(n + count)
+            drawn = _draw_validators(inlined, population, count)
+            expected = frozenset(reference.sample(population, count))
+            assert drawn == expected and isinstance(drawn, frozenset)
+            # Same picks in the same order, not merely the same set: a
+            # set's iteration order can depend on insertion order.
+            assert list(drawn) == list(expected)
+            assert inlined.getstate() == reference.getstate()
+
+    def test_validator_draw_inlines_where_sample_pools(self, monkeypatch):
+        from repro.exper import spec as spec_module
+
+        assert spec_module._FAST_SAMPLE  # CPython 3.11 / 3.12
+        # The inlined branch really runs (else the tests above compare
+        # rng.sample with itself): no call reaches rng.sample ...
+        monkeypatch.setattr(
+            random.Random, "sample",
+            lambda *a, **k: pytest.fail("rng.sample called"),
+        )
+        population = tuple(range(10_000))
+        for count in (2_500, 5_000, 10_000):
+            assert len(
+                spec_module._draw_validators(
+                    random.Random(1), population, count
+                )
+            ) == count
+
+    @pytest.mark.parametrize("n", (21, 64, 278, 1000))
+    def test_validator_draw_falls_back(self, n, monkeypatch):
+        from repro.exper import spec as spec_module
+
+        population = tuple(range(n))
+        # ... a Random subclass keeps its own sample() ...
+        for count in self._counts(n):
+            _CountingRandom.calls = 0
+            inlined, reference = _CountingRandom(n), random.Random(n)
+            assert spec_module._draw_validators(
+                inlined, population, count
+            ) == frozenset(reference.sample(population, count))
+            assert _CountingRandom.calls == 1
+            assert inlined.getstate() == reference.getstate()
+        # ... and so does everything when the import probe failed.
+        monkeypatch.setattr(spec_module, "_FAST_SAMPLE", False)
+        monkeypatch.setattr(
+            spec_module, "_pool_sample",
+            lambda *a: pytest.fail("inlined draw used"),
+        )
+        for count in self._counts(n):
+            inlined, reference = random.Random(n), random.Random(n)
+            assert spec_module._draw_validators(
+                inlined, population, count
+            ) == frozenset(reference.sample(population, count))
+            assert inlined.getstate() == reference.getstate()
+
+    def test_trials_are_those_of_rng_sample(self, engine_topology, monkeypatch):
+        from repro.exper import spec as spec_module
+
+        spec = two_cell_spec(trials=3, fractions=(0.0, 0.05, 0.5, 1.0, None))
+        drawn = materialize_trials(spec, engine_topology)
+        monkeypatch.setattr(spec_module, "_FAST_SAMPLE", False)
+        assert drawn == materialize_trials(spec, engine_topology)
+        stream = two_cell_spec(
+            trials=3, fractions=(0.5, 1.0), seeding="stream"
+        )
+        monkeypatch.setattr(spec_module, "_FAST_SAMPLE", True)
+        drawn = materialize_trials(stream, engine_topology)
+        monkeypatch.setattr(spec_module, "_FAST_SAMPLE", False)
+        assert drawn == materialize_trials(stream, engine_topology)

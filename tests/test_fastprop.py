@@ -8,6 +8,7 @@ specs whose numbers are pinned in ``tests/test_exper.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 import random
 
@@ -33,7 +34,16 @@ from repro.bgp.fastprop import (
 )
 from repro.data import read_caida_compiled, write_caida
 from repro.data.asgraph import TopologyProfile, generate_topology
-from repro.exper import ExperimentRunner, ExperimentSpec
+from repro.exper import (
+    ExperimentRunner,
+    ExperimentSpec,
+    MaxLengthLooseRoa,
+    MinimalRoa,
+    NoRoa,
+    ScenarioCell,
+    evaluate_trial,
+    materialize_trials,
+)
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
 from repro.obs import MetricsRegistry
@@ -286,8 +296,6 @@ class TestExperimentEngineField:
         """The acceptance criterion: on the PR 2 golden specs, the
         array engine's aggregated ExperimentResult equals the object
         engine's exactly — bootstrap CIs and all."""
-        import dataclasses
-
         from repro.analysis.deployment import deployment_sweep_spec
         from repro.analysis.hijack_eval import hijack_study_spec
 
@@ -399,7 +407,7 @@ class TestSingleSeedClosure:
         registry = MetricsRegistry()
         workspace = PropagationWorkspace(compiled, registry=registry)
         workspace.begin(validators)
-        closure = _single_seed_outcome(workspace, PFX, seed, vrps)
+        _key, closure = _single_seed_outcome(workspace, PFX, seed, vrps)
         counters = registry.snapshot()
         assert counters["fastprop.closures"] == 1
         assert counters["fastprop.sweeps"] == 0
@@ -414,3 +422,176 @@ class TestSingleSeedClosure:
             assert closure == {
                 i for i in range(len(compiled)) if state.adopted[i]
             }
+
+
+def _transit_world():
+    """A graph whose interesting ASes are *not* stubs — what an
+    ``AnyAsPairSampler`` draws and the stub-heavy grids never reach.
+
+    ::
+
+        1 ===== 2            tier 1, peering        70 ~~~ 10 (peer only)
+        |  \\   |
+        10  20  30           transit; 20 is a customer of 1, 10 and 30
+        |   | \\  |
+        11  21 22 31         21 hangs off 20 alone, 22 off 20 and 30
+    """
+    return AsTopology.from_edges([
+        (1, 2, "p2p"), (70, 10, "p2p"),
+        (10, 1, "c2p"), (20, 1, "c2p"), (30, 2, "c2p"),
+        (20, 10, "c2p"), (20, 30, "c2p"),
+        (11, 10, "c2p"), (21, 20, "c2p"),
+        (22, 20, "c2p"), (22, 30, "c2p"), (31, 30, "c2p"),
+    ])
+
+
+class TestClosureOffTheStubs:
+    """The closure against the object engine where the cast is transit
+    ASes: the forged path names an AS with customers, the origin has
+    nothing but a peer."""
+
+    def _adopters(self, world, workspace, seed, vrps, validators):
+        workspace.begin(validators)
+        _key, closure = _single_seed_outcome(workspace, SUB, seed, vrps)
+        by_object = propagate_prefix(
+            world, SUB, [seed], vrp_index=vrps, validating_ases=validators,
+        )
+        asns = world.compiled().asns
+        assert {asns[i] for i in closure} == set(by_object)
+        return set(by_object)
+
+    def test_blocked_transit_as_cuts_its_cone_and_is_struck(self):
+        world = _transit_world()
+        workspace = PropagationWorkspace(world)
+        # 11 forges a path through transit AS 20.  Core members 1, 10
+        # and 30 all list 20 as a customer, so the one union over their
+        # rows takes 20 in and the blocked set must strike it; 21 is
+        # reachable through 20 only and is cut with it; 22 is served
+        # by 30 instead.
+        adopters = self._adopters(
+            world, workspace, Seed.forged_origin(11, 20), None, None
+        )
+        assert adopters == {11, 10, 70, 1, 2, 30, 31, 22}
+        # The same attack, RFC 6811-invalid, with transit AS 30
+        # validating: 30's cone goes too, and 22 with it.
+        adopters = self._adopters(
+            world, workspace, Seed.forged_origin(11, 20),
+            VrpIndex([Vrp(PFX, 16, 20)]), frozenset({30}),
+        )
+        assert adopters == {11, 10, 70, 1, 2}
+
+    def test_peer_only_origin(self):
+        world = _transit_world()
+        workspace = PropagationWorkspace(world)
+        # 70's route crosses its one peering and can only descend.
+        adopters = self._adopters(
+            world, workspace, Seed.origin(70), None, None
+        )
+        assert adopters == {70, 10, 11, 20, 21, 22}
+        # And 70 is offered only what 10 holds as a customer route.
+        adopters = self._adopters(
+            world, workspace, Seed.origin(31), None, None
+        )
+        assert 70 not in adopters and 10 in adopters
+        assert 70 in self._adopters(
+            world, workspace, Seed.origin(21), None, None
+        )
+
+    @pytest.mark.parametrize("victim,attacker", [
+        (20, 11), (20, 70), (70, 20), (30, 10), (10, 22), (1, 21),
+    ])
+    def test_fractions_match_the_object_engine(self, victim, attacker):
+        world = _transit_world()
+        workspace = PropagationWorkspace(world)
+        for seed in (
+            Seed.forged_origin(attacker, victim), Seed.origin(attacker)
+        ):
+            for vrps in (None, VrpIndex([Vrp(PFX, 16, victim)]),
+                         VrpIndex([Vrp(PFX, 24, victim)])):
+                for validators in (None, frozenset(), frozenset({1, 30}),
+                                   frozenset({10, 20, 2})):
+                    args = (world, victim, PFX, SUB, [seed])
+                    kwargs = dict(vrp_index=vrps, validating_ases=validators)
+                    assert evaluate_attack_seeds(
+                        *args, **kwargs, engine="array", workspace=workspace,
+                    ) == evaluate_attack_seeds(
+                        *args, **kwargs, engine="object",
+                    )
+
+    def test_invalid_seed_where_nobody_validates_is_the_valid_seed(self):
+        world = _transit_world()
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(world, registry=registry)
+        workspace.begin(frozenset())
+        seed = Seed.forged_origin(11, 20)
+        valid_key, valid = _single_seed_outcome(
+            workspace, SUB, seed, VrpIndex([Vrp(PFX, 24, 20)])
+        )
+        invalid_key, invalid = _single_seed_outcome(
+            workspace, SUB, seed, VrpIndex([Vrp(PFX, 16, 20)])
+        )
+        assert invalid_key == valid_key and invalid is valid
+        counters = registry.snapshot()
+        assert counters["fastprop.closures"] == 1
+        assert counters["fastprop.profile_misses"] == 1
+        assert counters["fastprop.profile_hits"] == 1
+        # Validators named but none of them in the graph: still nobody.
+        workspace.begin(frozenset({_OUTSIDE}))
+        keys = {
+            _single_seed_outcome(workspace, SUB, seed, vrps)[0]
+            for vrps in (VrpIndex([Vrp(PFX, 24, 20)]),
+                         VrpIndex([Vrp(PFX, 16, 20)]))
+        }
+        assert len(keys) == 1
+        # Universal validation is not an empty validator set.
+        workspace.begin(None)
+        assert _single_seed_outcome(
+            workspace, SUB, seed, VrpIndex([Vrp(PFX, 16, 20)])
+        )[1] == frozenset()
+
+
+class TestJudgeMemo:
+    def test_long_epoch_with_evictions_matches_fresh_workspaces(
+        self, topology
+    ):
+        """Trials that share one validator-set object share an epoch
+        (every fraction-0 trial does wherever the empty frozenset is a
+        singleton), and the profile cache (cap 32) evicts inside it.  A
+        judge memo keyed on the sets' identities answered for sets that
+        were gone; keyed on the profile keys it cannot."""
+        spec = ExperimentSpec(
+            cells=(
+                ScenarioCell("forged-origin-subprefix", MinimalRoa()),
+                ScenarioCell("forged-origin-subprefix", MaxLengthLooseRoa()),
+                ScenarioCell("forged-origin-subprefix", NoRoa()),
+                ScenarioCell("subprefix-hijack", MinimalRoa()),
+            ),
+            trials=120,
+            seed=24,
+            fractions=(0.0,),
+            engine="array",
+        )
+        nobody = frozenset()
+        trials = [
+            dataclasses.replace(trial, validating_ases=nobody)
+            for trial in materialize_trials(spec, topology)
+        ]
+        assert len({(t.victim, t.attackers) for t in trials}) >= 100
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(topology, registry=registry)
+        shared = [
+            evaluate_trial(topology, spec, trial, workspace=workspace)
+            for trial in trials
+        ]
+        assert registry.snapshot()["fastprop.epochs"] == 1
+        assert len(workspace._judged) <= 32 and len(workspace._profiles) <= 32
+        assert shared == [
+            evaluate_trial(topology, spec, trial) for trial in trials
+        ]
+        for records in shared:
+            for record in records:
+                assert (
+                    record.attacker_fraction + record.victim_fraction
+                    + record.disconnected_fraction
+                ) == pytest.approx(1.0)
+                assert 0.0 <= record.victim_fraction <= 1.0
