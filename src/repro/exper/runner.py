@@ -38,7 +38,7 @@ pre-stopping engine byte for byte.
 from __future__ import annotations
 
 import os
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from ..bgp.topology import AsTopology
 from ..netbase.errors import ReproError
@@ -335,6 +335,10 @@ class ExperimentRunner:
         #: ``run()`` behave as expected).
         self.registry = registry
         self.last_shared_segment: Optional[str] = None
+        #: Per-fraction trial counts of the last record stream drained
+        #: to its end — what early stopping decided, else
+        #: ``spec.trials`` everywhere — as handed to ``sink.finish``.
+        self.last_trial_counts: Optional[tuple[int, ...]] = None
         self._header: Optional[RunHeader] = None
 
     # ------------------------------------------------------------------
@@ -493,12 +497,13 @@ class ExperimentRunner:
                 for released in tracker.observe(record):
                     yield emit(released)
             tracker.flush_check()
+        self.last_trial_counts = (
+            tracker.final_counts()
+            if tracker is not None
+            else (self.spec.trials,) * len(self.spec.fractions)
+        )
         if sink is not None:
-            sink.finish(
-                tracker.final_counts()
-                if tracker is not None
-                else (self.spec.trials,) * len(self.spec.fractions)
-            )
+            sink.finish(self.last_trial_counts)
 
     def _iter_sharded(
         self, finished: frozenset, tracker: Optional[_StopTracker]
@@ -548,19 +553,11 @@ class ExperimentRunner:
         ``on_record`` observes each record as it streams in (progress
         reporting); it must not mutate the record.
         """
-        metrics = self._metrics()
-        tracker = self._make_tracker(metrics)
-
         def records() -> Iterator[TrialRecord]:
-            for record in self._records(tracker, metrics):
+            for record in self.iter_records():
                 if on_record is not None:
                     on_record(record)
                 yield record
-
-        def expected() -> Sequence[int]:
-            if tracker is not None:
-                return tracker.final_counts()
-            return (self.spec.trials,) * len(self.spec.fractions)
 
         with trace.span(
             "exper.run",
@@ -573,5 +570,5 @@ class ExperimentRunner:
                 records(),
                 bootstrap_resamples=bootstrap_resamples,
                 confidence=confidence,
-                expected_trials=expected,
+                expected_trials=lambda: self.last_trial_counts,
             )

@@ -13,8 +13,8 @@ on restart the scheduler just re-scans the queue and executes every
 job whose folded status is still ``queued`` or ``running``.
 
 Live visibility rides along without touching the run's bytes: records
-are mirrored into a :class:`~repro.results.live.RunRegistry` through
-the runner's ``on_record`` hook (never a
+are mirrored into a :class:`~repro.results.live.RunRegistry` as the
+scheduler drains the runner's record stream (never through a
 :class:`~repro.results.sinks.TeeSink`, which would re-write replayed
 records into the file), and sharded jobs publish per-shard progress
 via ``shard_progress``.  ``jobs.*`` metrics and the
@@ -243,12 +243,10 @@ class JobScheduler:
                 registry.update_shards(run_id, shards)
 
         job_id = state.job
-
-        def on_record(record) -> None:
-            if publisher is not None:
-                publisher.write(record)
-            if self._cancelled(job_id):
-                raise _JobCancelled(f"job {job_id} cancelled")
+        # A job's product is its run file; confidence intervals are
+        # computed from that file on demand, so the stream is drained
+        # without aggregating it.
+        streamed = [0] * len(spec.spec.fractions)
 
         # THE invariant-8 recipe: one JsonlSink object as both sink
         # and resume source (opening it recovers a crash-cut file to
@@ -268,11 +266,23 @@ class JobScheduler:
             shard_progress=shard_progress,
         )
         try:
-            result = runner.run(on_record=on_record)
+            for record in runner.iter_records():
+                if publisher is not None:
+                    publisher.write(record)
+                if self._cancelled(job_id):
+                    raise _JobCancelled(f"job {job_id} cancelled")
+                streamed[record.fraction_index] += 1
         finally:
             sink.close()
+        counts = runner.last_trial_counts
+        cells = len(spec.spec.cells)
+        if streamed != [count * cells for count in counts]:
+            raise ReproError(
+                f"job {job_id}: run {run_id} streamed {streamed} records "
+                f"per fraction, not trials {counts} x {cells} cells"
+            )
         if publisher is not None:
-            publisher.finish(result.trial_counts)
+            publisher.finish(counts)
 
     # ------------------------------------------------------------------
     # Background mode

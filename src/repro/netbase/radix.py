@@ -26,6 +26,11 @@ reader holding the old tree needs no lock.  Nodes are shared between
 versions, so a tree that has persistent relatives must never be
 updated in place.  All three build the same tree, node for node, from
 the same keys.
+
+The walks that refreshes run (:meth:`~RadixTree.get` / ``in``,
+:meth:`~RadixTree.inserted`, :meth:`~RadixTree.removed`) compare the
+key with each node as ints, one XOR and shift per level, reading
+:class:`Prefix`'s slots directly rather than calling its methods.
 """
 
 from __future__ import annotations
@@ -43,12 +48,19 @@ V = TypeVar("V")
 class _RadixNode(Generic[V]):
     __slots__ = ("prefix", "value", "has_value", "left", "right")
 
-    def __init__(self, prefix: Prefix) -> None:
+    def __init__(
+        self,
+        prefix: Prefix,
+        value: Optional[V] = None,
+        has_value: bool = False,
+        left: Optional["_RadixNode[V]"] = None,
+        right: Optional["_RadixNode[V]"] = None,
+    ) -> None:
         self.prefix = prefix
-        self.value: Optional[V] = None
-        self.has_value = False
-        self.left: Optional[_RadixNode[V]] = None
-        self.right: Optional[_RadixNode[V]] = None
+        self.value = value
+        self.has_value = has_value
+        self.left = left
+        self.right = right
 
     def branch_bit(self, key: Prefix) -> int:
         """The first bit of ``key`` after this node's length (0 or 1)."""
@@ -68,13 +80,11 @@ class _RadixNode(Generic[V]):
         self, bit: int, node: Optional["_RadixNode[V]"]
     ) -> "_RadixNode[V]":
         """A copy of this node whose ``bit`` child is ``node``."""
-        clone = _RadixNode(self.prefix)
-        clone.value = self.value
-        clone.has_value = self.has_value
-        clone.left = self.left
-        clone.right = self.right
-        clone.set_child(bit, node)
-        return clone
+        if bit:
+            return _RadixNode(self.prefix, self.value, self.has_value,
+                              self.left, node)
+        return _RadixNode(self.prefix, self.value, self.has_value,
+                          node, self.right)
 
 
 def _common_prefix(a: Prefix, b: Prefix) -> Prefix:
@@ -153,9 +163,7 @@ class RadixTree(Generic[V]):
                     "needs distinct keys in ascending order"
                 )
             previous = (key_value, key_length)
-            node = _RadixNode(prefix)
-            node.value = value
-            node.has_value = True
+            node = _RadixNode(prefix, value, True)
             tree._size += 1
             popped: Optional[_RadixNode[V]] = None
             while path:
@@ -300,24 +308,28 @@ class RadixTree(Generic[V]):
         path from the root to ``prefix``.
         """
         self._check(prefix)
-        new_node = _RadixNode(prefix)
-        new_node.value = value
-        new_node.has_value = True
+        new_node = _RadixNode(prefix, value, True)
         subtree = new_node
         size = self._size + 1
         path: list[tuple[_RadixNode[V], int]] = []
+        width = prefix.max_family_length
+        key_value, key_length = prefix._value, prefix._length
         node = self._root
         while node is not None:
-            if node.prefix == prefix:
-                new_node.left = node.left
-                new_node.right = node.right
-                if node.has_value:
-                    size -= 1
-                break
-            if node.prefix.covers(prefix):
-                bit = node.branch_bit(prefix)
+            node_prefix = node.prefix
+            length = node_prefix._length
+            if length <= key_length and not (
+                (node_prefix._value ^ key_value) >> (width - length)
+            ):
+                if length == key_length:
+                    new_node.left = node.left
+                    new_node.right = node.right
+                    if node.has_value:
+                        size -= 1
+                    break
+                bit = (key_value >> (width - length - 1)) & 1
                 path.append((node, bit))
-                node = node.child(bit)
+                node = node.right if bit else node.left
                 continue
             # Diverged: same split as `insert`, on fresh nodes only.
             glue_prefix = _common_prefix(node.prefix, prefix)
@@ -340,25 +352,32 @@ class RadixTree(Generic[V]):
         """
         self._check(prefix)
         path: list[tuple[_RadixNode[V], int]] = []
+        width = prefix.max_family_length
+        key_value, key_length = prefix._value, prefix._length
         node = self._root
-        while node is not None and node.prefix != prefix:
-            if not node.prefix.covers(prefix):
+        while node is not None:
+            node_prefix = node.prefix
+            length = node_prefix._length
+            if length > key_length or (
+                (node_prefix._value ^ key_value) >> (width - length)
+            ):
                 return self
-            bit = node.branch_bit(prefix)
+            if length == key_length:
+                break
+            bit = (key_value >> (width - length - 1)) & 1
             path.append((node, bit))
-            node = node.child(bit)
+            node = node.right if bit else node.left
         if node is None or not node.has_value:
             return self
         subtree: Optional[_RadixNode[V]]
         if node.left is not None and node.right is not None:
-            subtree = _RadixNode(node.prefix)
-            subtree.left = node.left
-            subtree.right = node.right
+            subtree = _RadixNode(node.prefix, None, False,
+                                 node.left, node.right)
         else:
             subtree = node.left if node.left is not None else node.right
             if subtree is None and path and not path[-1][0].has_value:
                 glue, bit = path.pop()
-                subtree = glue.child(1 - bit)
+                subtree = glue.left if bit else glue.right
         return self._derived(path, subtree, self._size - 1)
 
     def _derived(
@@ -382,13 +401,22 @@ class RadixTree(Generic[V]):
 
     def _lookup_exact(self, prefix: Prefix) -> Optional[_RadixNode[V]]:
         self._check(prefix)
+        width = prefix.max_family_length
+        key_value, key_length = prefix._value, prefix._length
         node = self._root
         while node is not None:
-            if node.prefix == prefix:
-                return node
-            if not node.prefix.covers(prefix) or node.prefix.length >= prefix.length:
+            node_prefix = node.prefix
+            length = node_prefix._length
+            if length > key_length or (
+                (node_prefix._value ^ key_value) >> (width - length)
+            ):
                 return None
-            node = node.child(node.branch_bit(prefix))
+            if length == key_length:
+                return node
+            if (key_value >> (width - length - 1)) & 1:
+                node = node.right
+            else:
+                node = node.left
         return None
 
     def get(self, prefix: Prefix, default: Optional[V] = None) -> Optional[V]:

@@ -21,9 +21,22 @@ from ..netbase.prefix import Prefix
 __all__ = ["Vrp", "parse_vrp", "sort_vrps"]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Vrp:
+class _HashSlot:
+    """The slot :meth:`Vrp.__hash__` caches into.  A base class rather
+    than a field, so ``dataclasses.fields``/``astuple``, ``repr``,
+    ``replace`` and the pickled state see the three fields only."""
+
+    __slots__ = ("_hash",)
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Vrp(_HashSlot):
     """One validated (prefix, maxLength, origin AS) authorization.
+
+    Equality, hashing and ordering are those of the tuple
+    ``(prefix, max_length, asn)`` — :meth:`sort_key` order — written
+    out over ints: a serve-tier refresh hashes and sorts the whole
+    table, so each is paid once per VRP per refresh.
 
     Attributes:
         prefix: the authorized IP prefix.
@@ -100,6 +113,64 @@ class Vrp:
         prefix = self.prefix
         return (prefix.family, prefix.value, prefix.length,
                 self.max_length, self.asn)
+
+    # ------------------------------------------------------------------
+    # Identity: the tuple semantics, on ints.  These read Prefix's
+    # slots directly; a property call per field would cost more than
+    # the comparison itself.
+    # ------------------------------------------------------------------
+
+    def __hash__(self) -> int:
+        # Computed once, then kept.  The value must stay that of the
+        # tuple: it fixes the iteration order of every set and dict of
+        # VRPs, and with it every output built by iterating one.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.prefix, self.max_length, self.asn))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Vrp:
+            return NotImplemented
+        a, b = self.prefix, other.prefix  # type: ignore[attr-defined]
+        return (
+            self.asn == other.asn  # type: ignore[attr-defined]
+            and self.max_length == other.max_length  # type: ignore[attr-defined]
+            and a._value == b._value
+            and a._length == b._length
+            and a._family == b._family
+        )
+
+    def __lt__(self, other: "Vrp") -> bool:
+        if other.__class__ is not Vrp:
+            return NotImplemented
+        a, b = self.prefix, other.prefix
+        if a._family != b._family:
+            return a._family < b._family
+        if a._value != b._value:
+            return a._value < b._value
+        if a._length != b._length:
+            return a._length < b._length
+        if self.max_length != other.max_length:
+            return self.max_length < other.max_length
+        return self.asn < other.asn
+
+    def __gt__(self, other: "Vrp") -> bool:
+        if other.__class__ is not Vrp:
+            return NotImplemented
+        return Vrp.__lt__(other, self)
+
+    def __le__(self, other: "Vrp") -> bool:
+        if other.__class__ is not Vrp:
+            return NotImplemented
+        return not Vrp.__lt__(other, self)
+
+    def __ge__(self, other: "Vrp") -> bool:
+        if other.__class__ is not Vrp:
+            return NotImplemented
+        return not Vrp.__lt__(self, other)
 
     def __str__(self) -> str:
         if self.uses_max_length:

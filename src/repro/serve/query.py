@@ -37,10 +37,11 @@ REASON_NOT_FOUND = "not-found"
 
 #: :meth:`QueryService.reload` applies the VRP delta to the index it
 #: holds while the delta is at most this share of the incoming table,
-#: and builds a fresh index beyond it.  Measured at 10.5k VRPs, a
-#: changed VRP costs ~40 us to path-copy and a fresh build ~12 us per
-#: VRP held, so the two meet near 0.3 of the table.
-_REBUILD_FRACTION = 0.25
+#: and builds a fresh index beyond it.  Measured at 10.5k VRPs (scale
+#: 0.25, min of 9, 2-core x86-64, CPython 3.11), a changed VRP costs
+#: ~8.5 us to path-copy and a fresh build ~4.9 us per VRP held, so the
+#: two meet near 0.58 of the table; below 0.5 the delta path wins.
+_REBUILD_FRACTION = 0.5
 
 
 @dataclass(frozen=True)

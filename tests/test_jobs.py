@@ -452,6 +452,24 @@ class TestSchedulerLifecycle:
         assert state.status == "failed"
         assert state.detail  # the incompatibility is recorded
 
+    def test_a_short_record_stream_fails_the_job(self, tmp_path,
+                                                 monkeypatch):
+        """The scheduler drains the stream without aggregating it, so
+        its record count against trials x cells is what catches a
+        stream that ends early."""
+        drained = ExperimentRunner.iter_records
+
+        def one_short(runner):
+            return iter(list(drained(runner))[:-1])
+
+        monkeypatch.setattr(ExperimentRunner, "iter_records", one_short)
+        scheduler = JobScheduler(JobStore(tmp_path))
+        job_id = scheduler.submit(job_spec())
+        scheduler.run_pending()
+        state = scheduler.store.job(job_id)
+        assert state.status == "failed"
+        assert "streamed [8, 7] records per fraction" in state.detail
+
 
 # ----------------------------------------------------------------------
 # Metrics
@@ -545,6 +563,15 @@ class TestShardProgress:
             entry["records"] == 0
             for entry in shards.values() if entry["state"] == "skipped"
         )
+        # The published counts are the ones stopping decided: the run
+        # file's records per fraction over its two cells.
+        _, records = scheduler.results.read(state.spec.run)
+        per_fraction = [0, 0]
+        for record in records:
+            per_fraction[record.fraction_index] += 1
+        counts = runs.snapshot(state.spec.run)["trial_counts"]
+        assert counts == [n // 2 for n in per_fraction]
+        assert max(counts) < 24
         direct = direct_run_bytes(
             job_spec(spec=small_spec(**stopping)),
             tmp_path / "direct.jsonl",

@@ -378,33 +378,165 @@ class TestPersistentUpdates:
     @given(operations, st.integers(min_value=0, max_value=2**32 - 1))
     def test_any_interleaving_equals_a_rebuild_and_keeps_every_version(
             self, operations, probe_value):
-        tree = RadixTree[int](AF_INET)
-        in_place = RadixTree[int](AF_INET)
-        model: dict[Prefix, int] = {}
-        versions = [(tree, [])]
-        for step, (insert, value, length) in enumerate(operations):
-            prefix = Prefix(AF_INET, value, length)
-            if insert:
-                tree = tree.inserted(prefix, step)
-                in_place.insert(prefix, step)
-                model[prefix] = step
-            else:
-                tree = tree.removed(prefix)
-                assert in_place.remove(prefix) == (prefix in model)
-                model.pop(prefix, None)
-            versions.append((tree, sorted(model.items())))
-
-        rebuilt = RadixTree[int](AF_INET)
-        for prefix in sorted(model):
-            rebuilt.insert(prefix, model[prefix])
-        assert shape(tree) == shape(rebuilt)
-        assert shape(in_place) == shape(rebuilt)
-        assert len(tree) == len(in_place) == len(model)
+        steps = [(insert, Prefix(AF_INET, value, length))
+                 for insert, value, length in operations]
         probes = [Prefix(AF_INET, probe_value, 32)] + [
             Prefix(AF_INET, value | 1, 32) for _, value, _ in operations]
+        apply_and_check(AF_INET, {}, steps, probes)
+
+    @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
+    @pytest.mark.parametrize("share", [0.01, 0.05, 0.10, 0.25])
+    def test_table_deltas_equal_a_rebuild_and_keep_every_version(
+            self, family, share):
+        """The serve tier's case: a 500-key table, then a delta of
+        1–25 % of it — withdrawals, new keys, overwrites — applied by
+        path copying from a bulk-built tree."""
+        rng = random.Random(f"{family}-{share}")
+        width = 32 if family == AF_INET else 128
+        keys = nested_keys(rng, family, 500)
+        base = {key: -index for index, key in enumerate(sorted(keys))}
+        present = sorted(base)
+        steps = []
+        for _ in range(round(share * len(base))):
+            kind = rng.randrange(3)
+            if kind == 0:
+                steps.append((False, rng.choice(present)))
+            elif kind == 1:
+                steps.append((True, rng.choice(present)))
+            else:
+                steps.append((True, nested_keys(rng, family, 1).pop()))
+        probes = [Prefix(family, rng.getrandbits(width), width)
+                  for _ in range(20)] + [key for _, key in steps]
+        apply_and_check(family, base, steps, probes)
+
+
+def nested_keys(rng: random.Random, family: int, count: int) -> set:
+    """Distinct keys that nest and share long prefixes, as VRP prefixes
+    do: a few hundred subnets of a handful of blocks, at every depth
+    down to the host length."""
+    width = 32 if family == AF_INET else 128
+    blocks = [rng.getrandbits(width) for _ in range(6)]
+    keys: set = set()
+    while len(keys) < count:
+        length = rng.choice([0, 1, 8, 12, 16, 20, 22, 24, 28,
+                             width - 1, width])
+        low = rng.getrandbits(max(0, width - 16))
+        value = (rng.choice(blocks) >> (width - 16) << (width - 16)) | low
+        keys.add(Prefix(family, value, length))
+    return keys
+
+
+def apply_and_check(family, base, steps, probes) -> None:
+    """Apply ``steps`` (insert?, key) to ``base`` persistently (from a
+    bulk build) and in place; the result must be, node for node, the
+    bulk build of the final keys, and every version made on the way
+    must still be exactly the tree it was when it was made."""
+    start = RadixTree.from_sorted(family, sorted(base.items()))
+    in_place = RadixTree.from_sorted(family, sorted(base.items()))
+    tree = start
+    model = dict(base)
+    versions = [(tree, shape(tree), sorted(model.items()))]
+    for step, (insert, prefix) in enumerate(steps):
+        if insert:
+            tree = tree.inserted(prefix, step)
+            in_place.insert(prefix, step)
+            model[prefix] = step
+        else:
+            tree = tree.removed(prefix)
+            assert in_place.remove(prefix) == (prefix in model)
+            model.pop(prefix, None)
+        versions.append((tree, shape(tree), sorted(model.items())))
+
+    rebuilt = RadixTree.from_sorted(family, sorted(model.items()))
+    assert shape(tree) == shape(rebuilt)
+    assert shape(in_place) == shape(rebuilt)
+    assert len(tree) == len(in_place) == len(model)
+    for probe in probes:
+        assert list(tree.covering(probe)) == list(rebuilt.covering(probe))
+        assert tree.longest_match(probe) == rebuilt.longest_match(probe)
+        assert tree.get(probe, "absent") == model.get(probe, "absent")
+    for version, nodes, items in versions:
+        assert shape(version) == nodes
+        assert list(version.items()) == items
+        assert len(version) == len(items)
+
+
+class TestIntWalkEdges:
+    """The exact-match, insert and remove walks compare ints per level;
+    these are the keys where a shift or a bound can go wrong."""
+
+    @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
+    def test_default_route_and_host_keys(self, family):
+        width = 32 if family == AF_INET else 128
+        root = Prefix(family, 0, 0)
+        lowest = Prefix(family, 0, width)
+        highest = Prefix(family, (1 << width) - 1, width)
+        for keys in ([root], [root, lowest], [root, lowest, highest],
+                     [lowest, highest], [lowest], [highest]):
+            tree = RadixTree.from_sorted(family, [(k, str(k)) for k in keys])
+            for key in (root, lowest, highest):
+                assert tree.get(key) == (str(key) if key in keys else None)
+                assert (key in tree) == (key in keys)
+                grown = tree.inserted(key, "new")
+                assert shape(grown) == shape(RadixTree.from_sorted(
+                    family,
+                    sorted({**{k: str(k) for k in keys}, key: "new"}.items()),
+                ))
+                shrunk = tree.removed(key)
+                if key not in keys:
+                    assert shrunk is tree
+                assert shape(shrunk) == shape(RadixTree.from_sorted(
+                    family, [(k, str(k)) for k in keys if k != key]))
+
+    @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
+    def test_a_stored_root_with_two_subtrees(self, family):
+        width = 32 if family == AF_INET else 128
+        root = Prefix(family, 0, 0)
+        left = Prefix(family, 0, 1)
+        right = Prefix(family, 1 << (width - 1), 1)
+        leaf = Prefix(family, 3 << (width - 2), width)
+        keys = [root, left, right, leaf]
+        tree = RadixTree.from_sorted(family, [(k, 0) for k in keys])
+        assert tree._root.prefix == root and tree._root.has_value
+        without = tree.removed(root)
+        # The root stays as valueless glue over both halves, shared.
+        assert without._root.prefix == root
+        assert not without._root.has_value
+        assert without._root.left is tree._root.left
+        assert without._root.right is tree._root.right
+        assert root not in without and root in tree
+        assert shape(without.inserted(root, 0)) == shape(tree)
+
+    @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
+    def test_absent_keys_diverging_at_every_depth(self, family):
+        """A chain of stored keys down one address; every probe that
+        leaves it at some depth, and every key below its leaf, is
+        absent — for get, ``in``, ``removed`` and ``inserted``."""
+        width = 32 if family == AF_INET else 128
+        address = int("10" * (width // 2), 2)
+        lengths = [0, 1, width // 4, width // 2, width - 8, width - 1, width]
+        chain = [Prefix(family, address, n) for n in lengths]
+        stored = {key: key.length for key in chain}
+        tree = RadixTree.from_sorted(family, sorted(stored.items()))
+        probes = []
+        for depth in range(width):
+            flipped = address ^ (1 << (width - depth - 1))
+            probes += [Prefix(family, flipped, length)
+                       for length in (depth + 1, width)]
+        leafless = chain[:-1]  # without the host key, a /width-1 leaf
+        short = RadixTree.from_sorted(
+            family, sorted((key, key.length) for key in leafless))
+        below_leaf = [Prefix(family, address ^ 1, width),
+                      Prefix(family, address, width)]
         for probe in probes:
-            assert list(tree.covering(probe)) == list(rebuilt.covering(probe))
-            assert tree.longest_match(probe) == rebuilt.longest_match(probe)
-        for version, items in versions:
-            assert list(version.items()) == items
-            assert len(version) == len(items)
+            assert probe not in stored
+            assert tree.get(probe, "absent") == "absent"
+            assert probe not in tree
+            assert tree.removed(probe) is tree
+            grown = tree.inserted(probe, -1)
+            assert grown.get(probe) == -1 and len(grown) == len(tree) + 1
+        for probe in below_leaf:
+            assert short.get(probe) is None and probe not in short
+            assert short.removed(probe) is short
+        for key, value in stored.items():
+            assert tree.get(key) == value and key in tree

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.bgp import ValidationState
 from repro.core import LocalCache
 from repro.data import TopologyProfile, generate_topology
-from repro.netbase import Prefix
+from repro.netbase import Prefix, radix
 from repro.netbase.errors import ReproError
 from repro.rpki import Vrp
 from repro.rtr import RtrClient
@@ -44,6 +44,7 @@ from repro.serve import (
     ThreadedRtrServer,
     ThreadedShardWorkerServer,
 )
+from repro.serve.query import _REBUILD_FRACTION
 
 
 def p(text: str) -> Prefix:
@@ -369,8 +370,34 @@ class TestQueryServiceReload:
         assert service._index._trees[6] is before._trees[6]
         assert service._index._trees[4] is not before._trees[4]
         before = service._index
-        service.reload(UNIVERSE[:len(UNIVERSE) // 2] + IPV6)
+        service.reload(UNIVERSE[:len(UNIVERSE) // 4] + IPV6)
         assert service._index._trees[6] is not before._trees[6]
+
+    @pytest.mark.parametrize("beyond, path", [(0, "delta"), (1, "rebuild")])
+    def test_either_side_of_the_rebuild_fraction_answers_alike(
+            self, beyond, path):
+        """The largest delta the index takes by path copying, and one
+        VRP more, which builds a fresh index: the same /validity JSON
+        as a service started on the new table, either way."""
+        base = [Vrp(Prefix(4, (10 << 24) | (i << 12), 20), 24, 100 + i)
+                for i in range(32)] + IPV6
+        pool = [Vrp(Prefix(4, (10 << 24) | (i << 10), 22), 22, 7)
+                for i in range(3 * len(base))]
+        fits = max(count for count in range(len(pool))
+                   if count <= _REBUILD_FRACTION * (len(base) + count))
+        table = base + pool[:fits + beyond]
+        service = QueryService(base)
+        before = service._index
+        service.reload(table)
+        shared = service._index._trees[6] is before._trees[6]
+        assert shared == (path == "delta")
+        probes = [(asn, vrp.prefix) for vrp in table for asn in (7, 100)]
+        probes += [(7, Prefix(4, (10 << 24) | (5 << 10), 26)),
+                   (7, p("11.0.0.0/8")), (7, p("2001:db8:1:2::/64"))]
+        fresh = QueryService(table)
+        for asn, prefix in probes:
+            assert (json.dumps(service.validity(asn, prefix).to_json())
+                    == json.dumps(fresh.validity(asn, prefix).to_json()))
 
     def test_batch_in_flight_stays_on_the_snapshot_it_started_with(self):
         old_table = UNIVERSE[:-1]
@@ -400,6 +427,81 @@ class TestQueryServiceReload:
         assert [list(snapshot.covering(prefix))
                 for _, prefix in PROBES] == before
         assert len(snapshot) == len(UNIVERSE)
+
+
+def ten_thousand_vrps() -> list:
+    """A 10 k-VRP table of both families, fixed by its seed."""
+    rng = random.Random(10)
+    vrps: set = set()
+    while len(vrps) < 10_000:
+        family, width = (4, 32) if rng.random() < 0.85 else (6, 128)
+        length = rng.randint(12, 24) if family == 4 else rng.randint(24, 48)
+        vrps.add(Vrp(Prefix(family, rng.getrandbits(width), length),
+                     min(width, length + rng.choice((0, 0, 1, 8))),
+                     rng.randrange(1, 65_000)))
+    return sorted(vrps)
+
+
+def tree_depth(tree) -> int:
+    """Nodes on the longest root-to-leaf path, glue included."""
+    deepest, stack = 0, [(tree._root, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if node is not None:
+            deepest = max(deepest, depth)
+            stack += [(node.left, depth + 1), (node.right, depth + 1)]
+    return deepest
+
+
+class TestRefreshCostsTheDelta:
+    """Counted, not timed: a reload that changes k VRPs of a 10 k table
+    hashes k new VRPs and allocates O(k x depth) radix nodes, whatever
+    the table size.  Both counts come from wrapping the hash and the
+    node constructor here, in the test."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return ten_thousand_vrps()
+
+    @pytest.mark.parametrize("k", [1, 10, 100])
+    def test_reload_work_is_proportional_to_the_delta(
+            self, table, k, monkeypatch):
+        service = QueryService(table)
+        depth = max(tree_depth(tree)
+                    for tree in service._index._trees.values())
+        rng = random.Random(k)
+        replaced = set(rng.sample(range(len(table)), k))
+        new_table = [vrp for i, vrp in enumerate(table) if i not in replaced]
+        new_table += [Vrp(table[i].prefix, table[i].max_length,
+                          4_200_000_000 + i) for i in sorted(replaced)]
+
+        misses, nodes = [], []
+        vrp_hash, node_init = Vrp.__hash__, radix._RadixNode.__init__
+
+        def counting_hash(vrp):
+            try:
+                vrp._hash
+            except AttributeError:
+                misses.append(vrp)
+            return vrp_hash(vrp)
+
+        def counting_init(node, *args):
+            nodes.append(node)
+            node_init(node, *args)
+
+        monkeypatch.setattr(Vrp, "__hash__", counting_hash)
+        monkeypatch.setattr(radix._RadixNode, "__init__", counting_init)
+        service.reload(new_table)
+        monkeypatch.undo()
+
+        assert len(misses) <= k
+        assert len(nodes) <= k * (depth + 2)
+        fresh = QueryService(new_table)
+        for i in sorted(replaced):
+            prefix = table[i].prefix
+            for asn in (table[i].asn, 4_200_000_000 + i):
+                assert (service.validity(asn, prefix).to_json()
+                        == fresh.validity(asn, prefix).to_json())
 
 
 # ----------------------------------------------------------------------
