@@ -98,9 +98,7 @@ def granularity_spec(trials: int, seed: int) -> ExperimentSpec:
         ScenarioCell("forged-origin-subprefix", policy)
         for policy in policies
     ) + (ScenarioCell("subprefix-hijack", MinimalRoa()),)
-    return ExperimentSpec(
-        cells=cells, trials=trials, seed=seed, engine="array"
-    )
+    return ExperimentSpec(cells=cells, trials=trials, seed=seed)
 
 
 def run_engine(topology, spec, executor, workers, shards=None):

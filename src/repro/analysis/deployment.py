@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..bgp.attacks import DEFAULT_ENGINE
 from ..bgp.topology import AsTopology
 from ..exper.runner import ExperimentRunner
 from ..exper.scenarios import MaxLengthLooseRoa, MinimalRoa, ScenarioCell
@@ -71,7 +70,6 @@ def deployment_sweep_spec(
     samples: int = 20,
     seed: int = 0,
     victim_prefix: Prefix = Prefix.parse("168.122.0.0/16"),
-    engine: str = DEFAULT_ENGINE,
 ) -> ExperimentSpec:
     """The sweep as a declarative spec: three cells × the fraction axis."""
     return ExperimentSpec(
@@ -85,7 +83,6 @@ def deployment_sweep_spec(
         fractions=tuple(fractions),
         victim_prefix=victim_prefix,
         seeding="stream",
-        engine=engine,
     )
 
 
@@ -98,17 +95,15 @@ def run_deployment_sweep(
     victim_prefix: Prefix = Prefix.parse("168.122.0.0/16"),
     executor: str = "serial",
     workers: Optional[int] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> DeploymentSweep:
     """Sweep validation deployment against the three attack variants.
 
     Validating ASes are sampled uniformly per trial; each (victim,
-    attacker) pair is a stub pair, as in the hijack study.  ``engine``
-    selects the propagation backend (``"object"`` is the reference).
+    attacker) pair is a stub pair, as in the hijack study.
     """
     spec = deployment_sweep_spec(
         fractions=fractions, samples=samples, seed=seed,
-        victim_prefix=victim_prefix, engine=engine,
+        victim_prefix=victim_prefix,
     )
     result = ExperimentRunner(
         topology, spec, executor=executor, workers=workers

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..bgp.attacks import DEFAULT_ENGINE
 from ..bgp.topology import AsTopology
 from ..exper.runner import ExperimentRunner
 from ..exper.scenarios import (
@@ -86,7 +85,6 @@ def hijack_study_spec(
     samples: int = 50,
     seed: int = 0,
     victim_prefix: Prefix = Prefix.parse("168.122.0.0/16"),
-    engine: str = DEFAULT_ENGINE,
 ) -> ExperimentSpec:
     """The study as a declarative spec: the four historical cells.
 
@@ -95,8 +93,7 @@ def hijack_study_spec(
     cells, which read no tie-break.  The same-prefix cell draws its
     tie-breaks from the start of the trial's stream (the lone
     announcements before it no longer draw), so its number is a
-    different sample of the same distribution than the loop's; both
-    engines give the same one, being bit-identical.
+    different sample of the same distribution than the loop's.
     """
     return ExperimentSpec(
         cells=(
@@ -109,7 +106,6 @@ def hijack_study_spec(
         seed=seed,
         victim_prefix=victim_prefix,
         seeding="stream",
-        engine=engine,
     )
 
 
@@ -121,7 +117,6 @@ def run_hijack_study(
     victim_prefix: Prefix = Prefix.parse("168.122.0.0/16"),
     executor: str = "serial",
     workers: Optional[int] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> HijackStudyResult:
     """Sample attacks between random stub pairs and average capture.
 
@@ -129,15 +124,13 @@ def run_hijack_study(
     topology's stub ASes (hijacks are typically launched from and
     against the edge), gives the victim a /16 with either a minimal
     ROA ``(p, len(p))`` or a non-minimal ``(p, maxLength 24)``, and
-    measures each attack variant's capture fraction.  ``engine``
-    selects the propagation backend (``"object"`` is the reference).
+    measures each attack variant's capture fraction.
     """
     if len(topology.stub_ases()) < 2:
         raise ValueError("topology has too few stub ASes for a study")
 
     spec = hijack_study_spec(
-        samples=samples, seed=seed, victim_prefix=victim_prefix,
-        engine=engine,
+        samples=samples, seed=seed, victim_prefix=victim_prefix
     )
     result = ExperimentRunner(
         topology, spec, executor=executor, workers=workers

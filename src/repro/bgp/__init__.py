@@ -5,13 +5,10 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "announcement": ("Announcement", "AnnouncementError"),
     "attacks": (
-        "AttackKind", "AttackOutcome", "AttackScenario", "DEFAULT_ENGINE",
-        "ENGINES", "coerce_engine", "evaluate_attack", "evaluate_attack_seeds",
+        "AttackKind", "AttackOutcome", "AttackScenario", "evaluate_attack",
+        "evaluate_attack_seeds",
     ),
-    "fastprop": (
-        "PropagationWorkspace", "evaluate_attack_seeds_array",
-        "propagate_prefix_array",
-    ),
+    "fastprop": ("PropagationWorkspace", "propagate_prefix_array"),
     "message": (
         "AsPathSegment", "BgpHeader", "BgpMessage", "BgpMessageError",
         "KeepaliveMessage", "NotificationMessage", "OpenMessage",
@@ -25,6 +22,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "session": ("BgpSessionError", "BgpSpeaker"),
     "simulation": (
         "Route", "RouteClass", "Seed", "SimulationError", "propagate_prefix",
+        "reference_attack_seeds",
     ),
     "topology": (
         "AsTopology", "CompiledTopology", "Relationship", "TopologyError",

@@ -16,11 +16,13 @@ forged-origin subprefix           "q ⊂ p: AS m, AS v"      valid when a
                                                            gets **100%** of q
 ================================  =======================  ==================
 
-Each scenario builder returns the seeds for
-:func:`repro.bgp.simulation.propagate_prefix`; :func:`evaluate_attack`
-runs the simulation(s) and reports the attacker's capture fraction over
-the target address space, using longest-prefix-match to combine the
+Each scenario builder returns the attacker's
+:class:`~repro.bgp.simulation.Seed`; :func:`evaluate_attack` propagates
+the announcements and reports the attacker's capture fraction over the
+target address space, using longest-prefix-match to combine the
 hijacked prefix with the victim's covering route.
+:func:`evaluate_attack_seeds` is the one measurement core; its
+readable reference is :func:`repro.bgp.simulation.reference_attack_seeds`.
 """
 
 from __future__ import annotations
@@ -28,44 +30,24 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
 from .origin_validation import ValidationState, VrpIndex
-from .simulation import Route, Seed, propagate_prefix
-from .topology import AsTopology
+from .simulation import Seed
+from .topology import AsTopology, CompiledTopology
+
+if TYPE_CHECKING:  # pragma: no cover — the kernel is imported on use
+    from .fastprop import PropagationWorkspace
 
 __all__ = [
     "AttackKind",
     "AttackScenario",
     "AttackOutcome",
-    "DEFAULT_ENGINE",
-    "ENGINES",
-    "coerce_engine",
     "evaluate_attack",
     "evaluate_attack_seeds",
 ]
-
-#: The two propagation backends: ``"array"`` is the flat-array engine
-#: in :mod:`repro.bgp.fastprop`, the one everything runs on;
-#: ``"object"`` is the readable bucketed BFS in
-#: :mod:`repro.bgp.simulation`, kept selectable as the reference the
-#: array engine is tested against (architecture invariant 3: identical
-#: routes, fractions and RNG stream).
-ENGINES = ("object", "array")
-
-#: What a spec, a CLI run or a direct call gets when it names no engine.
-DEFAULT_ENGINE = "array"
-
-
-def coerce_engine(engine: str) -> str:
-    """Validate an engine name; loud on unknowns."""
-    if engine not in ENGINES:
-        raise ReproError(
-            f"unknown propagation engine {engine!r}; expected {ENGINES}"
-        )
-    return engine
 
 
 class AttackKind(str, enum.Enum):
@@ -189,7 +171,6 @@ def evaluate_attack(
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
     rng: Optional[random.Random] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> AttackOutcome:
     """Simulate a hijack and measure who captures the attacked space.
 
@@ -208,7 +189,6 @@ def evaluate_attack(
         topology, scenario.victim, scenario.victim_prefix,
         scenario.attack_prefix, [scenario.attacker_seed()],
         vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
-        engine=engine,
     )
     return AttackOutcome(
         scenario=scenario,
@@ -220,7 +200,7 @@ def evaluate_attack(
 
 
 def evaluate_attack_seeds(
-    topology: AsTopology,
+    topology: Union[AsTopology, CompiledTopology],
     victim: int,
     victim_prefix: Prefix,
     attack_prefix: Prefix,
@@ -229,8 +209,7 @@ def evaluate_attack_seeds(
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
     rng: Optional[random.Random] = None,
-    engine: str = DEFAULT_ENGINE,
-    workspace=None,
+    workspace: Optional[PropagationWorkspace] = None,
 ) -> tuple[tuple[float, float, float], bool]:
     """The measurement core, generalized to any attacker seed list.
 
@@ -246,84 +225,101 @@ def evaluate_attack_seeds(
     is advanced only there; a subprefix attack by one attacker is two
     lone announcements, reads no draw and leaves ``rng`` untouched.
 
-    ``engine`` selects the propagation backend (see :data:`ENGINES`);
-    both produce identical results and leave ``rng`` in the same state,
-    the default ``"array"`` an order of magnitude faster on large
-    graphs.  ``workspace`` — an array-engine
-    :class:`~repro.bgp.fastprop.PropagationWorkspace` — lets repeated
-    evaluations reuse state arrays and cached adopted sets; it is
-    ignored by the object engine and never changes results.
+    Propagation runs on :mod:`repro.bgp.fastprop`, counted straight off
+    adopted index sets — no path is materialized — over ``topology`` in
+    either form.  A :class:`~repro.bgp.fastprop.PropagationWorkspace`
+    (one per worker) reuses state arrays and adopted sets across calls;
+    without one a transient workspace serves this call, byte-identically.
+    The tests hold it to :func:`repro.bgp.simulation.reference_attack_seeds`.
     """
-    if coerce_engine(engine) == "array":
-        from .fastprop import evaluate_attack_seeds_array
+    # On use: queue clients import this module and must not load the kernel.
+    from .fastprop import (
+        PropagationWorkspace,
+        _compiled_of,
+        _lane_propagation,
+        _single_seed_outcome,
+    )
 
-        return evaluate_attack_seeds_array(
-            topology, victim, victim_prefix, attack_prefix,
-            attacker_seeds, vrp_index=vrp_index,
-            validating_ases=validating_ases, rng=rng,
-            workspace=workspace,
-        )
+    if workspace is None:
+        workspace = PropagationWorkspace(topology)
+    elif workspace.compiled is not _compiled_of(topology):
+        raise ReproError("workspace was built for a different topology")
+    compiled = workspace.compiled
+    workspace.begin(validating_ases)
+    n = len(compiled)
+    index_of = compiled.index_of
+
     attackers = frozenset(seed.asn for seed in attacker_seeds)
-    judged = frozenset(topology.ases) - {victim} - attackers
-    if not judged:
+    cast = [index_of[victim]] if victim in index_of else []
+    for asn in sorted(attackers):
+        i = index_of.get(asn)
+        if i is not None and i not in cast:
+            cast.append(i)
+    total = n - len(cast)
+    if total <= 0:
         raise ReproError("topology too small to judge an attack")
 
     victim_seed = Seed.origin(victim)
     is_subprefix = attack_prefix != victim_prefix
 
     if is_subprefix:
-        # A lone announcement is adopted by whoever it reaches, whatever
-        # a tie-break returns, so it is propagated without the RNG: the
-        # caller's stream advances only where seeds compete.
-        covering_routes = propagate_prefix(
-            topology, victim_prefix, [victim_seed],
-            vrp_index=vrp_index, validating_ases=validating_ases,
+        cover_key, cover = _single_seed_outcome(
+            workspace, victim_prefix, victim_seed, vrp_index
         )
-        attack_routes = propagate_prefix(
-            topology, attack_prefix, list(attacker_seeds),
-            vrp_index=vrp_index, validating_ases=validating_ases,
-            rng=rng if len(attacker_seeds) != 1 else None,
-        )
-    else:
-        combined = propagate_prefix(
-            topology, victim_prefix, [victim_seed, *attacker_seeds],
-            vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
-        )
-        covering_routes = combined
-        attack_routes = {}
-
-    attacker_count = 0
-    victim_count = 0
-    disconnected = 0
-    for asn in sorted(judged):
-        route = _preferred_route(asn, attack_routes, covering_routes)
-        if route is None:
-            disconnected += 1
-        elif route.seed in attackers:
-            attacker_count += 1
+        # Longest-prefix match: an attack-prefix route wins wherever
+        # one was adopted; the covering route serves the rest.
+        if len(attacker_seeds) == 1:
+            attack_key, attack = _single_seed_outcome(
+                workspace, attack_prefix, attacker_seeds[0], vrp_index
+            )
+            victim_count = workspace.judged(
+                cover_key, cover, attack_key, attack
+            )
         else:
-            victim_count += 1
-
-    total = len(judged)
-    if is_subprefix:
-        # Propagation-derived: the attacker's prefix is a separate BGP
-        # destination, so "filtered everywhere" means nobody adopted it.
-        filtered = not attack_routes
-    elif vrp_index is None:
-        filtered = False
+            with _lane_propagation(
+                workspace, attack_prefix, list(attacker_seeds),
+                vrp_index, rng,
+            ) as attack_state:
+                attack = frozenset(attack_state.touched)
+            victim_count = len(cover - attack)
+        filtered = not attack
+        attacker_count = len(attack)
+        for i in cast:
+            if i in attack:
+                attacker_count -= 1
+            elif i in cover:
+                victim_count -= 1
     else:
-        # Same-prefix attacks share one propagation with the victim, so
-        # derive the claim from the VRP verdict — but an INVALID verdict
-        # only removes the announcement *everywhere* when every AS
-        # actually validates.
-        universal = (
-            validating_ases is None or topology.ases <= validating_ases
-        )
-        filtered = universal and all(
-            vrp_index.validate(attack_prefix, seed.path[-1])
-            is ValidationState.INVALID
-            for seed in attacker_seeds
-        )
+        with _lane_propagation(
+            workspace, victim_prefix, [victim_seed, *attacker_seeds],
+            vrp_index, rng,
+        ) as combined:
+            adopted, slot = combined.adopted, combined.slot
+            victim_count = combined.counts[0]
+            attacker_count = sum(combined.counts) - victim_count
+            for i in cast:
+                if adopted[i]:
+                    if slot[i] == 0:
+                        victim_count -= 1
+                    else:
+                        attacker_count -= 1
+        if vrp_index is None:
+            filtered = False
+        else:
+            # Same-prefix attacks share one propagation with the victim,
+            # so derive the claim from the VRP verdict — but an INVALID
+            # verdict only removes the announcement *everywhere* when
+            # every AS actually validates.
+            universal = (
+                validating_ases is None
+                or compiled.as_set <= validating_ases
+            )
+            filtered = universal and all(
+                vrp_index.validate(attack_prefix, seed.path[-1])
+                is ValidationState.INVALID
+                for seed in attacker_seeds
+            )
+    disconnected = total - attacker_count - victim_count
     return (
         (
             attacker_count / total,
@@ -332,19 +328,3 @@ def evaluate_attack_seeds(
         ),
         filtered,
     )
-
-
-def _preferred_route(
-    asn: int,
-    attack_routes: dict[int, Route],
-    covering_routes: dict[int, Route],
-) -> Optional[Route]:
-    """Longest-prefix match between the two route tables.
-
-    The attack prefix is at least as specific as the covering prefix,
-    so an AS holding a route for it always prefers that route for
-    addresses inside it.
-    """
-    if asn in attack_routes:
-        return attack_routes[asn]
-    return covering_routes.get(asn)

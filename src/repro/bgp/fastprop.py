@@ -18,7 +18,9 @@ phases over an :class:`~repro.bgp.topology.CompiledTopology`:
 
 **Bit-for-bit contract.**  Given the same topology, seeds, and RNG,
 the array engine produces exactly the routes and consumes exactly the
-random stream of the object engine.  This works because:
+random stream of the object engine — ``propagate_prefix`` and
+``reference_attack_seeds``, the readable reference the tests hold this
+module to (nothing in the product runs it).  This works because:
 
 1. AS indices are assigned in ascending ASN order, so sorting offers
    by source index equals the object engine's sort by advertising
@@ -34,7 +36,8 @@ random stream of the object engine.  This works because:
 The test suite pins this contract; keep it when touching either
 engine.
 
-**Two paths.**  :func:`evaluate_attack_seeds_array` propagates an
+**Two paths.**  :func:`repro.bgp.attacks.evaluate_attack_seeds`, the
+measurement core built on this module, propagates an
 announcement in one of two ways, chosen by whether seeds compete.
 
 * *One seed* (the victim's covering route, a lone subprefix attacker):
@@ -74,7 +77,6 @@ from .topology import AsTopology, CompiledTopology
 
 __all__ = [
     "PropagationWorkspace",
-    "evaluate_attack_seeds_array",
     "propagate_prefix_array",
 ]
 
@@ -237,8 +239,8 @@ class PropagationWorkspace:
     """Reusable per-worker state for array-engine trial evaluation.
 
     Allocate one per (worker, topology) and pass it to
-    :func:`evaluate_attack_seeds_array`: the per-AS state arrays are
-    allocated on the first ordered sweep and reset in O(touched)
+    :func:`repro.bgp.attacks.evaluate_attack_seeds`: the per-AS state
+    arrays are allocated on the first ordered sweep and reset in O(touched)
     between propagations, the validator set is indexed once per epoch
     instead of once per propagation, and a single-seed propagation's
     adopted set is computed once per epoch (see the module docstring).
@@ -847,113 +849,3 @@ def _single_seed_outcome(
             metrics.touched_ases.inc(len(adopted))
         workspace.store_profile(key, adopted)
     return key, adopted
-
-
-def evaluate_attack_seeds_array(
-    topology: Union[AsTopology, CompiledTopology],
-    victim: int,
-    victim_prefix: Prefix,
-    attack_prefix: Prefix,
-    attacker_seeds: Sequence[Seed],
-    *,
-    vrp_index: Optional[VrpIndex] = None,
-    validating_ases: Optional[frozenset[int]] = None,
-    rng: Optional[random.Random] = None,
-    workspace: Optional[PropagationWorkspace] = None,
-) -> tuple[tuple[float, float, float], bool]:
-    """Array-engine core of
-    :func:`repro.bgp.attacks.evaluate_attack_seeds`.
-
-    Same measurement, same return value, same RNG consumption (none
-    unless seeds compete) — but the capture fractions are counted
-    straight off adopted index sets and raw adoption arrays, so no path
-    tuple or :class:`Route` is ever materialized.  Pass a
-    :class:`PropagationWorkspace` (one per worker) to reuse state
-    arrays and adopted sets across calls; without one a transient
-    workspace serves this call, and results are byte-identical either
-    way.
-    """
-    if workspace is None:
-        workspace = PropagationWorkspace(topology)
-    elif workspace.compiled is not _compiled_of(topology):
-        raise ReproError("workspace was built for a different topology")
-    compiled = workspace.compiled
-    workspace.begin(validating_ases)
-    n = len(compiled)
-    index_of = compiled.index_of
-
-    attackers = frozenset(seed.asn for seed in attacker_seeds)
-    cast = [index_of[victim]] if victim in index_of else []
-    for asn in sorted(attackers):
-        i = index_of.get(asn)
-        if i is not None and i not in cast:
-            cast.append(i)
-    total = n - len(cast)
-    if total <= 0:
-        raise ReproError("topology too small to judge an attack")
-
-    victim_seed = Seed.origin(victim)
-    is_subprefix = attack_prefix != victim_prefix
-
-    if is_subprefix:
-        cover_key, cover = _single_seed_outcome(
-            workspace, victim_prefix, victim_seed, vrp_index
-        )
-        # Longest-prefix match: an attack-prefix route wins wherever
-        # one was adopted; the covering route serves the rest.
-        if len(attacker_seeds) == 1:
-            attack_key, attack = _single_seed_outcome(
-                workspace, attack_prefix, attacker_seeds[0], vrp_index
-            )
-            victim_count = workspace.judged(
-                cover_key, cover, attack_key, attack
-            )
-        else:
-            with _lane_propagation(
-                workspace, attack_prefix, list(attacker_seeds),
-                vrp_index, rng,
-            ) as attack_state:
-                attack = frozenset(attack_state.touched)
-            victim_count = len(cover - attack)
-        filtered = not attack
-        attacker_count = len(attack)
-        for i in cast:
-            if i in attack:
-                attacker_count -= 1
-            elif i in cover:
-                victim_count -= 1
-    else:
-        with _lane_propagation(
-            workspace, victim_prefix, [victim_seed, *attacker_seeds],
-            vrp_index, rng,
-        ) as combined:
-            adopted, slot = combined.adopted, combined.slot
-            victim_count = combined.counts[0]
-            attacker_count = sum(combined.counts) - victim_count
-            for i in cast:
-                if adopted[i]:
-                    if slot[i] == 0:
-                        victim_count -= 1
-                    else:
-                        attacker_count -= 1
-        if vrp_index is None:
-            filtered = False
-        else:
-            universal = (
-                validating_ases is None
-                or compiled.as_set <= validating_ases
-            )
-            filtered = universal and all(
-                vrp_index.validate(attack_prefix, seed.path[-1])
-                is ValidationState.INVALID
-                for seed in attacker_seeds
-            )
-    disconnected = total - attacker_count - victim_count
-    return (
-        (
-            attacker_count / total,
-            victim_count / total,
-            disconnected / total,
-        ),
-        filtered,
-    )

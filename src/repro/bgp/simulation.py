@@ -24,6 +24,11 @@ lengths: a forged-origin announcement starts with path
 
 Origin validation plugs in as a filter: validating ASes silently
 discard announcements whose (prefix, claimed origin) is RPKI-invalid.
+
+This is the readable model, not the product path: experiments run the
+flat-array engine of :mod:`repro.bgp.fastprop`, and the test suite
+holds it to :func:`propagate_prefix` and :func:`reference_attack_seeds`
+route for route and draw for draw.
 """
 
 from __future__ import annotations
@@ -31,14 +36,17 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
 from .origin_validation import ValidationState, VrpIndex
 from .topology import AsTopology
 
-__all__ = ["RouteClass", "Route", "Seed", "propagate_prefix", "SimulationError"]
+__all__ = [
+    "RouteClass", "Route", "Seed", "propagate_prefix",
+    "reference_attack_seeds", "SimulationError",
+]
 
 
 class SimulationError(ReproError):
@@ -233,3 +241,83 @@ def propagate_prefix(
     sweep(list(adopted.items()), topology.customers_of, RouteClass.PROVIDER)
 
     return adopted
+
+
+def reference_attack_seeds(
+    topology: AsTopology,
+    victim: int,
+    victim_prefix: Prefix,
+    attack_prefix: Prefix,
+    attacker_seeds: Sequence[Seed],
+    *,
+    vrp_index: Optional[VrpIndex] = None,
+    validating_ases: Optional[frozenset[int]] = None,
+    rng: Optional[random.Random] = None,
+) -> tuple[tuple[float, float, float], bool]:
+    """:func:`repro.bgp.attacks.evaluate_attack_seeds` written out over
+    :func:`propagate_prefix`: the oracle the product path is tested
+    against (invariant 3) — same fractions, flag and ``rng`` end state,
+    every route materialized.  Nothing in the product calls it."""
+    attackers = frozenset(seed.asn for seed in attacker_seeds)
+    judged = frozenset(topology.ases) - {victim} - attackers
+    if not judged:
+        raise ReproError("topology too small to judge an attack")
+
+    victim_seed = Seed.origin(victim)
+    is_subprefix = attack_prefix != victim_prefix
+
+    if is_subprefix:
+        # A lone announcement takes no tie-break: no RNG for it.
+        covering_routes = propagate_prefix(
+            topology, victim_prefix, [victim_seed],
+            vrp_index=vrp_index, validating_ases=validating_ases,
+        )
+        attack_routes = propagate_prefix(
+            topology, attack_prefix, list(attacker_seeds),
+            vrp_index=vrp_index, validating_ases=validating_ases,
+            rng=rng if len(attacker_seeds) != 1 else None,
+        )
+    else:
+        covering_routes = propagate_prefix(
+            topology, victim_prefix, [victim_seed, *attacker_seeds],
+            vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
+        )
+        attack_routes = {}
+
+    attacker_count = 0
+    victim_count = 0
+    disconnected = 0
+    for asn in sorted(judged):
+        # Longest-prefix match: the attack prefix is at least as
+        # specific as the covering one, so a route for it wins.
+        route = attack_routes.get(asn) or covering_routes.get(asn)
+        if route is None:
+            disconnected += 1
+        elif route.seed in attackers:
+            attacker_count += 1
+        else:
+            victim_count += 1
+
+    total = len(judged)
+    if is_subprefix:
+        filtered = not attack_routes  # nobody adopted the attack prefix
+    elif vrp_index is None:
+        filtered = False
+    else:
+        # Filtered everywhere: invalid, and every AS validates.
+        universal = (
+            validating_ases is None or topology.ases <= validating_ases
+        )
+        filtered = universal and all(
+            vrp_index.validate(attack_prefix, seed.path[-1])
+            is ValidationState.INVALID
+            for seed in attacker_seeds
+        )
+    return (
+        (
+            attacker_count / total,
+            victim_count / total,
+            disconnected / total,
+        ),
+        filtered,
+    )

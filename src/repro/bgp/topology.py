@@ -378,12 +378,12 @@ class CompiledTopology:
         return (CompiledTopology.from_blob, (self.to_blob(),))
 
     def to_topology(self) -> AsTopology:
-        """Rebuild the mutable object form (for the object engine).
+        """Rebuild the mutable object form (for trial sampling).
 
-        Workers receive only the compiled blob; the ones running the
-        object propagation engine reconstruct an equivalent
-        :class:`AsTopology` from it — same ASes, same relationships —
-        instead of shipping the object graph through the pickle path.
+        Workers receive only the compiled blob; they draw their trials
+        from an equivalent :class:`AsTopology` reconstructed from it —
+        same ASes, same relationships — instead of shipping the object
+        graph through the pickle path.
         """
         topology = AsTopology()
         asns = self.asns

@@ -125,12 +125,10 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
              "otherwise); default: the spec's executor "
              "(serial unless the spec file says otherwise)",
     )
+    # Read and ignored: there is one propagation engine, and command
+    # lines written when a second was selectable must still parse.
     parser.add_argument(
-        "--engine", choices=("object", "array"),
-        help="propagation backend: array (the flat-array engine, "
-             "default) or object (the reference implementation it is "
-             "tested against; same results, several times slower); "
-             "overrides the spec file's engine when given",
+        "--engine", choices=("object", "array"), help=argparse.SUPPRESS,
     )
     parser.add_argument(
         "--stopping", choices=("none", "ci"),
@@ -817,7 +815,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _experiment_spec_from_args(args: argparse.Namespace):
-    from .bgp.attacks import DEFAULT_ENGINE
     from .exper.scenarios import (
         AnyAsPairSampler,
         AttackConfig,
@@ -841,8 +838,6 @@ def _experiment_spec_from_args(args: argparse.Namespace):
             Path(args.spec).read_text(encoding="utf-8")
         )
         overrides = {}
-        if args.engine and args.engine != spec.engine:
-            overrides["engine"] = args.engine
         for name in ("executor", "stopping", "stop_ci_width",
                      "stop_min_trials", "stop_check_every"):
             value = getattr(args, name)
@@ -888,7 +883,6 @@ def _experiment_spec_from_args(args: argparse.Namespace):
         attack_prefix=(
             Prefix.parse(args.attack_prefix) if args.attack_prefix else None
         ),
-        engine=args.engine or DEFAULT_ENGINE,
         executor=args.executor or "serial",
         **stop_kwargs,
     )

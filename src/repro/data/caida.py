@@ -82,8 +82,8 @@ def read_caida_compiled(
 ) -> tuple[AsTopology, CompiledTopology]:
     """Load a serial-1 file and compile it for the array engine.
 
-    Returns both forms: the mutable :class:`AsTopology` (for seeding,
-    sampling, and the object engine) and its cached
+    Returns both forms: the mutable :class:`AsTopology` (for seeding
+    and sampling) and its cached
     :class:`CompiledTopology` (flat CSR arrays for
     :mod:`repro.bgp.fastprop`).  One call site for CAIDA-scale runs:
     parse once, compile once, share everywhere.

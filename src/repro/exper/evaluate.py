@@ -200,19 +200,17 @@ def evaluate_trial(
 ) -> list[TrialRecord]:
     """Evaluate every cell of the spec for one materialized trial.
 
-    ``topology`` may be a pre-compiled topology when the spec runs the
-    array engine (workers receive only the compiled form).
-    ``workspace`` — one per worker — lets the array engine reuse
-    propagation state across trials (given none, it makes one for the
-    trial); results are byte-identical with or without it (a tested
-    invariant), so it is purely a throughput knob.  The object engine
-    ignores it.
+    ``topology`` may be the compiled form (workers receive only that).
+    ``workspace`` — one per worker — reuses propagation state across
+    trials (given none, one is made for the trial); results are
+    byte-identical with or without it (a tested invariant), so it is
+    purely a throughput knob.
     """
     tie_rng = random.Random(trial.tie_seed)
     victim_prefix = spec.victim_prefix
     subprefix = spec.effective_attack_prefix
     fraction = spec.fractions[trial.fraction_index]
-    if workspace is None and spec.engine == "array":
+    if workspace is None:
         workspace = PropagationWorkspace(topology)
 
     records = []
@@ -232,7 +230,6 @@ def evaluate_trial(
             vrp_index=vrp_index,
             validating_ases=trial.validating_ases,
             rng=tie_rng,
-            engine=spec.engine,
             workspace=workspace,
         )
         records.append(TrialRecord(
@@ -262,7 +259,7 @@ def evaluate_trials(
     """Evaluate a stream of trials with one shared workspace.
 
     The batched evaluation path the executors use: the workspace (one
-    is created here for the array engine when none is passed) keeps
+    is created here when none is passed) keeps
     its state arrays and profile cache alive across the whole stream,
     which is where the trials/sec win over per-trial allocation comes
     from.  Record content is byte-identical to mapping
@@ -273,7 +270,7 @@ def evaluate_trials(
     pure observation and must not mutate anything the trial reads.
     When it is ``None`` (telemetry off) no clocks are read at all.
     """
-    if workspace is None and spec.engine == "array":
+    if workspace is None:
         workspace = PropagationWorkspace(topology)
     if observe is None:
         for trial in trials:

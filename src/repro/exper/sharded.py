@@ -247,8 +247,8 @@ def run_shard(
 
     ``topology`` materializes trials (it must be the object form —
     samplers draw from it); ``eval_topology`` (default: ``topology``)
-    is what trials evaluate on, so array-engine workers pass their
-    attached :class:`~repro.bgp.topology.CompiledTopology` and reuse
+    is what trials evaluate on, so workers pass their attached
+    :class:`~repro.bgp.topology.CompiledTopology` and reuse
     ``workspace`` across trials.  ``finished`` grid coordinates —
     trials the coordinator already holds records for — are skipped
     (derived seeding) or drawn-and-withheld (stream seeding), exactly
@@ -380,21 +380,16 @@ def _run_attached(
     no exported buffer views remain.
     """
     compiled = CompiledTopology.from_blob(buf)
-    topology = compiled.to_topology()
-    eval_topology = compiled if spec.engine == "array" else topology
-    workspace = (
-        PropagationWorkspace(compiled) if spec.engine == "array" else None
-    )
     run_shard(
-        topology,
+        compiled.to_topology(),
         spec,
         shard,
         sink=sink,
         resume=True,
         finished=finished,
         header=header,
-        eval_topology=eval_topology,
-        workspace=workspace,
+        eval_topology=compiled,
+        workspace=PropagationWorkspace(compiled),
         attempt=attempt,
     )
 

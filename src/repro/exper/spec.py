@@ -32,7 +32,6 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from ..bgp.attacks import DEFAULT_ENGINE, coerce_engine
 from ..bgp.topology import AsTopology
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
@@ -61,6 +60,20 @@ __all__ = [
 
 _SEEDINGS = ("derived", "stream")
 _STOPPINGS = ("none", "ci")
+
+#: Every key a spec's JSON form holds — what ``to_json_dict`` writes,
+#: and every key any earlier version wrote; the decoder refuses others.
+_JSON_KEYS = frozenset((
+    "cells", "trials", "seed", "fractions", "sampler", "victim_prefix",
+    "attack_prefix", "seeding", "engine", "executor", "stopping",
+    "stop_ci_width", "stop_min_trials", "stop_check_every",
+))
+
+#: The ``"engine"`` of the JSON form: one engine now, the key kept so
+#: spec hashes and run files keep their bytes.  A stored ``"object"``
+#: (the reference engine, once selectable) reads like ``"array"``.
+_ENGINE = "array"
+_ENGINE_NAMES = ("array", "object")
 
 #: Every executor a spec (or runner) may name.  ``"auto"`` resolves at
 #: run time to ``"serial"`` or ``"sharded"`` depending on available
@@ -122,16 +135,11 @@ class ExperimentSpec:
         attack_prefix: the subprefix the attacker announces; ``None``
             derives ``victim_prefix`` extended by 8 bits.
         seeding: ``"derived"`` or ``"stream"`` (see module docstring).
-        engine: propagation backend — ``"array"`` (the flat-array
-            engine, the default) or ``"object"`` (the readable
-            bucketed BFS, kept as the reference the array engine is
-            tested against).  The two produce identical records, so
-            this is purely a speed knob.
         executor: the default execution strategy — ``"serial"``,
             ``"sharded"``, or ``"auto"`` (pick serial or sharded from
             available parallelism).  All executors
-            produce byte-identical results, so — like ``engine`` —
-            this is purely a speed/topology knob: it round-trips
+            produce byte-identical results, so this is purely a
+            speed/topology knob: it round-trips
             through JSON but is *excluded* from :meth:`spec_hash`, so
             runs of the same grid under different executors share a
             run identity and merge cleanly.
@@ -161,7 +169,6 @@ class ExperimentSpec:
     )
     attack_prefix: Optional[Prefix] = None
     seeding: str = "derived"
-    engine: str = DEFAULT_ENGINE
     executor: str = "serial"
     stopping: str = "none"
     stop_ci_width: float = 0.05
@@ -184,7 +191,6 @@ class ExperimentSpec:
             raise ReproError(
                 f"unknown seeding {self.seeding!r}; expected {_SEEDINGS}"
             )
-        coerce_engine(self.engine)
         if self.executor not in EXECUTORS:
             raise ReproError(
                 f"unknown executor {self.executor!r}; "
@@ -282,7 +288,7 @@ class ExperimentSpec:
                 None if self.attack_prefix is None else str(self.attack_prefix)
             ),
             "seeding": self.seeding,
-            "engine": self.engine,
+            "engine": _ENGINE,
             "executor": self.executor,
             "stopping": self.stopping,
             "stop_ci_width": self.stop_ci_width,
@@ -316,40 +322,58 @@ class ExperimentSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExperimentSpec":
+        """Decode a spec's JSON form, strictly: exact JSON types (no
+        ``int(2.9)``, no ``float("0.5")``) and no key outside the
+        spec's own, so a misspelled one cannot run on its default.
+        ``"executor": "process"`` (the retired pool) reads as
+        ``"sharded"``, and ``"engine"`` is read and ignored."""
+        if not isinstance(data, dict):
+            raise ReproError("spec JSON must be an object")
+        unknown = sorted(set(data) - _JSON_KEYS)
+        if unknown:
+            raise ReproError(f"spec JSON has unknown keys {unknown}")
         try:
-            cells = tuple(_cell_from_json(raw) for raw in data["cells"])
-            trials = int(data["trials"])
+            engine = data.get("engine", _ENGINE)
+            if engine not in _ENGINE_NAMES:
+                raise ReproError(
+                    f"unknown propagation engine {engine!r}; "
+                    f"expected {_ENGINE_NAMES}"
+                )
             attack_prefix = data.get("attack_prefix")
             executor = data.get("executor", "serial")
             if executor == "process":
-                # Stored specs and queue lines may still name the
-                # retired multiprocessing pool; ``sharded`` is the one
-                # parallel executor, and the field is outside
-                # ``spec_hash``, so no run identity changes.
+                # The field is outside ``spec_hash``, so no run
+                # identity changes.
                 executor = "sharded"
             return cls(
-                cells=cells,
-                trials=trials,
-                seed=int(data.get("seed", 0)),
+                cells=tuple(_cell_from_json(raw) for raw in data["cells"]),
+                trials=_json_int(data["trials"], "trials"),
+                seed=_json_int(data.get("seed", 0), "seed"),
                 fractions=tuple(
-                    None if f is None else float(f)
+                    None if f is None else _json_number(f, "fractions")
                     for f in data.get("fractions", [None])
                 ),
                 sampler=_sampler_from_json(data.get("sampler", "stubs")),
-                victim_prefix=Prefix.parse(
-                    data.get("victim_prefix", "168.122.0.0/16")
+                victim_prefix=_json_prefix(
+                    data.get("victim_prefix", "168.122.0.0/16"),
+                    "victim_prefix",
                 ),
                 attack_prefix=(
                     None if attack_prefix is None
-                    else Prefix.parse(attack_prefix)
+                    else _json_prefix(attack_prefix, "attack_prefix")
                 ),
                 seeding=data.get("seeding", "derived"),
-                engine=data.get("engine", DEFAULT_ENGINE),
                 executor=executor,
                 stopping=data.get("stopping", "none"),
-                stop_ci_width=float(data.get("stop_ci_width", 0.05)),
-                stop_min_trials=int(data.get("stop_min_trials", 16)),
-                stop_check_every=int(data.get("stop_check_every", 8)),
+                stop_ci_width=_json_number(
+                    data.get("stop_ci_width", 0.05), "stop_ci_width"
+                ),
+                stop_min_trials=_json_int(
+                    data.get("stop_min_trials", 16), "stop_min_trials"
+                ),
+                stop_check_every=_json_int(
+                    data.get("stop_check_every", 8), "stop_check_every"
+                ),
             )
         except KeyError as exc:
             raise ReproError(f"spec JSON missing key {exc}") from None
@@ -362,9 +386,31 @@ class ExperimentSpec:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ReproError(f"bad spec JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ReproError("spec JSON must be an object")
         return cls.from_json_dict(data)
+
+
+# Exact-type reads; the TypeError gets its context ("bad spec JSON
+# value", "bad cell entry", ...) from the caller.
+
+
+def _json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, not a float)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name}={value!r} is not an integer")
+    return value
+
+
+def _json_number(value: object, name: str) -> float:
+    """``value`` as a float if it is a JSON number (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name}={value!r} is not a number")
+    return float(value)
+
+
+def _json_prefix(value: object, name: str) -> Prefix:
+    if not isinstance(value, str):
+        raise TypeError(f"{name}={value!r} is not a prefix string")
+    return Prefix.parse(value)
 
 
 def _cell_to_json(cell: ScenarioCell) -> dict:
@@ -383,8 +429,8 @@ def _cell_from_json(data: dict) -> ScenarioCell:
     try:
         attack = AttackConfig(
             data["kind"],
-            attackers=int(data.get("attackers", 1)),
-            prepend=int(data.get("prepend", 0)),
+            attackers=_json_int(data.get("attackers", 1), "attackers"),
+            prepend=_json_int(data.get("prepend", 0), "prepend"),
         )
     except (TypeError, ValueError) as exc:
         raise ReproError(f"bad cell entry {data!r}: {exc}") from None
@@ -425,15 +471,15 @@ def _policy_from_json(data: Union[str, dict]) -> RoaPolicy:
             raise ReproError(f"bad partial policy entry {data!r}")
         return PartialCoverageRoa(
             _policy_from_json(partial["base"]),
-            float(partial.get("coverage", 0.5)),
+            _json_number(partial.get("coverage", 0.5), "coverage"),
         )
     if isinstance(data, dict) and "custom" in data:
         try:
             vrps = tuple(
                 Vrp(
-                    Prefix.parse(row["prefix"]),
-                    int(row["max_length"]),
-                    int(row["asn"]),
+                    _json_prefix(row["prefix"], "prefix"),
+                    _json_int(row["max_length"], "max_length"),
+                    _json_int(row["asn"], "asn"),
                 )
                 for row in data["custom"]
             )
@@ -460,8 +506,11 @@ def _sampler_from_json(data: Union[str, dict]) -> VictimAttackerSampler:
         return AnyAsPairSampler()
     if isinstance(data, dict) and "victim" in data:
         return FixedPairSampler(
-            int(data["victim"]),
-            tuple(int(asn) for asn in data.get("attackers", ())),
+            _json_int(data["victim"], "victim"),
+            tuple(
+                _json_int(asn, "attackers")
+                for asn in data.get("attackers", ())
+            ),
         )
     raise ReproError(f"bad sampler entry {data!r}")
 

@@ -2,9 +2,9 @@
 
 The reproduction's scientific claims rest on properties the test
 suite can only check *dynamically* and expensively: byte-identical
-results across executors and engines, stdlib-only portability, and
-the determinism of seeded trials that makes resume and sharding
-possible.  This package checks the classes of regression that break
+results across executors and against the reference engine,
+stdlib-only portability, and the determinism of seeded trials that
+makes resume and sharding possible.  This package checks the classes of regression that break
 those properties at **parse time**, before any golden test has to
 fail:
 

@@ -126,7 +126,10 @@ class RunHeader:
     (resume and merge refuse a mismatch on either); ``seed`` and
     ``engine`` ride along for observability; ``spec`` is the full JSON
     spec, so a run file alone suffices to re-aggregate — or resume —
-    the experiment.
+    the experiment.  A header written now names engine ``"array"``,
+    the one propagation engine; one read from an older file keeps
+    whatever it holds (``"object"``, the retired reference engine,
+    whose records were the same).
     """
 
     spec_hash: str
@@ -145,13 +148,11 @@ class RunHeader:
         spec_dict = spec.to_json_dict()
         spec_dict.pop("executor", None)
         return cls(
-            spec_hash=spec.spec_hash(),
-            seed=spec.seed,
-            engine=spec.engine,
-            spec=spec_dict,
-            topology_hash=(
-                None if topology is None else topology_digest(topology)
-            ),
+            spec.spec_hash(),
+            spec.seed,
+            spec_dict["engine"],
+            spec_dict,
+            None if topology is None else topology_digest(topology),
         )
 
     @property
@@ -191,13 +192,11 @@ class RunHeader:
         try:
             topology_hash = data.get("topology_hash")
             header = cls(
-                spec_hash=str(data["spec_hash"]),
-                seed=int(data["seed"]),
-                engine=str(data["engine"]),
-                spec=dict(data["spec"]),
-                topology_hash=(
-                    None if topology_hash is None else str(topology_hash)
-                ),
+                str(data["spec_hash"]),
+                int(data["seed"]),
+                str(data["engine"]),
+                dict(data["spec"]),
+                None if topology_hash is None else str(topology_hash),
             )
             if not header.cell_count:
                 raise ValueError("spec has no cells")

@@ -347,7 +347,7 @@ def run_diff_document(
 
     Both runs aggregate through :func:`run_result`; grid coordinates
     are matched by (cell name, fraction) so one spec run under
-    different engines, policies, or seeds lines up cell for cell.
+    different policies or seeds lines up cell for cell.
     Coordinates present on only one side carry ``null`` for the other.
     Where both sides report, ``delta_mean`` is ``b - a`` and
     ``ci_overlap`` says whether the bootstrap intervals intersect —

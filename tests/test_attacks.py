@@ -7,13 +7,13 @@ import random
 import pytest
 
 from repro.bgp import (
-    ENGINES,
     AttackKind,
     AttackScenario,
     Seed,
     VrpIndex,
     evaluate_attack,
     evaluate_attack_seeds,
+    reference_attack_seeds,
 )
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
@@ -181,9 +181,22 @@ class TestPaperClaims:
         assert "forged-origin" in str(outcome)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+#: The measurement core by engine: the product path, and the object
+#: engine kept as its oracle (architecture invariant 3).
+MEASURES = {"object": reference_attack_seeds, "array": evaluate_attack_seeds}
+
+
+def measure(engine, topology, scenario, **kwargs):
+    """``evaluate_attack`` on either engine, as ``(fractions, filtered)``."""
+    return MEASURES[engine](
+        topology, scenario.victim, scenario.victim_prefix,
+        scenario.attack_prefix, [scenario.attacker_seed()], **kwargs,
+    )
+
+
+@pytest.mark.parametrize("engine", ["object", "array"])
 class TestPaperClaimsOnEachEngine:
-    """TestPaperClaims runs the default engine; the same §4/§5 numbers
+    """TestPaperClaims runs the product path; the same §4/§5 numbers
     are pinned on each engine by name, so the object engine (the oracle
     of architecture invariant 3) keeps a direct pin of its own."""
 
@@ -199,32 +212,37 @@ class TestPaperClaimsOnEachEngine:
         filtered,
     ):
         scenario = AttackScenario(kind, 111, 666, P16, attack_prefix)
-        outcome = evaluate_attack(
-            chain_topology, scenario, vrp_index=vrps, engine=engine
+        fractions, was_filtered = measure(
+            engine, chain_topology, scenario, vrp_index=vrps
         )
-        assert outcome.attacker_fraction == captured
-        assert outcome.attack_route_filtered == filtered
+        assert fractions[0] == captured
+        assert was_filtered == filtered
 
     def test_same_prefix_attack_matches_default_engine(
         self, chain_topology, engine
     ):
-        """The draw-dependent cases: seeded, equal to the default run."""
+        """The draw-dependent cases: seeded, equal to the product run."""
         for kind, validators in (
             (AttackKind.FORGED_ORIGIN, None),
             (AttackKind.PREFIX_HIJACK, frozenset({10})),
         ):
             scenario = AttackScenario(kind, 111, 666, P16, P16)
             rng, default_rng = random.Random(3), random.Random(3)
-            outcome = evaluate_attack(
-                chain_topology, scenario, vrp_index=MINIMAL,
-                validating_ases=validators, rng=rng, engine=engine,
+            fractions, filtered = measure(
+                engine, chain_topology, scenario, vrp_index=MINIMAL,
+                validating_ases=validators, rng=rng,
             )
-            assert outcome == evaluate_attack(
+            outcome = evaluate_attack(
                 chain_topology, scenario, vrp_index=MINIMAL,
                 validating_ases=validators, rng=default_rng,
             )
+            assert fractions == (
+                outcome.attacker_fraction, outcome.victim_fraction,
+                outcome.disconnected_fraction,
+            )
+            assert filtered == outcome.attack_route_filtered
             assert rng.getstate() == default_rng.getstate()
-            assert 0.0 < outcome.attacker_fraction < 1.0
+            assert 0.0 < fractions[0] < 1.0
 
     def test_rng_advances_only_where_seeds_compete(
         self, small_topology, engine
@@ -242,10 +260,9 @@ class TestPaperClaimsOnEachEngine:
         forged = [Seed.forged_origin(attacker, victim)]
 
         def run(attack_prefix, seeds, rng, engine=engine):
-            return evaluate_attack_seeds(
+            return MEASURES[engine](
                 small_topology, victim, P16, attack_prefix, seeds,
                 vrp_index=minimal, validating_ases=half, rng=rng,
-                engine=engine,
             )
 
         rng = random.Random(5)
@@ -278,9 +295,10 @@ class TestPaperClaimsOnEachEngine:
         )
 
         def captured(scenario, vrps):
-            return evaluate_attack(
-                small_topology, scenario, vrp_index=vrps, engine=engine
-            ).attacker_fraction
+            fractions, _filtered = measure(
+                engine, small_topology, scenario, vrp_index=vrps
+            )
+            return fractions[0]
 
         assert captured(forged_sub, loose) == 1.0
         assert captured(forged_sub, minimal) == 0.0

@@ -8,6 +8,8 @@ path prepending, per-AS partial ROA coverage).
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -281,6 +283,114 @@ class TestJsonRoundTrip:
             )
 
 
+class TestStrictSpecJson:
+    """The spec decoder is an outside-input path (``--spec``, ``POST
+    /experiments``, ``jobs submit``, ``shard-worker``): it takes exact
+    JSON types and only the spec's own keys, and still reads every
+    ``"engine"`` a stored spec can hold."""
+
+    BASE = {"cells": [{"kind": "subprefix-hijack"}], "trials": 2}
+
+    def decode(self, **fields):
+        return ExperimentSpec.from_json(json.dumps({**self.BASE, **fields}))
+
+    @pytest.mark.parametrize("fields", [
+        pytest.param({"trials": 2.9}, id="trials-float"),
+        pytest.param({"trials": True}, id="trials-bool"),
+        pytest.param({"trials": "3"}, id="trials-string"),
+        pytest.param({"seed": 1.5}, id="seed-float"),
+        pytest.param({"fractions": [True]}, id="fraction-bool"),
+        pytest.param({"fractions": ["0.5"]}, id="fraction-string"),
+        pytest.param({"fractions": "0.5"}, id="fractions-string"),
+        pytest.param({"stop_ci_width": "0.1"}, id="width-string"),
+        pytest.param({"stop_min_trials": 4.0}, id="min-trials-float"),
+        pytest.param({"stop_check_every": False}, id="check-every-bool"),
+        pytest.param({"victim_prefix": 5}, id="victim-prefix-int"),
+        pytest.param(
+            {"attack_prefix": ["168.122.0.0/24"]}, id="attack-prefix-list"
+        ),
+        pytest.param(
+            {"sampler": {"victim": 1.5, "attackers": [2]}},
+            id="sampler-victim-float",
+        ),
+        pytest.param(
+            {"sampler": {"victim": 1, "attackers": "2"}},
+            id="sampler-attackers-string",
+        ),
+        pytest.param(
+            {"cells": [{"kind": "subprefix-hijack", "policy": {
+                "partial": {"base": "minimal", "coverage": "0.5"},
+            }}]},
+            id="coverage-string",
+        ),
+    ])
+    def test_inexact_types_rejected(self, fields):
+        with pytest.raises(ReproError, match="bad spec JSON value"):
+            self.decode(**fields)
+
+    def test_inexact_types_inside_cells_rejected(self):
+        with pytest.raises(ReproError, match="bad cell entry"):
+            self.decode(cells=[{"kind": "forged-origin", "attackers": 2.0}])
+        with pytest.raises(ReproError, match="bad cell entry"):
+            self.decode(cells={"kind": "subprefix-hijack"})
+        with pytest.raises(ReproError, match="bad custom VRP row"):
+            self.decode(cells=[{"kind": "subprefix-hijack", "policy": {
+                "custom": [{"prefix": "168.122.0.0/16",
+                            "max_length": 24.0, "asn": 111}],
+            }}])
+
+    def test_exact_types_accepted(self):
+        spec = self.decode(
+            seed=7, fractions=[0, 0.5, 1, None], stop_ci_width=1,
+        )
+        assert spec.fractions == (0.0, 0.5, 1.0, None)
+        assert spec.stop_ci_width == 1.0 and spec.trials == 2
+
+    def test_unknown_keys_rejected(self):
+        with pytest.raises(ReproError, match=r"unknown keys \['stoping'\]"):
+            self.decode(stoping="ci")
+
+    @pytest.mark.parametrize("engine", ["array", "object"])
+    def test_stored_engine_read_and_ignored(self, engine):
+        assert self.decode(engine=engine) == self.decode()
+        assert self.decode(engine=engine).to_json_dict()["engine"] == "array"
+
+    def test_unknown_engine_still_rejected(self):
+        with pytest.raises(ReproError, match="unknown propagation engine"):
+            self.decode(engine="quantum")
+
+    def test_spec_hash_and_json_form_unchanged(self):
+        """``"engine"`` stays in the JSON form, as a constant, in its
+        old place: hashes (the literal predates the field's removal)
+        and stored specs keep their bytes."""
+        spec = self.decode()
+        assert spec.spec_hash() == "f520dbe4f271ee52f6c0ecefbaac38eb"
+        assert list(spec.to_json_dict()) == [
+            "cells", "trials", "seed", "fractions", "sampler",
+            "victim_prefix", "attack_prefix", "seeding", "engine",
+            "executor", "stopping", "stop_ci_width", "stop_min_trials",
+            "stop_check_every",
+        ]
+
+    def test_emit_spec_bytes_unchanged(self, capsys):
+        """``experiment --emit-spec`` prints what it printed when the
+        engine was an option (digest taken then); ``--engine`` still
+        parses, and changes nothing."""
+        from repro.cli import main
+
+        assert main(["experiment", "--emit-spec"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "2f2f71a8b62e544bc1af23349947f493"
+            "de50431fcf38c36a38ffd62832f58e0a"
+        )
+        for engine in ("object", "array"):
+            assert main(
+                ["experiment", "--emit-spec", "--engine", engine]
+            ) == 0
+            assert capsys.readouterr().out == out
+
+
 class TestScenarioDiversity:
     """The scenario space the hand-rolled loops could not express."""
 
@@ -450,7 +560,9 @@ class TestLegacyReplay:
     only ``forged_origin_minimal`` moved), and once more when lone
     announcements stopped drawing tie-breaks nothing reads (the
     same-prefix cell's stream position moved: ``forged_origin_minimal``
-    0.2944015444015444 → 0.27413127413127414, on both engines).
+    0.2944015444015444 → 0.27413127413127414, on both engines — the
+    product path and the reference engine, which
+    ``test_goldens_hold_on_the_object_engine`` runs).
     """
 
     @pytest.fixture(scope="class")
@@ -479,24 +591,24 @@ class TestLegacyReplay:
         assert sweep.points[0].forged_subprefix_vs_nonminimal == 1.0
         assert sweep.points[1].subprefix_hijack == 0.0
 
-    def test_goldens_hold_on_the_object_engine(self, replay_topology):
-        """The two goldens above run the default (array) engine; the
-        reference engine is pinned to the same numbers directly, not
-        only through the cross-engine comparisons of invariant 3."""
+    def test_goldens_hold_on_the_object_engine(
+        self, replay_topology, reference_engine
+    ):
+        """The two goldens above run the product path; the reference
+        engine is pinned to the same numbers directly, not only
+        through the comparisons of invariant 3."""
         from repro.analysis import run_deployment_sweep, run_hijack_study
 
-        result = run_hijack_study(
-            replay_topology, samples=7, seed=42, engine="object"
-        )
+        with reference_engine():
+            result = run_hijack_study(replay_topology, samples=7, seed=42)
+            sweep = run_deployment_sweep(
+                replay_topology, fractions=(0.25, 0.75), samples=5, seed=9,
+            )
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
         assert result.forged_origin_minimal == 0.27413127413127414
 
-        sweep = run_deployment_sweep(
-            replay_topology, fractions=(0.25, 0.75), samples=5, seed=9,
-            engine="object",
-        )
         assert sweep.points[0].subprefix_hijack == 0.28378378378378377
         assert sweep.points[0].forged_subprefix_vs_minimal == (
             0.28378378378378377

@@ -1,8 +1,10 @@
 """Tests for the array propagation engine and the compiled topology.
 
-The headline invariant: the ``"array"`` engine is *bit-identical* to
-the ``"object"`` engine — same routes, same capture fractions, same
-RNG consumption — on every scenario shape, including the PR 2 golden
+The headline invariant: the array engine — the product path — is
+*bit-identical* to the object engine, the readable reference kept as
+its oracle (``propagate_prefix``, ``reference_attack_seeds`` and the
+``reference_engine`` fixture) — same routes, same capture fractions,
+same RNG consumption — on every scenario shape, including the golden
 specs whose numbers are pinned in ``tests/test_exper.py``.
 """
 
@@ -17,15 +19,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bgp import (
-    DEFAULT_ENGINE,
     AsTopology,
     CompiledTopology,
     Seed,
     VrpIndex,
-    coerce_engine,
     evaluate_attack_seeds,
     propagate_prefix,
     propagate_prefix_array,
+    reference_attack_seeds,
 )
 from repro.bgp.fastprop import (
     PropagationWorkspace,
@@ -34,6 +35,11 @@ from repro.bgp.fastprop import (
 )
 from repro.data import read_caida_compiled, write_caida
 from repro.data.asgraph import TopologyProfile, generate_topology
+from repro.cli import (
+    _experiment_spec_from_args,
+    _topology_from_args,
+    build_parser,
+)
 from repro.exper import (
     ExperimentRunner,
     ExperimentSpec,
@@ -46,7 +52,8 @@ from repro.exper import (
 )
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricsRegistry, use_registry
+from repro.results import JsonlSink
 from repro.rpki import Vrp
 
 PFX = Prefix.parse("168.122.0.0/16")
@@ -230,72 +237,35 @@ class TestEvaluateEquivalence:
                 random.Random(case).sample(sorted(topology.ases), 120)
             )
         rng_a, rng_b = random.Random(case), random.Random(case)
-        by_object = evaluate_attack_seeds(
+        by_object = reference_attack_seeds(
             topology, victim, PFX, attack_prefix, seeds,
             vrp_index=vrps, validating_ases=val, rng=rng_a,
-            engine="object",
         )
         by_array = evaluate_attack_seeds(
             topology, victim, PFX, attack_prefix, seeds,
             vrp_index=vrps, validating_ases=val, rng=rng_b,
-            engine="array",
         )
         assert by_object == by_array
         assert rng_a.getstate() == rng_b.getstate()
 
-    def test_unknown_engine_rejected(self, topology, cast):
-        victim, attacker, _ = cast
-        with pytest.raises(ReproError, match="unknown propagation engine"):
-            evaluate_attack_seeds(
-                topology, victim, PFX, SUB, [Seed.origin(attacker)],
-                engine="quantum",
-            )
-        with pytest.raises(ReproError):
-            coerce_engine("quantum")
-
     def test_tiny_topology_rejected(self):
         tiny = AsTopology.from_edges([(1, 2, "c2p")])
-        with pytest.raises(ReproError, match="too small"):
-            evaluate_attack_seeds(
-                tiny, 1, PFX, PFX, [Seed.origin(2)], engine="array"
-            )
+        for measure in (evaluate_attack_seeds, reference_attack_seeds):
+            with pytest.raises(ReproError, match="too small"):
+                measure(tiny, 1, PFX, PFX, [Seed.origin(2)])
 
 
 class TestExperimentEngineField:
-    def test_spec_round_trips_engine(self):
-        from repro.exper import MinimalRoa, ScenarioCell
+    """An experiment runs the one engine; through the runner, the
+    reference engine (the ``reference_engine`` fixture) gives the same
+    records and the same aggregated result."""
 
-        spec = ExperimentSpec(
-            cells=(ScenarioCell("forged-origin", MinimalRoa()),),
-            trials=2,
-            engine="array",
-        )
-        assert ExperimentSpec.from_json(spec.to_json()) == spec
-        assert '"engine": "array"' in spec.to_json()
-        # A spec that names no engine gets the default one, the same
-        # for a constructed spec and for a spec file without the field.
-        legacy = ExperimentSpec.from_json(
-            '{"cells": [{"kind": "forged-origin"}], "trials": 1}'
-        )
-        assert legacy.engine == DEFAULT_ENGINE == "array"
-        assert legacy.engine == ExperimentSpec(
-            cells=spec.cells, trials=1
-        ).engine
-
-    def test_bad_engine_rejected(self):
-        from repro.exper import MinimalRoa, ScenarioCell
-
-        with pytest.raises(ReproError, match="unknown propagation engine"):
-            ExperimentSpec(
-                cells=(ScenarioCell("forged-origin", MinimalRoa()),),
-                trials=1,
-                engine="quantum",
-            )
-
-    def test_golden_specs_byte_identical_across_engines(self, topology):
-        """The acceptance criterion: on the PR 2 golden specs, the
-        array engine's aggregated ExperimentResult equals the object
-        engine's exactly — bootstrap CIs and all."""
+    def test_golden_specs_byte_identical_across_engines(
+        self, topology, reference_engine
+    ):
+        """On the golden specs, the product's aggregated
+        ExperimentResult equals the oracle's exactly — bootstrap CIs
+        and all."""
         from repro.analysis.deployment import deployment_sweep_spec
         from repro.analysis.hijack_eval import hijack_study_spec
 
@@ -303,29 +273,64 @@ class TestExperimentEngineField:
             hijack_study_spec(samples=5, seed=42),
             deployment_sweep_spec(fractions=(0.5,), samples=3, seed=9),
         ):
-            by_object = ExperimentRunner(
-                topology, dataclasses.replace(spec, engine="object")
-            ).run(bootstrap_resamples=100)
-            by_array = ExperimentRunner(
-                topology, dataclasses.replace(spec, engine="array")
-            ).run(bootstrap_resamples=100)
+            by_array = ExperimentRunner(topology, spec).run(
+                bootstrap_resamples=100
+            )
+            with reference_engine():
+                by_object = ExperimentRunner(topology, spec).run(
+                    bootstrap_resamples=100
+                )
             assert by_object == by_array
+
+    def test_default_kinds_grid_matches_the_oracle(
+        self, reference_engine, tmp_path
+    ):
+        """The CLI's default kinds × policies grid — same-prefix cells
+        included — at 12 trials, 150 ASes and fractions 0/0.5/1: the
+        product and the oracle write the same run file, 144 records
+        under one header, and aggregate to the same result."""
+        args = build_parser().parse_args([
+            "experiment", "--trials", "12", "--ases", "150",
+            "--fractions", "0,0.5,1",
+        ])
+        spec = _experiment_spec_from_args(args)
+        topology = _topology_from_args(args)
+
+        def run(path):
+            sink = JsonlSink(path)
+            try:
+                result = ExperimentRunner(topology, spec, sink=sink).run()
+            finally:
+                sink.close()
+            return result, path.read_bytes()
+
+        with use_registry(MetricsRegistry()) as registry:
+            shipped, shipped_bytes = run(tmp_path / "shipped.jsonl")
+        counters = registry.snapshot()
+        # The product path ran the array engine: a sweep per same-prefix
+        # cell and trial, the subprefix cells as closures.
+        assert counters["fastprop.sweeps"] == 2 * spec.total_trials
+        assert counters["fastprop.closures"] > 0
+        with reference_engine():
+            reference, reference_bytes = run(tmp_path / "oracle.jsonl")
+        assert shipped_bytes.count(b"\n") == 1 + 144
+        assert reference_bytes == shipped_bytes
+        assert reference == shipped
 
     def test_array_engine_reproduces_golden_numbers(self):
         """Same pinned values as tests/test_exper.py, array engine."""
         from repro.analysis import run_hijack_study
 
         replay = generate_topology(TopologyProfile(ases=150), random.Random(5))
-        result = run_hijack_study(replay, samples=7, seed=42, engine="array")
+        result = run_hijack_study(replay, samples=7, seed=42)
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
         assert result.forged_origin_minimal == 0.27413127413127414
 
     def test_array_engine_with_process_executor(self, topology):
-        """Engine and executor axes compose: array × worker processes
-        (the sharded executor; the test id predates the pool's removal)
-        equals array × serial equals object × serial."""
+        """The engine under worker processes (the sharded executor;
+        the test id predates the pool's removal) equals it serial."""
         from repro.exper import MaxLengthLooseRoa, ScenarioCell
 
         spec = ExperimentSpec(
@@ -334,7 +339,6 @@ class TestExperimentEngineField:
             ),
             trials=4,
             seed=3,
-            engine="array",
         )
         serial = ExperimentRunner(topology, spec).run(bootstrap_resamples=50)
         parallel = ExperimentRunner(
@@ -513,10 +517,8 @@ class TestClosureOffTheStubs:
                     args = (world, victim, PFX, SUB, [seed])
                     kwargs = dict(vrp_index=vrps, validating_ases=validators)
                     assert evaluate_attack_seeds(
-                        *args, **kwargs, engine="array", workspace=workspace,
-                    ) == evaluate_attack_seeds(
-                        *args, **kwargs, engine="object",
-                    )
+                        *args, **kwargs, workspace=workspace,
+                    ) == reference_attack_seeds(*args, **kwargs)
 
     def test_invalid_seed_where_nobody_validates_is_the_valid_seed(self):
         world = _transit_world()
@@ -569,7 +571,6 @@ class TestJudgeMemo:
             trials=120,
             seed=24,
             fractions=(0.0,),
-            engine="array",
         )
         nobody = frozenset()
         trials = [

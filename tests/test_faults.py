@@ -476,7 +476,7 @@ class TestSinkFaults:
         spec = small_spec(trials=3, fractions=(None,))
         header = RunHeader(
             spec_hash=spec.spec_hash(), seed=spec.seed,
-            engine=spec.engine, spec=spec.to_json_dict(),
+            engine="array", spec=spec.to_json_dict(),
         )
         for fail_at in (1, 2, 4):
             install(FaultPlan(rules=(

@@ -207,6 +207,89 @@ class TestRunHeader:
         assert a.spec_hash() == small_spec().spec_hash()
 
 
+class TestRunsFromBeforeOneEngine:
+    """Run files written while the propagation engine was an option.
+
+    The digests were taken then, of ``repro-roa experiment`` with
+    ``_ARGS`` and ``--sink``: under ``--engine array`` (today's bytes)
+    and ``--engine object``, whose header names ``"object"`` — at the
+    top and inside the spec — and hashes the spec with it.
+    """
+
+    _ARGS = ["--trials", "3", "--ases", "60", "--fractions", "0,1"]
+    _ARRAY_RUN = (
+        "e08a66c1dfd4fe9fb19ff2085849a8e9"
+        "01f3a9a0fdcf1208b6c7b15527d64562"
+    )
+    _OBJECT_RUN = (
+        "67b5526f6944d649b759a40d36a02a03"
+        "a63f03e388ac839c6b266758e124501c"
+    )
+    _OBJECT_SPEC_HASH = "a6fbf47c77becac0d5bcf73a00449dc5"
+
+    @staticmethod
+    def sha256(path) -> str:
+        import hashlib
+
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def record(self, path, *extra):
+        from repro.cli import main
+
+        assert main(["experiment", *self._ARGS, "--sink", str(path),
+                     *extra]) == 0
+
+    def test_run_file_bytes_unchanged(self, tmp_path, capsys):
+        """A run writes the bytes it wrote under ``--engine array``;
+        ``--engine object`` still parses and is ignored."""
+        flags = ([], ["--engine", "array"], ["--engine", "object"])
+        for index, engine in enumerate(flags):
+            path = tmp_path / f"run{index}.jsonl"
+            self.record(path, *engine)
+            assert self.sha256(path) == self._ARRAY_RUN
+
+    def test_object_engine_run_shows_refuses_resume_and_reruns_same(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        rerun = tmp_path / "rerun.jsonl"
+        self.record(rerun)
+        header, rest = rerun.read_bytes().split(b"\n", 1)
+        new_hash = json.loads(header)["spec_hash"]
+        # The old file is today's with the old header: the digest shows
+        # it is byte for byte what the object engine wrote.
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_bytes(
+            header.replace(b'"engine":"array"', b'"engine":"object"')
+            .replace(new_hash.encode(), self._OBJECT_SPEC_HASH.encode())
+            + b"\n" + rest
+        )
+        assert self.sha256(legacy) == self._OBJECT_RUN
+        capsys.readouterr()
+
+        # It loads, reports its stored engine, and aggregates to the
+        # result of the re-run.
+        assert main(["results", "show", str(legacy), "--json"]) == 0
+        shown, err = capsys.readouterr()
+        assert f"spec hash {self._OBJECT_SPEC_HASH}" in err
+        assert "engine object" in err
+        assert main(["results", "show", str(rerun), "--json"]) == 0
+        assert capsys.readouterr().out == shown
+
+        # Resuming it is refused: its spec hash names the old engine.
+        assert main(["experiment", *self._ARGS, "--sink", str(legacy),
+                     "--resume"]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"holds records for spec hash {self._OBJECT_SPEC_HASH}, "
+            f"not this spec's {new_hash}"
+        ) in err
+        assert self.sha256(legacy) == self._OBJECT_RUN
+        # A re-run records the same trials, line for line.
+        assert read_run(legacy)[1] == read_run(rerun)[1]
+
+
 # ----------------------------------------------------------------------
 # JSONL durability edges
 # ----------------------------------------------------------------------
@@ -467,7 +550,7 @@ class TestResume:
     @pytest.mark.parametrize("variant", [
         dict(seeding="derived"),
         dict(seeding="stream"),
-        dict(trials=12, fractions=(None,), engine="array", stopping="ci",
+        dict(trials=12, fractions=(None,), stopping="ci",
              stop_ci_width=0.5, stop_min_trials=4, stop_check_every=2),
     ], ids=["derived", "stream", "ci"])
     def test_resume_from_any_byte_is_byte_identical(
@@ -556,7 +639,7 @@ class TestResume:
 
     def test_resume_with_early_stopping(self, topology, tmp_path):
         spec = small_spec(
-            trials=30, engine="array", stopping="ci",
+            trials=30, stopping="ci",
             stop_ci_width=0.5, stop_min_trials=4, stop_check_every=2,
         )
         full_path = tmp_path / "full.jsonl"
@@ -678,20 +761,13 @@ class TestResume:
     ):
         """The PR 2/PR 3 golden specs, interrupted and resumed:
         aggregates and trial_counts match the uninterrupted run."""
-        import dataclasses
-
         from repro.analysis.deployment import deployment_sweep_spec
         from repro.analysis.hijack_eval import hijack_study_spec
 
         if golden == "hijack":
-            spec = hijack_study_spec(samples=5, seed=42, engine="array")
+            spec = hijack_study_spec(samples=5, seed=42)
         else:
-            spec = dataclasses.replace(
-                deployment_sweep_spec(
-                    fractions=(0.5,), samples=3, seed=9
-                ),
-                engine="array",
-            )
+            spec = deployment_sweep_spec(fractions=(0.5,), samples=3, seed=9)
         full_path = tmp_path / "full.jsonl"
         full, lines = run_full(topology, spec, full_path)
         part = tmp_path / "part.jsonl"

@@ -823,18 +823,19 @@ class TestRunnerIntegration:
         assert snapshot["exper.shards_dispatched"] == 2
         assert snapshot["exper.shards_completed"] == 2
 
-    def test_array_engine_sharded_matches_object(self, topology, tmp_path):
-        object_spec = small_spec(
-            trials=4, fractions=(None,), engine="object")
-        array_spec = small_spec(
-            trials=4, fractions=(None,), engine="array")
-        _, object_bytes = run_recorded(
-            topology, object_spec, tmp_path / "object.jsonl",
-            executor="sharded", shards=2)
+    def test_array_engine_sharded_matches_object(
+        self, topology, tmp_path, reference_engine
+    ):
+        """Sharded array ≡ serial oracle: the run file the shard workers'
+        records merge into is the reference engine's serial one."""
+        spec = small_spec(trials=4, fractions=(None,))
         _, array_bytes = run_recorded(
-            topology, array_spec, tmp_path / "array.jsonl",
+            topology, spec, tmp_path / "array.jsonl",
             executor="sharded", shards=2)
-        header, object_records = read_run(tmp_path / "object.jsonl")
-        _, array_records = read_run(tmp_path / "array.jsonl")
-        assert header.engine == "object"
-        assert array_records == object_records
+        with reference_engine():
+            _, object_bytes = run_recorded(
+                topology, spec, tmp_path / "object.jsonl")
+        header, array_records = read_run(tmp_path / "array.jsonl")
+        assert header.engine == "array"
+        assert array_bytes == object_bytes
+        assert array_records == read_run(tmp_path / "object.jsonl")[1]

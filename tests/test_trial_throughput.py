@@ -15,6 +15,7 @@ Three pillars:
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import pickle
 import random
@@ -23,14 +24,13 @@ import types
 import pytest
 
 from repro.bgp import (
-    ENGINES,
     AsTopology,
     CompiledTopology,
     PropagationWorkspace,
     Seed,
     VrpIndex,
     evaluate_attack_seeds,
-    evaluate_attack_seeds_array,
+    reference_attack_seeds,
 )
 from repro.data.asgraph import TopologyProfile, generate_topology
 from repro.exper import (
@@ -67,7 +67,6 @@ def stopping_spec(**kwargs) -> ExperimentSpec:
         ),
         trials=40,
         seed=5,
-        engine="array",
         stopping="ci",
         stop_ci_width=0.4,
         stop_min_trials=6,
@@ -124,7 +123,7 @@ class TestCompiledBuffers:
 
 class TestWorkspaceEquivalence:
     """Workspace reuse is byte-identical to a transient workspace per
-    call, and both to the object engine (independent code)."""
+    call, and both to the reference engine (independent code)."""
 
     def _scenario_grid(self, topology):
         stubs = sorted(topology.stub_ases())
@@ -152,26 +151,26 @@ class TestWorkspaceEquivalence:
         workspace = PropagationWorkspace(topology)
         # Two passes through the same workspace: the second is served
         # from cached profiles, and must still match the transient one
-        # — and the object engine, which shares no code with either.
+        # — and the reference engine, which shares no code with either.
         for round_seed in (11, 12):
             rng_ws = random.Random(round_seed)
             rng_fresh = random.Random(round_seed)
             rng_object = random.Random(round_seed)
             for attack_prefix, seeds, vrps, validators in cases:
-                with_ws = evaluate_attack_seeds_array(
+                with_ws = evaluate_attack_seeds(
                     topology, victim, PFX, attack_prefix, seeds,
                     vrp_index=vrps, validating_ases=validators,
                     rng=rng_ws, workspace=workspace,
                 )
-                fresh = evaluate_attack_seeds_array(
+                fresh = evaluate_attack_seeds(
                     topology, victim, PFX, attack_prefix, seeds,
                     vrp_index=vrps, validating_ases=validators,
                     rng=rng_fresh,
                 )
-                reference = evaluate_attack_seeds(
+                reference = reference_attack_seeds(
                     topology, victim, PFX, attack_prefix, seeds,
                     vrp_index=vrps, validating_ases=validators,
-                    rng=rng_object, engine="object",
+                    rng=rng_object,
                 )
                 assert with_ws == fresh == reference
                 assert (
@@ -179,9 +178,11 @@ class TestWorkspaceEquivalence:
                     == rng_object.getstate()
                 )
 
-    def test_all_subprefix_trials_never_sweep(self, topology):
+    def test_all_subprefix_trials_never_sweep(
+        self, topology, reference_engine
+    ):
         """A sec. 4/5 grid — every cell a subprefix attack — is closures
-        throughout, with the records of the object engine."""
+        throughout, with the records of the reference engine."""
         spec = ExperimentSpec(
             cells=(
                 ScenarioCell("forged-origin-subprefix", MinimalRoa()),
@@ -191,7 +192,6 @@ class TestWorkspaceEquivalence:
             trials=3,
             seed=21,
             fractions=(0.0, 0.5, None),
-            engine="array",
         )
         trials = materialize_trials(spec, topology)
         registry = MetricsRegistry()
@@ -199,12 +199,12 @@ class TestWorkspaceEquivalence:
         records = list(
             evaluate_trials(topology, spec, trials, workspace=workspace)
         )
-        reference = dataclasses.replace(spec, engine="object")
-        assert records == [
-            record
-            for trial in trials
-            for record in evaluate_trial(topology, reference, trial)
-        ]
+        with reference_engine():
+            assert records == [
+                record
+                for trial in trials
+                for record in evaluate_trial(topology, spec, trial)
+            ]
         counters = registry.snapshot()
         assert counters["fastprop.sweeps"] == 0
         assert counters["fastprop.closures"] == (
@@ -223,7 +223,6 @@ class TestWorkspaceEquivalence:
         )
         spec = ExperimentSpec(
             cells=cells, trials=4, seed=21, fractions=(0.0, 0.5, None),
-            engine="array",
         )
         trials = materialize_trials(spec, topology)
         registry = MetricsRegistry()
@@ -234,17 +233,18 @@ class TestWorkspaceEquivalence:
         assert counters["fastprop.sweeps"] == 2 * len(trials)
         assert 0 < counters["fastprop.closures"] <= 3 * len(trials)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ["object", "array"])
     def test_same_prefix_records_ignore_preceding_cells(
-        self, topology, engine
+        self, topology, engine, reference_engine
     ):
         """Cell-order independence: subprefix cells draw nothing, so a
         same-prefix cell behind them sees the tie-break stream from its
-        start — the records it has when it is the grid's only cell."""
+        start — the records it has when it is the grid's only cell.  On
+        the product path and on the reference engine."""
         same_prefix = ScenarioCell("forged-origin", MinimalRoa())
         alone = ExperimentSpec(
             cells=(same_prefix,), trials=4, seed=21,
-            fractions=(0.0, 0.5, None), engine=engine,
+            fractions=(0.0, 0.5, None),
         )
         behind = dataclasses.replace(alone, cells=(
             ScenarioCell("forged-origin-subprefix", MinimalRoa()),
@@ -260,9 +260,13 @@ class TestWorkspaceEquivalence:
                 if record.cell == same_prefix.name
             ]
 
-        records = same_prefix_records(alone)
+        with (
+            reference_engine() if engine == "object"
+            else contextlib.nullcontext()
+        ):
+            records = same_prefix_records(alone)
+            assert same_prefix_records(behind) == records
         assert len(records) == 12
-        assert same_prefix_records(behind) == records
         assert len({record.attacker_fraction for record in records}) > 1
 
     @pytest.mark.parametrize("golden", ["hijack", "deployment"])
@@ -272,12 +276,9 @@ class TestWorkspaceEquivalence:
         from repro.analysis.hijack_eval import hijack_study_spec
 
         if golden == "hijack":
-            spec = hijack_study_spec(samples=5, seed=42, engine="array")
+            spec = hijack_study_spec(samples=5, seed=42)
         else:
-            spec = dataclasses.replace(
-                deployment_sweep_spec(fractions=(0.5,), samples=3, seed=9),
-                engine="array",
-            )
+            spec = deployment_sweep_spec(fractions=(0.5,), samples=3, seed=9)
         trials = materialize_trials(spec, topology)
         per_trial = [
             record
@@ -293,16 +294,16 @@ class TestWorkspaceEquivalence:
         workspace = PropagationWorkspace(topology)
         victim = min(topology.stub_ases())
         with pytest.raises(Exception):
-            evaluate_attack_seeds_array(
+            evaluate_attack_seeds(
                 topology, victim, PFX, SUB, [Seed.origin(10 ** 9)],
                 workspace=workspace,
             )
         # The lane was hard-reset: later evaluations still match.
         attacker = max(topology.stub_ases())
-        assert evaluate_attack_seeds_array(
+        assert evaluate_attack_seeds(
             topology, victim, PFX, SUB, [Seed.origin(attacker)],
             workspace=workspace,
-        ) == evaluate_attack_seeds_array(
+        ) == evaluate_attack_seeds(
             topology, victim, PFX, SUB, [Seed.origin(attacker)],
         )
 
@@ -366,7 +367,6 @@ class TestSharedMemoryLifecycle:
         spec = ExperimentSpec(
             cells=(ScenarioCell("forged-origin-subprefix", MinimalRoa()),),
             trials=2,
-            engine="array",
             sampler=FixedPairSampler(1, (2,)),
         )
         runner = ExperimentRunner(
@@ -378,16 +378,21 @@ class TestSharedMemoryLifecycle:
             pytest.skip("shared memory unavailable; blob fallback used")
         assert self._segment_gone(runner.last_shared_segment)
 
-    def test_object_engine_workers_rebuild_topology(self, topology):
-        """The object engine runs off the blob too: no AsTopology in
-        the worker payload, byte-identical results regardless."""
-        spec = stopping_spec(stopping="none", trials=4, engine="object")
-        serial = ExperimentRunner(topology, spec).run(
-            bootstrap_resamples=50
-        )
+    def test_object_engine_workers_rebuild_topology(
+        self, topology, reference_engine
+    ):
+        """Workers get no AsTopology in their payload: they rebuild the
+        object form from the blob to draw trials and evaluate on the
+        compiled one — and the sharded run equals the serial run of
+        the reference engine."""
+        spec = stopping_spec(stopping="none", trials=4)
         parallel = ExperimentRunner(
             topology, spec, executor="sharded", workers=2
         ).run(bootstrap_resamples=50)
+        with reference_engine():
+            serial = ExperimentRunner(topology, spec).run(
+                bootstrap_resamples=50
+            )
         assert serial == parallel
 
 
