@@ -235,6 +235,7 @@ def evaluate_attack_seeds(
     # On use: queue clients import this module and must not load the kernel.
     from .fastprop import (
         PropagationWorkspace,
+        _bits,
         _compiled_of,
         _lane_propagation,
         _single_seed_outcome,
@@ -263,31 +264,29 @@ def evaluate_attack_seeds(
     is_subprefix = attack_prefix != victim_prefix
 
     if is_subprefix:
-        cover_key, cover = _single_seed_outcome(
+        # Both adopted sets are bitsets (bit i: AS index i adopts).
+        cover = _single_seed_outcome(
             workspace, victim_prefix, victim_seed, vrp_index
         )
-        # Longest-prefix match: an attack-prefix route wins wherever
-        # one was adopted; the covering route serves the rest.
         if len(attacker_seeds) == 1:
-            attack_key, attack = _single_seed_outcome(
+            attack = _single_seed_outcome(
                 workspace, attack_prefix, attacker_seeds[0], vrp_index
-            )
-            victim_count = workspace.judged(
-                cover_key, cover, attack_key, attack
             )
         else:
             with _lane_propagation(
                 workspace, attack_prefix, list(attacker_seeds),
                 vrp_index, rng,
             ) as attack_state:
-                attack = frozenset(attack_state.touched)
-            victim_count = len(cover - attack)
+                attack = _bits(attack_state.touched, n)
+        # Longest-prefix match: an attack-prefix route wins wherever
+        # one was adopted; the covering route serves the rest.
+        victim_count = (cover & ~attack).bit_count()
         filtered = not attack
-        attacker_count = len(attack)
+        attacker_count = attack.bit_count()
         for i in cast:
-            if i in attack:
+            if attack >> i & 1:
                 attacker_count -= 1
-            elif i in cover:
+            elif cover >> i & 1:
                 victim_count -= 1
     else:
         with _lane_propagation(

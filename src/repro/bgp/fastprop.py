@@ -44,12 +44,17 @@ announcement in one of two ways, chosen by whether seeds compete.
   nothing competes, so every AS that is offered the route adopts it and
   *who adopts* is a reachability closure of (seed, blocked set) —
   independent of path lengths and of anything an RNG could return.
-  :func:`_closure` computes it as set algebra over the CSR rows: no
-  lane, no candidate lists, no draws, and the caller's RNG is not
-  touched (neither is it by the object engine, which propagates a lone
-  announcement without one).  A :class:`PropagationWorkspace` caches
-  the adopted set per (seed, RFC 6811 verdict) for the validator epoch,
-  so the covering route is computed once per trial, not once per cell.
+  :func:`_closure` computes it without a lane, candidate lists or
+  draws, and the caller's RNG is not touched (neither is it by the
+  object engine, which propagates a lone announcement without one).
+  The result is a *bitset*, a Python int whose bit *i* says AS index
+  *i* adopts: where the blocked set misses the transit core, the whole
+  down phase is one OR of precomputed customer cones; otherwise the
+  core is walked with set algebra over the CSR rows and the result
+  packed once.  A :class:`PropagationWorkspace` caches the bitset per
+  (seed, RFC 6811 verdict) for the validator epoch, so the covering
+  route is computed once per trial, not once per cell, and a cell is
+  judged by popcounts of two ints.
 * *Seeds compete* (a same-prefix attack, several attackers at once):
   the ordered sweep of :func:`_propagate` on a workspace lane, drawing
   tie-breaks from the caller's RNG exactly as the object engine does.
@@ -59,14 +64,17 @@ announcement in one of two ways, chosen by whether seeds compete.
 A grid of subprefix attacks only (the paper's sec. 4/5 experiments)
 never sweeps and never draws.  The workspace also keeps the lane's
 per-AS arrays alive across sweeps (reset in O(touched ASes), not O(n))
-and indexes the validator set once per trial.
+and indexes the validator set at most once per trial, and only when a
+sweep or a closure has validators to avoid.
 """
 
 from __future__ import annotations
 
 import contextlib
 import random
-from typing import Iterable, Optional, Sequence, Union
+from functools import reduce
+from operator import or_
+from typing import Collection, Iterable, Optional, Sequence, Union
 
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
@@ -87,15 +95,33 @@ _PROVIDER = int(RouteClass.PROVIDER)
 
 #: Single-seed profiles kept per workspace before the cache recycles
 #: (bounds worker memory on CAIDA-scale graphs; within one trial a
-#: grid needs at most one profile per cell).  A profile is a frozenset
-#: of adopted indices — a hash table of 16 bytes a slot at load ≤ 0.6,
-#: the ints shared with the CSR rows — so one in which every AS adopts
-#: costs 0.5 MiB at 10 k ASes and 4 MiB at 75 k.  A validator epoch
-#: ends the cache, so a full one — 16 MiB / 128 MiB — takes 32 distinct
-#: announcements under one validator set: many trials of universal
-#: validation, nothing a sampled-validator grid does (grid_10k holds at
-#: most 4 profiles, ≈ 2 MiB).
+#: grid needs at most one profile per cell).  A profile is a bitset of
+#: adopted indices, at most ⌈n/8⌉ bytes: 1.25 KiB at 10 k ASes,
+#: 9.2 KiB at 75 k.  So a full cache is 40 KiB / 300 KiB, and a
+#: validator epoch ends it anyway (grid_10k holds at most 4 profiles).
 _PROFILE_CAP = 32
+
+#: ``_BIT(i)`` is ``1 << i``: AS index ``i`` as a one-member bitset.
+_BIT = (1).__lshift__
+#: Maps a byte-per-AS flag array to the ASCII digits ``int(…, 2)`` reads.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bits(indices: Collection[int], n: int) -> int:
+    """Pack indices below ``n`` into a bitset: bit *i* is set iff *i*
+    is one of them.  Setting a bit does not depend on the order the
+    bits are set in, so a set may be packed as it iterates.
+
+    A few indices are OR-ed in directly; that costs O(n) per index, so
+    more are written as flag bytes and read back as one binary numeral
+    — O(n) in all, about 0.5 ms for 10 000 indices.
+    """
+    if len(indices) < 64:
+        return reduce(or_, map(_BIT, indices), 0)
+    flags = bytearray(n)
+    for i in indices:
+        flags[i] = 1
+    return int(flags.translate(_DIGITS)[::-1], 2)
 
 
 def _fast_randbelow_ok() -> bool:
@@ -195,12 +221,28 @@ class _State:
         self.counts = counts
 
 
-def _remember(cache: dict, key: tuple, value: object) -> None:
-    """Store into a per-epoch workspace cache, evicting its oldest
-    entry at :data:`_PROFILE_CAP` (dict order is insertion order)."""
-    if key not in cache and len(cache) >= _PROFILE_CAP:
-        del cache[next(iter(cache))]
-    cache[key] = value
+def _customer_cones(
+    compiled: CompiledTopology,
+    core: frozenset[int],
+    transit: dict[int, tuple[int, ...]],
+) -> Optional[dict[int, int]]:
+    """Every core AS's customer cone as a bitset, children-first, or
+    ``None`` if some core ASes wait on each other (a cycle)."""
+    waiting = {i: len(transit.get(i, ())) for i in sorted(core)}
+    ready = [i for i, count in waiting.items() if not count]
+    customer_rows = compiled.customer_rows
+    provider_rows = compiled.provider_rows
+    cones: dict[int, int] = {}
+    for i in ready:  # grows as providers' core customers complete
+        cone = _BIT(i)
+        for j in customer_rows[i]:
+            cone |= cones.get(j) or _BIT(j)
+        cones[i] = cone
+        for up in provider_rows[i]:  # a provider is core by definition
+            waiting[up] -= 1
+            if not waiting[up]:
+                ready.append(up)
+    return cones if len(cones) == len(waiting) else None
 
 
 def _compiled_of(
@@ -241,18 +283,20 @@ class PropagationWorkspace:
     Allocate one per (worker, topology) and pass it to
     :func:`repro.bgp.attacks.evaluate_attack_seeds`: the per-AS state
     arrays are allocated on the first ordered sweep and reset in O(touched)
-    between propagations, the validator set is indexed once per epoch
-    instead of once per propagation, and a single-seed propagation's
-    adopted set is computed once per epoch (see the module docstring).
-    Results, RNG consumption included, are those of a call that is
-    given no workspace and makes a transient one — which the test
-    suite pins.
+    between propagations, the validator set is indexed at most once per
+    epoch instead of once per propagation, the customer cones are built
+    once, on the first closure that can use them, and a single-seed
+    propagation's adopted bitset is computed once per epoch (see the
+    module docstring).  Results, RNG consumption included, are those of
+    a call that is given no workspace and makes a transient one — which
+    the test suite pins.
 
     The workspace counts its own behavior into ``registry`` under the
     ``fastprop.`` namespace — ``sweeps`` (ordered sweeps run),
     ``closures`` (adopted sets computed as reachability),
     ``touched_ases`` (ASes adopted, by either), profile cache
-    hits/misses, ``mask_builds`` (validator sets indexed) — by default
+    hits/misses, ``mask_builds`` (validator sets indexed, which only a
+    sweep or a closure with validators to avoid asks for) — by default
     the process registry at construction time, so worker processes
     each record into their own.
 
@@ -270,14 +314,15 @@ class PropagationWorkspace:
             registry if registry is not None else get_registry()
         )
         self._lanes: list[_Lane] = []
-        self._profiles: dict[tuple, frozenset[int]] = {}
-        self._judged: dict[tuple, int] = {}
+        self._profiles: dict[tuple, int] = {}
         self._validators_token: object = self  # sentinel: no epoch yet
         self._validators: Optional[frozenset[int]] = None
         self._mask: Optional[bytearray] = None
         self._universal_mask: Optional[bytearray] = None
         self._has_customers: Optional[frozenset[int]] = None
         self._transit_rows: dict[int, tuple[int, ...]] = {}
+        self._cones: Optional[dict[int, int]] = None
+        self._cones_built = False
 
     def lane(self, index: int = 0) -> _Lane:
         while len(self._lanes) <= index:
@@ -289,25 +334,44 @@ class PropagationWorkspace:
 
         Epochs are tracked by object identity — a trial passes the
         same ``validating_ases`` object to every cell — so the check
-        is O(1).  A new epoch drops the cached mask, the profile cache,
-        whose invalid-seed entries depend on the mask, and the judge
-        memo, whose entries are counted off those profiles.
+        is O(1).  A new epoch drops the cached index and mask and the
+        profile cache, whose invalid-seed entries depend on them.
         """
         if validating_ases is not self._validators_token:
             self._validators_token = validating_ases
             self._validators = None
             self._mask = None
             self._profiles.clear()
-            self._judged.clear()
             self.metrics.epochs.inc()
+
+    def _epoch(self) -> Optional[frozenset[int]]:
+        """The current epoch's validating ASNs; ``None`` means every AS
+        validates."""
+        validating_ases = self._validators_token
+        if validating_ases is self:
+            raise ReproError("workspace epoch not opened; call begin()")
+        return validating_ases
+
+    def anyone_validates(self) -> bool:
+        """Does any AS of the topology validate in this epoch?  Decided
+        on the ASN set, without indexing it: ASNs outside the topology
+        count for nothing."""
+        validating_ases = self._epoch()
+        if validating_ases is None:
+            return True
+        return not self.compiled.as_set.isdisjoint(validating_ases)
+
+    def validates(self, asn: int) -> bool:
+        """Does AS ``asn`` validate in this epoch?  Decided on the ASN
+        set, without indexing it."""
+        validating_ases = self._epoch()
+        return validating_ases is None or asn in validating_ases
 
     def validators(self) -> Optional[frozenset[int]]:
         """The current epoch's validating AS *indices*, computed lazily
         straight from the ASN set (ASNs outside the topology are
         ignored); ``None`` means every AS validates."""
-        validating_ases = self._validators_token
-        if validating_ases is self:
-            raise ReproError("workspace epoch not opened; call begin()")
+        validating_ases = self._epoch()
         if validating_ases is None:
             return None
         if self._validators is None:
@@ -325,9 +389,7 @@ class PropagationWorkspace:
         """The current epoch's validators as the per-AS-index bitmask
         the ordered sweep reads, computed lazily."""
         if self._mask is None:
-            validating_ases = self._validators_token
-            if validating_ases is self:
-                raise ReproError("workspace epoch not opened; call begin()")
+            validating_ases = self._epoch()
             if validating_ases is None:
                 if self._universal_mask is None:
                     self._universal_mask = self.compiled.validation_mask(None)
@@ -364,8 +426,26 @@ class PropagationWorkspace:
         self.has_customers()
         return self._transit_rows
 
-    def profile(self, key: tuple) -> Optional[frozenset[int]]:
-        """The adopted set cached under ``key`` in this epoch, if any."""
+    def cones(self) -> Optional[dict[int, int]]:
+        """The customer cone of every core AS as a bitset — the AS and
+        everything below it over customer edges — or ``None`` when the
+        core's customer→provider graph has a cycle, which only
+        hand-built and CAIDA-read topologies can have (then every
+        closure walks).  Built once, on the first closure whose blocked
+        set misses the core, children-first: a core AS is taken once
+        all its core customers are, so its cone is its own bit, its
+        stub customers' bits and its core customers' cones.  Takes
+        core × ⌈n/8⌉ bytes: 1.4 MiB at 10 000 generated ASes."""
+        if not self._cones_built:
+            self._cones_built = True
+            self._cones = _customer_cones(
+                self.compiled, self.has_customers(), self.transit_rows()
+            )
+        return self._cones
+
+    def profile(self, key: tuple) -> Optional[int]:
+        """The adopted bitset cached under ``key`` in this epoch, if
+        any."""
         profile = self._profiles.get(key)
         if profile is not None:
             # Refresh recency (dict order is insertion order), so the
@@ -378,30 +458,14 @@ class PropagationWorkspace:
         self.metrics.profile_misses.inc()
         return None
 
-    def store_profile(self, key: tuple, profile: frozenset[int]) -> None:
-        _remember(self._profiles, key, profile)
-
-    def judged(
-        self,
-        cover_key: tuple, cover: frozenset[int],
-        attack_key: tuple, attack: frozenset[int],
-    ) -> int:
-        """``len(cover - attack)``, differenced once per pair of
-        profile keys and epoch.
-
-        Keyed by what the two sets *are* — their profile keys, which
-        with the epoch determine them — never by ``id()``: an epoch
-        lasts as long as callers pass one validator-set object, the
-        profile cache evicts inside a long one, and a recycled address
-        would answer for a set that is gone.  Bounded like the
-        profiles.
-        """
-        pair = (cover_key, attack_key)
-        count = self._judged.get(pair)
-        if count is None:
-            count = len(cover - attack)
-            _remember(self._judged, pair, count)
-        return count
+    def store_profile(self, key: tuple, profile: int) -> None:
+        """Cache ``profile`` under ``key``, evicting the least recently
+        used entry at :data:`_PROFILE_CAP` (dict order is insertion
+        order)."""
+        profiles = self._profiles
+        if key not in profiles and len(profiles) >= _PROFILE_CAP:
+            del profiles[next(iter(profiles))]
+        profiles[key] = profile
 
 
 def _check_seeds(
@@ -764,8 +828,8 @@ def _lane_propagation(
 
 def _closure(
     workspace: PropagationWorkspace, seed: Seed, invalid: bool
-) -> frozenset[int]:
-    """The adopted index set of a single-seed propagation, as
+) -> int:
+    """The adopted bitset of a single-seed propagation, as
     reachability.
 
     With one seed nothing competes: every AS that is offered the route
@@ -774,15 +838,20 @@ def _closure(
     closure — up over provider edges, one hop over peer edges, down
     over customer edges — never entering the seed's blocked set (its
     initial path; the validating ASes too when the seed is
-    RFC 6811-invalid).  Each step is one C-level union of CSR rows.
+    RFC 6811-invalid).  The up and peer steps are each one C-level
+    union of CSR rows and reach tens of ASes.
 
-    The down phase is where the graph is (every stub hangs off it), so
-    it walks only the transit core: the reached ASes that have
-    customers, closed over :meth:`~PropagationWorkspace.transit_rows`
-    — sets of at most core size — and then every core member's whole
-    customer row in one union, the blocked set taken out once.  A
-    blocked core AS is never walked, so its cone is cut; it is still
-    struck when another core member lists it as a customer.
+    The down phase is where the graph is (every stub hangs off it).
+    When no blocked AS but the origin has customers, nothing cuts it:
+    every AS below a reached core AS adopts, and the phase is one OR of
+    the reached core ASes' :meth:`~PropagationWorkspace.cones`.
+    Otherwise it walks only the transit core: the reached ASes that
+    have customers, closed over
+    :meth:`~PropagationWorkspace.transit_rows` — sets of at most core
+    size — and then every core member's whole customer row in one
+    union, the blocked set taken out once.  A blocked core AS is never
+    walked, so its cone is cut; it is still struck when another core
+    member lists it as a customer.
     """
     compiled = workspace.compiled
     _check_seeds(compiled, (seed,))
@@ -792,10 +861,9 @@ def _closure(
         index_of[asn] for asn in seed.path if asn in index_of
     )
     if invalid:
-        validators = workspace.validators()
-        if validators is None or origin in validators:
-            return frozenset()
-        blocked |= validators
+        if workspace.validates(seed.asn):
+            return 0
+        blocked |= workspace.validators()
 
     reached = {origin}
     frontier = reached
@@ -807,7 +875,18 @@ def _closure(
     reached |= (
         set().union(*map(compiled.peer_rows.__getitem__, reached)) - blocked
     )
-    core = reached & workspace.has_customers()
+    has_customers = workspace.has_customers()
+    core = reached & has_customers
+    # The origin is blocked (it is on its own path) but cuts nothing:
+    # it is reached, and its cone with it.
+    cones = (
+        workspace.cones()
+        if (blocked & has_customers) <= {origin} else None
+    )
+    n = len(compiled)
+    if cones is not None:
+        adopted = reduce(or_, map(cones.__getitem__, core), _bits(reached, n))
+        return (adopted & ~_bits(blocked, n)) | _BIT(origin)
     transit = workspace.transit_rows()
     rows = transit.__getitem__
     frontier = core & transit.keys()
@@ -819,7 +898,7 @@ def _closure(
     reached.update(*map(compiled.customer_rows.__getitem__, core))
     reached -= blocked
     reached.add(origin)  # on its own path, so blocked — and adopted
-    return frozenset(reached)
+    return _bits(reached, n)
 
 
 def _single_seed_outcome(
@@ -827,18 +906,17 @@ def _single_seed_outcome(
     prefix: Prefix,
     seed: Seed,
     vrp_index: Optional[VrpIndex],
-) -> tuple[tuple, frozenset[int]]:
-    """The profile key and adopted index set of a single-seed
-    propagation: the :func:`_closure`, computed once per (seed,
-    RFC 6811 verdict) and validator epoch.  Where nobody validates, a
-    verdict changes nothing, and an invalid seed shares the valid
-    seed's profile."""
-    invalid = vrp_index is not None and (
-        vrp_index.validate(prefix, seed.path[-1]) is ValidationState.INVALID
+) -> int:
+    """The adopted bitset of a single-seed propagation: the
+    :func:`_closure`, computed once per (seed, RFC 6811 verdict) and
+    validator epoch.  Where nobody validates, a verdict changes
+    nothing, and an invalid seed shares the valid seed's profile."""
+    invalid = (
+        vrp_index is not None
+        and vrp_index.validate(prefix, seed.path[-1])
+        is ValidationState.INVALID
+        and workspace.anyone_validates()
     )
-    if invalid:
-        validators = workspace.validators()
-        invalid = validators is None or len(validators) > 0
     key = (seed.asn, seed.path, invalid)
     adopted = workspace.profile(key)
     if adopted is None:
@@ -846,6 +924,6 @@ def _single_seed_outcome(
         metrics = workspace.metrics
         if metrics.enabled:
             metrics.closures.inc()
-            metrics.touched_ases.inc(len(adopted))
+            metrics.touched_ases.inc(adopted.bit_count())
         workspace.store_profile(key, adopted)
-    return key, adopted
+    return adopted

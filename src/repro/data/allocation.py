@@ -53,10 +53,11 @@ class Allocation:
 class AddressAllocator:
     """Sequential aligned carving from per-family pools.
 
-    IPv4 draws from the 11 /8 pools 20/8 … 30/8 (an arbitrary but
-    stable choice of unicast space); IPv6 from 2a00::/12.  Pools are
-    consumed front to back; alignment is maintained by rounding the
-    cursor up to the requested block size.
+    IPv4 draws from the 126 /8 pools 1/8 … 126/8 (an arbitrary but
+    stable choice of unicast space); IPv6 from 2a00::/12, then
+    2c00::/12.  Pools are consumed front to back; alignment is
+    maintained by rounding the cursor up to the requested block size,
+    and the space that rounding skips is never handed out.
     """
 
     def __init__(self) -> None:

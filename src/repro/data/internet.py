@@ -64,7 +64,13 @@ OriginPair = tuple[Prefix, int]
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """All generator knobs.  Defaults reproduce the 2017-06-01 dataset.
+    """All generator knobs.  Defaults describe the 2017-06-01 dataset.
+
+    The full-size dataset does not generate yet: at the default scale
+    1.0 :class:`~repro.data.allocation.AddressAllocator` runs out of
+    IPv4 space (``AllocationError: IPv4 pools exhausted``), because the
+    alignment padding its cursor skips is never reused.  Scale 0.75
+    generates.
 
     Counts marked "at scale 1.0" shrink proportionally with ``scale``,
     which keeps every *ratio* the paper reports (the measurements are

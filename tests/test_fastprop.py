@@ -11,6 +11,8 @@ specs whose numbers are pinned in ``tests/test_exper.py``.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import pickle
 import random
 
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.bgp.fastprop as fastprop
 from repro.bgp import (
     AsTopology,
     CompiledTopology,
@@ -29,6 +32,7 @@ from repro.bgp import (
     reference_attack_seeds,
 )
 from repro.bgp.fastprop import (
+    _PROFILE_CAP,
     PropagationWorkspace,
     _propagate,
     _single_seed_outcome,
@@ -351,22 +355,44 @@ class TestExperimentEngineField:
 _OUTSIDE = 7
 
 
+def _members(bits: int) -> set[int]:
+    """The AS indices an adopted bitset holds."""
+    return {i for i in range(bits.bit_length()) if bits >> i & 1}
+
+
+def _walking(workspace: PropagationWorkspace) -> PropagationWorkspace:
+    """``workspace`` with its cones withheld, so every closure walks
+    the core — what a topology whose core has a provider cycle gets."""
+    workspace.cones = lambda: None
+    return workspace
+
+
 @st.composite
 def _single_seed_worlds(draw):
     """A small random AS graph, one seed, a validator set, a verdict.
 
     Every AS pair independently gets no edge, a customer→provider edge
-    in either direction (so provider cycles occur too: reachability
-    does not care) or a peering.  The seed is a plain origination, a
-    forged origin, prepended, or names an AS outside the graph.
+    in either direction or a peering; about half the graphs first get a
+    customer→provider ring of three or more ASes, a cycle through the
+    core (reachability does not care; the cones do, and stand down).
+    The seed is a plain origination, a forged origin, prepended, names
+    an AS outside the graph, or runs its path through the core.
     """
     count = draw(st.integers(3, 12))
     asns = [10 * (i + 1) for i in range(count)]
     world = AsTopology()
     for asn in asns:
         world.add_as(asn)
+    ring = draw(st.one_of(
+        st.just([]),
+        st.lists(st.sampled_from(asns), min_size=3, max_size=5, unique=True),
+    ))
+    for customer, provider in zip(ring, ring[1:] + ring[:1]):
+        world.add_customer_provider(customer, provider)
     for i, low in enumerate(asns):
         for high in asns[i + 1:]:
+            if high in world.neighbors_of(low):
+                continue
             edge = draw(st.sampled_from(
                 ("none", "none", "up", "down", "peer")
             ))
@@ -378,8 +404,11 @@ def _single_seed_worlds(draw):
                 world.add_peering(low, high)
 
     sender = draw(st.sampled_from(asns))
+    core = [asn for asn in asns if world.customers_of(asn)]
+    hops = st.sampled_from(asns + [_OUTSIDE])
     tail = draw(st.lists(
-        st.sampled_from(asns + [_OUTSIDE]), max_size=2
+        st.one_of(st.sampled_from(core), hops) if core else hops,
+        max_size=2,
     ))
     seed = Seed(
         sender, (sender,) * draw(st.integers(1, 3)) + tuple(tail)
@@ -395,35 +424,43 @@ def _single_seed_worlds(draw):
     else:
         origin = seed.path[-1] if verdict == "valid" else 64999
         vrps = VrpIndex([Vrp(PFX, 16, origin)])
-    return world, seed, validators, vrps, draw(st.integers(0, 2 ** 16))
+    return (world, bool(ring), seed, validators, vrps,
+            draw(st.integers(0, 2 ** 16)))
 
 
 class TestSingleSeedClosure:
-    """With one seed, who adopts is reachability: the set-algebra
-    closure equals the ordered sweep's adopted set, whatever the
-    tie-break draws were."""
+    """With one seed, who adopts is reachability: the closure's bitset
+    — through the cones or by the walk — holds exactly the ordered
+    sweep's adopted set, whatever the tie-break draws were."""
 
     @settings(max_examples=300, deadline=None)
     @given(_single_seed_worlds())
     def test_closure_equals_ordered_sweep(self, case):
-        world, seed, validators, vrps, tie_seed = case
+        world, cyclic, seed, validators, vrps, tie_seed = case
         compiled = world.compiled()
         registry = MetricsRegistry()
         workspace = PropagationWorkspace(compiled, registry=registry)
         workspace.begin(validators)
-        _key, closure = _single_seed_outcome(workspace, PFX, seed, vrps)
+        closure = _single_seed_outcome(workspace, PFX, seed, vrps)
         counters = registry.snapshot()
         assert counters["fastprop.closures"] == 1
         assert counters["fastprop.sweeps"] == 0
-        assert counters["fastprop.touched_ases"] == len(closure)
+        assert counters["fastprop.touched_ases"] == closure.bit_count()
+        walker = _walking(PropagationWorkspace(compiled))
+        walker.begin(validators)
+        assert _single_seed_outcome(walker, PFX, seed, vrps) == closure
+        if cyclic:
+            assert workspace.cones() is None
 
+        adopted = _members(closure)
+        assert closure < 1 << len(compiled)
         for rng in (None, random.Random(tie_seed)):
             state, lane = _propagate(
                 compiled, PFX, [seed], vrps, validators, rng
             )
-            assert closure == frozenset(lane.touched)
-            assert len(closure) == state.counts[0]
-            assert closure == {
+            assert adopted == set(lane.touched)
+            assert len(adopted) == state.counts[0]
+            assert adopted == {
                 i for i in range(len(compiled)) if state.adopted[i]
             }
 
@@ -456,12 +493,15 @@ class TestClosureOffTheStubs:
 
     def _adopters(self, world, workspace, seed, vrps, validators):
         workspace.begin(validators)
-        _key, closure = _single_seed_outcome(workspace, SUB, seed, vrps)
+        closure = _single_seed_outcome(workspace, SUB, seed, vrps)
+        walker = _walking(PropagationWorkspace(world))
+        walker.begin(validators)
+        assert _single_seed_outcome(walker, SUB, seed, vrps) == closure
         by_object = propagate_prefix(
             world, SUB, [seed], vrp_index=vrps, validating_ases=validators,
         )
         asns = world.compiled().asns
-        assert {asns[i] for i in closure} == set(by_object)
+        assert {asns[i] for i in _members(closure)} == set(by_object)
         return set(by_object)
 
     def test_blocked_transit_as_cuts_its_cone_and_is_struck(self):
@@ -506,19 +546,24 @@ class TestClosureOffTheStubs:
     ])
     def test_fractions_match_the_object_engine(self, victim, attacker):
         world = _transit_world()
-        workspace = PropagationWorkspace(world)
-        for seed in (
-            Seed.forged_origin(attacker, victim), Seed.origin(attacker)
+        for workspace in (
+            PropagationWorkspace(world),
+            _walking(PropagationWorkspace(world)),
         ):
-            for vrps in (None, VrpIndex([Vrp(PFX, 16, victim)]),
-                         VrpIndex([Vrp(PFX, 24, victim)])):
-                for validators in (None, frozenset(), frozenset({1, 30}),
-                                   frozenset({10, 20, 2})):
-                    args = (world, victim, PFX, SUB, [seed])
-                    kwargs = dict(vrp_index=vrps, validating_ases=validators)
-                    assert evaluate_attack_seeds(
-                        *args, **kwargs, workspace=workspace,
-                    ) == reference_attack_seeds(*args, **kwargs)
+            for seed in (
+                Seed.forged_origin(attacker, victim), Seed.origin(attacker)
+            ):
+                for vrps in (None, VrpIndex([Vrp(PFX, 16, victim)]),
+                             VrpIndex([Vrp(PFX, 24, victim)])):
+                    for validators in (None, frozenset(), frozenset({1, 30}),
+                                       frozenset({10, 20, 2})):
+                        args = (world, victim, PFX, SUB, [seed])
+                        kwargs = dict(
+                            vrp_index=vrps, validating_ases=validators
+                        )
+                        assert evaluate_attack_seeds(
+                            *args, **kwargs, workspace=workspace,
+                        ) == reference_attack_seeds(*args, **kwargs)
 
     def test_invalid_seed_where_nobody_validates_is_the_valid_seed(self):
         world = _transit_world()
@@ -526,41 +571,228 @@ class TestClosureOffTheStubs:
         workspace = PropagationWorkspace(world, registry=registry)
         workspace.begin(frozenset())
         seed = Seed.forged_origin(11, 20)
-        valid_key, valid = _single_seed_outcome(
+        valid = _single_seed_outcome(
             workspace, SUB, seed, VrpIndex([Vrp(PFX, 24, 20)])
         )
-        invalid_key, invalid = _single_seed_outcome(
+        invalid = _single_seed_outcome(
             workspace, SUB, seed, VrpIndex([Vrp(PFX, 16, 20)])
         )
-        assert invalid_key == valid_key and invalid is valid
+        assert invalid is valid and valid
         counters = registry.snapshot()
         assert counters["fastprop.closures"] == 1
         assert counters["fastprop.profile_misses"] == 1
         assert counters["fastprop.profile_hits"] == 1
-        # Validators named but none of them in the graph: still nobody.
-        workspace.begin(frozenset({_OUTSIDE}))
-        keys = {
-            _single_seed_outcome(workspace, SUB, seed, vrps)[0]
-            for vrps in (VrpIndex([Vrp(PFX, 24, 20)]),
-                         VrpIndex([Vrp(PFX, 16, 20)]))
-        }
-        assert len(keys) == 1
         # Universal validation is not an empty validator set.
         workspace.begin(None)
         assert _single_seed_outcome(
             workspace, SUB, seed, VrpIndex([Vrp(PFX, 16, 20)])
-        )[1] == frozenset()
+        ) == 0
 
 
-class TestJudgeMemo:
-    def test_long_epoch_with_evictions_matches_fresh_workspaces(
-        self, topology
+class TestWhatIsBuiltWhen:
+    """The workspace's lazy state: the customer cones and the validator
+    index are built only where a closure uses them."""
+
+    @pytest.fixture()
+    def cone_builds(self, monkeypatch):
+        builds = []
+        build = fastprop._customer_cones
+
+        def counted(*args):
+            builds.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(fastprop, "_customer_cones", counted)
+        return builds
+
+    def _run(self, topology, workspace, kinds, fractions=(0.0, 0.5, 1.0)):
+        spec = ExperimentSpec(
+            cells=tuple(ScenarioCell(kind, MinimalRoa()) for kind in kinds),
+            trials=4, seed=6, fractions=fractions,
+        )
+        for trial in materialize_trials(spec, topology):
+            evaluate_trial(topology, spec, trial, workspace=workspace)
+
+    def test_cones_built_once_and_never_by_a_sweep(
+        self, topology, cone_builds
     ):
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(topology, registry=registry)
+        self._run(topology, workspace, ("prefix-hijack", "forged-origin"))
+        counters = registry.snapshot()
+        assert counters["fastprop.sweeps"] > 0
+        assert counters.get("fastprop.closures", 0) == 0
+        assert cone_builds == []
+        for _ in range(2):
+            self._run(topology, workspace, (
+                "forged-origin-subprefix", "subprefix-hijack",
+            ))
+        assert registry.snapshot()["fastprop.closures"] > 0
+        assert len(cone_builds) == 1
+
+    def test_a_transit_origin_takes_the_cones(self):
+        """The origin is on its own path, so in its blocked set, but
+        blocks nothing below it: a transit AS's own announcement is
+        still one OR of cones, and walks nothing."""
+        world = _transit_world()
+        workspace = PropagationWorkspace(world)
+        workspace.begin(None)
+        assert workspace.cones() is not None
+
+        def no_walk():
+            raise AssertionError("the closure walked the core")
+
+        workspace.transit_rows = no_walk
+        adopted = _single_seed_outcome(workspace, SUB, Seed.origin(20), None)
+        asns = world.compiled().asns
+        assert {asns[i] for i in _members(adopted)} == set(
+            propagate_prefix(world, SUB, [Seed.origin(20)])
+        )
+
+    def test_invalid_closures_alone_build_no_cones(
+        self, topology, cast, cone_builds
+    ):
+        """An invalid seed's blocked set holds the validators, core
+        ASes among them, so it walks — and leaves the cones unbuilt."""
+        victim, attacker, _ = cast
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(topology, registry=registry)
+        workspace.begin(frozenset(topology.ases - {attacker}))
+        adopted = _single_seed_outcome(
+            workspace, SUB, Seed.forged_origin(attacker, victim),
+            VrpIndex([Vrp(PFX, 16, victim)]),
+        )
+        assert adopted.bit_count() == 1  # the attacker alone
+        assert registry.snapshot()["fastprop.closures"] == 1
+        assert cone_builds == []
+
+    def test_validator_index_built_only_in_epochs_that_walk(
+        self, topology, cast
+    ):
+        victim, attacker, _ = cast
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(topology, registry=registry)
+        invalid_seed = Seed.forged_origin(attacker, victim)
+        vrps = VrpIndex([Vrp(PFX, 16, victim)])
+
+        def epoch(validators):
+            workspace.begin(validators)
+            for prefix in (PFX, SUB):  # two closures an epoch
+                _single_seed_outcome(workspace, prefix, invalid_seed, vrps)
+                _single_seed_outcome(
+                    workspace, prefix, Seed.origin(victim), vrps
+                )
+            return registry.snapshot().get("fastprop.mask_builds", 0)
+
+        # Nobody validates; everybody does; the attacker does: no walk
+        # around validators, no index.
+        assert epoch(frozenset()) == 0
+        assert epoch(None) == 0
+        assert epoch(frozenset(topology.ases)) == 0
+        # The attacker does not validate: the invalid seed walks around
+        # the validators, indexed once for the epoch.
+        assert epoch(frozenset(topology.ases - {attacker})) == 1
+        assert epoch(frozenset(topology.ases - {attacker})) == 2
+
+    def test_only_outside_validators_share_the_valid_profile(self):
+        world = _transit_world()
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(world, registry=registry)
+        workspace.begin(frozenset({_OUTSIDE, 64999}))
+        seed = Seed.forged_origin(11, 20)
+        valid = _single_seed_outcome(
+            workspace, SUB, seed, VrpIndex([Vrp(PFX, 24, 20)])
+        )
+        invalid = _single_seed_outcome(
+            workspace, SUB, seed, VrpIndex([Vrp(PFX, 16, 20)])
+        )
+        assert invalid is valid and valid
+        counters = registry.snapshot()
+        assert counters["fastprop.closures"] == 1
+        assert counters["fastprop.profile_hits"] == 1
+        assert counters.get("fastprop.mask_builds", 0) == 0
+
+
+#: The ledger's ``grid_10k`` cells: the §4/§5 granularity sweep of a
+#: forged-origin subprefix attack, plus the plain subprefix hijack.
+_LEDGER_CELLS = [
+    {"kind": "forged-origin-subprefix", "policy": policy}
+    for policy in (
+        "minimal", "maxlength-17", "maxlength-18", "maxlength-19",
+        "maxlength-20", "maxlength-22", "maxlength-loose",
+        {"partial": {"base": "minimal", "coverage": 0.5}}, "none",
+    )
+] + [{"kind": "subprefix-hijack", "policy": "minimal"}]
+
+
+def _ledger_spec(trials: int, sampler: str) -> ExperimentSpec:
+    return ExperimentSpec.from_json(json.dumps({
+        "cells": _LEDGER_CELLS, "trials": trials, "seed": 2017,
+        "fractions": [0.0, 0.5, 1.0], "sampler": sampler,
+    }))
+
+
+@pytest.fixture(scope="module")
+def world_10k():
+    """The ledger's 10 000-AS topology (seed 2017): a core of 1 256
+    ASes, where the cones are not trivial."""
+    return generate_topology(
+        TopologyProfile(ases=10_000), random.Random(2017)
+    )
+
+
+class TestRealScale:
+    """Tier-1's other closures run on graphs with a handful of core
+    ASes; these run the ledger's grid at its 10 000 ASes."""
+
+    @pytest.mark.parametrize("sampler", ["stubs", "any"])
+    def test_cones_equal_the_walk_for_every_seed(self, world_10k, sampler):
+        compiled = world_10k.compiled()
+        spec = _ledger_spec(5, sampler)
+        workspace = PropagationWorkspace(compiled)
+        walker = _walking(PropagationWorkspace(compiled))
+        for trial in materialize_trials(spec, world_10k):
+            records = evaluate_trial(
+                compiled, spec, trial, workspace=workspace
+            )
+            assert evaluate_trial(
+                compiled, spec, trial, workspace=walker
+            ) == records
+            # Every closure of the trial, cone for walk, bit for bit.
+            assert workspace._profiles == walker._profiles
+        assert len(workspace.cones()) == len(workspace.has_customers())
+
+    @pytest.mark.parametrize("sampler,digest", [
+        ("stubs",
+         "20d9bbe93bd481d228e7f8b37709bc20d50c69ebecc053fd5f4133b4ec3b9573"),
+        ("any",
+         "cc39fb509a61565c4711650008f741c2305f4ba3f4a6f370e30ab071394c2b8a"),
+    ])
+    def test_ledger_grid_run_file_bytes(
+        self, world_10k, sampler, digest, tmp_path
+    ):
+        """3 fractions × 2 trials × 10 cells; the digests were taken
+        before closures became bitsets."""
+        path = tmp_path / "run.jsonl"
+        sink = JsonlSink(path)
+        try:
+            ExperimentRunner(
+                world_10k, _ledger_spec(2, sampler), sink=sink
+            ).run()
+        finally:
+            sink.close()
+        data = path.read_bytes()
+        assert data.count(b"\n") == 1 + 60
+        assert hashlib.sha256(data).hexdigest() == digest
+
+
+class TestLongEpoch:
+    def test_counts_stay_exact_after_profile_eviction(self, topology):
         """Trials that share one validator-set object share an epoch
         (every fraction-0 trial does wherever the empty frozenset is a
-        singleton), and the profile cache (cap 32) evicts inside it.  A
-        judge memo keyed on the sets' identities answered for sets that
-        were gone; keyed on the profile keys it cannot."""
+        singleton), and the profile cache (cap 32) evicts inside it.
+        Every record still equals a fresh workspace's, and the shares
+        of each sum to one."""
         spec = ExperimentSpec(
             cells=(
                 ScenarioCell("forged-origin-subprefix", MinimalRoa()),
@@ -584,8 +816,11 @@ class TestJudgeMemo:
             evaluate_trial(topology, spec, trial, workspace=workspace)
             for trial in trials
         ]
-        assert registry.snapshot()["fastprop.epochs"] == 1
-        assert len(workspace._judged) <= 32 and len(workspace._profiles) <= 32
+        counters = registry.snapshot()
+        assert counters["fastprop.epochs"] == 1
+        # Far more distinct profiles than the cap: it evicted, often.
+        assert counters["fastprop.profile_misses"] > 3 * _PROFILE_CAP
+        assert len(workspace._profiles) == _PROFILE_CAP
         assert shared == [
             evaluate_trial(topology, spec, trial) for trial in trials
         ]
