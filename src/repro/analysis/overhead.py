@@ -53,8 +53,7 @@ def measure_compression_overhead(
     """Time one ``compress_roas`` run, optionally tracing allocations.
 
     ``tracemalloc`` roughly doubles the wall time; pass
-    ``trace_memory=False`` when only timing matters (the benchmark
-    harness does both, separately).
+    ``trace_memory=False`` when only timing matters.
     """
     vrp_list = list(vrps)
     if trace_memory:

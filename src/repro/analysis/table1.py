@@ -64,7 +64,7 @@ class Table1:
         return "\n".join(lines)
 
 
-#: Scenario names, used as stable keys by benchmarks and tests.
+#: Scenario names, used as stable keys by callers and tests.
 TODAY = "Today"
 TODAY_COMPRESSED = "Today (compressed)"
 TODAY_MINIMAL = "Today, minimal ROAs, no maxLength"

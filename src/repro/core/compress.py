@@ -46,7 +46,7 @@ ROA is still minimal").
 
 This module also provides :func:`compress_vrps_optimal`, an extension
 beyond the paper: a provably minimum-size lossless representation, used
-by the ablation benchmarks to measure how close Algorithm 1 gets.
+by ``tests/test_paper_claims.py`` to measure how close Algorithm 1 gets.
 """
 
 from __future__ import annotations

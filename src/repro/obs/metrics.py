@@ -14,8 +14,8 @@ the hot path.  Design constraints, in order:
    carries its own lock.
 3. **Switchable.**  :data:`NULL_REGISTRY` is a drop-in registry whose
    instruments do nothing; :func:`use_registry` swaps the process
-   default, so benchmarks can measure telemetry's own overhead and
-   tests can pin that results are byte-identical either way.
+   default, so a run can be timed with telemetry on and off and tests
+   can pin that results are byte-identical either way.
 
 Two read-side views exist: :meth:`MetricsRegistry.snapshot` (a
 JSON-ready dict, the shape ``GET /metrics`` has always served) and

@@ -16,7 +16,7 @@ get_registry())``, what ``repro-roa serve`` does) folds the serve
 counters into the same registry the experiment engine and kernels
 record into, so one ``GET /metrics?format=prometheus`` scrape sees the
 whole process.  Everything stays standard library, cheap enough to
-leave on in benchmarks, and thread-safe so the asyncio loop and
+leave on under load, and thread-safe so the asyncio loop and
 synchronous callers (e.g. :meth:`LocalCache.refresh_from_vrps` on
 another thread) can share one instance.
 """

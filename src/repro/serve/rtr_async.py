@@ -24,8 +24,9 @@ table re-encode per Reset Query.  This is the repo's one RTR server:
 event-loop thread behind a synchronous surface
 (``start/update/close/host/port/state``) — the only synchronous entry,
 used by :class:`repro.core.pipeline.LocalCache` and synchronous tests.
-:class:`AsyncRtrClient` is the matching coroutine client used by the
-fan-out benchmark and tests.
+:class:`AsyncRtrClient` is the matching coroutine client; it shares
+its protocol handling with the synchronous client
+(:class:`~repro.rtr.client.RouterSession`).
 """
 
 from __future__ import annotations
@@ -36,23 +37,17 @@ from typing import Iterable, Optional, Set
 from ..faults.plan import fire_async
 from ..netbase.errors import ReproError
 from ..rpki.vrp import Vrp
+from ..rtr.client import RouterSession, RtrClientError
 from ..rtr.pdu import (
     CacheResetPdu,
-    CacheResponsePdu,
-    EndOfDataPdu,
     ErrorReportPdu,
-    FLAG_ANNOUNCE,
-    Ipv4PrefixPdu,
-    Ipv6PrefixPdu,
     Pdu,
-    PduBuffer,
     PduError,
     ResetQueryPdu,
     SerialNotifyPdu,
     SerialQueryPdu,
     decode_stream,
     encode_pdu,
-    pdu_to_vrp,
 )
 from ..rtr.session import CacheState, VrpDiff
 from ._loopthread import LoopThread
@@ -327,24 +322,18 @@ class ThreadedRtrServer:
         self.close()
 
 
-class AsyncRtrClient:
+class AsyncRtrClient(RouterSession):
     """Coroutine RTR router client (the async twin of ``RtrClient``).
 
-    The fan-out benchmark runs hundreds of these on one loop; each
-    holds just a reader/writer pair and its VRP set.
+    Hundreds of these can share one loop; each holds just a
+    reader/writer pair and its :class:`~repro.rtr.client.RouterSession`
+    state.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._vrps: set[Vrp] = set()
-        self._buffer = PduBuffer()
-        self.session_id: Optional[int] = None
-        self.serial: Optional[int] = None
-
-    @property
-    def vrps(self) -> frozenset[Vrp]:
-        return frozenset(self._vrps)
 
     async def connect(self, host: str, port: int) -> "AsyncRtrClient":
         self._reader, self._writer = await asyncio.open_connection(host, port)
@@ -369,54 +358,12 @@ class AsyncRtrClient:
     async def sync(self) -> int:
         """Bring the table up to date; returns PDUs processed."""
         assert self._writer is not None, "not connected"
-        if self.serial is None or self.session_id is None:
-            return await self._reset_sync()
-        self._writer.write(encode_pdu(
-            SerialQueryPdu(self.session_id, self.serial)))
-        first = await self._recv_response_header()
-        if isinstance(first, CacheResetPdu):
-            return await self._reset_sync()
-        if not isinstance(first, CacheResponsePdu):
-            raise ReproError(f"expected Cache Response, got {first}")
-        return 1 + await self._consume_data(first.session_id)
-
-    async def _reset_sync(self) -> int:
-        assert self._writer is not None
-        self._writer.write(encode_pdu(ResetQueryPdu()))
-        first = await self._recv_response_header()
-        if not isinstance(first, CacheResponsePdu):
-            raise ReproError(f"expected Cache Response, got {first}")
-        self._vrps.clear()
-        return 1 + await self._consume_data(first.session_id)
-
-    async def _recv_response_header(self) -> Pdu:
-        while True:
-            pdu = await self._recv_pdu()
-            if not isinstance(pdu, SerialNotifyPdu):
-                return pdu
-
-    async def _consume_data(self, session_id: int) -> int:
         processed = 0
-        while True:
-            pdu = await self._recv_pdu()
-            processed += 1
-            if isinstance(pdu, (Ipv4PrefixPdu, Ipv6PrefixPdu)):
-                vrp = pdu_to_vrp(pdu)
-                if pdu.flags & FLAG_ANNOUNCE:
-                    self._vrps.add(vrp)
-                else:
-                    self._vrps.discard(vrp)
-            elif isinstance(pdu, EndOfDataPdu):
-                self.session_id = session_id
-                self.serial = pdu.serial
-                return processed
-            elif isinstance(pdu, ErrorReportPdu):
-                raise ReproError(
-                    f"cache reported error {pdu.error_code}: {pdu.text}")
-            elif isinstance(pdu, SerialNotifyPdu):
-                continue  # a notify racing the data stream is harmless
-            else:
-                raise ReproError(f"unexpected PDU {pdu}")
+        while not processed:
+            self._writer.write(encode_pdu(self._query()))
+            while (processed := self._receive()) is None:
+                await self._fill()
+        return processed
 
     async def wait_for_notify(self, timeout: float = 5.0) -> SerialNotifyPdu:
         """Wait until the cache signals new data with Serial Notify.
@@ -438,12 +385,13 @@ class AsyncRtrClient:
     # ------------------------------------------------------------------
 
     async def _recv_pdu(self) -> Pdu:
+        while (pdu := self._buffer.next()) is None:
+            await self._fill()
+        return pdu
+
+    async def _fill(self) -> None:
         assert self._reader is not None, "not connected"
-        while True:
-            pdu = self._buffer.next()
-            if pdu is not None:
-                return pdu
-            chunk = await self._reader.read(_RECV_CHUNK)
-            if not chunk:
-                raise ReproError("cache closed the connection")
-            self._buffer.feed(chunk)
+        chunk = await self._reader.read(_RECV_CHUNK)
+        if not chunk:
+            raise RtrClientError("cache closed the connection")
+        self._buffer.feed(chunk)

@@ -148,6 +148,15 @@ class TestFigure3:
             ][week]
             assert by_name["Status quo"][week] < by_name["Minimal ROAs, no maxLength"][week]
 
+    def test_panel_b_series_names_and_safety(self, weekly_series):
+        panel = compute_figure3b(weekly_series)
+        names = {s.name: s.secure for s in panel.series}
+        assert names == {
+            "Minimal ROAs, no maxLength": True,
+            "Minimal ROAs, with maxLength": True,
+            "Lower bound on # PDUs": False,
+        }
+
     def test_panel_b_orderings_hold_every_week(self, weekly_series):
         panel = compute_figure3b(weekly_series)
         by_name = {s.name: s.values for s in panel.series}

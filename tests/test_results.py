@@ -1185,6 +1185,8 @@ class TestSinkProtocol:
         assert sorted(a.records, key=lambda r: r.sort_key) == records
         assert a.trial_counts == result.trial_counts
         assert a.header == header
+        # Recording observes the run without changing it.
+        assert result == ExperimentRunner(topology, spec).run()
 
     def test_empty_tee_rejected(self):
         with pytest.raises(ReproError, match="at least one sink"):

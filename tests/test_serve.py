@@ -604,6 +604,30 @@ class TestAsyncRtrServer:
 
         run(scenario())
 
+    def test_cache_error_report_raises_rtr_client_error(self):
+        # Both clients share one PDU loop, so the async client reports
+        # a cache's Error Report as the synchronous one does.
+        from repro.rtr import ErrorReportPdu, RtrClientError
+
+        async def cache(reader, writer):
+            await reader.read(8)  # the Reset Query
+            writer.write(encode_pdu(CacheResponsePdu(1)) + encode_pdu(
+                ErrorReportPdu(ErrorReportPdu.NO_DATA_AVAILABLE, text="no data")))
+            await writer.drain()
+            await reader.read()
+            writer.close()
+
+        async def scenario():
+            server = await asyncio.start_server(cache, "127.0.0.1", 0)
+            async with server:
+                client = AsyncRtrClient()
+                await client.connect(*server.sockets[0].getsockname()[:2])
+                with pytest.raises(RtrClientError, match="no data"):
+                    await client.sync()
+                await client.close()
+
+        run(scenario())
+
     def test_corrupt_bytes_get_error_report(self):
         async def scenario():
             async with AsyncRtrServer([V1]) as server:
@@ -1187,6 +1211,13 @@ class TestRtrHardening:
             async with AsyncRtrServer(
                 table, metrics=metrics, client_deadline=0.1
             ) as server:
+                # Connect/sync/close churn first: the server must come
+                # out of it, and out of the eviction, still serving.
+                for _ in range(25):
+                    router = AsyncRtrClient()
+                    await router.connect(server.host, server.port)
+                    await router.sync()
+                    await router.close()
                 reader, writer = await asyncio.open_connection(
                     server.host, server.port)
                 writer.write(encode_pdu(ResetQueryPdu()) * 128)
@@ -1197,6 +1228,14 @@ class TestRtrHardening:
                         "slow client was never evicted")
                     await asyncio.sleep(0.02)
                 assert metrics["clients_evicted"] >= 1
+                # The memory claim: once evicted, the unread frames do
+                # not stay queued in the server's write buffers.
+                outstanding = sum(
+                    router.transport.get_write_buffer_size()
+                    for router in server._writers
+                    if not router.is_closing()
+                )
+                assert outstanding < 1 << 20
                 writer.close()
                 # The server still answers a well-behaved router.
                 probe = AsyncRtrClient()
