@@ -14,7 +14,8 @@ flat line at 100%.
 :class:`~repro.exper.ExperimentSpec` whose ``fractions`` axis is the
 deployment level (stream seeding keeps the numbers bit-identical to
 the nested loop this replaced: same casts and validator samples, and
-every cell a lone subprefix announcement, which reads no tie-break).
+every cell a lone subprefix announcement, which no tie-break can
+move).
 Pass ``executor="sharded"`` to spread the trials over cores.
 """
 

@@ -90,10 +90,10 @@ def hijack_study_spec(
 
     Stream seeding draws the casts exactly as the original sequential
     loop did — same pairs, and the same numbers for the three subprefix
-    cells, which read no tie-break.  The same-prefix cell draws its
-    tie-breaks from the start of the trial's stream (the lone
-    announcements before it no longer draw), so its number is a
-    different sample of the same distribution than the loop's.
+    cells, which no tie-break can move.  The same-prefix cell breaks
+    its ties by a keyed hash of the trial's tie seed, not by draws from
+    the loop's stream, so its number is a different sample of the same
+    distribution than the loop's.
     """
     return ExperimentSpec(
         cells=(

@@ -8,7 +8,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "AttackKind", "AttackOutcome", "AttackScenario", "evaluate_attack",
         "evaluate_attack_seeds",
     ),
-    "fastprop": ("PropagationWorkspace", "propagate_prefix_array"),
+    "fastprop": ("PropagationWorkspace",),
     "message": (
         "AsPathSegment", "BgpHeader", "BgpMessage", "BgpMessageError",
         "KeepaliveMessage", "NotificationMessage", "OpenMessage",
@@ -22,7 +22,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "session": ("BgpSessionError", "BgpSpeaker"),
     "simulation": (
         "Route", "RouteClass", "Seed", "SimulationError", "propagate_prefix",
-        "reference_attack_seeds",
+        "reference_attack_seeds", "tie_rank", "tie_winner",
     ),
     "topology": (
         "AsTopology", "CompiledTopology", "Relationship", "TopologyError",

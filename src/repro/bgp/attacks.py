@@ -28,8 +28,9 @@ readable reference is :func:`repro.bgp.simulation.reference_attack_seeds`.
 from __future__ import annotations
 
 import enum
-import random
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..netbase.errors import ReproError
@@ -170,7 +171,7 @@ def evaluate_attack(
     *,
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
-    rng: Optional[random.Random] = None,
+    tie_seed: Optional[int] = None,
 ) -> AttackOutcome:
     """Simulate a hijack and measure who captures the attacked space.
 
@@ -188,7 +189,8 @@ def evaluate_attack(
     fractions, filtered = evaluate_attack_seeds(
         topology, scenario.victim, scenario.victim_prefix,
         scenario.attack_prefix, [scenario.attacker_seed()],
-        vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
+        vrp_index=vrp_index, validating_ases=validating_ases,
+        tie_seed=tie_seed,
     )
     return AttackOutcome(
         scenario=scenario,
@@ -208,7 +210,7 @@ def evaluate_attack_seeds(
     *,
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
-    rng: Optional[random.Random] = None,
+    tie_seed: Optional[int] = None,
     workspace: Optional[PropagationWorkspace] = None,
 ) -> tuple[tuple[float, float, float], bool]:
     """The measurement core, generalized to any attacker seed list.
@@ -220,24 +222,25 @@ def evaluate_attack_seeds(
     over all judged ASes (everyone outside the cast), resolving each
     by longest-prefix match as in :func:`evaluate_attack`.
 
-    ``rng`` breaks ties where seeds compete inside one propagation — a
-    same-prefix attack, or any number of attackers other than one — and
-    is advanced only there; a subprefix attack by one attacker is two
-    lone announcements, reads no draw and leaves ``rng`` untouched.
+    ``tie_seed`` keys the tie-break
+    (:func:`repro.bgp.simulation.tie_winner`) where seeds compete
+    inside one propagation — a same-prefix attack, or any number of
+    attackers other than one; a subprefix attack by one attacker is
+    two lone announcements, and no tie seed changes who adopts them.
 
-    Propagation runs on :mod:`repro.bgp.fastprop`, counted straight off
-    adopted index sets — no path is materialized — over ``topology`` in
-    either form.  A :class:`~repro.bgp.fastprop.PropagationWorkspace`
-    (one per worker) reuses state arrays and adopted sets across calls;
-    without one a transient workspace serves this call, byte-identically.
-    The tests hold it to :func:`repro.bgp.simulation.reference_attack_seeds`.
+    Propagation runs on :mod:`repro.bgp.fastprop`: every adopted set
+    is a bitset — no path is materialized — and a cell is judged by
+    popcounts, over ``topology`` in either form.  A
+    :class:`~repro.bgp.fastprop.PropagationWorkspace` (one per worker)
+    reuses indexes and single-seed bitsets across calls; without one a
+    transient workspace serves this call, byte-identically.  The tests
+    hold it to :func:`repro.bgp.simulation.reference_attack_seeds`.
     """
     # On use: queue clients import this module and must not load the kernel.
     from .fastprop import (
         PropagationWorkspace,
-        _bits,
         _compiled_of,
-        _lane_propagation,
+        _race,
         _single_seed_outcome,
     )
 
@@ -263,8 +266,8 @@ def evaluate_attack_seeds(
     victim_seed = Seed.origin(victim)
     is_subprefix = attack_prefix != victim_prefix
 
+    # Every adopted set is a bitset (bit i: AS index i adopts).
     if is_subprefix:
-        # Both adopted sets are bitsets (bit i: AS index i adopts).
         cover = _single_seed_outcome(
             workspace, victim_prefix, victim_seed, vrp_index
         )
@@ -273,35 +276,17 @@ def evaluate_attack_seeds(
                 workspace, attack_prefix, attacker_seeds[0], vrp_index
             )
         else:
-            with _lane_propagation(
-                workspace, attack_prefix, list(attacker_seeds),
-                vrp_index, rng,
-            ) as attack_state:
-                attack = _bits(attack_state.touched, n)
-        # Longest-prefix match: an attack-prefix route wins wherever
-        # one was adopted; the covering route serves the rest.
-        victim_count = (cover & ~attack).bit_count()
+            attack = reduce(or_, _race(
+                workspace, attack_prefix, attacker_seeds, vrp_index,
+                tie_seed,
+            ), 0)
         filtered = not attack
-        attacker_count = attack.bit_count()
-        for i in cast:
-            if attack >> i & 1:
-                attacker_count -= 1
-            elif cover >> i & 1:
-                victim_count -= 1
     else:
-        with _lane_propagation(
+        cover, *attacks = _race(
             workspace, victim_prefix, [victim_seed, *attacker_seeds],
-            vrp_index, rng,
-        ) as combined:
-            adopted, slot = combined.adopted, combined.slot
-            victim_count = combined.counts[0]
-            attacker_count = sum(combined.counts) - victim_count
-            for i in cast:
-                if adopted[i]:
-                    if slot[i] == 0:
-                        victim_count -= 1
-                    else:
-                        attacker_count -= 1
+            vrp_index, tie_seed,
+        )
+        attack = reduce(or_, attacks, 0)
         if vrp_index is None:
             filtered = False
         else:
@@ -318,6 +303,16 @@ def evaluate_attack_seeds(
                 is ValidationState.INVALID
                 for seed in attacker_seeds
             )
+    # Longest-prefix match: an attack-prefix route wins wherever one
+    # was adopted; the covering route serves the rest.  (In a
+    # same-prefix race the two are disjoint already.)
+    victim_count = (cover & ~attack).bit_count()
+    attacker_count = attack.bit_count()
+    for i in cast:
+        if attack >> i & 1:
+            attacker_count -= 1
+        elif cover >> i & 1:
+            victim_count -= 1
     disconnected = total - attacker_count - victim_count
     return (
         (

@@ -1,97 +1,71 @@
-"""CAIDA-scale route propagation: Gao–Rexford as flat-array sweeps.
+"""CAIDA-scale route propagation: Gao–Rexford as set closures.
 
 :func:`repro.bgp.simulation.propagate_prefix` is a faithful but
 object-heavy bucketed BFS: every neighbor view builds a frozenset,
 every offer builds a path tuple and scans it for loops, and — when
-origin validation is on — every offer walks the VRP radix tree.  None
-of that is necessary.  This module runs the same three propagation
-phases over an :class:`~repro.bgp.topology.CompiledTopology`:
+origin validation is on — every offer walks the VRP radix tree.  The
+measurement needs none of that: it asks only *which seed* each AS
+adopts.  This module answers that over a
+:class:`~repro.bgp.topology.CompiledTopology`:
 
-* adjacency is CSR-style flat integer arrays, iterated row by row;
-* per-AS route state is five parallel arrays (adopted flag, seed slot,
-  parent index, path length, route class) — paths are parent chains,
-  materialized only on demand;
+* adjacency is CSR-style rows of AS indices, unioned a frontier at a
+  time in C (``set().union(*rows)``), never walked offer by offer;
 * origin validation collapses to one RFC 6811 verdict per *seed*
-  (every propagated copy of an announcement claims the same origin)
-  combined with a per-AS validation bitmask, so the per-offer check is
-  two byte loads instead of a radix walk.
+  (every propagated copy of an announcement claims the same origin):
+  an invalid seed's blocked set gains the validating ASes;
+* an outcome is a *bitset*, a Python int whose bit *i* says AS index
+  *i* adopts, so a cell is judged by popcounts.
 
-**Bit-for-bit contract.**  Given the same topology, seeds, and RNG,
-the array engine produces exactly the routes and consumes exactly the
-random stream of the object engine — ``propagate_prefix`` and
-``reference_attack_seeds``, the readable reference the tests hold this
-module to (nothing in the product runs it).  This works because:
-
-1. AS indices are assigned in ascending ASN order, so sorting offers
-   by source index equals the object engine's sort by advertising
-   neighbor — and neighbors are distinct per candidate list, so the
-   rest of the object engine's ``(neighbor, path, seed)`` sort key is
-   never consulted.
-2. Adoption proceeds per path-length bucket in ascending target order,
-   the same schedule the object engine follows, so tie-break draws
-   happen in the same sequence.
-3. ``rng.choice`` consumes randomness as a function of candidate count
-   only, which both engines present identically.
-
-The test suite pins this contract; keep it when touching either
-engine.
+Paths are never materialized.  Who adopts which seed is decided by
+the seed's blocked set (its initial path — loop prevention: every
+later hop of a path has adopted already — plus, for an invalid seed,
+the validators), by route class and path length, and, among equally
+preferred offers from different seeds, by the order-free tie-break
+:func:`repro.bgp.simulation.tie_winner` — the rule the object engine
+applies too.  So the tests hold this module to ``propagate_prefix``
+and ``reference_attack_seeds`` seed for seed; nothing in the product
+runs those.
 
 **Two paths.**  :func:`repro.bgp.attacks.evaluate_attack_seeds`, the
-measurement core built on this module, propagates an
-announcement in one of two ways, chosen by whether seeds compete.
+measurement core built on this module, propagates an announcement in
+one of two ways, chosen by whether seeds compete.
 
 * *One seed* (the victim's covering route, a lone subprefix attacker):
   nothing competes, so every AS that is offered the route adopts it and
   *who adopts* is a reachability closure of (seed, blocked set) —
-  independent of path lengths and of anything an RNG could return.
-  :func:`_closure` computes it without a lane, candidate lists or
-  draws, and the caller's RNG is not touched (neither is it by the
-  object engine, which propagates a lone announcement without one).
-  The result is a *bitset*, a Python int whose bit *i* says AS index
-  *i* adopts: where the blocked set misses the transit core, the whole
-  down phase is one OR of precomputed customer cones; otherwise the
-  core is walked with set algebra over the CSR rows and the result
+  independent of path lengths and tie-breaks.  :func:`_closure`
+  computes it: where the blocked set misses the transit core, the
+  whole down phase is one OR of precomputed customer cones; otherwise
+  the core is walked with set algebra over the CSR rows and the result
   packed once.  A :class:`PropagationWorkspace` caches the bitset per
   (seed, RFC 6811 verdict) for the validator epoch, so the covering
-  route is computed once per trial, not once per cell, and a cell is
-  judged by popcounts of two ints.
+  route is computed once per trial, not once per cell.
 * *Seeds compete* (a same-prefix attack, several attackers at once):
-  the ordered sweep of :func:`_propagate` on a workspace lane, drawing
-  tie-breaks from the caller's RNG exactly as the object engine does.
-  Never cached: the chosen winner decides which seed's blocked set
-  gates later offers, so the outcome is draw-dependent.
+  :func:`_race`, the same closure with one colour per seed, taken
+  level by level in path-length order so that the shortest offer wins
+  and equal ones meet the tie-break.  One bitset per seed.  Never
+  cached: it depends on the trial's tie seed.
 
 A grid of subprefix attacks only (the paper's sec. 4/5 experiments)
-never sweeps and never draws.  The workspace also keeps the lane's
-per-AS arrays alive across sweeps (reset in O(touched ASes), not O(n))
-and indexes the validator set at most once per trial, and only when a
-sweep or a closure has validators to avoid.
+never races.  The workspace indexes the validator set at most once per
+trial, and only when an invalid seed has validators to walk around.
 """
 
 from __future__ import annotations
 
-import contextlib
-import random
 from functools import reduce
 from operator import or_
-from typing import Collection, Iterable, Optional, Sequence, Union
+from types import SimpleNamespace
+from typing import Collection, Optional, Sequence, Union
 
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
 from ..obs.metrics import MetricsRegistry, get_registry
 from .origin_validation import ValidationState, VrpIndex
-from .simulation import Route, RouteClass, Seed, SimulationError
+from .simulation import Seed, SimulationError, tie_winner
 from .topology import AsTopology, CompiledTopology
 
-__all__ = [
-    "PropagationWorkspace",
-    "propagate_prefix_array",
-]
-
-_ORIGIN = int(RouteClass.ORIGIN)
-_CUSTOMER = int(RouteClass.CUSTOMER)
-_PEER = int(RouteClass.PEER)
-_PROVIDER = int(RouteClass.PROVIDER)
+__all__ = ["PropagationWorkspace"]
 
 #: Single-seed profiles kept per workspace before the cache recycles
 #: (bounds worker memory on CAIDA-scale graphs; within one trial a
@@ -122,103 +96,6 @@ def _bits(indices: Collection[int], n: int) -> int:
     for i in indices:
         flags[i] = 1
     return int(flags.translate(_DIGITS)[::-1], 2)
-
-
-def _fast_randbelow_ok() -> bool:
-    """Can we inline ``Random.choice``'s rejection sampling?
-
-    The hot loop draws one tie-break per adoption; going through
-    ``rng.choice`` costs two extra Python frames each time.  When the
-    platform's ``Random._randbelow`` is the documented
-    getrandbits-rejection loop we consume the identical bit stream
-    inline; this probe verifies that equivalence once at import and
-    the engine falls back to ``rng.choice`` if it ever fails.
-    """
-    reference, inlined = random.Random(7), random.Random(7)
-    for size in (1, 2, 3, 5, 17):
-        expected = reference.choice(range(size))
-        getrandbits = inlined.getrandbits
-        bits = size.bit_length()
-        draw = getrandbits(bits)
-        while draw >= size:
-            draw = getrandbits(bits)
-        if draw != expected or reference.getstate() != inlined.getstate():
-            return False
-    return True
-
-
-_FAST_RANDBELOW = _fast_randbelow_ok()
-
-
-def _choose(srcs: list[int], rng: Optional[random.Random]) -> int:
-    """Tie-break exactly as the object engine's sorted ``rng.choice``."""
-    if rng is None:
-        return min(srcs)
-    srcs.sort()
-    return rng.choice(srcs)
-
-
-class _Lane:
-    """One reusable set of per-AS propagation arrays.
-
-    ``touched`` lists every index adopted by the last propagation, in
-    adoption order; :meth:`reset` restores the clean-lane invariant in
-    O(touched): ``adopted`` all zero and ``offer_srcs`` all ``None``.
-    The other arrays may hold stale values — they are only ever read
-    behind an ``adopted``/offer guard that guarantees a fresh write
-    happened first.
-    """
-
-    __slots__ = (
-        "n", "adopted", "slot", "parent", "plen", "klass",
-        "offer_srcs", "offer_len", "touched",
-    )
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.adopted = bytearray(n)
-        self.slot = [0] * n
-        self.parent = [-1] * n
-        self.plen = [0] * n
-        self.klass = bytearray(n)
-        self.offer_srcs: list[Optional[list[int]]] = [None] * n
-        self.offer_len = [0] * n
-        self.touched: list[int] = []
-
-    def reset(self) -> None:
-        adopted = self.adopted
-        offer_srcs = self.offer_srcs
-        for i in self.touched:
-            adopted[i] = 0
-            offer_srcs[i] = None
-        self.touched.clear()
-
-    def hard_reset(self) -> None:
-        """Full reinitialization — for exception paths, where the
-        O(touched) bookkeeping cannot be trusted."""
-        self.__init__(self.n)
-
-
-class _State:
-    """Raw propagation outcome: the lane's five parallel per-AS-index
-    arrays, its list of adopted indices, and per-seed adoption counts
-    (maintained during the sweeps, so capture fractions never need an
-    O(n) scan).  Everything here aliases the lane: read it before the
-    lane is reset."""
-
-    __slots__ = ("seed_list", "adopted", "slot", "parent", "plen", "klass",
-                 "touched", "counts")
-
-    def __init__(self, seed_list: list[Seed], lane: _Lane,
-                 counts: list[int]) -> None:
-        self.seed_list = seed_list
-        self.adopted = lane.adopted
-        self.slot = lane.slot
-        self.parent = lane.parent
-        self.plen = lane.plen
-        self.klass = lane.klass
-        self.touched = lane.touched
-        self.counts = counts
 
 
 def _customer_cones(
@@ -257,7 +134,7 @@ class _WorkspaceMetrics:
     """The ``fastprop.*`` instruments one workspace records into.
 
     Counters only — the kernel never reads a clock — so telemetry here
-    can never perturb timing-sensitive callers, let alone the RNG.
+    can never perturb timing-sensitive callers.
     """
 
     __slots__ = (
@@ -278,27 +155,25 @@ class _WorkspaceMetrics:
 
 
 class PropagationWorkspace:
-    """Reusable per-worker state for array-engine trial evaluation.
+    """Reusable per-worker state for trial evaluation.
 
     Allocate one per (worker, topology) and pass it to
-    :func:`repro.bgp.attacks.evaluate_attack_seeds`: the per-AS state
-    arrays are allocated on the first ordered sweep and reset in O(touched)
-    between propagations, the validator set is indexed at most once per
-    epoch instead of once per propagation, the customer cones are built
-    once, on the first closure that can use them, and a single-seed
+    :func:`repro.bgp.attacks.evaluate_attack_seeds`: the validator set
+    is indexed at most once per epoch instead of once per propagation,
+    the transit core and the customer cones are built once, on the
+    first closure or race that uses them, and a single-seed
     propagation's adopted bitset is computed once per epoch (see the
-    module docstring).  Results, RNG consumption included, are those of
-    a call that is given no workspace and makes a transient one — which
-    the test suite pins.
+    module docstring).  Results are those of a call that is given no
+    workspace and makes a transient one — which the test suite pins.
 
     The workspace counts its own behavior into ``registry`` under the
-    ``fastprop.`` namespace — ``sweeps`` (ordered sweeps run),
-    ``closures`` (adopted sets computed as reachability),
+    ``fastprop.`` namespace — ``sweeps`` (races: propagations in which
+    seeds compete), ``closures`` (single-seed adopted sets computed),
     ``touched_ases`` (ASes adopted, by either), profile cache
-    hits/misses, ``mask_builds`` (validator sets indexed, which only a
-    sweep or a closure with validators to avoid asks for) — by default
-    the process registry at construction time, so worker processes
-    each record into their own.
+    hits/misses, ``mask_builds`` (validator indexes built, which only
+    an invalid seed with validators to walk around asks for) — by
+    default the process registry at construction time, so worker
+    processes each record into their own.
 
     Not thread-safe; share nothing across threads or processes.
     """
@@ -313,34 +188,33 @@ class PropagationWorkspace:
         self.metrics = _WorkspaceMetrics(
             registry if registry is not None else get_registry()
         )
-        self._lanes: list[_Lane] = []
         self._profiles: dict[tuple, int] = {}
         self._validators_token: object = self  # sentinel: no epoch yet
         self._validators: Optional[frozenset[int]] = None
-        self._mask: Optional[bytearray] = None
-        self._universal_mask: Optional[bytearray] = None
         self._has_customers: Optional[frozenset[int]] = None
-        self._transit_rows: dict[int, tuple[int, ...]] = {}
+        self._transit_rows: Optional[dict[int, tuple[int, ...]]] = None
         self._cones: Optional[dict[int, int]] = None
         self._cones_built = False
 
-    def lane(self, index: int = 0) -> _Lane:
-        while len(self._lanes) <= index:
-            self._lanes.append(_Lane(len(self.compiled)))
-        return self._lanes[index]
+    def lane(self, index: int = 0) -> SimpleNamespace:
+        """The per-AS arrays the workspace keeps for a propagation:
+        none.  The closure and the race hold their state in sets and
+        bitsets, so every lane is empty and sizes at 0 bytes; callers
+        that report a workspace's array memory still get an object to
+        size."""
+        return SimpleNamespace()
 
     def begin(self, validating_ases: Optional[frozenset[int]]) -> None:
         """Open a validator epoch (one per trial, shared by its cells).
 
         Epochs are tracked by object identity — a trial passes the
         same ``validating_ases`` object to every cell — so the check
-        is O(1).  A new epoch drops the cached index and mask and the
-        profile cache, whose invalid-seed entries depend on them.
+        is O(1).  A new epoch drops the cached index and the profile
+        cache, whose invalid-seed entries depend on it.
         """
         if validating_ases is not self._validators_token:
             self._validators_token = validating_ases
             self._validators = None
-            self._mask = None
             self._profiles.clear()
             self.metrics.epochs.inc()
 
@@ -370,7 +244,8 @@ class PropagationWorkspace:
     def validators(self) -> Optional[frozenset[int]]:
         """The current epoch's validating AS *indices*, computed lazily
         straight from the ASN set (ASNs outside the topology are
-        ignored); ``None`` means every AS validates."""
+        ignored) and counted in ``mask_builds``; ``None`` means every
+        AS validates."""
         validating_ases = self._epoch()
         if validating_ases is None:
             return None
@@ -381,49 +256,36 @@ class PropagationWorkspace:
             if None in validators:  # an ASN outside the topology
                 validators -= {None}
             self._validators = validators
-            if self._mask is None:  # one build per epoch, in either form
-                self.metrics.mask_builds.inc()
+            self.metrics.mask_builds.inc()
         return self._validators
-
-    def mask(self) -> bytearray:
-        """The current epoch's validators as the per-AS-index bitmask
-        the ordered sweep reads, computed lazily."""
-        if self._mask is None:
-            validating_ases = self._epoch()
-            if validating_ases is None:
-                if self._universal_mask is None:
-                    self._universal_mask = self.compiled.validation_mask(None)
-                self._mask = self._universal_mask
-            else:
-                self._mask = self.compiled.validation_mask(validating_ases)
-                if self._validators is None:
-                    self.metrics.mask_builds.inc()
-        return self._mask
 
     def has_customers(self) -> frozenset[int]:
         """ASes with at least one customer — the transit core, the
         only ASes a downward closure has to walk (most of an AS graph
-        is stubs).  Built on the first closure, :meth:`transit_rows`
-        with it, so a workspace that only ever sweeps never pays for
-        either."""
+        is stubs).  Built on the first closure or race."""
         if self._has_customers is None:
-            customer_rows = self.compiled.customer_rows
-            core = frozenset(
-                i for i, row in enumerate(customer_rows) if row
+            self._has_customers = frozenset(
+                i for i, row in enumerate(self.compiled.customer_rows)
+                if row
             )
-            for i in sorted(core):
-                inner = tuple(j for j in customer_rows[i] if j in core)
-                if inner:
-                    self._transit_rows[i] = inner
-            self._has_customers = core
         return self._has_customers
 
     def transit_rows(self) -> dict[int, tuple[int, ...]]:
         """``customer_rows`` restricted to the core: each AS's
         customers that themselves have customers.  Sparse — an AS all
         of whose customers are stubs, like a stub itself, has no
-        entry: 511 rows for 10 000 generated ASes."""
-        self.has_customers()
+        entry: 511 rows for 10 000 generated ASes.  Built on the first
+        closure that walks or builds the cones, so a workspace that
+        only races never pays for it."""
+        if self._transit_rows is None:
+            core = self.has_customers()
+            customer_rows = self.compiled.customer_rows
+            transit: dict[int, tuple[int, ...]] = {}
+            for i in sorted(core):
+                inner = tuple(j for j in customer_rows[i] if j in core)
+                if inner:
+                    transit[i] = inner
+            self._transit_rows = transit
         return self._transit_rows
 
     def cones(self) -> Optional[dict[int, int]]:
@@ -481,349 +343,21 @@ def _check_seeds(
         seen.add(seed.asn)
 
 
-def _propagate(
-    compiled: CompiledTopology,
-    prefix: Prefix,
-    seed_list: list[Seed],
-    vrp_index: Optional[VrpIndex],
-    validating_ases: Optional[frozenset[int]],
-    rng: Optional[random.Random],
-    *,
-    lane: Optional[_Lane] = None,
-    mask: Optional[bytearray] = None,
-) -> tuple[_State, _Lane]:
-    """The three Gao–Rexford phases as array sweeps.
-
-    ``lane`` supplies reusable arrays (fresh ones are allocated when
-    absent); it must satisfy the clean-lane invariant on entry and is
-    returned dirty — the caller resets it.  ``mask`` lets a workspace
-    pass the epoch's precomputed validator bitmask, in which case
-    ``validating_ases`` is not read.
-    """
-    n = len(compiled)
-    index_of = compiled.index_of
-    _check_seeds(compiled, seed_list)
-
-    # One validation verdict per seed: every propagated copy claims the
-    # seed's origin, so the object engine's per-offer radix walk is a
-    # constant here.
-    invalid = [False] * len(seed_list)
-    if vrp_index is not None:
-        for k, seed in enumerate(seed_list):
-            invalid[k] = (
-                vrp_index.validate(prefix, seed.path[-1])
-                is ValidationState.INVALID
-            )
-    if vrp_index is not None and mask is None and any(invalid):
-        mask = compiled.validation_mask(validating_ases)
-    validation_on = vrp_index is not None
-
-    # Per-seed offer block mask: never offer a route to an AS on its
-    # seed's initial path (loop prevention — every later hop is an
-    # adopter and already excluded by the adopted flag), nor — for an
-    # invalid seed — to a validating AS.
-    blocked: list[bytearray] = []
-    for k, seed in enumerate(seed_list):
-        blk = bytearray(mask) if (validation_on and invalid[k]) else (
-            bytearray(n)
-        )
-        for asn in seed.path:
-            i = index_of.get(asn)
-            if i is not None:
-                blk[i] = 1
-        blocked.append(blk)
-
-    if lane is None:
-        lane = _Lane(n)
-    adopted = lane.adopted
-    slot = lane.slot
-    parent = lane.parent
-    plen = lane.plen
-    klass = lane.klass
-    offer_srcs = lane.offer_srcs
-    offer_len = lane.offer_len
-    touched = lane.touched
-    counts = [0] * len(seed_list)
-
-    # Inline the tie-break draw when the RNG is a plain Random (the
-    # verified-identical fast path); anything exotic goes through
-    # rng.choice so custom Random subclasses keep exact semantics.
-    getrandbits = (
-        rng.getrandbits
-        if rng is not None and _FAST_RANDBELOW and type(rng) is random.Random
-        else None
-    )
-
-    origins: list[int] = []
-    for k, seed in enumerate(seed_list):
-        i = index_of[seed.asn]
-        if validation_on and invalid[k] and mask[i]:
-            continue
-        adopted[i] = 1
-        slot[i] = k
-        plen[i] = len(seed.path)
-        klass[i] = _ORIGIN
-        counts[k] += 1
-        origins.append(i)
-        touched.append(i)
-
-    def sweep(
-        exporters: list[int],
-        rows: tuple[tuple[int, ...], ...],
-        route_class: int,
-    ) -> None:
-        """Adopt along ``rows`` edges in path-length order, chaining.
-
-        Offers are kept in per-target source lists indexed by the lane
-        arrays (``offer_srcs``/``offer_len``) instead of per-length
-        dicts; each bucket is just the list of targets first offered
-        at that length.  An offer strictly longer than one the target
-        already holds is discarded immediately — in the object engine
-        it would sit in a later bucket and lose to the earlier
-        adoption anyway, without consuming randomness — so the live
-        candidate lists are exactly the object engine's.
-        """
-        buckets: dict[int, list[int]] = {}
-        for i in exporters:
-            row = rows[i]
-            if not row:
-                continue
-            length = plen[i] if klass[i] == _ORIGIN else plen[i] + 1
-            blk = blocked[slot[i]]
-            bucket = buckets.get(length)
-            if bucket is None:
-                bucket = buckets[length] = []
-            for t in row:
-                if adopted[t] or blk[t]:
-                    continue
-                srcs = offer_srcs[t]
-                if srcs is None:
-                    offer_srcs[t] = [i]
-                    offer_len[t] = length
-                    bucket.append(t)
-                elif offer_len[t] == length:
-                    srcs.append(i)
-                elif length < offer_len[t]:
-                    offer_srcs[t] = [i]
-                    offer_len[t] = length
-                    bucket.append(t)
-        while buckets:
-            length = min(buckets)
-            batch = buckets.pop(length)
-            next_length = length + 1
-            next_bucket = buckets.get(next_length)
-            batch.sort()
-            for t in batch:
-                if adopted[t]:
-                    continue
-                srcs = offer_srcs[t]
-                count = len(srcs)
-                if count == 1:
-                    chosen = srcs[0]
-                    if getrandbits is not None:
-                        while getrandbits(1):
-                            pass
-                    elif rng is not None:
-                        rng.choice(srcs)
-                elif getrandbits is not None:
-                    srcs.sort()
-                    bits = count.bit_length()
-                    draw = getrandbits(bits)
-                    while draw >= count:
-                        draw = getrandbits(bits)
-                    chosen = srcs[draw]
-                else:
-                    chosen = _choose(srcs, rng)
-                adopted[t] = 1
-                k = slot[chosen]
-                slot[t] = k
-                parent[t] = chosen
-                plen[t] = length
-                klass[t] = route_class
-                counts[k] += 1
-                touched.append(t)
-                row = rows[t]
-                if row:
-                    blk = blocked[k]
-                    if next_bucket is None:
-                        next_bucket = buckets[next_length] = []
-                    for u in row:
-                        if adopted[u] or blk[u]:
-                            continue
-                        srcs = offer_srcs[u]
-                        if srcs is None:
-                            offer_srcs[u] = [t]
-                            offer_len[u] = next_length
-                            next_bucket.append(u)
-                        elif offer_len[u] == next_length:
-                            srcs.append(t)
-                        elif next_length < offer_len[u]:
-                            offer_srcs[u] = [t]
-                            offer_len[u] = next_length
-                            next_bucket.append(u)
-
-    # Phase 1 — customer routes climb provider edges.
-    sweep(origins, compiled.provider_rows, _CUSTOMER)
-
-    # Phase 2 — customer/origin routes cross one peering edge; no
-    # chaining, so collect every offer first, then settle each AS by
-    # shortest-then-tie-break in ascending target order.  Exporters
-    # come from the touched list (everything adopted so far is ORIGIN
-    # or CUSTOMER here) instead of an O(n) scan; offer order cannot
-    # matter because the minimum-length candidates are sorted before
-    # drawing.
-    peer_rows = compiled.peer_rows
-    peer_targets: list[int] = []
-    for i in list(touched):
-        k = klass[i]
-        if k != _ORIGIN and k != _CUSTOMER:
-            continue
-        row = peer_rows[i]
-        if not row:
-            continue
-        length = plen[i] if k == _ORIGIN else plen[i] + 1
-        blk = blocked[slot[i]]
-        for t in row:
-            if adopted[t] or blk[t]:
-                continue
-            srcs = offer_srcs[t]
-            if srcs is None:
-                offer_srcs[t] = [i]
-                offer_len[t] = length
-                peer_targets.append(t)
-            elif offer_len[t] == length:
-                srcs.append(i)
-            elif length < offer_len[t]:
-                offer_srcs[t] = [i]
-                offer_len[t] = length
-    peer_targets.sort()
-    for t in peer_targets:
-        srcs = offer_srcs[t]
-        chosen = _choose(srcs, rng)
-        adopted[t] = 1
-        k = slot[chosen]
-        slot[t] = k
-        parent[t] = chosen
-        plen[t] = offer_len[t]
-        klass[t] = _PEER
-        counts[k] += 1
-        touched.append(t)
-
-    # Phase 3 — every adopted route descends customer edges.  The
-    # touched list *is* the adopted set (in adoption order; exporter
-    # order is immaterial for the same sorted-candidates reason).
-    sweep(list(touched), compiled.customer_rows, _PROVIDER)
-
-    return _State(seed_list, lane, counts), lane
-
-
-def _materialize(compiled: CompiledTopology, state: _State) -> dict[int, Route]:
-    """Expand parent chains into the object engine's Route mapping."""
-    asns = compiled.asns
-    seed_list = state.seed_list
-    adopted, slot = state.adopted, state.slot
-    parent, klass = state.parent, state.klass
-    paths: dict[int, tuple[int, ...]] = {}
-
-    def path_of(i: int) -> tuple[int, ...]:
-        chain: list[int] = []
-        j = i
-        while True:
-            path = paths.get(j)
-            if path is not None:
-                break
-            up = parent[j]
-            if up < 0:
-                path = seed_list[slot[j]].path
-                break
-            chain.append(j)
-            j = up
-        paths[j] = path
-        while chain:
-            child = chain.pop()
-            # The route stored at ``child`` is its parent's offered
-            # path: the parent's own path, parent-prepended unless the
-            # parent originated the announcement.
-            if klass[j] != _ORIGIN:
-                path = (asns[j],) + path
-            paths[child] = path
-            j = child
-        return path
-
-    routes: dict[int, Route] = {}
-    for i in range(len(asns)):
-        if adopted[i]:
-            routes[asns[i]] = Route(
-                path_of(i), RouteClass(klass[i]), seed_list[slot[i]].asn
-            )
-    return routes
-
-
-def propagate_prefix_array(
-    topology: Union[AsTopology, CompiledTopology],
-    prefix: Prefix,
-    seeds: Iterable[Seed],
-    *,
-    vrp_index: Optional[VrpIndex] = None,
-    validating_ases: Optional[frozenset[int]] = None,
-    rng: Optional[random.Random] = None,
-) -> dict[int, Route]:
-    """Drop-in array-engine replacement for
-    :func:`repro.bgp.simulation.propagate_prefix`.
-
-    Accepts either an :class:`AsTopology` (compiled and cached on first
-    use) or a pre-built :class:`CompiledTopology`; returns the same
-    ASN→:class:`Route` mapping, bit-for-bit, including the seeded
-    tie-break stream.
-
-    This entry point always runs the full sweep: materialized routes
-    need parent chains, which are tie-break-dependent, so the
-    workspace profile cache cannot serve them.
-    """
-    compiled = _compiled_of(topology)
-    state, _lane = _propagate(
-        compiled, prefix, list(seeds), vrp_index, validating_ases, rng
-    )
-    return _materialize(compiled, state)
-
-
-# ----------------------------------------------------------------------
-# Attack evaluation
-# ----------------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def _lane_propagation(
+def _invalid(
     workspace: PropagationWorkspace,
     prefix: Prefix,
-    seed_list: list[Seed],
+    seed: Seed,
     vrp_index: Optional[VrpIndex],
-    rng: Optional[random.Random],
-):
-    """The lane lifecycle protocol, shared by every sweep call site:
-    acquire the workspace lane, propagate, yield the raw state for the
-    caller to read, then restore the clean-lane invariant — O(touched)
-    on success, a full reinitialization when the sweep died partway and
-    the bookkeeping cannot be trusted."""
-    lane = workspace.lane(0)
-    try:
-        state, _ = _propagate(
-            workspace.compiled, prefix, seed_list, vrp_index, None, rng,
-            lane=lane,
-            mask=workspace.mask() if vrp_index is not None else None,
-        )
-    except BaseException:
-        lane.hard_reset()
-        raise
-    try:
-        yield state
-    finally:
-        metrics = workspace.metrics
-        if metrics.enabled:
-            # Read the touched count BEFORE reset clears the list.
-            metrics.sweeps.inc()
-            metrics.touched_ases.inc(len(lane.touched))
-        lane.reset()
+) -> bool:
+    """Is ``seed`` RFC 6811-invalid for ``prefix`` where it matters —
+    with somebody in the topology validating?  Where nobody does, a
+    verdict changes nothing."""
+    return (
+        vrp_index is not None
+        and vrp_index.validate(prefix, seed.path[-1])
+        is ValidationState.INVALID
+        and workspace.anyone_validates()
+    )
 
 
 def _closure(
@@ -834,7 +368,7 @@ def _closure(
 
     With one seed nothing competes: every AS that is offered the route
     adopts it, so *who* adopts depends on neither path lengths nor
-    tie-break draws.  It is the three Gao–Rexford phases read as a
+    tie-breaks.  It is the three Gao–Rexford phases read as a
     closure — up over provider edges, one hop over peer edges, down
     over customer edges — never entering the seed's blocked set (its
     initial path; the validating ASes too when the seed is
@@ -911,12 +445,7 @@ def _single_seed_outcome(
     :func:`_closure`, computed once per (seed, RFC 6811 verdict) and
     validator epoch.  Where nobody validates, a verdict changes
     nothing, and an invalid seed shares the valid seed's profile."""
-    invalid = (
-        vrp_index is not None
-        and vrp_index.validate(prefix, seed.path[-1])
-        is ValidationState.INVALID
-        and workspace.anyone_validates()
-    )
+    invalid = _invalid(workspace, prefix, seed, vrp_index)
     key = (seed.asn, seed.path, invalid)
     adopted = workspace.profile(key)
     if adopted is None:
@@ -927,3 +456,143 @@ def _single_seed_outcome(
             metrics.touched_ases.inc(adopted.bit_count())
         workspace.store_profile(key, adopted)
     return adopted
+
+
+def _race(
+    workspace: PropagationWorkspace,
+    prefix: Prefix,
+    seed_list: Sequence[Seed],
+    vrp_index: Optional[VrpIndex],
+    tie_seed: Optional[int],
+) -> list[int]:
+    """The adopted bitset of every seed of a propagation in which
+    seeds compete: the :func:`_closure` with one colour per seed.
+
+    A seed is held at its AS unless that AS validates and the seed is
+    invalid; it is offered on as the closure offers it, never into its
+    own blocked set.  The three phases — up over provider edges, one
+    peer hop, down over customer edges — take the offers a *level* at
+    a time: all offers of one path length, in C-level unions of CSR
+    rows, before any longer one.  So an AS adopts at the shortest
+    length it is offered in its phase, as in the object engine, and
+    at that length all its offers are on the table at once.  Offers
+    from one seed only need no choice: whichever neighbor wins, the AS
+    holds that seed at that length and class, which is all that
+    decides what it offers next (every later hop of a path has
+    adopted, so loop prevention is the seed's blocked set plus the
+    adopted ASes).  Where several seeds tie, the winner is the
+    neighbor :func:`~repro.bgp.simulation.tie_winner` picks among every
+    neighbor offering at that level — the object engine's rule over
+    the same neighbors, and the only place a tie seed is read.
+
+    Levels are keyed by *export* length: a seed's origin offers its
+    initial path, every adopter its own path one hop longer.  The down
+    phase unions only core exporters' rows (a stub has no customers).
+    """
+    compiled = workspace.compiled
+    _check_seeds(compiled, seed_list)
+    index_of = compiled.index_of
+    asns = compiled.asns
+    core = workspace.has_customers()
+
+    #: export length → each seed's exporters at that length
+    levels: dict[int, list[set[int]]] = {}
+
+    def level(length: int) -> list[set[int]]:
+        exporters = levels.get(length)
+        if exporters is None:
+            exporters = levels[length] = [set() for _ in seed_list]
+        return exporters
+
+    blocked: list[frozenset[int]] = []
+    won: list[set[int]] = []
+    for k, seed in enumerate(seed_list):
+        block = frozenset(
+            index_of[asn] for asn in seed.path if asn in index_of
+        )
+        origin: Optional[int] = index_of[seed.asn]
+        if _invalid(workspace, prefix, seed, vrp_index):
+            if workspace.validates(seed.asn):
+                origin = None  # dropped by its own AS
+            else:
+                block |= workspace.validators()
+        blocked.append(block)
+        won.append(set() if origin is None else {origin})
+        if origin is not None:
+            level(len(seed.path))[k].add(origin)
+    adopted: set[int] = set().union(*won)
+
+    def settle(
+        length: int,
+        exporters: list[set[int]],
+        rows: tuple[tuple[int, ...], ...],
+        back: tuple[tuple[int, ...], ...],
+    ) -> None:
+        """Adopt what each seed's ``exporters`` offer over ``rows`` at
+        export length ``length``, and queue the adopters that have
+        customers to offer one hop longer.  ``back`` is the reverse
+        relation, where a contested AS finds the neighbors offering to
+        it."""
+        offers = []
+        offered: set[int] = set()
+        contested: set[int] = set()
+        for sources, block in zip(exporters, blocked):
+            targets = set().union(*map(rows.__getitem__, sources))
+            targets -= adopted
+            targets -= block
+            contested |= offered & targets
+            offered |= targets
+            offers.append(targets)
+        adopted.update(offered)
+        if contested:
+            for targets in offers:
+                targets -= contested
+            for t in sorted(contested):
+                seed_of = {
+                    asns[j]: k
+                    for k, sources in enumerate(exporters)
+                    if t not in blocked[k]
+                    for j in back[t]
+                    if j in sources
+                }
+                offers[seed_of[tie_winner(tie_seed, asns[t], seed_of)]].add(t)
+        for k, targets in enumerate(offers):
+            won[k] |= targets
+            targets &= core
+            if targets:
+                level(length + 1)[k] |= targets
+
+    def sweep(
+        rows: tuple[tuple[int, ...], ...],
+        back: tuple[tuple[int, ...], ...],
+    ) -> list[tuple[int, list[set[int]]]]:
+        """Drain ``levels`` shortest first, chaining; returns the
+        drained levels."""
+        drained = []
+        while levels:
+            length = min(levels)
+            exporters = levels.pop(length)
+            drained.append((length, exporters))
+            settle(length, exporters, rows, back)
+        return drained
+
+    provider_rows = compiled.provider_rows
+    customer_rows = compiled.customer_rows
+    # Phase 1 — customer routes climb provider edges (every provider
+    # is core, so the climb queues everything it adopts).
+    climbed = sweep(provider_rows, customer_rows)
+    # Phase 2 — what phase 1 holds crosses one peering edge, shortest
+    # first, without chaining; phase 3's levels collect meanwhile.
+    for length, exporters in climbed:
+        for sources, down in zip(exporters, level(length)):
+            down |= sources & core
+        settle(length, exporters, compiled.peer_rows, compiled.peer_rows)
+    # Phase 3 — every adopted route descends customer edges.
+    sweep(customer_rows, provider_rows)
+
+    metrics = workspace.metrics
+    if metrics.enabled:
+        metrics.sweeps.inc()
+        metrics.touched_ases.inc(len(adopted))
+    n = len(compiled)
+    return [_bits(adopters, n) for adopters in won]

@@ -6,8 +6,8 @@ variant?  This module implements the standard interdomain propagation
 model used by that literature (e.g. Lychev–Goldberg–Schapira [16]):
 
 * **Preference**: customer routes over peer routes over provider
-  routes; then shorter AS paths; then a deterministic (or seeded
-  random) tie-break.
+  routes; then shorter AS paths; then a tie-break on the advertising
+  neighbor (:func:`tie_winner`).
 * **Export**: routes learned from customers are exported to everyone;
   routes learned from peers or providers are exported only to
   customers.
@@ -25,16 +25,25 @@ lengths: a forged-origin announcement starts with path
 Origin validation plugs in as a filter: validating ASes silently
 discard announcements whose (prefix, claimed origin) is RPKI-invalid.
 
+**The tie-break is order-free.**  Among equally preferred offers
+(same class, same path length) an AS adopts the one from the neighbor
+with the lowest :func:`tie_rank` under the trial's ``tie_seed`` — a
+keyed hash of (tie seed, AS, neighbor), so every equally good offer is
+equally likely to win, and the winner depends on which offers tie, not
+on the order they arrived or were evaluated in.  No RNG is read.  With
+no tie seed the lowest neighbor ASN wins.
+
 This is the readable model, not the product path: experiments run the
-flat-array engine of :mod:`repro.bgp.fastprop`, and the test suite
-holds it to :func:`propagate_prefix` and :func:`reference_attack_seeds`
-route for route and draw for draw.
+set closures of :mod:`repro.bgp.fastprop`, which call the same
+:func:`tie_winner`, and the test suite holds them to
+:func:`propagate_prefix` and :func:`reference_attack_seeds` seed for
+seed.
 """
 
 from __future__ import annotations
 
 import enum
-import random
+import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -45,7 +54,7 @@ from .topology import AsTopology
 
 __all__ = [
     "RouteClass", "Route", "Seed", "propagate_prefix",
-    "reference_attack_seeds", "SimulationError",
+    "reference_attack_seeds", "SimulationError", "tie_rank", "tie_winner",
 ]
 
 
@@ -109,6 +118,35 @@ class Seed:
         return cls(attacker, (attacker, victim))
 
 
+def tie_rank(tie_seed: int, asn: int, neighbor: int) -> int:
+    """The rank of ``neighbor``'s offer in a tie at AS ``asn``: the
+    first 8 bytes, big-endian, of a blake2b digest of
+    ``"repro.bgp.tie/{tie_seed}/{asn}/{neighbor}"`` — the construction
+    derived trial seeds and retry jitter use.  A contract, like
+    ``spec_hash``: changing the encoding moves every same-prefix
+    record."""
+    key = f"repro.bgp.tie/{tie_seed}/{asn}/{neighbor}".encode()
+    return int.from_bytes(
+        hashlib.blake2b(key, digest_size=8).digest(), "big"
+    )
+
+
+def tie_winner(
+    tie_seed: Optional[int], asn: int, neighbors: Iterable[int]
+) -> int:
+    """The tie-break, the one rule both engines call: of ``neighbors``
+    (distinct ASNs, each offering AS ``asn`` an equally preferred
+    route), the one whose offer ``asn`` adopts — the lowest
+    :func:`tie_rank`, or with no ``tie_seed`` the lowest ASN.  Order-free
+    in ``neighbors``."""
+    if tie_seed is None:
+        return min(neighbors)
+    return min(
+        neighbors,
+        key=lambda neighbor: (tie_rank(tie_seed, asn, neighbor), neighbor),
+    )
+
+
 #: A candidate route offer: (advertising neighbor, full path, seed AS).
 _Offer = tuple[int, tuple[int, ...], int]
 
@@ -120,7 +158,7 @@ def propagate_prefix(
     *,
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
-    rng: Optional[random.Random] = None,
+    tie_seed: Optional[int] = None,
 ) -> dict[int, Route]:
     """Simulate propagation of one prefix; returns each AS's choice.
 
@@ -133,8 +171,8 @@ def propagate_prefix(
         validating_ases: which ASes enforce validation; defaults to all
             (when ``vrp_index`` is given) — the paper's "RPKI deployed"
             setting.
-        rng: tie-break source; None means deterministic (prefer the
-            lower advertising-neighbor ASN).
+        tie_seed: keys the tie-break (:func:`tie_winner`); None means
+            deterministic (prefer the lower advertising-neighbor ASN).
 
     Returns:
         Mapping from ASN to the :class:`Route` it selected.  ASes that
@@ -156,15 +194,14 @@ def propagate_prefix(
             return False
         return vrp_index.validate(prefix, path[-1]) is ValidationState.INVALID
 
-    def tie_break(options: list[_Offer]) -> _Offer:
-        # Offers accumulate in neighbor-set iteration order, which is an
-        # artifact of edge insertion order; sort before drawing so the
-        # seeded pick is a function of the topology, not of how it was
-        # built (and so the array engine can reproduce it exactly).
-        options.sort()
-        if rng is not None:
-            return rng.choice(options)
-        return options[0]
+    def tie_break(asn: int, options: list[_Offer]) -> _Offer:
+        # One offer per advertising neighbor: each AS offers once per
+        # phase.  The winner is a function of which neighbors tie, not
+        # of the order their offers arrived in.
+        if len(options) == 1:
+            return options[0]
+        by_neighbor = {offer[0]: offer for offer in options}
+        return by_neighbor[tie_winner(tie_seed, asn, by_neighbor)]
 
     adopted: dict[int, Route] = {}
     for seed in seed_list:
@@ -206,7 +243,7 @@ def propagate_prefix(
             for asn, options in sorted(batch.items()):
                 if asn in adopted:
                     continue
-                _neighbor, path, seed_asn = tie_break(options)
+                _neighbor, path, seed_asn = tie_break(asn, options)
                 route = Route(path, route_class, seed_asn)
                 adopted[asn] = route
                 offer(asn, route)
@@ -234,7 +271,7 @@ def propagate_prefix(
     for asn, options in sorted(peer_offers.items()):
         best_length = min(len(path) for _n, path, _s in options)
         shortest = [opt for opt in options if len(opt[1]) == best_length]
-        _neighbor, path, seed_asn = tie_break(shortest)
+        _neighbor, path, seed_asn = tie_break(asn, shortest)
         adopted[asn] = Route(path, RouteClass.PEER, seed_asn)
 
     # Phase 3 — every adopted route descends customer edges.
@@ -252,12 +289,12 @@ def reference_attack_seeds(
     *,
     vrp_index: Optional[VrpIndex] = None,
     validating_ases: Optional[frozenset[int]] = None,
-    rng: Optional[random.Random] = None,
+    tie_seed: Optional[int] = None,
 ) -> tuple[tuple[float, float, float], bool]:
     """:func:`repro.bgp.attacks.evaluate_attack_seeds` written out over
     :func:`propagate_prefix`: the oracle the product path is tested
-    against (invariant 3) — same fractions, flag and ``rng`` end state,
-    every route materialized.  Nothing in the product calls it."""
+    against (invariant 3) — same fractions and flag, every route
+    materialized.  Nothing in the product calls it."""
     attackers = frozenset(seed.asn for seed in attacker_seeds)
     judged = frozenset(topology.ases) - {victim} - attackers
     if not judged:
@@ -265,22 +302,22 @@ def reference_attack_seeds(
 
     victim_seed = Seed.origin(victim)
     is_subprefix = attack_prefix != victim_prefix
+    options = dict(
+        vrp_index=vrp_index, validating_ases=validating_ases,
+        tie_seed=tie_seed,
+    )
 
     if is_subprefix:
-        # A lone announcement takes no tie-break: no RNG for it.
         covering_routes = propagate_prefix(
-            topology, victim_prefix, [victim_seed],
-            vrp_index=vrp_index, validating_ases=validating_ases,
+            topology, victim_prefix, [victim_seed], **options
         )
         attack_routes = propagate_prefix(
-            topology, attack_prefix, list(attacker_seeds),
-            vrp_index=vrp_index, validating_ases=validating_ases,
-            rng=rng if len(attacker_seeds) != 1 else None,
+            topology, attack_prefix, list(attacker_seeds), **options
         )
     else:
         covering_routes = propagate_prefix(
             topology, victim_prefix, [victim_seed, *attacker_seeds],
-            vrp_index=vrp_index, validating_ases=validating_ases, rng=rng,
+            **options,
         )
         attack_routes = {}
 

@@ -233,9 +233,7 @@ class CompiledTopology:
     """An :class:`AsTopology` frozen into flat integer buffers.
 
     ASes get dense indices 0..n-1 in ascending ASN order, so index
-    order and ASN order agree — the property that lets the array
-    propagation engine reproduce the object engine's sorted tie-breaks
-    by comparing indices alone.  Each of the three neighbor relations
+    order and ASN order agree.  Each of the three neighbor relations
     is stored CSR-style: one flat ``indices`` buffer of neighbor
     indices (each row ascending) plus an ``indptr`` offset buffer, with
     per-row tuples derived once so the hot loops iterate rows without
@@ -409,22 +407,3 @@ class CompiledTopology:
     def edge_count(self) -> int:
         """Undirected edge count (each c2p and p2p edge once)."""
         return len(self.provider_indices) + len(self.peer_indices) // 2
-
-    def validation_mask(
-        self, validating_ases: Optional[frozenset[int]]
-    ) -> bytearray:
-        """Per-AS-index bitmask of who enforces origin validation.
-
-        ``None`` means universal validation, matching
-        :func:`repro.bgp.simulation.propagate_prefix`; ASNs outside the
-        topology are ignored.
-        """
-        if validating_ases is None:
-            return bytearray(b"\x01" * len(self.asns))
-        mask = bytearray(len(self.asns))
-        index_of = self.index_of
-        for asn in validating_ases:
-            i = index_of.get(asn)
-            if i is not None:
-                mask[i] = 1
-        return mask

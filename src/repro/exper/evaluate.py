@@ -1,11 +1,12 @@
 """Pure trial evaluation: (topology, spec, trial) → TrialRecords.
 
-One trial evaluates *every* grid cell, in order, with a single
-tie-break RNG seeded from the trial — a paired design: every cell sees
-the same (victim, attackers) cast, the same validator sample, and the
-same tie-break luck, so cell-to-cell differences measure the policy,
-not the noise.  (It is also exactly what the legacy study loops did,
-which is why they reproduce bit-for-bit through this engine.)
+One trial evaluates *every* grid cell with the trial's one tie seed —
+a paired design: every cell sees the same (victim, attackers) cast,
+the same validator sample, and the same tie-break luck, so
+cell-to-cell differences measure the policy, not the noise.  The
+tie-break is a keyed hash of (tie seed, AS, neighbor)
+(:func:`repro.bgp.simulation.tie_winner`), not a stream, so a cell's
+records do not depend on which cells precede it or on their order.
 
 All cells — the four historical single-attacker variants and the
 scenario space the old loops could not express (multiple simultaneous
@@ -16,7 +17,6 @@ module only builds the attacker seed lists.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional, Union
@@ -206,7 +206,6 @@ def evaluate_trial(
     byte-identical with or without it (a tested invariant), so it is
     purely a throughput knob.
     """
-    tie_rng = random.Random(trial.tie_seed)
     victim_prefix = spec.victim_prefix
     subprefix = spec.effective_attack_prefix
     fraction = spec.fractions[trial.fraction_index]
@@ -229,7 +228,7 @@ def evaluate_trial(
             ],
             vrp_index=vrp_index,
             validating_ases=trial.validating_ases,
-            rng=tie_rng,
+            tie_seed=trial.tie_seed,
             workspace=workspace,
         )
         records.append(TrialRecord(

@@ -104,7 +104,8 @@ class TrialSpec:
         attackers: the hijacker cast (cells use a prefix of it).
         validating_ases: the sampled validator set, or ``None`` for
             universal validation.
-        tie_seed: seeds the tie-break RNG shared by the trial's cells.
+        tie_seed: keys the tie-break of every cell of the trial
+            (:func:`repro.bgp.simulation.tie_winner`).
         trial_bits: per-trial random word for policies that flip coins
             (0 when no cell needs it).
     """
@@ -124,8 +125,8 @@ class ExperimentSpec:
 
     Attributes:
         cells: the (attack × ROA policy) grid cells, evaluated per
-            trial in order with a shared tie-break RNG (a paired
-            design: every cell sees the same cast and the same luck).
+            trial with a shared tie seed (a paired design: every cell
+            sees the same cast and the same luck).
         trials: trials per fraction.
         seed: master seed.
         fractions: validating-AS fractions; ``None`` means universal
@@ -558,9 +559,8 @@ def _pool_sample(
 def _fast_sample_ok() -> bool:
     """Can we inline ``Random.sample``?
 
-    Drawing a trial's validators is up to one ``_randbelow`` call per
-    AS, three Python frames each.  This probe verifies once at import —
-    as :data:`repro.bgp.fastprop._FAST_RANDBELOW` does for ``choice`` —
+    Drawing a trial's validators is up to one ``rng.sample`` pick per
+    AS, three Python frames each.  This probe verifies once at import
     that :func:`_pool_sample` returns ``rng.sample``'s list and leaves
     its state, up to the very population size at which ``sample``
     switches branch; :func:`_draw_validators` calls ``rng.sample`` if

@@ -115,14 +115,18 @@ async def read_http_request(
 
     Returns ``(method, path, version, headers, body)`` — method and
     version uppercased, header names lowercased — or ``None`` on a
-    clean EOF before any bytes of a request.  Malformed or oversized
-    input raises :class:`HttpRequestError`, which servers report as a
-    400.  This is the request side of every HTTP front end in the
-    serve tier (query service, shard workers).
+    clean EOF before any bytes of a request.  Malformed, truncated or
+    oversized input raises :class:`HttpRequestError`, which servers
+    report as a 400.  A Content-Length is ASCII digits only (RFC 9110
+    §8.6: no sign, no ``_``), and repeated ones must agree.  This is
+    the request side of every HTTP front end in the serve tier (query
+    service, shard workers).
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError:
+    except asyncio.IncompleteReadError as exc:
+        if exc.partial:
+            raise HttpRequestError("request head truncated")
         return None
     except asyncio.LimitOverrunError:
         # Head exceeded the StreamReader's own limit before our
@@ -140,19 +144,25 @@ async def read_http_request(
         if not line:
             continue
         name, _, value = line.partition(":")
-        headers[name.strip().lower()] = value.strip()
+        name, value = name.strip().lower(), value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise HttpRequestError("conflicting Content-Length headers")
+        headers[name] = value
     body = b""
-    raw_length = headers.get("content-length", "0") or "0"
+    raw_length = headers.get("content-length", "0")
     try:
-        length = int(raw_length)
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise ValueError(raw_length)
+        length = int(raw_length)  # ValueError past 4300 digits, too
     except ValueError:
-        raise HttpRequestError(f"bad Content-Length {raw_length!r}")
-    if length < 0:
         raise HttpRequestError(f"bad Content-Length {raw_length!r}")
     if length:
         if length > _MAX_BODY_BYTES:
             raise HttpRequestError("request body too large")
-        body = await reader.readexactly(length)
+        try:
+            body = await reader.readexactly(length)
+        except asyncio.IncompleteReadError:
+            raise HttpRequestError("request body shorter than Content-Length")
     return method.upper(), path, version.strip().upper(), headers, body
 
 

@@ -15,6 +15,8 @@ from repro.bgp.session import BgpSessionError, BgpSpeaker, _Peer
 from repro.netbase import Prefix
 from repro.rpki import Vrp
 
+from segmentation import splits
+
 
 def p(text: str) -> Prefix:
     return Prefix.parse(text)
@@ -122,13 +124,12 @@ class TestHandshakeSegmentation:
                 Announcement(p("168.122.0.0/16"), (111,))),
         ]
         stream = b"".join(encode_message(message) for message in sent)
-        for cut in range(len(stream)):  # cut 0 feeds the stream whole
-            chunks = [c for c in (stream[:cut], stream[cut:]) if c]
+        for chunks in splits(stream):
             connection = _ScriptedConnection(chunks)
             peer_open, residual = BgpSpeaker._read_one_open(connection, 1.0)
             speaker = _RecordingSpeaker()
             _Peer(speaker, connection, peer_open.asn, residual).reader_loop()
-            assert [peer_open] + speaker.messages == sent, cut
+            assert [peer_open] + speaker.messages == sent, chunks
 
 
 class TestOriginValidationAtIngress:

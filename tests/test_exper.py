@@ -8,6 +8,7 @@ path prepending, per-AS partial ROA coverage).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -38,6 +39,8 @@ from repro.exper import (
 from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
 from repro.rpki import Vrp
+
+from ci_table import beside, cell_cis
 
 
 @pytest.fixture(scope="module")
@@ -560,9 +563,13 @@ class TestLegacyReplay:
     only ``forged_origin_minimal`` moved), and once more when lone
     announcements stopped drawing tie-breaks nothing reads (the
     same-prefix cell's stream position moved: ``forged_origin_minimal``
-    0.2944015444015444 → 0.27413127413127414, on both engines — the
-    product path and the reference engine, which
-    ``test_goldens_hold_on_the_object_engine`` runs).
+    0.2944015444015444 → 0.27413127413127414), and a third time when
+    the tie-break became a keyed hash of (tie seed, AS, neighbor)
+    instead of a draw from the trial's stream (0.27413127413127414 →
+    0.3407335907335907; seven trials, so one cast's luck moves the
+    mean) — each time on both engines, the product path and the
+    reference engine, which ``test_goldens_hold_on_the_object_engine``
+    runs.  The subprefix numbers never moved.
     """
 
     @pytest.fixture(scope="class")
@@ -576,7 +583,7 @@ class TestLegacyReplay:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.27413127413127414
+        assert result.forged_origin_minimal == 0.3407335907335907
 
     def test_deployment_sweep_golden(self, replay_topology):
         from repro.analysis import run_deployment_sweep
@@ -607,7 +614,7 @@ class TestLegacyReplay:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.27413127413127414
+        assert result.forged_origin_minimal == 0.3407335907335907
 
         assert sweep.points[0].subprefix_hijack == 0.28378378378378377
         assert sweep.points[0].forged_subprefix_vs_minimal == (
@@ -643,36 +650,140 @@ class TestEvaluateTrial:
         assert all(r.fraction == 1.0 for r in records)
         assert records[0].cell == "forged-origin-subprefix/minimal"
 
-    def test_cells_share_one_tie_rng(self, engine_topology):
-        """Evaluating the cells separately with fresh RNGs must differ
-        from the paired evaluation for at least the RNG state — the
-        paired design is load-bearing for legacy replay, so pin it."""
+    def test_cells_share_the_trial_tie_seed(self, engine_topology):
+        """The paired design: every cell of a trial breaks ties with
+        the trial's one tie seed, so cell 1 evaluated alone — the same
+        cast, the same tie seed — has the record it has beside cell 0
+        (whose ties consume nothing it reads)."""
         spec = ExperimentSpec(
             cells=(
                 ScenarioCell("forged-origin", MinimalRoa()),
                 ScenarioCell("forged-origin", NoRoa()),
             ),
-            trials=1,
+            trials=3,
             seed=0,
         )
-        trial = materialize_trials(spec, engine_topology)[0]
-        paired = evaluate_trial(engine_topology, spec, trial)
-        # Re-evaluate cell 1 alone: same tie seed now unconsumed by cell 0.
-        solo_spec = ExperimentSpec(
-            cells=(spec.cells[1],), trials=1, seed=0
-        )
-        solo = evaluate_trial(
-            engine_topology, solo_spec,
-            TrialSpec(
-                fraction_index=0, trial_index=0, victim=trial.victim,
-                attackers=trial.attackers, validating_ases=None,
-                tie_seed=trial.tie_seed,
+        solo_spec = ExperimentSpec(cells=(spec.cells[1],), trials=3, seed=0)
+        for trial in materialize_trials(spec, engine_topology):
+            paired = evaluate_trial(engine_topology, spec, trial)
+            solo = evaluate_trial(engine_topology, solo_spec, TrialSpec(
+                fraction_index=0, trial_index=trial.trial_index,
+                victim=trial.victim, attackers=trial.attackers,
+                validating_ases=None, tie_seed=trial.tie_seed,
+            ))
+            assert solo == [dataclasses.replace(paired[1], cell_index=0)]
+
+    def test_cell_order_leaves_records_unchanged(self, engine_topology):
+        """Reordering a spec's cells moves no same-prefix or
+        multi-attacker record: a tie-break is a function of (tie seed,
+        AS, neighbor), not a position in a stream the cells share."""
+        cells = (
+            ScenarioCell("forged-origin", MinimalRoa()),
+            ScenarioCell(
+                AttackConfig("forged-origin-subprefix", attackers=2),
+                MaxLengthLooseRoa(),
+            ),
+            ScenarioCell("prefix-hijack", NoRoa()),
+            ScenarioCell(AttackConfig("forged-origin", prepend=1), NoRoa()),
+            ScenarioCell(
+                AttackConfig("prefix-hijack", attackers=2), MinimalRoa()
             ),
         )
-        # Both are valid measurements of the same scenario; equality of
-        # the *scenario* is what matters, not of the luck.
-        assert solo[0].cell == paired[1].cell
-        assert solo[0].victim == paired[1].victim
+        spec = ExperimentSpec(
+            cells=cells, trials=6, seed=4, fractions=(0.0, 0.5, None)
+        )
+
+        def by_cell(spec):
+            return {
+                (record.cell, record.fraction_index, record.trial_index):
+                    dataclasses.replace(record, cell_index=0)
+                for trial in materialize_trials(spec, engine_topology)
+                for record in evaluate_trial(engine_topology, spec, trial)
+            }
+
+        forward = by_cell(spec)
+        assert by_cell(dataclasses.replace(spec, cells=cells[::-1])) == (
+            forward
+        )
+        assert len(forward) == 5 * 3 * 6
+        assert len({
+            record.attacker_fraction for record in forward.values()
+        }) > 5
+
+
+#: Each cell's mean and 95 % bootstrap CI on the default-kinds grid
+#: (fractions 0.2/0.5/0.8 × 25 trials, spec seed 2017) at 1 000 ASes,
+#: captured with ``tests/ci_table.py`` under the stream tie-break that
+#: the keyed hash replaced: ``(cell, fraction, mean, ci_low, ci_high)``.
+_STREAM_RULE_CIS = {
+    2017: (
+        ("forged-origin-subprefix/minimal", 0.2, 0.40264529058116233,
+         0.2827655310621242, 0.5172344689378758),
+        ("forged-origin-subprefix/maxlength-loose", 0.2, 1.0, 1.0, 1.0),
+        ("forged-origin/minimal", 0.2, 0.32541082164328655,
+         0.22440881763527057, 0.4371943887775551),
+        ("forged-origin/maxlength-loose", 0.2, 0.3218436873747495,
+         0.22416833667334668, 0.4268537074148297),
+        ("forged-origin-subprefix/minimal", 0.5, 0.05234468937875752,
+         0.022845691382765536, 0.087374749498998),
+        ("forged-origin-subprefix/maxlength-loose", 0.5, 1.0, 1.0, 1.0),
+        ("forged-origin/minimal", 0.5, 0.2818036072144289,
+         0.20921843687374747, 0.3593987975951904),
+        ("forged-origin/maxlength-loose", 0.5, 0.2867735470941884,
+         0.2088176352705411, 0.3749098196392786),
+        ("forged-origin-subprefix/minimal", 0.8, 0.0, 0.0, 0.0),
+        ("forged-origin-subprefix/maxlength-loose", 0.8, 1.0, 1.0, 1.0),
+        ("forged-origin/minimal", 0.8, 0.3814028056112224,
+         0.28380761523046094, 0.47334669338677365),
+        ("forged-origin/maxlength-loose", 0.8, 0.43839679358717437,
+         0.3375551102204408, 0.5466533066132265),
+    ),
+    11: (
+        ("forged-origin-subprefix/minimal", 0.2, 0.35238476953907816,
+         0.2476152304609218, 0.45062124248496993),
+        ("forged-origin-subprefix/maxlength-loose", 0.2, 1.0, 1.0, 1.0),
+        ("forged-origin/minimal", 0.2, 0.3329058116232465,
+         0.2533466933867736, 0.41683366733466926),
+        ("forged-origin/maxlength-loose", 0.2, 0.34220440881763525,
+         0.26669338677354704, 0.41547094188376754),
+        ("forged-origin-subprefix/minimal", 0.5, 0.03398797595190381,
+         0.007855711422845692, 0.06484969939879759),
+        ("forged-origin-subprefix/maxlength-loose", 0.5, 1.0, 1.0, 1.0),
+        ("forged-origin/minimal", 0.5, 0.37983967935871743,
+         0.2839679358717435, 0.4890581162324649),
+        ("forged-origin/maxlength-loose", 0.5, 0.32921843687374747,
+         0.244128256513026, 0.434308617234469),
+        ("forged-origin-subprefix/minimal", 0.8, 0.0009619238476953908,
+         0.0, 0.0028857715430861725),
+        ("forged-origin-subprefix/maxlength-loose", 0.8, 1.0, 1.0, 1.0),
+        ("forged-origin/minimal", 0.8, 0.3232865731462926,
+         0.23098196392785567, 0.4171943887775551),
+        ("forged-origin/maxlength-loose", 0.8, 0.3034068136272545,
+         0.21070140280561125, 0.3947895791583166),
+    ),
+}
+
+
+class TestSamePrefixDistribution:
+    """The tie-break changed how attacker and victim split a prefix,
+    not the distribution of the split: every same-prefix mean lies
+    inside the stream rule's 95 % bootstrap CI, and no subprefix mean
+    moved at all."""
+
+    @pytest.mark.parametrize("topology_seed", sorted(_STREAM_RULE_CIS))
+    def test_means_inside_the_stream_rule_cis(self, topology_seed):
+        reference = {
+            (cell, fraction): (mean, low, high)
+            for cell, fraction, mean, low, high
+            in _STREAM_RULE_CIS[topology_seed]
+        }
+        rows = beside(reference, cell_cis(1000, topology_seed))
+        assert sum(row.same_prefix for row in rows) == 6
+        for row in rows:
+            if row.same_prefix:
+                assert row.inside, row
+            else:
+                assert row.mean == row.reference_mean, row
 
 
 def _reference_bootstrap_ci(values, rng, resamples, confidence):

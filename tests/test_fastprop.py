@@ -1,11 +1,12 @@
-"""Tests for the array propagation engine and the compiled topology.
+"""Tests for the set-closure propagation engine and the compiled
+topology.
 
-The headline invariant: the array engine — the product path — is
-*bit-identical* to the object engine, the readable reference kept as
-its oracle (``propagate_prefix``, ``reference_attack_seeds`` and the
-``reference_engine`` fixture) — same routes, same capture fractions,
-same RNG consumption — on every scenario shape, including the golden
-specs whose numbers are pinned in ``tests/test_exper.py``.
+The headline invariant: the engine — the product path — agrees with
+the object engine, the readable reference kept as its oracle
+(``propagate_prefix``, ``reference_attack_seeds`` and the
+``reference_engine`` fixture) — every AS adopts the same seed, every
+capture fraction is the same — on every scenario shape, including the
+golden specs whose numbers are pinned in ``tests/test_exper.py``.
 """
 
 from __future__ import annotations
@@ -25,16 +26,16 @@ from repro.bgp import (
     AsTopology,
     CompiledTopology,
     Seed,
+    SimulationError,
     VrpIndex,
     evaluate_attack_seeds,
     propagate_prefix,
-    propagate_prefix_array,
     reference_attack_seeds,
 )
 from repro.bgp.fastprop import (
     _PROFILE_CAP,
     PropagationWorkspace,
-    _propagate,
+    _race,
     _single_seed_outcome,
 )
 from repro.data import read_caida_compiled, write_caida
@@ -120,13 +121,20 @@ class TestCompiledTopology:
         assert len(clone.compiled()) == len(topology)
 
     def test_validation_mask(self, topology):
+        """Who validates: the workspace's index of an epoch's
+        validators."""
         compiled = topology.compiled()
-        assert sum(compiled.validation_mask(None)) == len(compiled)
+        workspace = PropagationWorkspace(compiled)
+        workspace.begin(None)  # universal
+        assert workspace.validators() is None
+        assert workspace.validates(compiled.asns[-1])
         chosen = frozenset(list(compiled.asns)[:7])
-        mask = compiled.validation_mask(chosen)
-        assert sum(mask) == 7
+        workspace.begin(chosen)
+        assert workspace.validators() == frozenset(range(7))
         # ASNs outside the topology are ignored, not an error.
-        assert sum(compiled.validation_mask(frozenset({999999}))) == 0
+        workspace.begin(frozenset({999999}))
+        assert workspace.validators() == frozenset()
+        assert not workspace.anyone_validates()
 
     def test_read_caida_compiled(self, topology, tmp_path):
         path = tmp_path / "rel.txt"
@@ -166,7 +174,35 @@ def _scenarios(victim, attacker, attacker2):
     ]
 
 
+def _race_seeds(
+    topology, prefix, seeds, *, vrp_index=None, validating_ases=None,
+    tie_seed=None, workspace=None,
+):
+    """:func:`fastprop._race` read as ``{asn: seed asn}`` — each AS
+    adopting in exactly one seed's bitset."""
+    if workspace is None:
+        workspace = PropagationWorkspace(topology)
+    workspace.begin(validating_ases)
+    asns = workspace.compiled.asns
+    adopted = {}
+    raced = _race(workspace, prefix, seeds, vrp_index, tie_seed)
+    for seed, bits in zip(seeds, raced):
+        for i in _members(bits):
+            assert asns[i] not in adopted
+            adopted[asns[i]] = seed.asn
+    return adopted
+
+
+def _route_seeds(routes):
+    """The oracle's routes, read for the seed each AS adopted."""
+    return {asn: route.seed for asn, route in routes.items()}
+
+
 class TestRouteEquivalence:
+    """The race's per-seed bitsets are the oracle's routes, read for
+    their seeds, bit for bit — with no tie seed (lowest neighbor) and
+    with one (the ``rng`` ids)."""
+
     @pytest.mark.parametrize("case", range(6))
     @pytest.mark.parametrize("prefix", [PFX, SUB], ids=["same", "sub"])
     @pytest.mark.parametrize("seeded", [False, True], ids=["det", "rng"])
@@ -177,54 +213,53 @@ class TestRouteEquivalence:
             val = frozenset(
                 random.Random(case).sample(sorted(topology.ases), 120)
             )
-        rng_a = random.Random(40 + case) if seeded else None
-        rng_b = random.Random(40 + case) if seeded else None
-        by_object = propagate_prefix(
-            topology, prefix, seeds,
-            vrp_index=vrps, validating_ases=val, rng=rng_a,
+        options = dict(
+            vrp_index=vrps, validating_ases=val,
+            tie_seed=40 + case if seeded else None,
         )
-        by_array = propagate_prefix_array(
-            topology, prefix, seeds,
-            vrp_index=vrps, validating_ases=val, rng=rng_b,
+        by_object = propagate_prefix(topology, prefix, seeds, **options)
+        assert _race_seeds(topology, prefix, seeds, **options) == (
+            _route_seeds(by_object)
         )
-        assert by_object == by_array
-        if seeded:
-            # Not just the same routes: the same randomness consumed.
-            assert rng_a.getstate() == rng_b.getstate()
 
     def test_accepts_a_precompiled_topology(self, topology, cast):
-        victim = cast[0]
-        assert propagate_prefix_array(
-            topology.compiled(), PFX, [Seed.origin(victim)]
-        ) == propagate_prefix(topology, PFX, [Seed.origin(victim)])
+        victim, attacker, _ = cast
+        seeds = [Seed.origin(victim), Seed.origin(attacker)]
+        assert _race_seeds(
+            topology.compiled(), PFX, seeds, tie_seed=1
+        ) == _route_seeds(propagate_prefix(topology, PFX, seeds, tie_seed=1))
 
     def test_seed_errors_match_object_engine(self, topology):
-        from repro.bgp import SimulationError
-
-        with pytest.raises(SimulationError, match="not in topology"):
-            propagate_prefix_array(topology, PFX, [Seed.origin(10**9)])
         victim = min(topology.stub_ases())
-        with pytest.raises(SimulationError, match="duplicate seed"):
-            propagate_prefix_array(
-                topology, PFX, [Seed.origin(victim), Seed.origin(victim)]
-            )
+        for seeds, message in (
+            ([Seed.origin(10**9)], "not in topology"),
+            ([Seed.origin(victim), Seed.origin(victim)], "duplicate seed"),
+        ):
+            for propagate in (_race_seeds, propagate_prefix):
+                with pytest.raises(SimulationError, match=message):
+                    propagate(topology, PFX, seeds)
 
     def test_shuffled_edge_order_agrees_across_engines(self, topology):
-        """The tie-break bugfix's purpose: engines agree no matter how
-        the topology was assembled."""
+        """The tie-break's purpose: engines agree no matter how the
+        topology was assembled."""
         edges = [
             (a, b, "c2p" if kind.value == "customer" else "p2p")
             for a, b, kind in topology.edges()
         ]
         random.Random(13).shuffle(edges)
         rebuilt = AsTopology.from_edges(edges)
-        origin = min(topology.stub_ases())
-        for seed in range(3):
-            assert propagate_prefix(
-                rebuilt, PFX, [Seed.origin(origin)], rng=random.Random(seed)
-            ) == propagate_prefix_array(
-                rebuilt, PFX, [Seed.origin(origin)], rng=random.Random(seed)
+        stubs = sorted(topology.stub_ases())
+        seeds = [Seed.origin(stubs[0]), Seed.forged_origin(stubs[-1], stubs[0])]
+        for tie_seed in range(3):
+            expected = _route_seeds(
+                propagate_prefix(topology, PFX, seeds, tie_seed=tie_seed)
             )
+            assert _route_seeds(
+                propagate_prefix(rebuilt, PFX, seeds, tie_seed=tie_seed)
+            ) == expected
+            assert _race_seeds(
+                rebuilt, PFX, seeds, tie_seed=tie_seed
+            ) == expected
 
 
 class TestEvaluateEquivalence:
@@ -240,17 +275,15 @@ class TestEvaluateEquivalence:
             val = frozenset(
                 random.Random(case).sample(sorted(topology.ases), 120)
             )
-        rng_a, rng_b = random.Random(case), random.Random(case)
         by_object = reference_attack_seeds(
             topology, victim, PFX, attack_prefix, seeds,
-            vrp_index=vrps, validating_ases=val, rng=rng_a,
+            vrp_index=vrps, validating_ases=val, tie_seed=case,
         )
         by_array = evaluate_attack_seeds(
             topology, victim, PFX, attack_prefix, seeds,
-            vrp_index=vrps, validating_ases=val, rng=rng_b,
+            vrp_index=vrps, validating_ases=val, tie_seed=case,
         )
         assert by_object == by_array
-        assert rng_a.getstate() == rng_b.getstate()
 
     def test_tiny_topology_rejected(self):
         tiny = AsTopology.from_edges([(1, 2, "c2p")])
@@ -311,8 +344,8 @@ class TestExperimentEngineField:
         with use_registry(MetricsRegistry()) as registry:
             shipped, shipped_bytes = run(tmp_path / "shipped.jsonl")
         counters = registry.snapshot()
-        # The product path ran the array engine: a sweep per same-prefix
-        # cell and trial, the subprefix cells as closures.
+        # The product path ran the engine: a race per same-prefix cell
+        # and trial, the subprefix cells as closures.
         assert counters["fastprop.sweeps"] == 2 * spec.total_trials
         assert counters["fastprop.closures"] > 0
         with reference_engine():
@@ -330,7 +363,7 @@ class TestExperimentEngineField:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.27413127413127414
+        assert result.forged_origin_minimal == 0.3407335907335907
 
     def test_array_engine_with_process_executor(self, topology):
         """The engine under worker processes (the sharded executor;
@@ -367,18 +400,15 @@ def _walking(workspace: PropagationWorkspace) -> PropagationWorkspace:
     return workspace
 
 
-@st.composite
-def _single_seed_worlds(draw):
-    """A small random AS graph, one seed, a validator set, a verdict.
+def _draw_world(draw, min_ases=3):
+    """A small random AS graph, and whether it has a provider cycle.
 
     Every AS pair independently gets no edge, a customer→provider edge
     in either direction or a peering; about half the graphs first get a
     customer→provider ring of three or more ASes, a cycle through the
     core (reachability does not care; the cones do, and stand down).
-    The seed is a plain origination, a forged origin, prepended, names
-    an AS outside the graph, or runs its path through the core.
     """
-    count = draw(st.integers(3, 12))
+    count = draw(st.integers(min_ases, 12))
     asns = [10 * (i + 1) for i in range(count)]
     world = AsTopology()
     for asn in asns:
@@ -402,7 +432,26 @@ def _single_seed_worlds(draw):
                 world.add_customer_provider(high, low)
             elif edge == "peer":
                 world.add_peering(low, high)
+    return world, asns, bool(ring)
 
+
+def _draw_validators(draw, asns):
+    """Everyone, nobody, or a sample that may name an AS outside."""
+    return draw(st.one_of(
+        st.none(),                                   # universal
+        st.just(frozenset()),                        # nobody
+        st.frozensets(st.sampled_from(asns + [_OUTSIDE])),  # partial
+    ))
+
+
+@st.composite
+def _single_seed_worlds(draw):
+    """A small random AS graph, one seed, a validator set, a verdict.
+
+    The seed is a plain origination, a forged origin, prepended, names
+    an AS outside the graph, or runs its path through the core.
+    """
+    world, asns, cyclic = _draw_world(draw)
     sender = draw(st.sampled_from(asns))
     core = [asn for asn in asns if world.customers_of(asn)]
     hops = st.sampled_from(asns + [_OUTSIDE])
@@ -413,25 +462,22 @@ def _single_seed_worlds(draw):
     seed = Seed(
         sender, (sender,) * draw(st.integers(1, 3)) + tuple(tail)
     )
-    validators = draw(st.one_of(
-        st.none(),                                   # universal
-        st.just(frozenset()),                        # nobody
-        st.frozensets(st.sampled_from(asns + [_OUTSIDE])),  # partial
-    ))
+    validators = _draw_validators(draw, asns)
     verdict = draw(st.sampled_from(("unchecked", "valid", "invalid")))
     if verdict == "unchecked":
         vrps = None
     else:
         origin = seed.path[-1] if verdict == "valid" else 64999
         vrps = VrpIndex([Vrp(PFX, 16, origin)])
-    return (world, bool(ring), seed, validators, vrps,
+    return (world, cyclic, seed, validators, vrps,
             draw(st.integers(0, 2 ** 16)))
 
 
 class TestSingleSeedClosure:
     """With one seed, who adopts is reachability: the closure's bitset
-    — through the cones or by the walk — holds exactly the ordered
-    sweep's adopted set, whatever the tie-break draws were."""
+    — through the cones or by the walk — holds exactly the ASes the
+    oracle's ordered sweep gives a route, under any tie seed, and the
+    race of that one seed."""
 
     @settings(max_examples=300, deadline=None)
     @given(_single_seed_worlds())
@@ -452,17 +498,103 @@ class TestSingleSeedClosure:
         if cyclic:
             assert workspace.cones() is None
 
-        adopted = _members(closure)
         assert closure < 1 << len(compiled)
-        for rng in (None, random.Random(tie_seed)):
-            state, lane = _propagate(
-                compiled, PFX, [seed], vrps, validators, rng
-            )
-            assert adopted == set(lane.touched)
-            assert len(adopted) == state.counts[0]
-            assert adopted == {
-                i for i in range(len(compiled)) if state.adopted[i]
-            }
+        adopted = {compiled.asns[i] for i in _members(closure)}
+        for ties in (None, tie_seed):
+            assert adopted == set(propagate_prefix(
+                world, PFX, [seed], vrp_index=vrps,
+                validating_ases=validators, tie_seed=ties,
+            ))
+        assert _race(workspace, PFX, [seed], vrps, tie_seed) == [closure]
+
+
+@st.composite
+def _race_worlds(draw):
+    """A small random AS graph and a victim with one or two rivals.
+
+    A rival originates the victim's prefix, forges the victim's
+    origin, or prepends (with or without the forged origin).  The VRP
+    makes the forged claim valid or not and the rest invalid, or every
+    claim invalid; the validators are everyone, nobody or a sample,
+    and often include the last rival's own AS — an invalid seed its
+    own origin drops.
+    """
+    world, asns, _cyclic = _draw_world(draw, min_ases=4)
+    senders = draw(st.lists(
+        st.sampled_from(asns), min_size=2, max_size=3, unique=True
+    ))
+    victim = senders[0]
+    seeds = [Seed.origin(victim)]
+    for sender in senders[1:]:
+        shape = draw(st.sampled_from(("origin", "forged", "prepend")))
+        if shape == "origin":
+            seeds.append(Seed.origin(sender))
+        elif shape == "forged":
+            seeds.append(Seed.forged_origin(sender, victim))
+        else:
+            head = (sender,) * draw(st.integers(2, 3))
+            seeds.append(Seed(sender, head + draw(
+                st.sampled_from(((), (victim,)))
+            )))
+    validators = _draw_validators(draw, asns)
+    if validators is not None and draw(st.booleans()):
+        validators |= {seeds[-1].asn}
+    vrps = draw(st.sampled_from((
+        None,
+        VrpIndex([Vrp(PFX, 16, victim)]),
+        VrpIndex([Vrp(PFX, 24, victim)]),
+        VrpIndex([Vrp(PFX, 16, 64999)]),
+    )))
+    tie_seed = draw(st.one_of(st.none(), st.integers(0, 2 ** 32 - 1)))
+    return world, seeds, validators, vrps, tie_seed
+
+
+class TestRace:
+    """Where seeds compete, the race is the oracle: every AS adopts the
+    seed ``propagate_prefix`` gives it, and both branches of the
+    measurement — a same-prefix attack and a subprefix attack by the
+    rivals — have the oracle's fractions and ``filtered`` flag."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_race_worlds())
+    def test_race_equals_the_oracle(self, case):
+        world, seeds, validators, vrps, tie_seed = case
+        registry = MetricsRegistry()
+        workspace = PropagationWorkspace(world, registry=registry)
+        options = dict(
+            vrp_index=vrps, validating_ases=validators, tie_seed=tie_seed
+        )
+        assert _race_seeds(
+            world, PFX, seeds, workspace=workspace, **options
+        ) == _route_seeds(propagate_prefix(world, PFX, seeds, **options))
+        assert registry.snapshot()["fastprop.sweeps"] == 1
+
+        for attack_prefix in (PFX, SUB):
+            args = (world, seeds[0].asn, PFX, attack_prefix, seeds[1:])
+            assert evaluate_attack_seeds(
+                *args, workspace=workspace, **options
+            ) == reference_attack_seeds(*args, **options)
+
+    def test_the_race_reads_the_tie_seed_only_at_contested_ases(
+        self, topology, cast, monkeypatch
+    ):
+        """An AS offered equally good routes by one seed needs no
+        choice; the tie rule runs only where several seeds tie."""
+        victim, attacker, _ = cast
+        contested = []
+        rule = fastprop.tie_winner
+
+        def counted(tie_seed, asn, neighbors):
+            assert len(set(seeds_of[n] for n in neighbors)) >= 2
+            contested.append(asn)
+            return rule(tie_seed, asn, neighbors)
+
+        seeds = [Seed.origin(victim), Seed.forged_origin(attacker, victim)]
+        routes = propagate_prefix(topology, PFX, seeds, tie_seed=9)
+        seeds_of = {asn: route.seed for asn, route in routes.items()}
+        monkeypatch.setattr(fastprop, "tie_winner", counted)
+        assert _race_seeds(topology, PFX, seeds, tie_seed=9) == seeds_of
+        assert contested and len(contested) == len(set(contested))
 
 
 def _transit_world():

@@ -537,7 +537,7 @@ class TestTelemetryInvariants:
         assert records
         snapshot = registry.snapshot()
         # Every propagation here is single-seed: adopted sets come
-        # from the closure, and the ordered sweep never runs.
+        # from the closure, and no race runs.
         assert snapshot["fastprop.closures"] > 0
         assert snapshot["fastprop.sweeps"] == 0
         assert snapshot["fastprop.touched_ases"] > 0

@@ -29,6 +29,8 @@ from repro.rtr import (
     vrp_to_pdu,
 )
 
+from segmentation import splits
+
 
 def p(text: str) -> Prefix:
     return Prefix.parse(text)
@@ -178,10 +180,11 @@ class TestStreamDecoding:
         from repro.rtr import PduBuffer
 
         blob = b"".join(encode_pdu(pdu) for pdu in ALL_PDUS)
-        # Odd 3-byte chunking (mid-header), then every two-way split.
+        # Odd 3-byte chunking (mid-header), then every two-way split
+        # and a byte at a time.
         chunkings = [
             [blob[offset:offset + 3] for offset in range(0, len(blob), 3)]
-        ] + [[blob[:cut], blob[cut:]] for cut in range(len(blob) + 1)]
+        ] + list(splits(blob))
         for chunks in chunkings:
             buffer = PduBuffer()
             decoded = []

@@ -44,7 +44,10 @@ from repro.serve import (
     ThreadedRtrServer,
     ThreadedShardWorkerServer,
 )
+from repro.serve.http import HttpRequestError, read_http_request
 from repro.serve.query import _REBUILD_FRACTION
+
+from segmentation import read_split, splits
 
 
 def p(text: str) -> Prefix:
@@ -939,7 +942,8 @@ class TestHttpServer:
 
     def test_bad_content_length_gets_400(self):
         async def scenario(http):
-            for value in (b"abc", b"-5"):
+            for value in (b"abc", b"-5", b"+5", b"1_0", b"",
+                          b"5\r\nContent-Length: 6"):
                 status, document = await http_request(
                     http.host, http.port,
                     b"POST /validity HTTP/1.1\r\nContent-Length: " + value
@@ -1031,6 +1035,68 @@ class TestHttpServer:
             writer.close()
 
         run(scenario())
+
+
+class TestHttpRequestSegmentation:
+    """``read_http_request`` under the shared segmentation property
+    (``tests/segmentation.py``): a request cut anywhere reads as the
+    whole request; hostile bytes raise ``HttpRequestError`` however
+    they are cut, and nothing waits past EOF."""
+
+    BODY = b'{"queries": [{"asn": 1, "prefix": "10.0.0.0/8"}]}'
+    POST = (
+        b"POST /validity HTTP/1.1\r\nHost: example\r\n"
+        + b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n"
+        % (len(BODY), len(BODY))
+        + BODY
+    )
+
+    @staticmethod
+    def read(chunks):
+        return read_split(read_http_request, chunks)
+
+    @pytest.mark.parametrize("stream", [
+        POST,
+        b"GET /status HTTP/1.0\r\nConnection: keep-alive\r\n\r\n",
+    ], ids=["post", "get"])
+    def test_any_split_reads_the_whole_request(self, stream):
+        whole = self.read([stream])
+        assert whole[0] in ("POST", "GET")
+        for chunks in splits(stream):
+            assert self.read(chunks) == whole
+        if whole[0] == "POST":
+            # Repeated Content-Length headers that agree are one.
+            assert whole[3]["content-length"] == str(len(self.BODY))
+            assert whole[4] == self.BODY
+
+    @pytest.mark.parametrize("stream, error", [
+        (b"POST / HTTP/1.1\r\nContent-Length: 1_0\r\n\r\n0123456789",
+         "bad Content-Length"),
+        (b"POST / HTTP/1.1\r\nContent-Length: +5\r\n\r\n01234",
+         "bad Content-Length"),
+        (b"POST / HTTP/1.1\r\nContent-Length: \xb2\r\n\r\n01",
+         "bad Content-Length"),
+        (b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 6\r\n"
+         b"\r\n012345", "conflicting Content-Length"),
+        (b"POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123",
+         "shorter than Content-Length"),
+        (b"GET /status HTTP/1.1\r\nHost: exa", "head truncated"),
+    ], ids=["underscore", "plus", "non-ascii-digit", "conflicting",
+            "short-body", "short-head"])
+    def test_hostile_bytes_raise_a_typed_error(self, stream, error):
+        for chunks in splits(stream):
+            with pytest.raises(HttpRequestError, match=error):
+                self.read(chunks)
+
+    @pytest.mark.parametrize("pad", [20_000, 80_000])
+    def test_oversized_head_raises_a_typed_error(self, pad):
+        """Past the 16 KiB head cap, or past the reader's own limit
+        before the cap is checked: the same answer."""
+        stream = b"GET / HTTP/1.1\r\nX-Pad: " + b"a" * pad + b"\r\n\r\n"
+        for cut in (0, 1, 17, len(stream) // 2, len(stream) - 1):
+            chunks = [c for c in (stream[:cut], stream[cut:]) if c]
+            with pytest.raises(HttpRequestError, match="too large"):
+                self.read(chunks)
 
 
 # ----------------------------------------------------------------------

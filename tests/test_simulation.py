@@ -15,6 +15,8 @@ from repro.bgp import (
     ValidationState,
     VrpIndex,
     propagate_prefix,
+    tie_rank,
+    tie_winner,
 )
 from repro.netbase import Prefix
 from repro.rpki import Vrp
@@ -98,10 +100,11 @@ class TestValleyFree:
     def test_random_topology_valley_free(self, small_topology):
         rng = random.Random(0)
         stubs = sorted(small_topology.stub_ases())
-        for _ in range(5):
+        for tie_seed in range(5):
             origin = rng.choice(stubs)
             routes = propagate_prefix(
-                small_topology, PFX, [Seed.origin(origin)], rng=rng
+                small_topology, PFX, [Seed.origin(origin)],
+                tie_seed=tie_seed,
             )
             self._check_valley_free(small_topology, routes)
 
@@ -164,54 +167,81 @@ class TestPreferences:
                  for a, b, kind in base.edges()]
         origin = min(base.stub_ases())
         reference = propagate_prefix(
-            base, PFX, [Seed.origin(origin)], rng=random.Random(7)
+            base, PFX, [Seed.origin(origin)], tie_seed=7
         )
         for shuffle_seed in range(5):
             shuffled = list(edges)
             random.Random(shuffle_seed).shuffle(shuffled)
             rebuilt = AsTopology.from_edges(shuffled)
             routes = propagate_prefix(
-                rebuilt, PFX, [Seed.origin(origin)], rng=random.Random(7)
+                rebuilt, PFX, [Seed.origin(origin)], tie_seed=7
             )
             assert routes == reference
 
     def test_seeded_tie_break_draws_from_sorted_candidates(self):
         """Regression: candidate offers once accumulated in adoption
-        order, so the seeded draw depended on *when* each neighbor's
+        order, so the seeded pick depended on *when* each neighbor's
         route arrived, not just on which neighbors tied.  AS 7 hears two
         equal-length phase-3 offers — one placed up front by AS 9 (an
         early customer-route adopter), one chained in later by AS 2 —
-        and the draw must behave as if the list were sorted by ASN."""
+        and the winner is the lower tie rank of the two, whatever the
+        arrival order."""
         topo = AsTopology()
         topo.add_customer_provider(1, 8)   # origin 1 below X=8
         topo.add_customer_provider(8, 9)   # X below 9: 9 adopts early
         topo.add_customer_provider(2, 8)   # 2 adopts from X in phase 3
         topo.add_customer_provider(7, 9)   # 7 buys from both 9 and 2
         topo.add_customer_provider(7, 2)
-        for seed in range(12):
+        seen = set()
+        for tie_seed in range(12):
             routes = propagate_prefix(
-                topo, PFX, [Seed.origin(1)], rng=random.Random(seed)
+                topo, PFX, [Seed.origin(1)], tie_seed=tie_seed
             )
-            # Replay the propagation's four draws: three single-option
-            # adoptions (8, 9, 2), then the tie at AS 7 over sorted {2, 9}.
-            rng = random.Random(seed)
-            for _ in range(3):
-                rng.choice([0])
-            assert routes[7].path[0] == rng.choice([2, 9])
+            winner = min((2, 9), key=lambda n: tie_rank(tie_seed, 7, n))
+            assert routes[7].path[0] == winner
+            seen.add(winner)
+        assert seen == {2, 9}
 
-    def test_random_tie_break_uses_rng(self):
+    def test_seeded_tie_break_varies_with_the_tie_seed(self):
         topo = AsTopology()
         topo.add_customer_provider(5, 9)
         topo.add_customer_provider(6, 9)
         topo.add_customer_provider(1, 5)
         topo.add_customer_provider(1, 6)
         seen = set()
-        for seed in range(20):
+        for tie_seed in range(20):
             routes = propagate_prefix(
-                topo, PFX, [Seed.origin(1)], rng=random.Random(seed)
+                topo, PFX, [Seed.origin(1)], tie_seed=tie_seed
             )
             seen.add(routes[9].path[0])
         assert seen == {5, 6}
+
+
+class TestTieBreakRule:
+    """The one tie-break both engines call: a keyed hash, not a draw."""
+
+    def test_tie_rank_golden(self):
+        """The encoding is a contract, like ``spec_hash``: a different
+        digest moves every same-prefix record."""
+        assert tie_rank(2017, 111, 666) == 0x5FF5EE2E533D1027
+
+    def test_winner_is_order_free(self):
+        neighbors = [30, 10, 20, 40, 50]
+        for tie_seed in range(30):
+            winner = tie_winner(tie_seed, 7, neighbors)
+            assert winner == tie_winner(tie_seed, 7, reversed(neighbors))
+            assert winner == min(
+                neighbors, key=lambda n: tie_rank(tie_seed, 7, n)
+            )
+
+    def test_every_neighbor_equally_likely(self):
+        wins = {n: 0 for n in (10, 20, 30)}
+        for tie_seed in range(3000):
+            wins[tie_winner(tie_seed, 7, wins)] += 1
+        assert all(900 < count < 1100 for count in wins.values())
+
+    def test_no_tie_seed_prefers_the_lowest_asn(self):
+        assert tie_winner(None, 7, [30, 10, 20]) == 10
 
 
 class TestForgedOriginSeeds:
