@@ -12,11 +12,8 @@ flat line at 100%.
 :func:`run_deployment_sweep` is a thin adapter over the
 :mod:`repro.exper` engine: the sweep is one
 :class:`~repro.exper.ExperimentSpec` whose ``fractions`` axis is the
-deployment level (stream seeding keeps the numbers bit-identical to
-the nested loop this replaced: same casts and validator samples, and
-every cell a lone subprefix announcement, which no tie-break can
-move).
-Pass ``executor="sharded"`` to spread the trials over cores.
+deployment level.  Pass ``executor="sharded"`` to spread the trials
+over cores.
 """
 
 from __future__ import annotations
@@ -83,7 +80,6 @@ def deployment_sweep_spec(
         seed=seed,
         fractions=tuple(fractions),
         victim_prefix=victim_prefix,
-        seeding="stream",
     )
 
 

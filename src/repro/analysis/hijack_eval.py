@@ -12,10 +12,8 @@ The paper's argument rests on three comparative claims:
 
 :func:`run_hijack_study` is a thin adapter over the
 :mod:`repro.exper` engine: it declares the four historical grid cells
-as an :class:`~repro.exper.ExperimentSpec` (stream seeding, so the
-numbers are bit-identical to the hand-rolled loop this replaced) and
-averages each cell's capture.  Pass ``executor="sharded"`` to spread
-the trials over cores.
+as an :class:`~repro.exper.ExperimentSpec` and averages each cell's
+capture.  Pass ``executor="sharded"`` to spread the trials over cores.
 """
 
 from __future__ import annotations
@@ -86,15 +84,7 @@ def hijack_study_spec(
     seed: int = 0,
     victim_prefix: Prefix = Prefix.parse("168.122.0.0/16"),
 ) -> ExperimentSpec:
-    """The study as a declarative spec: the four historical cells.
-
-    Stream seeding draws the casts exactly as the original sequential
-    loop did — same pairs, and the same numbers for the three subprefix
-    cells, which no tie-break can move.  The same-prefix cell breaks
-    its ties by a keyed hash of the trial's tie seed, not by draws from
-    the loop's stream, so its number is a different sample of the same
-    distribution than the loop's.
-    """
+    """The study as a declarative spec: the four historical cells."""
     return ExperimentSpec(
         cells=(
             ScenarioCell("subprefix-hijack", NoRoa()),
@@ -105,7 +95,6 @@ def hijack_study_spec(
         trials=samples,
         seed=seed,
         victim_prefix=victim_prefix,
-        seeding="stream",
     )
 
 

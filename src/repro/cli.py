@@ -1126,6 +1126,16 @@ def _chaos_plan(args: argparse.Namespace):
     )
 
 
+def _chaos_spec(args: argparse.Namespace):
+    """The grid ``repro-roa experiment --trials N --seed S`` runs: its
+    own flags, parsed, so the two defaults cannot drift apart."""
+    parser = argparse.ArgumentParser(add_help=False)
+    _add_spec_arguments(parser)
+    return _experiment_spec_from_args(parser.parse_args(
+        ["--trials", str(args.trials), "--seed", str(args.spec_seed)]
+    ))
+
+
 def _chaos_experiment(args: argparse.Namespace, plan) -> int:
     """Sharded grid run under worker faults.
 
@@ -1137,23 +1147,10 @@ def _chaos_experiment(args: argparse.Namespace, plan) -> int:
     import os as os_module
 
     from .exper.runner import ExperimentRunner
-    from .exper.scenarios import AttackConfig, policy_from_name
-    from .exper.spec import ExperimentSpec
     from .faults.plan import PLAN_ENV, install
     from .netbase.errors import ReproError
 
-    # The exact default grid of `repro-roa experiment` (attacks,
-    # policies, sampler, victim prefix), so results compare 1:1.
-    spec = ExperimentSpec.grid(
-        [
-            AttackConfig("forged-origin-subprefix", attackers=1,
-                         prepend=0),
-            AttackConfig("forged-origin", attackers=1, prepend=0),
-        ],
-        [policy_from_name("minimal"), policy_from_name("maxlength-loose")],
-        trials=args.trials,
-        seed=args.spec_seed,
-    )
+    spec = _chaos_spec(args)
     topology = _topology_from_args(args)
     # Ship the plan to shard workers through the environment (local
     # processes inherit it; install_from_env() gives each attempt

@@ -22,10 +22,10 @@ import random
 import statistics
 from dataclasses import dataclass
 from math import floor
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 from ..netbase.errors import ReproError
-from ..results.accumulate import GridAccumulator
+from ..results.accumulate import GridAccumulator, completed_prefix
 from .evaluate import TrialRecord
 from .spec import ExperimentSpec
 
@@ -239,12 +239,9 @@ def _streamed_count(
     """A stopped fraction's trial count, recovered from its records:
     the run of consecutively complete trials from zero."""
     cells = range(len(spec.cells))
-    count = 0
-    while count < spec.trials and all(
-        grid.cell(fraction_index, cell).has_trial(count)
-        for cell in cells
-    ):
-        count += 1
+    count = completed_prefix(
+        spec.trials, [grid.cell(fraction_index, cell) for cell in cells]
+    )
     for cell in cells:
         stray = [
             t for t in grid.cell(fraction_index, cell).trial_indices()
@@ -269,17 +266,13 @@ def aggregate_records(
     *,
     bootstrap_resamples: int = 1000,
     confidence: float = 0.95,
-    expected_trials: Optional[
-        Union[Sequence[int], Callable[[], Sequence[int]]]
-    ] = None,
+    expected_trials: Optional[Sequence[int]] = None,
 ) -> ExperimentResult:
     """Reduce (possibly out-of-order) records to the stats grid.
 
     ``expected_trials`` gives the per-fraction trial counts the record
     stream must contain — what early stopping decided — defaulting to
-    ``spec.trials`` everywhere for ``stopping="none"`` specs.  A
-    callable is resolved only after the stream is exhausted, so a
-    streaming runner can hand over its stop tracker's final counts.
+    ``spec.trials`` everywhere for ``stopping="none"`` specs.
     When it is omitted for a ``stopping="ci"`` spec, the counts are
     derived from the stream itself: each fraction's count is its run
     of consecutively complete trials from zero (exactly what the
@@ -303,8 +296,6 @@ def aggregate_records(
                 _streamed_count(spec, grid, fraction_index)
                 for fraction_index in range(len(spec.fractions))
             )
-    elif callable(expected_trials):
-        counts = tuple(expected_trials())
     else:
         counts = tuple(expected_trials)
     if len(counts) != len(spec.fractions):

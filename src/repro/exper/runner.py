@@ -41,6 +41,7 @@ import os
 from typing import Callable, Iterator, Optional
 
 from ..bgp.topology import AsTopology
+from ..faults.retry import RetryPolicy
 from ..netbase.errors import ReproError
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -251,12 +252,9 @@ class ExperimentRunner:
         shard_transport: the dispatch transport (default: a
             :class:`~repro.exper.sharded.LocalShardTransport`; pass
             the serve tier's ``HttpShardTransport`` for remote hosts).
-        shard_retries: relaunch a dead shard this many times before
-            the run fails (each retry resumes the shard's own file).
-        shard_retry: a :class:`~repro.faults.RetryPolicy` governing
-            shard retry count *and* backoff pacing; overrides
-            ``shard_retries`` when given (the default policy retries
-            immediately, preserving historical behaviour).
+        shard_retries: relaunch a dead shard this many times, without
+            delay, before the run fails (each retry resumes the shard's
+            own file).
         shard_timeout: seconds without observable shard progress
             before the coordinator kills and reassigns it.
         shard_progress: observation-only callback forwarded to
@@ -273,9 +271,7 @@ class ExperimentRunner:
             of the *same* spec (commonly the same object as ``sink``).
             Its header is verified against the spec's hash, its
             complete trials are replayed instead of re-evaluated
-            (under ``"derived"`` seeding they are skipped outright;
-            under ``"stream"`` they are drawn but withheld, keeping
-            the RNG stream intact), and partially-recorded trials are
+            (never even drawn), and partially-recorded trials are
             re-evaluated whole — so an interrupted-then-resumed run
             produces a result byte-identical to an uninterrupted one.
         registry: the :class:`~repro.obs.MetricsRegistry` the run's
@@ -303,7 +299,6 @@ class ExperimentRunner:
         shard_store=None,
         shard_transport=None,
         shard_retries: int = 2,
-        shard_retry=None,
         shard_timeout: float = 120.0,
         shard_progress=None,
         sink: Optional[ResultSink] = None,
@@ -325,7 +320,6 @@ class ExperimentRunner:
         self.shard_store = shard_store
         self.shard_transport = shard_transport
         self.shard_retries = shard_retries
-        self.shard_retry = shard_retry
         self.shard_timeout = shard_timeout
         self.shard_progress = shard_progress
         self.sink = sink
@@ -524,8 +518,7 @@ class ExperimentRunner:
             store=self.shard_store,
             transport=self.shard_transport,
             parallel=self.workers,
-            retries=self.shard_retries,
-            retry=self.shard_retry,
+            retry=RetryPolicy(retries=self.shard_retries),
             timeout=self.shard_timeout,
             finished=finished,
             registry=self.registry,
@@ -570,5 +563,4 @@ class ExperimentRunner:
                 records(),
                 bootstrap_resamples=bootstrap_resamples,
                 confidence=confidence,
-                expected_trials=lambda: self.last_trial_counts,
             )

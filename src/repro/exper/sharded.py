@@ -13,16 +13,12 @@ order reproduces exactly the serial executor's record stream — the
 coordinator's sink file is byte-identical to a serial run's, and
 ``merge_runs`` over the shard partials is too.
 
-Determinism under ``"derived"`` seeding is free (every trial's seed is
-self-contained).  Under ``"stream"`` seeding each worker replays the
-*whole* sequential RNG stream from the start and withholds trials
-outside its slice — wasteful in draws, but byte-identical by
-construction (:func:`~repro.exper.spec.iter_trials` already implements
-the withhold discipline for early stopping).
+Determinism is free: every trial's seed is self-contained, so a worker
+draws exactly its slice's trials and nothing else.
 
 Failure semantics: a shard that dies — killed, crashed, or silent past
-the progress timeout — is retried up to ``retries`` times, resuming
-its own partial shard file (complete trials are skipped; the sink
+the progress timeout — is retried up to ``retry.retries`` times,
+resuming its own partial shard file (complete trials are skipped; the sink
 cuts a partial tail line and a half-recorded trial when it re-opens
 the file), so a retried shard converges on the same bytes an
 undisturbed one writes.  The coordinator babysits workers through a
@@ -251,10 +247,10 @@ def run_shard(
     :class:`~repro.bgp.topology.CompiledTopology` and reuse
     ``workspace`` across trials.  ``finished`` grid coordinates —
     trials the coordinator already holds records for — are skipped
-    (derived seeding) or drawn-and-withheld (stream seeding), exactly
-    like a resumed run.  With ``resume=True`` the sink's existing
-    complete trials are treated the same way, so a retried shard picks
-    up where its dead predecessor flushed.
+    without being drawn, exactly like a resumed run.  With
+    ``resume=True`` the sink's existing complete trials are treated the
+    same way, so a retried shard picks up where its dead predecessor
+    flushed.
 
     The installed :class:`~repro.faults.FaultPlan` (if any) is
     consulted after every record at the ``exper.shard.record``
@@ -632,7 +628,7 @@ class ShardCoordinator:
     shard files — the runner replays them from its own sink.
 
     Retry pacing is a :class:`~repro.faults.RetryPolicy` (``retry``;
-    default ``RetryPolicy(retries=retries)``, whose zero base delay
+    default ``RetryPolicy(retries=2)``, whose zero base delay
     reproduces the historical immediate relaunch): a failed shard is
     re-queued but not redispatched before its deterministic
     backoff-with-jitter deadline, keyed on ``run_base`` and the shard
@@ -669,8 +665,7 @@ class ShardCoordinator:
         run_base: Optional[str] = None,
         transport=None,
         parallel: Optional[int] = None,
-        retries: int = 2,
-        retry: Optional[RetryPolicy] = None,
+        retry: RetryPolicy = RetryPolicy(retries=2),
         timeout: float = 120.0,
         poll_interval: float = 0.02,
         finished: frozenset = frozenset(),
@@ -678,8 +673,6 @@ class ShardCoordinator:
         progress: Optional[Callable[[dict], None]] = None,
         wants: Optional[Callable[[int, int], bool]] = None,
     ) -> None:
-        if retries < 0:
-            raise ReproError("retries must be non-negative")
         if timeout <= 0:
             raise ReproError("timeout must be positive")
         self.topology = topology
@@ -693,10 +686,7 @@ class ShardCoordinator:
         self.parallel = parallel or min(
             len(self.plan), os.cpu_count() or 1
         )
-        self.retry = (
-            retry if retry is not None else RetryPolicy(retries=retries)
-        )
-        self.retries = self.retry.retries
+        self.retry = retry
         self.timeout = timeout
         self.poll_interval = poll_interval
         self.finished = finished

@@ -9,18 +9,11 @@ consume.  All randomness is drawn *here*, in the driver process — the
 expensive part (route propagation) is pure given a trial, which is
 what makes the serial and sharded executors byte-identical.
 
-Two seeding disciplines are supported:
-
-* ``"derived"`` (default) — every trial's seed is derived from
-  ``(seed, fraction_index, trial_index)`` through a keyed blake2b
-  digest, so any trial can be regenerated in isolation (the property
-  future sharded runs need).
-* ``"stream"`` — all trials draw from one sequential
-  :class:`random.Random` stream, fractions outer, trials inner.  This
-  exists to reproduce, bit for bit, the numbers of the hand-rolled
-  study loops this engine replaced (see
-  :mod:`repro.analysis.hijack_eval` and
-  :mod:`repro.analysis.deployment`).
+Every trial draws from its own :class:`random.Random`, seeded by
+:func:`derive_trial_seed` from ``(seed, fraction_index, trial_index)``
+through a keyed blake2b digest, so any trial can be regenerated in
+isolation — resumed, sharded or early-stopped, a trial is drawn the
+same way or not at all.
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ __all__ = [
     "materialize_trials",
 ]
 
-_SEEDINGS = ("derived", "stream")
 _STOPPINGS = ("none", "ci")
 
 #: Every key a spec's JSON form holds — what ``to_json_dict`` writes,
@@ -74,6 +66,14 @@ _JSON_KEYS = frozenset((
 #: (the reference engine, once selectable) reads like ``"array"``.
 _ENGINE = "array"
 _ENGINE_NAMES = ("array", "object")
+
+#: The ``"seeding"`` of the JSON form: one rule now (every trial from
+#: its derived seed), the key kept so spec hashes and run files keep
+#: their bytes.  A stored ``"stream"`` (one shared RNG stream, once
+#: selectable) reads like ``"derived"``; it hashes differently, so a
+#: run recorded under it cannot be resumed.
+_SEEDING = "derived"
+_SEEDING_NAMES = ("derived", "stream")
 
 #: Every executor a spec (or runner) may name.  ``"auto"`` resolves at
 #: run time to ``"serial"`` or ``"sharded"`` depending on available
@@ -135,7 +135,6 @@ class ExperimentSpec:
         victim_prefix: the prefix the victim announces.
         attack_prefix: the subprefix the attacker announces; ``None``
             derives ``victim_prefix`` extended by 8 bits.
-        seeding: ``"derived"`` or ``"stream"`` (see module docstring).
         executor: the default execution strategy — ``"serial"``,
             ``"sharded"``, or ``"auto"`` (pick serial or sharded from
             available parallelism).  All executors
@@ -169,7 +168,6 @@ class ExperimentSpec:
         default_factory=lambda: Prefix.parse("168.122.0.0/16")
     )
     attack_prefix: Optional[Prefix] = None
-    seeding: str = "derived"
     executor: str = "serial"
     stopping: str = "none"
     stop_ci_width: float = 0.05
@@ -188,10 +186,6 @@ class ExperimentSpec:
         for fraction in self.fractions:
             if fraction is not None and not 0.0 <= fraction <= 1.0:
                 raise ReproError(f"fraction {fraction!r} outside [0, 1]")
-        if self.seeding not in _SEEDINGS:
-            raise ReproError(
-                f"unknown seeding {self.seeding!r}; expected {_SEEDINGS}"
-            )
         if self.executor not in EXECUTORS:
             raise ReproError(
                 f"unknown executor {self.executor!r}; "
@@ -288,7 +282,7 @@ class ExperimentSpec:
             "attack_prefix": (
                 None if self.attack_prefix is None else str(self.attack_prefix)
             ),
-            "seeding": self.seeding,
+            "seeding": _SEEDING,
             "engine": _ENGINE,
             "executor": self.executor,
             "stopping": self.stopping,
@@ -327,7 +321,8 @@ class ExperimentSpec:
         ``int(2.9)``, no ``float("0.5")``) and no key outside the
         spec's own, so a misspelled one cannot run on its default.
         ``"executor": "process"`` (the retired pool) reads as
-        ``"sharded"``, and ``"engine"`` is read and ignored."""
+        ``"sharded"``, and ``"engine"`` and ``"seeding"`` are read and
+        ignored."""
         if not isinstance(data, dict):
             raise ReproError("spec JSON must be an object")
         unknown = sorted(set(data) - _JSON_KEYS)
@@ -339,6 +334,12 @@ class ExperimentSpec:
                 raise ReproError(
                     f"unknown propagation engine {engine!r}; "
                     f"expected {_ENGINE_NAMES}"
+                )
+            seeding = data.get("seeding", _SEEDING)
+            if seeding not in _SEEDING_NAMES:
+                raise ReproError(
+                    f"unknown seeding {seeding!r}; "
+                    f"expected {_SEEDING_NAMES}"
                 )
             attack_prefix = data.get("attack_prefix")
             executor = data.get("executor", "serial")
@@ -363,7 +364,6 @@ class ExperimentSpec:
                     None if attack_prefix is None
                     else _json_prefix(attack_prefix, "attack_prefix")
                 ),
-                seeding=data.get("seeding", "derived"),
                 executor=executor,
                 stopping=data.get("stopping", "none"),
                 stop_ci_width=_json_number(
@@ -607,43 +607,33 @@ def iter_trials(
 ) -> Iterator[TrialSpec]:
     """Draw the spec's trials lazily, in deterministic order.
 
-    All RNG consumption happens here, in fractions-outer, trials-inner
-    order; the per-trial draw order is fixed (cast, validators, coin
-    word, tie seed) so both seeding disciplines are stable contracts.
+    Trial ``(fraction_index, trial_index)`` draws from its own
+    :class:`random.Random`, seeded by :func:`derive_trial_seed`, in a
+    fixed order (cast, validators, coin word, tie seed) — a stable
+    contract.
 
     Laziness is what keeps driver memory flat on grids with millions
     of trials: executors pull trials one at a time instead of
     materializing the full list.
 
-    ``wants(fraction_index, trial_index)`` lets an early-stopping
-    consumer decline trials before they are drawn.  Under
-    ``"derived"`` seeding a declined trial is skipped outright — its
-    seed is self-contained, so nothing downstream shifts.  Under
-    ``"stream"`` seeding every trial's draws depend on all draws
-    before it, so a declined trial is still materialized (advancing
-    the shared RNG) and only withheld from the stream; later
-    fractions' trials stay bit-identical either way.
+    ``wants(fraction_index, trial_index)`` lets a consumer (resume,
+    a shard, early stopping) decline trials: a declined trial is
+    skipped without drawing, and since every seed is self-contained
+    nothing else shifts.
     """
     pool = spec.sampler.population(topology)
     needs_validators = any(f is not None for f in spec.fractions)
     all_pool: tuple[int, ...] = ()
     if needs_validators:
         all_pool = tuple(sorted(topology.ases))
-    stream_rng = (
-        random.Random(spec.seed) if spec.seeding == "stream" else None
-    )
 
     for fraction_index, fraction in enumerate(spec.fractions):
         for trial_index in range(spec.trials):
-            wanted = wants is None or wants(fraction_index, trial_index)
-            if not wanted and stream_rng is None:
-                continue  # derived seeding: skip without drawing
-            if stream_rng is not None:
-                rng = stream_rng
-            else:
-                rng = random.Random(
-                    derive_trial_seed(spec.seed, fraction_index, trial_index)
-                )
+            if wants is not None and not wants(fraction_index, trial_index):
+                continue
+            rng = random.Random(
+                derive_trial_seed(spec.seed, fraction_index, trial_index)
+            )
             victim, attackers = spec.sampler.sample(
                 pool, rng, spec.max_attackers
             )
@@ -655,8 +645,6 @@ def iter_trials(
                 rng.getrandbits(64) if spec.needs_trial_bits else 0
             )
             tie_seed = rng.getrandbits(32)
-            if not wanted:
-                continue  # stream RNG advanced; trial withheld
             yield TrialSpec(
                 fraction_index=fraction_index,
                 trial_index=trial_index,

@@ -11,18 +11,26 @@ in any order — and keeps exactly two things:
   order) cheap enough to publish live, mid-run, through the serve
   tier's ``/experiments`` endpoints.
 
-Accumulators are mergeable: two accumulators fed disjoint trial sets
-of the same run merge into the accumulator that saw both — the
-property shard-partial runs (:func:`repro.results.store.merge_runs`)
-are built on.  The driver holds one small row tuple per trial instead
-of a whole :class:`TrialRecord` (cast tuples, names, indices), which
-is what keeps streaming aggregation memory flat on huge grids.
+The driver holds one small row tuple per trial instead of a whole
+:class:`TrialRecord` (cast tuples, names, indices), which is what
+keeps streaming aggregation memory flat on huge grids.
+:func:`completed_prefix` is the one rule for how many of a fraction's
+trials a run has completed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Container,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..netbase.errors import ReproError
 
@@ -31,11 +39,24 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids an import
     from ..exper.evaluate import TrialRecord
     from ..exper.spec import ExperimentSpec
 
-__all__ = ["CellAccumulator", "GridAccumulator"]
+__all__ = ["CellAccumulator", "GridAccumulator", "completed_prefix"]
 
 #: One trial's outcome in a cell: (attacker, victim, disconnected,
 #: filtered) — everything CellStats needs, nothing it does not.
 Row = Tuple[float, float, float, bool]
+
+
+def completed_prefix(trials: int, cells: Sequence[Container[int]]) -> int:
+    """How many trials are consecutively complete from trial 0.
+
+    ``cells`` holds, per cell of one fraction, the trial indices that
+    cell has a record for; a trial is complete when every cell has
+    it.  The count stops at ``trials``.
+    """
+    count = 0
+    while count < trials and all(count in cell for cell in cells):
+        count += 1
+    return count
 
 
 class CellAccumulator:
@@ -101,29 +122,11 @@ class CellAccumulator:
         self._mean += delta / self._count
         self._m2 += delta * (value - self._mean)
 
-    def merge(self, other: "CellAccumulator") -> None:
-        """Union another accumulator's trials into this one.
-
-        Trials present in both must carry identical rows (re-evaluated
-        shards of a deterministic run); a conflicting duplicate means
-        the shards did not come from the same run and is an error.
-        """
-        for trial_index, row in sorted(other._rows.items()):
-            mine = self._rows.get(trial_index)
-            if mine is None:
-                self._rows[trial_index] = row
-                self._observe(row[0])
-            elif mine != row:
-                raise ReproError(
-                    f"conflicting records for trial {trial_index} of "
-                    f"cell {self.cell_name!r}"
-                )
-
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
 
-    def has_trial(self, trial_index: int) -> bool:
+    def __contains__(self, trial_index: int) -> bool:
         return trial_index in self._rows
 
     def trial_indices(self) -> Iterator[int]:
@@ -198,17 +201,6 @@ class GridAccumulator:
             )
         self.cell(record.fraction_index, record.cell_index).add(record)
         self.records += 1
-
-    def merge(self, other: "GridAccumulator") -> None:
-        """Union another grid's trials (see CellAccumulator.merge)."""
-        for fraction_index, row in enumerate(other._cells):
-            for cell_index, accumulator in enumerate(row):
-                self.cell(fraction_index, cell_index).merge(accumulator)
-        self.records = sum(
-            len(accumulator)
-            for row in self._cells
-            for accumulator in row
-        )
 
     def live_snapshot(self) -> List[dict]:
         """Per-cell running statistics, fractions-outer, JSON-ready."""

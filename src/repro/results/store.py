@@ -34,6 +34,7 @@ from typing import (
 
 from ..netbase.errors import ReproError
 from . import appendlog
+from .accumulate import completed_prefix
 from .sinks import (
     RunHeader,
     _dedupe,
@@ -124,13 +125,6 @@ class ResultsStore:
             self.path(out_id), [self.path(run_id) for run_id in run_ids]
         )
 
-    def shard_ids(self, base: str, shard_count: int) -> List[str]:
-        """Every shard run id of a ``shard_count``-wide plan, in order."""
-        return [
-            shard_run_id(base, shard_index, shard_count)
-            for shard_index in range(shard_count)
-        ]
-
 
 def merge_runs(
     out_path: Union[str, Path],
@@ -211,14 +205,10 @@ def run_result(
         present[record.fraction_index][record.cell_index].add(
             record.trial_index
         )
-    counts = []
-    for fraction_index in range(len(spec.fractions)):
-        count = 0
-        while count < spec.trials and all(
-            count in cell for cell in present[fraction_index]
-        ):
-            count += 1
-        counts.append(count)
+    counts = [
+        completed_prefix(spec.trials, cell_trials)
+        for cell_trials in present
+    ]
     # Keep the leading fractions that completed at least one trial;
     # a complete trial *after* an empty fraction would mean the run
     # did not execute fractions in order — refuse to guess.

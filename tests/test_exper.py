@@ -82,18 +82,6 @@ class TestSeedDerivation:
         long = materialize_trials(two_cell_spec(trials=6), engine_topology)
         assert long[:3] == short
 
-    def test_stream_trials_are_sequential(self, engine_topology):
-        """Stream seeding deliberately couples trials (legacy replay):
-        a draw consumed by trial 0 shifts everything after it."""
-        spec = two_cell_spec(seeding="stream")
-        trials = materialize_trials(spec, engine_topology)
-        rng = random.Random(spec.seed)
-        pool = StubPairSampler().population(engine_topology)
-        victim, attacker = rng.sample(pool, 2)
-        assert trials[0].victim == victim
-        assert trials[0].attackers == (attacker,)
-        assert trials[0].tie_seed == rng.getrandbits(32)
-
     def test_materialization_is_reproducible(self, engine_topology):
         spec = two_cell_spec(fractions=(0.0, 0.5))
         assert materialize_trials(spec, engine_topology) == (
@@ -113,14 +101,11 @@ class TestSeedDerivation:
 
 
 class TestExecutorEquivalence:
-    @pytest.mark.parametrize("seeding", ["derived", "stream"])
-    def test_process_matches_serial(self, engine_topology, seeding):
+    def test_process_matches_serial(self, engine_topology):
         """The headline property: byte-identical aggregated results
         from worker processes (the sharded executor; the test id
         predates the pool executor's removal)."""
-        spec = two_cell_spec(
-            trials=6, fractions=(0.0, 0.5, None), seeding=seeding
-        )
+        spec = two_cell_spec(trials=6, fractions=(0.0, 0.5, None))
         serial = ExperimentRunner(
             engine_topology, spec, executor="serial"
         ).run(bootstrap_resamples=100)
@@ -183,8 +168,13 @@ class TestSpecValidation:
             )
 
     def test_unknown_seeding_rejected(self):
+        """No spec field names a seeding any more; the JSON form's
+        ``"seeding"`` still refuses a value no version wrote."""
+        with pytest.raises(TypeError):
+            two_cell_spec(seeding="derived")
+        spec = json.loads(two_cell_spec().to_json())
         with pytest.raises(ReproError, match="unknown seeding"):
-            two_cell_spec(seeding="chaotic")
+            ExperimentSpec.from_json_dict({**spec, "seeding": "chaotic"})
 
     def test_unknown_attack_kind_rejected(self):
         with pytest.raises(ReproError, match="unknown attack kind"):
@@ -236,7 +226,6 @@ class TestJsonRoundTrip:
             fractions=(0.5, None),
             sampler=FixedPairSampler(111, (666, 667)),
             victim_prefix=Prefix.parse("10.0.0.0/16"),
-            seeding="stream",
         )
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
@@ -361,6 +350,18 @@ class TestStrictSpecJson:
     def test_unknown_engine_still_rejected(self):
         with pytest.raises(ReproError, match="unknown propagation engine"):
             self.decode(engine="quantum")
+
+    def test_stored_stream_seeding_read_as_retired(self):
+        """A spec stored when ``"stream"`` seeding was selectable
+        decodes (so a queue or run file holding one stays readable),
+        re-encodes as ``"derived"``, and hashes apart from what it was
+        stored under (the literal is its hash then), so resuming its
+        run is refused."""
+        spec = self.decode(seeding="stream")
+        assert spec == self.decode()
+        assert spec.to_json_dict()["seeding"] == "derived"
+        assert spec.spec_hash() == "f520dbe4f271ee52f6c0ecefbaac38eb"
+        assert spec.spec_hash() != "0569137fcbbf27da87c7f7fdb3654a4e"
 
     def test_spec_hash_and_json_form_unchanged(self):
         """``"engine"`` stays in the JSON form, as a constant, in its
@@ -554,22 +555,20 @@ class TestAggregation:
 
 
 class TestLegacyReplay:
-    """The adapters reproduce the pre-engine seeded numbers exactly.
+    """The study adapters' seeded numbers, pinned exactly.
 
     Golden values were captured from the original hand-rolled loops
-    (sequential ``random.Random`` streams) before the engine rewrite,
-    then re-pinned once when the seeded tie-break was made independent
-    of edge insertion order (it now sorts candidates before drawing;
-    only ``forged_origin_minimal`` moved), and once more when lone
-    announcements stopped drawing tie-breaks nothing reads (the
-    same-prefix cell's stream position moved: ``forged_origin_minimal``
-    0.2944015444015444 → 0.27413127413127414), and a third time when
-    the tie-break became a keyed hash of (tie seed, AS, neighbor)
-    instead of a draw from the trial's stream (0.27413127413127414 →
-    0.3407335907335907; seven trials, so one cast's luck moves the
-    mean) — each time on both engines, the product path and the
-    reference engine, which ``test_goldens_hold_on_the_object_engine``
-    runs.  The subprefix numbers never moved.
+    (one sequential ``random.Random`` stream per study) before the
+    engine rewrite, re-pinned three times as the same-prefix tie-break
+    changed (``forged_origin_minimal`` only; the subprefix numbers
+    never moved), and once more when the studies left the shared
+    stream for per-trial derived seeds, which draws new casts:
+    ``forged_origin_minimal`` 0.3407335907335907 → 0.4189189189189189,
+    deployment point 0 (subprefix and forged-subprefix vs minimal)
+    0.28378378378378377 → 0.3621621621621621, point 1 subprefix
+    0.0 → 0.005405405405405406.  Each holds on both engines, the
+    product path and the reference engine, which
+    ``test_goldens_hold_on_the_object_engine`` runs.
     """
 
     @pytest.fixture(scope="class")
@@ -583,7 +582,7 @@ class TestLegacyReplay:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.3407335907335907
+        assert result.forged_origin_minimal == 0.4189189189189189
 
     def test_deployment_sweep_golden(self, replay_topology):
         from repro.analysis import run_deployment_sweep
@@ -591,12 +590,12 @@ class TestLegacyReplay:
         sweep = run_deployment_sweep(
             replay_topology, fractions=(0.25, 0.75), samples=5, seed=9
         )
-        assert sweep.points[0].subprefix_hijack == 0.28378378378378377
+        assert sweep.points[0].subprefix_hijack == 0.3621621621621621
         assert sweep.points[0].forged_subprefix_vs_minimal == (
-            0.28378378378378377
+            0.3621621621621621
         )
         assert sweep.points[0].forged_subprefix_vs_nonminimal == 1.0
-        assert sweep.points[1].subprefix_hijack == 0.0
+        assert sweep.points[1].subprefix_hijack == 0.005405405405405406
 
     def test_goldens_hold_on_the_object_engine(
         self, replay_topology, reference_engine
@@ -614,14 +613,14 @@ class TestLegacyReplay:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.3407335907335907
+        assert result.forged_origin_minimal == 0.4189189189189189
 
-        assert sweep.points[0].subprefix_hijack == 0.28378378378378377
+        assert sweep.points[0].subprefix_hijack == 0.3621621621621621
         assert sweep.points[0].forged_subprefix_vs_minimal == (
-            0.28378378378378377
+            0.3621621621621621
         )
         assert sweep.points[0].forged_subprefix_vs_nonminimal == 1.0
-        assert sweep.points[1].subprefix_hijack == 0.0
+        assert sweep.points[1].subprefix_hijack == 0.005405405405405406
 
     def test_studies_identical_across_executors(self, replay_topology):
         from repro.analysis import run_deployment_sweep, run_hijack_study
@@ -934,10 +933,3 @@ class TestInlinedStdlibDraws:
         drawn = materialize_trials(spec, engine_topology)
         monkeypatch.setattr(spec_module, "_FAST_SAMPLE", False)
         assert drawn == materialize_trials(spec, engine_topology)
-        stream = two_cell_spec(
-            trials=3, fractions=(0.5, 1.0), seeding="stream"
-        )
-        monkeypatch.setattr(spec_module, "_FAST_SAMPLE", True)
-        drawn = materialize_trials(stream, engine_topology)
-        monkeypatch.setattr(spec_module, "_FAST_SAMPLE", False)
-        assert drawn == materialize_trials(stream, engine_topology)

@@ -363,7 +363,7 @@ class TestExperimentEngineField:
         assert result.subprefix_no_rpki == 1.0
         assert result.forged_subprefix_nonminimal == 1.0
         assert result.forged_subprefix_minimal == 0.0
-        assert result.forged_origin_minimal == 0.3407335907335907
+        assert result.forged_origin_minimal == 0.4189189189189189
 
     def test_array_engine_with_process_executor(self, topology):
         """The engine under worker processes (the sharded executor;

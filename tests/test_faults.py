@@ -563,6 +563,24 @@ class TestDelayFaults:
         }
         assert "delay" in actions
 
+    def test_chaos_grid_is_the_experiment_default_grid(self, capsys):
+        """``chaos --drill experiment`` runs the grid ``experiment
+        --trials N --seed S`` runs, so its output compares 1:1."""
+        from repro.cli import _chaos_spec, build_parser, main
+        from repro.exper import ExperimentSpec
+
+        for trials, seed in ((12, 0), (5, 3)):
+            args = build_parser().parse_args([
+                "chaos", "--drill", "experiment", "--trials", str(trials),
+                "--spec-seed", str(seed),
+            ])
+            assert main([
+                "experiment", "--trials", str(trials), "--seed", str(seed),
+                "--emit-spec",
+            ]) == 0
+            emitted = ExperimentSpec.from_json(capsys.readouterr().out)
+            assert _chaos_spec(args).spec_hash() == emitted.spec_hash()
+
     def test_chaos_emit_plan_surfaces_delay_rules(self, capsys):
         from repro.cli import main
 

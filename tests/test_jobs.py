@@ -189,6 +189,23 @@ class TestJobStore:
         assert store.job(a).status == "failed"
         assert store.job(a).detail == "disk full"
 
+    def test_queued_stream_seeded_job_still_lists(self, tmp_path, capsys):
+        """A job queued while ``"seeding": "stream"`` was selectable
+        decodes, so the queue holding it stays readable."""
+        from repro.cli import main
+
+        store = JobStore(tmp_path)
+        a = store.enqueue(job_spec())
+        queue = store.path.read_bytes()
+        assert queue.count(b'"seeding":"derived"') == 1
+        store.path.write_bytes(
+            queue.replace(b'"seeding":"derived"', b'"seeding":"stream"'))
+        assert store.job(a).spec.spec == job_spec().spec
+        assert main(["jobs", "list", "--store", str(tmp_path), "--json"]) == 0
+        listed = json.loads(capsys.readouterr().out)["jobs"]
+        assert [(job["job"], job["status"]) for job in listed] == [
+            (a, "queued")]
+
     def test_partial_tail_dropped_and_truncated(self, tmp_path):
         store = JobStore(tmp_path)
         a = store.enqueue(job_spec())

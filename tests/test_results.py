@@ -8,8 +8,7 @@ The contracts pinned here:
   tail line is recovered, corruption anywhere else refuses loudly;
 * an interrupted-then-resumed run is byte-identical to an
   uninterrupted one — aggregates, trial counts and file bytes — under
-  serial and sharded executors, both seeding disciplines, and early
-  stopping;
+  serial and sharded executors, and early stopping;
 * merge_runs unions shard-partial runs of one spec into the same
   result a single machine would have produced;
 * the serve tier answers /experiments with live per-cell stats while
@@ -216,7 +215,8 @@ class TestRunsFromBeforeOneEngine:
     top and inside the spec — and hashes the spec with it.  Both were
     re-pinned once since, when the tie-break became a keyed hash and
     the grid's two same-prefix cells moved (header and subprefix
-    records unchanged).
+    records unchanged).  A run recorded under ``"seeding": "stream"``
+    (selectable until the one seeding rule) is read the same way.
     """
 
     _ARGS = ["--trials", "3", "--ases", "60", "--fractions", "0,1"]
@@ -229,6 +229,9 @@ class TestRunsFromBeforeOneEngine:
         "7994dec9217a6f3eab0197d661e3e996"
     )
     _OBJECT_SPEC_HASH = "a6fbf47c77becac0d5bcf73a00449dc5"
+    #: ``_ARGS``'s spec under ``seeding="stream"``, hashed while that
+    #: seeding was selectable.
+    _STREAM_SPEC_HASH = "ca7559ab548638a614765b223fb5fe40"
 
     @staticmethod
     def sha256(path) -> str:
@@ -291,6 +294,41 @@ class TestRunsFromBeforeOneEngine:
         assert self.sha256(legacy) == self._OBJECT_RUN
         # A re-run records the same trials, line for line.
         assert read_run(legacy)[1] == read_run(rerun)[1]
+
+    def test_stream_seeded_run_shows_and_refuses_resume(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        rerun = tmp_path / "rerun.jsonl"
+        self.record(rerun)
+        header, rest = rerun.read_bytes().split(b"\n", 1)
+        new_hash = json.loads(header)["spec_hash"]
+        assert header.count(b'"seeding":"derived"') == 1
+        legacy = tmp_path / "legacy.jsonl"
+        legacy.write_bytes(
+            header.replace(b'"seeding":"derived"', b'"seeding":"stream"')
+            .replace(new_hash.encode(), self._STREAM_SPEC_HASH.encode())
+            + b"\n" + rest
+        )
+        before = legacy.read_bytes()
+        capsys.readouterr()
+
+        # It loads and aggregates under its stored hash ...
+        assert main(["results", "show", str(legacy), "--json"]) == 0
+        shown, err = capsys.readouterr()
+        assert f"spec hash {self._STREAM_SPEC_HASH}" in err
+        assert main(["results", "show", str(rerun), "--json"]) == 0
+        assert capsys.readouterr().out == shown
+
+        # ... and resuming it is refused, the file left as it was.
+        assert main(["experiment", *self._ARGS, "--sink", str(legacy),
+                     "--resume"]) == 1
+        assert (
+            f"holds records for spec hash {self._STREAM_SPEC_HASH}, "
+            f"not this spec's {new_hash}"
+        ) in capsys.readouterr().err
+        assert legacy.read_bytes() == before
 
 
 # ----------------------------------------------------------------------
@@ -527,11 +565,10 @@ def interrupt(path, lines, keep, partial_tail=True):
 
 class TestResume:
     @pytest.mark.parametrize("executor", ["serial", "sharded"])
-    @pytest.mark.parametrize("seeding", ["derived", "stream"])
     def test_interrupted_run_resumes_byte_identical(
-        self, topology, tmp_path, executor, seeding
+        self, topology, tmp_path, executor
     ):
-        spec = small_spec(seeding=seeding)
+        spec = small_spec()
         full_path = tmp_path / "full.jsonl"
         full, lines = run_full(topology, spec, full_path)
 
@@ -551,11 +588,10 @@ class TestResume:
         assert part.read_bytes() == full_path.read_bytes()
 
     @pytest.mark.parametrize("variant", [
-        dict(seeding="derived"),
-        dict(seeding="stream"),
+        dict(),
         dict(trials=12, fractions=(None,), stopping="ci",
              stop_ci_width=0.5, stop_min_trials=4, stop_check_every=2),
-    ], ids=["derived", "stream", "ci"])
+    ], ids=["derived", "ci"])
     def test_resume_from_any_byte_is_byte_identical(
         self, topology, tmp_path, variant
     ):
@@ -818,27 +854,6 @@ class TestAccumulators:
             assert snapshot["stdev"] == pytest.approx(
                 statistics.stdev(cell_values)
             )
-
-    def test_merge_unions_disjoint_and_identical(self, topology):
-        spec = small_spec()
-        records = list(ExperimentRunner(topology, spec).iter_records())
-        left, right = GridAccumulator(spec), GridAccumulator(spec)
-        for index, record in enumerate(records):
-            # Overlapping halves: every record lands in at least one.
-            if index % 2 == 0 or index % 3 == 0:
-                left.add(record)
-            if index % 2 == 1 or index % 3 == 0:
-                right.add(record)
-        left.merge(right)
-        assert left.records == len(records)
-
-    def test_merge_rejects_conflicts(self):
-        spec = small_spec()
-        a, b = GridAccumulator(spec), GridAccumulator(spec)
-        a.add(sample_record(cell_index=0))
-        b.add(sample_record(cell_index=0, attacker_fraction=0.9))
-        with pytest.raises(ReproError, match="conflicting records"):
-            a.merge(b)
 
     def test_duplicate_add_rejected(self):
         grid = GridAccumulator(small_spec())

@@ -2,8 +2,7 @@
 
 The pinned invariant (docs/architecture.md): a sharded run's output —
 aggregated result *and* recorded sink file — is byte-identical to the
-serial executor's, under both seeding disciplines, with early stopping
-on or off, **including** after a shard is killed or raises mid-stream
+serial executor's, with early stopping on or off, **including** after a shard is killed or raises mid-stream
 (the coordinator retries/reassigns) and after the coordinator itself
 dies and is resumed.  Also pinned here:
 
@@ -13,7 +12,7 @@ dies and is resumed.  Also pinned here:
 * ``executor="auto"`` resolves to serial on a single core and to
   sharded otherwise; a stored ``"executor": "process"`` reads as
   sharded without changing the spec hash;
-* a property-style sweep of randomized small specs (seeding, stopping
+* a property-style sweep of randomized small specs (sampler, stopping
   and its thresholds all drawn) agrees between serial and sharded;
 * early stopping reaches the workers: shards past a stop are never
   dispatched, running ones are stopped without counting as failures,
@@ -52,7 +51,13 @@ from repro.exper import (
     plan_shards,
     resolve_executor,
 )
-from repro.faults import PLAN_ENV, FaultPlan, FaultRule, uninstall
+from repro.faults import (
+    PLAN_ENV,
+    FaultPlan,
+    FaultRule,
+    RetryPolicy,
+    uninstall,
+)
 from repro.netbase.errors import ReproError
 from repro.results import JsonlSink, ResultsStore, read_run, shard_run_id
 from repro.serve import HttpShardTransport, ThreadedShardWorkerServer
@@ -215,8 +220,9 @@ class TestPlanning:
 
     def test_shard_run_ids(self):
         assert shard_run_id("grid-abc", 2, 12) == "grid-abc.shard02of12"
-        store = ResultsStore("unused")
-        assert store.shard_ids("g", 2) == ["g.shard0of2", "g.shard1of2"]
+        assert [
+            shard.run_id("g") for shard in plan_shards(small_spec(), 2)
+        ] == ["g.shard0of2", "g.shard1of2"]
         with pytest.raises(ReproError, match="outside the plan|outside"):
             shard_run_id("g", 5, 3)
         with pytest.raises(ReproError, match="bad shard run id"):
@@ -305,13 +311,10 @@ class TestAutoExecutor:
 
 
 class TestShardedEquivalence:
-    @pytest.mark.parametrize("seeding", ["derived", "stream"])
     @pytest.mark.parametrize("stopping", ["none", "ci"])
-    def test_sharded_matches_serial_bytes(
-        self, topology, tmp_path, seeding, stopping
-    ):
+    def test_sharded_matches_serial_bytes(self, topology, tmp_path, stopping):
         spec = small_spec(
-            trials=8, seeding=seeding, stopping=stopping,
+            trials=8, stopping=stopping,
             stop_ci_width=0.4, stop_min_trials=3, stop_check_every=2,
         )
         serial, serial_bytes = run_recorded(
@@ -359,7 +362,6 @@ class TestShardedEquivalence:
                 ),
                 sampler=rng.choice(
                     [StubPairSampler(), AnyAsPairSampler()]),
-                seeding=rng.choice(["derived", "stream"]),
                 stopping=rng.choice(["none", "ci"]),
                 stop_ci_width=rng.choice([0.05, 0.3, 0.5, 1.0]),
                 stop_min_trials=rng.randint(2, 4),
@@ -533,11 +535,10 @@ class TestFaultInjection:
     @pytest.mark.parametrize("action", [
         pytest.param("crash", id="kill"), pytest.param("error", id="raise"),
     ])
-    @pytest.mark.parametrize("seeding", ["derived", "stream"])
     def test_shard_death_mid_stream_retried_byte_identical(
-        self, topology, tmp_path, monkeypatch, action, seeding
+        self, topology, tmp_path, monkeypatch, action
     ):
-        spec = small_spec(seeding=seeding)
+        spec = small_spec()
         _, serial_bytes = run_recorded(
             topology, spec, tmp_path / "serial.jsonl", executor="serial")
         # Shard 1 dies after 3 records on its first attempt; the
@@ -585,7 +586,7 @@ class TestFaultInjection:
         spec = small_spec(trials=3)
         monkeypatch.setenv(PLAN_ENV, shard_fault(0, "crash", 1))
         coordinator = ShardCoordinator(
-            topology, spec, shards=2, retries=0)
+            topology, spec, shards=2, retry=RetryPolicy(retries=0))
         with pytest.raises(ReproError, match="failed after 1 attempts"):
             list(coordinator.records())
 
@@ -617,11 +618,10 @@ class TestFaultInjection:
 
 
 class TestCoordinatorResume:
-    @pytest.mark.parametrize("seeding", ["derived", "stream"])
     def test_killed_coordinator_resumes_byte_identical(
-        self, topology, tmp_path, seeding
+        self, topology, tmp_path
     ):
-        spec = small_spec(seeding=seeding)
+        spec = small_spec()
         full_path = tmp_path / "full.jsonl"
         full, full_bytes = run_recorded(
             topology, spec, full_path, executor="serial")
@@ -777,7 +777,8 @@ class TestHttpTransport:
         with ThreadedShardWorkerServer(other) as worker:
             transport = HttpShardTransport([f"127.0.0.1:{worker.port}"])
             coordinator = ShardCoordinator(
-                topology, spec, shards=1, transport=transport, retries=0)
+                topology, spec, shards=1, transport=transport,
+                retry=RetryPolicy(retries=0))
             with pytest.raises(ReproError, match="topology mismatch"):
                 list(coordinator.records())
 

@@ -428,12 +428,12 @@ class TestEarlyStopping:
         )
         assert streamed == direct
 
-    def test_stream_seeding_unaffected_downstream(self, topology):
-        """Under stream seeding, stopping a fraction early must not
-        change later fractions' trials (their RNG draws depend on the
-        whole prefix of materializations)."""
+    def test_early_stop_leaves_later_fractions_unchanged(self, topology):
+        """Stopping a fraction early must not change later fractions'
+        trials: a trial nobody wants is skipped without drawing, and
+        every trial draws from its own derived seed."""
         spec = stopping_spec(
-            seeding="stream", fractions=(0.0, 1.0), trials=20,
+            fractions=(0.0, 1.0), trials=20,
             stop_min_trials=4, stop_check_every=2,
         )
         stopped = ExperimentRunner(topology, spec).run(
