@@ -1013,7 +1013,8 @@ def _cmd_results(args: argparse.Namespace) -> int:
         return 1
     print(
         f"run {args.run}: spec hash {header.spec_hash}, "
-        f"seed {header.seed}, engine {header.engine}, "
+        f"seed {header.seed}, "
+        f"rule {'unknown' if header.rule is None else header.rule}, "
         f"{len(records)} records"
         + (f" ({dropped} past the completed prefix)" if dropped else ""),
         file=sys.stderr,

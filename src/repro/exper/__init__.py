@@ -50,7 +50,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "prefix_ci_width",
     ),
     "evaluate": (
-        "RECORD_SCHEMA", "TrialRecord", "evaluate_trial", "evaluate_trials",
+        "RECORD_RULE", "RECORD_SCHEMA", "TrialRecord", "evaluate_trial",
+        "evaluate_trials",
     ),
     "runner": ("EXECUTORS", "ExperimentRunner", "resolve_executor"),
     "scenarios": (

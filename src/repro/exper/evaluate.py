@@ -30,6 +30,7 @@ from .scenarios import AttackConfig
 from .spec import ExperimentSpec, TrialSpec
 
 __all__ = [
+    "RECORD_RULE",
     "RECORD_SCHEMA",
     "TrialRecord",
     "evaluate_trial",
@@ -40,6 +41,11 @@ __all__ = [
 #: list below changes; readers reject records from other versions
 #: rather than guessing at their meaning.
 RECORD_SCHEMA = 1
+
+#: The measurement rule records are made under: bump it whenever the
+#: same spec on the same topology would write different record bytes.
+#: Run headers record it; resume and merge refuse to mix two rules.
+RECORD_RULE = 1
 
 #: The exact wire field list, in serialization order.  ``to_json_dict``
 #: emits these plus ``"schema"``; ``from_json_dict`` requires all of

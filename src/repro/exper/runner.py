@@ -48,6 +48,7 @@ from ..obs.metrics import MetricsRegistry, get_registry
 from ..results.sinks import (
     ResultSink,
     RunHeader,
+    _check_coordinates,
     check_header_compatible,
     complete_trials,
 )
@@ -384,30 +385,16 @@ class ExperimentRunner:
         """
         if self.resume_from is None:
             return [], frozenset()
-        header, records = self.resume_from.resume_scan(self.spec)
+        header, records = self.resume_from.resume_scan()
         if header is None:
             return [], frozenset()
-        # The spec hash matched (resume_scan checked); the records must
-        # also come from *this* topology — trial outcomes are functions
-        # of (topology, spec, trial), so replaying another graph's
-        # records would silently mix incomparable worlds.
+        # Trial outcomes are functions of (rule, topology, spec, trial):
+        # replaying records of another would silently mix worlds.
         check_header_compatible(
             header, self._run_header(), "resume source"
         )
-        spec = self.spec
-        for record in records:
-            if not (
-                0 <= record.fraction_index < len(spec.fractions)
-                and 0 <= record.trial_index < spec.trials
-                and 0 <= record.cell_index < len(spec.cells)
-            ):
-                raise ReproError(
-                    f"resume record for cell {record.cell!r} addresses "
-                    f"grid coordinate ({record.fraction_index}, "
-                    f"{record.trial_index}, {record.cell_index}) "
-                    f"outside the spec"
-                )
-        finished = complete_trials(records, len(spec.cells))
+        _check_coordinates(records, self.spec, "resume")
+        finished = complete_trials(records, len(self.spec.cells))
         replay = [
             record for key in sorted(finished) for record in finished[key]
         ]

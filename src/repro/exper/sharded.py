@@ -261,7 +261,7 @@ def run_shard(
         header = RunHeader.for_spec(spec, topology)
     done = set(finished)
     if resume and sink is not None:
-        prior, records = sink.resume_scan(spec)
+        prior, records = sink.resume_scan()
         if prior is not None:
             check_header_compatible(prior, header, "shard resume source")
             done.update(complete_trials(records, len(spec.cells)))

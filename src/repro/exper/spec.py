@@ -53,27 +53,22 @@ __all__ = [
 
 _STOPPINGS = ("none", "ci")
 
-#: Every key a spec's JSON form holds — what ``to_json_dict`` writes,
-#: and every key any earlier version wrote; the decoder refuses others.
+#: Every key a spec's JSON form holds — what ``to_json_dict`` writes.
 _JSON_KEYS = frozenset((
     "cells", "trials", "seed", "fractions", "sampler", "victim_prefix",
-    "attack_prefix", "seeding", "engine", "executor", "stopping",
-    "stop_ci_width", "stop_min_trials", "stop_check_every",
+    "attack_prefix", "executor", "stopping", "stop_ci_width",
+    "stop_min_trials", "stop_check_every",
 ))
 
-#: The ``"engine"`` of the JSON form: one engine now, the key kept so
-#: spec hashes and run files keep their bytes.  A stored ``"object"``
-#: (the reference engine, once selectable) reads like ``"array"``.
-_ENGINE = "array"
-_ENGINE_NAMES = ("array", "object")
-
-#: The ``"seeding"`` of the JSON form: one rule now (every trial from
-#: its derived seed), the key kept so spec hashes and run files keep
-#: their bytes.  A stored ``"stream"`` (one shared RNG stream, once
-#: selectable) reads like ``"derived"``; it hashes differently, so a
-#: run recorded under it cannot be resumed.
-_SEEDING = "derived"
-_SEEDING_NAMES = ("derived", "stream")
+#: Values an earlier version wrote that no spec holds now, by key, and
+#: what each reads as (``None``: the key is ignored).  Stored specs
+#: (queued jobs, run headers, spec files) stay readable; any other
+#: value of a retired key is refused.
+_RETIRED = {
+    "engine": {"array": None, "object": None},
+    "seeding": {"derived": None, "stream": None},
+    "executor": {"process": "sharded"},
+}
 
 #: Every executor a spec (or runner) may name.  ``"auto"`` resolves at
 #: run time to ``"serial"`` or ``"sharded"`` depending on available
@@ -261,12 +256,6 @@ class ExperimentSpec:
     def total_trials(self) -> int:
         return self.trials * len(self.fractions)
 
-    def cell_index(self, name: str) -> int:
-        for index, cell in enumerate(self.cells):
-            if cell.name == name:
-                return index
-        raise ReproError(f"no cell named {name!r}")
-
     # ------------------------------------------------------------------
     # JSON round trip (the CLI's --spec format)
     # ------------------------------------------------------------------
@@ -282,8 +271,6 @@ class ExperimentSpec:
             "attack_prefix": (
                 None if self.attack_prefix is None else str(self.attack_prefix)
             ),
-            "seeding": _SEEDING,
-            "engine": _ENGINE,
             "executor": self.executor,
             "stopping": self.stopping,
             "stop_ci_width": self.stop_ci_width,
@@ -320,33 +307,25 @@ class ExperimentSpec:
         """Decode a spec's JSON form, strictly: exact JSON types (no
         ``int(2.9)``, no ``float("0.5")``) and no key outside the
         spec's own, so a misspelled one cannot run on its default.
-        ``"executor": "process"`` (the retired pool) reads as
-        ``"sharded"``, and ``"engine"`` and ``"seeding"`` are read and
-        ignored."""
+        A retired value (``_RETIRED``: ``"engine"``, ``"seeding"``,
+        ``"executor": "process"``) reads as what replaced it."""
         if not isinstance(data, dict):
             raise ReproError("spec JSON must be an object")
-        unknown = sorted(set(data) - _JSON_KEYS)
+        unknown = sorted(set(data) - _JSON_KEYS - set(_RETIRED))
         if unknown:
             raise ReproError(f"spec JSON has unknown keys {unknown}")
+        data = dict(data)
+        for key, retired in _RETIRED.items():
+            value = data.get(key)
+            if isinstance(value, str) and value in retired:
+                data[key] = retired[value]
+            elif key in data and key not in _JSON_KEYS:
+                raise ReproError(
+                    f"retired spec key {key!r} holds {value!r}; "
+                    f"a stored spec may hold {sorted(retired)}"
+                )
         try:
-            engine = data.get("engine", _ENGINE)
-            if engine not in _ENGINE_NAMES:
-                raise ReproError(
-                    f"unknown propagation engine {engine!r}; "
-                    f"expected {_ENGINE_NAMES}"
-                )
-            seeding = data.get("seeding", _SEEDING)
-            if seeding not in _SEEDING_NAMES:
-                raise ReproError(
-                    f"unknown seeding {seeding!r}; "
-                    f"expected {_SEEDING_NAMES}"
-                )
             attack_prefix = data.get("attack_prefix")
-            executor = data.get("executor", "serial")
-            if executor == "process":
-                # The field is outside ``spec_hash``, so no run
-                # identity changes.
-                executor = "sharded"
             return cls(
                 cells=tuple(_cell_from_json(raw) for raw in data["cells"]),
                 trials=_json_int(data["trials"], "trials"),
@@ -364,7 +343,7 @@ class ExperimentSpec:
                     None if attack_prefix is None
                     else _json_prefix(attack_prefix, "attack_prefix")
                 ),
-                executor=executor,
+                executor=data.get("executor", "serial"),
                 stopping=data.get("stopping", "none"),
                 stop_ci_width=_json_number(
                     data.get("stop_ci_width", 0.05), "stop_ci_width"

@@ -25,7 +25,7 @@ first-class surface with three faces:
   is still going.
 
 Resumption ties them together: ``ExperimentRunner(...,
-resume_from=sink)`` verifies the sink's header against the spec,
+resume_from=sink)`` checks the sink's header is this run's,
 replays its completed trials, evaluates only the rest, and produces a
 result byte-identical to an uninterrupted run (see
 :mod:`repro.exper.runner`).

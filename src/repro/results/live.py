@@ -53,7 +53,7 @@ class _LiveRun:
             "status": self.status,
             "spec_hash": self.header.spec_hash,
             "seed": self.header.seed,
-            "engine": self.header.engine,
+            "rule": self.header.rule,
             "records": self.grid.records,
             "expected_records": self.expected_records,
         }

@@ -7,7 +7,7 @@ trial counts.  Implementations here:
 * :class:`MemorySink` — records in a list (tests, small runs).
 * :class:`JsonlSink` — the durable form: an append-only line log
   (:mod:`repro.results.appendlog`), one versioned record per line,
-  with a header line carrying the spec hash, seed, and engine.  Every
+  with a header line carrying the run's identity.  Every
   write is flushed, so a killed run loses at most the line being
   written — and the scanner recovers from exactly that, dropping a
   truncated or corrupt *tail* line while refusing silently-corrupt
@@ -19,11 +19,15 @@ trial counts.  Implementations here:
 
 The JSONL file format, line by line::
 
-    {"kind": "repro.results/run", "schema": 1, "spec_hash": …,
-     "seed": …, "engine": …, "spec": {…full ExperimentSpec…}}
+    {"kind": "repro.results/run", "schema": 2, "spec_hash": …,
+     "topology_hash": …, "rule": 1, "spec": {…full ExperimentSpec…}}
     {"schema": 1, "fraction_index": 0, "trial_index": 0, …}
     {"schema": 1, "fraction_index": 0, "trial_index": 0, …}
     …
+
+(keys sorted on disk).  Rule, spec hash and topology digest are the
+run's identity (:func:`check_header_compatible`); a schema-1 header,
+written before the rule was, reads with ``rule=None``.
 
 A resumed run does not repeat a (fraction, trial, cell) coordinate,
 but files written before sinks recovered to whole trials (resume
@@ -75,9 +79,19 @@ __all__ = [
 
 #: Version of the run-header line.  Distinct from the per-record
 #: schema so the two can evolve independently.
-HEADER_SCHEMA = 1
+HEADER_SCHEMA = 2
 
 _HEADER_KIND = "repro.results/run"
+
+#: The fields of each readable header schema (besides ``kind`` and
+#: ``schema``) and their exact types — ``type(value) in``, so a bool is
+#: no int.  Schema 1 wrote the spec's seed and the engine, not a rule.
+_HEADER_FIELDS = {
+    1: {"spec_hash": (str,), "spec": (dict,),
+        "topology_hash": (str, type(None)), "seed": (int,), "engine": (str,)},
+    2: {"spec_hash": (str,), "spec": (dict,),
+        "topology_hash": (str, type(None)), "rule": (int,)},
+}
 
 
 class SinkWriteError(ReproError):
@@ -122,26 +136,23 @@ def topology_digest(topology) -> str:
 class RunHeader:
     """The first line of a durable run: what these records belong to.
 
-    ``spec_hash`` and ``topology_hash`` are the identity checks
-    (resume and merge refuse a mismatch on either); ``seed`` and
-    ``engine`` ride along for observability; ``spec`` is the full JSON
-    spec, so a run file alone suffices to re-aggregate — or resume —
-    the experiment.  A header written now names engine ``"array"``,
-    the one propagation engine; one read from an older file keeps
-    whatever it holds (``"object"``, the retired reference engine,
-    whose records were the same).
+    ``spec_hash``, ``topology_hash`` and ``rule`` are the run's
+    identity (:func:`check_header_compatible`; ``rule`` is ``None``,
+    unknown, in a schema-1 file); ``spec`` is the full JSON spec, so a
+    run file alone suffices to re-aggregate — or resume — the run.
     """
 
     spec_hash: str
-    seed: int
-    engine: str
     spec: dict
-    topology_hash: Optional[str] = None
+    topology_hash: Optional[str]
+    rule: Optional[int]
 
     @classmethod
     def for_spec(
         cls, spec: "ExperimentSpec", topology=None
     ) -> "RunHeader":
+        from ..exper.evaluate import RECORD_RULE
+
         # The executor is *how* the run executed, not *what* it
         # computed: spec_hash already excludes it, and dropping it
         # here keeps run files byte-identical across executors.
@@ -149,11 +160,15 @@ class RunHeader:
         spec_dict.pop("executor", None)
         return cls(
             spec.spec_hash(),
-            spec.seed,
-            spec_dict["engine"],
             spec_dict,
             None if topology is None else topology_digest(topology),
+            RECORD_RULE,
         )
+
+    @property
+    def seed(self) -> int:
+        """The spec's master seed."""
+        return self.spec["seed"]
 
     @property
     def cell_count(self) -> int:
@@ -171,38 +186,50 @@ class RunHeader:
             "kind": _HEADER_KIND,
             "schema": HEADER_SCHEMA,
             "spec_hash": self.spec_hash,
-            "seed": self.seed,
-            "engine": self.engine,
             "spec": self.spec,
             "topology_hash": self.topology_hash,
+            "rule": self.rule,
         }
 
     @classmethod
     def from_json_dict(cls, data: object) -> "RunHeader":
+        """Decode strictly: the schema's keys, exact types, a spec that
+        decodes and (schema 2) hashes to ``spec_hash``.  A schema-1
+        hash was taken over spec keys that have since left."""
         if not isinstance(data, dict) or data.get("kind") != _HEADER_KIND:
             raise ReproError(
                 f"not a {_HEADER_KIND} header: {str(data)[:80]!r}"
             )
         schema = data.get("schema")
-        if schema != HEADER_SCHEMA:
+        fields = _HEADER_FIELDS.get(schema) if type(schema) is int else None
+        if fields is None:
             raise ReproError(
-                f"run header schema {schema!r} is not the supported "
-                f"schema {HEADER_SCHEMA}"
+                f"run header schema {schema!r} is not one of the "
+                f"readable schemas {sorted(_HEADER_FIELDS)}"
             )
-        try:
-            topology_hash = data.get("topology_hash")
-            header = cls(
-                str(data["spec_hash"]),
-                int(data["seed"]),
-                str(data["engine"]),
-                dict(data["spec"]),
-                None if topology_hash is None else str(topology_hash),
+        keys = {"kind", "schema", *fields}
+        if set(data) != keys:
+            raise ReproError(
+                f"bad run header: unknown keys {sorted(set(data) - keys)}, "
+                f"missing keys {sorted(keys - set(data))}"
             )
-            if not header.cell_count:
-                raise ValueError("spec has no cells")
-            return header
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"bad run header: {exc}") from None
+        for name, types in fields.items():
+            if type(data[name]) not in types:
+                raise ReproError(
+                    f"bad run header value: {name}={str(data[name])[:60]!r}"
+                    f" is not of type {' or '.join(t.__name__ for t in types)}"
+                )
+        header = cls(
+            data["spec_hash"], data["spec"], data["topology_hash"],
+            data.get("rule"),
+        )
+        spec_hash = header.experiment_spec().spec_hash()
+        if schema == HEADER_SCHEMA and spec_hash != header.spec_hash:
+            raise ReproError(
+                f"bad run header: spec_hash {header.spec_hash!r} is not "
+                f"the hash of its spec, {spec_hash}"
+            )
+        return header
 
 
 class ResultSink:
@@ -226,14 +253,11 @@ class ResultSink:
     def close(self) -> None:
         """Release any resources; the sink is not used afterwards."""
 
-    def resume_scan(
-        self, spec: "ExperimentSpec"
-    ) -> Tuple[Optional[RunHeader], List["TrialRecord"]]:
+    def resume_scan(self) -> Tuple[Optional[RunHeader], List["TrialRecord"]]:
         """The sink's existing header and records, for resumption.
 
         Returns ``(None, [])`` when the sink holds nothing yet; raises
-        when it holds records of a *different* spec, or when the sink
-        kind cannot resume at all (the base behaviour).
+        when the sink kind cannot resume at all (the base behaviour).
         """
         raise ReproError(
             f"{type(self).__name__} does not support resuming a run"
@@ -246,24 +270,25 @@ class ResultSink:
         self.close()
 
 
-def _check_spec(
-    header: Optional[RunHeader], spec: "ExperimentSpec", where: str
-) -> None:
-    if header is not None and header.spec_hash != spec.spec_hash():
-        raise ReproError(
-            f"{where} holds records for spec hash {header.spec_hash}, "
-            f"not this spec's {spec.spec_hash()}"
-        )
-
-
 def check_header_compatible(
     existing: RunHeader, header: RunHeader, where: str
 ) -> None:
-    """Refuse to mix records of different specs — or topologies.
+    """The one "same run" decision: refuse to mix records of different
+    measurement rules, specs or topologies.
 
-    A missing topology hash on either side (a header built without a
-    topology in hand) is not a mismatch; two *different* digests are.
+    A header of unknown rule (schema 1) matches nothing, not even
+    itself.  A missing topology hash on either side (a header built
+    without a topology) is not a mismatch; two *different* digests are.
     """
+    if existing.rule is None or existing.rule != header.rule:
+        rules = [
+            "unknown (a schema-1 header)" if rule is None else rule
+            for rule in (existing.rule, header.rule)
+        ]
+        raise ReproError(
+            f"{where} holds records of measurement rule {rules[0]}, not "
+            f"rule {rules[1]}: records of two rules must not be mixed"
+        )
     if existing.spec_hash != header.spec_hash:
         raise ReproError(
             f"{where} holds records for spec hash "
@@ -299,10 +324,7 @@ class MemorySink(ResultSink):
     def finish(self, trial_counts: Sequence[int]) -> None:
         self.trial_counts = tuple(trial_counts)
 
-    def resume_scan(
-        self, spec: "ExperimentSpec"
-    ) -> Tuple[Optional[RunHeader], List["TrialRecord"]]:
-        _check_spec(self.header, spec, "sink")
+    def resume_scan(self) -> Tuple[Optional[RunHeader], List["TrialRecord"]]:
         return self.header, _dedupe(self.records, "sink")
 
 
@@ -335,7 +357,7 @@ class JsonlSink(ResultSink):
     """Append-only, crash-safe JSONL persistence for one run.
 
     ``begin`` on a fresh path writes the header line; on an existing
-    file it verifies the header's spec hash, cuts what a crash left
+    file it checks the header's identity, cuts what a crash left
     past the last complete trial (a partial tail line, the cells of a
     half-recorded trial), and positions for append — so
     ``JsonlSink(path)`` is both "start a run" and "continue one", and
@@ -385,15 +407,12 @@ class JsonlSink(ResultSink):
             self._scanned = _scan_file(self.path)
         return self._scanned
 
-    def resume_scan(
-        self, spec: "ExperimentSpec"
-    ) -> Tuple[Optional[RunHeader], List["TrialRecord"]]:
+    def resume_scan(self) -> Tuple[Optional[RunHeader], List["TrialRecord"]]:
         if self._fh is not None:
             raise ReproError(
                 f"cannot resume-scan {self.path}: sink already writing"
             )
         header, records, _ = self._scan()
-        _check_spec(header, spec, f"sink {self.path}")
         return header, records
 
     # -- the sink protocol ---------------------------------------------
@@ -539,6 +558,23 @@ def complete_trials(
         for key, cells in by_trial.items()
         if len(cells) == cell_count
     }
+
+
+def _check_coordinates(
+    records: Iterable["TrialRecord"], spec: "ExperimentSpec", what: str
+) -> None:
+    """Refuse a record whose grid coordinate lies outside ``spec``."""
+    for record in records:
+        if not (
+            0 <= record.fraction_index < len(spec.fractions)
+            and 0 <= record.trial_index < spec.trials
+            and 0 <= record.cell_index < len(spec.cells)
+        ):
+            raise ReproError(
+                f"{what} record for cell {record.cell!r} addresses grid "
+                f"coordinate ({record.fraction_index}, {record.trial_index}"
+                f", {record.cell_index}) outside the spec"
+            )
 
 
 def _scan_file(

@@ -37,6 +37,7 @@ from . import appendlog
 from .accumulate import completed_prefix
 from .sinks import (
     RunHeader,
+    _check_coordinates,
     _dedupe,
     check_header_compatible,
     read_run,
@@ -132,12 +133,12 @@ def merge_runs(
 ) -> Tuple[RunHeader, int]:
     """Union shard-partial runs of one spec into a single run file.
 
-    Every input must carry the same spec hash (and, when recorded, the
-    same topology digest); records present in several inputs must be
-    identical (they are re-evaluations of the same deterministic
-    trial) and are written once.  The output is deterministic: header,
-    then records sorted by grid coordinate — merging the same shards
-    always produces the same bytes.
+    Every input must be the same run (:func:`check_header_compatible`,
+    which refuses a schema-1 input even alone); records present in
+    several inputs must be identical (they are re-evaluations of the
+    same deterministic trial) and are written once.  The output is
+    deterministic: header, then records sorted by grid coordinate —
+    merging the same shards always produces the same bytes.
     """
     paths = [Path(p) for p in in_paths]
     if not paths:
@@ -146,10 +147,8 @@ def merge_runs(
     pooled: List["TrialRecord"] = []
     for path in paths:
         run_header, records = read_run(path)
-        if header is None:
-            header = run_header
-        else:
-            check_header_compatible(run_header, header, str(path))
+        header = header or run_header
+        check_header_compatible(run_header, header, str(path))
         pooled.extend(records)
     merged = _dedupe(pooled, "merge input")
     with appendlog.open_at(Path(out_path), 0) as fh:
@@ -188,20 +187,9 @@ def run_result(
     from ..exper.aggregate import aggregate_records
 
     spec = header.experiment_spec()
-    cells = len(spec.cells)
-    present = [
-        [set() for _ in range(cells)] for _ in spec.fractions
-    ]
+    _check_coordinates(records, spec, "run")
+    present = [[set() for _ in spec.cells] for _ in spec.fractions]
     for record in records:
-        if not (
-            0 <= record.fraction_index < len(spec.fractions)
-            and 0 <= record.cell_index < cells
-        ):
-            raise ReproError(
-                f"record for cell {record.cell!r} addresses grid "
-                f"coordinate ({record.fraction_index}, "
-                f"{record.cell_index}) outside the spec"
-            )
         present[record.fraction_index][record.cell_index].add(
             record.trial_index
         )
@@ -281,7 +269,7 @@ def _run_summary(
         "run": run_id,
         "spec_hash": header.spec_hash,
         "seed": header.seed,
-        "engine": header.engine,
+        "rule": header.rule,
         "records": records,
         "dropped": dropped,
     }

@@ -48,12 +48,18 @@ from pathlib import Path
 from tempfile import mkdtemp
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..exper.evaluate import RECORD_RULE
 from ..exper.sharded import Shard, run_shard
 from ..exper.spec import ExperimentSpec
 from ..faults.plan import fire, install_from_env
 from ..faults.retry import RetryPolicy
 from ..netbase.errors import ReproError
-from ..results.sinks import JsonlSink, RunHeader, topology_digest
+from ..results.sinks import (
+    JsonlSink,
+    RunHeader,
+    check_header_compatible,
+    topology_digest,
+)
 from ._loopthread import LoopThread
 from .http import HttpRequestError, HttpServerBase, TextPayload
 from .metrics import ServeMetrics
@@ -255,23 +261,16 @@ class ShardWorkerServer(HttpServerBase):
                 (int(pair[0]), int(pair[1]))
                 for pair in document.get("finished", ())
             )
+            # What this worker records is of its own topology and rule.
+            check_header_compatible(RunHeader(
+                header.spec_hash, header.spec, self.topology_hash,
+                RECORD_RULE,
+            ), header, "this shard worker")
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise HttpRequestError(f"bad dispatch body: {exc}")
         except ReproError as exc:
             raise HttpRequestError(str(exc))
-        if (
-            header.topology_hash is not None
-            and header.topology_hash != self.topology_hash
-        ):
-            raise HttpRequestError(
-                f"topology mismatch: dispatch is for "
-                f"{header.topology_hash}, this worker holds "
-                f"{self.topology_hash}"
-            )
-        try:
-            spec = header.experiment_spec()
-        except ReproError as exc:
-            raise HttpRequestError(f"bad spec in header: {exc}")
+        spec = header.experiment_spec()
         fire(
             "serve.shards.dispatch",
             shard=shard.shard_index,

@@ -168,12 +168,14 @@ class TestSpecValidation:
             )
 
     def test_unknown_seeding_rejected(self):
-        """No spec field names a seeding any more; the JSON form's
+        """No spec field names a seeding any more; a stored
         ``"seeding"`` still refuses a value no version wrote."""
         with pytest.raises(TypeError):
             two_cell_spec(seeding="derived")
         spec = json.loads(two_cell_spec().to_json())
-        with pytest.raises(ReproError, match="unknown seeding"):
+        with pytest.raises(
+            ReproError, match="retired spec key 'seeding' holds 'chaotic'"
+        ):
             ExperimentSpec.from_json_dict({**spec, "seeding": "chaotic"})
 
     def test_unknown_attack_kind_rejected(self):
@@ -279,7 +281,7 @@ class TestStrictSpecJson:
     """The spec decoder is an outside-input path (``--spec``, ``POST
     /experiments``, ``jobs submit``, ``shard-worker``): it takes exact
     JSON types and only the spec's own keys, and still reads every
-    ``"engine"`` a stored spec can hold."""
+    retired value a stored spec can hold."""
 
     BASE = {"cells": [{"kind": "subprefix-hijack"}], "trials": 2}
 
@@ -345,48 +347,50 @@ class TestStrictSpecJson:
     @pytest.mark.parametrize("engine", ["array", "object"])
     def test_stored_engine_read_and_ignored(self, engine):
         assert self.decode(engine=engine) == self.decode()
-        assert self.decode(engine=engine).to_json_dict()["engine"] == "array"
+        assert "engine" not in self.decode(engine=engine).to_json_dict()
 
     def test_unknown_engine_still_rejected(self):
-        with pytest.raises(ReproError, match="unknown propagation engine"):
+        with pytest.raises(
+            ReproError, match="retired spec key 'engine' holds 'quantum'"
+        ):
             self.decode(engine="quantum")
+        with pytest.raises(ReproError, match="retired spec key 'engine'"):
+            self.decode(engine=["array"])
 
     def test_stored_stream_seeding_read_as_retired(self):
         """A spec stored when ``"stream"`` seeding was selectable
         decodes (so a queue or run file holding one stays readable),
-        re-encodes as ``"derived"``, and hashes apart from what it was
-        stored under (the literal is its hash then), so resuming its
-        run is refused."""
+        re-encodes without the key, and hashes apart from what it was
+        stored under (the second literal is its hash then)."""
         spec = self.decode(seeding="stream")
         assert spec == self.decode()
-        assert spec.to_json_dict()["seeding"] == "derived"
-        assert spec.spec_hash() == "f520dbe4f271ee52f6c0ecefbaac38eb"
+        assert "seeding" not in spec.to_json_dict()
+        assert spec.spec_hash() == "e6be1dcf5e7b127d7b9b9b20624691de"
         assert spec.spec_hash() != "0569137fcbbf27da87c7f7fdb3654a4e"
 
     def test_spec_hash_and_json_form_unchanged(self):
-        """``"engine"`` stays in the JSON form, as a constant, in its
-        old place: hashes (the literal predates the field's removal)
-        and stored specs keep their bytes."""
+        """The JSON form is the spec's twelve keys, in this order, and
+        its hash is pinned: both moved once, when ``"engine"`` and
+        ``"seeding"`` left (the hash was ``f520dbe4…`` before)."""
         spec = self.decode()
-        assert spec.spec_hash() == "f520dbe4f271ee52f6c0ecefbaac38eb"
+        assert spec.spec_hash() == "e6be1dcf5e7b127d7b9b9b20624691de"
         assert list(spec.to_json_dict()) == [
             "cells", "trials", "seed", "fractions", "sampler",
-            "victim_prefix", "attack_prefix", "seeding", "engine",
-            "executor", "stopping", "stop_ci_width", "stop_min_trials",
-            "stop_check_every",
+            "victim_prefix", "attack_prefix", "executor", "stopping",
+            "stop_ci_width", "stop_min_trials", "stop_check_every",
         ]
 
     def test_emit_spec_bytes_unchanged(self, capsys):
-        """``experiment --emit-spec`` prints what it printed when the
-        engine was an option (digest taken then); ``--engine`` still
-        parses, and changes nothing."""
+        """``experiment --emit-spec`` prints the pinned bytes (digest
+        taken when ``"engine"`` and ``"seeding"`` left the JSON form);
+        the hidden ``--engine`` still parses, and changes nothing."""
         from repro.cli import main
 
         assert main(["experiment", "--emit-spec"]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "2f2f71a8b62e544bc1af23349947f493"
-            "de50431fcf38c36a38ffd62832f58e0a"
+            "c5c007f964c92f832354f14688965e24"
+            "e39208f717a86ef6321c58bb5292e4a7"
         )
         for engine in ("object", "array"):
             assert main(

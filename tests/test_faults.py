@@ -474,10 +474,7 @@ class TestSinkFaults:
             )
 
         spec = small_spec(trials=3, fractions=(None,))
-        header = RunHeader(
-            spec_hash=spec.spec_hash(), seed=spec.seed,
-            engine="array", spec=spec.to_json_dict(),
-        )
+        header = RunHeader.for_spec(spec)
         for fail_at in (1, 2, 4):
             install(FaultPlan(rules=(
                 FaultRule(site="results.sink.write", action="error",

@@ -197,9 +197,10 @@ class TestJobStore:
         store = JobStore(tmp_path)
         a = store.enqueue(job_spec())
         queue = store.path.read_bytes()
-        assert queue.count(b'"seeding":"derived"') == 1
-        store.path.write_bytes(
-            queue.replace(b'"seeding":"derived"', b'"seeding":"stream"'))
+        assert queue.count(b'"attack_prefix":null,') == 1
+        store.path.write_bytes(queue.replace(
+            b'"attack_prefix":null,',
+            b'"attack_prefix":null,"seeding":"stream",'))
         assert store.job(a).spec.spec == job_spec().spec
         assert main(["jobs", "list", "--store", str(tmp_path), "--json"]) == 0
         listed = json.loads(capsys.readouterr().out)["jobs"]
@@ -386,6 +387,34 @@ class TestSchedulerInvariant8:
         assert scheduler.run_pending() == 1
         assert scheduler.store.job(job_id).status == "done"
         assert run_path.read_bytes() == direct
+
+    def test_restart_refuses_a_run_file_from_before_the_rule(
+        self, tmp_path
+    ):
+        """A job whose crash-cut run file has a schema-1 header (its
+        records' rule unknown) fails on restart, naming both rules,
+        and its file is left as it was."""
+        from legacy_runs import schema_one
+        from repro.exper import RECORD_RULE
+
+        direct = direct_run_bytes(job_spec(), tmp_path / "direct.jsonl")
+        store = JobStore(tmp_path / "jobs")
+        job_id = store.enqueue(job_spec())
+        store.mark(job_id, "started")
+        run_path = store.results_store().path(job_id)
+        run_path.parent.mkdir(parents=True, exist_ok=True)
+        lines = schema_one(direct, "0" * 32).split(b"\n")
+        run_path.write_bytes(b"\n".join(lines[:4]) + b"\n")
+        before = run_path.read_bytes()
+        scheduler = JobScheduler(JobStore(tmp_path / "jobs"))
+        assert scheduler.run_pending() == 1
+        state = scheduler.store.job(job_id)
+        assert state.status == "failed"
+        assert (
+            "holds records of measurement rule unknown (a schema-1 "
+            f"header), not rule {RECORD_RULE}"
+        ) in state.detail
+        assert run_path.read_bytes() == before
 
     def test_invariant_holds_under_delay_fault_plan(self, tmp_path):
         direct = direct_run_bytes(job_spec(), tmp_path / "direct.jsonl")

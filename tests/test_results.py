@@ -28,10 +28,13 @@ import pytest
 
 from repro.data import TopologyProfile, generate_topology
 from repro.exper import (
+    RECORD_RULE,
+    AttackConfig,
     ExperimentRunner,
     ExperimentSpec,
     MaxLengthLooseRoa,
     MinimalRoa,
+    NoRoa,
     ScenarioCell,
     TrialRecord,
 )
@@ -187,6 +190,9 @@ class TestRecordWireSchema:
         assert TrialRecord.from_json_dict(record.to_json_dict()) == record
 
 
+_WIRE = RunHeader.for_spec(small_spec()).to_json_dict()
+
+
 class TestRunHeader:
     def test_round_trip_and_spec_reconstruction(self):
         spec = small_spec()
@@ -195,6 +201,7 @@ class TestRunHeader:
         assert again == header
         assert again.experiment_spec() == spec
         assert again.spec_hash == spec.spec_hash()
+        assert (again.seed, again.rule) == (spec.seed, RECORD_RULE)
 
     def test_wrong_kind_rejected(self):
         with pytest.raises(ReproError, match="not a repro.results/run"):
@@ -205,130 +212,269 @@ class TestRunHeader:
         assert a.spec_hash() != b.spec_hash()
         assert a.spec_hash() == small_spec().spec_hash()
 
+    @pytest.mark.parametrize("fields,match", [
+        pytest.param({"seed": 7}, r"unknown keys \['seed'\]", id="seed-key"),
+        pytest.param(
+            {"seed": 99, "spec": {**_WIRE["spec"], "seed": 7}},
+            r"unknown keys \['seed'\]", id="seed-over-other-spec",
+        ),
+        pytest.param(
+            {"surprise": True}, r"unknown keys \['surprise'\]", id="unknown",
+        ),
+        pytest.param({"spec_hash": 123}, "spec_hash=", id="hash-int"),
+        pytest.param(
+            {"spec": [list(pair) for pair in _WIRE["spec"].items()]},
+            "spec=", id="spec-pairs",
+        ),
+        pytest.param({"topology_hash": 5}, "topology_hash=", id="topo-int"),
+        pytest.param({"rule": True}, "rule=", id="rule-bool"),
+        pytest.param({"rule": 1.0}, "rule=", id="rule-float"),
+        pytest.param({"rule": "1"}, "rule=", id="rule-string"),
+        pytest.param({"rule": None}, "rule=", id="rule-null"),
+        pytest.param(
+            {"spec": {**_WIRE["spec"], "seed": 7}},
+            "is not the hash of its spec", id="hash-of-other-spec",
+        ),
+        pytest.param(
+            {"spec": {**_WIRE["spec"], "engine": "quantum"}},
+            "retired spec key 'engine'", id="spec-undecodable",
+        ),
+        pytest.param({"schema": 3}, "schema 3", id="schema-3"),
+        pytest.param({"schema": "2"}, "schema '2'", id="schema-string"),
+        pytest.param({"schema": True}, "schema True", id="schema-bool"),
+    ])
+    def test_inexact_header_rejected(self, fields, match):
+        """The header decoder is as strict as the record and spec
+        decoders: exact JSON types, the schema's own keys, and a hash
+        that is its spec's."""
+        with pytest.raises(ReproError, match=match):
+            RunHeader.from_json_dict({**_WIRE, **fields})
 
-class TestRunsFromBeforeOneEngine:
-    """Run files written while the propagation engine was an option.
+    @pytest.mark.parametrize("key", ["rule", "spec_hash", "topology_hash"])
+    def test_missing_key_rejected(self, key):
+        wire = dict(_WIRE)
+        del wire[key]
+        with pytest.raises(ReproError, match=f"missing keys \\['{key}'\\]"):
+            RunHeader.from_json_dict(wire)
 
-    The digests were taken then, of ``repro-roa experiment`` with
-    ``_ARGS`` and ``--sink``: under ``--engine array`` (today's bytes)
-    and ``--engine object``, whose header names ``"object"`` — at the
-    top and inside the spec — and hashes the spec with it.  Both were
-    re-pinned once since, when the tie-break became a keyed hash and
-    the grid's two same-prefix cells moved (header and subprefix
-    records unchanged).  A run recorded under ``"seeding": "stream"``
-    (selectable until the one seeding rule) is read the same way.
+    def test_schema_one_reads_with_unknown_rule(self):
+        """A header written before the rule was recorded keeps the hash
+        it stored (taken over spec keys that have since left), reads
+        its seed from its spec, and knows no rule."""
+        wire = {
+            **{k: v for k, v in _WIRE.items() if k != "rule"},
+            "schema": 1, "spec_hash": "0" * 32, "seed": 4,
+            "engine": "array",
+            "spec": {**_WIRE["spec"], "engine": "array",
+                     "seeding": "derived"},
+        }
+        header = RunHeader.from_json_dict(wire)
+        assert (header.rule, header.spec_hash) == (None, "0" * 32)
+        assert header.experiment_spec() == small_spec()
+        assert header.seed == 4
+        with pytest.raises(ReproError, match="seed="):
+            RunHeader.from_json_dict({**wire, "seed": 7.9})
+        with pytest.raises(ReproError, match=r"unknown keys \['rule'\]"):
+            RunHeader.from_json_dict({**wire, "rule": 1})
+
+
+class TestRecordRule:
+    """:data:`RECORD_RULE` pins record bytes, not headers.
+
+    One small fixed grid — 60 synthetic ASes, fraction 0.5, every kind
+    of cell a propagation or sampling change can move: subprefix,
+    same-prefix, two attackers, a prepended path — and the sha256 of its
+    record lines (the run file past the header) under the rule.  A
+    change that moves a record fails here until it bumps the rule and
+    pins the new digest; a bump without a new pin fails too.  The
+    rule-1 digest was taken before the rule existed, so it is the
+    records of every run since the order-free tie-break.
+    """
+
+    _PINNED = {
+        1: "46b41daeea42971142edb6b8bb5448a74ccb12c465da8c01da08398bd145cade",
+    }
+
+    def test_records_of_the_pinned_grid(self, tmp_path):
+        import hashlib
+
+        spec = ExperimentSpec(
+            cells=(
+                ScenarioCell("subprefix-hijack", MinimalRoa()),
+                ScenarioCell("forged-origin-subprefix", MaxLengthLooseRoa()),
+                ScenarioCell("prefix-hijack", NoRoa()),
+                ScenarioCell("forged-origin", MinimalRoa()),
+                ScenarioCell(
+                    AttackConfig("forged-origin", attackers=2),
+                    MaxLengthLooseRoa(),
+                ),
+                ScenarioCell(AttackConfig("prefix-hijack", prepend=2), NoRoa()),
+            ),
+            trials=8,
+            seed=31,
+            fractions=(0.5,),
+        )
+        world = generate_topology(TopologyProfile(ases=60), random.Random(31))
+        path = tmp_path / "run.jsonl"
+        run_full(world, spec, path)
+        header, records = path.read_bytes().split(b"\n", 1)
+        assert json.loads(header)["rule"] == RECORD_RULE
+        assert records.count(b"\n") == 8 * 6
+        assert {
+            RECORD_RULE: hashlib.sha256(records).hexdigest()
+        } == self._PINNED
+
+
+class TestSchemaOneRuns:
+    """Run files written before the header recorded the measurement
+    rule (header schema 1).
+
+    Each fixture is today's run of ``repro-roa experiment`` with
+    ``_ARGS`` and ``--sink``, its header written back in the schema-1
+    form (``tests/legacy_runs.py``) under one of the specs a schema-1
+    file can hold: ``"engine": "array"`` (the default then),
+    ``"object"`` (the retired reference engine) or ``"seeding":
+    "stream"`` (the retired shared stream), each hashed as it was
+    then.  The first two digests are of files that command wrote, so
+    the records past the header are the ones it wrote.  Such a file
+    still shows; it never resumes or merges, since its rule is unknown.
     """
 
     _ARGS = ["--trials", "3", "--ases", "60", "--fractions", "0,1"]
-    _ARRAY_RUN = (
-        "a14921bfa7f5d39f7491bd7a50692d8a"
-        "e2f838fc062243a345d52656b1fe6bb6"
+    #: (engine, seeding, the spec's hash then, the file's sha256).
+    _LEGACY = {
+        "array": (
+            "array", "derived", "3d172f659b927f7115131998fab3b850",
+            "a14921bfa7f5d39f7491bd7a50692d8a"
+            "e2f838fc062243a345d52656b1fe6bb6",
+        ),
+        "object": (
+            "object", "derived", "a6fbf47c77becac0d5bcf73a00449dc5",
+            "90f3fd897eb000ad0c77d1339ed92a37"
+            "7994dec9217a6f3eab0197d661e3e996",
+        ),
+        "stream": (
+            "array", "stream", "ca7559ab548638a614765b223fb5fe40", None,
+        ),
+    }
+    _REFUSED = (
+        "holds records of measurement rule unknown (a schema-1 header), "
+        f"not rule {RECORD_RULE}"
     )
-    _OBJECT_RUN = (
-        "90f3fd897eb000ad0c77d1339ed92a37"
-        "7994dec9217a6f3eab0197d661e3e996"
-    )
-    _OBJECT_SPEC_HASH = "a6fbf47c77becac0d5bcf73a00449dc5"
-    #: ``_ARGS``'s spec under ``seeding="stream"``, hashed while that
-    #: seeding was selectable.
-    _STREAM_SPEC_HASH = "ca7559ab548638a614765b223fb5fe40"
 
-    @staticmethod
-    def sha256(path) -> str:
+    @pytest.fixture(params=sorted(_LEGACY))
+    def runs(self, request, tmp_path, capsys):
+        """(today's run file, the same run at header schema 1, the
+        spec hash its header holds)."""
         import hashlib
 
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-
-    def record(self, path, *extra):
+        from legacy_runs import schema_one
         from repro.cli import main
 
-        assert main(["experiment", *self._ARGS, "--sink", str(path),
-                     *extra]) == 0
-
-    def test_run_file_bytes_unchanged(self, tmp_path, capsys):
-        """A run writes the bytes it wrote under ``--engine array``;
-        ``--engine object`` still parses and is ignored."""
-        flags = ([], ["--engine", "array"], ["--engine", "object"])
-        for index, engine in enumerate(flags):
-            path = tmp_path / f"run{index}.jsonl"
-            self.record(path, *engine)
-            assert self.sha256(path) == self._ARRAY_RUN
-
-    def test_object_engine_run_shows_refuses_resume_and_reruns_same(
-        self, tmp_path, capsys
-    ):
-        from repro.cli import main
-
-        rerun = tmp_path / "rerun.jsonl"
-        self.record(rerun)
-        header, rest = rerun.read_bytes().split(b"\n", 1)
-        new_hash = json.loads(header)["spec_hash"]
-        # The old file is today's with the old header: the digest shows
-        # it is byte for byte what the object engine wrote.
+        engine, seeding, spec_hash, digest = self._LEGACY[request.param]
+        today = tmp_path / "today.jsonl"
+        assert main(["experiment", *self._ARGS, "--sink", str(today)]) == 0
         legacy = tmp_path / "legacy.jsonl"
         legacy.write_bytes(
-            header.replace(b'"engine":"array"', b'"engine":"object"')
-            .replace(new_hash.encode(), self._OBJECT_SPEC_HASH.encode())
-            + b"\n" + rest
+            schema_one(today.read_bytes(), spec_hash, engine, seeding)
         )
-        assert self.sha256(legacy) == self._OBJECT_RUN
+        if digest is not None:
+            assert hashlib.sha256(legacy.read_bytes()).hexdigest() == digest
         capsys.readouterr()
+        return today, legacy, spec_hash
 
-        # It loads, reports its stored engine, and aggregates to the
-        # result of the re-run.
+    def test_shows_the_same_result(self, runs, capsys):
+        from repro.cli import main
+
+        today, legacy, spec_hash = runs
         assert main(["results", "show", str(legacy), "--json"]) == 0
         shown, err = capsys.readouterr()
-        assert f"spec hash {self._OBJECT_SPEC_HASH}" in err
-        assert "engine object" in err
-        assert main(["results", "show", str(rerun), "--json"]) == 0
+        assert f"spec hash {spec_hash}" in err
+        assert "rule unknown" in err
+        assert main(["results", "show", str(today), "--json"]) == 0
         assert capsys.readouterr().out == shown
 
-        # Resuming it is refused: its spec hash names the old engine.
-        assert main(["experiment", *self._ARGS, "--sink", str(legacy),
-                     "--resume"]) == 1
-        err = capsys.readouterr().err
-        assert (
-            f"holds records for spec hash {self._OBJECT_SPEC_HASH}, "
-            f"not this spec's {new_hash}"
-        ) in err
-        assert self.sha256(legacy) == self._OBJECT_RUN
-        # A re-run records the same trials, line for line.
-        assert read_run(legacy)[1] == read_run(rerun)[1]
-
-    def test_stream_seeded_run_shows_and_refuses_resume(
-        self, tmp_path, capsys
-    ):
+    def test_resume_refused_file_untouched(self, runs, capsys):
         from repro.cli import main
 
-        rerun = tmp_path / "rerun.jsonl"
-        self.record(rerun)
-        header, rest = rerun.read_bytes().split(b"\n", 1)
-        new_hash = json.loads(header)["spec_hash"]
-        assert header.count(b'"seeding":"derived"') == 1
-        legacy = tmp_path / "legacy.jsonl"
-        legacy.write_bytes(
-            header.replace(b'"seeding":"derived"', b'"seeding":"stream"')
-            .replace(new_hash.encode(), self._STREAM_SPEC_HASH.encode())
-            + b"\n" + rest
-        )
+        _, legacy, _ = runs
         before = legacy.read_bytes()
-        capsys.readouterr()
-
-        # It loads and aggregates under its stored hash ...
-        assert main(["results", "show", str(legacy), "--json"]) == 0
-        shown, err = capsys.readouterr()
-        assert f"spec hash {self._STREAM_SPEC_HASH}" in err
-        assert main(["results", "show", str(rerun), "--json"]) == 0
-        assert capsys.readouterr().out == shown
-
-        # ... and resuming it is refused, the file left as it was.
         assert main(["experiment", *self._ARGS, "--sink", str(legacy),
                      "--resume"]) == 1
-        assert (
-            f"holds records for spec hash {self._STREAM_SPEC_HASH}, "
-            f"not this spec's {new_hash}"
-        ) in capsys.readouterr().err
+        assert self._REFUSED in capsys.readouterr().err
         assert legacy.read_bytes() == before
+
+    def test_merge_refused_files_untouched(self, runs, tmp_path, capsys):
+        from repro.cli import main
+
+        today, legacy, _ = runs
+        before = today.read_bytes(), legacy.read_bytes()
+        out = tmp_path / "merged.jsonl"
+        for inputs in ([today, legacy], [legacy, today], [legacy]):
+            assert main(["results", "merge", str(out),
+                         *map(str, inputs)]) == 1
+            err = capsys.readouterr().err
+            assert "measurement rule unknown (a schema-1 header)" in err
+            if inputs[0] == today:
+                assert self._REFUSED in err
+        assert not out.exists()
+        assert (today.read_bytes(), legacy.read_bytes()) == before
+
+
+class TestRuleMismatch:
+    """Records of two measurement rules never mix: resume and merge
+    refuse, naming both rules, and touch no file.  The other rule's
+    file is today's with its header's rule rewritten (the rule is not
+    part of the spec hash)."""
+
+    _ARGS = TestSchemaOneRuns._ARGS
+
+    @pytest.fixture
+    def runs(self, tmp_path, capsys):
+        from repro.cli import main
+
+        today = tmp_path / "today.jsonl"
+        assert main(["experiment", *self._ARGS, "--sink", str(today)]) == 0
+        header, rest = today.read_bytes().split(b"\n", 1)
+        rule = f'"rule":{RECORD_RULE}'.encode()
+        assert header.count(rule) == 1
+        other = tmp_path / "other.jsonl"
+        other.write_bytes(
+            header.replace(rule, f'"rule":{RECORD_RULE + 1}'.encode())
+            + b"\n" + rest
+        )
+        capsys.readouterr()
+        return today, other
+
+    def test_resume_refused(self, runs, capsys):
+        from repro.cli import main
+
+        _, other = runs
+        before = other.read_bytes()
+        assert main(["experiment", *self._ARGS, "--sink", str(other),
+                     "--resume"]) == 1
+        assert (
+            f"holds records of measurement rule {RECORD_RULE + 1}, "
+            f"not rule {RECORD_RULE}"
+        ) in capsys.readouterr().err
+        assert other.read_bytes() == before
+
+    def test_merge_refused(self, runs, tmp_path, capsys):
+        from repro.cli import main
+
+        today, other = runs
+        out = tmp_path / "merged.jsonl"
+        assert main(["results", "merge", str(out), str(today),
+                     str(other)]) == 1
+        assert (
+            f"holds records of measurement rule {RECORD_RULE + 1}, "
+            f"not rule {RECORD_RULE}"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+        # Two files of one (other) rule are one run: they merge.
+        assert main(["results", "merge", str(out), str(other),
+                     str(other)]) == 0
+        assert out.read_bytes() == other.read_bytes()
 
 
 # ----------------------------------------------------------------------
@@ -429,7 +575,7 @@ class TestJsonlDurability:
     def test_partial_header_is_empty_run(self, tmp_path):
         path = tmp_path / "run.jsonl"
         path.write_bytes(b'{"kind": "repro.results/run", "sch')
-        assert JsonlSink(path).resume_scan(small_spec()) == (None, [])
+        assert JsonlSink(path).resume_scan() == (None, [])
         with pytest.raises(ReproError, match="no header"):
             read_run(path)
 
@@ -464,8 +610,14 @@ class TestJsonlDurability:
         other = small_spec(seed=99)
         with pytest.raises(ReproError, match="spec hash"):
             sink.begin(RunHeader.for_spec(other))
-        with pytest.raises(ReproError, match="spec hash"):
-            JsonlSink(path).resume_scan(other)
+        with pytest.raises(
+            ReproError,
+            match=f"resume source holds records for spec hash "
+                  f"{small_spec().spec_hash()}, not {other.spec_hash()}",
+        ):
+            ExperimentRunner(
+                topology, other, resume_from=JsonlSink(path)
+            ).run()
 
 
 class ExplodingFile:
@@ -519,7 +671,7 @@ class TestSinkWriteFailure:
         # A fresh sink resumes the run to byte-identical output
         # (begin() truncates the torn tail before appending).
         resumed = JsonlSink(path)
-        _, existing = resumed.resume_scan(spec)
+        _, existing = resumed.resume_scan()
         resumed.begin(header)
         for record in records[len(existing):]:
             resumed.write(record)
@@ -1038,7 +1190,7 @@ class TestMergeEdgeCases:
         # resume scan truncates the torn tail, then the writer
         # re-appends the missing records.
         sink = JsonlSink(partial)
-        sink.resume_scan(spec)
+        sink.resume_scan()
         sink.begin(RunHeader.for_spec(spec))
         recovered = {
             line + b"\n" for line in partial.read_bytes().splitlines()

@@ -779,8 +779,35 @@ class TestHttpTransport:
             coordinator = ShardCoordinator(
                 topology, spec, shards=1, transport=transport,
                 retry=RetryPolicy(retries=0))
-            with pytest.raises(ReproError, match="topology mismatch"):
+            with pytest.raises(
+                ReproError, match="shard worker holds records for topology"
+            ):
                 list(coordinator.records())
+
+    def test_rule_mismatch_refused(self, topology):
+        """A worker records under its own measurement rule, so it
+        refuses a dispatch from a coordinator of another."""
+        import urllib.error
+
+        from repro.exper import RECORD_RULE
+        from repro.results import RunHeader
+
+        spec = small_spec(trials=2, fractions=(None,))
+        header = RunHeader.for_spec(spec, topology).to_json_dict()
+        body = json.dumps({
+            "shard": plan_shards(spec, 1)[0].to_json_dict(),
+            "header": {**header, "rule": RECORD_RULE + 1},
+        }).encode()
+        with ThreadedShardWorkerServer(topology) as worker:
+            request = urllib.request.Request(
+                f"http://127.0.0.1:{worker.port}/shards", data=body,
+                method="POST")
+            with pytest.raises(urllib.error.HTTPError) as caught:
+                urllib.request.urlopen(request, timeout=5)
+            assert caught.value.code == 400
+            assert (
+                f"measurement rule {RECORD_RULE}, not rule {RECORD_RULE + 1}"
+            ) in caught.value.read().decode()
 
     def test_worker_status_endpoints(self, topology):
         with ThreadedShardWorkerServer(topology) as worker:
@@ -836,7 +863,6 @@ class TestRunnerIntegration:
         with reference_engine():
             _, object_bytes = run_recorded(
                 topology, spec, tmp_path / "object.jsonl")
-        header, array_records = read_run(tmp_path / "array.jsonl")
-        assert header.engine == "array"
+        _, array_records = read_run(tmp_path / "array.jsonl")
         assert array_bytes == object_bytes
         assert array_records == read_run(tmp_path / "object.jsonl")[1]
