@@ -3,7 +3,7 @@
 :func:`repro.bgp.simulation.propagate_prefix` is a faithful but
 object-heavy bucketed BFS: every neighbor view builds a frozenset,
 every offer builds a path tuple and scans it for loops, and — when
-origin validation is on — every offer walks the VRP radix tree.  The
+origin validation is on — every offer looks up the VRP index.  The
 measurement needs none of that: it asks only *which seed* each AS
 adopts.  This module answers that over a
 :class:`~repro.bgp.topology.CompiledTopology`:

@@ -18,12 +18,13 @@ This module implements the conversions of §6–§7:
 * :func:`additional_prefix_count` — the "13K additional prefixes"
   measurement of §6.
 
-Two indexes do the work, both radix trees built in one pass from sorted
-keys: :func:`build_origin_index` maps each announced prefix to its
-origin ASes (what the vulnerability and linting code queries), and
-:func:`to_minimal_vrps` validates each announcement whose origin holds
-a VRP against a :class:`~repro.bgp.origin_validation.VrpIndex`, the
-structure routers hold.
+Two indexes do the work, both built in one pass from sorted keys:
+:func:`build_origin_index` maps each announced prefix to its origin
+ASes in a radix tree (what the vulnerability and linting code
+queries), and :func:`to_minimal_vrps` validates each announcement whose
+origin holds a VRP against a
+:class:`~repro.bgp.origin_validation.VrpIndex`, the structure routers
+hold.
 """
 
 from __future__ import annotations

@@ -49,22 +49,32 @@ def parse_asn(text: str) -> int:
     """Parse ``"65000"``, ``"AS65000"``, or asdot ``"1.10"`` into an int.
 
     The asdot notation (RFC 5396) writes a 32-bit ASN as
-    ``<high16>.<low16>``.
+    ``<high16>.<low16>``.  Digits are ASCII ``0``-``9`` only: no sign,
+    no ``_`` separator, no other script's digits.
+
+    Raises:
+        AsnError: if ``text`` is not such a number or is out of range.
     """
     text = text.strip()
     if text.upper().startswith("AS"):
         text = text[2:]
     if "." in text:
         high_text, _, low_text = text.partition(".")
-        if not (high_text.isdigit() and low_text.isdigit()):
+        if not (_is_ascii_digits(high_text) and _is_ascii_digits(low_text)):
             raise AsnError(f"bad asdot AS number {text!r}")
         high, low = int(high_text), int(low_text)
         if high > 0xFFFF or low > 0xFFFF:
             raise AsnError(f"asdot component out of range in {text!r}")
         return (high << 16) | low
-    if not text.isdigit():
+    if not _is_ascii_digits(text):
         raise AsnError(f"bad AS number {text!r}")
     return validate_asn(int(text))
+
+
+def _is_ascii_digits(text: str) -> bool:
+    # str.isdigit alone admits "٣" (which int reads as 3) and "²"
+    # (which int refuses).
+    return text.isascii() and text.isdigit()
 
 
 def format_asn(asn: int, asdot: bool = False) -> str:

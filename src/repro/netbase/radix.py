@@ -1,34 +1,25 @@
 """A path-compressed (Patricia) radix tree over IP prefixes.
 
-:class:`RadixTree` is the lookup structure used by the BGP substrate: the
-RIB (longest-prefix-match forwarding), and RFC 6811 origin validation
-(find all covering VRPs of an announcement).  Unlike
+:class:`RadixTree` is the lookup structure used by the BGP substrate's
+RIB (longest-prefix-match forwarding), by ``PrefixSet`` and by
+``core``'s origin index (find the announcements a VRP covers).  Unlike
 :class:`repro.netbase.trie.PrefixTrie`, which materializes one node per
 bit (ideal for the compression algorithm's sibling arithmetic), the radix
 tree compresses single-child chains, so depth is bounded by the number of
 *stored* prefixes along a path rather than by 32/128.
 
 Values are arbitrary; one key maps to one value (use a tuple value for
-multimaps, as the origin-validation table does).
+multimaps, as the origin index does with a set of origins).
 
-Three ways to get a tree.  :meth:`RadixTree.from_sorted` builds one
+Two ways to get a tree.  :meth:`RadixTree.from_sorted` builds one
 from keys already in sorted order in a single pass — a sorted sequence
 of distinct prefixes is the tree's preorder walk, so no key descends
-from the root; the whole-table index builds (``core``, ``VrpIndex``)
-use it.  :meth:`RadixTree.insert` and :meth:`~RadixTree.remove` change
-a tree in place, one key at a time in any order (the RIB).
-:meth:`RadixTree.inserted` and :meth:`~RadixTree.removed` are
-*persistent*: they return a new tree that copies only the nodes on the
-path from the root to the change and shares every other node with the
-old tree, which stays exactly as it was.  The serve tier refreshes its
-VRP snapshot that way, so the work is proportional to the delta and a
-reader holding the old tree needs no lock.  Nodes are shared between
-versions, so a tree that has persistent relatives must never be
-updated in place.  All three build the same tree, node for node, from
-the same keys.
+from the root; the whole-table index builds (``core``) use it.
+:meth:`RadixTree.insert` and :meth:`~RadixTree.remove` change a tree
+in place, one key at a time in any order (the RIB, ``PrefixSet``).
+Both build the same tree, node for node, from the same keys.
 
-The walks that refreshes run (:meth:`~RadixTree.get` / ``in``,
-:meth:`~RadixTree.inserted`, :meth:`~RadixTree.removed`) compare the
+The exact-match walk (:meth:`~RadixTree.get` / ``in``) compares the
 key with each node as ints, one XOR and shift per level, reading
 :class:`Prefix`'s slots directly rather than calling its methods.
 """
@@ -76,16 +67,6 @@ class _RadixNode(Generic[V]):
         else:
             self.left = node
 
-    def with_child(
-        self, bit: int, node: Optional["_RadixNode[V]"]
-    ) -> "_RadixNode[V]":
-        """A copy of this node whose ``bit`` child is ``node``."""
-        if bit:
-            return _RadixNode(self.prefix, self.value, self.has_value,
-                              self.left, node)
-        return _RadixNode(self.prefix, self.value, self.has_value,
-                          node, self.right)
-
 
 def _common_prefix(a: Prefix, b: Prefix) -> Prefix:
     """The longest prefix covering both ``a`` and ``b`` (same family)."""
@@ -100,9 +81,8 @@ class RadixTree(Generic[V]):
     """Patricia tree mapping :class:`Prefix` keys to values.
 
     Supports exact lookup, longest-prefix match, covering and covered
-    enumeration, insertion, and deletion — in place, or persistently
-    (see the module docstring).  All keys must share the address family
-    given at construction.
+    enumeration, insertion, and deletion.  All keys must share the
+    address family given at construction.
     """
 
     def __init__(self, family: int) -> None:
@@ -266,8 +246,7 @@ class RadixTree(Generic[V]):
     def remove(self, prefix: Prefix) -> bool:
         """Delete the mapping for ``prefix``; returns True if present.
 
-        Like :meth:`removed`, leaves the shape of a tree built from the
-        remaining keys alone.
+        Leaves the shape of a tree built from the remaining keys alone.
         """
         self._check(prefix)
         grand: Optional[_RadixNode[V]] = None
@@ -296,104 +275,6 @@ class RadixTree(Generic[V]):
             else:
                 self._replace(parent, parent_bit, survivor)
         return True
-
-    # ------------------------------------------------------------------
-    # Persistent (path-copying) updates
-    # ------------------------------------------------------------------
-
-    def inserted(self, prefix: Prefix, value: V) -> "RadixTree[V]":
-        """A new tree that also maps ``prefix`` to ``value``.
-
-        This tree is left untouched; the two share every node off the
-        path from the root to ``prefix``.
-        """
-        self._check(prefix)
-        new_node = _RadixNode(prefix, value, True)
-        subtree = new_node
-        size = self._size + 1
-        path: list[tuple[_RadixNode[V], int]] = []
-        width = prefix.max_family_length
-        key_value, key_length = prefix._value, prefix._length
-        node = self._root
-        while node is not None:
-            node_prefix = node.prefix
-            length = node_prefix._length
-            if length <= key_length and not (
-                (node_prefix._value ^ key_value) >> (width - length)
-            ):
-                if length == key_length:
-                    new_node.left = node.left
-                    new_node.right = node.right
-                    if node.has_value:
-                        size -= 1
-                    break
-                bit = (key_value >> (width - length - 1)) & 1
-                path.append((node, bit))
-                node = node.right if bit else node.left
-                continue
-            # Diverged: same split as `insert`, on fresh nodes only.
-            glue_prefix = _common_prefix(node.prefix, prefix)
-            if glue_prefix == prefix:
-                new_node.set_child(new_node.branch_bit(node.prefix), node)
-            else:
-                subtree = _RadixNode(glue_prefix)
-                subtree.set_child(subtree.branch_bit(node.prefix), node)
-                subtree.set_child(subtree.branch_bit(prefix), new_node)
-            break
-        return self._derived(path, subtree, size)
-
-    def removed(self, prefix: Prefix) -> "RadixTree[V]":
-        """A new tree without ``prefix``; this tree itself when absent.
-
-        Valueless nodes left with fewer than two children are dropped
-        from the copy (one level up as well: removing a leaf can strand
-        its glue parent), so the result has the shape of a tree built
-        from the remaining keys alone.
-        """
-        self._check(prefix)
-        path: list[tuple[_RadixNode[V], int]] = []
-        width = prefix.max_family_length
-        key_value, key_length = prefix._value, prefix._length
-        node = self._root
-        while node is not None:
-            node_prefix = node.prefix
-            length = node_prefix._length
-            if length > key_length or (
-                (node_prefix._value ^ key_value) >> (width - length)
-            ):
-                return self
-            if length == key_length:
-                break
-            bit = (key_value >> (width - length - 1)) & 1
-            path.append((node, bit))
-            node = node.right if bit else node.left
-        if node is None or not node.has_value:
-            return self
-        subtree: Optional[_RadixNode[V]]
-        if node.left is not None and node.right is not None:
-            subtree = _RadixNode(node.prefix, None, False,
-                                 node.left, node.right)
-        else:
-            subtree = node.left if node.left is not None else node.right
-            if subtree is None and path and not path[-1][0].has_value:
-                glue, bit = path.pop()
-                subtree = glue.left if bit else glue.right
-        return self._derived(path, subtree, self._size - 1)
-
-    def _derived(
-        self,
-        path: list[tuple[_RadixNode[V], int]],
-        subtree: Optional[_RadixNode[V]],
-        size: int,
-    ) -> "RadixTree[V]":
-        """The tree whose ``path`` (root first) is copied to end in
-        ``subtree``."""
-        for node, bit in reversed(path):
-            subtree = node.with_child(bit, subtree)
-        tree = RadixTree(self._family)
-        tree._root = subtree
-        tree._size = size
-        return tree
 
     # ------------------------------------------------------------------
     # Lookup

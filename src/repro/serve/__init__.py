@@ -41,7 +41,7 @@ the cache are served by two cooperating components over one VRP set:
   :class:`~repro.serve.rtr_async.ThreadedRtrServer` from synchronous
   code — :meth:`repro.core.pipeline.LocalCache.serve` does.
 * **Origin validation queries** (:mod:`repro.serve.query` +
-  :mod:`repro.serve.http`).  A radix-indexed snapshot answers
+  :mod:`repro.serve.http`).  An indexed VRP snapshot answers
   ``validity(asn, prefix)`` per RFC 6811 — ``valid`` / ``invalid``
   (with an ``invalid-length`` vs ``invalid-origin`` reason) /
   ``notfound`` — in-process, in batch, or over ``GET /validity``.

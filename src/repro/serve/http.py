@@ -47,7 +47,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..faults.plan import fire_async
-from ..netbase.errors import ReproError
+from ..netbase.asnum import parse_asn
+from ..netbase.errors import AsnError, ReproError
 from ..netbase.prefix import Prefix
 from .metrics import ServeMetrics, ensure_metrics
 from .query import QueryService
@@ -624,10 +625,16 @@ class QueryHttpServer(HttpServerBase):
 def _parse_pair(asn: object, prefix: object) -> Tuple[int, Prefix]:
     if asn is None or prefix is None:
         raise HttpRequestError("both 'asn' and 'prefix' are required")
-    try:
-        asn_value = int(str(asn).upper().removeprefix("AS"))
-    except ValueError:
+    # A JSON number arrives as an int; anything else that is not a
+    # string (a float, a bool, a list) is not an AS number.
+    if type(asn) is int:
+        asn = str(asn)
+    if not isinstance(asn, str):
         raise HttpRequestError(f"bad ASN {asn!r}")
+    try:
+        asn_value = parse_asn(asn)
+    except AsnError as exc:
+        raise HttpRequestError(f"bad ASN {asn!r}: {exc}")
     try:
         prefix_value = Prefix.parse(str(prefix))
     except ReproError as exc:

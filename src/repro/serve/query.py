@@ -5,9 +5,10 @@ RTR; the paper's local cache (Figure 1) can just as well answer the
 question directly — "is (prefix, origin AS) valid under the current
 ROA set?" — for monitoring consoles, looking-glass tooling, or
 software routers that prefer an RPC to a full table.  This module is
-that answerer: an immutable, radix-indexed VRP snapshot
-(:mod:`repro.netbase.radix` per address family) with single-shot and
-batch lookup APIs.  :mod:`repro.serve.http` puts it on the wire.
+that answerer: an immutable VRP snapshot (a
+:class:`~repro.bgp.origin_validation.VrpIndex`, one hash table per
+address family) with single-shot and batch lookup APIs.
+:mod:`repro.serve.http` puts it on the wire.
 
 Beyond the three RFC 6811 states, results carry a *reason* telling the
 operator **why** a route is invalid — announced length beyond every
@@ -38,10 +39,12 @@ REASON_NOT_FOUND = "not-found"
 #: :meth:`QueryService.reload` applies the VRP delta to the index it
 #: holds while the delta is at most this share of the incoming table,
 #: and builds a fresh index beyond it.  Measured at 10.5k VRPs (scale
-#: 0.25, min of 9, 2-core x86-64, CPython 3.11), a changed VRP costs
-#: ~8.5 us to path-copy and a fresh build ~4.9 us per VRP held, so the
-#: two meet near 0.58 of the table; below 0.5 the delta path wins.
-_REBUILD_FRACTION = 0.5
+#: 0.25, min of 9, 2-core x86-64, CPython 3.11), a changed VRP of a 1 %
+#: delta costs ~1.6 us to apply and a fresh build ~1.6 us per VRP held,
+#: so the two meet near 1.0 of the table.  A changed VRP costs more in
+#: a large delta: timed whole, the two meet near 0.85, so below 0.75
+#: the delta path wins.
+_REBUILD_FRACTION = 0.75
 
 
 @dataclass(frozen=True)
@@ -70,13 +73,13 @@ class QueryService:
     """Answer ``validity(asn, prefix)`` against a VRP snapshot.
 
     The snapshot is the router-side index itself — a
-    :class:`~repro.bgp.origin_validation.VrpIndex` (per-family radix
-    trees of sorted VRP buckets, duplicates dropped) — and is never
+    :class:`~repro.bgp.origin_validation.VrpIndex` (per-family hash
+    tables of sorted VRP buckets, duplicates dropped) — and is never
     mutated in place, so lookups need no locking: a :meth:`reload`
-    derives the next index from the current one by path copying (only
-    the nodes leading to a changed prefix are new, the rest is shared)
-    and swaps the reference, leaving in-flight queries on the old
-    (still consistent) snapshot.  Answers depend on the table alone: a
+    derives the next index from the current one (each family the delta
+    touches is copied and the copy edited, the others are shared) and
+    swaps the reference, leaving in-flight queries on the old (still
+    consistent) snapshot.  Answers depend on the table alone: a
     service reloaded any number of times answers exactly like one
     constructed over its latest table.
     """
@@ -99,8 +102,10 @@ class QueryService:
     def reload(self, vrps: Iterable[Vrp], *, serial: Optional[int] = None) -> int:
         """Atomically replace the snapshot; returns the VRP count.
 
-        ``vrps`` is the whole new table; the work is in proportion to
-        how much of it differs from the table already held.
+        ``vrps`` is the whole new table.  Beyond putting it in a set,
+        the work is one C-level dict copy per address family the change
+        touches plus work in proportion to how much of it differs from
+        the table already held.
         """
         table = frozenset(vrps)
         announced = table - self._table

@@ -56,7 +56,10 @@ class TestParse:
         with pytest.raises(AsnError):
             parse_asn("65536.0")
 
-    @pytest.mark.parametrize("bad", ["", "AS", "1.2.3", "-5", "4294967296"])
+    @pytest.mark.parametrize("bad", [
+        "", "AS", "1.2.3", "-5", "4294967296",
+        "AS-1", "+5", "1_000", "٣", "²", "AS٣", "1.٣", "².1", "1e3",
+    ])
     def test_rejects_garbage(self, bad):
         with pytest.raises(AsnError):
             parse_asn(bad)

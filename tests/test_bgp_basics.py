@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp import (
     AdjRibIn,
@@ -186,3 +188,92 @@ class TestOriginValidation:
     def test_empty_index_everything_notfound(self):
         index = VrpIndex()
         assert index.validate(p("10.0.0.0/8"), 1) is ValidationState.NOTFOUND
+
+
+def _nested_prefixes(family: int) -> list[Prefix]:
+    """Prefixes that nest and branch: a few addresses differing in high
+    and low bits, cut at lengths from /0 to the host length."""
+    width = 32 if family == 4 else 128
+    addresses = [0, (10 << (width - 8)) | 5, (10 << (width - 8)) | 4,
+                 (11 << (width - 8)), (1 << width) - 1]
+    lengths = [0, 1, 8, 9, 16, width - 2, width - 1, width]
+    return sorted({Prefix(family, address, length)
+                   for address in addresses for length in lengths})
+
+
+PREFIXES = _nested_prefixes(4) + _nested_prefixes(6)
+#: Every VRP the property draws from: up to three origins per prefix
+#: (multi-origin buckets) and a maxLength at or beyond the length.
+VRPS = st.builds(
+    lambda prefix, spread, asn: Vrp(
+        prefix, min(prefix.max_family_length, prefix.length + spread), asn),
+    st.sampled_from(PREFIXES),
+    st.sampled_from([0, 1, 8]),
+    st.sampled_from([1, 2, 3]),
+)
+STEPS = st.one_of(
+    st.tuples(st.just("updated"), st.sets(VRPS, max_size=6),
+              st.sets(VRPS, max_size=6)),
+    st.tuples(st.just("add"), VRPS),
+    st.tuples(st.just("remove"), VRPS),
+)
+
+
+def brute_force_covering(held, prefix: Prefix) -> list[Vrp]:
+    """Every held VRP whose prefix covers ``prefix``, by prefix length
+    and then ``sort_key``."""
+    return sorted((vrp for vrp in held if vrp.prefix.covers(prefix)),
+                  key=lambda vrp: (vrp.prefix.length, vrp.sort_key()))
+
+
+def held_lengths(index: VrpIndex) -> dict[int, list[int]]:
+    """The prefix lengths each family of ``index`` probes: no more and
+    no fewer than those of its VRPs."""
+    return {family: [length for length, _, _ in table.probes]
+            for family, table in index._families.items()}
+
+
+class TestVrpIndexOracle:
+    """Whatever sequence of ``updated``/``add``/``remove`` built it, an
+    index answers ``covering`` like brute force and like an index built
+    fresh over its VRPs, and no index it was derived from changes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sets(VRPS, max_size=30), st.lists(STEPS, max_size=8))
+    def test_covering_equals_brute_force_and_every_version_holds(
+            self, initial, steps):
+        probes = PREFIXES
+
+        def answers(index):
+            return [list(index.covering(probe)) for probe in probes]
+
+        held = set(initial)
+        index = VrpIndex(initial)
+        versions = [(index, answers(index), len(held))]
+        for step in steps:
+            if step[0] == "updated":
+                _, announced, withdrawn = step
+                index = index.updated(announced, withdrawn)
+                held = (held - withdrawn) | announced
+            else:
+                # add/remove change the index they are called on, so
+                # call them on a new one that shares every family.
+                index = index.updated((), ())
+                _, vrp = step
+                if step[0] == "add":
+                    index.add(vrp)
+                    held.add(vrp)
+                else:
+                    assert index.remove(vrp) == (vrp in held)
+                    held.discard(vrp)
+            got = answers(index)
+            assert got == [brute_force_covering(held, probe)
+                           for probe in probes]
+            fresh = VrpIndex(held)
+            assert got == answers(fresh)
+            assert held_lengths(index) == held_lengths(fresh)
+            assert len(index) == len(held)
+            versions.append((index, got, len(held)))
+        for version, expected, count in versions:
+            assert answers(version) == expected
+            assert len(version) == count

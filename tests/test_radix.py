@@ -99,6 +99,53 @@ class TestRemoval:
         tree.insert(p("10.0.0.0/16"), 2)
         assert tree.get(p("10.0.0.0/16")) == 2
 
+    def test_remove_drops_the_stranded_glue(self):
+        tree = RadixTree[int](AF_INET)
+        tree.insert(p("10.0.0.0/8"), 0)
+        tree.insert(p("10.0.0.0/24"), 1)
+        tree.insert(p("10.0.1.0/24"), 2)   # glue 10.0.0.0/23 under the /8
+        assert tree.remove(p("10.0.0.0/24"))
+        assert shape(tree) == [(0, p("10.0.0.0/8"), True, 0),
+                               (1, p("10.0.1.0/24"), True, 2)]
+        assert tree.remove(p("10.0.1.0/24"))   # parent holds a value: stays
+        assert shape(tree) == [(0, p("10.0.0.0/8"), True, 0)]
+
+    operations = st.lists(
+        st.tuples(
+            st.booleans(),
+            # few distinct addresses and lengths, so that removes hit
+            # and keys nest
+            st.sampled_from([0x0A000000, 0x0A000100, 0x0A010000,
+                             0x0A800000, 0xC0A80000, 0xC0A80080]),
+            st.sampled_from([8, 9, 16, 23, 24, 25, 32]),
+        ),
+        max_size=40,
+    )
+
+    @settings(max_examples=150, deadline=None)
+    @given(operations, st.integers(min_value=0, max_value=2**32 - 1))
+    def test_any_interleaving_equals_a_rebuild(self, operations, probe_value):
+        """Inserts and removes in any order leave, node for node, the
+        tree a bulk build of the final keys makes."""
+        tree = RadixTree[int](AF_INET)
+        model: dict[Prefix, int] = {}
+        for step, (insert, value, length) in enumerate(operations):
+            prefix = Prefix(AF_INET, value, length)
+            if insert:
+                tree.insert(prefix, step)
+                model[prefix] = step
+            else:
+                assert tree.remove(prefix) == (prefix in model)
+                model.pop(prefix, None)
+        rebuilt = RadixTree.from_sorted(AF_INET, sorted(model.items()))
+        assert shape(tree) == shape(rebuilt)
+        assert len(tree) == len(model)
+        probes = [Prefix(AF_INET, probe_value, 32)] + [
+            Prefix(AF_INET, value | 1, 32) for _, value, _ in operations]
+        for probe in probes:
+            assert list(tree.covering(probe)) == list(rebuilt.covering(probe))
+            assert tree.longest_match(probe) == rebuilt.longest_match(probe)
+
 
 class TestCoveringQueries:
     def test_covering_shortest_first(self):
@@ -282,188 +329,18 @@ class TestFromSorted:
             assert list(bulk.covered(probe)) == list(
                 one_by_one.covered(probe))
 
-        # Persistent updates still copy the path and leave it alone.
-        before = shape(bulk)
-        extra = Prefix(family, 11 << (width - 8), 9)
-        grown = bulk.inserted(extra, "extra")
-        shrunk = bulk.removed(shuffled[0]) if shuffled else bulk
-        assert shape(bulk) == before
-        assert grown.get(extra) == "extra"
-        rest = sorted(keys - set(shuffled[:1]))
-        assert shape(shrunk) == shape(RadixTree.from_sorted(
-            family, [(key, str(key)) for key in rest]))
-
-
-class TestPersistentUpdates:
-    def test_inserted_leaves_the_old_tree_alone(self):
-        old = RadixTree[int](AF_INET)
-        old.insert(p("10.0.0.0/8"), 8)
-        new = old.inserted(p("10.1.0.0/16"), 16)
-        assert list(old.items()) == [(p("10.0.0.0/8"), 8)]
-        assert list(new.items()) == [(p("10.0.0.0/8"), 8),
-                                     (p("10.1.0.0/16"), 16)]
-        assert (len(old), len(new)) == (1, 2)
-
-    def test_inserted_overwrites_in_the_copy_only(self):
-        old = RadixTree[int](AF_INET).inserted(p("10.0.0.0/8"), 1)
-        new = old.inserted(p("10.0.0.0/8"), 2)
-        assert (old.get(p("10.0.0.0/8")), new.get(p("10.0.0.0/8"))) == (1, 2)
-        assert (len(old), len(new)) == (1, 1)
-
-    def test_untouched_subtrees_are_shared_not_copied(self):
-        old = RadixTree[int](AF_INET)
-        for text in ["10.0.0.0/24", "10.0.1.0/24", "192.168.0.0/16"]:
-            old.insert(p(text), 0)
-        new = old.inserted(p("192.168.1.0/24"), 1)
-        # root glue 0.0.0.0/0: the 10/23 side is the very same node.
-        assert new._root is not old._root
-        assert new._root.left is old._root.left
-
-    def test_removed_absent_key_returns_the_same_tree(self):
-        tree = RadixTree[int](AF_INET).inserted(p("10.0.0.0/24"), 1)
-        assert tree.removed(p("10.0.1.0/24")) is tree
-        assert tree.removed(p("10.0.0.0/16")) is tree
-        empty = RadixTree[int](AF_INET)
-        assert empty.removed(p("10.0.0.0/8")) is empty
-
-    def test_removed_leaf_drops_its_stranded_glue(self):
-        tree = RadixTree[int](AF_INET)
-        tree.insert(p("10.0.0.0/24"), 1)
-        tree.insert(p("10.0.1.0/24"), 2)   # glue 10.0.0.0/23 above both
-        after = tree.removed(p("10.0.0.0/24"))
-        assert shape(after) == [(0, p("10.0.1.0/24"), True, 2)]
-        assert len(shape(tree)) == 3
-
-    def test_in_place_remove_drops_the_stranded_glue_too(self):
-        tree = RadixTree[int](AF_INET)
-        tree.insert(p("10.0.0.0/8"), 0)
-        tree.insert(p("10.0.0.0/24"), 1)
-        tree.insert(p("10.0.1.0/24"), 2)   # glue 10.0.0.0/23 under the /8
-        assert tree.remove(p("10.0.0.0/24"))
-        assert shape(tree) == [(0, p("10.0.0.0/8"), True, 0),
-                               (1, p("10.0.1.0/24"), True, 2)]
-        assert tree.remove(p("10.0.1.0/24"))   # parent holds a value: stays
-        assert shape(tree) == [(0, p("10.0.0.0/8"), True, 0)]
-
-    def test_removed_interior_value_keeps_descendants(self):
-        tree = RadixTree[int](AF_INET)
-        for text, value in [("10.0.0.0/8", 8), ("10.0.0.0/24", 24),
-                            ("10.0.1.0/24", 25)]:
-            tree.insert(p(text), value)
-        after = tree.removed(p("10.0.0.0/8"))
-        assert dict(after.items()) == {p("10.0.0.0/24"): 24,
-                                       p("10.0.1.0/24"): 25}
-        assert tree.get(p("10.0.0.0/8")) == 8
-
-    def test_family_check(self):
-        tree = RadixTree[int](AF_INET)
-        with pytest.raises(TrieError):
-            tree.inserted(p("::/0"), 1)
-        with pytest.raises(TrieError):
-            tree.removed(p("::/0"))
-
-    operations = st.lists(
-        st.tuples(
-            st.booleans(),
-            # few distinct addresses and lengths, so that removes hit
-            # and keys nest
-            st.sampled_from([0x0A000000, 0x0A000100, 0x0A010000,
-                             0x0A800000, 0xC0A80000, 0xC0A80080]),
-            st.sampled_from([8, 9, 16, 23, 24, 25, 32]),
-        ),
-        max_size=40,
-    )
-
-    @settings(max_examples=150, deadline=None)
-    @given(operations, st.integers(min_value=0, max_value=2**32 - 1))
-    def test_any_interleaving_equals_a_rebuild_and_keeps_every_version(
-            self, operations, probe_value):
-        steps = [(insert, Prefix(AF_INET, value, length))
-                 for insert, value, length in operations]
-        probes = [Prefix(AF_INET, probe_value, 32)] + [
-            Prefix(AF_INET, value | 1, 32) for _, value, _ in operations]
-        apply_and_check(AF_INET, {}, steps, probes)
-
-    @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
-    @pytest.mark.parametrize("share", [0.01, 0.05, 0.10, 0.25])
-    def test_table_deltas_equal_a_rebuild_and_keep_every_version(
-            self, family, share):
-        """The serve tier's case: a 500-key table, then a delta of
-        1–25 % of it — withdrawals, new keys, overwrites — applied by
-        path copying from a bulk-built tree."""
-        rng = random.Random(f"{family}-{share}")
-        width = 32 if family == AF_INET else 128
-        keys = nested_keys(rng, family, 500)
-        base = {key: -index for index, key in enumerate(sorted(keys))}
-        present = sorted(base)
-        steps = []
-        for _ in range(round(share * len(base))):
-            kind = rng.randrange(3)
-            if kind == 0:
-                steps.append((False, rng.choice(present)))
-            elif kind == 1:
-                steps.append((True, rng.choice(present)))
-            else:
-                steps.append((True, nested_keys(rng, family, 1).pop()))
-        probes = [Prefix(family, rng.getrandbits(width), width)
-                  for _ in range(20)] + [key for _, key in steps]
-        apply_and_check(family, base, steps, probes)
-
-
-def nested_keys(rng: random.Random, family: int, count: int) -> set:
-    """Distinct keys that nest and share long prefixes, as VRP prefixes
-    do: a few hundred subnets of a handful of blocks, at every depth
-    down to the host length."""
-    width = 32 if family == AF_INET else 128
-    blocks = [rng.getrandbits(width) for _ in range(6)]
-    keys: set = set()
-    while len(keys) < count:
-        length = rng.choice([0, 1, 8, 12, 16, 20, 22, 24, 28,
-                             width - 1, width])
-        low = rng.getrandbits(max(0, width - 16))
-        value = (rng.choice(blocks) >> (width - 16) << (width - 16)) | low
-        keys.add(Prefix(family, value, length))
-    return keys
-
-
-def apply_and_check(family, base, steps, probes) -> None:
-    """Apply ``steps`` (insert?, key) to ``base`` persistently (from a
-    bulk build) and in place; the result must be, node for node, the
-    bulk build of the final keys, and every version made on the way
-    must still be exactly the tree it was when it was made."""
-    start = RadixTree.from_sorted(family, sorted(base.items()))
-    in_place = RadixTree.from_sorted(family, sorted(base.items()))
-    tree = start
-    model = dict(base)
-    versions = [(tree, shape(tree), sorted(model.items()))]
-    for step, (insert, prefix) in enumerate(steps):
-        if insert:
-            tree = tree.inserted(prefix, step)
-            in_place.insert(prefix, step)
-            model[prefix] = step
-        else:
-            tree = tree.removed(prefix)
-            assert in_place.remove(prefix) == (prefix in model)
-            model.pop(prefix, None)
-        versions.append((tree, shape(tree), sorted(model.items())))
-
-    rebuilt = RadixTree.from_sorted(family, sorted(model.items()))
-    assert shape(tree) == shape(rebuilt)
-    assert shape(in_place) == shape(rebuilt)
-    assert len(tree) == len(in_place) == len(model)
-    for probe in probes:
-        assert list(tree.covering(probe)) == list(rebuilt.covering(probe))
-        assert tree.longest_match(probe) == rebuilt.longest_match(probe)
-        assert tree.get(probe, "absent") == model.get(probe, "absent")
-    for version, nodes, items in versions:
-        assert shape(version) == nodes
-        assert list(version.items()) == items
-        assert len(version) == len(items)
+        # Removing a key in place leaves the tree a build of the rest.
+        if shuffled:
+            assert one_by_one.remove(shuffled[0])
+            rest = sorted(keys - {shuffled[0]})
+            assert shape(one_by_one) == shape(RadixTree.from_sorted(
+                family, [(key, str(key)) for key in rest]))
 
 
 class TestIntWalkEdges:
-    """The exact-match, insert and remove walks compare ints per level;
-    these are the keys where a shift or a bound can go wrong."""
+    """The exact-match walk compares ints per level; these are the keys
+    where a shift or a bound can go wrong, for it and for the in-place
+    insert and remove beside it."""
 
     @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
     def test_default_route_and_host_keys(self, family):
@@ -473,18 +350,21 @@ class TestIntWalkEdges:
         highest = Prefix(family, (1 << width) - 1, width)
         for keys in ([root], [root, lowest], [root, lowest, highest],
                      [lowest, highest], [lowest], [highest]):
-            tree = RadixTree.from_sorted(family, [(k, str(k)) for k in keys])
+            def build():
+                return RadixTree.from_sorted(
+                    family, [(k, str(k)) for k in keys])
+            tree = build()
             for key in (root, lowest, highest):
                 assert tree.get(key) == (str(key) if key in keys else None)
                 assert (key in tree) == (key in keys)
-                grown = tree.inserted(key, "new")
+                grown = build()
+                grown.insert(key, "new")
                 assert shape(grown) == shape(RadixTree.from_sorted(
                     family,
                     sorted({**{k: str(k) for k in keys}, key: "new"}.items()),
                 ))
-                shrunk = tree.removed(key)
-                if key not in keys:
-                    assert shrunk is tree
+                shrunk = build()
+                assert shrunk.remove(key) == (key in keys)
                 assert shape(shrunk) == shape(RadixTree.from_sorted(
                     family, [(k, str(k)) for k in keys if k != key]))
 
@@ -498,26 +378,29 @@ class TestIntWalkEdges:
         keys = [root, left, right, leaf]
         tree = RadixTree.from_sorted(family, [(k, 0) for k in keys])
         assert tree._root.prefix == root and tree._root.has_value
-        without = tree.removed(root)
-        # The root stays as valueless glue over both halves, shared.
-        assert without._root.prefix == root
-        assert not without._root.has_value
-        assert without._root.left is tree._root.left
-        assert without._root.right is tree._root.right
-        assert root not in without and root in tree
-        assert shape(without.inserted(root, 0)) == shape(tree)
+        before = shape(tree)
+        halves = tree._root.left, tree._root.right
+        assert tree.remove(root)
+        # The root stays as valueless glue over both halves.
+        assert tree._root.prefix == root
+        assert not tree._root.has_value
+        assert (tree._root.left, tree._root.right) == halves
+        assert root not in tree and len(tree) == 3
+        tree.insert(root, 0)
+        assert shape(tree) == before
 
     @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
     def test_absent_keys_diverging_at_every_depth(self, family):
         """A chain of stored keys down one address; every probe that
         leaves it at some depth, and every key below its leaf, is
-        absent — for get, ``in``, ``removed`` and ``inserted``."""
+        absent — for get, ``in``, ``remove`` and ``insert``."""
         width = 32 if family == AF_INET else 128
         address = int("10" * (width // 2), 2)
         lengths = [0, 1, width // 4, width // 2, width - 8, width - 1, width]
         chain = [Prefix(family, address, n) for n in lengths]
         stored = {key: key.length for key in chain}
         tree = RadixTree.from_sorted(family, sorted(stored.items()))
+        before = shape(tree)
         probes = []
         for depth in range(width):
             flipped = address ^ (1 << (width - depth - 1))
@@ -532,11 +415,13 @@ class TestIntWalkEdges:
             assert probe not in stored
             assert tree.get(probe, "absent") == "absent"
             assert probe not in tree
-            assert tree.removed(probe) is tree
-            grown = tree.inserted(probe, -1)
+            assert not tree.remove(probe)
+            grown = RadixTree.from_sorted(family, sorted(stored.items()))
+            grown.insert(probe, -1)
             assert grown.get(probe) == -1 and len(grown) == len(tree) + 1
+        assert shape(tree) == before
         for probe in below_leaf:
             assert short.get(probe) is None and probe not in short
-            assert short.removed(probe) is short
+            assert not short.remove(probe)
         for key, value in stored.items():
             assert tree.get(key) == value and key in tree

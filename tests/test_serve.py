@@ -13,15 +13,16 @@ import json
 import random
 import socket
 import threading
+from urllib.parse import quote
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import ValidationState
+from repro.bgp import ValidationState, origin_validation
 from repro.core import LocalCache
 from repro.data import TopologyProfile, generate_topology
-from repro.netbase import Prefix, radix
+from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
 from repro.rpki import Vrp
 from repro.rtr import RtrClient
@@ -319,6 +320,13 @@ PROBES = [
 ]
 
 
+def buckets(snapshot, family):
+    """The bucket dict of one family in a service's (or an index's)
+    snapshot: shared between snapshots while the family is untouched."""
+    index = getattr(snapshot, "_index", snapshot)
+    return index._families[family].buckets
+
+
 def answers(service):
     return [json.dumps(service.validity(asn, prefix).to_json())
             for asn, prefix in PROBES]
@@ -370,31 +378,34 @@ class TestQueryServiceReload:
         before = service._index
         service.reload([vrp for vrp in UNIVERSE if vrp != IPV4[0]])
         assert service._index is not before
-        assert service._index._trees[6] is before._trees[6]
-        assert service._index._trees[4] is not before._trees[4]
+        assert buckets(service, 6) is buckets(before, 6)
+        assert buckets(service, 4) is not buckets(before, 4)
         before = service._index
         service.reload(UNIVERSE[:len(UNIVERSE) // 4] + IPV6)
-        assert service._index._trees[6] is not before._trees[6]
+        assert buckets(service, 6) is not buckets(before, 6)
 
     @pytest.mark.parametrize("beyond, path", [(0, "delta"), (1, "rebuild")])
     def test_either_side_of_the_rebuild_fraction_answers_alike(
             self, beyond, path):
-        """The largest delta the index takes by path copying, and one
-        VRP more, which builds a fresh index: the same /validity JSON
-        as a service started on the new table, either way."""
+        """The largest delta the index applies to the one it holds,
+        and one VRP more, which builds a fresh index: the same
+        /validity JSON as a service started on the new table, either
+        way.  The delta withdraws the first w IPv4 VRPs and announces
+        a pool of new ones, so only w moves its share of the table."""
         base = [Vrp(Prefix(4, (10 << 24) | (i << 12), 20), 24, 100 + i)
                 for i in range(32)] + IPV6
         pool = [Vrp(Prefix(4, (10 << 24) | (i << 10), 22), 22, 7)
-                for i in range(3 * len(base))]
-        fits = max(count for count in range(len(pool))
-                   if count <= _REBUILD_FRACTION * (len(base) + count))
-        table = base + pool[:fits + beyond]
+                for i in range(8)]
+        fits = max(w for w in range(32) if w + len(pool)
+                   <= _REBUILD_FRACTION * (len(base) - w + len(pool)))
+        table = base[fits + beyond:] + pool
         service = QueryService(base)
         before = service._index
         service.reload(table)
-        shared = service._index._trees[6] is before._trees[6]
+        shared = buckets(service, 6) is buckets(before, 6)
         assert shared == (path == "delta")
-        probes = [(asn, vrp.prefix) for vrp in table for asn in (7, 100)]
+        probes = [(asn, vrp.prefix) for vrp in base + pool
+                  for asn in (7, 100)]
         probes += [(7, Prefix(4, (10 << 24) | (5 << 10), 26)),
                    (7, p("11.0.0.0/8")), (7, p("2001:db8:1:2::/64"))]
         fresh = QueryService(table)
@@ -445,22 +456,16 @@ def ten_thousand_vrps() -> list:
     return sorted(vrps)
 
 
-def tree_depth(tree) -> int:
-    """Nodes on the longest root-to-leaf path, glue included."""
-    deepest, stack = 0, [(tree._root, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if node is not None:
-            deepest = max(deepest, depth)
-            stack += [(node.left, depth + 1), (node.right, depth + 1)]
-    return deepest
-
-
 class TestRefreshCostsTheDelta:
     """Counted, not timed: a reload that changes k VRPs of a 10 k table
-    hashes k new VRPs and allocates O(k x depth) radix nodes, whatever
-    the table size.  Both counts come from wrapping the hash and the
-    node constructor here, in the test."""
+    hashes at most k new VRPs and builds at most one new bucket per
+    changed prefix, whatever the table size.  Both counts come from
+    wrapping the hash and the bucket sort here, in the test.
+
+    Not counted: the one O(n) C-level copy of each address family's
+    dict that the change touches.  For the ~9.9 k IPv4 prefixes of a
+    scale-0.25 table it takes ~70 us (2-core x86-64, CPython 3.11), of
+    a ~0.5 ms index update for a 1 % refresh."""
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -470,16 +475,15 @@ class TestRefreshCostsTheDelta:
     def test_reload_work_is_proportional_to_the_delta(
             self, table, k, monkeypatch):
         service = QueryService(table)
-        depth = max(tree_depth(tree)
-                    for tree in service._index._trees.values())
         rng = random.Random(k)
         replaced = set(rng.sample(range(len(table)), k))
         new_table = [vrp for i, vrp in enumerate(table) if i not in replaced]
         new_table += [Vrp(table[i].prefix, table[i].max_length,
                           4_200_000_000 + i) for i in sorted(replaced)]
+        changed_prefixes = {table[i].prefix for i in replaced}
 
-        misses, nodes = [], []
-        vrp_hash, node_init = Vrp.__hash__, radix._RadixNode.__init__
+        misses, sorts = [], []
+        vrp_hash, sort_vrps = Vrp.__hash__, origin_validation.sort_vrps
 
         def counting_hash(vrp):
             try:
@@ -488,17 +492,17 @@ class TestRefreshCostsTheDelta:
                 misses.append(vrp)
             return vrp_hash(vrp)
 
-        def counting_init(node, *args):
-            nodes.append(node)
-            node_init(node, *args)
+        def counting_sort(vrps):
+            sorts.append(vrps)
+            return sort_vrps(vrps)
 
         monkeypatch.setattr(Vrp, "__hash__", counting_hash)
-        monkeypatch.setattr(radix._RadixNode, "__init__", counting_init)
+        monkeypatch.setattr(origin_validation, "sort_vrps", counting_sort)
         service.reload(new_table)
         monkeypatch.undo()
 
         assert len(misses) <= k
-        assert len(nodes) <= k * (depth + 2)
+        assert len(sorts) <= len(changed_prefixes)
         fresh = QueryService(new_table)
         for i in sorted(replaced):
             prefix = table[i].prefix
@@ -928,6 +932,46 @@ class TestHttpServer:
                     http.host, http.port, request)
                 assert status == expected
                 assert "error" in document
+
+        self.run_with_server(scenario)
+
+    BAD_ASNS = ["-5", "AS-1", "1_000", "4294967296", "+7", "\u0663",
+                "\u00b2", "1.65536", "AS"]
+
+    def test_asn_that_is_not_an_as_number_gets_400(self):
+        async def scenario(http):
+            for asn in self.BAD_ASNS:
+                status, document = await http_request(
+                    http.host, http.port,
+                    f"GET /validity?asn={quote(asn)}&prefix=10.0.0.0%2F8 "
+                    f"HTTP/1.1\r\nConnection: close\r\n\r\n".encode())
+                assert status == 400, asn
+                assert "bad ASN" in document["error"]
+            for asn in self.BAD_ASNS + [-5, 4294967296, 7.0, True, [7]]:
+                body = json.dumps({"queries": [
+                    {"asn": 31283, "prefix": "87.254.32.0/20"},
+                    {"asn": asn, "prefix": "87.254.32.0/20"},
+                ]}).encode()
+                status, document = await http_request(
+                    http.host, http.port,
+                    b"POST /validity HTTP/1.1\r\n"
+                    + f"Content-Length: {len(body)}\r\n".encode()
+                    + b"Connection: close\r\n\r\n" + body)
+                assert status == 400, asn
+                assert "bad ASN" in document["error"]
+
+        self.run_with_server(scenario)
+
+    def test_every_as_number_spelling_parse_asn_takes_gets_200(self):
+        async def scenario(http):
+            for asn in ["31283", "AS31283", "as31283", "0.31283"]:
+                status, document = await http_request(
+                    http.host, http.port,
+                    f"GET /validity?asn={asn}&prefix=87.254.32.0%2F20 "
+                    f"HTTP/1.1\r\nConnection: close\r\n\r\n".encode())
+                assert status == 200, asn
+                assert document["asn"] == 31283
+                assert document["state"] == "valid"
 
         self.run_with_server(scenario)
 
