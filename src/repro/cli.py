@@ -231,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--results",
         help="directory of recorded runs (a ResultsStore) to serve "
-             "on the /experiments endpoints",
+             "on the /experiments endpoints (not with --jobs, which "
+             "serves its store's runs/)",
     )
     serve.add_argument(
         "--metrics-interval", type=float, metavar="N",
@@ -687,28 +688,31 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .serve.query import QueryService
     from .serve.rtr_async import AsyncRtrServer
 
+    if args.jobs and not args.jobs_store:
+        print("--jobs requires --jobs-store", file=sys.stderr)
+        return 2
+    if args.jobs and args.results:
+        print(
+            "--results and --jobs each name the served store; "
+            "pass one", file=sys.stderr,
+        )
+        return 2
+
     vrps = list(read_vrp_csv(args.vrps))
     if args.compress:
         from .core.compress import compress_vrps
 
         vrps = compress_vrps(vrps)
 
-    if args.jobs and not args.jobs_store:
-        print("--jobs requires --jobs-store", file=sys.stderr)
-        return 2
-
-    runs = None
     store = None
     scheduler = None
-    if args.results or args.jobs:
-        from .results.live import RunRegistry
+    if args.results:
         from .results.store import ResultsStore
 
-        runs = RunRegistry()
-        if args.results:
-            store = ResultsStore(args.results)
-            loaded = runs.load_store(store)
-            print(f"results: {loaded} recorded runs from {args.results}")
+        store = ResultsStore(args.results)
+        print(
+            f"results: {len(store.run_ids())} run files in {args.results}"
+        )
     if args.jobs:
         from .faults.plan import install_from_env
         from .jobs.http import JobsHttpServer
@@ -719,12 +723,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # the scheduler's jobs.* sites too.
         install_from_env()
         job_store = JobStore(args.jobs_store)
-        scheduler = JobScheduler(job_store, runs=runs)
-        store = scheduler.results
-        loaded = runs.load_store(scheduler.results)
+        scheduler = JobScheduler(job_store)
         print(
             f"jobs: {len(job_store.pending())} pending, "
-            f"{loaded} recorded runs in {args.jobs_store}"
+            f"{len(scheduler.results.run_ids())} run files in "
+            f"{args.jobs_store}"
         )
 
     async def run() -> None:
@@ -757,7 +760,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             http = QueryHttpServer(
                 service, host=args.http_host, port=args.http_port,
-                metrics=metrics, runs=runs, store=store,
+                metrics=metrics, store=store,
                 max_clients=args.max_clients,
                 drain_timeout=drain_timeout)
         await http.start()

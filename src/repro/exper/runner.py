@@ -261,13 +261,12 @@ class ExperimentRunner:
         shard_progress: observation-only callback forwarded to
             :class:`~repro.exper.sharded.ShardCoordinator` as
             ``progress`` — receives per-shard state/record snapshots
-            (the serve tier points it at
-            :meth:`~repro.results.live.RunRegistry.update_shards`).
+            (the job scheduler keeps the latest per run, for
+            ``GET /experiments/<run>``).
         sink: a :class:`~repro.results.sinks.ResultSink` that receives
             the run header and every released record as it streams —
             e.g. a :class:`~repro.results.sinks.JsonlSink` for a
-            durable run, or a :class:`~repro.results.sinks.TeeSink`
-            adding a live :class:`~repro.results.live.ServePublisher`.
+            durable run.
         resume_from: a sink holding an earlier, interrupted recording
             of the *same* spec (commonly the same object as ``sink``).
             Its header is verified against the spec's hash, its

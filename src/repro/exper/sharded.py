@@ -69,7 +69,7 @@ from ..results.sinks import (
 )
 from ..results.store import ResultsStore, shard_run_id
 from .evaluate import TrialRecord, evaluate_trials
-from .spec import ExperimentSpec, iter_trials
+from .spec import ExperimentSpec, iter_trials, json_int
 
 __all__ = [
     "LocalShardTransport",
@@ -138,13 +138,24 @@ class Shard:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Shard":
+        """Decode strictly: exact JSON integers, ``ranges`` a list of
+        ``[fraction_index, start, stop]`` lists."""
         try:
+            ranges = data["ranges"]
+            if not isinstance(ranges, list) or not all(
+                isinstance(entry, list) for entry in ranges
+            ):
+                raise TypeError(f"ranges={ranges!r} is not a list of lists")
             return cls(
-                shard_index=int(data["shard_index"]),
-                shard_count=int(data["shard_count"]),
+                shard_index=json_int(data["shard_index"], "shard_index"),
+                shard_count=json_int(data["shard_count"], "shard_count"),
                 ranges=tuple(
-                    (int(f), int(start), int(stop))
-                    for f, start, stop in data["ranges"]
+                    (
+                        json_int(f, "ranges"),
+                        json_int(start, "ranges"),
+                        json_int(stop, "ranges"),
+                    )
+                    for f, start, stop in ranges
                 ),
             )
         except KeyError as exc:
@@ -638,8 +649,8 @@ class ShardCoordinator:
     changes (dispatch, completion, retry, or growth of a running
     shard's local run file) it receives ``{shard_index: {"state": ...,
     "attempt": ..., "records": ...}}`` covering every shard of the
-    plan.  The serve tier points it at
-    :meth:`~repro.results.live.RunRegistry.update_shards` so
+    plan.  The job scheduler keeps the latest per run
+    (:meth:`~repro.jobs.scheduler.JobScheduler.shards`), so
     ``GET /experiments/<run>`` shows per-shard progress while a
     sharded job runs.  It must not raise and cannot influence the
     record stream.

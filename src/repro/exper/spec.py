@@ -48,6 +48,7 @@ __all__ = [
     "TrialSpec",
     "derive_trial_seed",
     "iter_trials",
+    "json_int",
     "materialize_trials",
 ]
 
@@ -328,8 +329,8 @@ class ExperimentSpec:
             attack_prefix = data.get("attack_prefix")
             return cls(
                 cells=tuple(_cell_from_json(raw) for raw in data["cells"]),
-                trials=_json_int(data["trials"], "trials"),
-                seed=_json_int(data.get("seed", 0), "seed"),
+                trials=json_int(data["trials"], "trials"),
+                seed=json_int(data.get("seed", 0), "seed"),
                 fractions=tuple(
                     None if f is None else _json_number(f, "fractions")
                     for f in data.get("fractions", [None])
@@ -348,10 +349,10 @@ class ExperimentSpec:
                 stop_ci_width=_json_number(
                     data.get("stop_ci_width", 0.05), "stop_ci_width"
                 ),
-                stop_min_trials=_json_int(
+                stop_min_trials=json_int(
                     data.get("stop_min_trials", 16), "stop_min_trials"
                 ),
-                stop_check_every=_json_int(
+                stop_check_every=json_int(
                     data.get("stop_check_every", 8), "stop_check_every"
                 ),
             )
@@ -373,8 +374,10 @@ class ExperimentSpec:
 # value", "bad cell entry", ...) from the caller.
 
 
-def _json_int(value: object, name: str) -> int:
-    """``value`` if it is a JSON integer (not a bool, not a float)."""
+def json_int(value: object, name: str) -> int:
+    """``value`` if it is a JSON integer (not a bool, not a float);
+    a ``TypeError`` naming ``name`` otherwise.  Every decoder of a
+    stored or posted integer reads through it."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise TypeError(f"{name}={value!r} is not an integer")
     return value
@@ -409,8 +412,8 @@ def _cell_from_json(data: dict) -> ScenarioCell:
     try:
         attack = AttackConfig(
             data["kind"],
-            attackers=_json_int(data.get("attackers", 1), "attackers"),
-            prepend=_json_int(data.get("prepend", 0), "prepend"),
+            attackers=json_int(data.get("attackers", 1), "attackers"),
+            prepend=json_int(data.get("prepend", 0), "prepend"),
         )
     except (TypeError, ValueError) as exc:
         raise ReproError(f"bad cell entry {data!r}: {exc}") from None
@@ -458,8 +461,8 @@ def _policy_from_json(data: Union[str, dict]) -> RoaPolicy:
             vrps = tuple(
                 Vrp(
                     _json_prefix(row["prefix"], "prefix"),
-                    _json_int(row["max_length"], "max_length"),
-                    _json_int(row["asn"], "asn"),
+                    json_int(row["max_length"], "max_length"),
+                    json_int(row["asn"], "asn"),
                 )
                 for row in data["custom"]
             )
@@ -486,9 +489,9 @@ def _sampler_from_json(data: Union[str, dict]) -> VictimAttackerSampler:
         return AnyAsPairSampler()
     if isinstance(data, dict) and "victim" in data:
         return FixedPairSampler(
-            _json_int(data["victim"], "victim"),
+            json_int(data["victim"], "victim"),
             tuple(
-                _json_int(asn, "attackers")
+                json_int(asn, "attackers")
                 for asn in data.get("attackers", ())
             ),
         )

@@ -14,9 +14,12 @@ layering) with the write side of the platform:
 
 Everything read-only — ``/experiments``, ``/experiments/<run>/ci``,
 ``/diff``, ``/validity``, ``/metrics`` — is inherited: the server is
-constructed around the scheduler's results store and run registry, so
-a submitted job shows up live on ``GET /experiments/<run>`` while it
-runs and on ``/ci`` and ``/diff`` the moment its bytes are durable.
+constructed around the scheduler's results store, so a job's run
+shows on ``GET /experiments/<run>`` from its first durable line, and
+on ``/ci`` and ``/diff`` once it holds a complete trial.  Its
+``status`` is ``"running"`` while the queue file says its job is, and
+``"finished"`` otherwise; a sharded job executed by this server's
+scheduler adds its per-shard progress as ``"shards"``.
 """
 
 from __future__ import annotations
@@ -39,8 +42,9 @@ class JobsHttpServer(QueryHttpServer):
     """The always-on platform front end: query serving + job control.
 
     The attached :class:`~repro.jobs.scheduler.JobScheduler` supplies
-    the results store (for ``/ci`` and ``/diff``) and, unless given
-    explicitly, the run registry behind ``/experiments``.
+    the results store behind every ``/experiments`` endpoint and
+    ``/diff``, the queue that says which runs are still recording,
+    and the per-shard progress of the sharded jobs it executes.
     """
 
     def __init__(
@@ -55,24 +59,27 @@ class JobsHttpServer(QueryHttpServer):
         idle_timeout: Optional[float] = None,
         drain_timeout: Optional[float] = None,
     ) -> None:
-        if scheduler.runs is None:
-            # Jobs submitted here should be watchable live; give the
-            # scheduler a registry if its creator did not.
-            from ..results.live import RunRegistry
-
-            scheduler.runs = RunRegistry()
         super().__init__(
             service,
             host=host,
             port=port,
             metrics=metrics,
-            runs=scheduler.runs,
             store=scheduler.results,
             max_clients=max_clients,
             idle_timeout=idle_timeout,
             drain_timeout=drain_timeout,
         )
         self.scheduler = scheduler
+
+    def _running(self) -> frozenset:
+        return frozenset(
+            state.spec.run
+            for state in self.scheduler.store.jobs().values()
+            if state.status == "running"
+        )
+
+    def _shards(self, run_id: str) -> Optional[dict]:
+        return self.scheduler.shards(run_id)
 
     async def _route(
         self, method: str, path: str, body: bytes

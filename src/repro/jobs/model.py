@@ -19,8 +19,9 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..exper.spec import ExperimentSpec
+from ..exper.spec import ExperimentSpec, json_int
 from ..netbase.errors import ReproError
+from ..results.store import check_run_id
 
 __all__ = [
     "EVENT_KIND",
@@ -60,8 +61,9 @@ class JobSpec:
 
     Attributes:
         spec: the :class:`~repro.exper.spec.ExperimentSpec` to run.
-        run: results-store run id the job's records stream into;
-            ``None`` adopts the job id at enqueue time.
+        run: results-store run id the job's records stream into
+            (:func:`~repro.results.store.check_run_id`); ``None``
+            adopts the job id at enqueue time.
         ases / topology_seed: synthetic-topology parameters, exactly
             the CLI's ``--ases`` / ``--topology-seed`` defaults — the
             scheduler builds ``generate_topology(TopologyProfile(
@@ -78,6 +80,8 @@ class JobSpec:
     shards: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.run is not None:
+            check_run_id(self.run)
         if self.ases < 2:
             raise ReproError("a job topology needs at least 2 ASes")
         if self.workers is not None and self.workers < 1:
@@ -116,6 +120,11 @@ class JobSpec:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "JobSpec":
+        """Decode strictly, as :meth:`ExperimentSpec.from_json_dict`
+        does: exact JSON integers (no ``int(400.9)``, no ``"3"``, no
+        ``true``) and a ``run`` that is a valid run id."""
+        if not isinstance(data, dict):
+            raise ReproError("job spec JSON must be an object")
         try:
             spec = ExperimentSpec.from_json_dict(data["spec"])
         except KeyError:
@@ -123,14 +132,24 @@ class JobSpec:
         run = data.get("run")
         workers = data.get("workers")
         shards = data.get("shards")
-        return cls(
-            spec=spec,
-            run=None if run is None else str(run),
-            ases=int(data.get("ases", 400)),
-            topology_seed=int(data.get("topology_seed", 11)),
-            workers=None if workers is None else int(workers),
-            shards=None if shards is None else int(shards),
-        )
+        try:
+            return cls(
+                spec=spec,
+                run=None if run is None else check_run_id(run),
+                ases=json_int(data.get("ases", 400), "ases"),
+                topology_seed=json_int(
+                    data.get("topology_seed", 11), "topology_seed"
+                ),
+                workers=(
+                    None if workers is None
+                    else json_int(workers, "workers")
+                ),
+                shards=(
+                    None if shards is None else json_int(shards, "shards")
+                ),
+            )
+        except TypeError as exc:
+            raise ReproError(f"bad job spec JSON value: {exc}") from None
 
 
 @dataclass(frozen=True)

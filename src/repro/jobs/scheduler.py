@@ -12,27 +12,24 @@ contract does the heavy lifting).  Recovery is therefore *implicit*:
 on restart the scheduler just re-scans the queue and executes every
 job whose folded status is still ``queued`` or ``running``.
 
-Live visibility rides along without touching the run's bytes: records
-are mirrored into a :class:`~repro.results.live.RunRegistry` as the
-scheduler drains the runner's record stream (never through a
-:class:`~repro.results.sinks.TeeSink`, which would re-write replayed
-records into the file), and sharded jobs publish per-shard progress
-via ``shard_progress``.  ``jobs.*`` metrics and the
-``jobs.enqueue`` / ``jobs.execute`` fault sites make the subsystem
-observable and drillable like every other tier.
+A job's progress is its run file: the serve tier reads it on every
+``GET /experiments/<run>``, so nothing is mirrored while the job runs.
+The one piece of state no file holds — a sharded job's per-shard
+progress — is kept per run in memory (:meth:`JobScheduler.shards`).
+``jobs.*`` metrics and the ``jobs.enqueue`` / ``jobs.execute`` fault
+sites make the subsystem observable and drillable like every other
+tier.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Optional
+from typing import Dict, Optional
 
 from ..faults.plan import fire
 from ..netbase.errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..results.live import RunRegistry
-from ..results.sinks import RunHeader
 from ..results.store import ResultsStore
 from .model import JobSpec, JobState
 from .store import JobStore
@@ -84,8 +81,6 @@ class JobScheduler:
         store: the durable queue.
         results: where job runs land (default: the store's
             ``runs/`` convention).
-        runs: a :class:`~repro.results.live.RunRegistry` to mirror
-            live per-cell stats and per-shard progress into (optional).
         registry: metrics destination (default: the process registry).
         poll_interval: background-thread fallback wake period, for
             queue appends that bypass :meth:`submit` (another process
@@ -97,7 +92,6 @@ class JobScheduler:
         store: JobStore,
         results: Optional[ResultsStore] = None,
         *,
-        runs: Optional[RunRegistry] = None,
         registry: Optional[MetricsRegistry] = None,
         poll_interval: float = 0.5,
     ) -> None:
@@ -107,11 +101,12 @@ class JobScheduler:
         self.results = (
             results if results is not None else store.results_store()
         )
-        self.runs = runs
         self.registry = registry
         self.poll_interval = poll_interval
         self._cancel_requests: set = set()
         self._cancel_lock = threading.Lock()
+        self._shards: Dict[str, dict] = {}
+        self._shards_lock = threading.Lock()
         self._wake = threading.Event()
         self._stopping = threading.Event()
         self._thread: Optional[threading.Thread] = None
@@ -167,6 +162,17 @@ class JobScheduler:
 
     def _refresh_depth(self, metrics: _JobsMetrics) -> None:
         metrics.queue_depth.set(len(self.store.pending()))
+
+    def shards(self, run_id: str) -> Optional[dict]:
+        """The last per-shard progress a sharded job of ``run_id``
+        executed here reported, JSON-ready (``{"0": {"state": ...,
+        "attempt": ..., "records": ...}, ...}``); ``None`` if none."""
+        with self._shards_lock:
+            shards = self._shards.get(run_id)
+            return None if shards is None else {
+                str(index): dict(state)
+                for index, state in sorted(shards.items())
+            }
 
     # ------------------------------------------------------------------
     # Execution
@@ -232,15 +238,12 @@ class JobScheduler:
         if run_id is None:  # enqueue() pins it; belt and braces
             raise ReproError(f"job {state.job} has no run id")
         topology = spec.build_topology()
-        publisher = None
-        shard_progress = None
-        if self.runs is not None:
-            publisher = self.runs.publisher(run_id)
-            publisher.begin(RunHeader.for_spec(spec.spec, topology))
-            registry = self.runs
+        with self._shards_lock:
+            self._shards.pop(run_id, None)
 
-            def shard_progress(shards: dict) -> None:
-                registry.update_shards(run_id, shards)
+        def shard_progress(shards: dict) -> None:
+            with self._shards_lock:
+                self._shards[run_id] = shards
 
         job_id = state.job
         # A job's product is its run file; confidence intervals are
@@ -251,7 +254,7 @@ class JobScheduler:
         # THE invariant-8 recipe: one JsonlSink object as both sink
         # and resume source (opening it recovers a crash-cut file to
         # its last complete trial).  The runner re-emits replayed
-        # records downstream (the registry sees the full stream) but
+        # records downstream (the count below sees the full stream) but
         # never re-writes them into the file — so fresh, resumed, and
         # direct-CLI runs of one spec are the same bytes.
         sink = self.results.sink(run_id)
@@ -267,8 +270,6 @@ class JobScheduler:
         )
         try:
             for record in runner.iter_records():
-                if publisher is not None:
-                    publisher.write(record)
                 if self._cancelled(job_id):
                     raise _JobCancelled(f"job {job_id} cancelled")
                 streamed[record.fraction_index] += 1
@@ -281,8 +282,6 @@ class JobScheduler:
                 f"job {job_id}: run {run_id} streamed {streamed} records "
                 f"per fraction, not trials {counts} x {cells} cells"
             )
-        if publisher is not None:
-            publisher.finish(counts)
 
     # ------------------------------------------------------------------
     # Background mode

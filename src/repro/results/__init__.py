@@ -9,20 +9,21 @@ first-class surface with three faces:
   :class:`ResultSink` receives the run header and every released
   record; :class:`JsonlSink` appends them, crash-safe, as versioned
   JSON lines — a killed run loses at most one partial line, which the
-  reader recovers from.  :class:`TeeSink` fans one stream into many
-  sinks, :class:`MemorySink` keeps it in process.
+  reader recovers from.  :class:`MemorySink` keeps the stream in
+  process.
 * **Streaming statistics** (:mod:`repro.results.accumulate`).
-  Per-cell :class:`CellAccumulator`\\ s absorb records in any order,
-  keep online mean/variance for live reporting, and reconstruct the
-  exact trial-ordered values final aggregation needs — so
-  :func:`repro.exper.aggregate.aggregate_records` streams instead of
-  materializing record grids, with byte-identical results.
-* **Queryability** (:mod:`repro.results.store`,
-  :mod:`repro.results.live`).  A :class:`ResultsStore` is a directory
-  of runs; :func:`merge_runs` unions shard-partial runs of one spec;
-  a :class:`RunRegistry` plus :class:`ServePublisher` put per-cell
-  stats on the serve tier's ``/experiments`` endpoints while the run
-  is still going.
+  Per-cell :class:`CellAccumulator`\\ s absorb records in any order
+  and reconstruct the exact trial-ordered values final aggregation
+  needs — so :func:`repro.exper.aggregate.aggregate_records` streams
+  instead of materializing record grids, with byte-identical results.
+* **Queryability** (:mod:`repro.results.store`).  A
+  :class:`ResultsStore` is a directory of runs; :func:`merge_runs`
+  unions shard-partial runs of one spec; :func:`run_listing`,
+  :func:`run_document`, :func:`run_ci_document` and
+  :func:`run_diff_document` compute the serve tier's
+  ``/experiments`` answers from the run files alone, so a run still
+  being recorded — by this process or another — shows its progress
+  on every request.
 
 Resumption ties them together: ``ExperimentRunner(...,
 resume_from=sink)`` checks the sink's header is this run's,
@@ -45,14 +46,14 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "accumulate": ("CellAccumulator", "GridAccumulator"),
-    "live": ("RunRegistry", "ServePublisher"),
     "sinks": (
         "HEADER_SCHEMA", "JsonlSink", "MemorySink", "ResultSink", "RunHeader",
-        "SinkWriteError", "TeeSink", "check_header_compatible",
+        "SinkWriteError", "check_header_compatible",
         "complete_trials", "read_run", "topology_digest",
     ),
     "store": (
-        "ResultsStore", "merge_runs", "result_to_json", "run_ci_document",
-        "run_diff_document", "run_result", "shard_run_id",
+        "ResultsStore", "check_run_id", "merge_runs", "result_to_json",
+        "run_ci_document", "run_diff_document", "run_document",
+        "run_listing", "run_result", "shard_run_id",
     ),
 })

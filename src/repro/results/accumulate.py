@@ -2,14 +2,10 @@
 
 One :class:`CellAccumulator` per (fraction, cell) grid coordinate
 absorbs :class:`~repro.exper.evaluate.TrialRecord`\\ s as they arrive —
-in any order — and keeps exactly two things:
-
-* the per-trial outcome rows (four numbers per trial, keyed by trial
-  index) that the deterministic bootstrap needs to reproduce the final
-  :class:`~repro.exper.aggregate.ExperimentResult` byte for byte, and
-* online running statistics (Welford mean/variance over arrival
-  order) cheap enough to publish live, mid-run, through the serve
-  tier's ``/experiments`` endpoints.
+in any order — and keeps one thing: the per-trial outcome rows (four
+numbers per trial, keyed by trial index) that the deterministic
+bootstrap needs to reproduce the final
+:class:`~repro.exper.aggregate.ExperimentResult` byte for byte.
 
 The driver holds one small row tuple per trial instead of a whole
 :class:`TrialRecord` (cast tuples, names, indices), which is what
@@ -20,14 +16,12 @@ trials a run has completed.
 
 from __future__ import annotations
 
-import math
 from typing import (
     TYPE_CHECKING,
     Container,
     Dict,
     Iterator,
     List,
-    Optional,
     Sequence,
     Tuple,
 )
@@ -63,20 +57,14 @@ class CellAccumulator:
     """Streaming statistics for one (fraction, cell) grid coordinate.
 
     ``add`` absorbs records in any order; ``ordered_rows`` returns the
-    trial-ordered outcome rows final aggregation feeds the bootstrap;
-    ``live_snapshot`` is the cheap mid-run view (count, online mean,
-    sample stdev) the serve tier publishes.
+    trial-ordered outcome rows final aggregation feeds the bootstrap.
     """
 
     __slots__ = (
         "fraction_index",
         "cell_index",
         "cell_name",
-        "fraction",
         "_rows",
-        "_count",
-        "_mean",
-        "_m2",
     )
 
     def __init__(
@@ -84,16 +72,11 @@ class CellAccumulator:
         fraction_index: int,
         cell_index: int,
         cell_name: str,
-        fraction: Optional[float],
     ) -> None:
         self.fraction_index = fraction_index
         self.cell_index = cell_index
         self.cell_name = cell_name
-        self.fraction = fraction
         self._rows: Dict[int, Row] = {}
-        self._count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -111,16 +94,6 @@ class CellAccumulator:
             record.disconnected_fraction,
             record.attack_route_filtered,
         )
-        self._observe(record.attacker_fraction)
-
-    def _observe(self, value: float) -> None:
-        # Welford's online update: numerically stable running
-        # mean/variance, independent of the exact final statistics
-        # (which are recomputed from the ordered rows).
-        self._count += 1
-        delta = value - self._mean
-        self._mean += delta / self._count
-        self._m2 += delta * (value - self._mean)
 
     # ------------------------------------------------------------------
     # Views
@@ -153,20 +126,6 @@ class CellAccumulator:
                 f"{self.fraction_index} is missing trial {exc}"
             ) from None
 
-    def live_snapshot(self) -> dict:
-        """JSON-ready running statistics over the records seen so far."""
-        stdev = (
-            math.sqrt(self._m2 / (self._count - 1))
-            if self._count > 1 else 0.0
-        )
-        return {
-            "cell": self.cell_name,
-            "fraction": self.fraction,
-            "trials": self._count,
-            "mean": self._mean,
-            "stdev": stdev,
-        }
-
 
 class GridAccumulator:
     """The whole grid: one :class:`CellAccumulator` per coordinate."""
@@ -175,14 +134,11 @@ class GridAccumulator:
         self.spec = spec
         self._cells: List[List[CellAccumulator]] = [
             [
-                CellAccumulator(
-                    fraction_index, cell_index, cell.name, fraction
-                )
+                CellAccumulator(fraction_index, cell_index, cell.name)
                 for cell_index, cell in enumerate(spec.cells)
             ]
-            for fraction_index, fraction in enumerate(spec.fractions)
+            for fraction_index in range(len(spec.fractions))
         ]
-        self.records = 0
 
     def cell(
         self, fraction_index: int, cell_index: int
@@ -200,12 +156,3 @@ class GridAccumulator:
                 f"{record.cell_index}) outside the spec"
             )
         self.cell(record.fraction_index, record.cell_index).add(record)
-        self.records += 1
-
-    def live_snapshot(self) -> List[dict]:
-        """Per-cell running statistics, fractions-outer, JSON-ready."""
-        return [
-            accumulator.live_snapshot()
-            for row in self._cells
-            for accumulator in row
-        ]

@@ -14,8 +14,6 @@ trial counts.  Implementations here:
   interiors.  The durable unit is a whole trial: re-opening a file
   also drops the cells of a half-recorded trailing trial, so a
   resumed file is the bytes an uninterrupted run writes.
-* :class:`TeeSink` — fan out one record stream to several sinks
-  (e.g. a durable file *and* a live serve-tier publisher).
 
 The JSONL file format, line by line::
 
@@ -70,7 +68,6 @@ __all__ = [
     "ResultSink",
     "RunHeader",
     "SinkWriteError",
-    "TeeSink",
     "check_header_compatible",
     "complete_trials",
     "read_run",
@@ -326,31 +323,6 @@ class MemorySink(ResultSink):
 
     def resume_scan(self) -> Tuple[Optional[RunHeader], List["TrialRecord"]]:
         return self.header, _dedupe(self.records, "sink")
-
-
-class TeeSink(ResultSink):
-    """Forward every call to each of several sinks, in order."""
-
-    def __init__(self, *sinks: ResultSink) -> None:
-        if not sinks:
-            raise ReproError("a TeeSink needs at least one sink")
-        self.sinks = tuple(sinks)
-
-    def begin(self, header: RunHeader) -> None:
-        for sink in self.sinks:
-            sink.begin(header)
-
-    def write(self, record: "TrialRecord") -> None:
-        for sink in self.sinks:
-            sink.write(record)
-
-    def finish(self, trial_counts: Sequence[int]) -> None:
-        for sink in self.sinks:
-            sink.finish(trial_counts)
-
-    def close(self) -> None:
-        for sink in self.sinks:
-            sink.close()
 
 
 class JsonlSink(ResultSink):

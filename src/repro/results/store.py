@@ -20,10 +20,13 @@ trial prefix.
 
 from __future__ import annotations
 
+import json
 import re
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
+    Container,
+    Dict,
     Iterable,
     List,
     Optional,
@@ -49,15 +52,33 @@ if TYPE_CHECKING:  # pragma: no cover — typing only (import-cycle care)
 
 __all__ = [
     "ResultsStore",
+    "check_run_id",
     "merge_runs",
     "result_to_json",
     "run_ci_document",
     "run_diff_document",
+    "run_document",
+    "run_listing",
     "run_result",
     "shard_run_id",
 ]
 
 _RUN_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+
+def check_run_id(run_id: object) -> str:
+    """``run_id`` if it is a filesystem-plain run id, else raise.
+
+    The one run-id rule: a string of letters, digits, ``.``, ``_`` and
+    ``-`` that does not start with a punctuation mark, so it names a
+    file directly under the store's root and nowhere else.
+    """
+    if not isinstance(run_id, str) or not _RUN_ID.match(run_id):
+        raise ReproError(
+            f"bad run id {run_id!r}: use letters, digits, '.', "
+            f"'_', '-'"
+        )
+    return run_id
 
 
 def shard_run_id(base: str, shard_index: int, shard_count: int) -> str:
@@ -91,13 +112,8 @@ class ResultsStore:
         self.root = Path(root)
 
     def path(self, run_id: str) -> Path:
-        """The run's file path; the id must be filesystem-plain."""
-        if not _RUN_ID.match(run_id):
-            raise ReproError(
-                f"bad run id {run_id!r}: use letters, digits, '.', "
-                f"'_', '-'"
-            )
-        return self.root / f"{run_id}.jsonl"
+        """The run's file path; the id must pass :func:`check_run_id`."""
+        return self.root / f"{check_run_id(run_id)}.jsonl"
 
     def sink(self, run_id: str, *, fsync: bool = False):
         """A :class:`~repro.results.sinks.JsonlSink` for this run."""
@@ -303,6 +319,100 @@ def run_ci_document(
     document["confidence"] = confidence
     document["result"] = result_to_json(result)
     return document
+
+
+def _run_status(
+    run_id: str, header: RunHeader, records: int, running: bool
+) -> dict:
+    spec = header.experiment_spec()
+    return {
+        "run": run_id,
+        "status": "running" if running else "finished",
+        "spec_hash": header.spec_hash,
+        "seed": header.seed,
+        "rule": header.rule,
+        "records": records,
+        "expected_records": spec.total_trials * len(spec.cells),
+    }
+
+
+def run_listing(
+    store: ResultsStore, running: Container[str] = ()
+) -> List[dict]:
+    """The ``GET /experiments`` payload's runs, sorted by run id.
+
+    Each entry comes from the run file's header and its count of
+    complete lines; no record is decoded.  A file without a readable
+    header (killed before its first line, not a run file, unreadable)
+    is left out, so one bad stray never hides the others.  Runs named
+    in ``running`` are still being recorded.
+    """
+    entries = []
+    for run_id in store.run_ids():
+        try:
+            lines, _, _ = appendlog.scan(store.path(run_id))
+            header = RunHeader.from_json_dict(json.loads(lines[0]))
+        except (IndexError, ValueError, ReproError, OSError):
+            continue
+        entries.append(
+            _run_status(run_id, header, len(lines) - 1, run_id in running)
+        )
+    return entries
+
+
+def run_document(
+    run_id: str,
+    header: RunHeader,
+    records: Sequence["TrialRecord"],
+    *,
+    running: bool = False,
+) -> dict:
+    """The ``GET /experiments/<run>`` payload for one recorded run.
+
+    A pure function of the run's records: per grid cell (fractions
+    outer), the count, mean and sample standard deviation of
+    ``attacker_fraction`` over the records present, complete trials
+    or not.  ``trial_counts`` is each fraction's completed trial
+    prefix — ``None`` while the run is ``running``, when the prefix
+    is still moving.
+    """
+    spec = header.experiment_spec()
+    _check_coordinates(records, spec, "run")
+    values: List[List[Dict[int, float]]] = [
+        [{} for _ in spec.cells] for _ in spec.fractions
+    ]
+    for record in records:
+        values[record.fraction_index][record.cell_index][
+            record.trial_index
+        ] = record.attacker_fraction
+    document = _run_status(run_id, header, len(records), running)
+    document["trials_per_cell"] = spec.trials
+    document["fractions"] = list(spec.fractions)
+    document["trial_counts"] = None if running else [
+        completed_prefix(spec.trials, row) for row in values
+    ]
+    document["cells"] = [
+        _cell_progress(cell.name, fraction, list(trials.values()))
+        for fraction, row in zip(spec.fractions, values)
+        for cell, trials in zip(spec.cells, row)
+    ]
+    return document
+
+
+def _cell_progress(
+    cell: str, fraction: Optional[float], values: List[float]
+) -> dict:
+    # Imported here: queue clients load this module, and statistics
+    # pulls in decimal and fractions.
+    import statistics
+
+    return {
+        "cell": cell,
+        "fraction": fraction,
+        "trials": len(values),
+        "mean": statistics.fmean(values) if values else 0.0,
+        "stdev": statistics.stdev(values) if len(values) > 1 else 0.0,
+    }
 
 
 def _fraction_sort_key(fraction) -> tuple:

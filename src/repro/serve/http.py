@@ -14,11 +14,12 @@ Endpoints:
   JSON; ``GET /metrics?format=prometheus`` serves the same registry
   in the Prometheus text exposition format instead.
 * ``GET /status`` — VRP count and snapshot serial.
-* ``GET /experiments`` — live + archived experiment runs known to the
-  attached :class:`~repro.results.live.RunRegistry` (summaries).
-* ``GET /experiments/<run>`` — one run's streaming per-cell stats,
-  updated record by record while the run executes (per-shard progress
-  included for sharded runs).
+* ``GET /experiments`` — one summary per run in the attached
+  :class:`~repro.results.store.ResultsStore`
+  (:func:`~repro.results.store.run_listing`).
+* ``GET /experiments/<run>`` — one run's per-cell stats,
+  :func:`~repro.results.store.run_document` of the run file as it is
+  at the request, so a run still being recorded shows its progress.
 * ``GET /experiments/<run>/ci`` — per-cell *bootstrap CIs* for a run
   archived in the attached
   :class:`~repro.results.store.ResultsStore`, exactly
@@ -54,7 +55,6 @@ from .metrics import ServeMetrics, ensure_metrics
 from .query import QueryService
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..results.live import RunRegistry
     from ..results.store import ResultsStore
 
 __all__ = [
@@ -97,7 +97,7 @@ _PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 class _UnknownRun(ReproError):
-    """A /diff side names a run the attached store does not hold."""
+    """A request names a run the attached store does not hold."""
 
 
 def _canonical_json(document: dict) -> str:
@@ -407,19 +407,18 @@ class HttpServerBase:
 
 
 class QueryHttpServer(HttpServerBase):
-    """Serve origin-validation queries — and live experiment results —
+    """Serve origin-validation queries — and experiment results —
     over HTTP/JSON.
 
-    ``runs`` is the :class:`~repro.results.live.RunRegistry` behind
-    the ``/experiments`` endpoints; omit it and the server answers
-    them from a fresh, empty registry (publish into ``server.runs``
-    to make runs appear).  ``store`` is the
-    :class:`~repro.results.store.ResultsStore` behind
-    ``/experiments/<run>/ci`` and ``/diff``; without one those
-    endpoints answer 404 (aggregation needs the run's durable bytes,
-    not just live statistics).  Hardening knobs (``max_clients``,
-    ``idle_timeout``, ``drain_timeout``) come from
-    :class:`HttpServerBase`.
+    ``store`` is the :class:`~repro.results.store.ResultsStore`
+    behind ``/experiments``, ``/experiments/<run>``,
+    ``/experiments/<run>/ci`` and ``/diff``.  Every answer is read
+    from the run files at request time, off the event loop, so a run
+    recorded into the store after start-up — by this process or
+    another — is served like any other.  Without a store,
+    ``/experiments`` lists no runs and the others answer 404.
+    Hardening knobs (``max_clients``, ``idle_timeout``,
+    ``drain_timeout``) come from :class:`HttpServerBase`.
     """
 
     def __init__(
@@ -429,7 +428,6 @@ class QueryHttpServer(HttpServerBase):
         host: str = "127.0.0.1",
         port: int = 0,
         metrics: Optional[ServeMetrics] = None,
-        runs: Optional["RunRegistry"] = None,
         store: Optional["ResultsStore"] = None,
         max_clients: Optional[int] = None,
         idle_timeout: Optional[float] = None,
@@ -444,13 +442,6 @@ class QueryHttpServer(HttpServerBase):
             drain_timeout=drain_timeout,
         )
         self.service = service
-        if runs is None:
-            # Imported lazily: the registry rides on repro.results /
-            # repro.exper, which pure query serving should not load.
-            from ..results.live import RunRegistry
-
-            runs = RunRegistry()
-        self.runs = runs
         self.store = store
 
     # ------------------------------------------------------------------
@@ -502,18 +493,60 @@ class QueryHttpServer(HttpServerBase):
     async def _experiments(
         self, path: str
     ) -> Tuple[int, Dict[str, object]]:
-        """The live-results endpoints, backed by the run registry."""
+        """The results endpoints, read from the attached store."""
         self.metrics.increment("experiment_requests")
         if path == "/experiments":
-            return 200, {"runs": self.runs.list_runs()}
+            if self.store is None:
+                return 200, {"runs": []}
+            try:
+                return 200, await self._off_loop(self._listing)
+            except (ReproError, OSError) as exc:
+                raise HttpRequestError(f"cannot list runs: {exc}")
         rest = path[len("/experiments/"):]
         if rest.endswith("/ci"):
             return await self._experiment_ci(unquote(rest[: -len("/ci")]))
         run_id = unquote(rest)
-        snapshot = self.runs.snapshot(run_id)
-        if snapshot is None:
-            return 404, {"error": f"no experiment run named {run_id!r}"}
-        return 200, snapshot
+        try:
+            return 200, await self._off_loop(self._run_document, run_id)
+        except _UnknownRun as exc:
+            return 404, {"error": str(exc)}
+        except (ReproError, OSError) as exc:
+            raise HttpRequestError(f"cannot read run {run_id!r}: {exc}")
+
+    @staticmethod
+    async def _off_loop(function, *args):
+        # Reading a run file (and bootstrap resampling) is CPU and IO
+        # on a worker thread, so RTR sessions sharing the event loop
+        # keep being served.
+        return await asyncio.get_running_loop().run_in_executor(
+            None, function, *args)
+
+    def _running(self) -> frozenset:
+        """Run ids still being recorded; a plain store has none."""
+        return frozenset()
+
+    def _shards(self, run_id: str) -> Optional[dict]:
+        """Per-shard progress of ``run_id``; no file holds it, so a
+        plain store has none."""
+        return None
+
+    def _listing(self) -> dict:
+        from ..results.store import run_listing
+
+        return {"runs": run_listing(self.store, self._running())}
+
+    def _run_document(self, run_id: str) -> dict:
+        from ..results.store import run_document
+
+        if self.store is None or not self.store.path(run_id).exists():
+            raise _UnknownRun(f"no experiment run named {run_id!r}")
+        header, records = self.store.read(run_id)
+        document = run_document(
+            run_id, header, records, running=run_id in self._running())
+        shards = self._shards(run_id)
+        if shards is not None:
+            document["shards"] = shards
+        return document
 
     async def _experiment_ci(self, run_id: str) -> Tuple[int, object]:
         """``GET /experiments/<run>/ci``: bootstrap CIs of stored bytes."""
@@ -533,11 +566,8 @@ class QueryHttpServer(HttpServerBase):
                 run_ci_document(run_id, header, records)
             )
 
-        # Aggregation (bootstrap resampling) is pure CPU over immutable
-        # bytes: run it off-loop so RTR sessions keep being served.
         try:
-            text = await asyncio.get_running_loop().run_in_executor(
-                None, build)
+            text = await self._off_loop(build)
         except FileNotFoundError:
             return 404, {"error": f"no stored run named {run_id!r}"}
         except (ReproError, OSError) as exc:
@@ -577,8 +607,7 @@ class QueryHttpServer(HttpServerBase):
             ))
 
         try:
-            text = await asyncio.get_running_loop().run_in_executor(
-                None, build)
+            text = await self._off_loop(build)
         except _UnknownRun as exc:
             return 404, {"error": str(exc)}
         except (ReproError, OSError) as exc:

@@ -45,9 +45,8 @@ class ServeMetrics:
     * ``frame_hits``        — frames served straight from cache.
     * ``pdus_sent`` / ``bytes_sent`` — wire volume toward routers.
     * ``queries`` — ``validity()`` calls answered (HTTP or in-process).
-    * ``experiment_requests`` — ``/experiments`` endpoint hits.
-    * ``records_published`` — trial records streamed into the live
-      run registry by :class:`~repro.results.live.ServePublisher`.
+    * ``experiment_requests`` — hits on the ``/experiments`` family
+      and ``/diff``.
     * ``requests_shed`` — connections/requests refused under load
       caps or during drain (503s and immediate closes).
     * ``clients_evicted`` — slow RTR consumers disconnected after
@@ -73,7 +72,6 @@ class ServeMetrics:
         "http_requests",
         "http_errors",
         "experiment_requests",
-        "records_published",
         "requests_shed",
         "clients_evicted",
     )

@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exper.evaluate import RECORD_RULE
 from ..exper.sharded import Shard, run_shard
-from ..exper.spec import ExperimentSpec
+from ..exper.spec import ExperimentSpec, json_int
 from ..faults.plan import fire, install_from_env
 from ..faults.retry import RetryPolicy
 from ..netbase.errors import ReproError
@@ -256,10 +256,15 @@ class ShardWorkerServer(HttpServerBase):
         try:
             shard = Shard.from_json_dict(document["shard"])
             header = RunHeader.from_json_dict(document["header"])
-            attempt = int(document.get("attempt", 0))
+            attempt = json_int(document.get("attempt", 0), "attempt")
+            pairs = document.get("finished", [])
+            if not isinstance(pairs, list) or not all(
+                isinstance(pair, list) for pair in pairs
+            ):
+                raise TypeError(f"finished={pairs!r} is not a list of pairs")
             finished = frozenset(
-                (int(pair[0]), int(pair[1]))
-                for pair in document.get("finished", ())
+                (json_int(f, "finished"), json_int(t, "finished"))
+                for f, t in pairs
             )
             # What this worker records is of its own topology and rule.
             check_header_compatible(RunHeader(

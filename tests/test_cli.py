@@ -82,6 +82,16 @@ class TestParser:
         assert args.http_port == 8080
         assert not args.compress
 
+    def test_serve_names_one_store(self, tmp_path, capsys):
+        """``--results`` and ``--jobs`` each name the served store."""
+        assert main([
+            "serve", str(tmp_path / "vrps.csv"), "--results",
+            str(tmp_path / "runs"), "--jobs", "--jobs-store",
+            str(tmp_path / "platform"),
+        ]) == 2
+        assert "pass one" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_experiment_defaults(self):
         args = build_parser().parse_args(["experiment"])
         assert args.command == "experiment"

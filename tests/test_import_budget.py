@@ -190,3 +190,43 @@ def test_serial_experiment_skips_serve_and_analysis(tmp_path):
         tmp_path,
     )
     assert _loaded(modules, _EXPERIMENT_FORBIDDEN) == []
+
+
+_QUERY_SERVER_PROBE = """\
+import asyncio, json, sys
+from repro.netbase import Prefix
+from repro.rpki import Vrp
+from repro.serve import QueryHttpServer, QueryService
+
+async def answer():
+    service = QueryService([Vrp(Prefix.parse("10.0.0.0/24"), 24, 65000)])
+    async with QueryHttpServer(service) as http:
+        reader, writer = await asyncio.open_connection(http.host, http.port)
+        writer.write(b"GET /validity?asn=65000&prefix=10.0.0.0/24 HTTP/1.1"
+                     b"\\r\\nConnection: close\\r\\n\\r\\n")
+        data = await reader.read()
+        writer.close()
+    return int(data.split(b" ", 2)[1])
+
+status = asyncio.run(answer())
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    json.dump({"status": status, "modules": sorted(sys.modules)}, fh)
+"""
+
+
+def test_query_serving_skips_results_and_experiments(tmp_path):
+    """A query server answers ``/validity`` without the results or
+    experiment layers: only an ``/experiments`` or ``/diff`` request
+    loads them."""
+    out = tmp_path / "modules.json"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    completed = subprocess.run(
+        [sys.executable, "-c", _QUERY_SERVER_PROBE, str(out)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["status"] == 200
+    assert _loaded(
+        set(report["modules"]), ("repro.results*", "repro.exper*")
+    ) == []

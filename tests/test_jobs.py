@@ -23,7 +23,9 @@ The contracts pinned here:
   diff``);
 * ``jobs.*`` metrics appear in the registry snapshot and the
   Prometheus rendering, and cost nothing when metrics are disabled;
-* a sharded job publishes per-shard progress into the run registry.
+* ``GET /experiments/<run>`` reads the run file: a job executed by
+  another scheduler shows live, a failed job is not left "running",
+  and a sharded job's per-shard progress is merged in.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -56,7 +59,6 @@ from repro.netbase import Prefix
 from repro.netbase.errors import ReproError
 from repro.obs import NULL_REGISTRY, MetricsRegistry, use_registry
 from repro.results import (
-    RunRegistry,
     run_ci_document,
     run_diff_document,
 )
@@ -92,6 +94,18 @@ def job_spec(**kwargs) -> JobSpec:
     defaults = dict(spec=small_spec(), ases=60, topology_seed=11)
     defaults.update(kwargs)
     return JobSpec(**defaults)
+
+
+def served(scheduler: JobScheduler, path: str) -> dict:
+    """``GET path`` from a :class:`JobsHttpServer` around
+    ``scheduler``, decoded; any status but 200 fails the test."""
+    async def scenario():
+        async with JobsHttpServer(QueryService(PAPER_ROAS), scheduler) as http:
+            return await http_request(http.host, http.port, "GET", path)
+
+    status, payload = asyncio.run(scenario())
+    assert status == 200, payload
+    return json.loads(payload)
 
 
 def direct_run_bytes(jspec: JobSpec, path: Path) -> bytes:
@@ -131,6 +145,52 @@ class TestJobModel:
             job_spec(shards=0)
         with pytest.raises(ReproError, match="'spec'"):
             JobSpec.from_json_dict({"run": "x"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("ases", 400.9),
+        ("workers", "3"),
+        ("topology_seed", True),
+        ("shards", 2.5),
+        ("run", ["a"]),
+        ("run", "../x"),
+    ])
+    def test_decoder_takes_exact_types(self, field, value):
+        data = {**job_spec().to_json_dict(), field: value}
+        with pytest.raises(ReproError, match=field if field != "run"
+                           else "run id"):
+            JobSpec.from_json_dict(data)
+
+    def test_bad_run_id_refused_at_construction(self, tmp_path, capsys):
+        from repro.cli import main
+
+        with pytest.raises(ReproError, match="bad run id"):
+            job_spec(run="../x")
+        assert main(["jobs", "submit", "--store", str(tmp_path),
+                     "--run", "../x", "--trials", "2"]) == 1
+        assert "bad run id" in capsys.readouterr().err
+        assert not (tmp_path / "queue.jsonl").exists()
+
+    def test_queue_written_before_strict_decoding_replays(self, tmp_path):
+        """Queue bytes as the encoder has always written them decode
+        to the same job, and the job runs."""
+        (tmp_path / "queue.jsonl").write_bytes(
+            b'{"kind":"repro.jobs/queue","schema":1}\n'
+            b'{"event":"enqueued","job":"job-000001",'
+            b'"kind":"repro.jobs/event","schema":1,"spec":{"ases":60,'
+            b'"run":"archive","shards":2,"spec":{"attack_prefix":null,'
+            b'"cells":[{"kind":"forged-origin-subprefix","policy":'
+            b'"minimal"},{"kind":"forged-origin-subprefix","policy":'
+            b'"maxlength-loose"}],"executor":"serial","fractions":'
+            b'[null,0.5],"sampler":"stubs","seed":4,"stop_check_every":'
+            b'8,"stop_ci_width":0.05,"stop_min_trials":16,"stopping":'
+            b'"none","trials":4,"victim_prefix":"168.122.0.0/16"},'
+            b'"topology_seed":11,"workers":1}}\n'
+        )
+        store = JobStore(tmp_path)
+        expected = job_spec(run="archive", workers=1, shards=2)
+        assert store.job("job-000001").spec == expected
+        assert JobScheduler(store).run_pending() == 1
+        assert store.job("job-000001").status == "done"
 
     def test_with_run_pins_only_the_run(self):
         jspec = job_spec()
@@ -353,8 +413,7 @@ class TestJobStore:
 class TestSchedulerInvariant8:
     def test_scheduled_job_matches_direct_run_bytes(self, tmp_path):
         store = JobStore(tmp_path / "jobs")
-        runs = RunRegistry()
-        scheduler = JobScheduler(store, runs=runs)
+        scheduler = JobScheduler(store)
         job_id = scheduler.submit(job_spec())
         assert scheduler.run_pending() == 1
         state = store.job(job_id)
@@ -362,9 +421,11 @@ class TestSchedulerInvariant8:
         scheduled = scheduler.results.path(state.spec.run).read_bytes()
         direct = direct_run_bytes(job_spec(), tmp_path / "direct.jsonl")
         assert scheduled == direct
-        # The registry mirrored the run live and saw it finish.
-        snapshot = runs.snapshot(state.spec.run)
-        assert snapshot["status"] == "finished"
+        # The served document is the finished run file's.
+        document = served(scheduler, f"/experiments/{state.spec.run}")
+        assert document["status"] == "finished"
+        assert document["trial_counts"] == [4, 4]
+        assert "shards" not in document
 
     def test_restart_resumes_to_identical_bytes(self, tmp_path):
         direct = direct_run_bytes(job_spec(), tmp_path / "direct.jsonl")
@@ -553,22 +614,22 @@ class TestJobsMetrics:
 
 
 # ----------------------------------------------------------------------
-# Shard progress (satellite: coordinator → registry)
+# Shard progress (coordinator → scheduler → served document)
 # ----------------------------------------------------------------------
 
 
 class TestShardProgress:
     def test_sharded_job_publishes_shard_states(self, tmp_path):
-        runs = RunRegistry()
-        scheduler = JobScheduler(JobStore(tmp_path), runs=runs)
+        scheduler = JobScheduler(JobStore(tmp_path))
         job_id = scheduler.submit(
             job_spec(spec=small_spec(executor="sharded"), shards=2)
         )
         assert scheduler.run_pending() == 1
         state = scheduler.store.job(job_id)
         assert state.status == "done"
-        snapshot = runs.snapshot(state.spec.run)
-        shards = snapshot["shards"]
+        assert scheduler.shards("ghost") is None
+        shards = served(scheduler, f"/experiments/{state.spec.run}")[
+            "shards"]
         assert sorted(shards) == ["0", "1"]
         for entry in shards.values():
             assert entry["state"] == "done"
@@ -591,8 +652,7 @@ class TestShardProgress:
             trials=24, stopping="ci", stop_ci_width=0.4,
             stop_min_trials=3, stop_check_every=2,
         )
-        runs = RunRegistry()
-        scheduler = JobScheduler(JobStore(tmp_path), runs=runs)
+        scheduler = JobScheduler(JobStore(tmp_path))
         job_id = scheduler.submit(job_spec(
             spec=small_spec(executor="sharded", **stopping),
             shards=8, workers=2,
@@ -600,7 +660,8 @@ class TestShardProgress:
         assert scheduler.run_pending() == 1
         state = scheduler.store.job(job_id)
         assert state.status == "done"
-        shards = runs.snapshot(state.spec.run)["shards"]
+        document = served(scheduler, f"/experiments/{state.spec.run}")
+        shards = document["shards"]
         assert len(shards) == 8
         states = [shards[str(index)]["state"] for index in range(8)]
         assert set(states) == {"done", "skipped"}
@@ -609,13 +670,13 @@ class TestShardProgress:
             entry["records"] == 0
             for entry in shards.values() if entry["state"] == "skipped"
         )
-        # The published counts are the ones stopping decided: the run
+        # The served counts are the ones stopping decided: the run
         # file's records per fraction over its two cells.
         _, records = scheduler.results.read(state.spec.run)
         per_fraction = [0, 0]
         for record in records:
             per_fraction[record.fraction_index] += 1
-        counts = runs.snapshot(state.spec.run)["trial_counts"]
+        counts = document["trial_counts"]
         assert counts == [n // 2 for n in per_fraction]
         assert max(counts) < 24
         direct = direct_run_bytes(
@@ -626,8 +687,101 @@ class TestShardProgress:
             scheduler.results.path(state.spec.run).read_bytes() == direct
         )
 
-    def test_update_shards_tolerates_unknown_run(self):
-        RunRegistry().update_shards("ghost", {0: {"state": "done"}})
+
+# ----------------------------------------------------------------------
+# A run's state is its file
+# ----------------------------------------------------------------------
+
+
+class TestServedFromTheStore:
+    def test_failed_job_is_not_left_running(self, tmp_path):
+        """A sink failure fails the job; the served run is finished
+        (not running) and holds what reached the file."""
+        scheduler = JobScheduler(JobStore(tmp_path))
+        job_id = scheduler.submit(job_spec())
+        install(FaultPlan(rules=(
+            FaultRule(site="results.sink.write", action="error", at=(3,)),
+        )))
+
+        async def scenario():
+            async with JobsHttpServer(
+                QueryService(PAPER_ROAS), scheduler
+            ) as http:
+                assert await asyncio.get_running_loop().run_in_executor(
+                    None, scheduler.run_pending) == 1
+                return [
+                    await http_request(http.host, http.port, "GET", path)
+                    for path in ("/experiments", f"/experiments/{job_id}")
+                ]
+
+        (_, listing), (status, document) = asyncio.run(scenario())
+        uninstall()
+        assert scheduler.store.job(job_id).status == "failed"
+        assert [(run["run"], run["status"], run["records"])
+                for run in json.loads(listing)["runs"]] == [
+                    (job_id, "finished", 2)]
+        assert status == 200
+        document = json.loads(document)
+        assert document["status"] == "finished"
+        assert document["records"] == 2
+        assert document["trial_counts"] == [1, 0]
+
+    def test_another_schedulers_job_is_visible_live(
+        self, tmp_path, monkeypatch
+    ):
+        """A second scheduler on the same store stands in for
+        ``repro-roa jobs run`` in another process: the server sees its
+        job running, record by record, and then finished."""
+        ours = JobScheduler(JobStore(tmp_path))
+        other = JobScheduler(JobStore(tmp_path))
+        job_id = other.submit(job_spec())
+        paused, resume = threading.Event(), threading.Event()
+        checks = []
+
+        def cancelled(job):
+            # Checked once before the job starts, then after each
+            # record: the fifth check follows the fourth record.
+            checks.append(job)
+            if len(checks) == 5:
+                paused.set()
+                resume.wait(30)
+            return False
+
+        monkeypatch.setattr(other, "_cancelled", cancelled)
+        worker = threading.Thread(target=other.run_pending)
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with JobsHttpServer(QueryService(PAPER_ROAS), ours) as http:
+                async def get(path):
+                    status, payload = await http_request(
+                        http.host, http.port, "GET", path)
+                    assert status == 200, payload
+                    return json.loads(payload)
+
+                worker.start()
+                try:
+                    assert await loop.run_in_executor(
+                        None, paused.wait, 30)
+                    (entry,) = (await get("/experiments"))["runs"]
+                    assert (entry["run"], entry["status"]) == (
+                        job_id, "running")
+                    assert entry["records"] == 4
+                    assert entry["expected_records"] == 16
+                    live = await get(f"/experiments/{job_id}")
+                    assert live["status"] == "running"
+                    assert live["trial_counts"] is None
+                    assert sum(c["trials"] for c in live["cells"]) == 4
+                finally:
+                    resume.set()
+                    await loop.run_in_executor(None, worker.join, 60)
+                done = await get(f"/experiments/{job_id}")
+                assert done["status"] == "finished"
+                assert done["records"] == 16
+                assert done["trial_counts"] == [4, 4]
+
+        asyncio.run(scenario())
+        assert ours.store.job(job_id).status == "done"
 
 
 # ----------------------------------------------------------------------
@@ -727,6 +881,14 @@ class TestJobsHttp:
         scheduler = JobScheduler(JobStore(tmp_path))
 
         async def scenario(http):
+            inexact = [
+                {**job_spec().to_json_dict(), field: value}
+                for field, value in (
+                    ("ases", 400.9), ("workers", "3"),
+                    ("topology_seed", True), ("shards", 2.5),
+                    ("run", ["a"]), ("run", "../x"),
+                )
+            ]
             for body in (
                 b"{nope",
                 b"[]",
@@ -735,6 +897,7 @@ class TestJobsHttp:
                     {**job_spec().to_json_dict(), "surprise": 1}
                 ).encode(),
                 json.dumps({"spec": {"cells": "nope"}}).encode(),
+                *(json.dumps(document).encode() for document in inexact),
             ):
                 status, _ = await http_request(
                     http.host, http.port, "POST", "/experiments", body

@@ -11,8 +11,8 @@ The contracts pinned here:
   serial and sharded executors, and early stopping;
 * merge_runs unions shard-partial runs of one spec into the same
   result a single machine would have produced;
-* the serve tier answers /experiments with live per-cell stats while
-  a run is still streaming records.
+* the serve tier answers /experiments from the run files as they are
+  at the request, so a run still streaming records shows its progress.
 """
 
 from __future__ import annotations
@@ -46,11 +46,11 @@ from repro.results import (
     MemorySink,
     ResultsStore,
     RunHeader,
-    RunRegistry,
     SinkWriteError,
-    TeeSink,
     merge_runs,
     read_run,
+    run_document,
+    run_listing,
     run_result,
 )
 from repro.rpki import Vrp
@@ -988,25 +988,6 @@ class TestResume:
 
 
 class TestAccumulators:
-    def test_live_snapshot_matches_exact_statistics(self, topology):
-        spec = small_spec()
-        grid = GridAccumulator(spec)
-        values = {}
-        for record in ExperimentRunner(topology, spec).iter_records():
-            grid.add(record)
-            values.setdefault(
-                (record.fraction_index, record.cell_index), []
-            ).append(record.attacker_fraction)
-        for (f, c), cell_values in values.items():
-            snapshot = grid.cell(f, c).live_snapshot()
-            assert snapshot["trials"] == len(cell_values)
-            assert snapshot["mean"] == pytest.approx(
-                statistics.mean(cell_values)
-            )
-            assert snapshot["stdev"] == pytest.approx(
-                statistics.stdev(cell_values)
-            )
-
     def test_duplicate_add_rejected(self):
         grid = GridAccumulator(small_spec())
         grid.add(sample_record(cell_index=0))
@@ -1221,25 +1202,26 @@ async def http_get(host, port, path):
 
 
 class TestLiveServing:
+    """``/experiments`` reads the attached store's run files on every
+    request, so what it serves is what the files hold right now."""
+
     def query_service(self, metrics=None):
         return QueryService(
             [Vrp(Prefix.parse("10.0.0.0/24"), 24, 65000)],
             metrics=metrics,
         )
 
-    def test_experiments_endpoint_updates_mid_run(self, topology):
+    def test_experiments_endpoint_updates_mid_run(self, topology, tmp_path):
         spec = small_spec()
         metrics = ServeMetrics()
-        registry = RunRegistry()
-        runner = ExperimentRunner(
-            topology, spec,
-            sink=registry.publisher("live-1", metrics=metrics),
-        )
+        store = ResultsStore(tmp_path)
+        sink = store.sink("live-1")
+        runner = ExperimentRunner(topology, spec, sink=sink)
 
         async def scenario():
             service = self.query_service(metrics)
             async with QueryHttpServer(
-                service, metrics=metrics, runs=registry
+                service, metrics=metrics, store=store
             ) as http:
                 stream = runner.iter_records()
                 seen = 0
@@ -1251,37 +1233,31 @@ class TestLiveServing:
                 assert status == 200
                 (entry,) = listing["runs"]
                 assert entry["run"] == "live-1"
-                assert entry["status"] == "running"
+                # A plain store cannot tell a run in progress.
+                assert entry["status"] == "finished"
                 assert entry["records"] == seen
 
                 status, snapshot = await http_get(
                     http.host, http.port, "/experiments/live-1")
                 assert status == 200
-                assert snapshot["status"] == "running"
                 assert sum(
                     cell["trials"] for cell in snapshot["cells"]
                 ) == seen
-                assert snapshot["trial_counts"] is None
+                assert snapshot["trial_counts"] == [2, 0]
 
                 for record in stream:
                     seen += 1
+                sink.close()
                 status, snapshot = await http_get(
                     http.host, http.port, "/experiments/live-1")
                 assert snapshot["status"] == "finished"
                 assert snapshot["records"] == seen
                 assert snapshot["trial_counts"] == [spec.trials] * 2
-                cell_stats = {
-                    (c["cell"], c["fraction"]): c
-                    for c in snapshot["cells"]
-                }
                 assert all(
-                    stats["trials"] == spec.trials
-                    for stats in cell_stats.values()
+                    cell["trials"] == spec.trials
+                    for cell in snapshot["cells"]
                 )
         asyncio.run(scenario())
-        assert metrics["records_published"] == (
-            spec.total_trials * len(spec.cells)
-        )
         assert metrics["experiment_requests"] == 3
 
     def test_unknown_run_404_and_post_405(self):
@@ -1303,40 +1279,173 @@ class TestLiveServing:
                 assert data.split(b" ", 2)[1] == b"405"
         asyncio.run(scenario())
 
-    def test_store_loaded_registry_serves_archived_runs(
-        self, topology, tmp_path
-    ):
+    def test_run_recorded_after_start_is_served(self, topology, tmp_path):
         spec = small_spec()
         store = ResultsStore(tmp_path)
-        sink = store.sink("archived")
-        ExperimentRunner(topology, spec, sink=sink).run()
-        sink.close()
-        registry = RunRegistry()
-        assert registry.load_store(store) == 1
-        snapshot = registry.snapshot("archived")
-        assert snapshot["status"] == "finished"
-        assert snapshot["records"] == spec.total_trials * len(spec.cells)
 
-    def test_load_store_skips_unreadable_runs(self, topology, tmp_path):
-        """One headerless stray must not take the directory off the
-        air — strict mode raises instead."""
+        async def scenario():
+            async with QueryHttpServer(
+                self.query_service(), store=store
+            ) as http:
+                status, body = await http_get(
+                    http.host, http.port, "/experiments")
+                assert (status, body) == (200, {"runs": []})
+                sink = store.sink("late")
+                await asyncio.get_running_loop().run_in_executor(
+                    None, ExperimentRunner(topology, spec, sink=sink).run)
+                sink.close()
+                status, body = await http_get(
+                    http.host, http.port, "/experiments")
+                assert [run["run"] for run in body["runs"]] == ["late"]
+                status, document = await http_get(
+                    http.host, http.port, "/experiments/late")
+                assert status == 200
+                assert document["records"] == (
+                    spec.total_trials * len(spec.cells))
+                assert document["trial_counts"] == [spec.trials] * 2
+                status, _ = await http_get(
+                    http.host, http.port, "/experiments/late/ci")
+                assert status == 200
+        asyncio.run(scenario())
+
+    def test_listing_skips_unreadable_runs(self, topology, tmp_path):
+        """One headerless stray (or a non-run file) must not take the
+        directory off the air."""
         spec = small_spec()
         store = ResultsStore(tmp_path)
         sink = store.sink("good")
         ExperimentRunner(topology, spec, sink=sink).run()
         sink.close()
         (tmp_path / "stray.jsonl").write_bytes(b"")
-        registry = RunRegistry()
-        assert registry.load_store(store) == 1
-        assert registry.run_ids() == ["good"]
-        with pytest.raises(ReproError, match="no header"):
-            RunRegistry().load_store(store, strict=True)
+        (tmp_path / "other.jsonl").write_bytes(b'{"kind":"x"}\n')
+        (tmp_path / "dir.jsonl").mkdir()
+        assert [run["run"] for run in run_listing(store)] == ["good"]
 
-    def test_publish_without_begin_rejected(self):
-        registry = RunRegistry()
-        publisher = registry.publisher("r")
-        with pytest.raises(ReproError, match="no live run"):
-            publisher.write(sample_record())
+    def test_every_prefix_of_a_run_is_served_as_its_lines(
+        self, topology, tmp_path
+    ):
+        """Property: cut a recorded run after any line, or in the middle
+        of the next one, and the served document is the one computed
+        from the complete lines alone; a cut before the header's end
+        lists nothing; no request is ever answered with a server
+        error."""
+        spec = small_spec(trials=3)
+        _, lines = run_full(topology, spec, tmp_path / "full.jsonl")
+        store = ResultsStore(tmp_path / "store")
+        store.root.mkdir()
+        path = store.path("cut")
+
+        def expected(complete):
+            header = RunHeader.from_json_dict(json.loads(complete[0]))
+            records = [json.loads(line) for line in complete[1:]]
+            values = {}
+            for record in sorted(records, key=lambda r: r["trial_index"]):
+                values.setdefault(
+                    (record["fraction_index"], record["cell_index"]), []
+                ).append(record["attacker_fraction"])
+            counts = []
+            for f in range(len(spec.fractions)):
+                trials = [
+                    {r["trial_index"] for r in records
+                     if (r["fraction_index"], r["cell_index"]) == (f, c)}
+                    for c in range(len(spec.cells))
+                ]
+                count = 0
+                while count < spec.trials and all(
+                    count in cell for cell in trials
+                ):
+                    count += 1
+                counts.append(count)
+            cells = []
+            for f, fraction in enumerate(spec.fractions):
+                for c, cell in enumerate(spec.cells):
+                    xs = values.get((f, c), [])
+                    cells.append({
+                        "cell": cell.name, "fraction": fraction,
+                        "trials": len(xs),
+                        "mean": statistics.fmean(xs) if xs else 0.0,
+                        "stdev": statistics.stdev(xs) if len(xs) > 1
+                        else 0.0,
+                    })
+            summary = {
+                "run": "cut", "status": "finished",
+                "spec_hash": header.spec_hash, "seed": spec.seed,
+                "rule": RECORD_RULE, "records": len(records),
+                "expected_records": spec.total_trials * len(spec.cells),
+            }
+            return summary, {
+                **summary, "trials_per_cell": spec.trials,
+                "fractions": list(spec.fractions),
+                "trial_counts": counts, "cells": cells,
+            }
+
+        async def scenario():
+            async with QueryHttpServer(
+                self.query_service(), store=store
+            ) as http:
+                states = 0
+                for keep in range(len(lines) + 1):
+                    tails = [b""] + [
+                        line[: len(line) // 2] for line in lines[keep:keep + 1]
+                    ]
+                    for torn in tails:
+                        states += 1
+                        path.write_bytes(b"".join(lines[:keep]) + torn)
+                        listing = await http_get(
+                            http.host, http.port, "/experiments")
+                        document = await http_get(
+                            http.host, http.port, "/experiments/cut")
+                        ci_status, _ = await http_get(
+                            http.host, http.port, "/experiments/cut/ci")
+                        if keep == 0:
+                            assert listing == (200, {"runs": []})
+                            assert document[0] == 400
+                            assert ci_status == 400
+                            continue
+                        summary, full = expected(
+                            [line.rstrip(b"\n") for line in lines[:keep]])
+                        assert listing == (200, {"runs": [summary]})
+                        assert document == (200, full)
+                        assert ci_status in (200, 400)
+                        assert (ci_status == 200) == (
+                            full["trial_counts"][0] > 0)
+                assert states == 2 * len(lines) + 1
+        asyncio.run(scenario())
+
+
+class TestRunDocuments:
+    def test_run_document_matches_exact_statistics(self, topology):
+        spec = small_spec()
+        sink = MemorySink()
+        ExperimentRunner(topology, spec, sink=sink).run()
+        values = {}
+        for record in sink.records:
+            values.setdefault(
+                (record.fraction_index, record.cell_index), []
+            ).append(record.attacker_fraction)
+        document = run_document("r", sink.header, sink.records)
+        cells = iter(document["cells"])
+        for f in range(len(spec.fractions)):
+            for c in range(len(spec.cells)):
+                stats, cell_values = next(cells), values[(f, c)]
+                assert stats["trials"] == len(cell_values)
+                assert stats["mean"] == pytest.approx(
+                    statistics.mean(cell_values)
+                )
+                assert stats["stdev"] == pytest.approx(
+                    statistics.stdev(cell_values)
+                )
+
+    def test_running_run_has_no_trial_counts(self, topology):
+        spec = small_spec()
+        sink = MemorySink()
+        ExperimentRunner(topology, spec, sink=sink).run()
+        document = run_document(
+            "r", sink.header, sink.records, running=True)
+        assert document["status"] == "running"
+        assert document["trial_counts"] is None
+        assert run_document("r", sink.header, sink.records)[
+            "trial_counts"] == [spec.trials] * 2
 
 
 # ----------------------------------------------------------------------
@@ -1345,23 +1454,6 @@ class TestLiveServing:
 
 
 class TestSinkProtocol:
-    def test_tee_fans_out(self, topology, tmp_path):
-        spec = small_spec()
-        a, b = MemorySink(), JsonlSink(tmp_path / "tee.jsonl")
-        tee = TeeSink(a, b)
-        result = ExperimentRunner(topology, spec, sink=tee).run()
-        tee.close()
-        header, records = read_run(tmp_path / "tee.jsonl")
-        assert sorted(a.records, key=lambda r: r.sort_key) == records
-        assert a.trial_counts == result.trial_counts
-        assert a.header == header
-        # Recording observes the run without changing it.
-        assert result == ExperimentRunner(topology, spec).run()
-
-    def test_empty_tee_rejected(self):
-        with pytest.raises(ReproError, match="at least one sink"):
-            TeeSink()
-
     def test_write_before_begin_rejected(self, tmp_path):
         sink = JsonlSink(tmp_path / "x.jsonl")
         with pytest.raises(ReproError, match="before begin"):

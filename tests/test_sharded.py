@@ -809,6 +809,41 @@ class TestHttpTransport:
                 f"measurement rule {RECORD_RULE}, not rule {RECORD_RULE + 1}"
             ) in caught.value.read().decode()
 
+    def test_dispatch_takes_exact_types(self, topology):
+        """A dispatch body's integers are JSON integers: a float, a
+        numeric string or a bool is a 400, never rounded or cast."""
+        import urllib.error
+
+        from repro.results import RunHeader
+
+        spec = small_spec(trials=2, fractions=(None,))
+        good = {
+            "shard": plan_shards(spec, 1)[0].to_json_dict(),
+            "header": RunHeader.for_spec(spec, topology).to_json_dict(),
+        }
+        shard = good["shard"]
+        bad_bodies = [
+            {**good, "shard": {**shard, "shard_index": 0.0}},
+            {**good, "shard": {**shard, "shard_count": "1"}},
+            {**good, "shard": {**shard, "shard_index": False}},
+            {**good, "shard": {**shard, "ranges": [[0, 0, 2.5]]}},
+            {**good, "shard": {**shard, "ranges": ["abc"]}},
+            {**good, "attempt": True},
+            {**good, "attempt": 1.5},
+            {**good, "finished": [[0, "1"]]},
+            {**good, "finished": [[0, 1.0]]},
+            {**good, "finished": ["xy"]},
+        ]
+        with ThreadedShardWorkerServer(topology) as worker:
+            for body in bad_bodies:
+                request = urllib.request.Request(
+                    f"http://127.0.0.1:{worker.port}/shards",
+                    data=json.dumps(body).encode(), method="POST")
+                with pytest.raises(urllib.error.HTTPError) as caught:
+                    urllib.request.urlopen(request, timeout=5)
+                assert caught.value.code == 400, body
+            assert worker.metrics["shard_dispatches"] == 0
+
     def test_worker_status_endpoints(self, topology):
         with ThreadedShardWorkerServer(topology) as worker:
             base = f"http://127.0.0.1:{worker.port}"
