@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..core.bounds import lower_bound_pdu_count
 from ..core.compress import compress_vrps
-from ..core.minimal import to_minimal_vrps
+from ..core.counts import pdu_counts
+from ..core.minimal import minimal_pairs
 from ..data.internet import InternetSnapshot
-from ..rpki.vrp import Vrp
 
 __all__ = [
     "Figure3Series",
@@ -60,9 +59,10 @@ def compute_figure3a(snapshots: Sequence[InternetSnapshot]) -> Figure3Panel:
         vrps = snapshot.vrps
         status_quo.append(len(vrps))
         status_quo_compressed.append(len(compress_vrps(vrps)))
-        minimal = to_minimal_vrps(vrps, snapshot.announced)
-        minimal_plain.append(len(minimal))
-        minimal_compressed.append(len(compress_vrps(minimal)))
+        plain, compressed, _ = pdu_counts(
+            minimal_pairs(vrps, snapshot.announced))
+        minimal_plain.append(plain)
+        minimal_compressed.append(compressed)
     labels = tuple(s.label for s in snapshots)
     return Figure3Panel(
         title="Today's RPKI deployment",
@@ -86,11 +86,10 @@ def compute_figure3b(snapshots: Sequence[InternetSnapshot]) -> Figure3Panel:
     minimal_compressed: list[int] = []
     bound: list[int] = []
     for snapshot in snapshots:
-        pairs = snapshot.announced_set
-        full = [Vrp(p, p.length, asn) for p, asn in pairs]
-        minimal_plain.append(len(full))
-        minimal_compressed.append(len(compress_vrps(full)))
-        bound.append(lower_bound_pdu_count(pairs))
+        plain, compressed, lowest = pdu_counts(snapshot.announced_set)
+        minimal_plain.append(plain)
+        minimal_compressed.append(compressed)
+        bound.append(lowest)
     labels = tuple(s.label for s in snapshots)
     return Figure3Panel(
         title="RPKI in full deployment",

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..core.bounds import lower_bound_pdu_count
-from ..core.compress import compress_vrps
-from ..core.minimal import OriginPair, to_minimal_vrps
+from ..core.counts import pdu_counts
+from ..core.minimal import OriginPair, minimal_pairs
 from ..core.vulnerability import VulnerabilityReport, analyze_vrps
 from ..rpki.vrp import Vrp
 
@@ -104,23 +103,18 @@ def measure_section6(
     """Compute every §6 measurement for one dataset."""
     vrp_list = list(vrps)
     announced_list = list(announced)
-    unique_pairs = set(announced_list)
 
     vulnerability = analyze_vrps(vrp_list, announced_list)
-    minimal = to_minimal_vrps(vrp_list, announced_list)
+    minimal = minimal_pairs(vrp_list, announced_list)
     existing = {(vrp.prefix, vrp.asn) for vrp in vrp_list}
-    additional = sum(
-        1 for vrp in minimal if (vrp.prefix, vrp.asn) not in existing
-    )
-
-    full_vrps = [Vrp(p, p.length, asn) for p, asn in unique_pairs]
+    full_pdus, full_compressed, full_bound = pdu_counts(announced_list)
     return Section6Measurements(
         vulnerability=vulnerability,
         status_quo_pdus=len(vrp_list),
         minimal_pdus=len(minimal),
-        additional_prefixes=additional,
-        announced_pairs=len(unique_pairs),
-        full_deployment_pdus=len(full_vrps),
-        full_deployment_bound=lower_bound_pdu_count(unique_pairs),
-        full_deployment_compressed=len(compress_vrps(full_vrps)),
+        additional_prefixes=len(minimal - existing),
+        announced_pairs=full_pdus,
+        full_deployment_pdus=full_pdus,
+        full_deployment_bound=full_bound,
+        full_deployment_compressed=full_compressed,
     )

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from ..core.bounds import lower_bound_pdu_count
 from ..core.compress import compress_vrps
-from ..core.minimal import OriginPair, to_minimal_vrps
+from ..core.counts import pdu_counts
+from ..core.minimal import OriginPair, minimal_pairs
 from ..rpki.vrp import Vrp
 
 __all__ = ["Table1Row", "Table1", "compute_table1", "PAPER_TABLE1"]
@@ -91,31 +91,26 @@ def compute_table1(
     """Compute all seven scenarios from one snapshot."""
     status_quo = list(vrps)
     announced_list = list(announced)
-    unique_pairs = set(announced_list)
 
-    today_compressed = compress_vrps(status_quo)
-    today_minimal = to_minimal_vrps(status_quo, announced_list)
-    today_minimal_compressed = compress_vrps(today_minimal)
-
-    full_minimal = [Vrp(p, p.length, asn) for p, asn in unique_pairs]
-    full_minimal_compressed = compress_vrps(full_minimal)
-    bound = lower_bound_pdu_count(unique_pairs)
+    # The minimal rows count pairs: the bound of the minimal set is
+    # not a Table 1 row.
+    today_minimal, today_minimal_compressed, _ = pdu_counts(
+        minimal_pairs(status_quo, announced_list))
+    full_minimal, full_minimal_compressed, bound = pdu_counts(announced_list)
 
     return Table1(
         rows=(
             Table1Row(TODAY, len(status_quo), secure=False),
-            Table1Row(TODAY_COMPRESSED, len(today_compressed), secure=False),
-            Table1Row(TODAY_MINIMAL, len(today_minimal), secure=True),
             Table1Row(
-                TODAY_MINIMAL_COMPRESSED,
-                len(today_minimal_compressed),
-                secure=True,
+                TODAY_COMPRESSED, len(compress_vrps(status_quo)), secure=False
             ),
-            Table1Row(FULL_MINIMAL, len(full_minimal), secure=True),
+            Table1Row(TODAY_MINIMAL, today_minimal, secure=True),
             Table1Row(
-                FULL_MINIMAL_COMPRESSED,
-                len(full_minimal_compressed),
-                secure=True,
+                TODAY_MINIMAL_COMPRESSED, today_minimal_compressed, secure=True
+            ),
+            Table1Row(FULL_MINIMAL, full_minimal, secure=True),
+            Table1Row(
+                FULL_MINIMAL_COMPRESSED, full_minimal_compressed, secure=True
             ),
             Table1Row(FULL_LOWER_BOUND, bound, secure=False),
         )

@@ -6,6 +6,8 @@
 * :mod:`repro.core.vulnerability` — forged-origin subprefix hijack
   classification (§4, §6).
 * :mod:`repro.core.bounds` — maximally-permissive lower bound (§6).
+* :mod:`repro.core.counts` — Table 1's PDU counts of a pair set, on
+  integer keys.
 * :mod:`repro.core.pipeline` — the Figure 1 local-cache pipeline.
 """
 
@@ -13,6 +15,7 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "bounds": ("lower_bound_pdu_count", "maximally_permissive_vrps"),
+    "counts": ("pdu_counts",),
     # Vrp is defined in repro.rpki.vrp; compress takes and returns it.
     "compress": (
         "CompressionStats", "Vrp", "build_tries", "compress_group",
@@ -20,7 +23,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     "minimal": (
         "OriginPair", "additional_prefix_count", "build_origin_index",
-        "minimal_roa_for", "to_minimal_vrps",
+        "minimal_pairs", "minimal_roa_for", "to_minimal_vrps",
     ),
     "pipeline": ("LocalCache",),
     "recommend": (

@@ -18,39 +18,49 @@ for subprefixes of their prefixes".
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp, sort_vrps
+from .compress import _WIDTH, Group, group_pairs
 from .minimal import OriginPair
 
 __all__ = [
     "maximally_permissive_vrps",
     "lower_bound_pdu_count",
+    "uncovered_keys",
 ]
 
+_BITS_THEN_LENGTH = itemgetter(1, 0)  # a group key is (length, bits)
 
-def _uncovered_pairs(announced: Iterable[OriginPair]) -> Iterator[OriginPair]:
-    """The announced pairs whose origin announces no covering prefix."""
-    groups: dict[tuple[int, int], list[Prefix]] = {}
-    for prefix, origin in announced:
-        groups.setdefault((origin, prefix.family), []).append(prefix)
-    for (origin, _family), prefixes in groups.items():
-        # Sorted order puts ancestors before descendants, and any kept
-        # prefix covering the current one must be the most recently
-        # kept (kept ranges are disjoint or nested, and the scan never
-        # leaves a range before exhausting it), so one comparison per
-        # prefix suffices.  A repeated pair is covered by its first copy.
-        last_kept: Prefix | None = None
-        for prefix in sorted(prefixes, key=_value_length):
-            if last_kept is not None and last_kept.covers(prefix):
+
+def uncovered_keys(
+    groups: dict[tuple[int, int], Group],
+) -> Iterator[tuple[int, int, int, int]]:
+    """The keys no other key of their group covers, as ``(origin,
+    family, length, network bits)``.
+
+    ``groups`` is :func:`~repro.core.compress.group_pairs`'s grouping;
+    the scan only reads it.  Sorted by ``(network bits, length)``,
+    ancestors come before descendants, and any kept prefix covering the
+    current one must be the most recently kept (kept ranges are
+    disjoint or nested, and the scan never leaves a range before
+    exhausting it), so one shift and one comparison per key suffice.
+    """
+    for (origin, family), group in groups.items():
+        if len(group) == 1:
+            (length, value), = group
+            yield origin, family, length, value
+            continue
+        width = _WIDTH[family]
+        kept_shift, kept_top = 0, -1  # no value shifts to -1
+        for length, value in sorted(group, key=_BITS_THEN_LENGTH):
+            if value >> kept_shift == kept_top:
                 continue
-            yield prefix, origin
-            last_kept = prefix
-
-
-def _value_length(prefix: Prefix) -> tuple[int, int]:
-    return prefix.value, prefix.length
+            yield origin, family, length, value
+            kept_shift = width - length
+            kept_top = value >> kept_shift
 
 
 def maximally_permissive_vrps(announced: Iterable[OriginPair]) -> list[Vrp]:
@@ -60,11 +70,12 @@ def maximally_permissive_vrps(announced: Iterable[OriginPair]) -> list[Vrp]:
     no covering prefix, with maxLength pinned to the family width.
     """
     return sort_vrps(
-        Vrp(prefix, prefix.max_family_length, origin)
-        for prefix, origin in _uncovered_pairs(announced)
+        Vrp(Prefix(family, value, length), _WIDTH[family], origin)
+        for origin, family, length, value
+        in uncovered_keys(group_pairs(announced))
     )
 
 
 def lower_bound_pdu_count(announced: Iterable[OriginPair]) -> int:
     """Table 1's last row: PDUs under maximally-permissive ROAs."""
-    return sum(1 for _ in _uncovered_pairs(announced))
+    return sum(1 for _ in uncovered_keys(group_pairs(announced)))

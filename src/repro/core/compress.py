@@ -21,12 +21,14 @@ absorbs them when their maxLengths allow::
             if rChild.value <= node.value: delete rChild
 
 :func:`compress_group` is that procedure without the trie.  A group is
-a dict from ``(length, network bits)`` to its tuple, which is all the
-trie was used for: "as the DFS backtracks" means *children before
-parents*, i.e. keys in descending length, and the two direct children
-of the node at ``(length, value)`` that may merge are the keys
-``(length + 1, value)`` and ``(length + 1, value | next bit)`` — two
-dict probes.  The loop body is the pseudocode line for line.
+a dict from ``(length, network bits)`` to the node's maxLength, which
+is all the trie was used for: "as the DFS backtracks" means *children
+before parents*, i.e. keys in descending length, and the two direct
+children of the node at ``(length, value)`` that may merge are the
+keys ``(length + 1, value)`` and ``(length + 1, value | next bit)`` —
+two dict probes.  The loop body is the pseudocode line for line.  The
+groups hold ints, not ``Vrp`` objects, so a caller that only counts
+PDUs (:func:`repro.core.counts.pdu_counts`) never builds one.
 
 Worked example (Figure 2 of the paper)::
 
@@ -54,7 +56,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..netbase.errors import PrefixLengthError
-from ..netbase.prefix import Prefix
+from ..netbase.prefix import AF_INET, AF_INET6, Prefix
 from ..netbase.trie import PrefixTrie
 from ..rpki.vrp import Vrp, sort_vrps
 
@@ -64,6 +66,8 @@ __all__ = [
     "compress_vrps",
     "compress_vrps_optimal",
     "CompressionStats",
+    "Group",
+    "group_pairs",
 ]
 
 
@@ -89,17 +93,27 @@ def build_tries(vrps: Iterable[Vrp]) -> dict[tuple[int, int], PrefixTrie[int]]:
     return tries
 
 
-def compress_group(group: dict[tuple[int, int], Vrp], width: int) -> None:
+#: One (origin AS, family) group: ``(prefix length, network bits)`` to
+#: the maxLength authorized at that prefix.
+Group = dict[tuple[int, int], int]
+
+_WIDTH = {AF_INET: 32, AF_INET6: 128}
+
+
+def compress_group(group: Group, width: int) -> None:
     """Run Algorithm 1 in place on one (origin AS, family) group.
 
-    ``group`` maps ``(prefix length, network bits)`` to the tuple at
-    that prefix; ``width`` is the family's address width.  Children
+    ``group`` maps ``(prefix length, network bits)`` to the maxLength
+    at that prefix; ``width`` is the family's address width.  Children
     here are the *direct children* of §7.1, and a merge happens only
     when both sit exactly one bit below the parent: a tuple strictly
     deeper covers only part of its half, so absorbing it would
     authorize prefixes the input did not (the forged-origin subprefix
-    surface the whole exercise is meant to avoid).
+    surface the whole exercise is meant to avoid).  A group of fewer
+    than three tuples has nothing to merge.
     """
+    if len(group) < 3:
+        return
     for key in sorted(group, reverse=True):  # children before parents
         length, value = key
         if length == width:
@@ -109,13 +123,36 @@ def compress_group(group: dict[tuple[int, int], Vrp], width: int) -> None:
         if left not in group or right not in group:
             continue
         node, l_child, r_child = group[key], group[left], group[right]
-        min_child = min(l_child.max_length, r_child.max_length)
-        if min_child > node.max_length:
-            node = group[key] = Vrp(node.prefix, min_child, node.asn)
-        if l_child.max_length <= node.max_length:
+        min_child = min(l_child, r_child)
+        if min_child > node:
+            node = group[key] = min_child
+        if l_child <= node:
             del group[left]
-        if r_child.max_length <= node.max_length:
+        if r_child <= node:
             del group[right]
+
+
+def group_pairs(
+    pairs: Iterable[tuple[Prefix, int]],
+) -> dict[tuple[int, int], Group]:
+    """Group exact-length (prefix, origin AS) pairs per (AS, family).
+
+    Each pair becomes the key ``(length, network bits)`` with its own
+    length as maxLength — the maxLength-free VRP of a minimal ROA — so
+    a repeated pair is one key.  Algorithm 1 (:func:`compress_group`)
+    and the maximally-permissive bound (:mod:`repro.core.bounds`) both
+    run on this grouping; neither needs a ``Vrp``.
+    """
+    groups: dict[tuple[int, int], Group] = {}
+    for prefix, origin in pairs:
+        # Prefix's slots, read directly as Vrp's comparisons do: three
+        # property calls would cost more than the rest of the loop.
+        length = prefix._length
+        group = groups.get((origin, prefix._family))
+        if group is None:
+            group = groups[(origin, prefix._family)] = {}
+        group[(length, prefix._value)] = length
+    return groups
 
 
 def compress_vrps(vrps: Iterable[Vrp]) -> list[Vrp]:
@@ -127,8 +164,8 @@ def compress_vrps(vrps: Iterable[Vrp]) -> list[Vrp]:
 
     Tuples are grouped per (origin AS, family); duplicate prefixes for
     the same AS keep the larger maxLength (the union of what the
-    duplicates authorize).  A group of fewer than three tuples has
-    nothing to merge.
+    duplicates authorize).  A survivor whose maxLength Algorithm 1 did
+    not raise is its input object.
     """
     groups: dict[tuple[int, int], dict[tuple[int, int], Vrp]] = {}
     for vrp in vrps:
@@ -142,11 +179,17 @@ def compress_vrps(vrps: Iterable[Vrp]) -> list[Vrp]:
             group[key] = vrp
 
     output: list[Vrp] = []
-    for group in groups.values():
-        if len(group) >= 3:
-            width = next(iter(group.values())).prefix.max_family_length
-            compress_group(group, width)
-        output.extend(group.values())
+    for (_asn, family), group in groups.items():
+        if len(group) < 3:  # nothing to merge: skip the int view
+            output.extend(group.values())
+            continue
+        max_lengths = {key: vrp.max_length for key, vrp in group.items()}
+        compress_group(max_lengths, _WIDTH[family])
+        for key, max_length in max_lengths.items():
+            vrp = group[key]
+            if vrp.max_length != max_length:
+                vrp = Vrp(vrp.prefix, max_length, vrp.asn)
+            output.append(vrp)
     return sort_vrps(output)
 
 

@@ -10,7 +10,8 @@ This module implements the conversions of §6–§7:
 
 * :func:`to_minimal_vrps` — the dataset-level transformation behind
   Table 1 rows 3 and 5: every (prefix, origin) pair that is announced in
-  BGP *and* valid under the current VRPs becomes one maxLength-free VRP.
+  BGP *and* valid under the current VRPs (:func:`minimal_pairs`) becomes
+  one maxLength-free VRP.
 * :func:`minimal_roa_for` — the per-ROA version of the same idea ("we
   just convert each original non-minimal ROA to a minimal ROA that has
   the set of prefixes announced in BGP"), preserving ROA granularity so
@@ -21,7 +22,7 @@ This module implements the conversions of §6–§7:
 Two indexes do the work, both built in one pass from sorted keys:
 :func:`build_origin_index` maps each announced prefix to its origin
 ASes in a radix tree (what the vulnerability and linting code
-queries), and :func:`to_minimal_vrps` validates each announcement whose
+queries), and :func:`minimal_pairs` validates each announcement whose
 origin holds a VRP against a
 :class:`~repro.bgp.origin_validation.VrpIndex`, the structure routers
 hold.
@@ -42,6 +43,7 @@ if TYPE_CHECKING:
 __all__ = [
     "OriginPair",
     "build_origin_index",
+    "minimal_pairs",
     "to_minimal_vrps",
     "minimal_roa_for",
     "additional_prefix_count",
@@ -86,29 +88,41 @@ def build_origin_index(
     }
 
 
+def minimal_pairs(
+    vrps: Iterable[Vrp], announced: Iterable[OriginPair]
+) -> set[OriginPair]:
+    """The announced pairs ``(p, asn)`` that some input VRP matches.
+
+    RFC 6811 "valid": these are exactly the routes a minimal ROA set
+    authorizes, one maxLength-free PDU each.  An announcement whose
+    origin holds no VRP cannot match (RFC 6811 matching needs equal
+    origins) and is skipped before any index lookup.
+    """
+    vrp_list = list(vrps)
+    holders = {vrp.asn for vrp in vrp_list}
+    index = VrpIndex(vrp_list)
+    valid = ValidationState.VALID
+    return {
+        (prefix, origin)
+        for prefix, origin in announced
+        if origin in holders and index.validate(prefix, origin) is valid
+    }
+
+
 def to_minimal_vrps(
     vrps: Iterable[Vrp], announced: Iterable[OriginPair]
 ) -> list[Vrp]:
     """Convert a VRP set to the equivalent minimal, maxLength-free set.
 
-    The output contains one ``(p, len(p), asn)`` VRP for every announced
-    pair ``(p, asn)`` that some input VRP matches (RFC 6811 "valid").
-    Routes that were valid and announced stay valid; authorized-but-
-    unannounced slack — the forged-origin subprefix hijack surface —
-    disappears.
-
-    An announcement whose origin holds no VRP cannot match (RFC 6811
-    matching needs equal origins) and is skipped before any tree walk.
+    The output contains one ``(p, len(p), asn)`` VRP for every pair of
+    :func:`minimal_pairs`.  Routes that were valid and announced stay
+    valid; authorized-but-unannounced slack — the forged-origin
+    subprefix hijack surface — disappears.
     """
-    vrp_list = list(vrps)
-    holders = {vrp.asn for vrp in vrp_list}
-    index = VrpIndex(vrp_list)
-    return sort_vrps({
+    return sort_vrps(
         Vrp(prefix, prefix.length, origin)
-        for prefix, origin in announced
-        if origin in holders
-        and index.validate(prefix, origin) is ValidationState.VALID
-    })
+        for prefix, origin in minimal_pairs(vrps, announced)
+    )
 
 
 def minimal_roa_for(
@@ -157,5 +171,4 @@ def additional_prefix_count(
     """
     vrp_list = list(vrps)
     existing = {(vrp.prefix, vrp.asn) for vrp in vrp_list}
-    minimal = to_minimal_vrps(vrp_list, announced)
-    return sum(1 for vrp in minimal if (vrp.prefix, vrp.asn) not in existing)
+    return len(minimal_pairs(vrp_list, announced) - existing)

@@ -19,8 +19,8 @@ import io
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
-from ..netbase.asnum import validate_asn
-from ..netbase.errors import PrefixError, ReproError
+from ..netbase.asnum import is_ascii_digits, validate_asn
+from ..netbase.errors import AsnError, PrefixError, ReproError
 from ..netbase.prefix import Prefix
 from ..bgp.announcement import Announcement
 
@@ -37,6 +37,17 @@ _FIELDS = 7  # TABLE_DUMP2 fields before the optional IGP tail
 
 class RibFormatError(ReproError):
     """A RIB line could not be parsed."""
+
+
+def _as_number(text: str) -> int:
+    """An AS number field: ASCII decimal digits, within 32 bits.
+
+    ``int`` alone would also take a sign, blanks, ``_`` and other
+    scripts' digits.
+    """
+    if not is_ascii_digits(text):
+        raise AsnError(f"bad AS number {text!r}")
+    return validate_asn(int(text))
 
 
 def _open_for_read(source: Union[str, Path, TextIO]) -> TextIO:
@@ -93,7 +104,7 @@ def read_rib(source: Union[str, Path, TextIO]) -> Iterator[Announcement]:
                 )
             try:
                 prefix = Prefix.parse(fields[5])
-                as_path = tuple(int(asn) for asn in fields[6].split())
+                as_path = tuple(map(_as_number, fields[6].split()))
             except (PrefixError, ValueError) as exc:
                 raise RibFormatError(f"line {line_number}: {exc}") from exc
             if not as_path:
@@ -128,9 +139,15 @@ def write_origin_pairs(
 def read_origin_pairs(
     source: Union[str, Path, TextIO],
 ) -> Iterator[tuple[Prefix, int]]:
-    """Read the compact ``prefix|origin`` form."""
+    """Read the compact ``prefix|origin`` form.
+
+    Raises:
+        RibFormatError: on a malformed line (with the line number).
+    """
     stream = _open_for_read(source)
     own = isinstance(source, (str, Path))
+    parse = Prefix.parse
+    origins: dict[str, int] = {}  # an AS originates many prefixes
     try:
         for line_number, line in enumerate(stream, start=1):
             line = line.strip()
@@ -138,10 +155,13 @@ def read_origin_pairs(
                 continue
             prefix_text, _, origin_text = line.partition("|")
             try:
-                pair = Prefix.parse(prefix_text), validate_asn(int(origin_text))
+                prefix = parse(prefix_text)
+                origin = origins.get(origin_text)
+                if origin is None:
+                    origin = origins[origin_text] = _as_number(origin_text)
             except (PrefixError, ValueError) as exc:  # AsnError is a ValueError
                 raise RibFormatError(f"line {line_number}: {exc}") from exc
-            yield pair
+            yield prefix, origin
     finally:
         if own:
             stream.close()

@@ -17,7 +17,8 @@ import csv
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO, Union
 
-from ..netbase.errors import PrefixError, ReproError
+from ..netbase.asnum import is_ascii_digits
+from ..netbase.errors import AsnError, PrefixError, PrefixLengthError, ReproError
 from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
 
@@ -70,6 +71,10 @@ def write_vrp_csv(
 def read_vrp_csv(source: Union[str, Path, TextIO]) -> Iterator[Vrp]:
     """Read validator-CSV rows back into VRPs.
 
+    ASN and maxLength are ASCII decimal digits (the ASN optionally
+    after ``AS``): ``int`` alone would also take a sign, ``_`` and
+    other scripts' digits.
+
     Raises:
         ArchiveFormatError: on malformed rows (with the row number).
     """
@@ -79,6 +84,7 @@ def read_vrp_csv(source: Union[str, Path, TextIO]) -> Iterator[Vrp]:
         if own
         else source  # type: ignore[assignment]
     )
+    parse = Prefix.parse
     try:
         reader = csv.reader(stream)
         for row_number, row in enumerate(reader, start=1):
@@ -86,17 +92,18 @@ def read_vrp_csv(source: Union[str, Path, TextIO]) -> Iterator[Vrp]:
                 continue
             if len(row) < 4:
                 raise ArchiveFormatError(f"row {row_number}: too few columns")
-            asn_text = row[1].strip()
+            asn_text, max_text = row[1].strip(), row[3].strip()
             if asn_text.upper().startswith("AS"):
                 asn_text = asn_text[2:]
             try:
-                yield Vrp(
-                    Prefix.parse(row[2].strip()),
-                    int(row[3]),
-                    int(asn_text),
-                )
-            except (PrefixError, ValueError) as exc:
+                if not is_ascii_digits(asn_text):
+                    raise AsnError(f"bad AS number {asn_text!r}")
+                if not is_ascii_digits(max_text):
+                    raise PrefixLengthError(f"bad maxLength {max_text!r}")
+                vrp = Vrp(parse(row[2]), int(max_text), int(asn_text))
+            except (PrefixError, ValueError) as exc:  # AsnError is a ValueError
                 raise ArchiveFormatError(f"row {row_number}: {exc}") from exc
+            yield vrp
     finally:
         if own:
             stream.close()

@@ -8,8 +8,8 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "asnum": (
-        "AS_TRANS", "MAX_ASN", "format_asn", "is_private_asn",
-        "is_reserved_asn", "parse_asn", "validate_asn",
+        "AS_TRANS", "MAX_ASN", "format_asn", "is_ascii_digits",
+        "is_private_asn", "is_reserved_asn", "parse_asn", "validate_asn",
     ),
     "errors": (
         "AsnError", "PrefixError", "PrefixLengthError", "PrefixParseError",

@@ -15,6 +15,7 @@ __all__ = [
     "validate_asn",
     "parse_asn",
     "format_asn",
+    "is_ascii_digits",
     "is_private_asn",
     "is_reserved_asn",
 ]
@@ -60,20 +61,25 @@ def parse_asn(text: str) -> int:
         text = text[2:]
     if "." in text:
         high_text, _, low_text = text.partition(".")
-        if not (_is_ascii_digits(high_text) and _is_ascii_digits(low_text)):
+        if not (is_ascii_digits(high_text) and is_ascii_digits(low_text)):
             raise AsnError(f"bad asdot AS number {text!r}")
         high, low = int(high_text), int(low_text)
         if high > 0xFFFF or low > 0xFFFF:
             raise AsnError(f"asdot component out of range in {text!r}")
         return (high << 16) | low
-    if not _is_ascii_digits(text):
+    if not is_ascii_digits(text):
         raise AsnError(f"bad AS number {text!r}")
     return validate_asn(int(text))
 
 
-def _is_ascii_digits(text: str) -> bool:
-    # str.isdigit alone admits "٣" (which int reads as 3) and "²"
-    # (which int refuses).
+def is_ascii_digits(text: str) -> bool:
+    """True if ``text`` is one or more ASCII digits ``0``-``9``.
+
+    The rule every decimal field in the library's text formats follows.
+    ``str.isdigit`` alone admits "٣" (which ``int`` reads as 3) and "²"
+    (which ``int`` refuses with a bare ``ValueError``); ``int`` alone
+    admits a sign, blanks and ``_`` separators.
+    """
     return text.isascii() and text.isdigit()
 
 

@@ -22,9 +22,13 @@ Examples:
 
 from __future__ import annotations
 
+# The C module behind ``socket``: importing ``socket`` itself would
+# also load ``selectors`` and ``enum`` into every command.
+from _socket import AF_INET as _SOCKET_AF_INET, inet_ntop, inet_pton
 from functools import total_ordering
 from typing import Iterator
 
+from .asnum import is_ascii_digits
 from .errors import PrefixLengthError, PrefixParseError
 
 __all__ = ["Prefix", "AF_INET", "AF_INET6"]
@@ -33,6 +37,12 @@ AF_INET = 4
 AF_INET6 = 6
 
 _MAX_LENGTH = {AF_INET: 32, AF_INET6: 128}
+
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+
+#: Canonical length texts, "0" to "128", to their values: one lookup
+#: for every length a snapshot file holds.
+_LENGTHS = {str(length): length for length in range(129)}
 
 
 def _parse_ipv4(text: str) -> int:
@@ -46,13 +56,34 @@ def _parse_ipv4(text: str) -> int:
         raise PrefixParseError(text, "IPv4 address must have four octets")
     value = 0
     for part in parts:
-        if not part.isdigit() or (len(part) > 1 and part[0] == "0"):
+        if not is_ascii_digits(part) or (len(part) > 1 and part[0] == "0"):
             raise PrefixParseError(text, f"bad octet {part!r}")
-        octet = int(part)
+        # Without a leading zero, four digits are past 255 already (and
+        # int() of thousands of digits would raise a bare ValueError).
+        octet = int(part) if len(part) <= 3 else 256
         if octet > 255:
-            raise PrefixParseError(text, f"octet {octet} out of range")
+            raise PrefixParseError(text, f"octet {part} out of range")
         value = (value << 8) | octet
     return value
+
+
+def _parse_ipv4_canonical(text: str) -> int | None:
+    """The value of ``text`` if it is a dotted quad as ``inet_ntop``
+    writes it, else None.
+
+    This is :func:`_parse_ipv4` for the texts snapshot files hold, in C.
+    A text is taken only if it equals ``inet_ntop`` of its own parse, so
+    the accepted language is a subset of :func:`_parse_ipv4`'s on any
+    platform's ``inet_pton``; every other text, valid or not, is left
+    to the full parser and its typed errors.
+    """
+    try:
+        packed = inet_pton(_SOCKET_AF_INET, text)
+    except (OSError, ValueError):  # ValueError: NUL or a lone surrogate
+        return None
+    if inet_ntop(_SOCKET_AF_INET, packed) != text:
+        return None
+    return int.from_bytes(packed, "big")
 
 
 def _format_ipv4(value: int) -> str:
@@ -85,13 +116,11 @@ def _parse_ipv6(text: str) -> int:
                 words.append(v4 >> 16)
                 words.append(v4 & 0xFFFF)
                 continue
-            if not group or len(group) > 4:
+            # ASCII hex digits only: int(group, 16) would also take a
+            # sign, "_", "0x", blanks and other scripts' digits.
+            if not group or len(group) > 4 or group.strip(_HEX_DIGITS):
                 raise PrefixParseError(text, f"bad group {group!r}")
-            try:
-                word = int(group, 16)
-            except ValueError:
-                raise PrefixParseError(text, f"bad group {group!r}") from None
-            words.append(word)
+            words.append(int(group, 16))
         return words
 
     head_words = expand(head)
@@ -179,22 +208,36 @@ class Prefix:
         """
         text = text.strip()
         address_text, sep, length_text = text.partition("/")
-        family = AF_INET6 if ":" in address_text else AF_INET
-        if family == AF_INET6:
-            value = _parse_ipv6(address_text)
+        if ":" in address_text:
+            family, value = AF_INET6, _parse_ipv6(address_text)
         else:
-            value = _parse_ipv4(address_text)
-        if sep:
-            if not length_text.isdigit():
-                raise PrefixParseError(text, "bad length")
-            length = int(length_text)
+            family = AF_INET
+            value = _parse_ipv4_canonical(address_text)
+            if value is None:
+                value = _parse_ipv4(address_text)
+        max_length = _MAX_LENGTH[family]
+        if not sep:
+            length = max_length
         else:
-            length = _MAX_LENGTH[family]
-        if length > _MAX_LENGTH[family]:
+            length = _LENGTHS.get(length_text)
+            if length is None:
+                if not is_ascii_digits(length_text):
+                    raise PrefixParseError(text, "bad length")
+                # Leading zeros, or past every family's width.
+                length = _LENGTHS.get(length_text.lstrip("0") or "0", 129)
+        if length > max_length:
             raise PrefixLengthError(
-                f"length {length} out of range for IPv{family} in {text!r}"
+                f"length {length_text} out of range for IPv{family} in {text!r}"
             )
-        return cls(family, value, length)
+        # Everything __init__ checks holds by now, so only the host
+        # bits are cleared here: calling it would add half again to a
+        # parse, the bulk of loading a snapshot.
+        prefix = object.__new__(cls)
+        host_bits = max_length - length
+        prefix._family = family
+        prefix._value = value >> host_bits << host_bits
+        prefix._length = length
+        return prefix
 
     @classmethod
     def from_bits(cls, family: int, bits: str) -> "Prefix":

@@ -143,15 +143,18 @@ class TestAlgorithmBehaviour:
         assert len(tries[(1, 4)]) == 2
 
     def test_compress_group_in_place(self):
-        tuples = [
-            Vrp(p("10.0.0.0/16"), 16, 1),
-            Vrp(p("10.0.0.0/17"), 17, 1),
-            Vrp(p("10.0.128.0/17"), 17, 1),
-        ]
-        group = {(v.prefix.length, v.prefix.value): v for v in tuples}
+        # A group maps (length, network bits) to an int maxLength.
+        parent, left, right = (
+            p("10.0.0.0/16"), p("10.0.0.0/17"), p("10.0.128.0/17"))
+        group = {(q.length, q.value): q.length for q in (parent, left, right)}
         compress_group(group, 32)
-        assert group == {(16, p("10.0.0.0/16").value):
-                         Vrp(p("10.0.0.0/16"), 17, 1)}
+        assert group == {(16, parent.value): 17}
+
+    def test_unchanged_survivors_are_the_input_objects(self):
+        kept = Vrp(p("10.0.128.0/17"), 20, 1)
+        vrps = [Vrp(p("10.0.0.0/16"), 16, 1), Vrp(p("10.0.0.0/17"), 17, 1),
+                kept]
+        assert compress_vrps(vrps)[1] is kept
 
     def test_host_prefixes_are_leaves_in_both_families(self):
         vrps = [

@@ -66,6 +66,12 @@ class TestRibFormat:
         with pytest.raises(RibFormatError, match="line 1"):
             list(read_rib(io.StringIO(text)))
 
+    @pytest.mark.parametrize("path", ["5 \u0664", "5 +4", "5 4_0", "4294967296"])
+    def test_as_path_takes_ascii_as_numbers_only(self, path):
+        text = f"TABLE_DUMP2|0|B|1.1.1.1|5|10.0.0.0/8|{path}|IGP\n"
+        with pytest.raises(RibFormatError, match="line 1"):
+            list(read_rib(io.StringIO(text)))
+
     def test_too_few_fields(self):
         with pytest.raises(RibFormatError):
             list(read_rib(io.StringIO("TABLE_DUMP2|0|B\n")))
@@ -87,6 +93,22 @@ class TestOriginPairsFormat:
         text = f"# prefix|origin_as\n10.0.0.0/8|1\n10.0.0.0/8|{origin}\n"
         with pytest.raises(RibFormatError, match="line 3"):
             list(read_origin_pairs(io.StringIO(text)))
+
+    @pytest.mark.parametrize(
+        "origin", ["1_00", "+100", "\u0661\u0660\u0660", "1" * 5000])
+    def test_origin_that_int_alone_takes_is_rejected(self, origin):
+        # The same AS first, so a per-file cache of parsed origins
+        # cannot let the bad spelling through.
+        text = f"10.0.0.0/8|100\n10.1.0.0/16|{origin}\n"
+        with pytest.raises(RibFormatError, match="line 2"):
+            list(read_origin_pairs(io.StringIO(text)))
+
+    @pytest.mark.parametrize(
+        "prefix", ["\u0661.2.3.4/24", "1.2.3.0/\u0662\u0664", "1.2.3.0/\u00b2",
+                   "::\uff11/128"])
+    def test_prefix_with_other_digits_is_rejected(self, prefix):
+        with pytest.raises(RibFormatError, match="line 1"):
+            list(read_origin_pairs(io.StringIO(f"{prefix}|100\n")))
 
 
 class TestVrpCsv:
@@ -115,6 +137,19 @@ class TestVrpCsv:
 
     def test_bad_row_raises_with_row_number(self):
         text = "x,AS111,10.0.0.0/16,8\n"  # maxLength below prefix length
+        with pytest.raises(ArchiveFormatError, match="row 1"):
+            list(read_vrp_csv(io.StringIO(text)))
+
+    @pytest.mark.parametrize(
+        "max_length", ["2_4", "+24", "\u0662\u0664", "9" * 5000])
+    def test_max_length_that_int_alone_takes_is_rejected(self, max_length):
+        text = f"x,AS1,10.0.0.0/16,24\nx,AS1,10.0.0.0/16,{max_length}\n"
+        with pytest.raises(ArchiveFormatError, match="row 2"):
+            list(read_vrp_csv(io.StringIO(text)))
+
+    @pytest.mark.parametrize("asn", ["AS1_0", "AS+10", "\u0661\u0660", "AS"])
+    def test_asn_that_int_alone_takes_is_rejected(self, asn):
+        text = f"x,{asn},10.0.0.0/16,24\n"
         with pytest.raises(ArchiveFormatError, match="row 1"):
             list(read_vrp_csv(io.StringIO(text)))
 

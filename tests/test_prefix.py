@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netbase import AF_INET, AF_INET6, Prefix
-from repro.netbase.errors import PrefixLengthError, PrefixParseError
+from repro.netbase import prefix as prefix_module
+from repro.netbase.errors import PrefixError, PrefixLengthError, PrefixParseError
 
 # ----------------------------------------------------------------------
 # Parsing and formatting
@@ -265,3 +268,74 @@ class TestProperties:
             return
         assert prefix.sibling().sibling() == prefix
         assert prefix.sibling().parent() == prefix.parent()
+
+
+# ----------------------------------------------------------------------
+# The IPv4 fast path against the full parser
+# ----------------------------------------------------------------------
+
+# Octet spellings near the dotted-quad language: canonical, leading
+# zeros, out of range, signs, separators, blanks and other scripts'
+# digits ("١" Arabic-Indic, "１" fullwidth, "²").
+_OCTETS = st.one_of(
+    st.integers(min_value=0, max_value=300).map(str),
+    st.sampled_from(["00", "01", "007", "+1", "-1", "1_0", " 1", "1 ", "",
+                     "0x1", "١", "１", "²", "1\x00", "9" * 12]),
+    st.text(alphabet="0123456789١１²abf:.", max_size=4),
+)
+_LENGTH_TEXTS = st.one_of(
+    st.integers(min_value=0, max_value=140).map(str),
+    st.sampled_from(["", "024", "0", "000", "+8", "٢٤", "²",
+                     "8 ", "9" * 5000]),
+)
+_NEAR_QUADS = st.builds(
+    lambda octets, sep, suffix: sep.join(octets) + suffix,
+    st.lists(_OCTETS, min_size=3, max_size=5),
+    st.sampled_from([".", ".", ".", ":"]),
+    st.one_of(st.just(""), _LENGTH_TEXTS.map(lambda text: "/" + text)),
+)
+_PREFIX_TEXTS = st.one_of(_NEAR_QUADS, st.text(max_size=24))
+
+
+def _outcome(text):
+    try:
+        return Prefix.parse(text)
+    except PrefixError as exc:
+        return type(exc)
+
+
+class TestFastPath:
+    @settings(max_examples=600, deadline=None)
+    @given(_PREFIX_TEXTS)
+    def test_parse_is_the_full_parser(self, text):
+        # Any other exception escapes _outcome and fails the test.
+        fast = _outcome(text)
+        with mock.patch.object(prefix_module, "_parse_ipv4_canonical",
+                               lambda address: None):
+            assert _outcome(text) == fast
+
+    @settings(max_examples=600, deadline=None)
+    @given(_PREFIX_TEXTS)
+    def test_fast_path_takes_a_subset(self, text):
+        value = prefix_module._parse_ipv4_canonical(text)
+        if value is not None:
+            assert prefix_module._parse_ipv4(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "١.2.3.4/24", "1.2.3.0/٢٤", "::１/128", "1.2.3.0/²",
+        "::1_0/128", "::+1/128", "::0x1/128", "1.2.3.4\x00/8", "\ud800",
+        "9" * 5000 + ".1.1.1", "1.2.3.0/" + "9" * 5000,
+    ])
+    def test_non_ascii_and_int_only_spellings_are_typed_errors(self, text):
+        with pytest.raises(PrefixError):
+            Prefix.parse(text)
+
+    @pytest.mark.parametrize("length", ["٢٤", "²", "+8", "", "8a"])
+    def test_a_length_that_is_not_digits_is_a_parse_error(self, length):
+        with pytest.raises(PrefixParseError, match="bad length"):
+            Prefix.parse(f"10.0.0.0/{length}")
+
+    def test_leading_zero_lengths_still_parse(self):
+        assert Prefix.parse("10.0.0.0/008") == Prefix.parse("10.0.0.0/8")
+        with pytest.raises(PrefixLengthError):
+            Prefix.parse("10.0.0.0/0033")

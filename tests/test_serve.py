@@ -962,6 +962,32 @@ class TestHttpServer:
 
         self.run_with_server(scenario)
 
+    # Other scripts' digits, a superscript length (int() refuses it
+    # with a bare ValueError) and a fullwidth IPv6 digit.
+    BAD_PREFIXES = ["1.2.3.0/²", "١.2.3.4/24", "1.2.3.0/٢٤",
+                    "::１/128", "::-1/128", "1.2.3.0/" + "9" * 5000]
+
+    def test_prefix_that_is_not_ascii_gets_400(self):
+        async def scenario(http):
+            for prefix in self.BAD_PREFIXES:
+                status, document = await http_request(
+                    http.host, http.port,
+                    f"GET /validity?asn=100&prefix={quote(prefix)} "
+                    f"HTTP/1.1\r\nConnection: close\r\n\r\n".encode())
+                assert status == 400, prefix
+                assert "bad prefix" in document["error"]
+                body = json.dumps({"queries": [
+                    {"asn": 100, "prefix": prefix}]}).encode()
+                status, document = await http_request(
+                    http.host, http.port,
+                    b"POST /validity HTTP/1.1\r\n"
+                    + f"Content-Length: {len(body)}\r\n".encode()
+                    + b"Connection: close\r\n\r\n" + body)
+                assert status == 400, prefix
+                assert "bad prefix" in document["error"]
+
+        self.run_with_server(scenario)
+
     def test_every_as_number_spelling_parse_asn_takes_gets_200(self):
         async def scenario(http):
             for asn in ["31283", "AS31283", "as31283", "0.31283"]:
