@@ -25,7 +25,7 @@ from ..bgp.attacks import evaluate_attack_seeds
 from ..bgp.fastprop import PropagationWorkspace
 from ..bgp.simulation import Seed
 from ..bgp.topology import AsTopology, CompiledTopology
-from ..netbase.errors import ReproError
+from ..netbase.codec import Field, decode, encode, many
 from .scenarios import AttackConfig
 from .spec import ExperimentSpec, TrialSpec
 
@@ -46,25 +46,6 @@ RECORD_SCHEMA = 1
 #: same spec on the same topology would write different record bytes.
 #: Run headers record it; resume and merge refuse to mix two rules.
 RECORD_RULE = 1
-
-#: The exact wire field list, in serialization order.  ``to_json_dict``
-#: emits these plus ``"schema"``; ``from_json_dict`` requires all of
-#: them and rejects anything else — silent drift between writer and
-#: reader is how archived runs rot.
-_RECORD_FIELDS = (
-    "fraction_index",
-    "trial_index",
-    "cell_index",
-    "fraction",
-    "cell",
-    "victim",
-    "attackers",
-    "attacker_fraction",
-    "victim_fraction",
-    "disconnected_fraction",
-    "attack_route_filtered",
-)
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -104,97 +85,44 @@ class TrialRecord:
 
     def to_json_dict(self) -> dict:
         """This record as a schema-versioned, JSON-ready dict."""
-        data: dict = {"schema": RECORD_SCHEMA}
-        for name in _RECORD_FIELDS:
-            value = getattr(self, name)
-            if name == "attackers":
-                value = list(value)
-            data[name] = value
-        return data
+        return encode(_FIELDS, vars(self))
 
     @classmethod
     def from_json_dict(cls, data: object) -> "TrialRecord":
-        """Decode one wire dict, strictly.
+        """Decode one wire dict, strictly (:mod:`repro.netbase.codec`).
 
-        Unknown fields, missing fields, or a schema version this
-        reader does not speak all raise :class:`ReproError` — a record
-        that cannot be decoded faithfully must not be decoded at all.
+        A record that cannot be decoded faithfully must not be
+        decoded at all: another schema, a missing or unknown field, an
+        inexact type, or a value no writer produces raises
+        :class:`ReproError`.
         """
-        if not isinstance(data, dict):
-            raise ReproError(f"trial record must be an object, not {data!r}")
-        schema = data.get("schema")
-        if schema != RECORD_SCHEMA:
-            raise ReproError(
-                f"trial record schema {schema!r} is not the supported "
-                f"schema {RECORD_SCHEMA}"
-            )
-        missing = [n for n in _RECORD_FIELDS if n not in data]
-        if missing:
-            raise ReproError(f"trial record missing fields {missing}")
-        unknown = sorted(set(data) - set(_RECORD_FIELDS) - {"schema"})
-        if unknown:
-            raise ReproError(f"trial record has unknown fields {unknown}")
-        def bad(name: str) -> ReproError:
-            return ReproError(
-                f"bad trial record value: {name}={data[name]!r}"
-            )
+        return cls(**decode("trial record", _FIELDS, data))
 
-        # Exact JSON types, no coercion: int("3"), bool("false"), or a
-        # string iterated as an attacker list would all decode to
-        # something the writer never meant.  And only values a writer
-        # can produce: a grid index counts from 0, and every float in a
-        # record is a share of ASes — ``json`` reads NaN and Infinity,
-        # which fail the range test like any other stray number.
-        def as_int(name: str) -> int:
-            value = data[name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise bad(name)
-            return value
 
-        def as_index(name: str) -> int:
-            if as_int(name) < 0:
-                raise bad(name)
-            return data[name]
+def _share(value: float) -> bool:
+    return 0.0 <= value <= 1.0
 
-        def as_float(name: str) -> float:
-            value = data[name]
-            if isinstance(value, bool) or not isinstance(
-                value, (int, float)
-            ):
-                raise bad(name)
-            if not 0 <= value <= 1:
-                raise bad(name)
-            return float(value)
 
-        if not isinstance(data["cell"], str):
-            raise bad("cell")
-        attackers = data["attackers"]
-        if isinstance(attackers, str) or not isinstance(
-            attackers, (list, tuple)
-        ):
-            raise bad("attackers")
-        for attacker in attackers:
-            if isinstance(attacker, bool) or not isinstance(
-                attacker, int
-            ):
-                raise bad("attackers")
-        if not isinstance(data["attack_route_filtered"], bool):
-            raise bad("attack_route_filtered")
-        return cls(
-            fraction_index=as_index("fraction_index"),
-            trial_index=as_index("trial_index"),
-            cell_index=as_index("cell_index"),
-            fraction=(
-                None if data["fraction"] is None else as_float("fraction")
-            ),
-            cell=data["cell"],
-            victim=as_int("victim"),
-            attackers=tuple(attackers),
-            attacker_fraction=as_float("attacker_fraction"),
-            victim_fraction=as_float("victim_fraction"),
-            disconnected_fraction=as_float("disconnected_fraction"),
-            attack_route_filtered=data["attack_route_filtered"],
-        )
+_index = (0).__le__
+
+#: The wire form, in serialization order; silent drift between writer
+#: and reader is how archived runs rot.  Only values a writer can
+#: produce decode: a grid index counts from 0, and every float in a
+#: record is a share of ASes.
+_FIELDS = (
+    Field("schema", const=RECORD_SCHEMA),
+    Field("fraction_index", int, check=_index),
+    Field("trial_index", int, check=_index),
+    Field("cell_index", int, check=_index),
+    Field("fraction", (float, None), check=_share),
+    Field("cell", str),
+    Field("victim", int),
+    Field("attackers", many(int)),
+    Field("attacker_fraction", float, check=_share),
+    Field("victim_fraction", float, check=_share),
+    Field("disconnected_fraction", float, check=_share),
+    Field("attack_route_filtered", bool),
+)
 
 
 def evaluate_trial(

@@ -57,6 +57,7 @@ from ..bgp.fastprop import PropagationWorkspace
 from ..bgp.topology import AsTopology, CompiledTopology
 from ..faults.plan import fire, install_from_env
 from ..faults.retry import RetryPolicy
+from ..netbase.codec import Field, decode, encode, many
 from ..netbase.errors import ReproError
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -69,7 +70,7 @@ from ..results.sinks import (
 )
 from ..results.store import ResultsStore, shard_run_id
 from .evaluate import TrialRecord, evaluate_trials
-from .spec import ExperimentSpec, iter_trials, json_int
+from .spec import ExperimentSpec, iter_trials
 
 __all__ = [
     "LocalShardTransport",
@@ -108,8 +109,6 @@ class Shard:
                 f"{self.shard_count}"
             )
         for entry in self.ranges:
-            if len(entry) != 3:
-                raise ReproError(f"bad shard range {entry!r}")
             fraction_index, start, stop = entry
             if fraction_index < 0 or not 0 <= start < stop:
                 raise ReproError(f"bad shard range {entry!r}")
@@ -130,38 +129,20 @@ class Shard:
         return shard_run_id(base, self.shard_index, self.shard_count)
 
     def to_json_dict(self) -> dict:
-        return {
-            "shard_index": self.shard_index,
-            "shard_count": self.shard_count,
-            "ranges": [list(entry) for entry in self.ranges],
-        }
+        return encode(_SHARD_FIELDS, vars(self))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "Shard":
-        """Decode strictly: exact JSON integers, ``ranges`` a list of
-        ``[fraction_index, start, stop]`` lists."""
-        try:
-            ranges = data["ranges"]
-            if not isinstance(ranges, list) or not all(
-                isinstance(entry, list) for entry in ranges
-            ):
-                raise TypeError(f"ranges={ranges!r} is not a list of lists")
-            return cls(
-                shard_index=json_int(data["shard_index"], "shard_index"),
-                shard_count=json_int(data["shard_count"], "shard_count"),
-                ranges=tuple(
-                    (
-                        json_int(f, "ranges"),
-                        json_int(start, "ranges"),
-                        json_int(stop, "ranges"),
-                    )
-                    for f, start, stop in ranges
-                ),
-            )
-        except KeyError as exc:
-            raise ReproError(f"shard JSON missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ReproError(f"bad shard JSON value: {exc}") from None
+    def from_json_dict(cls, data: object) -> "Shard":
+        """Decode strictly: ``ranges`` a list of ``[fraction_index,
+        start, stop]`` integer lists."""
+        return cls(**decode("shard JSON", _SHARD_FIELDS, data))
+
+
+_SHARD_FIELDS = (
+    Field("shard_index", int),
+    Field("shard_count", int),
+    Field("ranges", many(many(int, 3))),
+)
 
 
 #: Longest run of one fraction's trials a shard holds under

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bgp.topology import AsTopology
+from ..netbase.codec import Field, Kind, decode, encode, many, record
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
@@ -34,6 +35,7 @@ from .scenarios import (
     AttackConfig,
     CustomRoa,
     FixedPairSampler,
+    NoRoa,
     PartialCoverageRoa,
     RoaPolicy,
     ScenarioCell,
@@ -48,18 +50,10 @@ __all__ = [
     "TrialSpec",
     "derive_trial_seed",
     "iter_trials",
-    "json_int",
     "materialize_trials",
 ]
 
 _STOPPINGS = ("none", "ci")
-
-#: Every key a spec's JSON form holds — what ``to_json_dict`` writes.
-_JSON_KEYS = frozenset((
-    "cells", "trials", "seed", "fractions", "sampler", "victim_prefix",
-    "attack_prefix", "executor", "stopping", "stop_ci_width",
-    "stop_min_trials", "stop_check_every",
-))
 
 #: Values an earlier version wrote that no spec holds now, by key, and
 #: what each reads as (``None``: the key is ignored).  Stored specs
@@ -262,22 +256,7 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "cells": [_cell_to_json(cell) for cell in self.cells],
-            "trials": self.trials,
-            "seed": self.seed,
-            "fractions": list(self.fractions),
-            "sampler": _sampler_to_json(self.sampler),
-            "victim_prefix": str(self.victim_prefix),
-            "attack_prefix": (
-                None if self.attack_prefix is None else str(self.attack_prefix)
-            ),
-            "executor": self.executor,
-            "stopping": self.stopping,
-            "stop_ci_width": self.stop_ci_width,
-            "stop_min_trials": self.stop_min_trials,
-            "stop_check_every": self.stop_check_every,
-        }
+        return encode(_FIELDS, vars(self))
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -304,62 +283,27 @@ class ExperimentSpec:
         ).hexdigest()
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "ExperimentSpec":
-        """Decode a spec's JSON form, strictly: exact JSON types (no
-        ``int(2.9)``, no ``float("0.5")``) and no key outside the
-        spec's own, so a misspelled one cannot run on its default.
-        A retired value (``_RETIRED``: ``"engine"``, ``"seeding"``,
-        ``"executor": "process"``) reads as what replaced it."""
-        if not isinstance(data, dict):
-            raise ReproError("spec JSON must be an object")
-        unknown = sorted(set(data) - _JSON_KEYS - set(_RETIRED))
-        if unknown:
-            raise ReproError(f"spec JSON has unknown keys {unknown}")
-        data = dict(data)
-        for key, retired in _RETIRED.items():
-            value = data.get(key)
-            if isinstance(value, str) and value in retired:
-                data[key] = retired[value]
-            elif key in data and key not in _JSON_KEYS:
-                raise ReproError(
-                    f"retired spec key {key!r} holds {value!r}; "
-                    f"a stored spec may hold {sorted(retired)}"
-                )
-        try:
-            attack_prefix = data.get("attack_prefix")
-            return cls(
-                cells=tuple(_cell_from_json(raw) for raw in data["cells"]),
-                trials=json_int(data["trials"], "trials"),
-                seed=json_int(data.get("seed", 0), "seed"),
-                fractions=tuple(
-                    None if f is None else _json_number(f, "fractions")
-                    for f in data.get("fractions", [None])
-                ),
-                sampler=_sampler_from_json(data.get("sampler", "stubs")),
-                victim_prefix=_json_prefix(
-                    data.get("victim_prefix", "168.122.0.0/16"),
-                    "victim_prefix",
-                ),
-                attack_prefix=(
-                    None if attack_prefix is None
-                    else _json_prefix(attack_prefix, "attack_prefix")
-                ),
-                executor=data.get("executor", "serial"),
-                stopping=data.get("stopping", "none"),
-                stop_ci_width=_json_number(
-                    data.get("stop_ci_width", 0.05), "stop_ci_width"
-                ),
-                stop_min_trials=json_int(
-                    data.get("stop_min_trials", 16), "stop_min_trials"
-                ),
-                stop_check_every=json_int(
-                    data.get("stop_check_every", 8), "stop_check_every"
-                ),
-            )
-        except KeyError as exc:
-            raise ReproError(f"spec JSON missing key {exc}") from None
-        except (TypeError, ValueError) as exc:
-            raise ReproError(f"bad spec JSON value: {exc}") from None
+    def from_json_dict(cls, data: object) -> "ExperimentSpec":
+        """Decode a spec's JSON form through its field table
+        (:mod:`repro.netbase.codec`), nested cells, policies and
+        samplers included.  A retired value (``_RETIRED``:
+        ``"engine"``, ``"seeding"``, ``"executor": "process"``) reads
+        as what replaced it."""
+        if isinstance(data, dict):
+            data = dict(data)
+            for key, retired in _RETIRED.items():
+                value = data.get(key)
+                if isinstance(value, str) and value in retired:
+                    if retired[value] is None:
+                        del data[key]
+                    else:
+                        data[key] = retired[value]
+                elif key in data and key not in _FIELD_NAMES:
+                    raise ReproError(
+                        f"retired spec key {key!r} holds {value!r}; "
+                        f"a stored spec may hold {sorted(retired)}"
+                    )
+        return cls(**decode("spec JSON", _FIELDS, data))
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -370,132 +314,121 @@ class ExperimentSpec:
         return cls.from_json_dict(data)
 
 
-# Exact-type reads; the TypeError gets its context ("bad spec JSON
-# value", "bad cell entry", ...) from the caller.
+# The spec's field tables, nested forms first.
+
+_PREFIX = Kind((str,), "a prefix string", Prefix.parse, str)
+
+_VRP_ROW = record(
+    "custom VRP row",
+    (Field("prefix", _PREFIX), Field("max_length", int), Field("asn", int)),
+    Vrp,
+    lambda vrp: {
+        "prefix": vrp.prefix, "max_length": vrp.max_length, "asn": vrp.asn,
+    },
+)
 
 
-def json_int(value: object, name: str) -> int:
-    """``value`` if it is a JSON integer (not a bool, not a float);
-    a ``TypeError`` naming ``name`` otherwise.  Every decoder of a
-    stored or posted integer reads through it."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name}={value!r} is not an integer")
-    return value
+def _read_policy(data: Union[str, dict]) -> RoaPolicy:
+    if type(data) is str:
+        return policy_from_name(data)
+    return (_PARTIAL if "partial" in data else _CUSTOM).decode(data)
 
 
-def _json_number(value: object, name: str) -> float:
-    """``value`` as a float if it is a JSON number (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name}={value!r} is not a number")
-    return float(value)
-
-
-def _json_prefix(value: object, name: str) -> Prefix:
-    if not isinstance(value, str):
-        raise TypeError(f"{name}={value!r} is not a prefix string")
-    return Prefix.parse(value)
-
-
-def _cell_to_json(cell: ScenarioCell) -> dict:
-    data: dict = {"kind": cell.attack.kind.value}
-    if cell.attack.attackers != 1:
-        data["attackers"] = cell.attack.attackers
-    if cell.attack.prepend:
-        data["prepend"] = cell.attack.prepend
-    data["policy"] = _policy_to_json(cell.policy)
-    return data
-
-
-def _cell_from_json(data: dict) -> ScenarioCell:
-    if not isinstance(data, dict) or "kind" not in data:
-        raise ReproError(f"bad cell entry {data!r}: needs a 'kind'")
-    try:
-        attack = AttackConfig(
-            data["kind"],
-            attackers=json_int(data.get("attackers", 1), "attackers"),
-            prepend=json_int(data.get("prepend", 0), "prepend"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ReproError(f"bad cell entry {data!r}: {exc}") from None
-    return ScenarioCell(attack, _policy_from_json(data.get("policy", "none")))
-
-
-def _policy_to_json(policy: RoaPolicy) -> Union[str, dict]:
+def _write_policy(policy: RoaPolicy) -> Union[str, dict]:
     if isinstance(policy, CustomRoa):
-        return {
-            "custom": [
-                {
-                    "prefix": str(vrp.prefix),
-                    "max_length": vrp.max_length,
-                    "asn": vrp.asn,
-                }
-                for vrp in policy.vrps
-            ],
-            "name": policy.name,
-        }
+        return _CUSTOM.encode(policy)
     if isinstance(policy, PartialCoverageRoa):
         # The dict form, not the display label: the label renders the
         # coverage with %g, which would silently round it on round trip.
-        return {
-            "partial": {
-                "base": _policy_to_json(policy.base),
-                "coverage": policy.coverage,
-            }
-        }
+        return _PARTIAL.encode(policy)
     return policy.label
 
 
-def _policy_from_json(data: Union[str, dict]) -> RoaPolicy:
-    if isinstance(data, str):
-        return policy_from_name(data)
-    if isinstance(data, dict) and "partial" in data:
-        partial = data["partial"]
-        if not isinstance(partial, dict) or "base" not in partial:
-            raise ReproError(f"bad partial policy entry {data!r}")
-        return PartialCoverageRoa(
-            _policy_from_json(partial["base"]),
-            _json_number(partial.get("coverage", 0.5), "coverage"),
-        )
-    if isinstance(data, dict) and "custom" in data:
-        try:
-            vrps = tuple(
-                Vrp(
-                    _json_prefix(row["prefix"], "prefix"),
-                    json_int(row["max_length"], "max_length"),
-                    json_int(row["asn"], "asn"),
-                )
-                for row in data["custom"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"bad custom VRP row: {exc}") from None
-        return CustomRoa(vrps, name=data.get("name", "custom"))
-    raise ReproError(f"bad policy entry {data!r}")
+_POLICY = Kind(
+    (str, dict), "a policy name or object", _read_policy, _write_policy
+)
+
+_PARTIAL = record(
+    "partial policy",
+    (Field("partial", record(
+        "partial policy",
+        (Field("base", _POLICY), Field("coverage", float, 0.5)),
+        PartialCoverageRoa,
+    )),),
+    lambda partial: partial,
+    lambda policy: {"partial": policy},
+)
+
+_CUSTOM = record(
+    "custom policy",
+    (Field("custom", many(_VRP_ROW)), Field("name", str, "custom")),
+    lambda custom, name: CustomRoa(custom, name),
+    lambda policy: {"custom": policy.vrps, "name": policy.name},
+)
+
+_FIXED_PAIR = record(
+    "fixed-pair sampler",
+    (Field("victim", int), Field("attackers", many(int), ())),
+    FixedPairSampler,
+)
+
+_SAMPLERS = {"stubs": StubPairSampler(), "any": AnyAsPairSampler()}
 
 
-def _sampler_to_json(sampler: VictimAttackerSampler) -> Union[str, dict]:
-    if isinstance(sampler, StubPairSampler):
-        return "stubs"
-    if isinstance(sampler, AnyAsPairSampler):
-        return "any"
-    if isinstance(sampler, FixedPairSampler):
-        return {"victim": sampler.victim, "attackers": list(sampler.attackers)}
-    raise ReproError(f"sampler {sampler!r} has no JSON form")
+def _read_sampler(data: Union[str, dict]) -> VictimAttackerSampler:
+    if type(data) is dict:
+        return _FIXED_PAIR.decode(data)
+    if data not in _SAMPLERS:
+        raise ReproError(f"bad sampler entry {data!r}")
+    return _SAMPLERS[data]
 
 
-def _sampler_from_json(data: Union[str, dict]) -> VictimAttackerSampler:
-    if data == "stubs":
-        return StubPairSampler()
-    if data == "any":
-        return AnyAsPairSampler()
-    if isinstance(data, dict) and "victim" in data:
-        return FixedPairSampler(
-            json_int(data["victim"], "victim"),
-            tuple(
-                json_int(asn, "attackers")
-                for asn in data.get("attackers", ())
-            ),
-        )
-    raise ReproError(f"bad sampler entry {data!r}")
+def _write_sampler(sampler: VictimAttackerSampler) -> Union[str, dict]:
+    for name, known in _SAMPLERS.items():
+        if sampler == known:
+            return name
+    if not isinstance(sampler, FixedPairSampler):
+        raise ReproError(f"sampler {sampler!r} has no JSON form")
+    return _FIXED_PAIR.encode(sampler)
+
+
+_CELL_FIELDS = (
+    Field("kind", str),
+    Field("attackers", int, 1, omit=True),
+    Field("prepend", int, 0, omit=True),
+    Field("policy", _POLICY, NoRoa()),
+)
+
+_CELL = record(
+    "cell entry",
+    _CELL_FIELDS,
+    lambda kind, attackers, prepend, policy: ScenarioCell(
+        AttackConfig(kind, attackers, prepend), policy
+    ),
+    lambda cell: {
+        "kind": cell.attack.kind.value,
+        "attackers": cell.attack.attackers,
+        "prepend": cell.attack.prepend,
+        "policy": cell.policy,
+    },
+)
+
+_FIELDS = (
+    Field("cells", many(_CELL)),
+    Field("trials", int),
+    Field("seed", int, 0),
+    Field("fractions", many((float, None)), (None,)),
+    Field("sampler", Kind((str, dict), "a sampler name or object",
+                          _read_sampler, _write_sampler), _SAMPLERS["stubs"]),
+    Field("victim_prefix", _PREFIX, Prefix.parse("168.122.0.0/16")),
+    Field("attack_prefix", (_PREFIX, None), None),
+    Field("executor", str, "serial"),
+    Field("stopping", str, "none"),
+    Field("stop_ci_width", float, 0.05),
+    Field("stop_min_trials", int, 16),
+    Field("stop_check_every", int, 8),
+)
+_FIELD_NAMES = frozenset(entry.name for entry in _FIELDS)
 
 
 # ----------------------------------------------------------------------

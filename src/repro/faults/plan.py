@@ -56,6 +56,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple, Union
 
+from ..netbase.codec import Field, decode, encode, many, record
 from ..netbase.errors import ReproError
 from ..obs.metrics import get_registry
 
@@ -148,8 +149,8 @@ class FaultRule:
             )
         if not self.at or any(ordinal < 1 for ordinal in self.at):
             raise ReproError("fault ordinals in `at` are 1-based")
-        if self.delay < 0:
-            raise ReproError("fault delay must be non-negative")
+        if not 0 <= self.delay < float("inf"):
+            raise ReproError("fault delay must be finite and non-negative")
         if self.action == "delay" and self.delay <= 0:
             raise ReproError(
                 "a delay fault needs a positive base delay to jitter"
@@ -163,37 +164,23 @@ class FaultRule:
             str(context.get(key)) == value for key, value in self.match
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "action": self.action,
-            "at": list(self.at),
-            "error": self.error,
-            "delay": self.delay,
-            "match": [list(pair) for pair in self.match],
-        }
 
-    @classmethod
-    def from_json_dict(cls, data: object) -> "FaultRule":
-        if not isinstance(data, dict):
-            raise ReproError(f"fault rule must be an object: {data!r}")
-        try:
-            return cls(
-                site=str(data["site"]),
-                action=str(data["action"]),
-                at=tuple(int(v) for v in data.get("at", (1,))),
-                error=str(data.get("error", "io")),
-                delay=float(data.get("delay", 0.0)),
-                match=tuple(
-                    (str(k), str(v)) for k, v in data.get("match", ())
-                ),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"bad fault rule: {exc}") from None
-
-
-_PLAN_KIND = "repro.faults/plan"
-_PLAN_SCHEMA = 1
+#: A plan's wire form.  A rule's ``match`` is a list of ``[key,
+#: value]`` string pairs.
+_RULE_FIELDS = (
+    Field("site", str),
+    Field("action", str),
+    Field("at", many(int), (1,)),
+    Field("error", str, "io"),
+    Field("delay", float, 0.0),
+    Field("match", many(many(str, 2)), ()),
+)
+_PLAN_FIELDS = (
+    Field("kind", const="repro.faults/plan"),
+    Field("schema", const=1),
+    Field("seed", (int, None), None),
+    Field("rules", many(record("fault rule", _RULE_FIELDS, FaultRule)), ()),
+)
 
 
 @dataclass
@@ -220,12 +207,7 @@ class FaultPlan:
     def to_json(self) -> str:
         """The plan as one stable JSON line (state excluded)."""
         return json.dumps(
-            {
-                "kind": _PLAN_KIND,
-                "schema": _PLAN_SCHEMA,
-                "seed": self.seed,
-                "rules": [rule.to_json_dict() for rule in self.rules],
-            },
+            encode(_PLAN_FIELDS, vars(self)),
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -237,23 +219,7 @@ class FaultPlan:
             data = json.loads(text)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ReproError(f"bad fault plan JSON: {exc}") from None
-        if not isinstance(data, dict) or data.get("kind") != _PLAN_KIND:
-            raise ReproError(
-                f"not a {_PLAN_KIND} document: {str(text)[:80]!r}"
-            )
-        if data.get("schema") != _PLAN_SCHEMA:
-            raise ReproError(
-                f"fault plan schema {data.get('schema')!r} is not the "
-                f"supported schema {_PLAN_SCHEMA}"
-            )
-        seed = data.get("seed")
-        return cls(
-            rules=tuple(
-                FaultRule.from_json_dict(rule)
-                for rule in data.get("rules", ())
-            ),
-            seed=None if seed is None else int(seed),
-        )
+        return cls(**decode("fault plan", _PLAN_FIELDS, data))
 
     @classmethod
     def generate(

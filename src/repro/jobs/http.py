@@ -107,13 +107,6 @@ class JobsHttpServer(QueryHttpServer):
                 "(an ExperimentSpec plus optional run/ases/"
                 "topology_seed/workers/shards)"
             )
-        unknown = set(document) - {
-            "spec", "run", "ases", "topology_seed", "workers", "shards"
-        }
-        if unknown:
-            raise HttpRequestError(
-                f"unknown job fields {sorted(unknown)}"
-            )
         try:
             spec = JobSpec.from_json_dict(document)
             job_id = self.scheduler.submit(spec)

@@ -19,7 +19,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from ..exper.spec import ExperimentSpec, json_int
+from ..exper.spec import ExperimentSpec
+from ..netbase.codec import Field, Kind, decode, encode, nested
 from ..netbase.errors import ReproError
 from ..results.store import check_run_id
 
@@ -109,47 +110,25 @@ class JobSpec:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "run": self.run,
-            "ases": self.ases,
-            "topology_seed": self.topology_seed,
-            "workers": self.workers,
-            "shards": self.shards,
-        }
+        return encode(_SPEC_FIELDS, vars(self))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "JobSpec":
+    def from_json_dict(cls, data: object) -> "JobSpec":
         """Decode strictly, as :meth:`ExperimentSpec.from_json_dict`
-        does: exact JSON integers (no ``int(400.9)``, no ``"3"``, no
-        ``true``) and a ``run`` that is a valid run id."""
-        if not isinstance(data, dict):
-            raise ReproError("job spec JSON must be an object")
-        try:
-            spec = ExperimentSpec.from_json_dict(data["spec"])
-        except KeyError:
-            raise ReproError("job spec JSON missing 'spec'") from None
-        run = data.get("run")
-        workers = data.get("workers")
-        shards = data.get("shards")
-        try:
-            return cls(
-                spec=spec,
-                run=None if run is None else check_run_id(run),
-                ases=json_int(data.get("ases", 400), "ases"),
-                topology_seed=json_int(
-                    data.get("topology_seed", 11), "topology_seed"
-                ),
-                workers=(
-                    None if workers is None
-                    else json_int(workers, "workers")
-                ),
-                shards=(
-                    None if shards is None else json_int(shards, "shards")
-                ),
-            )
-        except TypeError as exc:
-            raise ReproError(f"bad job spec JSON value: {exc}") from None
+        does: the job's own keys, exact JSON integers (no
+        ``int(400.9)``, no ``"3"``, no ``true``) and a ``run`` that is a
+        valid run id."""
+        return cls(**decode("job spec JSON", _SPEC_FIELDS, data))
+
+
+_SPEC_FIELDS = (
+    Field("spec", nested(ExperimentSpec)),
+    Field("run", (Kind((str,), "a run id"), None), None),
+    Field("ases", int, 400),
+    Field("topology_seed", int, 11),
+    Field("workers", (int, None), None),
+    Field("shards", (int, None), None),
+)
 
 
 @dataclass(frozen=True)
@@ -171,48 +150,21 @@ class JobRecord:
             raise ReproError("an 'enqueued' event must carry the spec")
 
     def to_json_dict(self) -> dict:
-        data: dict = {
-            "schema": JOB_SCHEMA,
-            "kind": EVENT_KIND,
-            "job": self.job,
-            "event": self.event,
-        }
-        if self.spec is not None:
-            data["spec"] = self.spec.to_json_dict()
-        if self.detail:
-            data["detail"] = self.detail
-        return data
+        return encode(_RECORD_FIELDS, vars(self))
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "JobRecord":
-        schema = data.get("schema")
-        if schema != JOB_SCHEMA:
-            raise ReproError(
-                f"unsupported job record schema {schema!r} "
-                f"(this reader speaks {JOB_SCHEMA})"
-            )
-        kind = data.get("kind")
-        if kind != EVENT_KIND:
-            raise ReproError(
-                f"not a job event line: kind {kind!r}"
-            )
-        try:
-            job = str(data["job"])
-            event = str(data["event"])
-        except KeyError as exc:
-            raise ReproError(
-                f"job record missing key {exc}"
-            ) from None
-        raw_spec = data.get("spec")
-        return cls(
-            job=job,
-            event=event,
-            spec=(
-                None if raw_spec is None
-                else JobSpec.from_json_dict(raw_spec)
-            ),
-            detail=str(data.get("detail", "")),
-        )
+    def from_json_dict(cls, data: object) -> "JobRecord":
+        return cls(**decode("job record", _RECORD_FIELDS, data))
+
+
+_RECORD_FIELDS = (
+    Field("schema", const=JOB_SCHEMA),
+    Field("kind", const=EVENT_KIND),
+    Field("job", str),
+    Field("event", str),
+    Field("spec", nested(JobSpec), None, omit=True),
+    Field("detail", str, "", omit=True),
+)
 
 
 @dataclass

@@ -52,6 +52,7 @@ from typing import (
 )
 
 from ..faults.plan import fire
+from ..netbase.codec import Field, decode, encode
 from ..netbase.errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
 from . import appendlog
@@ -80,14 +81,21 @@ HEADER_SCHEMA = 2
 
 _HEADER_KIND = "repro.results/run"
 
-#: The fields of each readable header schema (besides ``kind`` and
-#: ``schema``) and their exact types — ``type(value) in``, so a bool is
-#: no int.  Schema 1 wrote the spec's seed and the engine, not a rule.
+#: Each readable header schema's field table.  Schema 1 wrote the
+#: spec's seed and the engine, not a rule.
 _HEADER_FIELDS = {
-    1: {"spec_hash": (str,), "spec": (dict,),
-        "topology_hash": (str, type(None)), "seed": (int,), "engine": (str,)},
-    2: {"spec_hash": (str,), "spec": (dict,),
-        "topology_hash": (str, type(None)), "rule": (int,)},
+    1: (
+        Field("kind", const=_HEADER_KIND), Field("schema", const=1),
+        Field("spec_hash", str), Field("spec", dict),
+        Field("topology_hash", (str, None)),
+        Field("seed", int), Field("engine", str),
+    ),
+    2: (
+        Field("kind", const=_HEADER_KIND), Field("schema", const=2),
+        Field("spec_hash", str), Field("spec", dict),
+        Field("topology_hash", (str, None)),
+        Field("rule", int),
+    ),
 }
 
 
@@ -179,46 +187,21 @@ class RunHeader:
         return ExperimentSpec.from_json_dict(self.spec)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": _HEADER_KIND,
-            "schema": HEADER_SCHEMA,
-            "spec_hash": self.spec_hash,
-            "spec": self.spec,
-            "topology_hash": self.topology_hash,
-            "rule": self.rule,
-        }
+        return encode(_HEADER_FIELDS[HEADER_SCHEMA], vars(self))
 
     @classmethod
     def from_json_dict(cls, data: object) -> "RunHeader":
-        """Decode strictly: the schema's keys, exact types, a spec that
+        """Decode strictly: the schema's field table, and a spec that
         decodes and (schema 2) hashes to ``spec_hash``.  A schema-1
         hash was taken over spec keys that have since left."""
-        if not isinstance(data, dict) or data.get("kind") != _HEADER_KIND:
-            raise ReproError(
-                f"not a {_HEADER_KIND} header: {str(data)[:80]!r}"
-            )
-        schema = data.get("schema")
+        schema = data.get("schema") if isinstance(data, dict) else None
         fields = _HEADER_FIELDS.get(schema) if type(schema) is int else None
-        if fields is None:
-            raise ReproError(
-                f"run header schema {schema!r} is not one of the "
-                f"readable schemas {sorted(_HEADER_FIELDS)}"
-            )
-        keys = {"kind", "schema", *fields}
-        if set(data) != keys:
-            raise ReproError(
-                f"bad run header: unknown keys {sorted(set(data) - keys)}, "
-                f"missing keys {sorted(keys - set(data))}"
-            )
-        for name, types in fields.items():
-            if type(data[name]) not in types:
-                raise ReproError(
-                    f"bad run header value: {name}={str(data[name])[:60]!r}"
-                    f" is not of type {' or '.join(t.__name__ for t in types)}"
-                )
+        values = decode(
+            "run header", fields or _HEADER_FIELDS[HEADER_SCHEMA], data
+        )
         header = cls(
-            data["spec_hash"], data["spec"], data["topology_hash"],
-            data.get("rule"),
+            values["spec_hash"], values["spec"], values["topology_hash"],
+            values.get("rule"),
         )
         spec_hash = header.experiment_spec().spec_hash()
         if schema == HEADER_SCHEMA and spec_hash != header.spec_hash:

@@ -50,9 +50,10 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..exper.evaluate import RECORD_RULE
 from ..exper.sharded import Shard, run_shard
-from ..exper.spec import ExperimentSpec, json_int
+from ..exper.spec import ExperimentSpec
 from ..faults.plan import fire, install_from_env
 from ..faults.retry import RetryPolicy
+from ..netbase.codec import Field, decode, encode, many, nested
 from ..netbase.errors import ReproError
 from ..results.sinks import (
     JsonlSink,
@@ -72,6 +73,15 @@ __all__ = [
 
 #: Content type of the ``/shards/<i>/records`` JSONL download.
 _JSONL_CONTENT_TYPE = "application/x-ndjson"
+
+#: The ``POST /shards`` body: :class:`HttpShardTransport` writes it,
+#: :class:`ShardWorkerServer` reads it.
+_DISPATCH_FIELDS = (
+    Field("shard", nested(Shard)),
+    Field("header", nested(RunHeader)),
+    Field("attempt", int, 0, check=(0).__le__),
+    Field("finished", many(many(int, 2)), ()),
+)
 
 
 class _WorkerJob:
@@ -251,30 +261,17 @@ class ShardWorkerServer(HttpServerBase):
             document = json.loads(body or b"{}")
         except json.JSONDecodeError as exc:
             raise HttpRequestError(f"invalid JSON body: {exc}")
-        if not isinstance(document, dict):
-            raise HttpRequestError("dispatch body must be a JSON object")
         try:
-            shard = Shard.from_json_dict(document["shard"])
-            header = RunHeader.from_json_dict(document["header"])
-            attempt = json_int(document.get("attempt", 0), "attempt")
-            pairs = document.get("finished", [])
-            if not isinstance(pairs, list) or not all(
-                isinstance(pair, list) for pair in pairs
-            ):
-                raise TypeError(f"finished={pairs!r} is not a list of pairs")
-            finished = frozenset(
-                (json_int(f, "finished"), json_int(t, "finished"))
-                for f, t in pairs
-            )
+            values = decode("dispatch body", _DISPATCH_FIELDS, document)
+            shard, header = values["shard"], values["header"]
             # What this worker records is of its own topology and rule.
             check_header_compatible(RunHeader(
                 header.spec_hash, header.spec, self.topology_hash,
                 RECORD_RULE,
             ), header, "this shard worker")
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise HttpRequestError(f"bad dispatch body: {exc}")
         except ReproError as exc:
             raise HttpRequestError(str(exc))
+        attempt, finished = values["attempt"], frozenset(values["finished"])
         spec = header.experiment_spec()
         fire(
             "serve.shards.dispatch",
@@ -484,14 +481,12 @@ class HttpShardTransport:
     ) -> None:
         """Dispatch one shard to its host for this attempt."""
         host = self.host_for(shard.shard_index, attempt)
-        body = json.dumps({
-            "shard": shard.to_json_dict(),
-            "header": header.to_json_dict(),
+        body = json.dumps(encode(_DISPATCH_FIELDS, {
+            "shard": shard,
+            "header": header,
             "attempt": attempt,
-            "finished": sorted(
-                [int(f), int(t)] for f, t in finished
-            ),
-        }).encode("utf-8")
+            "finished": sorted(finished),
+        })).encode("utf-8")
         job = _HttpJob(shard, host, attempt)
         try:
             self._request("POST", f"{host}/shards", body)

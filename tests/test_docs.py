@@ -290,8 +290,8 @@ class TestRobustnessDocExamples:
 
         blocks = _fenced_blocks(ROBUSTNESS_DOC.read_text(encoding="utf-8"))
         at = next(
-            index for index, (language, body) in enumerate(blocks)
-            if language == "json" and "repro.faults/plan" in body
+            index for index, (language, body) in enumerate(blocks[:-1])
+            if language == "json" and PLAN_ENV in blocks[index + 1][1]
         )
         plan = FaultPlan.from_json(blocks[at][1])
         assert [rule.action for rule in plan.rules] == ["crash"]
@@ -324,6 +324,20 @@ class TestRobustnessDocExamples:
         trace = (tmp_path / "sharded.trace.json").read_text()
         assert trace.count("exper.shard_retried") == 1
         assert "killed by signal 9" in trace
+
+    def test_every_plan_block_decodes(self):
+        """Every plan the page shows is one a reader can paste."""
+        from repro.faults import FaultPlan
+
+        plans = [
+            body for language, body in _fenced_blocks(
+                ROBUSTNESS_DOC.read_text(encoding="utf-8")
+            )
+            if language == "json" and '"rules"' in body
+        ]
+        assert len(plans) >= 2
+        for body in plans:
+            assert FaultPlan.from_json(body).rules
 
 
 class TestPlatformDocExamples:

@@ -344,6 +344,45 @@ class TestStrictSpecJson:
         with pytest.raises(ReproError, match=r"unknown keys \['stoping'\]"):
             self.decode(stoping="ci")
 
+    _ROW = {"prefix": "168.122.0.0/16", "max_length": 24, "asn": 111}
+
+    @pytest.mark.parametrize("cell,match", [
+        pytest.param(
+            {"kind": "prefix-hijack", "attacker": 3},
+            r"unknown keys \['attacker'\]", id="cell-attacker",
+        ),
+        pytest.param(
+            {"kind": "prefix-hijack", "policy": {
+                "partial": {"base": "minimal", "covrage": 0.9}}},
+            r"unknown keys \['covrage'\]", id="partial-covrage",
+        ),
+        pytest.param(
+            {"kind": "prefix-hijack", "policy": {
+                "partial": {"base": "minimal"}, "custom": []}},
+            r"unknown keys \['custom'\]", id="partial-and-custom",
+        ),
+        pytest.param(
+            {"kind": "prefix-hijack", "policy": {
+                "custom": [{**_ROW, "max_len": 24}]}},
+            r"unknown keys \['max_len'\]", id="custom-row-extra",
+        ),
+        pytest.param(
+            {"kind": "prefix-hijack", "policy": {
+                "custom": [_ROW], "name": 5}},
+            "name=5", id="custom-name-int",
+        ),
+    ])
+    def test_nested_objects_take_only_their_keys(self, cell, match):
+        """A misspelled nested key is refused, never run on its
+        default: ``"attacker": 3`` would otherwise run one attacker."""
+        with pytest.raises(ReproError, match=match):
+            self.decode(cells=[cell])
+
+    def test_sampler_takes_only_its_keys(self):
+        with pytest.raises(ReproError, match=r"unknown keys \['victims'\]"):
+            self.decode(sampler={"victim": 1, "attackers": [2],
+                                 "victims": [3]})
+
     @pytest.mark.parametrize("engine", ["array", "object"])
     def test_stored_engine_read_and_ignored(self, engine):
         assert self.decode(engine=engine) == self.decode()

@@ -118,6 +118,9 @@ class TestFaultRule:
         with pytest.raises(ReproError, match="delay"):
             FaultRule(site="serve.http.request", action="stall",
                       delay=-0.1)
+        with pytest.raises(ReproError, match="delay"):
+            FaultRule(site="serve.http.request", action="stall",
+                      delay=float("nan"))
 
     def test_match_accepts_mapping(self):
         rule = FaultRule(site="exper.shard.record", action="crash",
@@ -158,6 +161,60 @@ class TestFaultPlan:
             FaultPlan.from_json(
                 '{"kind": "repro.faults/plan", "schema": 99}'
             )
+
+    _RULE = '{"site": "exper.shard.record", "action": "stall", "delay": 0.5'
+
+    @pytest.mark.parametrize("text,field", [
+        pytest.param(_RULE + ', "at": ["3"]}', "at", id="at-string"),
+        pytest.param(_RULE + ', "at": [2.9]}', "at", id="at-float"),
+        pytest.param(_RULE + ', "at": [true]}', "at", id="at-bool"),
+        pytest.param(
+            '{"site": "x", "action": "stall", "delay": "0.5"}', "delay",
+            id="delay-string",
+        ),
+        pytest.param(
+            '{"site": "x", "action": "stall", "delay": NaN}', "delay",
+            id="delay-nan",
+        ),
+        pytest.param(
+            '{"site": "x", "action": "stall", "delay": Infinity}', "delay",
+            id="delay-infinity",
+        ),
+        pytest.param(
+            '{"site": 5, "action": "crash"}', "site", id="site-int",
+        ),
+        pytest.param(_RULE + ', "att": [4]}', "att", id="unknown-key"),
+        pytest.param(
+            _RULE + ', "match": {"ab": "x"}}', "match", id="match-object",
+        ),
+        pytest.param(
+            _RULE + ', "match": [["shard", 1]]}', "match", id="match-int",
+        ),
+        pytest.param(
+            _RULE + ', "match": [["a", "b", "c"]]}', "match",
+            id="match-triple",
+        ),
+    ])
+    def test_rules_decode_exactly(self, text, field):
+        """A rule's wire form is exactly what ``to_json`` writes: no
+        ``int("3")``, no ``str(5)``, no non-finite delay (``time.sleep``
+        would raise it untyped at the site), and no object iterated
+        into a ``match`` that never fires."""
+        plan = '{"kind": "repro.faults/plan", "schema": 1, "rules": [%s]}'
+        with pytest.raises(ReproError, match=field):
+            FaultPlan.from_json(plan % text)
+
+    @pytest.mark.parametrize("fields,field", [
+        pytest.param('"seed": 7.9', "seed", id="seed-float"),
+        pytest.param('"seed": "7"', "seed", id="seed-string"),
+        pytest.param('"schema": true', "schema", id="schema-bool"),
+        pytest.param('"rules": [], "ruls": []', "ruls", id="unknown-key"),
+    ])
+    def test_plan_decodes_exactly(self, fields, field):
+        # A repeated key reads as its last value.
+        text = '{"kind": "repro.faults/plan", "schema": 1, %s}' % fields
+        with pytest.raises(ReproError, match=field):
+            FaultPlan.from_json(text)
 
     def test_generate_is_deterministic(self):
         first = FaultPlan.generate(7, shards=3)

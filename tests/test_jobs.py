@@ -153,6 +153,7 @@ class TestJobModel:
         ("shards", 2.5),
         ("run", ["a"]),
         ("run", "../x"),
+        ("wrokers", 2),  # a misspelled key never runs on its default
     ])
     def test_decoder_takes_exact_types(self, field, value):
         data = {**job_spec().to_json_dict(), field: value}
@@ -212,6 +213,12 @@ class TestJobModel:
             JobRecord.from_json_dict({**line, "schema": 99})
         with pytest.raises(ReproError, match="kind"):
             JobRecord.from_json_dict({**line, "kind": "other"})
+        with pytest.raises(ReproError, match="job=7"):
+            JobRecord.from_json_dict({**line, "job": 7})  # not "7"
+        with pytest.raises(ReproError, match="detail=3"):
+            JobRecord.from_json_dict({**line, "detail": 3})
+        with pytest.raises(ReproError, match=r"unknown keys \['when'\]"):
+            JobRecord.from_json_dict({**line, "when": "now"})
 
 
 # ----------------------------------------------------------------------
@@ -897,6 +904,10 @@ class TestJobsHttp:
                     {**job_spec().to_json_dict(), "surprise": 1}
                 ).encode(),
                 json.dumps({"spec": {"cells": "nope"}}).encode(),
+                json.dumps({"spec": {  # a misspelled nested key
+                    "cells": [{"kind": "prefix-hijack", "attacker": 3}],
+                    "trials": 2,
+                }}).encode(),
                 *(json.dumps(document).encode() for document in inexact),
             ):
                 status, _ = await http_request(

@@ -123,13 +123,13 @@ class TestRecordWireSchema:
     def test_missing_field_rejected(self):
         wire = sample_record().to_json_dict()
         del wire["victim"]
-        with pytest.raises(ReproError, match="missing fields.*victim"):
+        with pytest.raises(ReproError, match="missing keys.*victim"):
             TrialRecord.from_json_dict(wire)
 
     def test_unknown_field_rejected(self):
         wire = sample_record().to_json_dict()
         wire["surprise"] = 1
-        with pytest.raises(ReproError, match="unknown fields.*surprise"):
+        with pytest.raises(ReproError, match="unknown keys.*surprise"):
             TrialRecord.from_json_dict(wire)
 
     def test_wrong_schema_rejected(self):
@@ -538,7 +538,7 @@ class TestJsonlDurability:
         doctored["surprise"] = True
         lines[3] = json.dumps(doctored).encode() + b"\n"
         path.write_bytes(b"".join(lines))
-        with pytest.raises(ReproError, match="unknown fields"):
+        with pytest.raises(ReproError, match="unknown keys"):
             read_run(path)
 
     @pytest.mark.parametrize("values", [

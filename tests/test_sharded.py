@@ -217,6 +217,9 @@ class TestPlanning:
     def test_bad_shard_json_rejected(self):
         with pytest.raises(ReproError, match="shard JSON missing key"):
             Shard.from_json_dict({"shard_index": 0})
+        wire = plan_shards(small_spec(trials=5), 3)[1].to_json_dict()
+        with pytest.raises(ReproError, match=r"unknown keys \['attempt'\]"):
+            Shard.from_json_dict({**wire, "attempt": 0})
 
     def test_shard_run_ids(self):
         assert shard_run_id("grid-abc", 2, 12) == "grid-abc.shard02of12"
@@ -811,7 +814,8 @@ class TestHttpTransport:
 
     def test_dispatch_takes_exact_types(self, topology):
         """A dispatch body's integers are JSON integers: a float, a
-        numeric string or a bool is a 400, never rounded or cast."""
+        numeric string or a bool is a 400, never rounded or cast; so
+        are a negative attempt and a key the body does not hold."""
         import urllib.error
 
         from repro.results import RunHeader
@@ -833,6 +837,9 @@ class TestHttpTransport:
             {**good, "finished": [[0, "1"]]},
             {**good, "finished": [[0, 1.0]]},
             {**good, "finished": ["xy"]},
+            {**good, "attempt": -1},
+            {**good, "attemps": 1},
+            {**good, "shard": {**shard, "attempt": 0}},
         ]
         with ThreadedShardWorkerServer(topology) as worker:
             for body in bad_bodies:
