@@ -4,7 +4,8 @@ Gilad, Sagga, Goldberg — CoNEXT 2017, DOI 10.1145/3143361.3143363.
 
 The package layers, bottom to top:
 
-* :mod:`repro.netbase` — IP prefixes, AS numbers, tries, radix trees.
+* :mod:`repro.netbase` — IP prefixes, AS numbers, the per-length prefix
+  table, the record codec.
 * :mod:`repro.asn1` — minimal DER encoder/decoder.
 * :mod:`repro.crypto` — pure-Python RSA signatures.
 * :mod:`repro.rpki` — ROAs, certificates, repositories, validation.
@@ -12,7 +13,7 @@ The package layers, bottom to top:
 * :mod:`repro.bgp` — announcements, RIBs, origin validation (RFC 6811),
   Gao–Rexford route propagation, hijack attacks.
 * :mod:`repro.core` — the paper's contribution: minimal-ROA conversion,
-  the ``compress_roas`` trie algorithm, vulnerability analysis, bounds,
+  the ``compress_roas`` algorithm, vulnerability analysis, bounds,
   the local-cache pipeline.
 * :mod:`repro.data` — synthetic Internet: AS graphs, address allocation,
   BGP tables, ROA issuance, weekly snapshots, archive formats.
@@ -32,6 +33,6 @@ from ._lazy import lazy_exports
 __version__ = "1.0.0"
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "netbase": ("Prefix", "PrefixSet", "PrefixTrie", "RadixTree"),
+    "netbase": ("Prefix",),
 })
 __all__.append("__version__")

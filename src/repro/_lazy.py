@@ -9,7 +9,7 @@ instead of the package's whole closure::
 
     __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "prefix": ("AF_INET", "AF_INET6", "Prefix"),
-        "trie": ("PrefixTrie", "TrieNode"),
+        "prefixtable": ("PrefixTable",),
     })
 
 Table keys are the package's *own* submodules (one path component, so

@@ -11,41 +11,39 @@ way a real BGP speaker does before selection.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from ..netbase.prefix import AF_INET, AF_INET6, Prefix
-from ..netbase.radix import RadixTree
+from ..netbase.prefixtable import PrefixTable
 from .announcement import Announcement
 
 __all__ = ["Rib", "AdjRibIn"]
+
+_prefix_of = attrgetter("prefix")
 
 
 class Rib:
     """A Loc-RIB: at most one selected route per prefix."""
 
     def __init__(self) -> None:
-        self._trees = {
-            AF_INET: RadixTree[Announcement](AF_INET),
-            AF_INET6: RadixTree[Announcement](AF_INET6),
+        self._tables: dict[int, PrefixTable[Announcement]] = {
+            AF_INET: PrefixTable(AF_INET),
+            AF_INET6: PrefixTable(AF_INET6),
         }
-        self._count = 0
 
     def install(self, announcement: Announcement) -> None:
         """Select a route (replacing any previous one for the prefix)."""
-        tree = self._trees[announcement.prefix.family]
-        if tree.get(announcement.prefix) is None:
-            self._count += 1
-        tree.insert(announcement.prefix, announcement)
+        self._tables[announcement.prefix.family][announcement.prefix] = (
+            announcement
+        )
 
     def withdraw(self, prefix: Prefix) -> bool:
-        if self._trees[prefix.family].remove(prefix):
-            self._count -= 1
-            return True
-        return False
+        return self._tables[prefix.family].pop(prefix) is not None
 
     def route_for_prefix(self, prefix: Prefix) -> Optional[Announcement]:
         """The exact route for ``prefix``, if selected."""
-        return self._trees[prefix.family].get(prefix)
+        return self._tables[prefix.family].get(prefix)
 
     def forward(self, address: Prefix) -> Optional[Announcement]:
         """Longest-prefix-match: the route packets to ``address`` take.
@@ -53,13 +51,12 @@ class Rib:
         ``address`` is a host prefix (/32 or /128) — or any prefix, in
         which case the most specific covering route is returned.
         """
-        match = self._trees[address.family].longest_match(address)
-        return match[1] if match is not None else None
+        return self._tables[address.family].longest(address)
 
     def routes(self) -> Iterator[Announcement]:
+        """Every selected route, in prefix order."""
         for family in (AF_INET, AF_INET6):
-            for _prefix, announcement in self._trees[family].items():
-                yield announcement
+            yield from sorted(self._tables[family].values(), key=_prefix_of)
 
     def origin_pairs(self) -> Iterator[tuple[Prefix, int]]:
         """(prefix, origin) pairs — the measurement view of this RIB."""
@@ -67,7 +64,7 @@ class Rib:
             yield announcement.origin_pair()
 
     def __len__(self) -> int:
-        return self._count
+        return sum(len(table) for table in self._tables.values())
 
     def __contains__(self, prefix: Prefix) -> bool:
         return self.route_for_prefix(prefix) is not None

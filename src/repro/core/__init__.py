@@ -1,7 +1,6 @@
 """The paper's contribution: compression, minimality, vulnerability.
 
-* :mod:`repro.core.compress` — Algorithm 1 (``compress_roas``) plus an
-  optimal-compression extension.
+* :mod:`repro.core.compress` — Algorithm 1 (``compress_roas``).
 * :mod:`repro.core.minimal` — minimal-ROA conversion (§6/§7 scenarios).
 * :mod:`repro.core.vulnerability` — forged-origin subprefix hijack
   classification (§4, §6).
@@ -18,8 +17,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "counts": ("pdu_counts",),
     # Vrp is defined in repro.rpki.vrp; compress takes and returns it.
     "compress": (
-        "CompressionStats", "Vrp", "build_tries", "compress_group",
-        "compress_vrps", "compress_vrps_optimal",
+        "CompressionStats", "Vrp", "compress_group", "compress_vrps",
     ),
     "minimal": (
         "OriginPair", "additional_prefix_count", "build_origin_index",

@@ -19,29 +19,33 @@ This module implements the conversions of §6–§7:
 * :func:`additional_prefix_count` — the "13K additional prefixes"
   measurement of §6.
 
-Two indexes do the work, both built in one pass from sorted keys:
-:func:`build_origin_index` maps each announced prefix to its origin
-ASes in a radix tree (what the vulnerability and linting code
-queries), and :func:`minimal_pairs` validates each announcement whose
-origin holds a VRP against a
+Two indexes do the work.  :func:`build_origin_index` keeps each AS's
+announced prefixes per family as sorted ``(network bits, length)``
+ints, so the routes a prefix covers are one slice between two
+``bisect`` points (:func:`announced_under`; what the vulnerability and
+linting code queries), and :func:`minimal_pairs` validates each
+announcement whose origin holds a VRP against a
 :class:`~repro.bgp.origin_validation.VrpIndex`, the structure routers
 hold.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterable
 
 from ..bgp.origin_validation import ValidationState, VrpIndex
 from ..netbase.prefix import Prefix
-from ..netbase.radix import RadixTree
 from ..rpki.vrp import Vrp, sort_vrps
+from .compress import _WIDTH, group_pairs
 
 if TYPE_CHECKING:
     from ..rpki.roa import Roa
 
 __all__ = [
+    "OriginIndex",
     "OriginPair",
+    "announced_under",
     "build_origin_index",
     "minimal_pairs",
     "to_minimal_vrps",
@@ -53,39 +57,53 @@ __all__ = [
 OriginPair = tuple[Prefix, int]
 
 
-def build_origin_index(
-    announced: Iterable[OriginPair],
-) -> dict[int, RadixTree[set[int]]]:
+#: Announced prefixes per (origin AS, family): ``(network bits,
+#: length)`` keys in ascending order, which puts each prefix just
+#: before the prefixes it covers.
+OriginIndex = dict[tuple[int, int], list[tuple[int, int]]]
+
+
+def build_origin_index(announced: Iterable[OriginPair]) -> OriginIndex:
     """Index announced (prefix, origin) pairs for covering queries.
 
-    Returns one radix tree per address family mapping each announced
-    prefix to the set of ASes that originate it (MOAS — multi-origin —
-    prefixes do occur and must keep all origins).
-
-    Every query against the index ends in ``asn in origins`` — RFC 6811
-    *matching* needs the route's origin to equal the VRP's AS — so a
-    caller that knows which ASes it will ask about (:func:`analyze_vrps
+    Every query against the index asks what one AS announces — RFC
+    6811 *matching* needs the route's origin to equal the VRP's AS —
+    so the pairs are grouped per (origin, family) first, as Algorithm 1
+    groups them (:func:`~repro.core.compress.group_pairs`), and each
+    group's keys are sorted once.  A multi-origin (MOAS) prefix is a
+    key in each of its origins' groups.  A caller that knows which ASes
+    it will ask about (:func:`analyze_vrps
     <repro.core.vulnerability.analyze_vrps>`, :func:`lint_roas
     <repro.core.recommend.lint_roas>`) indexes only their
-    announcements.  Origins are grouped per prefix first, then each
-    family's tree is built from its sorted keys in one pass.
+    announcements.
     """
-    origins_at: dict[Prefix, set[int]] = {}
-    for prefix, origin in announced:
-        origins_at.setdefault(prefix, set()).add(origin)
-    # Keys sort as ints; they are distinct, so a comparison never
-    # reaches the prefix or the set.
-    by_family: dict[int, list[tuple[int, int, Prefix, set[int]]]] = {}
-    for prefix, origins in origins_at.items():
-        by_family.setdefault(prefix.family, []).append(
-            (prefix.value, prefix.length, prefix, origins)
-        )
     return {
-        family: RadixTree.from_sorted(
-            family, (entry[2:] for entry in sorted(entries))
-        )
-        for family, entries in by_family.items()
+        origin_family: sorted((value, length) for length, value in group)
+        for origin_family, group in group_pairs(announced).items()
     }
+
+
+def announced_under(
+    index: OriginIndex, asn: int, prefix: Prefix
+) -> list[tuple[int, int]]:
+    """The ``(network bits, length)`` keys ``asn`` announces inside
+    ``prefix`` (``prefix`` itself included), in ascending order.
+
+    A key is inside ``prefix`` when its bits fall in the prefix's
+    address range and it is no shorter: the range's first key is
+    ``(bits, length)`` itself, and its last is the range's last address
+    at the family's width.
+    """
+    keys = index.get((asn, prefix._family))
+    if not keys:
+        return []
+    value, length = prefix._value, prefix._length
+    width = _WIDTH[prefix._family]
+    low = bisect_left(keys, (value, length))
+    high = bisect_right(
+        keys, (value | ((1 << (width - length)) - 1), width), low
+    )
+    return keys[low:high]
 
 
 def minimal_pairs(
@@ -126,7 +144,7 @@ def to_minimal_vrps(
 
 
 def minimal_roa_for(
-    roa: Roa, announced: Iterable[OriginPair] | dict[int, RadixTree[set[int]]]
+    roa: Roa, announced: Iterable[OriginPair] | OriginIndex
 ) -> Roa | None:
     """Shrink one ROA to exactly its announced-and-authorized prefixes.
 
@@ -145,15 +163,11 @@ def minimal_roa_for(
     )
     kept: set[Prefix] = set()
     for entry in roa.prefixes:
-        tree = index.get(entry.prefix.family)
-        if tree is None:
-            continue
-        for announced_prefix, origins in tree.covered(entry.prefix):
-            if (
-                roa.asn in origins
-                and announced_prefix.length <= entry.effective_max_length
-            ):
-                kept.add(announced_prefix)
+        family = entry.prefix.family
+        max_length = entry.effective_max_length
+        for value, length in announced_under(index, roa.asn, entry.prefix):
+            if length <= max_length:
+                kept.add(Prefix(family, value, length))
     if not kept:
         return None
     return Roa(roa.asn, [RoaPrefix(prefix) for prefix in sorted(kept)])

@@ -33,11 +33,17 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..netbase.radix import RadixTree
+from ..netbase.prefix import Prefix
 from ..rpki.roa import Roa, RoaPrefix
 from ..rpki.vrp import Vrp
 from .compress import compress_vrps
-from .minimal import OriginPair, build_origin_index, minimal_roa_for
+from .minimal import (
+    OriginIndex,
+    OriginPair,
+    announced_under,
+    build_origin_index,
+    minimal_roa_for,
+)
 from .vulnerability import announced_count_under
 
 __all__ = [
@@ -119,7 +125,7 @@ class RoaReview:
         return "\n".join(lines)
 
 
-def _suggest(roa: Roa, index: dict[int, RadixTree[set[int]]]) -> Optional[Roa]:
+def _suggest(roa: Roa, index: OriginIndex) -> Optional[Roa]:
     """The minimal replacement, compressed so it stays PDU-friendly."""
     minimal = minimal_roa_for(roa, index)
     if minimal is None:
@@ -142,7 +148,7 @@ def _suggest(roa: Roa, index: dict[int, RadixTree[set[int]]]) -> Optional[Roa]:
 
 def lint_roa(
     roa: Roa,
-    announced: Iterable[OriginPair] | dict[int, RadixTree[set[int]]],
+    announced: Iterable[OriginPair] | OriginIndex,
     *,
     wide_maxlength_threshold: int = 8,
 ) -> RoaReview:
@@ -218,24 +224,22 @@ def lint_roa(
         # The operator's own de-aggregation breaking under their ROA:
         # announced same-AS routes covered by this entry but longer
         # than its maxLength.
-        tree = index.get(entry.prefix.family)
-        if tree is not None:
-            for announced_prefix, origins in tree.covered(entry.prefix):
-                if (
-                    roa.asn in origins
-                    and announced_prefix.length > entry.effective_max_length
-                    and not roa.authorizes(announced_prefix, roa.asn)
-                ):
-                    findings.append(
-                        Finding(
-                            FindingCode.OWN_ROUTE_INVALID,
-                            Severity.ERROR,
-                            entry,
-                            f"your own announcement {announced_prefix} is "
-                            "RPKI-invalid under this ROA (covered but longer "
-                            "than maxLength)",
-                        )
+        family = entry.prefix.family
+        for value, length in announced_under(index, roa.asn, entry.prefix):
+            if length <= entry.effective_max_length:
+                continue
+            announced_prefix = Prefix(family, value, length)
+            if not roa.authorizes(announced_prefix, roa.asn):
+                findings.append(
+                    Finding(
+                        FindingCode.OWN_ROUTE_INVALID,
+                        Severity.ERROR,
+                        entry,
+                        f"your own announcement {announced_prefix} is "
+                        "RPKI-invalid under this ROA (covered but longer "
+                        "than maxLength)",
                     )
+                )
 
     suggested = None
     if any(f.severity >= Severity.WARNING for f in findings):

@@ -36,7 +36,10 @@ Fault injection for the test suite and CI is a
 counters) and :func:`run_shard` fires the ``exper.shard.record``
 injection point after every record, tagged with ``shard`` and
 ``attempt`` — a rule matching ``attempt=0`` fires on a shard's first
-attempt only, so a faulted run exercises death *and* recovery.  Retry
+attempt only, so a faulted run exercises death *and* recovery.  A
+local worker fires ``exper.shard.open`` once, before it opens its run
+file; the coordinator has written that file's header already, so a
+worker stopped there still leaves a header-only partial.  Retry
 pacing is a :class:`~repro.faults.RetryPolicy` — deterministic
 backoff-with-jitter keyed on the run base and shard index — replacing
 the old immediate-relaunch loop (the default policy keeps zero delay,
@@ -411,6 +414,7 @@ def _local_shard_main(
     shm = attach_shared_blob(value) if kind == "shm" else None
     sink = JsonlSink(path)
     try:
+        fire("exper.shard.open", shard=shard.shard_index, attempt=attempt)
         _run_attached(
             shm.buf if shm is not None else value,
             spec, shard, sink, finished, attempt, header,
@@ -834,6 +838,11 @@ class ShardCoordinator:
                 progressed = True
                 if stopped(index):
                     continue
+                # Every dispatched shard leaves a file: the header goes
+                # down before the worker starts, so one stopped before
+                # it opened its sink is a readable, header-only partial.
+                with JsonlSink(paths[index]) as sink:
+                    sink.begin(header)
                 transport.start(
                     plan[index], paths[index], self.finished,
                     attempts[index], header,

@@ -15,6 +15,7 @@ threaded through the serve and results tiers::
     serve.shards.execute  a shard is about to execute on a worker
     serve.shards.request  a transport HTTP request is about to go out
     results.sink.write    a sink line is about to hit the file
+    exper.shard.open      a local shard worker is about to open its run
     exper.shard.record    a shard worker just wrote one record
     rtr.client.send       a router is about to write an RTR query
     rtr.client.recv       a router is about to read from its cache
@@ -90,6 +91,7 @@ SITES = (
     "serve.shards.execute",
     "serve.shards.request",
     "results.sink.write",
+    "exper.shard.open",
     "exper.shard.record",
     "rtr.client.send",
     "rtr.client.recv",

@@ -24,6 +24,7 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..netbase.codec import Field, decode, encode
 from ..netbase.errors import ReproError
 from ..results import appendlog
 from ..results.store import ResultsStore
@@ -37,6 +38,12 @@ from .model import (
 )
 
 __all__ = ["JobStore"]
+
+#: The queue file's header line: two constants and nothing else.
+_HEADER_FIELDS = (
+    Field("schema", const=JOB_SCHEMA),
+    Field("kind", const=QUEUE_KIND),
+)
 
 
 class JobStore:
@@ -70,14 +77,12 @@ class JobStore:
         if not complete:
             return []
         header = self._decode(complete[0], 1)
-        if (
-            header.get("schema") != JOB_SCHEMA
-            or header.get("kind") != QUEUE_KIND
-        ):
+        try:
+            decode("job queue header", _HEADER_FIELDS, header)
+        except ReproError as exc:
             raise ReproError(
-                f"{self.path}: not a schema-{JOB_SCHEMA} job queue "
-                f"(header {header!r})"
-            )
+                f"{self.path}: not a schema-{JOB_SCHEMA} job queue ({exc})"
+            ) from None
         records = []
         for number, raw in enumerate(complete[1:], start=2):
             if not raw:
@@ -188,7 +193,5 @@ class JobStore:
     def _append(self, handle, record: JobRecord) -> None:
         line = appendlog.encode_line(record.to_json_dict())
         if handle.tell() == 0:
-            line = appendlog.encode_line(
-                {"schema": JOB_SCHEMA, "kind": QUEUE_KIND}
-            ) + line
+            line = appendlog.encode_line(encode(_HEADER_FIELDS, {})) + line
         appendlog.append(handle, line, fsync=True)

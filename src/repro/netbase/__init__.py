@@ -1,4 +1,5 @@
-"""Network primitives: prefixes, AS numbers, tries, radix trees.
+"""Network primitives: prefixes, AS numbers, the prefix table, the
+record codec.
 
 This subpackage is dependency-free (standard library only) and provides
 the value types everything else is built on.
@@ -16,7 +17,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ReproError", "TrieError", "ValidationError",
     ),
     "prefix": ("AF_INET", "AF_INET6", "Prefix"),
-    "prefixset": ("PrefixSet", "aggregate"),
-    "radix": ("RadixTree",),
-    "trie": ("PrefixTrie", "TrieNode"),
+    "prefixtable": ("PrefixTable",),
 })

@@ -1,23 +1,19 @@
 """A path-compressed (Patricia) radix tree over IP prefixes.
 
-:class:`RadixTree` is the lookup structure used by the BGP substrate's
-RIB (longest-prefix-match forwarding), by ``PrefixSet`` and by
-``core``'s origin index (find the announcements a VRP covers).  Unlike
-:class:`repro.netbase.trie.PrefixTrie`, which materializes one node per
-bit (ideal for the compression algorithm's sibling arithmetic), the radix
-tree compresses single-child chains, so depth is bounded by the number of
-*stored* prefixes along a path rather than by 32/128.
+No product code uses this module: every prefix lookup under
+``src/repro`` runs on :class:`repro.netbase.prefixtable.PrefixTable` or
+on the sorted integer keys of :func:`repro.core.minimal.build_origin_index`.
+Only the benchmark's ``paper_pipeline`` workload still times it
+(``netbase.radix.insert_per_s`` / ``.lookup_per_s``); this module is
+deleted once the ledger drops those rows (ROADMAP item 1(c)).
 
-Values are arbitrary; one key maps to one value (use a tuple value for
-multimaps, as the origin index does with a set of origins).
-
-Two ways to get a tree.  :meth:`RadixTree.from_sorted` builds one
-from keys already in sorted order in a single pass — a sorted sequence
-of distinct prefixes is the tree's preorder walk, so no key descends
-from the root; the whole-table index builds (``core``) use it.
-:meth:`RadixTree.insert` and :meth:`~RadixTree.remove` change a tree
-in place, one key at a time in any order (the RIB, ``PrefixSet``).
-Both build the same tree, node for node, from the same keys.
+Unlike :class:`repro.netbase.trie.PrefixTrie`, which materializes one
+node per bit, the radix tree compresses single-child chains, so depth
+is bounded by the number of *stored* prefixes along a path rather than
+by 32/128.  Values are arbitrary; one key maps to one value.
+:meth:`RadixTree.insert` and :meth:`~RadixTree.remove` change a tree in
+place, one key at a time in any order, and the same keys build the
+same tree, node for node, whatever the order.
 
 The exact-match walk (:meth:`~RadixTree.get` / ``in``) compares the
 key with each node as ints, one XOR and shift per level, reading
@@ -26,7 +22,7 @@ key with each node as ints, one XOR and shift per level, reading
 
 from __future__ import annotations
 
-from typing import Generic, Iterable, Iterator, Optional, TypeVar
+from typing import Generic, Iterator, Optional, TypeVar
 
 from .errors import TrieError
 from .prefix import Prefix
@@ -106,77 +102,6 @@ class RadixTree(Generic[V]):
             raise TrieError(
                 f"IPv{prefix.family} key {prefix} used with IPv{self._family} tree"
             )
-
-    # ------------------------------------------------------------------
-    # Bulk build
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_sorted(
-        cls, family: int, items: Iterable[tuple[Prefix, V]]
-    ) -> "RadixTree[V]":
-        """The tree mapping each ``(prefix, value)`` of ``items``.
-
-        ``items`` must be in strictly ascending prefix order — ancestors
-        before descendants, which is the tree's preorder — so each key
-        hangs off the path to the key before it: keep that path on a
-        stack, pop the nodes that do not cover the new key, and glue at
-        the common prefix of the last node popped and the key.  O(n),
-        and node for node the tree that :meth:`insert` builds.
-
-        Raises:
-            TrieError: on a key out of order, repeated, or of another
-                family.
-        """
-        tree = cls(family)
-        width = Prefix(family, 0, 0).max_family_length
-        # The path from the root to the newest node, with each node's
-        # (length, value) beside it so the covering test is int-only.
-        path: list[tuple[int, int, _RadixNode[V]]] = []
-        previous = (-1, -1)
-        for prefix, value in items:
-            tree._check(prefix)
-            key_value, key_length = prefix.value, prefix.length
-            if (key_value, key_length) <= previous:
-                raise TrieError(
-                    f"{prefix} is not after the key before it: from_sorted "
-                    "needs distinct keys in ascending order"
-                )
-            previous = (key_value, key_length)
-            node = _RadixNode(prefix, value, True)
-            tree._size += 1
-            popped: Optional[_RadixNode[V]] = None
-            while path:
-                length, top_value, top = path[-1]
-                if length <= key_length and not (
-                    (top_value ^ key_value) >> (width - length)
-                ):
-                    break
-                popped = path.pop()[2]
-            parent = path[-1][2] if path else None
-            if popped is not None:
-                # Sorted order rules out the key covering `popped`, so
-                # the two part ways below their common prefix: `popped`
-                # to the left, the key to the right.
-                glue_prefix = _common_prefix(popped.prefix, prefix)
-                if parent is None or glue_prefix.length != parent.prefix.length:
-                    glue = _RadixNode(glue_prefix)
-                    glue.left = popped
-                    if parent is None:
-                        tree._root = glue
-                    elif parent.right is popped:
-                        parent.right = glue
-                    else:
-                        parent.left = glue
-                    path.append((glue_prefix.length, glue_prefix.value, glue))
-                    parent = glue
-                parent.right = node
-            elif parent is None:
-                tree._root = node
-            else:
-                parent.set_child(parent.branch_bit(prefix), node)
-            path.append((key_length, key_value, node))
-        return tree
 
     # ------------------------------------------------------------------
     # Insertion

@@ -1,9 +1,14 @@
 """A binary prefix trie keyed by IP prefixes.
 
-This is the data structure at the heart of the paper's ``compress_roas``
-algorithm (§7.1): one trie per (AS, address family), where each node
-corresponds to a prefix and carries an optional value (for compression,
-the ROA maxLength).
+This is the data structure the paper describes ``compress_roas`` on
+(§7.1): one trie per (AS, address family), where each node corresponds
+to a prefix and carries an optional value (for compression, the ROA
+maxLength).  No product code uses it: Algorithm 1 runs on integer keys
+(:func:`repro.core.compress.compress_group`), and the trie serves only
+the test oracles (``tests/optimal_compression.py``) and the benchmark's
+``netbase.trie.insert_per_s`` row.  This module is deleted once the
+ledger drops that row (ROADMAP item 1(c)); the oracles then carry their
+own trie.
 
 The trie is *path-preserving*: inserting ``10.0.0.0/16`` materializes the
 sixteen interior nodes on the way down, but only nodes explicitly inserted
@@ -11,9 +16,8 @@ carry a value (``has_value`` is True).  The paper's notion of "direct
 children" of a valued node — the nearest valued descendants on the 0-side
 and 1-side — is provided by :meth:`TrieNode.direct_children`.
 
-The structure is generic over the value type; the compression code stores
-integers (maxLength), the RPKI validator stores lists of VRPs, and tests
-store sentinel objects.
+The structure is generic over the value type; the oracles store integers
+(maxLength) and booleans, and tests store sentinel objects.
 """
 
 from __future__ import annotations

@@ -229,7 +229,7 @@ def brute_force_covering(held, prefix: Prefix) -> list[Vrp]:
 def held_lengths(index: VrpIndex) -> dict[int, list[int]]:
     """The prefix lengths each family of ``index`` probes: no more and
     no fewer than those of its VRPs."""
-    return {family: [length for length, _, _ in table.probes]
+    return {family: [length for length, _, _ in table._probes]
             for family, table in index._families.items()}
 
 
@@ -277,3 +277,40 @@ class TestVrpIndexOracle:
         for version, expected, count in versions:
             assert answers(version) == expected
             assert len(version) == count
+
+
+def brute_force_forward(routes: dict, address: Prefix):
+    """The route of the longest held prefix covering ``address``."""
+    covering = [prefix for prefix in routes if prefix.covers(address)]
+    if not covering:
+        return None
+    return routes[max(covering, key=lambda prefix: prefix.length)]
+
+
+class TestRibOracle:
+    """Whatever installs and withdraws built it, a RIB answers exact
+    lookups, longest-prefix match and its route listing like a linear
+    scan over a dict of the routes it holds — in both families, with
+    ``/0``, host routes and nested chains among the prefixes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.sampled_from(PREFIXES),
+                              st.sampled_from([1, 2, 3])), max_size=40))
+    def test_forward_equals_a_linear_longest_match(self, steps):
+        rib, held = Rib(), {}
+        for install, prefix, asn in steps:
+            if install:
+                route = Announcement(prefix, (asn,))
+                rib.install(route)
+                held[prefix] = route
+            else:
+                assert rib.withdraw(prefix) == (prefix in held)
+                held.pop(prefix, None)
+        assert len(rib) == len(held)
+        assert list(rib.routes()) == [held[key] for key in sorted(held)]
+        hosts = [Prefix(prefix.family, prefix.value | 1,
+                        prefix.max_family_length) for prefix in PREFIXES]
+        for probe in PREFIXES + hosts:
+            assert rib.route_for_prefix(probe) == held.get(probe)
+            assert (probe in rib) == (probe in held)
+            assert rib.forward(probe) == brute_force_forward(held, probe)

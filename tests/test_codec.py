@@ -47,6 +47,7 @@ from repro.exper.spec import ExperimentSpec
 from repro.faults import plan as plan_module
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.jobs import model as job_model
+from repro.jobs import store as job_store
 from repro.jobs.model import STATUS_BY_EVENT, JobRecord, JobSpec
 from repro.netbase.codec import Field, decode, encode
 from repro.netbase.errors import ReproError
@@ -251,6 +252,12 @@ REGISTERED = (
     Registered(
         "job record", job_model._RECORD_FIELDS, job_records,
         JobRecord.to_json_dict, JobRecord.from_json_dict,
+    ),
+    Registered(
+        "job queue header", job_store._HEADER_FIELDS, st.just({}),
+        lambda values: encode(job_store._HEADER_FIELDS, values),
+        lambda data: decode("job queue header", job_store._HEADER_FIELDS,
+                            data),
     ),
     Registered(
         "shard", sharded._SHARD_FIELDS, shards,

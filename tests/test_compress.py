@@ -14,16 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    CompressionStats,
-    build_tries,
-    compress_group,
-    compress_vrps,
-    compress_vrps_optimal,
-)
+from repro.core import CompressionStats, compress_group, compress_vrps
 from repro.netbase import AF_INET, AF_INET6, Prefix
 from repro.netbase.errors import PrefixLengthError
 from repro.rpki import Vrp
+
+from optimal_compression import build_tries, compress_vrps_optimal
 
 
 def p(text: str) -> Prefix:

@@ -351,6 +351,26 @@ class TestJobStore:
         with pytest.raises(ReproError, match="job queue"):
             JobStore(tmp_path).jobs()
 
+    @pytest.mark.parametrize("header", [
+        b'{"kind":"repro.jobs/queue","schema":1,"wrong":true}',
+        b'{"kind":"repro.jobs/queue","schema":true}',
+        b'{"kind":"repro.jobs/queue","schema":1.0}',
+        b'{"kind":"repro.jobs/queue"}',
+    ])
+    def test_header_is_read_exactly(self, tmp_path, header):
+        """An extra key, or a schema that only compares equal to 1,
+        is not a queue header."""
+        path = tmp_path / "queue.jsonl"
+        path.write_bytes(header + b"\n")
+        with pytest.raises(ReproError, match="job queue"):
+            JobStore(tmp_path).jobs()
+
+    def test_header_bytes(self, tmp_path):
+        store = JobStore(tmp_path)
+        store.enqueue(job_spec())
+        assert store.path.read_bytes().splitlines()[0] == (
+            b'{"kind":"repro.jobs/queue","schema":1}')
+
     def test_event_before_enqueued_is_an_error(self, tmp_path):
         store = JobStore(tmp_path)
         store.enqueue(job_spec())

@@ -136,8 +136,9 @@ class TestAdditionalPrefixCount:
 class TestBuildOriginIndex:
     def test_moas_prefix_keeps_all_origins(self):
         index = build_origin_index([(p("10.0.0.0/16"), 1), (p("10.0.0.0/16"), 2)])
-        assert index[4].get(p("10.0.0.0/16")) == {1, 2}
+        key = (p("10.0.0.0/16").value, 16)
+        assert index == {(1, 4): [key], (2, 4): [key]}
 
     def test_families_separated(self):
         index = build_origin_index([(p("10.0.0.0/16"), 1), (p("2a00::/16"), 1)])
-        assert set(index) == {4, 6}
+        assert set(index) == {(1, 4), (1, 6)}

@@ -48,7 +48,7 @@ from repro.analysis.table1 import (
     TODAY_MINIMAL,
     TODAY_MINIMAL_COMPRESSED,
 )
-from repro.core import compress_vrps, compress_vrps_optimal
+from repro.core import compress_vrps
 from repro.data import (
     GeneratorConfig,
     SeriesConfig,
@@ -58,6 +58,8 @@ from repro.data import (
     generate_weekly_series,
 )
 from repro.rpki import Vrp
+
+from optimal_compression import compress_vrps_optimal
 
 #: The generator's default seed: the dataset the CLI and docs generate.
 SEED = GeneratorConfig().seed

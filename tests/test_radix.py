@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netbase import AF_INET, AF_INET6, Prefix, RadixTree
+from repro.netbase import AF_INET, AF_INET6, Prefix
 from repro.netbase.errors import TrieError
+from repro.netbase.radix import RadixTree
 
 
 def p(text: str) -> Prefix:
@@ -126,7 +127,7 @@ class TestRemoval:
     @given(operations, st.integers(min_value=0, max_value=2**32 - 1))
     def test_any_interleaving_equals_a_rebuild(self, operations, probe_value):
         """Inserts and removes in any order leave, node for node, the
-        tree a bulk build of the final keys makes."""
+        tree that inserting the final keys in order makes."""
         tree = RadixTree[int](AF_INET)
         model: dict[Prefix, int] = {}
         for step, (insert, value, length) in enumerate(operations):
@@ -137,7 +138,7 @@ class TestRemoval:
             else:
                 assert tree.remove(prefix) == (prefix in model)
                 model.pop(prefix, None)
-        rebuilt = RadixTree.from_sorted(AF_INET, sorted(model.items()))
+        rebuilt = built(AF_INET, sorted(model.items()))
         assert shape(tree) == shape(rebuilt)
         assert len(tree) == len(model)
         probes = [Prefix(AF_INET, probe_value, 32)] + [
@@ -259,38 +260,15 @@ def shape(tree: RadixTree) -> list:
     return out
 
 
-class TestFromSorted:
-    def test_builds_the_tree_insert_builds(self):
-        keys = [p("10.0.0.0/8"), p("10.0.0.0/24"), p("10.0.1.0/24"),
-                p("192.168.0.0/16")]
-        bulk = RadixTree.from_sorted(AF_INET, [(k, str(k)) for k in keys])
-        one_by_one = RadixTree[str](AF_INET)
-        for key in reversed(keys):
-            one_by_one.insert(key, str(key))
-        assert shape(bulk) == shape(one_by_one)
-        assert len(bulk) == 4
-        assert [k for k, _ in bulk.covering(p("10.0.1.7/32"))] == [
-            p("10.0.0.0/8"), p("10.0.1.0/24")]
+def built(family: int, items) -> RadixTree:
+    """The tree of ``items``, inserted one by one in the order given."""
+    tree = RadixTree(family)
+    for key, value in items:
+        tree.insert(key, value)
+    return tree
 
-    def test_empty_and_single(self):
-        assert len(RadixTree.from_sorted(AF_INET6, [])) == 0
-        tree = RadixTree.from_sorted(AF_INET6, [(p("::/0"), 0)])
-        assert list(tree.items()) == [(p("::/0"), 0)]
 
-    @pytest.mark.parametrize("keys", [
-        ["10.1.0.0/16", "10.0.0.0/16"],           # descending address
-        ["10.0.0.0/16", "10.0.0.0/8"],            # child before parent
-        ["10.0.0.0/8", "10.0.0.0/8"],             # repeated
-        ["10.0.0.0/8", "11.0.0.0/8", "10.5.0.0/16"],  # late straggler
-    ])
-    def test_unsorted_or_repeated_keys_are_rejected(self, keys):
-        with pytest.raises(TrieError):
-            RadixTree.from_sorted(AF_INET, [(p(k), 0) for k in keys])
-
-    def test_wrong_family_is_rejected(self):
-        with pytest.raises(TrieError):
-            RadixTree.from_sorted(AF_INET, [(p("2a00::/12"), 0)])
-
+class TestInsertOrder:
     @staticmethod
     def key_sets(family):
         """Distinct keys that nest and branch: a few addresses differing
@@ -311,29 +289,29 @@ class TestFromSorted:
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([AF_INET, AF_INET6]), st.data())
-    def test_equals_inserts_in_any_order(self, family, data):
+    def test_any_order_builds_one_tree(self, family, data):
         keys = data.draw(self.key_sets(family))
         shuffled = data.draw(st.permutations(sorted(keys)))
-        bulk = RadixTree.from_sorted(
-            family, [(key, str(key)) for key in sorted(keys)])
+        in_order = built(family, [(key, str(key)) for key in sorted(keys)])
         one_by_one = RadixTree[str](family)
         for key in shuffled:
             one_by_one.insert(key, str(key))
-        assert shape(bulk) == shape(one_by_one)
-        assert len(bulk) == len(one_by_one) == len(keys)
-        assert list(bulk.items()) == [(key, str(key)) for key in sorted(keys)]
+        assert shape(in_order) == shape(one_by_one)
+        assert len(in_order) == len(one_by_one) == len(keys)
+        assert list(in_order.items()) == [
+            (key, str(key)) for key in sorted(keys)]
         width = 32 if family == AF_INET else 128
         for probe in list(keys) + [Prefix(family, 10 << (width - 8), width)]:
-            assert list(bulk.covering(probe)) == list(
+            assert list(in_order.covering(probe)) == list(
                 one_by_one.covering(probe))
-            assert list(bulk.covered(probe)) == list(
+            assert list(in_order.covered(probe)) == list(
                 one_by_one.covered(probe))
 
         # Removing a key in place leaves the tree a build of the rest.
         if shuffled:
             assert one_by_one.remove(shuffled[0])
             rest = sorted(keys - {shuffled[0]})
-            assert shape(one_by_one) == shape(RadixTree.from_sorted(
+            assert shape(one_by_one) == shape(built(
                 family, [(key, str(key)) for key in rest]))
 
 
@@ -351,7 +329,7 @@ class TestIntWalkEdges:
         for keys in ([root], [root, lowest], [root, lowest, highest],
                      [lowest, highest], [lowest], [highest]):
             def build():
-                return RadixTree.from_sorted(
+                return built(
                     family, [(k, str(k)) for k in keys])
             tree = build()
             for key in (root, lowest, highest):
@@ -359,13 +337,13 @@ class TestIntWalkEdges:
                 assert (key in tree) == (key in keys)
                 grown = build()
                 grown.insert(key, "new")
-                assert shape(grown) == shape(RadixTree.from_sorted(
+                assert shape(grown) == shape(built(
                     family,
                     sorted({**{k: str(k) for k in keys}, key: "new"}.items()),
                 ))
                 shrunk = build()
                 assert shrunk.remove(key) == (key in keys)
-                assert shape(shrunk) == shape(RadixTree.from_sorted(
+                assert shape(shrunk) == shape(built(
                     family, [(k, str(k)) for k in keys if k != key]))
 
     @pytest.mark.parametrize("family", [AF_INET, AF_INET6])
@@ -376,7 +354,7 @@ class TestIntWalkEdges:
         right = Prefix(family, 1 << (width - 1), 1)
         leaf = Prefix(family, 3 << (width - 2), width)
         keys = [root, left, right, leaf]
-        tree = RadixTree.from_sorted(family, [(k, 0) for k in keys])
+        tree = built(family, [(k, 0) for k in keys])
         assert tree._root.prefix == root and tree._root.has_value
         before = shape(tree)
         halves = tree._root.left, tree._root.right
@@ -399,7 +377,7 @@ class TestIntWalkEdges:
         lengths = [0, 1, width // 4, width // 2, width - 8, width - 1, width]
         chain = [Prefix(family, address, n) for n in lengths]
         stored = {key: key.length for key in chain}
-        tree = RadixTree.from_sorted(family, sorted(stored.items()))
+        tree = built(family, sorted(stored.items()))
         before = shape(tree)
         probes = []
         for depth in range(width):
@@ -407,7 +385,7 @@ class TestIntWalkEdges:
             probes += [Prefix(family, flipped, length)
                        for length in (depth + 1, width)]
         leafless = chain[:-1]  # without the host key, a /width-1 leaf
-        short = RadixTree.from_sorted(
+        short = built(
             family, sorted((key, key.length) for key in leafless))
         below_leaf = [Prefix(family, address ^ 1, width),
                       Prefix(family, address, width)]
@@ -416,7 +394,7 @@ class TestIntWalkEdges:
             assert tree.get(probe, "absent") == "absent"
             assert probe not in tree
             assert not tree.remove(probe)
-            grown = RadixTree.from_sorted(family, sorted(stored.items()))
+            grown = built(family, sorted(stored.items()))
             grown.insert(probe, -1)
             assert grown.get(probe) == -1 and len(grown) == len(tree) + 1
         assert shape(tree) == before

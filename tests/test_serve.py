@@ -321,10 +321,10 @@ PROBES = [
 
 
 def buckets(snapshot, family):
-    """The bucket dict of one family in a service's (or an index's)
+    """The bucket table of one family in a service's (or an index's)
     snapshot: shared between snapshots while the family is untouched."""
     index = getattr(snapshot, "_index", snapshot)
-    return index._families[family].buckets
+    return index._families[family]
 
 
 def answers(service):

@@ -59,7 +59,9 @@ from repro.faults import (
     uninstall,
 )
 from repro.netbase.errors import ReproError
-from repro.results import JsonlSink, ResultsStore, read_run, shard_run_id
+from repro.results import (
+    JsonlSink, ResultsStore, RunHeader, read_run, shard_run_id,
+)
 from repro.serve import HttpShardTransport, ThreadedShardWorkerServer
 
 
@@ -457,6 +459,35 @@ class TestEarlyStopping:
         _, partial = read_run(store.path(plan_shards(spec, 4)[1].run_id(
             f"grid-{spec.spec_hash()[:12]}")))
         assert len(partial) <= 1
+
+    def test_shard_stopped_before_its_sink_opens_leaves_a_header(
+        self, topology, tmp_path, monkeypatch
+    ):
+        """Shard 1 is held where its worker is about to open its run
+        file, and the stop shard 0 decides ends it there: the shard
+        still leaves its file, the header the coordinator wrote and no
+        record.  Shard 0 is held a second at its first record, so the
+        hold, not the timing, is what keeps shard 1 from recording."""
+        spec = stopping_spec(fractions=(None,))
+        monkeypatch.setenv(PLAN_ENV, FaultPlan(rules=(
+            FaultRule(site="exper.shard.open", action="stall", delay=60.0,
+                      match=(("shard", "1"),)),
+            FaultRule(site="exper.shard.record", action="stall",
+                      delay=1.0, match=(("shard", "0"),)),
+        )).to_json())
+        began = time.monotonic()
+        counters, states, store = stopped_run(
+            topology, spec, tmp_path, "unopened", shards=4)
+        assert time.monotonic() - began < 30.0
+        assert counters["exper.shards_dispatched"] == 2
+        assert states == {
+            0: "done", 1: "skipped", 2: "skipped", 3: "skipped"}
+        assert len(store.run_ids()) == counters["exper.shards_dispatched"]
+        unopened = plan_shards(spec, 4)[1].run_id(
+            f"grid-{spec.spec_hash()[:12]}")
+        header, partial = read_run(store.path(unopened))
+        assert header == RunHeader.for_spec(spec, topology)
+        assert partial == []
 
     def test_http_workers_stop_early_too(
         self, topology, tmp_path, monkeypatch

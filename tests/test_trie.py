@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netbase import AF_INET, Prefix, PrefixTrie
+from repro.netbase import AF_INET, Prefix
 from repro.netbase.errors import TrieError
+from repro.netbase.trie import PrefixTrie
 
 
 def p(text: str) -> Prefix:
