@@ -4,8 +4,9 @@ from .._lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "announcement": ("Announcement", "AnnouncementError"),
+    "attack_kind": ("AttackKind",),
     "attacks": (
-        "AttackKind", "AttackOutcome", "AttackScenario", "evaluate_attack",
+        "AttackOutcome", "AttackScenario", "evaluate_attack",
         "evaluate_attack_seeds",
     ),
     "fastprop": ("PropagationWorkspace",),

@@ -27,7 +27,6 @@ readable reference is :func:`repro.bgp.simulation.reference_attack_seeds`.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -35,6 +34,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
+from .attack_kind import AttackKind
 from .origin_validation import ValidationState, VrpIndex
 from .simulation import Seed
 from .topology import AsTopology, CompiledTopology
@@ -49,50 +49,6 @@ __all__ = [
     "evaluate_attack",
     "evaluate_attack_seeds",
 ]
-
-
-class AttackKind(str, enum.Enum):
-    """The four attack variants, as a real enum.
-
-    The string mixin keeps the historical wire/CLI names working:
-    ``AttackKind("forged-origin")`` parses, members compare equal to
-    their name strings, and formatting yields the bare name.
-    """
-
-    PREFIX_HIJACK = "prefix-hijack"
-    SUBPREFIX_HIJACK = "subprefix-hijack"
-    FORGED_ORIGIN = "forged-origin"
-    FORGED_ORIGIN_SUBPREFIX = "forged-origin-subprefix"
-
-    def __str__(self) -> str:
-        return self.value
-
-    @classmethod
-    def coerce(cls, value: "AttackKind | str") -> "AttackKind":
-        """Parse a member from itself or its name; loud on unknowns."""
-        try:
-            return cls(value)
-        except ValueError:
-            raise ReproError(
-                f"unknown attack kind {value!r}; expected one of "
-                f"{[member.value for member in cls]}"
-            ) from None
-
-    @property
-    def forges_origin(self) -> bool:
-        """Does the announcement end in the victim's AS number?"""
-        return self in (
-            AttackKind.FORGED_ORIGIN,
-            AttackKind.FORGED_ORIGIN_SUBPREFIX,
-        )
-
-    @property
-    def is_subprefix(self) -> bool:
-        """Does the attacker announce a strict subprefix?"""
-        return self in (
-            AttackKind.SUBPREFIX_HIJACK,
-            AttackKind.FORGED_ORIGIN_SUBPREFIX,
-        )
 
 
 @dataclass(frozen=True)

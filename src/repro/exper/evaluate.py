@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..bgp.attacks import evaluate_attack_seeds
 from ..bgp.fastprop import PropagationWorkspace
+from ..bgp.origin_validation import VrpIndex
 from ..bgp.simulation import Seed
 from ..bgp.topology import AsTopology, CompiledTopology
 from ..netbase.codec import Field, decode, encode, many
@@ -151,9 +152,10 @@ def evaluate_trial(
         attack = cell.attack
         attackers = trial.attackers[: attack.attackers]
         attack_prefix = attack.attack_prefix_for(victim_prefix, subprefix)
-        vrp_index = cell.policy.vrp_index(
+        vrps = cell.policy.trial_vrps(
             trial.victim, victim_prefix, attack_prefix, trial.trial_bits
         )
+        vrp_index = None if vrps is None else VrpIndex(vrps)
         fractions, filtered = evaluate_attack_seeds(
             topology, trial.victim, victim_prefix, attack_prefix,
             [

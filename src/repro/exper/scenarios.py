@@ -6,7 +6,7 @@ against a victim protected by some ROA policy, on an Internet where
 some fraction of ASes validate.  This module names each of those axes
 as a small, declarative value type:
 
-* :class:`AttackConfig` — an :class:`~repro.bgp.attacks.AttackKind`
+* :class:`AttackConfig` — an :class:`~repro.bgp.attack_kind.AttackKind`
   plus the knobs the four hand-rolled study loops could never turn:
   how many simultaneous attackers, and how much AS-path prepending the
   forged announcement carries.
@@ -30,14 +30,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ..bgp.attacks import AttackKind
-from ..bgp.origin_validation import VrpIndex
-from ..bgp.topology import AsTopology
+from ..bgp.attack_kind import AttackKind
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
 from ..rpki.vrp import Vrp
+
+if TYPE_CHECKING:  # pragma: no cover — the graph is only annotated here
+    from ..bgp.topology import AsTopology
 
 __all__ = [
     "AttackConfig",
@@ -109,8 +110,9 @@ class AttackConfig:
 class RoaPolicy:
     """How the victim's address space is covered by the RPKI.
 
-    Subclasses build the :class:`VrpIndex` routers validate against for
-    one trial.  ``trial_bits`` is a per-trial random word (drawn by the
+    Subclasses name the VRPs routers validate against for one trial
+    (the evaluator indexes them, so this grammar loads no validation
+    engine).  ``trial_bits`` is a per-trial random word (drawn by the
     spec's seeding layer) for policies that make per-trial choices;
     policies that need it set :attr:`needs_trial_bits` so deterministic
     seed streams stay minimal when no such policy is present.
@@ -122,13 +124,14 @@ class RoaPolicy:
     def label(self) -> str:
         raise NotImplementedError
 
-    def vrp_index(
+    def trial_vrps(
         self,
         victim: int,
         victim_prefix: Prefix,
         attack_prefix: Prefix,
         trial_bits: int,
-    ) -> Optional[VrpIndex]:
+    ) -> Optional[tuple[Vrp, ...]]:
+        """The trial's VRPs; ``None`` means no RPKI coverage at all."""
         raise NotImplementedError
 
 
@@ -140,8 +143,8 @@ class MinimalRoa(RoaPolicy):
     def label(self) -> str:
         return "minimal"
 
-    def vrp_index(self, victim, victim_prefix, attack_prefix, trial_bits):
-        return VrpIndex([Vrp(victim_prefix, victim_prefix.length, victim)])
+    def trial_vrps(self, victim, victim_prefix, attack_prefix, trial_bits):
+        return (Vrp(victim_prefix, victim_prefix.length, victim),)
 
 
 @dataclass(frozen=True)
@@ -161,11 +164,11 @@ class MaxLengthLooseRoa(RoaPolicy):
             return "maxlength-loose"
         return f"maxlength-{self.max_length}"
 
-    def vrp_index(self, victim, victim_prefix, attack_prefix, trial_bits):
+    def trial_vrps(self, victim, victim_prefix, attack_prefix, trial_bits):
         max_length = self.max_length
         if max_length is None:
             max_length = attack_prefix.length
-        return VrpIndex([Vrp(victim_prefix, max_length, victim)])
+        return (Vrp(victim_prefix, max_length, victim),)
 
 
 @dataclass(frozen=True)
@@ -176,7 +179,7 @@ class NoRoa(RoaPolicy):
     def label(self) -> str:
         return "none"
 
-    def vrp_index(self, victim, victim_prefix, attack_prefix, trial_bits):
+    def trial_vrps(self, victim, victim_prefix, attack_prefix, trial_bits):
         return None
 
 
@@ -191,8 +194,8 @@ class CustomRoa(RoaPolicy):
     def label(self) -> str:
         return self.name
 
-    def vrp_index(self, victim, victim_prefix, attack_prefix, trial_bits):
-        return VrpIndex(self.vrps)
+    def trial_vrps(self, victim, victim_prefix, attack_prefix, trial_bits):
+        return self.vrps
 
 
 @dataclass(frozen=True)
@@ -220,10 +223,10 @@ class PartialCoverageRoa(RoaPolicy):
     def label(self) -> str:
         return f"{self.base.label}@{self.coverage:g}"
 
-    def vrp_index(self, victim, victim_prefix, attack_prefix, trial_bits):
+    def trial_vrps(self, victim, victim_prefix, attack_prefix, trial_bits):
         if random.Random(trial_bits).random() >= self.coverage:
             return None
-        return self.base.vrp_index(
+        return self.base.trial_vrps(
             victim, victim_prefix, attack_prefix, trial_bits
         )
 

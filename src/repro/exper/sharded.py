@@ -71,7 +71,8 @@ from ..results.sinks import (
     complete_trials,
     read_run,
 )
-from ..results.store import ResultsStore, shard_run_id
+from ..results.runid import shard_run_id
+from ..results.store import ResultsStore
 from .evaluate import TrialRecord, evaluate_trials
 from .spec import ExperimentSpec, iter_trials
 
@@ -613,7 +614,7 @@ class ShardCoordinator:
     plan contiguity is exactly the serial executor's order.
 
     Shard runs live in ``store`` (a :class:`~repro.results.store
-    .ResultsStore` root) under :func:`~repro.results.store
+    .ResultsStore` root) under :func:`~repro.results.runid
     .shard_run_id` names; with no store a temporary directory is used
     and removed when the stream completes — a crashed *coordinator*
     with a persistent store leaves resumable shard files behind, which

@@ -18,14 +18,22 @@ same way or not at all.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
+# The C module behind ``hashlib.blake2b`` (the same function):
+# importing ``hashlib`` itself would also load OpenSSL's ``_hashlib``.
+from _blake2 import blake2b
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Union,
+)
 
-from ..bgp.topology import AsTopology
 from ..netbase.codec import Field, Kind, decode, encode, many, record
 from ..netbase.errors import ReproError
 from ..netbase.prefix import Prefix
@@ -43,6 +51,9 @@ from .scenarios import (
     VictimAttackerSampler,
     policy_from_name,
 )
+
+if TYPE_CHECKING:  # pragma: no cover — the graph is only annotated here
+    from ..bgp.topology import AsTopology
 
 __all__ = [
     "EXECUTORS",
@@ -79,7 +90,7 @@ def derive_trial_seed(seed: int, fraction_index: int, trial_index: int) -> int:
     """
     key = f"repro.exper/{seed}/{fraction_index}/{trial_index}".encode()
     return int.from_bytes(
-        hashlib.blake2b(key, digest_size=8).digest(), "big"
+        blake2b(key, digest_size=8).digest(), "big"
     )
 
 
@@ -278,7 +289,7 @@ class ExperimentSpec:
         canonical = json.dumps(
             identity, sort_keys=True, separators=(",", ":")
         )
-        return hashlib.blake2b(
+        return blake2b(
             canonical.encode("utf-8"), digest_size=16
         ).hexdigest()
 

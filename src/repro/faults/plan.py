@@ -47,13 +47,15 @@ the same fresh schedule.
 from __future__ import annotations
 
 import errno
-import hashlib
 import json
 import os
 import random
 import signal
 import threading
 import time
+# The C module behind ``hashlib.blake2b`` (the same function):
+# importing ``hashlib`` itself would also load OpenSSL's ``_hashlib``.
+from _blake2 import blake2b
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional, Tuple, Union
 
@@ -300,7 +302,7 @@ class FaultPlan:
         """
         if rule.action != "delay":
             return rule.delay
-        digest = hashlib.blake2b(
+        digest = blake2b(
             f"repro.faults.delay/{self.seed}/{site}/{hit}".encode(
                 "utf-8"
             ),

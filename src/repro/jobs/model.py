@@ -22,7 +22,7 @@ from typing import Optional
 from ..exper.spec import ExperimentSpec
 from ..netbase.codec import Field, Kind, decode, encode, nested
 from ..netbase.errors import ReproError
-from ..results.store import check_run_id
+from ..results.runid import check_run_id
 
 __all__ = [
     "EVENT_KIND",
@@ -63,7 +63,7 @@ class JobSpec:
     Attributes:
         spec: the :class:`~repro.exper.spec.ExperimentSpec` to run.
         run: results-store run id the job's records stream into
-            (:func:`~repro.results.store.check_run_id`); ``None``
+            (:func:`~repro.results.runid.check_run_id`); ``None``
             adopts the job id at enqueue time.
         ases / topology_seed: synthetic-topology parameters, exactly
             the CLI's ``--ases`` / ``--topology-seed`` defaults — the

@@ -25,14 +25,16 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..faults.plan import fire
 from ..netbase.errors import ReproError
 from ..obs.metrics import MetricsRegistry, get_registry
-from ..results.store import ResultsStore
 from .model import JobSpec, JobState
 from .store import JobStore
+
+if TYPE_CHECKING:  # pragma: no cover — opened on first use
+    from ..results.store import ResultsStore
 
 __all__ = ["JobScheduler"]
 
@@ -80,7 +82,9 @@ class JobScheduler:
     Args:
         store: the durable queue.
         results: where job runs land (default: the store's
-            ``runs/`` convention).
+            ``runs/`` convention, opened on first use, so a queue
+            client that only submits or cancels never loads the
+            results layer).
         registry: metrics destination (default: the process registry).
         poll_interval: background-thread fallback wake period, for
             queue appends that bypass :meth:`submit` (another process
@@ -98,9 +102,7 @@ class JobScheduler:
         if poll_interval <= 0:
             raise ReproError("poll_interval must be positive")
         self.store = store
-        self.results = (
-            results if results is not None else store.results_store()
-        )
+        self._results = results
         self.registry = registry
         self.poll_interval = poll_interval
         self._cancel_requests: set = set()
@@ -110,6 +112,13 @@ class JobScheduler:
         self._wake = threading.Event()
         self._stopping = threading.Event()
         self._thread: Optional[threading.Thread] = None
+
+    @property
+    def results(self) -> ResultsStore:
+        """Where job runs land."""
+        if self._results is None:
+            self._results = self.store.results_store()
+        return self._results
 
     def _metrics(self) -> _JobsMetrics:
         return _JobsMetrics(

@@ -22,12 +22,12 @@ from __future__ import annotations
 import json
 import threading
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from ..netbase.codec import Field, decode, encode
 from ..netbase.errors import ReproError
 from ..results import appendlog
-from ..results.store import ResultsStore
+from ..results.runid import check_run_id
 from .model import (
     JOB_SCHEMA,
     JobRecord,
@@ -36,6 +36,11 @@ from .model import (
     QUEUE_KIND,
     STATUS_BY_EVENT,
 )
+
+# The sink stack is imported on use: queue clients (submit, list,
+# show, cancel) never open a run.
+if TYPE_CHECKING:  # pragma: no cover
+    from ..results.store import ResultsStore
 
 __all__ = ["JobStore"]
 
@@ -62,6 +67,8 @@ class JobStore:
 
     def results_store(self) -> ResultsStore:
         """The store convention: job runs live under ``<root>/runs``."""
+        from ..results.store import ResultsStore
+
         return ResultsStore(self.root / "runs")
 
     # ------------------------------------------------------------------
@@ -169,7 +176,7 @@ class JobStore:
             else:
                 # Fail loudly now, not when the scheduler first opens
                 # the sink.
-                self.results_store().path(spec.run)
+                check_run_id(spec.run)
             self._append(
                 handle, JobRecord(job=job_id, event="enqueued", spec=spec)
             )

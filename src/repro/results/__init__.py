@@ -51,9 +51,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "SinkWriteError", "check_header_compatible",
         "complete_trials", "read_run", "topology_digest",
     ),
+    "runid": ("check_run_id", "shard_run_id"),
     "store": (
-        "ResultsStore", "check_run_id", "merge_runs", "result_to_json",
+        "ResultsStore", "merge_runs", "result_to_json",
         "run_ci_document", "run_diff_document", "run_document",
-        "run_listing", "run_result", "shard_run_id",
+        "run_listing", "run_result",
     ),
 })

@@ -30,7 +30,8 @@ import sys
 from typing import NamedTuple
 
 from repro.bgp.attacks import AttackKind
-from repro.cli import _experiment_spec_from_args, _topology_from_args, build_parser
+from repro.cli import build_parser
+from repro.cli.grid import spec_from_args, topology_from_args
 from repro.exper import ExperimentRunner
 
 #: The grid every table is taken on: the CLI's default kinds and
@@ -78,7 +79,7 @@ def cell_cis(
         "--fractions", fractions, "--seed", str(seed),
     ])
     result = ExperimentRunner(
-        _topology_from_args(args), _experiment_spec_from_args(args),
+        topology_from_args(args), spec_from_args(args),
         executor="serial",
     ).run()
     return {

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import COMMANDS, build_parser, main
 from repro.data import read_vrp_csv, write_origin_pairs, write_vrp_csv
 from repro.netbase import Prefix
 from repro.rpki import Vrp
@@ -116,6 +118,52 @@ class TestParser:
         assert listen.listen and listen.port == 0
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """``parser``'s subcommand parsers by name (empty if it has none)."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _help_argvs() -> list:
+    """``[]``, every command, and every command's subcommands."""
+    argvs = [[]]
+    for name, command in _subcommands(build_parser()).items():
+        argvs.append([name])
+        argvs.extend([name, sub] for sub in _subcommands(command))
+    return argvs
+
+
+class TestDispatcher:
+    """One declaration per command: ``main`` builds only the invoked
+    command's parser, from the same table and module ``build_parser``
+    assembles in full."""
+
+    def test_table_and_full_parser_name_the_same_commands(self):
+        assert list(_subcommands(build_parser())) == [
+            name for name, _, _ in COMMANDS
+        ]
+
+    @pytest.mark.parametrize(
+        "argv", _help_argvs(), ids=lambda argv: " ".join(argv) or "top",
+    )
+    def test_help_matches_the_full_parser(self, argv, capsys):
+        def help_of(parse) -> str:
+            with pytest.raises(SystemExit) as exit_info:
+                parse([*argv, "--help"])
+            assert exit_info.value.code == 0
+            return capsys.readouterr().out
+
+        assert help_of(main) == help_of(build_parser().parse_args)
+
+    def test_unknown_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["figure3", "--no-such-flag"])
+        assert exit_info.value.code == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+
+
 class TestCompressCommand:
     def test_compress_to_file(self, dataset, tmp_path, capsys):
         vrp_path, _ = dataset
@@ -175,6 +223,16 @@ class TestGenerateAndTable1:
     def test_table1_requires_rib_with_vrps(self, dataset, capsys):
         vrp_path, _ = dataset
         assert main(["table1", "--vrps", str(vrp_path)]) == 2
+
+    def test_table1_requires_vrps_with_rib(self, dataset, capsys):
+        """``--rib`` alone is a usage error, never the synthetic table."""
+        _, rib_path = dataset
+        assert main([
+            "table1", "--rib", str(rib_path), "--scale", "0.002",
+        ]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--vrps is required with --rib" in captured.err
 
     def test_table1_synthetic(self, capsys):
         assert main(["table1", "--scale", "0.002"]) == 0

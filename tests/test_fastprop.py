@@ -40,11 +40,8 @@ from repro.bgp.fastprop import (
 )
 from repro.data import read_caida_compiled, write_caida
 from repro.data.asgraph import TopologyProfile, generate_topology
-from repro.cli import (
-    _experiment_spec_from_args,
-    _topology_from_args,
-    build_parser,
-)
+from repro.cli import build_parser
+from repro.cli.grid import spec_from_args, topology_from_args
 from repro.exper import (
     ExperimentRunner,
     ExperimentSpec,
@@ -330,8 +327,8 @@ class TestExperimentEngineField:
             "experiment", "--trials", "12", "--ases", "150",
             "--fractions", "0,0.5,1",
         ])
-        spec = _experiment_spec_from_args(args)
-        topology = _topology_from_args(args)
+        spec = spec_from_args(args)
+        topology = topology_from_args(args)
 
         def run(path):
             sink = JsonlSink(path)

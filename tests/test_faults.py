@@ -620,7 +620,8 @@ class TestDelayFaults:
     def test_chaos_grid_is_the_experiment_default_grid(self, capsys):
         """``chaos --drill experiment`` runs the grid ``experiment
         --trials N --seed S`` runs, so its output compares 1:1."""
-        from repro.cli import _chaos_spec, build_parser, main
+        from repro.cli import build_parser, main
+        from repro.cli.chaos import _chaos_spec
         from repro.exper import ExperimentSpec
 
         for trials, seed in ((12, 0), (5, 3)):

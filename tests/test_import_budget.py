@@ -3,8 +3,8 @@
 Every case starts a fresh interpreter, runs ``repro.cli.main([...])``
 and inspects ``sys.modules`` afterwards — module *sets*, never
 timings, so the gate is deterministic.  A failure here almost always
-means a new top-level ``from .pkg import`` in ``cli.py`` or an eager
-import in a package ``__init__`` (see "Import discipline" in
+means a new top-level ``from .pkg import`` in a ``repro.cli`` module
+or an eager import in a package ``__init__`` (see "Import discipline" in
 ``docs/architecture.md``).
 """
 
@@ -17,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.cli import COMMANDS
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -66,12 +68,21 @@ def _loaded(modules: set[str], patterns: tuple[str, ...]) -> list[str]:
 
 
 #: What a queue client (one line appended to, or folded from,
-#: ``queue.jsonl``) and ``experiment --emit-spec`` must not pay for.
+#: ``queue.jsonl``) and ``experiment --emit-spec`` must not pay for:
+#: the execution stack, and the engine and sink modules a spec or job
+#: codec decodes without.
 _CLIENT_FORBIDDEN = (
     "repro.exper.runner", "repro.bgp.fastprop", "repro.serve*",
     "repro.rtr*", "repro.crypto*", "repro.asn1*", "repro.analysis*",
     "repro.lint*", "asyncio", "multiprocessing",
+    "repro.bgp.simulation", "repro.bgp.topology",
+    "repro.bgp.origin_validation", "repro.bgp.announcement",
+    "repro.netbase.prefixtable", "repro.results.sinks",
+    "repro.results.store", "repro.results.accumulate",
 )
+#: Modules of ``repro.cli`` that hold no command: the grid flags
+#: ``experiment`` and ``jobs submit`` share, loaded with either.
+_CLI_SHARED = {"repro.cli.grid"}
 _PIPELINE_FORBIDDEN = (
     "repro.exper*", "repro.serve*", "repro.rtr*", "repro.crypto*",
     "repro.asn1*", "repro.jobs*", "repro.lint*", "asyncio",
@@ -93,6 +104,20 @@ def test_parser_only_commands_load_no_subpackage(flag, tmp_path):
         and name not in ("repro._lazy", "repro.cli")
     )
     assert extra == [], f"{flag} imported {extra}"
+
+
+@pytest.mark.parametrize(
+    "name, module", [(name, module) for name, module, _ in COMMANDS],
+    ids=[name for name, _, _ in COMMANDS],
+)
+def test_command_help_loads_only_its_module(name, module, tmp_path):
+    """``<command> --help`` builds that command alone: the dispatcher,
+    the command's module, and no other command's module."""
+    modules = _modules_after([name, "--help"], tmp_path)
+    own = {"repro.cli", f"repro.cli.{module}"}
+    cli = set(_loaded(modules, ("repro.cli*",)))
+    assert own <= cli
+    assert cli - own <= _CLI_SHARED, f"{name} --help loaded {sorted(cli)}"
 
 
 @pytest.fixture()
