@@ -13,7 +13,7 @@ import enum
 import struct
 import sys
 from array import array
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 from ..netbase.errors import ReproError
 
@@ -88,8 +88,8 @@ class AsTopology:
 
     def __getstate__(self) -> dict:
         # The compiled form is cheap to rebuild and can be large; keep
-        # pickles (multiprocessing workers receive one topology each)
-        # lean by letting every process compile its own.
+        # pickles (a shard worker started by spawn or forkserver
+        # receives one topology) lean by letting it compile its own.
         state = self.__dict__.copy()
         state["_compiled"] = None
         return state
@@ -97,8 +97,9 @@ class AsTopology:
     def compiled(self) -> "CompiledTopology":
         """The flat-array form of this topology, compiled once.
 
-        The result is cached until the next mutating call; the cache is
-        not pickled, so multiprocessing workers compile independently.
+        The result is cached until the next mutating call.  A forked
+        process inherits the cache; the cache is not pickled, so a
+        process that unpickles the topology compiles it once itself.
         """
         if self._compiled is None:
             self._compiled = CompiledTopology.from_topology(self)
@@ -194,39 +195,20 @@ class AsTopology:
 
 #: Blob header: magic, then the element counts of the seven int64
 #: buffers (asns + three CSR (indptr, indices) pairs).  The whole
-#: blob — header and payload — is little-endian; big-endian hosts
-#: byteswap on the way in and out (losing zero-copy, keeping
-#: cross-architecture pickles correct).
+#: blob — header and payload — is little-endian on every host, so its
+#: digest names the same topology everywhere.
 _BLOB_MAGIC = b"RPROCT1\x00"
 _BLOB_HEADER = struct.Struct("<8s7Q")
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
-#: Anything the int64 buffer views can be built from.
-_IntBuffer = Union[array, memoryview]
 
-
-def _as_int64(values: Iterable[int]) -> array:
-    return array("q", values)
-
-
-def _buffer_bytes(buf: _IntBuffer) -> bytes:
+def _buffer_bytes(buf: array) -> bytes:
     """Native int64 buffer → little-endian payload bytes."""
     if _LITTLE_ENDIAN:
-        return buf.tobytes() if isinstance(buf, array) else bytes(buf)
+        return buf.tobytes()
     swapped = array("q", buf)
     swapped.byteswap()
     return swapped.tobytes()
-
-
-def _payload_view(payload: memoryview) -> _IntBuffer:
-    """Little-endian payload bytes → native int64 buffer (a zero-copy
-    cast on little-endian hosts, a byteswapped copy elsewhere)."""
-    if _LITTLE_ENDIAN:
-        return payload.cast("q")
-    native = array("q")
-    native.frombytes(bytes(payload))
-    native.byteswap()
-    return native
 
 
 class CompiledTopology:
@@ -239,13 +221,9 @@ class CompiledTopology:
     per-row tuples derived once so the hot loops iterate rows without
     slicing.
 
-    The seven backing buffers are flat int64 sequences —
-    :class:`array.array` when compiled in-process, zero-copy
-    :class:`memoryview` casts when attached to a pickled blob or a
-    :mod:`multiprocessing.shared_memory` segment via
-    :meth:`from_blob`.  Pickling goes through :meth:`to_blob`, so a
-    compiled topology crosses process boundaries as one flat byte
-    string instead of an object graph.
+    The seven backing buffers are flat int64 :class:`array.array`
+    buffers; :meth:`to_blob` lays them out as one byte string, which
+    :func:`~repro.results.sinks.topology_digest` hashes.
 
     Instances are immutable snapshots; get one via
     :meth:`AsTopology.compiled`, which caches until the next mutation.
@@ -268,16 +246,14 @@ class CompiledTopology:
 
     def __init__(
         self,
-        asns: Union[tuple[int, ...], _IntBuffer],
-        provider_csr: tuple[_IntBuffer, _IntBuffer],
-        customer_csr: tuple[_IntBuffer, _IntBuffer],
-        peer_csr: tuple[_IntBuffer, _IntBuffer],
+        asns: tuple[int, ...],
+        provider_csr: tuple[array, array],
+        customer_csr: tuple[array, array],
+        peer_csr: tuple[array, array],
     ) -> None:
-        if isinstance(asns, tuple):
-            asns = _as_int64(asns)
-        self.asns = asns
-        self.as_set = frozenset(asns)
-        self.index_of = {asn: i for i, asn in enumerate(asns)}
+        self.asns = array("q", asns)
+        self.as_set = frozenset(self.asns)
+        self.index_of = {asn: i for i, asn in enumerate(self.asns)}
         self.provider_indptr, self.provider_indices = provider_csr
         self.customer_indptr, self.customer_indices = customer_csr
         self.peer_indptr, self.peer_indices = peer_csr
@@ -287,7 +263,7 @@ class CompiledTopology:
 
     @staticmethod
     def _rows(
-        indptr: _IntBuffer, indices: _IntBuffer
+        indptr: array, indices: array
     ) -> tuple[tuple[int, ...], ...]:
         return tuple(
             tuple(indices[indptr[i]:indptr[i + 1]])
@@ -316,18 +292,8 @@ class CompiledTopology:
             csr(topology._peers),
         )
 
-    # ------------------------------------------------------------------
-    # The flat-blob form (pickling, shared memory)
-    # ------------------------------------------------------------------
-
     def to_blob(self) -> bytes:
-        """Serialize to one flat byte string: header + int64 buffers.
-
-        The layout is what :meth:`from_blob` attaches to zero-copy; it
-        is also the pickle payload (see :meth:`__reduce__`), so a
-        compiled topology ships between processes as a single buffer
-        copy with no per-object pickling.
-        """
+        """Serialize to one flat byte string: header + int64 buffers."""
         buffers = (
             self.asns,
             self.provider_indptr, self.provider_indices,
@@ -338,65 +304,6 @@ class CompiledTopology:
             _BLOB_MAGIC, *(len(buf) for buf in buffers)
         )
         return header + b"".join(_buffer_bytes(buf) for buf in buffers)
-
-    @classmethod
-    def from_blob(
-        cls, blob: Union[bytes, bytearray, memoryview]
-    ) -> "CompiledTopology":
-        """Attach to a :meth:`to_blob` payload without copying it.
-
-        The seven buffers become ``memoryview`` casts into ``blob``;
-        only the derived lookup structures (index map, row tuples) are
-        built per attach.  Trailing bytes beyond the recorded lengths
-        are ignored, so a page-rounded shared-memory segment attaches
-        as-is.
-        """
-        view = memoryview(blob)
-        if len(view) < _BLOB_HEADER.size:
-            raise TopologyError("compiled-topology blob too short")
-        magic, *counts = _BLOB_HEADER.unpack_from(view, 0)
-        if magic != _BLOB_MAGIC:
-            raise TopologyError("not a compiled-topology blob")
-        offset = _BLOB_HEADER.size
-        buffers: list[_IntBuffer] = []
-        for count in counts:
-            end = offset + 8 * count
-            if end > len(view):
-                raise TopologyError("truncated compiled-topology blob")
-            buffers.append(_payload_view(view[offset:end]))
-            offset = end
-        return cls(
-            buffers[0],
-            (buffers[1], buffers[2]),
-            (buffers[3], buffers[4]),
-            (buffers[5], buffers[6]),
-        )
-
-    def __reduce__(self):
-        return (CompiledTopology.from_blob, (self.to_blob(),))
-
-    def to_topology(self) -> AsTopology:
-        """Rebuild the mutable object form (for trial sampling).
-
-        Workers receive only the compiled blob; they draw their trials
-        from an equivalent :class:`AsTopology` reconstructed from it —
-        same ASes, same relationships — instead of shipping the object
-        graph through the pickle path.
-        """
-        topology = AsTopology()
-        asns = self.asns
-        for asn in asns:
-            topology.add_as(asn)
-        for i, row in enumerate(self.customer_rows):
-            provider = asns[i]
-            for j in row:
-                topology.add_customer_provider(asns[j], provider)
-        for i, row in enumerate(self.peer_rows):
-            left = asns[i]
-            for j in row:
-                if i < j:
-                    topology.add_peering(left, asns[j])
-        return topology
 
     def __len__(self) -> int:
         return len(self.asns)

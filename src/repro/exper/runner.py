@@ -9,12 +9,13 @@ randomness) and an executor evaluates them (expensive, pure):
   into contiguous shards, each evaluated by an independent worker
   streaming into its own durable run file, retried on death, and
   unioned back in grid order (see :mod:`repro.exper.sharded`).  The
-  default transport runs workers as local processes that attach the
-  compiled topology through one shared-memory segment; the serve
+  default transport runs workers as local processes that inherit (or,
+  under spawn and forkserver, unpickle) the topology; the serve
   tier's HTTP transport dispatches them to remote hosts.
 * ``"auto"`` — :func:`resolve_executor` picks ``"serial"`` or
-  ``"sharded"`` from the parallelism actually available, so one-core
-  machines never pay worker-process overhead for nothing.
+  ``"sharded"`` from the CPUs this process may use, so one-core
+  machines (and containers pinned to one CPU) never pay worker-process
+  overhead for nothing.
 
 Because trials are pure functions of (topology, spec, trial), both
 executors stream identical records in the same (grid) order and
@@ -37,11 +38,9 @@ pre-stopping engine byte for byte.
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Iterator, Optional
 
 from ..bgp.topology import AsTopology
-from ..faults.retry import RetryPolicy
 from ..netbase.errors import ReproError
 from ..obs import trace
 from ..obs.metrics import MetricsRegistry, get_registry
@@ -54,8 +53,13 @@ from ..results.sinks import (
 )
 from .aggregate import ExperimentResult, aggregate_records, prefix_ci_width
 from .evaluate import TrialRecord, evaluate_trials
-from .sharded import ShardCoordinator
-from .spec import EXECUTORS, ExperimentSpec, TrialSpec, iter_trials
+from .spec import (
+    EXECUTORS,
+    ExperimentSpec,
+    TrialSpec,
+    iter_trials,
+    usable_cpus,
+)
 
 __all__ = ["ExperimentRunner", "EXECUTORS", "resolve_executor"]
 
@@ -70,11 +74,11 @@ def resolve_executor(
     """Resolve ``"auto"`` to a concrete executor; pass others through.
 
     ``"auto"`` picks ``"sharded"`` only when it can actually win:
-    on a one-core machine (``cpu_count() == 1``), or when the caller
-    pins ``workers`` or ``shards`` to one, worker processes are pure
-    overhead, so ``"serial"`` is chosen instead.  ``cpu_count``
-    overrides the detected core count (tests pin the selection logic
-    with it).
+    when this process may use one CPU (:func:`~repro.exper.spec
+    .usable_cpus`), or when the caller pins ``workers`` or ``shards``
+    to one, worker processes are pure overhead, so ``"serial"`` is
+    chosen instead.  ``cpu_count`` overrides the detected CPU count
+    (tests pin the selection logic with it).
     """
     if executor not in EXECUTORS:
         raise ReproError(
@@ -82,7 +86,7 @@ def resolve_executor(
         )
     if executor != "auto":
         return executor
-    cores = cpu_count if cpu_count is not None else os.cpu_count() or 1
+    cores = cpu_count if cpu_count is not None else usable_cpus()
     if cores <= 1:
         return "serial"
     if shards is not None and shards <= 1:
@@ -240,7 +244,7 @@ class ExperimentRunner:
             via :func:`resolve_executor`); ``None`` (the default)
             defers to ``spec.executor``.
         workers: shard workers in flight at once under ``"sharded"``
-            (default: CPU count).
+            (default: the CPUs this process may use).
         shards: shard count for ``"sharded"`` (default: ``workers``;
             under ``stopping="ci"`` a lower bound — see
             :func:`~repro.exper.sharded.plan_shards`).
@@ -280,12 +284,6 @@ class ExperimentRunner:
             :data:`~repro.obs.NULL_REGISTRY` to switch telemetry off).
             Instrumentation never touches a trial RNG, so results are
             byte-identical whichever registry is installed.
-
-    After a local ``"sharded"`` run, :attr:`last_shared_segment` names
-    the shared-memory segment the run used (``None`` if the blob-pickle
-    fallback shipped the topology); the segment itself is always
-    unlinked by the time :meth:`iter_records` finishes — including on
-    worker exceptions.
     """
 
     def __init__(
@@ -315,7 +313,7 @@ class ExperimentRunner:
         self.executor = resolve_executor(
             requested, workers=workers, shards=shards
         )
-        self.workers = workers or os.cpu_count() or 1
+        self.workers = workers or usable_cpus()
         self.shards = shards or self.workers
         self.shard_store = shard_store
         self.shard_transport = shard_transport
@@ -328,7 +326,6 @@ class ExperimentRunner:
         #: registry at run time (so ``use_registry`` blocks around
         #: ``run()`` behave as expected).
         self.registry = registry
-        self.last_shared_segment: Optional[str] = None
         #: Per-fraction trial counts of the last record stream drained
         #: to its end — what early stopping decided, else
         #: ``spec.trials`` everywhere — as handed to ``sink.finish``.
@@ -411,8 +408,8 @@ class ExperimentRunner:
         metrics: _RunnerMetrics,
     ) -> Iterator[TrialRecord]:
         """One run's record stream; all per-run state (stop tracker,
-        shared-memory handle) lives in this generator, so overlapping
-        or abandoned iterations cannot interfere with each other."""
+        shard coordinator) lives in this generator, so overlapping or
+        abandoned iterations cannot interfere with each other."""
         metrics.runs.inc()
         with trace.span("exper.resume_scan"):
             replay, finished = self._load_resume()
@@ -497,6 +494,10 @@ class ExperimentRunner:
         a shard wrote past one before that, the tracker discards —
         identical counts and records to serial.
         """
+        # Imported here: a serial run never compiles the shard stack.
+        from ..faults.retry import RetryPolicy
+        from .sharded import ShardCoordinator
+
         coordinator = ShardCoordinator(
             self.topology,
             self.spec,
@@ -511,10 +512,7 @@ class ExperimentRunner:
             progress=self.shard_progress,
             wants=None if tracker is None else tracker.wants_index,
         )
-        try:
-            yield from coordinator.records()
-        finally:
-            self.last_shared_segment = coordinator.last_shared_segment
+        yield from coordinator.records()
 
     # ------------------------------------------------------------------
     # One-shot aggregation

@@ -23,9 +23,9 @@ cuts a partial tail line and a half-recorded trial when it re-opens
 the file), so a retried shard converges on the same bytes an
 undisturbed one writes.  The coordinator babysits workers through a
 deliberately narrow transport interface (start/poll/stop/collect);
-:class:`LocalShardTransport` runs them as local processes sharing the
-compiled topology blob through one shared-memory segment, and the
-serve tier's ``HttpShardTransport`` dispatches them to remote worker
+:class:`LocalShardTransport` runs them as local processes that inherit
+(fork) or unpickle (spawn, forkserver) the coordinator's topology, and
+the serve tier's ``HttpShardTransport`` dispatches them to remote worker
 hosts over HTTP (the layering DAG forbids importing it from here; the
 CLI wires it in).
 
@@ -57,7 +57,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, Union
 
 from ..bgp.fastprop import PropagationWorkspace
-from ..bgp.topology import AsTopology, CompiledTopology
+from ..bgp.topology import AsTopology
 from ..faults.plan import fire, install_from_env
 from ..faults.retry import RetryPolicy
 from ..netbase.codec import Field, decode, encode, many
@@ -74,7 +74,7 @@ from ..results.sinks import (
 from ..results.runid import shard_run_id
 from ..results.store import ResultsStore
 from .evaluate import TrialRecord, evaluate_trials
-from .spec import ExperimentSpec, iter_trials
+from .spec import ExperimentSpec, iter_trials, usable_cpus
 
 __all__ = [
     "LocalShardTransport",
@@ -239,11 +239,10 @@ def run_shard(
 
     ``topology`` materializes trials (it must be the object form —
     samplers draw from it); ``eval_topology`` (default: ``topology``)
-    is what trials evaluate on, so workers pass their attached
-    :class:`~repro.bgp.topology.CompiledTopology` and reuse
-    ``workspace`` across trials.  ``finished`` grid coordinates —
-    trials the coordinator already holds records for — are skipped
-    without being drawn, exactly like a resumed run.  With
+    is what trials evaluate on, and ``workspace`` (default: a fresh
+    one) is reused across the shard's trials.  ``finished`` grid
+    coordinates — trials the coordinator already holds records for —
+    are skipped without being drawn, exactly like a resumed run.  With
     ``resume=True`` the sink's existing complete trials are treated the
     same way, so a retried shard picks up where its dead predecessor
     flushed.
@@ -294,100 +293,12 @@ def run_shard(
 
 
 # ----------------------------------------------------------------------
-# Shared-memory topology shipping to local shard workers
-# ----------------------------------------------------------------------
-
-
-def share_topology(topology: AsTopology) -> tuple:
-    """Compile once, publish the blob, return ``(payload, handle)``.
-
-    Preferred transport: a shared-memory segment all workers attach
-    zero-copy — ``payload`` is ``("shm", name)`` and the caller owns
-    ``handle``, passing it to :func:`release_shared` when its run ends.
-    Fallback (no ``/dev/shm``, permissions): ``("blob", bytes)`` with a
-    ``None`` handle; the blob rides the worker arguments' pickle —
-    still one flat buffer, still no per-worker recompile.
-    """
-    blob = topology.compiled().to_blob()
-    try:
-        from multiprocessing import shared_memory
-
-        shm = shared_memory.SharedMemory(create=True, size=len(blob))
-    except (ImportError, OSError):
-        return ("blob", blob), None
-    try:
-        shm.buf[: len(blob)] = blob
-    except BaseException:
-        release_shared(shm)
-        raise
-    return ("shm", shm.name), shm
-
-
-def attach_shared_blob(name: str):
-    """Attach a shared-memory segment without adopting its lifecycle.
-
-    The driver owns creation and unlinking; a worker only maps the
-    segment.  On Python 3.13+ ``track=False`` keeps the attach out of
-    the resource tracker entirely; before that, workers share the
-    driver's tracker, where re-registering the same name is idempotent
-    and the driver's unlink unregisters it exactly once — so a plain
-    attach is already lifecycle-clean.
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-def release_shared(shm) -> None:
-    """Close and unlink the segment :func:`share_topology` created."""
-    shm.close()
-    try:
-        shm.unlink()
-    except FileNotFoundError:
-        pass
-
-
-# ----------------------------------------------------------------------
 # Local worker processes
 # ----------------------------------------------------------------------
 
 
-def _run_attached(
-    buf,
-    spec: ExperimentSpec,
-    shard: Shard,
-    sink: JsonlSink,
-    finished: frozenset,
-    attempt: int,
-    header: RunHeader,
-) -> None:
-    """Run one shard over an attached blob.
-
-    Everything derived from ``buf`` — the compiled topology, the
-    reconstructed object form, the workspace — stays local to this
-    frame, so by the time the caller closes its shared-memory handle
-    no exported buffer views remain.
-    """
-    compiled = CompiledTopology.from_blob(buf)
-    run_shard(
-        compiled.to_topology(),
-        spec,
-        shard,
-        sink=sink,
-        resume=True,
-        finished=finished,
-        header=header,
-        eval_topology=compiled,
-        workspace=PropagationWorkspace(compiled),
-        attempt=attempt,
-    )
-
-
 def _local_shard_main(
-    payload: tuple,
+    topology: AsTopology,
     spec: ExperimentSpec,
     shard: Shard,
     path: str,
@@ -397,42 +308,32 @@ def _local_shard_main(
 ) -> None:
     """Entry point of one local shard worker process.
 
-    Attaches the compiled topology (shared memory or pickled blob)
-    and runs the shard with resume — the file it streams into doubles
-    as its own crash journal.  Failures leave their reason in
-    ``<path>.err`` for the coordinator and exit nonzero via
-    :func:`os._exit` (skipping interpreter teardown, which would
-    otherwise spray ``BufferError`` noise from shared-memory views
-    still referenced by the exception's traceback); progress
-    heartbeats are simply the sink's flushed writes (the coordinator
-    watches the file grow).
+    Runs the shard with resume over the coordinator's topology — the
+    file it streams into doubles as its own crash journal.  A forked
+    worker inherits the topology with its compiled form cached; one
+    started by spawn or forkserver unpickles it and compiles once.
+    Failures leave their reason in ``<path>.err`` for the coordinator
+    and exit 1; progress heartbeats are simply the sink's flushed
+    writes (the coordinator watches the file grow).
     """
-    kind, value = payload
     # Fresh fault-plan hit counters per attempt: forked workers inherit
     # the coordinator's installed plan, so re-parse it from the
     # environment to start counting this attempt's hits from zero.
     install_from_env()
-    shm = attach_shared_blob(value) if kind == "shm" else None
     sink = JsonlSink(path)
     try:
         fire("exper.shard.open", shard=shard.shard_index, attempt=attempt)
-        _run_attached(
-            shm.buf if shm is not None else value,
-            spec, shard, sink, finished, attempt, header,
+        run_shard(
+            topology, spec, shard, sink=sink, resume=True,
+            finished=finished, header=header, attempt=attempt,
         )
     except BaseException as exc:
         Path(path + ".err").write_text(
             f"{type(exc).__name__}: {exc}", encoding="utf-8"
         )
         sink.close()
-        os._exit(1)
+        raise SystemExit(1)
     sink.close()
-    if shm is not None:
-        try:
-            shm.close()
-        except BufferError:
-            # A stray view survived; the mapping dies with the process.
-            os._exit(0)
 
 
 class _LocalJob:
@@ -450,7 +351,7 @@ class _LocalJob:
 
 
 class LocalShardTransport:
-    """Shard workers as local processes, topology shared once.
+    """Shard workers as local processes, topology compiled once.
 
     Implements the coordinator's transport interface:
 
@@ -464,13 +365,12 @@ class LocalShardTransport:
       reassignment, or a shard early stopping no longer wants);
     * ``collect(shard, path)`` — records are already at ``path``
       (workers write in place), so this just forgets the job;
-    * ``close()`` — kill stragglers and release the shared-memory
-      segment.
+    * ``close()`` — kill stragglers.
 
-    The compiled topology is published once, to one shared-memory
-    segment every worker attaches zero-copy (blob-pickle fallback when
-    shared memory is unavailable); ``last_shared_segment`` records the
-    segment name for leak checks.
+    The topology is compiled here, before any worker starts, and each
+    worker gets it as a process argument: a forked one inherits it
+    with the compiled form cached, one started by spawn or forkserver
+    unpickles it and compiles once.
     """
 
     def __init__(
@@ -480,11 +380,9 @@ class LocalShardTransport:
     ) -> None:
         import multiprocessing
 
+        topology.compiled()
         self.topology = topology
         self.spec = spec
-        self.last_shared_segment: Optional[str] = None
-        self._payload: Optional[tuple] = None
-        self._shm = None
         self._jobs: dict[int, _LocalJob] = {}
         self._ctx = multiprocessing.get_context()
 
@@ -496,14 +394,10 @@ class LocalShardTransport:
         attempt: int,
         header: RunHeader,
     ) -> None:
-        if self._payload is None:
-            self._payload, self._shm = share_topology(self.topology)
-            if self._shm is not None:
-                self.last_shared_segment = self._shm.name
         process = self._ctx.Process(
             target=_local_shard_main,
             args=(
-                self._payload, self.spec, shard, str(path), finished,
+                self.topology, self.spec, shard, str(path), finished,
                 attempt, header,
             ),
             daemon=True,
@@ -570,10 +464,6 @@ class LocalShardTransport:
     def close(self) -> None:
         for index in sorted(self._jobs):
             self.stop(index)
-        if self._shm is not None:
-            release_shared(self._shm)
-            self._shm = None
-        self._payload = None
 
 
 # ----------------------------------------------------------------------
@@ -680,9 +570,7 @@ class ShardCoordinator:
         self.store = store
         self.run_base = run_base or f"grid-{spec.spec_hash()[:12]}"
         self.transport = transport
-        self.parallel = parallel or min(
-            len(self.plan), os.cpu_count() or 1
-        )
+        self.parallel = parallel or min(len(self.plan), usable_cpus())
         self.retry = retry
         self.timeout = timeout
         self.poll_interval = poll_interval
@@ -690,7 +578,6 @@ class ShardCoordinator:
         self.registry = registry
         self.progress = progress
         self.wants = wants
-        self.last_shared_segment: Optional[str] = None
 
     def records(self) -> Iterator[TrialRecord]:
         """Run the plan; yield every record in serial grid order."""
@@ -712,9 +599,6 @@ class ShardCoordinator:
         finally:
             if owns_transport:
                 transport.close()
-            self.last_shared_segment = getattr(
-                transport, "last_shared_segment", None
-            )
             if tempdir is not None:
                 tempdir.cleanup()
 

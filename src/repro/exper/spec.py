@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 # The C module behind ``hashlib.blake2b`` (the same function):
 # importing ``hashlib`` itself would also load OpenSSL's ``_hashlib``.
@@ -62,6 +63,7 @@ __all__ = [
     "derive_trial_seed",
     "iter_trials",
     "materialize_trials",
+    "usable_cpus",
 ]
 
 _STOPPINGS = ("none", "ci")
@@ -80,6 +82,16 @@ _RETIRED = {
 #: run time to ``"serial"`` or ``"sharded"`` depending on available
 #: parallelism (see :func:`repro.exper.runner.resolve_executor`).
 EXECUTORS = ("serial", "sharded", "auto")
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, what ``"auto"`` and the
+    default worker count go by: its affinity mask where the platform
+    has one (a container pinned to one CPU counts one, not the host's
+    CPUs), else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
+    return os.cpu_count() or 1
 
 
 def derive_trial_seed(seed: int, fraction_index: int, trial_index: int) -> int:

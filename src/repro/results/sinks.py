@@ -132,9 +132,7 @@ def topology_digest(topology) -> str:
     compiled = (
         topology.compiled() if hasattr(topology, "compiled") else topology
     )
-    return hashlib.blake2b(
-        bytes(compiled.to_blob()), digest_size=16
-    ).hexdigest()
+    return hashlib.blake2b(compiled.to_blob(), digest_size=16).hexdigest()
 
 
 @dataclass(frozen=True)

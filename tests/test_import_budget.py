@@ -217,6 +217,18 @@ def test_serial_experiment_skips_serve_and_analysis(tmp_path):
     assert _loaded(modules, _EXPERIMENT_FORBIDDEN) == []
 
 
+def test_serial_experiment_skips_the_shard_stack(tmp_path):
+    """Only a sharded run compiles the coordinator and retry policy."""
+    modules = _modules_after(
+        ["experiment", "--executor", "serial", "--trials", "2",
+         "--ases", "60"],
+        tmp_path,
+    )
+    assert _loaded(
+        modules, ("repro.exper.sharded", "repro.faults.retry")
+    ) == []
+
+
 _QUERY_SERVER_PROBE = """\
 import asyncio, json, sys
 from repro.netbase import Prefix

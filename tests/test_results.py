@@ -863,8 +863,9 @@ class TestResume:
     def test_shm_cleaned_up_when_resume_finishes_early(
         self, topology, tmp_path
     ):
-        """A sharded resume with nothing left to evaluate still
-        unlinks its shared topology segment."""
+        """A sharded resume with nothing left to evaluate replays the
+        recorded run.  (The id predates the shared-memory segment's
+        removal; no segment exists to clean up.)"""
         spec = small_spec()
         path = tmp_path / "run.jsonl"
         full, _ = run_full(topology, spec, path)
@@ -875,12 +876,6 @@ class TestResume:
         )
         assert runner.run() == full
         sink.close()
-        name = runner.last_shared_segment
-        if name is not None:
-            from multiprocessing import shared_memory
-
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
 
     def test_resume_into_fresh_tee_rewrites_replay(
         self, topology, tmp_path

@@ -9,16 +9,19 @@ dies and is resumed.  Also pinned here:
 * shard planning tiles the grid's canonical order contiguously —
   under early stopping one fraction at a time, in bounded chunks — and
   shard JSON round-trips;
-* ``executor="auto"`` resolves to serial on a single core and to
-  sharded otherwise; a stored ``"executor": "process"`` reads as
-  sharded without changing the spec hash;
+* ``executor="auto"`` resolves to serial when this process may use
+  one CPU (its affinity mask, not the host's CPU count) and to sharded
+  otherwise; a stored ``"executor": "process"`` reads as sharded
+  without changing the spec hash;
 * a property-style sweep of randomized small specs (sampler, stopping
   and its thresholds all drawn) agrees between serial and sharded;
 * early stopping reaches the workers: shards past a stop are never
   dispatched, running ones are stopped without counting as failures,
   over local processes and over HTTP;
-* crashed shards leak neither shared-memory segments nor temporary
-  shard stores;
+* local workers get the coordinator's topology as a process
+  argument: under fork a sharded run leaves no child process behind,
+  under spawn (which pickles the topology) it writes the serial bytes,
+  and crashed shards leak neither workers nor temporary shard stores;
 * the HTTP transport (serve tier shard workers) produces the same
   bytes, reassigns away from dead hosts, and refuses topology
   mismatches.
@@ -28,8 +31,11 @@ from __future__ import annotations
 
 import glob
 import json
+import multiprocessing
 import os
 import random
+import subprocess
+import sys
 import time
 import urllib.request
 
@@ -254,6 +260,20 @@ class TestAutoExecutor:
         assert resolve_executor("auto", workers=1, cpu_count=8) == "serial"
         assert resolve_executor("auto", shards=1, cpu_count=8) == "serial"
 
+    def test_auto_counts_the_cpus_this_process_may_use(
+        self, topology, monkeypatch
+    ):
+        """A container pinned to one CPU of an 8-CPU host runs serial,
+        with one worker by default, however many CPUs the host has."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0}, raising=False
+        )
+        spec = small_spec()
+        assert resolve_executor("auto") == "serial"
+        assert ExperimentRunner(topology, spec).workers == 1
+        assert ShardCoordinator(topology, spec, shards=2).parallel == 1
+
     def test_concrete_executors_pass_through(self):
         for name in ("serial", "sharded"):
             assert resolve_executor(name, cpu_count=1) == name
@@ -386,6 +406,81 @@ class TestShardedEquivalence:
             assert sharded_bytes == serial_bytes, f"case {case}"
             stopped += min(serial.trial_counts) < spec.trials
         assert stopped >= 3  # the draw does exercise early stops
+
+
+# ----------------------------------------------------------------------
+# Local worker processes, per start method
+# ----------------------------------------------------------------------
+
+#: Runs ``repro-roa experiment`` in a fresh interpreter under one
+#: multiprocessing start method, then reports the exit code and the
+#: pids whose parent is this interpreter (read from ``/proc``).
+_LOCAL_RUN_PROBE = """\
+import json, multiprocessing, os, sys
+from pathlib import Path
+method, report, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
+multiprocessing.set_start_method(method)
+from repro.cli import main
+code = main(argv)
+me, children = str(os.getpid()), []
+for stat in Path("/proc").glob("[0-9]*/stat"):
+    try:
+        fields = stat.read_text().rsplit(")", 1)[1].split()
+    except OSError:
+        continue
+    if fields[1] == me:
+        children.append(int(stat.parent.name))
+Path(report).write_text(json.dumps({"code": code, "children": children}))
+"""
+
+_REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def probe_experiment(tmp_path, name, method, *flags):
+    """``experiment --trials 6 --ases 80`` plus ``flags`` under start
+    method ``method``: ``(--json stdout, run file bytes, children)``."""
+    sink, report = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"))
+    env.pop(PLAN_ENV, None)
+    completed = subprocess.run(
+        [sys.executable, "-c", _LOCAL_RUN_PROBE, method, str(report),
+         "experiment", "--trials", "6", "--ases", "80", "--seed", "3",
+         "--sink", str(sink), "--json", *flags],
+        cwd=tmp_path, env=env, capture_output=True, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stderr.decode()
+    outcome = json.loads(report.read_text(encoding="utf-8"))
+    assert outcome["code"] == 0, completed.stderr.decode()
+    return completed.stdout, sink.read_bytes(), outcome["children"]
+
+
+@pytest.mark.skipif(
+    not os.path.isdir("/proc/self"), reason="reads ppids from /proc"
+)
+class TestLocalWorkerProcesses:
+    def test_forked_run_leaves_no_child_process(self, tmp_path):
+        """Forked workers inherit the topology: nothing else — no
+        shared-memory resource tracker — outlives the run."""
+        _, _, children = probe_experiment(
+            tmp_path, "fork", "fork",
+            "--executor", "sharded", "--shards", "2", "--workers", "2",
+        )
+        assert children == []
+
+    def test_spawned_workers_write_the_serial_bytes(self, tmp_path):
+        """Under spawn (macOS's default; forkserver, Linux's from
+        Python 3.14, pickles the same way) each worker unpickles the
+        topology and compiles it; the run still equals the serial
+        one byte for byte."""
+        serial_out, serial_file, _ = probe_experiment(
+            tmp_path, "serial", "fork", "--executor", "serial",
+        )
+        spawn_out, spawn_file, _ = probe_experiment(
+            tmp_path, "spawn", "spawn",
+            "--executor", "sharded", "--shards", "2", "--workers", "2",
+        )
+        assert spawn_out == serial_out
+        assert spawn_file == serial_file
 
 
 # ----------------------------------------------------------------------
@@ -600,21 +695,19 @@ class TestFaultInjection:
     def test_no_leaked_segments_or_shard_dirs(
         self, topology, tmp_path, monkeypatch
     ):
+        """A crashed and retried shard leaks no worker and no temporary
+        shard store.  (The id predates the shared-memory segment's
+        removal; workers now get the topology as a process argument.)"""
         before = set(glob.glob("/tmp/repro-shards-*"))
         spec = small_spec(trials=3)
         monkeypatch.setenv(PLAN_ENV, shard_fault(1, "crash", 2))
         runner = ExperimentRunner(topology, spec, executor="sharded",
                                   shards=2)
         runner.run(bootstrap_resamples=100)
-        # The coordinator's temporary shard store is gone...
+        # The coordinator's temporary shard store is gone, and every
+        # worker, the killed one included, has been reaped.
         assert set(glob.glob("/tmp/repro-shards-*")) == before
-        # ...and so is the topology's shared-memory segment.
-        segment = runner.last_shared_segment
-        if segment is not None:
-            from multiprocessing import shared_memory
-
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=segment)
+        assert multiprocessing.active_children() == []
 
     def test_retries_exhausted_raises(self, topology, monkeypatch):
         spec = small_spec(trials=3)

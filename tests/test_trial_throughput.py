@@ -1,31 +1,32 @@
 """Tests for the trial-throughput overhaul.
 
-Three pillars:
+Two pillars:
 
-* the buffer-backed :class:`CompiledTopology` — flat-blob pickling,
-  zero-copy attach, object-topology reconstruction;
 * the :class:`PropagationWorkspace` path — batched/workspace-reusing
   evaluation is byte-identical to per-trial allocation, including on
   the PR 2/PR 3 golden specs;
-* the executor overhaul — shared-memory segments are unlinked on run
-  shutdown and on worker exceptions, trials stream lazily, and
-  CI-width early stopping is deterministic across executors while
-  ``stopping="none"`` stays byte-identical to the pre-stopping engine.
+* the executor overhaul — local shard workers match the serial run,
+  surface their exceptions and leave no process or temporary shard
+  store behind, trials stream lazily, and CI-width early stopping is
+  deterministic across executors while ``stopping="none"`` stays
+  byte-identical to the pre-stopping engine.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import pickle
+import glob
+import multiprocessing
+import os
 import random
+import tempfile
 import types
 
 import pytest
 
 from repro.bgp import (
     AsTopology,
-    CompiledTopology,
     PropagationWorkspace,
     Seed,
     VrpIndex,
@@ -74,51 +75,6 @@ def stopping_spec(**kwargs) -> ExperimentSpec:
     )
     defaults.update(kwargs)
     return ExperimentSpec(**defaults)
-
-
-class TestCompiledBuffers:
-    def test_blob_round_trip(self, topology):
-        compiled = topology.compiled()
-        attached = CompiledTopology.from_blob(compiled.to_blob())
-        assert list(attached.asns) == list(compiled.asns)
-        assert attached.provider_rows == compiled.provider_rows
-        assert attached.customer_rows == compiled.customer_rows
-        assert attached.peer_rows == compiled.peer_rows
-        assert attached.index_of == compiled.index_of
-
-    def test_blob_attach_is_zero_copy(self, topology):
-        import sys
-
-        if sys.byteorder != "little":
-            pytest.skip("big-endian hosts attach via byteswapped copy")
-        blob = topology.compiled().to_blob()
-        attached = CompiledTopology.from_blob(blob)
-        # The buffers are views into the blob, not copies.
-        assert isinstance(attached.asns, memoryview)
-        assert attached.asns.obj is blob
-
-    def test_pickle_is_one_flat_blob(self, topology):
-        compiled = topology.compiled()
-        payload = pickle.dumps(compiled)
-        clone = pickle.loads(payload)
-        assert clone.peer_rows == compiled.peer_rows
-        # The pickle is blob-sized — a header's worth above the raw
-        # buffers, not an object graph.
-        assert len(payload) < len(compiled.to_blob()) + 256
-
-    def test_blob_rejects_garbage(self):
-        with pytest.raises(ReproError):
-            CompiledTopology.from_blob(b"short")
-        with pytest.raises(ReproError):
-            CompiledTopology.from_blob(b"NOTMAGIC" + b"\x00" * 80)
-
-    def test_to_topology_reconstructs_relationships(self, topology):
-        rebuilt = topology.compiled().to_topology()
-        assert rebuilt.ases == topology.ases
-        for asn in topology.ases:
-            assert rebuilt.providers_of(asn) == topology.providers_of(asn)
-            assert rebuilt.customers_of(asn) == topology.customers_of(asn)
-            assert rebuilt.peers_of(asn) == topology.peers_of(asn)
 
 
 class TestWorkspaceEquivalence:
@@ -329,29 +285,30 @@ class TestLazyTrials:
 
 
 class TestSharedMemoryLifecycle:
-    def _segment_gone(self, name: str) -> bool:
-        from multiprocessing import shared_memory
+    """What a local sharded run leaves behind: nothing.  Every worker
+    is reaped and the temporary shard store is removed, on shutdown and
+    on a worker exception.  (The ids predate the shared-memory segment's
+    removal: workers now get the topology as a process argument.)"""
 
-        try:
-            segment = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            return True
-        segment.close()
-        return False
+    @contextlib.contextmanager
+    def _leaves_nothing(self):
+        pattern = os.path.join(tempfile.gettempdir(), "repro-shards-*")
+        before = set(glob.glob(pattern))
+        yield
+        assert multiprocessing.active_children() == []
+        assert set(glob.glob(pattern)) == before
 
     def test_unlinked_on_shutdown(self, topology):
         spec = stopping_spec(stopping="none", trials=4)
         runner = ExperimentRunner(
             topology, spec, executor="sharded", workers=2
         )
-        result = runner.run(bootstrap_resamples=50)
+        with self._leaves_nothing():
+            result = runner.run(bootstrap_resamples=50)
         serial = ExperimentRunner(topology, spec).run(
             bootstrap_resamples=50
         )
         assert result == serial
-        if runner.last_shared_segment is None:
-            pytest.skip("shared memory unavailable; blob fallback used")
-        assert self._segment_gone(runner.last_shared_segment)
 
     def test_unlinked_on_worker_exception(self):
         tiny = AsTopology.from_edges([(1, 2, "c2p")])
@@ -363,19 +320,17 @@ class TestSharedMemoryLifecycle:
         runner = ExperimentRunner(
             tiny, spec, executor="sharded", workers=2
         )
-        with pytest.raises(ReproError, match="too small"):
-            list(runner.iter_records())
-        if runner.last_shared_segment is None:
-            pytest.skip("shared memory unavailable; blob fallback used")
-        assert self._segment_gone(runner.last_shared_segment)
+        with self._leaves_nothing():
+            with pytest.raises(ReproError, match="too small"):
+                list(runner.iter_records())
 
     def test_object_engine_workers_rebuild_topology(
         self, topology, reference_engine
     ):
-        """Workers get no AsTopology in their payload: they rebuild the
-        object form from the blob to draw trials and evaluate on the
-        compiled one — and the sharded run equals the serial run of
-        the reference engine."""
+        """Workers draw their trials from the coordinator's topology
+        (inherited under fork, unpickled and recompiled under spawn)
+        and evaluate on its compiled form — and the sharded run equals
+        the serial run of the reference engine."""
         spec = stopping_spec(stopping="none", trials=4)
         parallel = ExperimentRunner(
             topology, spec, executor="sharded", workers=2
