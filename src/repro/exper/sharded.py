@@ -49,6 +49,7 @@ so existing behaviour is unchanged unless a policy is passed).
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 import time
 from collections import deque
@@ -370,7 +371,11 @@ class LocalShardTransport:
     The topology is compiled here, before any worker starts, and each
     worker gets it as a process argument: a forked one inherits it
     with the compiled form cached, one started by spawn or forkserver
-    unpickles it and compiles once.
+    unpickles it and compiles once.  Workers start by the method the
+    program set with ``multiprocessing.set_start_method``; if it set
+    none, by fork on Linux, where the interpreter's default from
+    Python 3.14 (forkserver) would leave a server and a resource
+    tracker running after the command.
     """
 
     def __init__(
@@ -384,7 +389,10 @@ class LocalShardTransport:
         self.topology = topology
         self.spec = spec
         self._jobs: dict[int, _LocalJob] = {}
-        self._ctx = multiprocessing.get_context()
+        method = multiprocessing.get_start_method(allow_none=True)
+        if method is None and sys.platform.startswith("linux"):
+            method = "fork"
+        self._ctx = multiprocessing.get_context(method)
 
     def start(
         self,

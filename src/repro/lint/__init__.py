@@ -9,9 +9,9 @@ those properties at **parse time**, before any golden test has to
 fail:
 
 * :mod:`rules <repro.lint.rules>` — the catalog: RNG discipline
-  (RNG001/RNG002), the stdlib-only contract and import layering
-  (DEP001/DEP002), async safety in the serve tier (ASY001), and the
-  public-docstring policy (DOC001);
+  (RNG001/RNG002), the stdlib-only contract, import layering and
+  retired modules and names (DEP001/DEP002/DEP003), async safety in
+  the serve tier (ASY001), and the public-docstring policy (DOC001);
 * :mod:`engine <repro.lint.engine>` — discovery, parsing, module-name
   inference, and the driver;
 * :mod:`suppress <repro.lint.suppress>` — per-line

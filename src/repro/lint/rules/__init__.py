@@ -9,6 +9,7 @@ RNG001      no process-global ``random`` use (inject ``random.Random``)
 RNG002      no unsorted set iteration in result-affecting paths
 DEP001      stdlib-only imports
 DEP002      import-layering DAG + module-level cycle detection
+DEP003      retired modules and names stay out of their scope (a table)
 ASY001      no blocking calls inside async bodies in the serve tier
 DOC001      public docstring policy
 ==========  ==========================================================

@@ -25,19 +25,40 @@
   module-level* imports — edges inside ``if TYPE_CHECKING:`` blocks
   or function bodies are lazy by construction and excluded from the
   cycle graph (they still count for layering).
+
+* **DEP003** — what a change retired stays out of its scope.  One
+  table, :data:`BANS`, holds a row per retirement: the scope (a
+  dotted package), the banned modules, the banned names and the
+  reason.  A module is banned as an import target (any resolved edge,
+  lazy or not) and as a key of a ``lazy_exports(__name__, {...})``
+  table, read as the submodule ``<package>.<key>``.  A name is banned
+  as a whole word anywhere in the module text: code, strings and
+  comments.  A retirement is one new row.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import (
+    Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
+)
 
 from ..model import Finding, SourceModule
 from .base import Rule, register
 
-__all__ = ["ImportEdge", "LayeringRule", "StdlibOnlyRule", "module_edges"]
+__all__ = [
+    "BANS",
+    "Ban",
+    "BannedInScopeRule",
+    "ImportEdge",
+    "LayeringRule",
+    "StdlibOnlyRule",
+    "module_edges",
+]
 
 _LAYERS: Tuple[Tuple[str, ...], ...] = (
     ("_lazy", "obs"),
@@ -278,6 +299,138 @@ class LayeringRule(Rule):
                 "import)",
             ))
         return findings
+
+
+class Ban(NamedTuple):
+    """One DEP003 row: what stays out of ``scope``, and why.
+
+    ``scope`` is a dotted package (``repro`` is the whole library);
+    ``modules`` are dotted module names, each banned with everything
+    under it; ``names`` are identifiers banned as whole words; modules
+    in ``exempt`` are not judged by this row.
+    """
+
+    scope: str
+    modules: Tuple[str, ...]
+    names: Tuple[str, ...]
+    reason: str
+    exempt: Tuple[str, ...] = ()
+
+
+#: DEP003's table.  This module is exempt from every row: it is where
+#: the banned names are written down.
+BANS: Tuple[Ban, ...] = (
+    Ban(
+        "repro",
+        ("repro.results.live",),
+        ("RunRegistry", "ServePublisher", "TeeSink"),
+        "a run's state is its file: /experiments reads the results "
+        "store, and no in-memory copy of a run is kept beside it",
+    ),
+    Ban(
+        "repro",
+        (),
+        ("json_int", "_json_number", "_JSON_KEYS"),
+        "one record codec (repro.netbase.codec) decodes every stored "
+        "and posted record; no hand-written reader returns",
+    ),
+    Ban(
+        "repro",
+        ("repro.netbase.prefixset", "repro.netbase.radix",
+         "repro.netbase.trie"),
+        ("PrefixSet", "PrefixTrie", "RadixTree", "TrieNode"),
+        "one prefix index (repro.netbase.prefixtable and the sorted "
+        "origin keys of repro.core.minimal); the two tree modules "
+        "stay only for the benchmark's ledger",
+        exempt=("repro.netbase.radix", "repro.netbase.trie"),
+    ),
+    Ban(
+        "repro.bgp",
+        ("random",),
+        ("getrandbits", "rng"),
+        "propagation reads no RNG: ties are a keyed hash "
+        "(repro.bgp.simulation.tie_rank)",
+    ),
+)
+
+_WORD = re.compile(r"\w+")
+
+
+def _lazy_export_keys(src: SourceModule) -> Iterator[Tuple[int, int, str]]:
+    """``(line, col, submodule)`` per key of a ``lazy_exports`` table."""
+    if "lazy_exports" not in src.source:
+        return
+    for node in ast.walk(src.tree):
+        if not (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "lazy_exports"
+            and len(node.args) == 2
+            and isinstance(node.args[1], ast.Dict)
+        ):
+            continue
+        for key in node.args[1].keys:
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                yield (
+                    key.lineno, key.col_offset + 1,
+                    f"{src.module}.{key.value}",
+                )
+
+
+@register
+class BannedInScopeRule(Rule):
+    """DEP003: a retired module or name stays out of its scope."""
+
+    rule_id = "DEP003"
+    summary = (
+        "banned in scope: a retired module (imported, or a lazy "
+        "export key) or name (whole word, code or text) stays out of "
+        "the scope its DEP003 table row names"
+    )
+
+    def check_module(self, src: SourceModule) -> Iterable[Finding]:
+        if src.module == __name__:
+            return ()
+        # A banned module is named by its last component and a banned
+        # name by itself, so a module whose words include neither is
+        # clean for the row without a walk or a positioned scan.
+        words = set(_WORD.findall(src.source))
+        targets: Optional[List[Tuple[int, int, str]]] = None
+        hits: Dict[Tuple[int, int], Finding] = {}
+        for row, ban in enumerate(BANS):
+            if src.module in ban.exempt or not (
+                src.module == ban.scope
+                or src.module.startswith(ban.scope + ".")
+            ):
+                continue
+            found: List[Tuple[int, int, str]] = []
+            if any(m.rpartition(".")[2] in words for m in ban.modules):
+                if targets is None:
+                    targets = [
+                        (edge.line, edge.col, edge.target)
+                        for edge in module_edges(src)
+                    ] + list(_lazy_export_keys(src))
+                found += [
+                    (line, col, f"module `{module}`")
+                    for line, col, target in targets
+                    for module in ban.modules
+                    if target == module or target.startswith(module + ".")
+                ]
+            names = sorted(words.intersection(ban.names))
+            if names:
+                pattern = re.compile(r"\b(?:" + "|".join(names) + r")\b")
+                for match in pattern.finditer(src.source):
+                    start = src.source.rfind("\n", 0, match.start()) + 1
+                    found.append((
+                        src.source.count("\n", 0, start) + 1,
+                        match.start() - start + 1,
+                        f"name `{match.group()}`",
+                    ))
+            for line, col, what in sorted(found):
+                hits.setdefault((row, line), Finding(
+                    src.path, line, col, self.rule_id,
+                    f"{what} is banned in {ban.scope}: {ban.reason}",
+                ))
+        return list(hits.values())
 
 
 def _import_cycles(

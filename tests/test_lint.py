@@ -42,7 +42,9 @@ from repro.lint import (
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
 
-ALL_RULES = ("ASY001", "DEP001", "DEP002", "DOC001", "RNG001", "RNG002")
+ALL_RULES = (
+    "ASY001", "DEP001", "DEP002", "DEP003", "DOC001", "RNG001", "RNG002",
+)
 
 
 def rules_of(findings):
@@ -299,6 +301,74 @@ class TestDep002:
         assert findings == []
 
 
+class TestDep003:
+    """Each row of the DEP003 table fails on the hit that retired it
+    and passes its near-misses."""
+
+    #: ``(row, module, text, lines flagged)``: one rebuilt hit per row.
+    HITS = (
+        (0, "repro.results.sinks",
+         "class TeeSink:\n    pass\n", [1]),
+        (0, "repro.serve.http",
+         "from ..results.live import RunRegistry, ServePublisher\n", [1]),
+        (1, "repro.exper.spec",
+         "_JSON_KEYS = frozenset(('seed',))\n"
+         "def json_int(value, name):\n"
+         "    return value\n", [1, 2]),
+        (1, "repro.jobs.spec",
+         "size = _json_number(data['size'], 'size')\n", [1]),
+        (2, "repro.bgp.rib",
+         "from ..netbase.radix import RadixTree\n", [1]),
+        (2, "repro.core.compress",
+         "from repro.netbase import trie\n", [1]),
+        (2, "repro.netbase",
+         "from .._lazy import lazy_exports\n"
+         "__all__, __getattr__, __dir__ = lazy_exports(__name__, {\n"
+         "    'prefixtable': ('PrefixTable',),\n"
+         "    'radix': ('RadixTree',),\n"
+         "    'trie': ('Walker',),\n"
+         "})\n", [4, 5]),
+        (2, "repro.core.minimal",
+         "# a PrefixSet would do here\n", [1]),
+        (3, "repro.bgp.f",
+         "def f(rng):\n    return rng.getrandbits(8)\n", [1, 2]),
+        (3, "repro.bgp.f",
+         "def f():\n    import random\n    return random.Random(7)\n",
+         [2]),
+    )
+
+    @pytest.mark.parametrize(
+        "row, module, text, lines", HITS,
+        ids=[f"row{hit[0]}-{hit[1]}-{n}" for n, hit in enumerate(HITS)],
+    )
+    def test_rebuilt_hit_flags(self, row, module, text, lines):
+        from repro.lint.rules.deps import BANS
+
+        findings = lint_source(text, module=module, rules=["DEP003"])
+        assert [finding.line for finding in findings] == lines
+        for finding in findings:
+            assert BANS[row].reason in finding.message
+
+    def test_every_row_has_a_rebuilt_hit(self):
+        from repro.lint.rules.deps import BANS
+
+        assert {hit[0] for hit in self.HITS} == set(range(len(BANS)))
+
+    @pytest.mark.parametrize("module, text", [
+        ("repro.netbase.errors", "class TrieError(Exception):\n    pass\n"),
+        ("repro.bgp.rib",
+         "from ..netbase.prefixtable import PrefixTable\n"),
+        ("repro.netbase.radix", "class RadixTree:\n    pass\n"),
+        ("repro.netbase.trie", "from .radix import RadixTree\n"),
+        ("repro.data.topology",
+         "import random\nrng = random.Random(7)\n"),
+        ("repro.exper.spec", "def json_integer(value):\n    pass\n"),
+        ("repro.bgp.f", "def f(rng_seed):\n    return rng_seed\n"),
+    ])
+    def test_near_miss_passes(self, module, text):
+        assert flags(text, module, "DEP003") == []
+
+
 class TestAsy001:
     def test_time_sleep_in_async_flags(self):
         text = (
@@ -409,6 +479,7 @@ class TestTreeGate:
             "RNG002": ("repro.exper.f", "for v in {1, 2}:\n    print(v)\n"),
             "DEP001": ("repro.data.f", "import numpy\n"),
             "DEP002": ("repro.netbase.f", "from repro.cli import main\n"),
+            "DEP003": ("repro.bgp.f", "from ..netbase.radix import R\n"),
             "ASY001": (
                 "repro.serve.f",
                 "import time\nasync def f():\n    time.sleep(1)\n",

@@ -413,13 +413,15 @@ class TestShardedEquivalence:
 # ----------------------------------------------------------------------
 
 #: Runs ``repro-roa experiment`` in a fresh interpreter under one
-#: multiprocessing start method, then reports the exit code and the
-#: pids whose parent is this interpreter (read from ``/proc``).
+#: multiprocessing start method (``unset``: the program sets none),
+#: then reports the exit code and the pids whose parent is this
+#: interpreter (read from ``/proc``).
 _LOCAL_RUN_PROBE = """\
 import json, multiprocessing, os, sys
 from pathlib import Path
 method, report, argv = sys.argv[1], sys.argv[2], sys.argv[3:]
-multiprocessing.set_start_method(method)
+if method != "unset":
+    multiprocessing.set_start_method(method)
 from repro.cli import main
 code = main(argv)
 me, children = str(os.getpid()), []
@@ -460,12 +462,16 @@ def probe_experiment(tmp_path, name, method, *flags):
 class TestLocalWorkerProcesses:
     def test_forked_run_leaves_no_child_process(self, tmp_path):
         """Forked workers inherit the topology: nothing else — no
-        shared-memory resource tracker — outlives the run."""
-        _, _, children = probe_experiment(
-            tmp_path, "fork", "fork",
-            "--executor", "sharded", "--shards", "2", "--workers", "2",
-        )
-        assert children == []
+        shared-memory resource tracker — outlives the run.  With no
+        start method set, workers fork on Linux rather than take the
+        interpreter's default (forkserver from Python 3.14, which
+        leaves a server and a resource tracker behind)."""
+        for method in ("fork", "unset"):
+            _, _, children = probe_experiment(
+                tmp_path, method, method,
+                "--executor", "sharded", "--shards", "2", "--workers", "2",
+            )
+            assert children == [], method
 
     def test_spawned_workers_write_the_serial_bytes(self, tmp_path):
         """Under spawn (macOS's default; forkserver, Linux's from
