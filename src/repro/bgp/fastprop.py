@@ -130,30 +130,6 @@ def _compiled_of(
     return topology
 
 
-class _WorkspaceMetrics:
-    """The ``fastprop.*`` instruments one workspace records into.
-
-    Counters only — the kernel never reads a clock — so telemetry here
-    can never perturb timing-sensitive callers.
-    """
-
-    __slots__ = (
-        "enabled", "sweeps", "closures", "touched_ases",
-        "profile_hits", "profile_misses", "mask_builds", "epochs",
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        view = registry.view("fastprop")
-        self.enabled = registry.enabled
-        self.sweeps = view.counter("sweeps")
-        self.closures = view.counter("closures")
-        self.touched_ases = view.counter("touched_ases")
-        self.profile_hits = view.counter("profile_hits")
-        self.profile_misses = view.counter("profile_misses")
-        self.mask_builds = view.counter("mask_builds")
-        self.epochs = view.counter("epochs")
-
-
 class PropagationWorkspace:
     """Reusable per-worker state for trial evaluation.
 
@@ -185,9 +161,17 @@ class PropagationWorkspace:
         registry: Optional[MetricsRegistry] = None,
     ) -> None:
         self.compiled = _compiled_of(topology)
-        self.metrics = _WorkspaceMetrics(
-            registry if registry is not None else get_registry()
-        )
+        registry = registry if registry is not None else get_registry()
+        # Counters only — the kernel never reads a clock — resolved
+        # once per workspace.
+        self._counting = registry.enabled
+        self._sweeps = registry.counter("fastprop.sweeps")
+        self._closures = registry.counter("fastprop.closures")
+        self._touched_ases = registry.counter("fastprop.touched_ases")
+        self._profile_hits = registry.counter("fastprop.profile_hits")
+        self._profile_misses = registry.counter("fastprop.profile_misses")
+        self._mask_builds = registry.counter("fastprop.mask_builds")
+        self._epochs = registry.counter("fastprop.epochs")
         self._profiles: dict[tuple, int] = {}
         self._validators_token: object = self  # sentinel: no epoch yet
         self._validators: Optional[frozenset[int]] = None
@@ -216,7 +200,7 @@ class PropagationWorkspace:
             self._validators_token = validating_ases
             self._validators = None
             self._profiles.clear()
-            self.metrics.epochs.inc()
+            self._epochs.inc()
 
     def _epoch(self) -> Optional[frozenset[int]]:
         """The current epoch's validating ASNs; ``None`` means every AS
@@ -256,7 +240,7 @@ class PropagationWorkspace:
             if None in validators:  # an ASN outside the topology
                 validators -= {None}
             self._validators = validators
-            self.metrics.mask_builds.inc()
+            self._mask_builds.inc()
         return self._validators
 
     def has_customers(self) -> frozenset[int]:
@@ -315,9 +299,9 @@ class PropagationWorkspace:
             # one like the trial's victim-cover profile.
             del self._profiles[key]
             self._profiles[key] = profile
-            self.metrics.profile_hits.inc()
+            self._profile_hits.inc()
             return profile
-        self.metrics.profile_misses.inc()
+        self._profile_misses.inc()
         return None
 
     def store_profile(self, key: tuple, profile: int) -> None:
@@ -450,10 +434,9 @@ def _single_seed_outcome(
     adopted = workspace.profile(key)
     if adopted is None:
         adopted = _closure(workspace, seed, invalid)
-        metrics = workspace.metrics
-        if metrics.enabled:
-            metrics.closures.inc()
-            metrics.touched_ases.inc(adopted.bit_count())
+        workspace._closures.inc()
+        if workspace._counting:  # bit_count is O(n): skip it when off
+            workspace._touched_ases.inc(adopted.bit_count())
         workspace.store_profile(key, adopted)
     return adopted
 
@@ -590,9 +573,7 @@ def _race(
     # Phase 3 — every adopted route descends customer edges.
     sweep(customer_rows, provider_rows)
 
-    metrics = workspace.metrics
-    if metrics.enabled:
-        metrics.sweeps.inc()
-        metrics.touched_ases.inc(len(adopted))
+    workspace._sweeps.inc()
+    workspace._touched_ases.inc(len(adopted))
     n = len(compiled)
     return [_bits(adopters, n) for adopters in won]

@@ -61,6 +61,23 @@ def _serve_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def sigterm_event():
+    """An ``asyncio.Event`` the running loop sets on SIGTERM (Ctrl-C
+    raises ``KeyboardInterrupt`` in ``asyncio.run`` instead).  Call it
+    before announcing the endpoints, so that a SIGTERM sent as soon as
+    they are printed is caught."""
+    import asyncio
+    import signal
+
+    stop = asyncio.Event()
+    try:
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, stop.set)
+    except (NotImplementedError, RuntimeError):
+        pass  # platforms without signal handlers: Ctrl-C only
+    return stop
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     # Imported here so the pure-analysis commands stay socket-free.
     import asyncio
@@ -115,7 +132,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         import json
-        import signal
 
         from ..obs.metrics import get_registry
 
@@ -149,6 +165,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await http.start()
         if scheduler is not None:
             scheduler.start()
+        stop = sigterm_event()
         print(
             f"serving: rtr={rtr.host}:{rtr.port} "
             f"http={http.host}:{http.port} "
@@ -168,12 +185,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
 
             tasks.append(asyncio.ensure_future(log_metrics()))
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        try:
-            loop.add_signal_handler(signal.SIGTERM, stop.set)
-        except (NotImplementedError, RuntimeError):
-            pass  # platforms without signal handlers: Ctrl-C only
         try:
             await stop.wait()  # serve until SIGTERM (or Ctrl-C raises)
             # Graceful drain: shed new HTTP work (healthz flips to

@@ -48,32 +48,40 @@ def _cmd_shard_worker(args: argparse.Namespace) -> int:
     from .grid import topology_from_args
 
     if args.listen:
-        import time as time_module
+        import asyncio
 
-        from ..serve.shards import ThreadedShardWorkerServer
+        from ..serve.shards import ShardWorkerServer
+        from .serve import sigterm_event
 
         topology = topology_from_args(args)
+        server = ShardWorkerServer(topology, host=args.host, port=args.port)
+
+        async def run() -> int:
+            try:
+                await server.start()
+            except OSError as exc:
+                print(f"shard-worker failed to bind: {exc}",
+                      file=sys.stderr)
+                return 1
+            stop = sigterm_event()
+            print(
+                f"shard worker: {len(topology)} ASes "
+                f"(topology {server.topology_hash}) on "
+                f"http://{server.host}:{server.port}",
+                file=sys.stderr,
+            )
+            try:
+                await stop.wait()
+                await server.drain()
+            finally:
+                # Also on Ctrl-C: close() removes the work directory.
+                await server.close()
+            return 0
+
         try:
-            server = ThreadedShardWorkerServer(
-                topology, host=args.host, port=args.port
-            ).start()
-        except OSError as exc:
-            print(f"shard-worker failed to bind: {exc}", file=sys.stderr)
-            return 1
-        print(
-            f"shard worker: {len(topology)} ASes "
-            f"(topology {server.topology_hash}) on "
-            f"http://{server.host}:{server.port}",
-            file=sys.stderr,
-        )
-        try:
-            while True:
-                time_module.sleep(3600)
+            return asyncio.run(run())
         except KeyboardInterrupt:
-            pass
-        finally:
-            server.close()
-        return 0
+            return 0
 
     if not (args.spec and args.out is not None
             and args.shard is not None and args.shards is not None):

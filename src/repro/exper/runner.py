@@ -43,7 +43,7 @@ from typing import Callable, Iterator, Optional
 from ..bgp.topology import AsTopology
 from ..netbase.errors import ReproError
 from ..obs import trace
-from ..obs.metrics import MetricsRegistry, get_registry
+from ..obs.metrics import Counter, MetricsRegistry, get_registry
 from ..results.sinks import (
     ResultSink,
     RunHeader,
@@ -94,36 +94,6 @@ def resolve_executor(
     if workers is not None and workers <= 1:
         return "serial"
     return "sharded"
-
-
-class _RunnerMetrics:
-    """The runner's ``exper.*`` instruments, resolved once per run.
-
-    Pure observation: every method only counts and times — nothing
-    here reads or advances a trial RNG, so aggregated results are
-    byte-identical whether the registry records or is the null
-    registry (a pinned invariant).
-    """
-
-    __slots__ = (
-        "enabled", "runs", "trials_completed", "records_released",
-        "records_replayed", "fractions_stopped", "trial_latency",
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        view = registry.view("exper")
-        self.enabled = registry.enabled
-        self.runs = view.counter("runs")
-        self.trials_completed = view.counter("trials_completed")
-        self.records_released = view.counter("records_released")
-        self.records_replayed = view.counter("records_replayed")
-        self.fractions_stopped = view.counter("fractions_stopped")
-        self.trial_latency = view.histogram("trial_latency")
-
-    def observe_trial(self, trial: TrialSpec, seconds: float) -> None:
-        """The serial executor's per-trial hook."""
-        self.trials_completed.inc()
-        self.trial_latency.observe(seconds)
 
 
 class _StopTracker:
@@ -336,19 +306,14 @@ class ExperimentRunner:
     # Record streaming
     # ------------------------------------------------------------------
 
-    def _metrics(self) -> _RunnerMetrics:
-        return _RunnerMetrics(
-            self.registry if self.registry is not None else get_registry()
-        )
-
     def _make_tracker(
-        self, metrics: _RunnerMetrics
+        self, fractions_stopped: Counter
     ) -> Optional["_StopTracker"]:
         if self.spec.stopping != "ci":
             return None
 
         def on_stop(fraction_index: int, watermark: int) -> None:
-            metrics.fractions_stopped.inc()
+            fractions_stopped.inc()
             trace.get_tracer().instant(
                 "exper.fraction_stopped",
                 fraction_index=fraction_index,
@@ -366,8 +331,9 @@ class ExperimentRunner:
         ``resume_from`` set, replayed records stream first; with
         ``sink`` set, every streamed record is persisted as it passes.
         """
-        metrics = self._metrics()
-        return self._records(self._make_tracker(metrics), metrics)
+        return self._records(
+            self.registry if self.registry is not None else get_registry()
+        )
 
     def _load_resume(
         self,
@@ -402,19 +368,25 @@ class ExperimentRunner:
             self._header = RunHeader.for_spec(self.spec, self.topology)
         return self._header
 
-    def _records(
-        self,
-        tracker: Optional["_StopTracker"],
-        metrics: _RunnerMetrics,
-    ) -> Iterator[TrialRecord]:
+    def _records(self, registry: MetricsRegistry) -> Iterator[TrialRecord]:
         """One run's record stream; all per-run state (stop tracker,
         shard coordinator) lives in this generator, so overlapping or
-        abandoned iterations cannot interfere with each other."""
-        metrics.runs.inc()
+        abandoned iterations cannot interfere with each other.
+
+        The run's ``exper.*`` instruments are resolved here, once, under
+        either executor, so a snapshot lists all six from the first run.
+        Telemetry only counts and times: it never reads or advances a
+        trial RNG, so results are byte-identical under the null registry.
+        """
+        registry.counter("exper.runs").inc()
+        trials_completed = registry.counter("exper.trials_completed")
+        trial_latency = registry.histogram("exper.trial_latency")
+        records_released = registry.counter("exper.records_released")
+        tracker = self._make_tracker(
+            registry.counter("exper.fractions_stopped"))
         with trace.span("exper.resume_scan"):
             replay, finished = self._load_resume()
-        if replay:
-            metrics.records_replayed.inc(len(replay))
+        registry.counter("exper.records_replayed").inc(len(replay))
         sink = self.sink
         if sink is not None:
             sink.begin(self._run_header())
@@ -435,6 +407,10 @@ class ExperimentRunner:
             # (``finished`` coordinates excluded — they replay above).
             raw = self._iter_sharded(finished, tracker)
         else:
+            def observe(trial: TrialSpec, seconds: float) -> None:
+                trials_completed.inc()
+                trial_latency.observe(seconds)
+
             # Trials are drawn one at a time, each after the tracker
             # has seen every record of the one before, so ``wants``
             # alone keeps a stopped fraction's trials from running.
@@ -443,10 +419,8 @@ class ExperimentRunner:
                 self.topology, self.spec, trials,
                 # With the null registry the hook is omitted entirely,
                 # so the telemetry-off path skips even the clock reads.
-                observe=metrics.observe_trial if metrics.enabled else None,
+                observe=observe if registry.enabled else None,
             )
-
-        records_released = metrics.records_released
 
         def emit(record: TrialRecord) -> TrialRecord:
             records_released.inc()

@@ -479,26 +479,6 @@ class LocalShardTransport:
 # ----------------------------------------------------------------------
 
 
-class _ShardMetrics:
-    """The coordinator's ``exper.*`` shard-lifecycle instruments."""
-
-    __slots__ = (
-        "enabled", "shards_dispatched", "shards_completed",
-        "shards_failed", "shards_retried", "inflight_shards",
-        "shard_latency",
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        view = registry.view("exper")
-        self.enabled = registry.enabled
-        self.shards_dispatched = view.counter("shards_dispatched")
-        self.shards_completed = view.counter("shards_completed")
-        self.shards_failed = view.counter("shards_failed")
-        self.shards_retried = view.counter("shards_retried")
-        self.inflight_shards = view.gauge("inflight_shards")
-        self.shard_latency = view.histogram("shard_latency")
-
-
 class ShardCoordinator:
     """Dispatch a shard plan and re-stream its records in grid order.
 
@@ -589,10 +569,6 @@ class ShardCoordinator:
 
     def records(self) -> Iterator[TrialRecord]:
         """Run the plan; yield every record in serial grid order."""
-        metrics = _ShardMetrics(
-            self.registry if self.registry is not None
-            else get_registry()
-        )
         tempdir = None
         store = self.store
         if store is None:
@@ -603,7 +579,7 @@ class ShardCoordinator:
         if owns_transport:
             transport = LocalShardTransport(self.topology, self.spec)
         try:
-            yield from self._pump(transport, store, metrics)
+            yield from self._pump(transport, store)
         finally:
             if owns_transport:
                 transport.close()
@@ -614,8 +590,18 @@ class ShardCoordinator:
         self,
         transport,
         store: ResultsStore,
-        metrics: _ShardMetrics,
     ) -> Iterator[TrialRecord]:
+        registry = (
+            self.registry if self.registry is not None else get_registry()
+        )
+        # Resolved once per plan, so a snapshot lists all six, failures
+        # and retries at zero.
+        shards_dispatched = registry.counter("exper.shards_dispatched")
+        shards_completed = registry.counter("exper.shards_completed")
+        shards_failed = registry.counter("exper.shards_failed")
+        shards_retried = registry.counter("exper.shards_retried")
+        inflight_shards = registry.gauge("exper.inflight_shards")
+        shard_latency = registry.histogram("exper.shard_latency")
         plan = self.plan
         header = RunHeader.for_spec(self.spec, self.topology)
         store.root.mkdir(parents=True, exist_ok=True)
@@ -687,7 +673,7 @@ class ShardCoordinator:
             )
 
         def fail(index: int, reason: str) -> None:
-            metrics.shards_failed.inc()
+            shards_failed.inc()
             attempts[index] += 1
             if not self.retry.allows(attempts[index]):
                 states[index] = "failed"
@@ -697,7 +683,7 @@ class ShardCoordinator:
                     f"attempts: {reason}"
                 )
             states[index] = "queued"
-            metrics.shards_retried.inc()
+            shards_retried.inc()
             delay = self.retry.backoff(
                 attempts[index], token=f"{self.run_base}:{index}"
             )
@@ -743,8 +729,8 @@ class ShardCoordinator:
                 started[index] = time.perf_counter()
                 inflight.add(index)
                 states[index] = "running"
-                metrics.shards_dispatched.inc()
-                metrics.inflight_shards.set(len(inflight))
+                shards_dispatched.inc()
+                inflight_shards.set(len(inflight))
                 tracer.instant(
                     "exper.shard_dispatched",
                     shard=index,
@@ -761,7 +747,7 @@ class ShardCoordinator:
                     ):
                         transport.stop(index)
                         inflight.discard(index)
-                        metrics.inflight_shards.set(len(inflight))
+                        inflight_shards.set(len(inflight))
                         fail(
                             index,
                             f"no progress for {detail:.1f}s "
@@ -770,7 +756,7 @@ class ShardCoordinator:
                         progressed = True
                     continue
                 inflight.discard(index)
-                metrics.inflight_shards.set(len(inflight))
+                inflight_shards.set(len(inflight))
                 progressed = True
                 if status == "done":
                     transport.collect(plan[index], paths[index])
@@ -778,8 +764,8 @@ class ShardCoordinator:
                     states[index] = "done"
                     if self.progress is not None:
                         observe_running(index)
-                    metrics.shards_completed.inc()
-                    metrics.shard_latency.observe(
+                    shards_completed.inc()
+                    shard_latency.observe(
                         time.perf_counter() - started[index]
                     )
                     tracer.instant(
@@ -821,7 +807,7 @@ class ShardCoordinator:
             for index in [i for i in sorted(inflight) if stopped(i)]:
                 transport.stop(index)
                 inflight.discard(index)
-                metrics.inflight_shards.set(len(inflight))
+                inflight_shards.set(len(inflight))
                 progressed = True
             if self.progress is not None:
                 counted = False

@@ -38,30 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover — opened on first use
 
 __all__ = ["JobScheduler"]
 
-
-class _JobsMetrics:
-    """The scheduler's ``jobs.*`` instruments, resolved once.
-
-    Pure observation (the registry is never consulted on the record
-    path beyond counter bumps), and free when the registry is
-    disabled — the ``enabled`` flag short-circuits callers.
-    """
-
-    __slots__ = (
-        "enabled", "enqueued", "started", "completed", "failed",
-        "cancelled", "queue_depth", "job_seconds",
-    )
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        view = registry.view("jobs")
-        self.enabled = registry.enabled
-        self.enqueued = view.counter("enqueued")
-        self.started = view.counter("started")
-        self.completed = view.counter("completed")
-        self.failed = view.counter("failed")
-        self.cancelled = view.counter("cancelled")
-        self.queue_depth = view.gauge("queue_depth")
-        self.job_seconds = view.histogram("job_seconds")
+#: The ``jobs.*`` counters, registered together with the queue depth.
+_COUNTERS = (
+    "jobs.enqueued", "jobs.started", "jobs.completed", "jobs.failed",
+    "jobs.cancelled",
+)
 
 
 class _JobCancelled(ReproError):
@@ -120,10 +101,8 @@ class JobScheduler:
             self._results = self.store.results_store()
         return self._results
 
-    def _metrics(self) -> _JobsMetrics:
-        return _JobsMetrics(
-            self.registry if self.registry is not None else get_registry()
-        )
+    def _registry(self) -> MetricsRegistry:
+        return self.registry if self.registry is not None else get_registry()
 
     # ------------------------------------------------------------------
     # Queue operations
@@ -133,10 +112,10 @@ class JobScheduler:
         """Durably enqueue a job; returns its id (wakes the thread)."""
         fire("jobs.enqueue", run=spec.run or "")
         job_id = self.store.enqueue(spec)
-        metrics = self._metrics()
-        if metrics.enabled:
-            metrics.enqueued.inc()
-            self._refresh_depth(metrics)
+        registry = self._registry()
+        registry.counter("jobs.enqueued").inc()
+        if registry.enabled:
+            self._refresh_depth(registry)
         self._wake.set()
         return job_id
 
@@ -159,18 +138,24 @@ class JobScheduler:
         with self._cancel_lock:
             self._cancel_requests.add(job_id)
         self.store.mark(job_id, "cancelled")
-        metrics = self._metrics()
-        if metrics.enabled:
-            metrics.cancelled.inc()
-            self._refresh_depth(metrics)
+        registry = self._registry()
+        registry.counter("jobs.cancelled").inc()
+        if registry.enabled:
+            self._refresh_depth(registry)
         return state
 
     def _cancelled(self, job_id: str) -> bool:
         with self._cancel_lock:
             return job_id in self._cancel_requests
 
-    def _refresh_depth(self, metrics: _JobsMetrics) -> None:
-        metrics.queue_depth.set(len(self.store.pending()))
+    def _refresh_depth(self, registry: MetricsRegistry) -> None:
+        """Set ``jobs.queue_depth`` from a scan of the queue, and
+        register the other ``jobs.*`` instruments beside it, so a
+        snapshot lists all seven from the first job event on."""
+        for name in _COUNTERS:
+            registry.counter(name)
+        registry.histogram("jobs.job_seconds")
+        registry.gauge("jobs.queue_depth").set(len(self.store.pending()))
 
     def shards(self, run_id: str) -> Optional[dict]:
         """The last per-shard progress a sharded job of ``run_id``
@@ -202,40 +187,37 @@ class JobScheduler:
                 break
             self._execute(pending[0])
             executed += 1
-        metrics = self._metrics()
-        if metrics.enabled:
-            self._refresh_depth(metrics)
+        registry = self._registry()
+        if registry.enabled:
+            self._refresh_depth(registry)
         return executed
 
     def _execute(self, state: JobState) -> None:
-        metrics = self._metrics()
+        registry = self._registry()
         job_id = state.job
         if self._cancelled(job_id):
             return  # the cancelled event is already durable
         self.store.mark(job_id, "started")
-        if metrics.enabled:
-            metrics.started.inc()
-            self._refresh_depth(metrics)
+        registry.counter("jobs.started").inc()
+        if registry.enabled:
+            self._refresh_depth(registry)
         begun = time.perf_counter()
         try:
             fire("jobs.execute", job=job_id, run=state.spec.run or "")
             self._run_job(state)
         except _JobCancelled:
-            if metrics.enabled:
-                metrics.cancelled.inc()
+            registry.counter("jobs.cancelled").inc()
         except (ReproError, OSError) as exc:
             self.store.mark(job_id, "failed", detail=str(exc))
-            if metrics.enabled:
-                metrics.failed.inc()
+            registry.counter("jobs.failed").inc()
         else:
             self.store.mark(job_id, "finished")
-            if metrics.enabled:
-                metrics.completed.inc()
-                metrics.job_seconds.observe(
-                    time.perf_counter() - begun
-                )
-        if metrics.enabled:
-            self._refresh_depth(metrics)
+            registry.counter("jobs.completed").inc()
+            registry.histogram("jobs.job_seconds").observe(
+                time.perf_counter() - begun
+            )
+        if registry.enabled:
+            self._refresh_depth(registry)
 
     def _run_job(self, state: JobState) -> None:
         # Imported where a job executes: submit/cancel/list clients

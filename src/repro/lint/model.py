@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Optional
 
 __all__ = [
     "Finding",
@@ -78,3 +78,9 @@ class SourceModule:
     tree: ast.Module
     suppressions: Mapping[int, frozenset] = field(default_factory=dict)
     is_package: bool = False
+    #: The resolved import edges, kept by the first rule that walks
+    #: them (:func:`repro.lint.rules.deps.module_edges`), so one walk a
+    #: lint run serves DEP002's two passes and DEP003.
+    import_edges: Optional[list] = field(
+        default=None, init=False, repr=False, compare=False
+    )

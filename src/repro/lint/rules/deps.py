@@ -115,8 +115,15 @@ def module_edges(src: SourceModule) -> List[ImportEdge]:
     ``from P import name`` yields an edge to ``P.name`` — the engine
     later snaps it back to ``P`` when no module ``P.name`` exists, so
     symbol imports land on the defining package and submodule imports
-    land on the submodule.
+    land on the submodule.  The tree is walked once per module; later
+    calls return the kept list.
     """
+    if src.import_edges is None:
+        src.import_edges = _walk_edges(src)
+    return src.import_edges
+
+
+def _walk_edges(src: SourceModule) -> List[ImportEdge]:
     edges: List[ImportEdge] = []
 
     def visit(node: ast.AST, runtime: bool) -> None:
@@ -350,6 +357,14 @@ BANS: Tuple[Ban, ...] = (
         ("getrandbits", "rng"),
         "propagation reads no RNG: ties are a keyed hash "
         "(repro.bgp.simulation.tie_rank)",
+    ),
+    Ban(
+        "repro",
+        (),
+        ("MetricsView", "_RunnerMetrics", "_ShardMetrics", "_JobsMetrics",
+         "_WorkspaceMetrics"),
+        "instruments are taken from the metrics registry by their full "
+        "dotted name; no subsystem wraps it in a private class",
     ),
 )
 

@@ -8,8 +8,9 @@ pieces, stdlib-only, shared by every subsystem:
 * **Metrics** (:mod:`repro.obs.metrics`) — a process-wide registry of
   counters, gauges, and power-of-two latency histograms, namespaced
   per subsystem (``serve.*``, ``exper.*``, ``fastprop.*``,
-  ``results.*``).  The serve tier's :class:`~repro.serve.metrics.
-  ServeMetrics` is a view onto it; ``GET /metrics`` serves a JSON
+  ``results.*``), each taken by its full dotted name.  The serve
+  tier's :class:`~repro.serve.metrics.ServeMetrics` records into it;
+  ``GET /metrics`` serves a JSON
   snapshot and (``?format=prometheus``) the Prometheus text
   exposition format.
 * **Tracing** (:mod:`repro.obs.trace`) — ``with span("propagate",
@@ -34,8 +35,8 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "metrics": (
         "Counter", "Gauge", "LatencyHistogram", "MetricsRegistry",
-        "MetricsView", "NULL_REGISTRY", "NullRegistry", "get_registry",
-        "set_registry", "use_registry",
+        "NULL_REGISTRY", "NullRegistry", "get_registry", "set_registry",
+        "use_registry",
     ),
     "progress": ("ProgressReporter",),
     "trace": (

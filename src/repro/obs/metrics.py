@@ -33,7 +33,6 @@ __all__ = [
     "Gauge",
     "LatencyHistogram",
     "MetricsRegistry",
-    "MetricsView",
     "NullRegistry",
     "NULL_REGISTRY",
     "get_registry",
@@ -176,8 +175,7 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are get-or-create: asking for
     the same name twice returns the same instrument, and asking for an
     existing name as a different kind raises — a name means one thing.
-    :meth:`view` scopes a subsystem under a dotted prefix so components
-    never hard-code their namespace twice.
+    Callers ask by the full dotted name (``exper.records_released``).
     """
 
     def __init__(self) -> None:
@@ -207,10 +205,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str) -> LatencyHistogram:
         return self._get_or_create(name, LatencyHistogram)
-
-    def view(self, prefix: str) -> "MetricsView":
-        """A scoped handle creating instruments under ``prefix.``."""
-        return MetricsView(self, prefix)
 
     def instruments(self) -> Iterator[Instrument]:
         """Every registered instrument, in name order."""
@@ -267,36 +261,6 @@ class MetricsRegistry:
                 )
                 lines.append(f"{name}_count {instrument.count}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-
-class MetricsView:
-    """A registry handle that prefixes every instrument name."""
-
-    __slots__ = ("_registry", "_prefix")
-
-    def __init__(self, registry: MetricsRegistry, prefix: str) -> None:
-        self._registry = registry
-        self._prefix = prefix
-
-    @property
-    def enabled(self) -> bool:
-        """Whether the underlying registry actually records."""
-        return self._registry.enabled
-
-    def _name(self, name: str) -> str:
-        return f"{self._prefix}.{name}" if self._prefix else name
-
-    def counter(self, name: str) -> Counter:
-        return self._registry.counter(self._name(name))
-
-    def gauge(self, name: str) -> Gauge:
-        return self._registry.gauge(self._name(name))
-
-    def histogram(self, name: str) -> LatencyHistogram:
-        return self._registry.histogram(self._name(name))
-
-    def view(self, prefix: str) -> "MetricsView":
-        return MetricsView(self._registry, self._name(prefix))
 
 
 class _NullInstrument:

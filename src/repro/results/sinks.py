@@ -345,13 +345,11 @@ class JsonlSink(ResultSink):
         # Sink telemetry under the ``results.`` namespace: how many
         # records and bytes went to disk, and what each flushed write
         # cost (fsync shows up here immediately).
-        view = (
-            registry if registry is not None else get_registry()
-        ).view("results")
-        self._metrics_enabled = view.enabled
-        self._records_written = view.counter("records_written")
-        self._bytes_written = view.counter("bytes_written")
-        self._flush_latency = view.histogram("flush_latency")
+        registry = registry if registry is not None else get_registry()
+        self._metrics_enabled = registry.enabled
+        self._records_written = registry.counter("results.records_written")
+        self._bytes_written = registry.counter("results.bytes_written")
+        self._flush_latency = registry.histogram("results.flush_latency")
 
     # -- scanning ------------------------------------------------------
 

@@ -7,8 +7,8 @@ often a frame actually had to be encoded (the fan-out win), and query
 latency.
 
 Since the :mod:`repro.obs` telemetry layer landed, :class:`ServeMetrics`
-is a *view* onto a :class:`~repro.obs.MetricsRegistry` (its counters
-live under the ``serve.`` namespace) with its historical public API and
+records into a :class:`~repro.obs.MetricsRegistry` (its counters live
+under the ``serve.`` namespace) with its historical public API and
 ``snapshot()`` shape unchanged.  By default each instance gets a
 private registry — two servers never share counters by accident — but
 passing the process registry (``ServeMetrics(registry=obs.
@@ -78,19 +78,20 @@ class ServeMetrics:
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._view = self.registry.view("serve")
         # Pre-register the known counters so snapshots always carry the
         # full set (zeros included), exactly as before the registry.
         self._counters: Dict[str, Counter] = {
-            name: self._view.counter(name) for name in self._COUNTERS
+            name: self.registry.counter(f"serve.{name}")
+            for name in self._COUNTERS
         }
-        self.query_latency = self._view.histogram("query_latency")
-        self.drain_seconds = self._view.gauge("drain_seconds")
+        self.query_latency = self.registry.histogram("serve.query_latency")
+        self.drain_seconds = self.registry.gauge("serve.drain_seconds")
 
     def _counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
-            counter = self._counters[name] = self._view.counter(name)
+            counter = self._counters[name] = self.registry.counter(
+                f"serve.{name}")
         return counter
 
     def increment(self, name: str, amount: int = 1) -> None:

@@ -354,8 +354,8 @@ class ThreadedShardWorkerServer:
     """:class:`ShardWorkerServer` behind a synchronous facade.
 
     Proxies ``start/close`` onto a private
-    :class:`~repro.serve._loopthread.LoopThread`, so synchronous tests
-    and the ``repro-roa shard-worker`` command can hold a live worker
+    :class:`~repro.serve._loopthread.LoopThread`, so synchronous
+    callers (tests, an in-process coordinator) can hold a live worker
     without touching asyncio.
     """
 

@@ -3,6 +3,8 @@ and the reference engine as a test seam.
 
 Session scope keeps the expensive generation (snapshot, key material)
 to one run per test session; tests must treat these as read-only.
+Seeded RSA keys are memoised for the modules that opt in with
+``seeded_keys``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import types
 import pytest
 
 import repro.bgp.simulation as simulation
+import repro.crypto.rsa as rsa
 import repro.exper.evaluate as evaluate
+import repro.rpki.ca as ca
 from repro.bgp.topology import AsTopology
 from repro.data.asgraph import TopologyProfile, generate_topology
 from repro.data.internet import GeneratorConfig, InternetSnapshot, generate_snapshot
@@ -111,3 +115,38 @@ def reference_engine():
     sweep.
     """
     return _reference_engine
+
+
+#: Seeded RSA keys drawn so far: ``(bits, RNG state before)`` ->
+#: ``(key, RNG state after)``.
+_SEEDED_KEYS: dict = {}
+
+
+def _seeded_keypair(bits: int = 1024, rng=None):
+    """:func:`repro.crypto.rsa.generate_keypair`, memoised for a
+    seeded ``random.Random``: a hit returns the key that state drew and
+    moves the RNG to where drawing it left it, so every later draw,
+    key and signed byte is what an unmemoised run produces."""
+    if type(rng) is not random.Random:
+        return rsa.generate_keypair(bits, rng)
+    before = (bits, rng.getstate())
+    if before not in _SEEDED_KEYS:
+        key = rsa.generate_keypair(bits, rng)
+        _SEEDED_KEYS[before] = key, rng.getstate()
+    key, after = _SEEDED_KEYS[before]
+    rng.setstate(after)
+    return key
+
+
+@pytest.fixture(scope="module")
+def seeded_keys(request):
+    """Opt-in (``pytestmark = pytest.mark.usefixtures("seeded_keys")``)
+    for modules that build the same seeded keys again and again: CAs
+    and the module's own ``generate_keypair`` draw through the memo.
+    Module scope, so the module's own module-scoped fixtures use it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ca, "generate_keypair", _seeded_keypair)
+        if hasattr(request.module, "generate_keypair"):
+            patch.setattr(
+                request.module, "generate_keypair", _seeded_keypair)
+        yield

@@ -335,6 +335,12 @@ class TestDep003:
         (3, "repro.bgp.f",
          "def f():\n    import random\n    return random.Random(7)\n",
          [2]),
+        (4, "repro.exper.runner",
+         "class _RunnerMetrics:\n"
+         "    def __init__(self, registry):\n"
+         "        view = registry.view('exper')\n", [1]),
+        (4, "repro.serve.metrics",
+         "from ..obs.metrics import MetricsView\n", [1]),
     )
 
     @pytest.mark.parametrize(
@@ -364,9 +370,31 @@ class TestDep003:
          "import random\nrng = random.Random(7)\n"),
         ("repro.exper.spec", "def json_integer(value):\n    pass\n"),
         ("repro.bgp.f", "def f(rng_seed):\n    return rng_seed\n"),
+        ("repro.serve.metrics", "class ServeMetrics:\n    pass\n"),
+        ("repro.exper.runner",
+         "registry.counter('exper.records_released').inc()\n"),
     ])
     def test_near_miss_passes(self, module, text):
         assert flags(text, module, "DEP003") == []
+
+    def test_one_edge_walk_per_module(self, monkeypatch):
+        """DEP002's module and project passes and DEP003 share one walk
+        of each module's import edges in a lint run."""
+        from collections import Counter
+
+        from repro.lint.rules import deps
+
+        walks = Counter()
+        walk = deps._walk_edges
+
+        def counted(src):
+            walks[src.path] += 1
+            return walk(src)
+
+        monkeypatch.setattr(deps, "_walk_edges", counted)
+        assert lint_paths([SRC], rules=["DEP002", "DEP003"]) == []
+        assert len(walks) == len(list(SRC.rglob("*.py")))
+        assert set(walks.values()) == {1}
 
 
 class TestAsy001:

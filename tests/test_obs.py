@@ -1,6 +1,6 @@
 """Tests for repro.obs — the unified telemetry layer.
 
-Covers the metrics registry (instruments, namespaced views, the null
+Covers the metrics registry (instruments, dotted names, the null
 off-switch, Prometheus exposition), the span tracer (no-op fast path,
 Chrome trace export), the progress reporter, and — the layer's two
 hard invariants — that instrumenting a run changes no result byte
@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -135,15 +137,6 @@ class TestMetricsRegistry:
         with pytest.raises(ValueError):
             registry.histogram("x")
 
-    def test_view_prefixes_names(self):
-        registry = MetricsRegistry()
-        view = registry.view("serve")
-        assert view.counter("queries").name == "serve.queries"
-        nested = view.view("rtr")
-        assert nested.counter("pdus").name == "serve.rtr.pdus"
-        # The same dotted name through the registry is the same object.
-        assert view.counter("queries") is registry.counter("serve.queries")
-
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("exper.trials").inc(7)
@@ -158,8 +151,6 @@ class TestMetricsRegistry:
     def test_enabled_flag(self):
         assert MetricsRegistry().enabled
         assert not NullRegistry().enabled
-        assert MetricsRegistry().view("x").enabled
-        assert not NullRegistry().view("x").enabled
 
 
 class TestNullRegistry:
@@ -589,6 +580,116 @@ class TestTelemetryInvariants:
                 bootstrap_resamples=50
             )
         assert len(sink.records) == spec.total_trials * len(spec.cells)
+
+
+# ----------------------------------------------------------------------
+# The documented metric names
+# ----------------------------------------------------------------------
+
+
+OBSERVABILITY_DOC = Path(__file__).resolve().parent.parent / "docs" / "observability.md"
+
+_KINDS = {Counter: "counter", Gauge: "gauge", LatencyHistogram: "histogram"}
+
+
+def documented_metrics() -> dict:
+    """``name -> kind`` per row of the table in docs/observability.md's
+    "The metrics registry" section."""
+    section = OBSERVABILITY_DOC.read_text(encoding="utf-8").split(
+        "## The metrics registry", 1)[1].split("\n## ", 1)[0]
+    return dict(re.findall(
+        r"^\| `([\w.]+)` \| (counter|gauge|histogram) \|", section,
+        re.MULTILINE,
+    ))
+
+
+class TestMetricNames:
+    """The docs table is every name the library registers, with its
+    kind: a registry that has seen every subsystem holds exactly the
+    table's names, so a renamed, added or dropped instrument shows."""
+
+    def test_registry_names_match_the_docs_table(self, tmp_path):
+        import asyncio
+
+        from repro.faults import FaultPlan, FaultRule, install, uninstall
+        from repro.jobs import JobScheduler, JobSpec, JobStore
+        from repro.netbase import Prefix
+        from repro.rpki import Vrp
+        from repro.rtr import RtrClient
+        from repro.serve import (
+            HttpShardTransport,
+            QueryHttpServer,
+            QueryService,
+            ThreadedRtrServer,
+            ThreadedShardWorkerServer,
+        )
+        from repro.serve.metrics import ServeMetrics
+
+        topology = generate_topology(
+            TopologyProfile(ases=60), random.Random(11)
+        )
+        spec = small_spec(trials=2)
+        vrps = [Vrp(Prefix.parse("87.254.32.0/19"), 20, 31283)]
+
+        async def validity_query(serve: ServeMetrics) -> bytes:
+            async with QueryHttpServer(
+                QueryService(vrps, metrics=serve), metrics=serve
+            ) as http:
+                reader, writer = await asyncio.open_connection(
+                    http.host, http.port)
+                writer.write(
+                    b"GET /validity?asn=31283&prefix=87.254.32.0%2F19 "
+                    b"HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
+                reply = await reader.read()
+                writer.close()
+                return reply
+
+        with use_registry(MetricsRegistry()) as registry:
+            serve = ServeMetrics(registry=registry)
+            sink = JsonlSink(tmp_path / "serial.jsonl")
+            try:
+                ExperimentRunner(topology, spec, sink=sink).run(
+                    bootstrap_resamples=10)
+            finally:
+                sink.close()
+            # A 2-shard run over an HTTP worker; the one fault fails
+            # the first shard attempt, which the coordinator retries.
+            install(FaultPlan(rules=(
+                FaultRule(site="serve.shards.execute", action="error",
+                          error="io", at=(1,)),
+            )))
+            try:
+                with ThreadedShardWorkerServer(
+                    topology, metrics=serve
+                ) as worker:
+                    ExperimentRunner(
+                        topology, spec, executor="sharded", shards=2,
+                        shard_transport=HttpShardTransport(
+                            [f"127.0.0.1:{worker.port}"]),
+                    ).run(bootstrap_resamples=10)
+            finally:
+                uninstall()
+            scheduler = JobScheduler(JobStore(tmp_path / "jobs"))
+            scheduler.submit(
+                JobSpec(spec=spec, ases=60, topology_seed=11))
+            assert scheduler.run_pending() == 1
+            assert asyncio.run(validity_query(serve)).startswith(
+                b"HTTP/1.1 200")
+            with ThreadedRtrServer(vrps, metrics=serve) as rtr:
+                with RtrClient(rtr.host, rtr.port) as client:
+                    client.sync()
+            snapshot = registry.snapshot()
+        assert snapshot["faults.injected"] == 1
+        assert snapshot["serve.shard_failures"] == 1
+        assert snapshot["exper.shards_retried"] == 1
+        assert snapshot["serve.reset_queries"] == 1
+        assert snapshot["serve.queries"] == 1
+        assert snapshot["jobs.completed"] == 1
+        registered = {
+            instrument.name: _KINDS[type(instrument)]
+            for instrument in registry.instruments()
+        }
+        assert registered == documented_metrics()
 
 
 # ----------------------------------------------------------------------

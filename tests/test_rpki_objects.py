@@ -23,6 +23,9 @@ from repro.rpki import (
 from repro.rpki.oids import OID_ROA_ECONTENT
 
 
+pytestmark = pytest.mark.usefixtures("seeded_keys")
+
+
 def p(text: str) -> Prefix:
     return Prefix.parse(text)
 

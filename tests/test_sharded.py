@@ -995,6 +995,31 @@ class TestHttpTransport:
             assert err.value.code == 404
 
 
+    def test_listening_worker_drains_on_sigterm(self, tmp_path):
+        """``shard-worker --listen`` stops on SIGTERM the way ``serve``
+        does: it drains, closes, removes the work directory it made
+        under ``TMPDIR`` and exits 0."""
+        import signal
+
+        env = dict(os.environ, PYTHONPATH=os.path.join(_REPO, "src"),
+                   TMPDIR=str(tmp_path))
+        worker = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "shard-worker",
+             "--listen", "--ases", "60"],
+            stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert b"shard worker:" in worker.stderr.readline()
+            worker.send_signal(signal.SIGTERM)
+            assert worker.wait(timeout=10) == 0
+        finally:
+            if worker.poll() is None:
+                worker.kill()
+                worker.wait()
+            worker.stderr.close()
+        assert not list(tmp_path.glob("repro-shard-worker-*"))
+
+
 # ----------------------------------------------------------------------
 # Runner integration details
 # ----------------------------------------------------------------------

@@ -28,6 +28,9 @@ from repro.rpki import (
 )
 
 
+pytestmark = pytest.mark.usefixtures("seeded_keys")
+
+
 def p(text: str) -> Prefix:
     return Prefix.parse(text)
 
