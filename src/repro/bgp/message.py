@@ -279,9 +279,10 @@ class UpdateMessage:
         end_withdrawn = offset + withdrawn_length
         if end_withdrawn + 2 > len(body):
             raise BgpMessageError("withdrawn length overruns body")
+        field = body[:end_withdrawn]  # no prefix may run past its end
         withdrawn: list[Prefix] = []
         while offset < end_withdrawn:
-            prefix, offset = _decode_nlri(body, offset, AF_INET)
+            prefix, offset = _decode_nlri(field, offset, AF_INET)
             withdrawn.append(prefix)
 
         attributes_length = struct.unpack_from("!H", body, offset)[0]

@@ -206,7 +206,7 @@ class JobScheduler:
             fire("jobs.execute", job=job_id, run=state.spec.run or "")
             self._run_job(state)
         except _JobCancelled:
-            registry.counter("jobs.cancelled").inc()
+            pass  # cancel() marked and counted it
         except (ReproError, OSError) as exc:
             self.store.mark(job_id, "failed", detail=str(exc))
             registry.counter("jobs.failed").inc()

@@ -366,6 +366,16 @@ BANS: Tuple[Ban, ...] = (
         "instruments are taken from the metrics registry by their full "
         "dotted name; no subsystem wraps it in a private class",
     ),
+    Ban(
+        "repro.bgp", ("socket", "threading"), (),
+        "the BGP speaker is asyncio on repro.netbase.loopthread",
+    ),
+    Ban(
+        "repro", ("repro.serve._loopthread",),
+        ("new_event_loop", "run_forever", "run_coroutine_threadsafe"),
+        "one way to run a loop in a thread: repro.netbase.loopthread",
+        exempt=("repro.netbase.loopthread",),
+    ),
 )
 
 _WORD = re.compile(r"\w+")

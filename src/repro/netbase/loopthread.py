@@ -1,6 +1,7 @@
 """One private event loop in one daemon thread.
 
-The serve tier's servers are asyncio objects; synchronous callers
+Every network component is an asyncio object: the serve tier's RTR
+and shard-worker servers and the BGP speaker.  Synchronous callers
 (:class:`~repro.core.pipeline.LocalCache`, the ``repro-roa
 shard-worker`` command, tests) hold them through a facade that owns a
 :class:`LoopThread`.  This is the only place in the package that
@@ -14,7 +15,7 @@ import asyncio
 import threading
 from typing import Any, Callable, Coroutine, Optional
 
-from ..netbase.errors import ReproError
+from .errors import ReproError
 
 _JOIN_TIMEOUT = 5.0
 
@@ -37,18 +38,11 @@ class LoopThread:
         self._thread: Optional[threading.Thread] = None
 
     def start(self, startup: _Lifecycle) -> None:
-        ready = threading.Event()
+        # ``call`` may submit before the loop runs: it queues.
         loop = self._loop = asyncio.new_event_loop()
-
-        def run() -> None:
-            asyncio.set_event_loop(loop)
-            loop.call_soon(ready.set)
-            loop.run_forever()
-
         self._thread = threading.Thread(
-            target=run, name=self._name, daemon=True)
+            target=loop.run_forever, name=self._name, daemon=True)
         self._thread.start()
-        ready.wait()
         try:
             self.call(startup())
         except BaseException:

@@ -36,6 +36,7 @@ from typing import Iterable, Optional, Set
 
 from ..faults.plan import fire_async
 from ..netbase.errors import ReproError
+from ..netbase.loopthread import LoopThread
 from ..rpki.vrp import Vrp
 from ..rtr.client import RouterSession, RtrClientError
 from ..rtr.pdu import (
@@ -50,7 +51,6 @@ from ..rtr.pdu import (
     encode_pdu,
 )
 from ..rtr.session import CacheState, VrpDiff
-from ._loopthread import LoopThread
 from .frames import FrameCache
 from .metrics import ServeMetrics, ensure_metrics
 
@@ -256,7 +256,7 @@ class ThreadedRtrServer:
     """:class:`AsyncRtrServer` behind a synchronous facade.
 
     Proxies ``start/update/close`` onto a private
-    :class:`~repro.serve._loopthread.LoopThread`, so
+    :class:`~repro.netbase.loopthread.LoopThread`, so
     :class:`~repro.core.pipeline.LocalCache` and the synchronous
     :class:`~repro.rtr.client.RtrClient` never touch asyncio.
     """

@@ -20,7 +20,7 @@ implementation of that contract:
   - ``GET /status`` — topology digest and shard count.
 
 * :class:`ThreadedShardWorkerServer` — the synchronous facade over a
-  private :class:`~repro.serve._loopthread.LoopThread`.
+  private :class:`~repro.netbase.loopthread.LoopThread`.
 
 * :class:`HttpShardTransport` — the coordinator-side client.  Shard
   *k*, attempt *a* lands on host ``(k + a) % len(hosts)``, so a retry
@@ -55,13 +55,13 @@ from ..faults.plan import fire, install_from_env
 from ..faults.retry import RetryPolicy
 from ..netbase.codec import Field, decode, encode, many, nested
 from ..netbase.errors import ReproError
+from ..netbase.loopthread import LoopThread
 from ..results.sinks import (
     JsonlSink,
     RunHeader,
     check_header_compatible,
     topology_digest,
 )
-from ._loopthread import LoopThread
 from .http import HttpRequestError, HttpServerBase, TextPayload
 from .metrics import ServeMetrics
 
@@ -354,7 +354,7 @@ class ThreadedShardWorkerServer:
     """:class:`ShardWorkerServer` behind a synchronous facade.
 
     Proxies ``start/close`` onto a private
-    :class:`~repro.serve._loopthread.LoopThread`, so synchronous
+    :class:`~repro.netbase.loopthread.LoopThread`, so synchronous
     callers (tests, an in-process coordinator) can hold a live worker
     without touching asyncio.
     """

@@ -72,20 +72,23 @@ class TestKnownVectors:
         assert decode(encoded) == Set_([Integer(1), Integer(3)])
 
 
+#: Every value kind, nested three deep.
+NESTED = Sequence_(
+    [
+        Integer(65537),
+        OctetString(b"payload"),
+        ObjectIdentifier("1.2.840.113549.1.9.16.1.24"),
+        BitString("10101000011110101"),
+        Null(),
+        Utf8String("RIPE ROA é"),
+        ContextTag(3, Sequence_([Integer(-42)])),
+    ]
+)
+
+
 class TestRoundTrip:
     def test_nested_structure(self):
-        value = Sequence_(
-            [
-                Integer(65537),
-                OctetString(b"payload"),
-                ObjectIdentifier("1.2.840.113549.1.9.16.1.24"),
-                BitString("10101000011110101"),
-                Null(),
-                Utf8String("RIPE ROA é"),
-                ContextTag(3, Sequence_([Integer(-42)])),
-            ]
-        )
-        assert decode(encode(value)) == value
+        assert decode(encode(NESTED)) == NESTED
 
     def test_decode_all_concatenation(self):
         blob = encode(Integer(1)) + encode(Integer(2))
@@ -178,3 +181,26 @@ class TestErrors:
         # length 5 written in long form (0x81 0x05) is not DER
         with pytest.raises(Asn1Error):
             decode(bytes.fromhex("04810548656c6c6f"))
+
+
+class TestHostileBytes:
+    """What a transport can do to a DER object: cut it short, or
+    corrupt its bytes.  Either way the decoder answers with a value or
+    :class:`Asn1Error`, never another exception."""
+
+    def test_every_proper_prefix_refused(self):
+        data = encode(NESTED)
+        for cut in range(len(data)):
+            with pytest.raises(Asn1Error):
+                decode(data[:cut])
+
+    def test_every_byte_flip_refused_or_decoded(self):
+        data = encode(NESTED)
+        for position in range(len(data)):
+            for mask in range(1, 256):
+                flipped = bytearray(data)
+                flipped[position] ^= mask
+                try:
+                    decode(bytes(flipped))
+                except Asn1Error:
+                    pass

@@ -224,6 +224,77 @@ class TestUpdate:
         assert decoded.nlri_v6 == nlri
 
 
+#: One message of each kind, with every UPDATE field filled.
+KINDS = {
+    "open": OpenMessage(asn=65000, hold_time=90, bgp_identifier=0xC0A80001,
+                        capabilities=b"\x41\x04\x00\x00\xfd\xe8"),
+    "update-v4": UpdateMessage(
+        withdrawn=(p("10.0.0.0/8"), p("10.1.2.0/23")),
+        origin=ORIGIN_IGP,
+        as_path=(AsPathSegment(SEGMENT_AS_SEQUENCE, (3356, 111)),
+                 AsPathSegment(SEGMENT_AS_SET, (7, 9))),
+        next_hop=0xC0000201,
+        nlri=(p("168.122.0.0/16"), p("168.122.225.0/24")),
+    ),
+    "update-v6": announcement_to_update(
+        Announcement(p("2001:db8::/32"), (6939, 65000))),
+    "keepalive": KeepaliveMessage(),
+    "notification": NotificationMessage(6, 2, b"cease"),
+}
+
+
+def decodes_or_refuses(data: bytes) -> None:
+    """The decoder's contract on hostile bytes: a message, or
+    :class:`BgpMessageError` — never another exception."""
+    try:
+        decode_message(data)
+    except BgpMessageError:
+        pass
+
+
+class TestHostileBytes:
+    def test_withdrawn_field_cut_inside_a_prefix(self):
+        # The withdrawn-routes field is 3 bytes long and holds the first
+        # 3 bytes of a /30; the decoder must not read the attribute
+        # length's bytes as the rest of that prefix.
+        data = bytes.fromhex(
+            "ffffffffffffffffffffffffffffffff001a0200031e54420000")
+        with pytest.raises(BgpMessageError, match="truncated NLRI"):
+            decode_message(data)
+
+    def test_withdrawn_field_ends_on_a_prefix_boundary(self):
+        body = b"\x00\x04" + bytes([16, 10, 1]) + bytes([8]) + b"\x00\x00"
+        data = BgpHeader(HEADER_LENGTH + len(body), 2).encode() + body
+        with pytest.raises(BgpMessageError, match="truncated NLRI"):
+            decode_message(data)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_truncation_refused(self, kind):
+        data = encode_message(KINDS[kind])
+        body = data[HEADER_LENGTH:]
+        for cut in range(len(data)):
+            with pytest.raises(BgpMessageError):
+                decode_message(data[:cut])
+        # The same cuts with the header's length made to agree: a body
+        # cut short may still be a (shorter) message, or must be refused.
+        for cut in range(len(body)):
+            decodes_or_refuses(
+                BgpHeader(HEADER_LENGTH + cut, data[18]).encode() + body[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(sorted(KINDS)),
+        st.lists(st.tuples(st.integers(min_value=0),
+                           st.integers(min_value=1, max_value=255)),
+                 min_size=1, max_size=4),
+    )
+    def test_byte_flips_refused_or_decoded(self, kind, flips):
+        data = bytearray(encode_message(KINDS[kind]))
+        for position, mask in flips:
+            data[position % len(data)] ^= mask
+        decodes_or_refuses(bytes(data))
+
+
 class TestRouteViewsIntegration:
     def test_rib_announcements_survive_wire_form(self, tiny_snapshot):
         """Every synthetic announcement must round-trip through real

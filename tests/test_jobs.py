@@ -36,6 +36,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -555,8 +556,6 @@ class TestSchedulerLifecycle:
             scheduler.cancel(job_id)
 
     def test_background_thread_drains_submissions(self, tmp_path):
-        import time
-
         scheduler = JobScheduler(
             JobStore(tmp_path), poll_interval=0.05
         ).start()
@@ -629,6 +628,28 @@ class TestJobsMetrics:
         assert "jobs_enqueued 2" in text
         assert "jobs_queue_depth 0" in text
         assert "jobs_job_seconds_bucket" in text
+
+    def test_a_mid_run_cancel_is_counted_once(self, tmp_path):
+        install(FaultPlan(rules=(
+            FaultRule(site="results.sink.write", action="stall", delay=0.5),
+        )))
+        registry = MetricsRegistry()
+        scheduler = JobScheduler(JobStore(tmp_path), registry=registry)
+        job_id = scheduler.submit(job_spec())
+        worker = threading.Thread(target=scheduler.run_pending)
+        worker.start()
+        try:
+            deadline = time.monotonic() + 30
+            while scheduler.store.job(job_id).status != "running":
+                assert time.monotonic() < deadline, "job never started"
+                time.sleep(0.01)
+            scheduler.cancel(job_id)
+        finally:
+            worker.join(30)
+        snapshot = registry.snapshot()
+        assert scheduler.store.job(job_id).status == "cancelled"
+        assert snapshot["jobs.started"] == 1
+        assert snapshot["jobs.cancelled"] == 1
 
     def test_disabled_registry_records_nothing(self, tmp_path):
         with use_registry(NULL_REGISTRY):

@@ -341,6 +341,16 @@ class TestDep003:
          "        view = registry.view('exper')\n", [1]),
         (4, "repro.serve.metrics",
          "from ..obs.metrics import MetricsView\n", [1]),
+        (5, "repro.bgp.session",
+         "import socket\nimport threading\n", [1, 2]),
+        (5, "repro.bgp.session",
+         "from threading import RLock\n", [1]),
+        (6, "repro.serve.rtr_async",
+         "from ._loopthread import LoopThread\n", [1]),
+        (6, "repro.serve.shards",
+         "loop = asyncio.new_event_loop()\nloop.run_forever()\n", [1, 2]),
+        (6, "repro.bgp.session",
+         "asyncio.run_coroutine_threadsafe(coro, loop).result()\n", [1]),
     )
 
     @pytest.mark.parametrize(
@@ -373,6 +383,11 @@ class TestDep003:
         ("repro.serve.metrics", "class ServeMetrics:\n    pass\n"),
         ("repro.exper.runner",
          "registry.counter('exper.records_released').inc()\n"),
+        ("repro.rtr.client", "import socket\n"),
+        ("repro.bgp.session",
+         "from ..netbase.loopthread import LoopThread\n"),
+        ("repro.netbase.loopthread",
+         "loop = asyncio.new_event_loop()\nloop.run_forever()\n"),
     ])
     def test_near_miss_passes(self, module, text):
         assert flags(text, module, "DEP003") == []

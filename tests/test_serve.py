@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bgp import ValidationState, origin_validation
+from repro.bgp import BgpSpeaker, ValidationState, origin_validation
 from repro.core import LocalCache
 from repro.data import TopologyProfile, generate_topology
 from repro.netbase import Prefix
@@ -726,6 +726,10 @@ def _shard_worker_facade(port: int = 0) -> ThreadedShardWorkerServer:
     return ThreadedShardWorkerServer(topology, port=port)
 
 
+def _bgp_facade(port: int = 0) -> BgpSpeaker:
+    return BgpSpeaker(65000, port=port)
+
+
 def _threads_since(before: set, name: str) -> list:
     return [
         thread for thread in set(threading.enumerate()) - before
@@ -736,9 +740,10 @@ def _threads_since(before: set, name: str) -> list:
 @pytest.mark.parametrize("make, thread_name", [
     (_rtr_facade, "rtr-async-loop"),
     (_shard_worker_facade, "shard-worker-loop"),
+    (_bgp_facade, "bgp-speaker-loop"),
 ])
 class TestLoopThreadFacades:
-    """The one loop-in-a-thread helper, through both facades holding it."""
+    """The one loop-in-a-thread helper, through every facade holding it."""
 
     def test_bind_failure_raises_and_leaks_no_loop_thread(
         self, make, thread_name, tmp_path, monkeypatch
