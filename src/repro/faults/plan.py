@@ -23,7 +23,8 @@ threaded through the serve and results tiers::
     jobs.execute          a queued job is about to start executing
 
 Code at each site calls :func:`fire` (or :func:`fire_async` inside the
-serve tier's event loop) with keyword context (``shard=1``,
+serve tier's event loop, or :func:`injected_delay` where it may not
+wait) with keyword context (``shard=1``,
 ``attempt=0``, ...).  With no plan installed that is one global read
 and a ``return`` — effectively free, which is what lets the hooks live
 on hot paths.  With a plan installed, every matching rule counts the
@@ -71,6 +72,7 @@ __all__ = [
     "active_plan",
     "fire",
     "fire_async",
+    "injected_delay",
     "install",
     "install_from_env",
     "uninstall",
@@ -391,20 +393,34 @@ def _execute(plan: FaultPlan, rule: FaultRule, site: str, hit: int) -> float:
     return plan.delay_for(rule, site, hit)
 
 
+def injected_delay(site: str, **context: object) -> float:
+    """An injection point's decision, without the wait.
+
+    Counts the hit; raises the injected error if a rule is due to
+    raise (or SIGKILLs the process); otherwise returns the seconds the
+    caller must stall — 0.0 unless a ``stall`` or ``delay`` rule is
+    due.  :func:`fire` and :func:`fire_async` wait by sleeping; a
+    protocol callback, which may not block, defers its work instead.
+    """
+    plan = _INSTALLED
+    if plan is None:
+        return 0.0
+    decision = plan._decide(site, context)
+    if decision is None:
+        return 0.0
+    rule, hit = decision
+    return _execute(plan, rule, site, hit)
+
+
 def fire(site: str, **context: object) -> None:
     """An injection point: no-op unless an installed rule is due.
 
     The disabled path is one module-global read and a return, so the
     hooks are safe on hot paths (sink writes, per-record loops).
     """
-    plan = _INSTALLED
-    if plan is None:
+    if _INSTALLED is None:
         return
-    decision = plan._decide(site, context)
-    if decision is None:
-        return
-    rule, hit = decision
-    delay = _execute(plan, rule, site, hit)
+    delay = injected_delay(site, **context)
     if delay > 0:
         time.sleep(delay)
 
@@ -412,14 +428,9 @@ def fire(site: str, **context: object) -> None:
 async def fire_async(site: str, **context: object) -> None:
     """:func:`fire` for the serve tier's event loop: stalls await
     ``asyncio.sleep`` instead of blocking the loop."""
-    plan = _INSTALLED
-    if plan is None:
+    if _INSTALLED is None:
         return
-    decision = plan._decide(site, context)
-    if decision is None:
-        return
-    rule, hit = decision
-    delay = _execute(plan, rule, site, hit)
+    delay = injected_delay(site, **context)
     if delay > 0:
         # Only a running event loop reaches here, so asyncio is loaded
         # already; the synchronous sites never pay for importing it.

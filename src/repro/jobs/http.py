@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import json
 from typing import Dict, Optional, Tuple
-from urllib.parse import unquote, urlsplit
+from urllib.parse import unquote
 
 from ..netbase.errors import ReproError
-from ..serve.http import HttpRequestError, QueryHttpServer
+from ..serve.http import Answer, HttpRequestError, QueryHttpServer
 from ..serve.metrics import ServeMetrics
 from ..serve.query import QueryService
 from .model import JobSpec
@@ -81,15 +81,14 @@ class JobsHttpServer(QueryHttpServer):
     def _shards(self, run_id: str) -> Optional[dict]:
         return self.scheduler.shards(run_id)
 
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, object]:
-        url = urlsplit(path)
-        if url.path == "/experiments" and method == "POST":
+    def _route(
+        self, method: str, path: str, query: str, body: bytes
+    ) -> Answer:
+        if path == "/experiments" and method == "POST":
             return self._submit(body)
-        if url.path == "/jobs" or url.path.startswith("/jobs/"):
-            return self._jobs(method, url.path)
-        return await super()._route(method, path, body)
+        if path == "/jobs" or path.startswith("/jobs/"):
+            return self._jobs(method, path)
+        return super()._route(method, path, query, body)
 
     # ------------------------------------------------------------------
     # Handlers

@@ -376,6 +376,14 @@ BANS: Tuple[Ban, ...] = (
         "one way to run a loop in a thread: repro.netbase.loopthread",
         exempt=("repro.netbase.loopthread",),
     ),
+    Ban(
+        "repro.serve.http", (),
+        ("start_server", "StreamReader", "StreamWriter", "wait_for",
+         "parse_qs", "urlsplit"),
+        "HTTP is one asyncio.Protocol per connection over a sans-I/O "
+        "parser, with one timer per connection, and a query string is "
+        "read once by query_fields",
+    ),
 )
 
 _WORD = re.compile(r"\w+")

@@ -6,14 +6,15 @@ and shard-worker servers and the BGP speaker.  Synchronous callers
 shard-worker`` command, tests) hold them through a facade that owns a
 :class:`LoopThread`.  This is the only place in the package that
 creates a loop, runs it in a thread, or submits coroutines to it from
-outside.
+outside.  :func:`close_server` is the one way those servers close
+what they accepted.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Callable, Coroutine, Optional
+from typing import Any, Callable, Coroutine, Iterable, Optional
 
 from .errors import ReproError
 
@@ -77,3 +78,38 @@ class LoopThread:
         self._loop.close()
         self._loop = None
         self._thread = None
+
+
+async def close_server(
+    server: asyncio.base_events.Server,
+    transports: Iterable[asyncio.BaseTransport],
+    tasks: Iterable["asyncio.Task[Any]"],
+) -> None:
+    """Close ``server`` and everything it accepted.
+
+    ``transports`` are the connections the server registered when
+    they were made, ``tasks`` its pending per-connection work.
+    Accepting stops first; one loop turn then lets a connection
+    already accepted get its transport, so no socket is left
+    half-made.  Then the listener closes, every transport is aborted
+    (a peer that stopped reading cannot hold up the close), every task
+    is cancelled and awaited, and the call returns once every
+    transport the server made is gone and the listener is closed.  A
+    connection made after this starts must abort itself.
+    """
+    loop = asyncio.get_running_loop()
+    # A waiter taken before close() covers every live transport on
+    # Python 3.11 too, where one taken after close() returns at once.
+    gone = loop.create_task(server.wait_closed())
+    for sock in server.sockets:
+        loop.remove_reader(sock.fileno())
+    await asyncio.sleep(0)
+    server.close()
+    for transport in list(transports):
+        transport.abort()
+    tasks = list(tasks)
+    for task in tasks:
+        task.cancel()
+    await asyncio.gather(*tasks, return_exceptions=True)
+    await gone
+    await server.wait_closed()

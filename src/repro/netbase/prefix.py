@@ -87,7 +87,8 @@ def _parse_ipv4_canonical(text: str) -> int | None:
 
 
 def _format_ipv4(value: int) -> str:
-    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+    # Dotted decimal, no leading zeros: the one text form of IPv4.
+    return inet_ntop(_SOCKET_AF_INET, value.to_bytes(4, "big"))
 
 
 def _parse_ipv6(text: str) -> int:

@@ -1,8 +1,12 @@
 """A minimal HTTP/1.1 JSON front end for the query service.
 
 Just enough HTTP to put :class:`~repro.serve.query.QueryService` on a
-socket without pulling in a web framework: request-line + header
-parsing over asyncio streams, keep-alive, Content-Length bodies.
+socket without pulling in a web framework: one
+:class:`asyncio.Protocol` per connection, a sans-I/O request parser
+(:class:`HttpRequestParser`), keep-alive, pipelining, Content-Length
+bodies.  A request whose route answers at once is parsed, routed and
+written inside ``data_received``; only the routes that leave the
+event loop run as a task.
 
 Endpoints:
 
@@ -44,12 +48,15 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
-from urllib.parse import parse_qs, unquote, urlsplit
+from typing import (
+    TYPE_CHECKING, Awaitable, Dict, Optional, Set, Tuple, Union,
+)
+from urllib.parse import unquote
 
-from ..faults.plan import fire_async
+from ..faults.plan import injected_delay
 from ..netbase.asnum import parse_asn
 from ..netbase.errors import AsnError, ReproError
+from ..netbase.loopthread import close_server
 from ..netbase.prefix import Prefix
 from .metrics import ServeMetrics, ensure_metrics
 from .query import QueryService
@@ -59,11 +66,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "HttpRequestError",
+    "HttpRequestParser",
     "HttpServerBase",
     "QueryHttpServer",
     "TextPayload",
-    "read_http_request",
-    "write_http_response",
+    "encode_response",
+    "query_fields",
 ]
 
 _MAX_HEADER_BYTES = 16384
@@ -76,13 +84,26 @@ _MAX_BATCH_QUERIES = 100_000
 #: snapshot is immutable, so cross-thread reads are safe).
 _EXECUTOR_BATCH_THRESHOLD = 512
 
+#: Reason phrase per status code; anything else reads "OK".
+REASONS = {
+    200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
+    405: "Method Not Allowed", 409: "Conflict",
+    503: "Service Unavailable",
+}
+
+#: ``(method, path, version, headers, body)``: method and version
+#: uppercased, header names lowercased.
+Request = Tuple[str, str, str, Dict[str, str], bytes]
+#: A route's answer: ``(status, payload)`` now, or an awaitable of it.
+Answer = Union[Tuple[int, object], Awaitable[Tuple[int, object]]]
+
 
 class HttpRequestError(ReproError):
     """Client-side error: reported as a 400 response, not a crash."""
 
 
 class TextPayload:
-    """A non-JSON response body; :func:`write_http_response` sends its
+    """A non-JSON response body; :func:`encode_response` sends its
     ``text`` verbatim under its ``content_type``."""
 
     __slots__ = ("content_type", "text")
@@ -109,32 +130,71 @@ def _canonical_json(document: dict) -> str:
     ) + "\n"
 
 
-async def read_http_request(
-    reader: asyncio.StreamReader,
-) -> Optional[Tuple[str, str, str, Dict[str, str], bytes]]:
-    """Read one HTTP/1.1 request from an asyncio stream.
+class HttpRequestParser:
+    """HTTP/1.1 request framing without I/O: bytes in, requests out.
 
-    Returns ``(method, path, version, headers, body)`` — method and
-    version uppercased, header names lowercased — or ``None`` on a
-    clean EOF before any bytes of a request.  Malformed, truncated or
-    oversized input raises :class:`HttpRequestError`, which servers
-    report as a 400.  A Content-Length is ASCII digits only (RFC 9110
-    §8.6: no sign, no ``_``), and repeated ones must agree.  This is
-    the request side of every HTTP front end in the serve tier (query
-    service, shard workers).
+    :meth:`feed` the bytes as they arrive; :meth:`next_request` returns
+    each complete :data:`Request` in order, or ``None`` until more
+    bytes come; :meth:`feed_eof` says the stream ended.  Malformed,
+    truncated or oversized input raises :class:`HttpRequestError`,
+    which servers report as a 400.  A head past 16 KiB is refused as
+    soon as that many bytes hold no blank line.  A Content-Length is
+    ASCII digits only (RFC 9110 §8.6: no sign, no ``_``), repeated ones
+    must agree, and a body past 4 MiB is refused from the head alone.
     """
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if exc.partial:
+
+    __slots__ = ("_buffer", "_start", "_scanned", "_head")
+
+    def __init__(self) -> None:
+        # Bytes as received; a bytearray once a request spans feeds.
+        self._buffer: Union[bytes, bytearray] = b""
+        self._start = 0  # first byte not yet handed out
+        self._scanned = 0  # the head's end is not before this offset
+        # The parsed head of a request whose body is still arriving.
+        self._head: Optional[Tuple[str, str, str, Dict[str, str], int]] = None
+
+    def feed(self, data: bytes) -> None:
+        buffer, start = self._buffer, self._start
+        if start == len(buffer):
+            self._buffer, self._start, self._scanned = data, 0, 0
+            return
+        if start or type(buffer) is bytes:
+            buffer = self._buffer = bytearray(buffer[start:])
+            self._scanned -= start
+            self._start = 0
+        buffer += data
+
+    def next_request(self) -> Optional[Request]:
+        buffer, start = self._buffer, self._start
+        if self._head is None:
+            end = buffer.find(b"\r\n\r\n", max(start, self._scanned - 3))
+            if end < 0:
+                if len(buffer) - start >= _MAX_HEADER_BYTES:
+                    raise HttpRequestError("request head too large")
+                self._scanned = len(buffer)
+                return None
+            end += 4
+            if end - start > _MAX_HEADER_BYTES:
+                raise HttpRequestError("request head too large")
+            self._head = _parse_head(bytes(buffer[start:end]))
+            start = self._start = end
+        method, path, version, headers, length = self._head
+        stop = start + length
+        if len(buffer) < stop:
+            return None
+        self._head = None
+        self._start = self._scanned = stop
+        return method, path, version, headers, bytes(buffer[start:stop])
+
+    def feed_eof(self) -> None:
+        """The stream ended: raise if it ended inside a request."""
+        if self._head is not None:
+            raise HttpRequestError("request body shorter than Content-Length")
+        if self._start < len(self._buffer):
             raise HttpRequestError("request head truncated")
-        return None
-    except asyncio.LimitOverrunError:
-        # Head exceeded the StreamReader's own limit before our
-        # size check could run; same answer either way.
-        raise HttpRequestError("request head too large")
-    if len(head) > _MAX_HEADER_BYTES:
-        raise HttpRequestError("request head too large")
+
+
+def _parse_head(head: bytes) -> Tuple[str, str, str, Dict[str, str], int]:
     lines = head.decode("latin-1").split("\r\n")
     try:
         method, path, version = lines[0].split(" ", 2)
@@ -149,7 +209,6 @@ async def read_http_request(
         if name == "content-length" and headers.get(name, value) != value:
             raise HttpRequestError("conflicting Content-Length headers")
         headers[name] = value
-    body = b""
     raw_length = headers.get("content-length", "0")
     try:
         if not (raw_length.isascii() and raw_length.isdigit()):
@@ -157,52 +216,246 @@ async def read_http_request(
         length = int(raw_length)  # ValueError past 4300 digits, too
     except ValueError:
         raise HttpRequestError(f"bad Content-Length {raw_length!r}")
-    if length:
-        if length > _MAX_BODY_BYTES:
-            raise HttpRequestError("request body too large")
-        try:
-            body = await reader.readexactly(length)
-        except asyncio.IncompleteReadError:
-            raise HttpRequestError("request body shorter than Content-Length")
-    return method.upper(), path, version.strip().upper(), headers, body
+    if length > _MAX_BODY_BYTES:
+        raise HttpRequestError("request body too large")
+    return method.upper(), path, version.strip().upper(), headers, length
 
 
-async def write_http_response(
-    writer: asyncio.StreamWriter,
-    status: int,
-    payload: object,
-    keep_alive: bool,
-) -> None:
-    """Write one HTTP/1.1 response and drain the stream.
+def encode_response(status: int, payload: object, keep_alive: bool) -> bytes:
+    """One HTTP/1.1 response, head and body.
 
     ``payload`` is either a JSON-serializable dict (sent as
     ``application/json``) or a :class:`TextPayload` (sent verbatim
     under its own content type).
     """
-    reason = {200: "OK", 201: "Created", 400: "Bad Request",
-              404: "Not Found", 405: "Method Not Allowed",
-              409: "Conflict",
-              503: "Service Unavailable"}.get(status, "OK")
     if isinstance(payload, TextPayload):
         content_type = payload.content_type
         body = payload.text.encode("utf-8")
     else:
         content_type = "application/json"
         body = json.dumps(payload).encode("utf-8")
-    head = (
-        f"HTTP/1.1 {status} {reason}\r\n"
+    return (
+        f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}\r\n"
         f"Content-Type: {content_type}\r\n"
         f"Content-Length: {len(body)}\r\n"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"\r\n"
-    ).encode("latin-1")
-    writer.write(head + body)
-    await writer.drain()
+    ).encode("latin-1") + body
+
+
+def query_fields(query: str) -> Dict[str, str]:
+    """``{name: first value}`` of a URL query string.
+
+    The rules of :mod:`urllib.parse`'s query parser: ``&`` separates
+    fields, ``+`` is a space, names and values are percent-decoded
+    (UTF-8, undecodable bytes replaced), a field with no ``=`` or a
+    blank value is dropped, and the first value of a repeated name
+    wins.
+    """
+    fields: Dict[str, str] = {}
+    for field in query.split("&"):
+        name, _, value = field.partition("=")
+        if value:
+            fields.setdefault(_form_decode(name), _form_decode(value))
+    return fields
+
+
+def _form_decode(text: str) -> str:
+    if "+" in text:
+        text = text.replace("+", " ")
+    return unquote(text) if "%" in text else text
+
+
+class _HttpConnection(asyncio.Protocol):
+    """One accepted connection: requests are answered in order, each
+    inside the callback that completed it unless its route must wait."""
+
+    __slots__ = (
+        "_server", "_parser", "_transport", "_task", "_eof",
+        "_write_paused", "_idle_since", "_idle",
+    )
+
+    def __init__(self, server: "HttpServerBase") -> None:
+        self._server = server
+        self._parser = HttpRequestParser()
+        self._transport: Optional[asyncio.Transport] = None
+        # The answer being awaited; reading pauses until it is written.
+        self._task: Optional[asyncio.Task] = None
+        self._eof = False
+        self._write_paused = False
+        # Loop time since which the connection waits for a request.
+        self._idle_since: Optional[float] = None
+        self._idle: Optional[asyncio.TimerHandle] = None
+
+    # -- transport callbacks ------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        server = self._server
+        if server._closing:
+            transport.abort()
+            return
+        if (
+            server.max_clients is not None
+            and len(server._connections) >= server.max_clients
+        ):
+            server.metrics.increment("requests_shed")
+            transport.write(encode_response(
+                503, {"error": "server at connection capacity"}, False))
+            transport.close()
+            return
+        server._connections.add(self)
+        try:
+            delay = injected_delay("serve.http.accept")
+        except OSError:
+            transport.close()
+            return
+        loop = asyncio.get_running_loop()
+        if server.idle_timeout is not None:
+            self._idle_since = loop.time()
+            self._idle = loop.call_later(
+                server.idle_timeout, self._check_idle)
+        if delay > 0:
+            transport.pause_reading()
+            loop.call_later(delay, self._resume)
+
+    def data_received(self, data: bytes) -> None:
+        self._parser.feed(data)
+        self._serve()
+
+    def eof_received(self) -> bool:
+        self._eof = True
+        if self._task is None:
+            self._serve()
+        return True  # half-open: what is buffered still gets answers
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self._server._connections.discard(self)
+        if self._idle is not None:
+            self._idle.cancel()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._resume()
+
+    # -- requests -----------------------------------------------------
+
+    def _resume(self) -> None:
+        if self._task is None and not self._write_paused:
+            self._transport.resume_reading()
+            self._serve()
+
+    def _serve(self) -> None:
+        """Answer buffered requests in order until one must wait."""
+        transport = self._transport
+        while (
+            self._task is None
+            and not self._write_paused
+            and not transport.is_closing()
+        ):
+            try:
+                request = self._parser.next_request()
+                if request is None and self._eof:
+                    self._parser.feed_eof()
+            except HttpRequestError as exc:
+                self._server.metrics.increment("http_errors")
+                transport.write(
+                    encode_response(400, {"error": str(exc)}, False))
+                transport.close()
+                return
+            if request is None:
+                if self._eof:
+                    transport.close()
+                elif self._idle_since is None and self._idle is not None:
+                    self._idle_since = asyncio.get_running_loop().time()
+                return
+            self._idle_since = None
+            self._answer(request)
+
+    def _answer(self, request: Request) -> None:
+        method, path, version, headers, body = request
+        server = self._server
+        server.metrics.increment("http_requests")
+        # Header values are case-insensitive (RFC 9110), and HTTP/1.0
+        # defaults to close rather than keep-alive.
+        connection = headers.get("connection", "").lower()
+        if version == "HTTP/1.0":
+            keep_alive = connection == "keep-alive"
+        else:
+            keep_alive = connection != "close"
+        if server._draining:
+            keep_alive = False
+        try:
+            answer = server._respond(method, path, body)
+        except HttpRequestError as exc:
+            server.metrics.increment("http_errors")
+            answer = 400, {"error": str(exc)}
+        except OSError:
+            # Injected IO faults end this connection, never the server.
+            self._transport.close()
+            return
+        if type(answer) is tuple:
+            self._reply(answer, keep_alive)
+            return
+        self._transport.pause_reading()
+        server._active_requests += 1
+        task = self._task = asyncio.get_running_loop().create_task(
+            self._finish(answer, keep_alive))
+        server._tasks.add(task)
+        task.add_done_callback(server._task_done)
+
+    def _reply(self, answer: Tuple[int, object], keep_alive: bool) -> None:
+        status, payload = answer
+        self._transport.write(encode_response(status, payload, keep_alive))
+        if not keep_alive:
+            self._transport.close()
+
+    async def _finish(
+        self, pending: Awaitable[Tuple[int, object]], keep_alive: bool
+    ) -> None:
+        try:
+            answer = await pending
+        except HttpRequestError as exc:
+            self._server.metrics.increment("http_errors")
+            answer = 400, {"error": str(exc)}
+        except OSError:
+            # Injected IO faults end this connection, never the server.
+            self._transport.close()
+            return
+        except BaseException:
+            self._transport.close()  # close() cancelled us, or a bug
+            raise
+        finally:
+            self._task = None
+        if not self._transport.is_closing():
+            self._reply(answer, keep_alive)
+            self._resume()
+
+    def _check_idle(self) -> None:
+        timeout = self._server.idle_timeout
+        loop = asyncio.get_running_loop()
+        if self._idle_since is not None:
+            timeout -= loop.time() - self._idle_since
+            if timeout <= 0:
+                self._transport.close()  # idle keep-alive connection reaped
+                return
+        self._idle = loop.call_later(timeout, self._check_idle)
 
 
 class HttpServerBase:
     """The hardened asyncio HTTP server every serve-tier front end
     shares; subclasses implement ``_route`` only.
+
+    ``_route(method, path, query, body)`` gets the request target split
+    at ``?`` and returns ``(status, payload)`` — or, for work that
+    leaves the event loop, an awaitable of it, which runs as a task
+    while the connection stops reading, so pipelined requests are still
+    answered in order.  A :class:`HttpRequestError` from either is a
+    400.
 
     What the base owns:
 
@@ -210,8 +463,9 @@ class HttpServerBase:
       connection beyond the cap gets an immediate 503 and close
       (counted as ``requests_shed``) instead of growing server state.
     * **Keep-alive idle timeout** — with ``idle_timeout`` set, a
-      keep-alive connection that sends nothing for that long is
-      reaped, so idle peers can't pin file descriptors forever.
+      keep-alive connection that sends no complete request for that
+      long is reaped, so idle peers can't pin file descriptors forever
+      (one timer per connection).
     * **Graceful drain** — :meth:`drain` flips the server to draining
       (health endpoints answer 503, other requests are shed, new
       keep-alives are refused), waits for in-flight requests to
@@ -222,7 +476,8 @@ class HttpServerBase:
       draining) and ``GET /readyz`` (readiness: also 503 while at the
       connection cap).
     * The fault-injection sites ``serve.http.accept`` and
-      ``serve.http.request`` (see :mod:`repro.faults`).
+      ``serve.http.request`` (see :mod:`repro.faults`); a due stall
+      defers that connection's reading or answer.
     """
 
     def __init__(
@@ -249,9 +504,11 @@ class HttpServerBase:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
+        self._connections: Set[_HttpConnection] = set()
+        self._tasks: Set[asyncio.Task] = set()
         self._active_requests = 0
         self._draining = False
+        self._closing = False
 
     @property
     def draining(self) -> bool:
@@ -259,8 +516,9 @@ class HttpServerBase:
         return self._draining
 
     async def start(self) -> "HttpServerBase":
-        self._server = await asyncio.start_server(
-            self._handle_connection, *self._requested)
+        self._closing = False
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _HttpConnection(self), *self._requested)
         self.host, self.port = self._server.sockets[0].getsockname()[:2]
         return self
 
@@ -285,17 +543,17 @@ class HttpServerBase:
         return elapsed
 
     async def close(self) -> None:
-        # Force idle keep-alive connections closed BEFORE awaiting
-        # wait_closed(): since Python 3.12.1 it waits for connection
-        # handlers, which otherwise sit in readuntil() forever.
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, close every accepted connection, cancel and
+        await every pending answer, then wait for the listener."""
+        if self._server is None:
+            return
+        self._closing = True
+        server, self._server = self._server, None
+        await close_server(
+            server,
+            [connection._transport for connection in self._connections],
+            self._tasks,
+        )
 
     async def __aenter__(self) -> "HttpServerBase":
         return await self.start()
@@ -304,89 +562,32 @@ class HttpServerBase:
         await self.close()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Requests
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if (
-            self.max_clients is not None
-            and len(self._writers) >= self.max_clients
-        ):
-            self.metrics.increment("requests_shed")
-            try:
-                await write_http_response(
-                    writer, 503,
-                    {"error": "server at connection capacity"}, False)
-            except OSError:
-                pass
-            writer.close()
-            return
-        self._writers.add(writer)
-        try:
-            await fire_async("serve.http.accept")
-            while True:
-                try:
-                    if self.idle_timeout is not None:
-                        request = await asyncio.wait_for(
-                            read_http_request(reader), self.idle_timeout)
-                    else:
-                        request = await read_http_request(reader)
-                except asyncio.TimeoutError:
-                    break  # idle keep-alive connection reaped
-                except HttpRequestError as exc:
-                    self.metrics.increment("http_errors")
-                    await write_http_response(
-                        writer, 400, {"error": str(exc)}, False)
-                    break
-                if request is None:
-                    break
-                method, path, version, headers, body = request
-                self.metrics.increment("http_requests")
-                # Header values are case-insensitive (RFC 9110), and
-                # HTTP/1.0 defaults to close rather than keep-alive.
-                connection = headers.get("connection", "").lower()
-                if version == "HTTP/1.0":
-                    keep_alive = connection == "keep-alive"
-                else:
-                    keep_alive = connection != "close"
-                if self._draining:
-                    keep_alive = False
-                try:
-                    status, payload = await self._respond(
-                        method, path, body)
-                except HttpRequestError as exc:
-                    self.metrics.increment("http_errors")
-                    status, payload = 400, {"error": str(exc)}
-                await write_http_response(writer, status, payload, keep_alive)
-                if not keep_alive:
-                    break
-        except (OSError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
-            # ConnectionError and injected IO faults alike end this
-            # connection, never the server.
-            pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
+    def _task_done(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        self._active_requests -= 1
 
-    async def _respond(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, object]:
+    def _respond(self, method: str, target: str, body: bytes) -> Answer:
         """Health checks, drain shedding, then the subclass router."""
-        bare = path.split("?", 1)[0]
-        if bare in ("/healthz", "/readyz"):
-            return self._health(method, bare)
+        path, _, query = target.partition("?")
+        if path in ("/healthz", "/readyz"):
+            return self._health(method, path)
         if self._draining:
             self.metrics.increment("requests_shed")
             return 503, {"error": "server is draining"}
-        await fire_async("serve.http.request", path=bare)
-        self._active_requests += 1
-        try:
-            return await self._route(method, path, body)
-        finally:
-            self._active_requests -= 1
+        delay = injected_delay("serve.http.request", path=path)
+        if delay > 0:
+            return self._stalled(delay, method, path, query, body)
+        return self._route(method, path, query, body)
+
+    async def _stalled(
+        self, delay: float, method: str, path: str, query: str, body: bytes
+    ) -> Tuple[int, object]:
+        await asyncio.sleep(delay)
+        answer = self._route(method, path, query, body)
+        return answer if type(answer) is tuple else await answer
 
     def _health(self, method: str, path: str) -> Tuple[int, object]:
         if method != "GET":
@@ -395,15 +596,23 @@ class HttpServerBase:
             return 503, {"status": "draining"}
         if path == "/readyz" and (
             self.max_clients is not None
-            and len(self._writers) >= self.max_clients
+            and len(self._connections) >= self.max_clients
         ):
             return 503, {"status": "saturated"}
         return 200, {"status": "ok" if path == "/healthz" else "ready"}
 
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, object]:
+    def _route(
+        self, method: str, path: str, query: str, body: bytes
+    ) -> Answer:
         raise NotImplementedError  # pragma: no cover — subclass duty
+
+    @staticmethod
+    async def _off_loop(function, *args):
+        # Reading a run file (and bootstrap resampling) is CPU and IO
+        # on a worker thread, so RTR sessions sharing the event loop
+        # keep being served.
+        return await asyncio.get_running_loop().run_in_executor(
+            None, function, *args)
 
 
 class QueryHttpServer(HttpServerBase):
@@ -448,16 +657,15 @@ class QueryHttpServer(HttpServerBase):
     # Routing
     # ------------------------------------------------------------------
 
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, Dict[str, object]]:
-        url = urlsplit(path)
-        if url.path == "/validity" and method == "GET":
-            return 200, self._single_query(parse_qs(url.query))
-        if url.path == "/validity" and method == "POST":
-            return 200, await self._batch_query(body)
-        if url.path == "/metrics" and method == "GET":
-            fmt = (parse_qs(url.query).get("format") or ["json"])[0]
+    def _route(
+        self, method: str, path: str, query: str, body: bytes
+    ) -> Answer:
+        if path == "/validity" and method == "GET":
+            return 200, self._single_query(query_fields(query))
+        if path == "/validity" and method == "POST":
+            return self._batch_query(body)
+        if path == "/metrics" and method == "GET":
+            fmt = query_fields(query).get("format", "json")
             if fmt == "prometheus":
                 return 200, TextPayload(
                     self.metrics.render_prometheus(),
@@ -469,26 +677,22 @@ class QueryHttpServer(HttpServerBase):
                     f"expected json or prometheus"
                 )
             return 200, self.metrics.snapshot()
-        if url.path == "/status" and method == "GET":
+        if path == "/status" and method == "GET":
             return 200, {
                 "vrps": len(self.service),
                 "serial": self.service.serial,
             }
-        if url.path == "/experiments" or url.path.startswith(
-            "/experiments/"
-        ):
+        if path == "/experiments" or path.startswith("/experiments/"):
             if method != "GET":
-                return 405, {
-                    "error": f"{method} not allowed on {url.path}"
-                }
-            return await self._experiments(url.path)
-        if url.path == "/diff":
+                return 405, {"error": f"{method} not allowed on {path}"}
+            return self._experiments(path)
+        if path == "/diff":
             if method != "GET":
                 return 405, {"error": f"{method} not allowed on /diff"}
-            return await self._diff(parse_qs(url.query))
-        if url.path in ("/validity", "/metrics", "/status"):
-            return 405, {"error": f"{method} not allowed on {url.path}"}
-        return 404, {"error": f"no such endpoint {url.path}"}
+            return self._diff(query_fields(query))
+        if path in ("/validity", "/metrics", "/status"):
+            return 405, {"error": f"{method} not allowed on {path}"}
+        return 404, {"error": f"no such endpoint {path}"}
 
     async def _experiments(
         self, path: str
@@ -512,14 +716,6 @@ class QueryHttpServer(HttpServerBase):
             return 404, {"error": str(exc)}
         except (ReproError, OSError) as exc:
             raise HttpRequestError(f"cannot read run {run_id!r}: {exc}")
-
-    @staticmethod
-    async def _off_loop(function, *args):
-        # Reading a run file (and bootstrap resampling) is CPU and IO
-        # on a worker thread, so RTR sessions sharing the event loop
-        # keep being served.
-        return await asyncio.get_running_loop().run_in_executor(
-            None, function, *args)
 
     def _running(self) -> frozenset:
         """Run ids still being recorded; a plain store has none."""
@@ -575,13 +771,11 @@ class QueryHttpServer(HttpServerBase):
                 f"cannot aggregate run {run_id!r}: {exc}")
         return 200, TextPayload(text, "application/json")
 
-    async def _diff(
-        self, params: Dict[str, List[str]]
-    ) -> Tuple[int, object]:
+    async def _diff(self, params: Dict[str, str]) -> Tuple[int, object]:
         """``GET /diff?a=&b=``: deterministic run-to-run comparison."""
         self.metrics.increment("experiment_requests")
-        a_id = (params.get("a") or [None])[0]
-        b_id = (params.get("b") or [None])[0]
+        a_id = params.get("a")
+        b_id = params.get("b")
         if not a_id or not b_id:
             raise HttpRequestError(
                 "both 'a' and 'b' run ids are required")
@@ -615,14 +809,11 @@ class QueryHttpServer(HttpServerBase):
                 f"cannot diff {a_id!r} against {b_id!r}: {exc}")
         return 200, TextPayload(text, "application/json")
 
-    def _single_query(self, params: Dict[str, List[str]]) -> Dict[str, object]:
-        asn, prefix = _parse_pair(
-            (params.get("asn") or [None])[0],
-            (params.get("prefix") or [None])[0],
-        )
+    def _single_query(self, params: Dict[str, str]) -> Dict[str, object]:
+        asn, prefix = _parse_pair(params.get("asn"), params.get("prefix"))
         return self.service.validity(asn, prefix).to_json()
 
-    async def _batch_query(self, body: bytes) -> Dict[str, object]:
+    def _batch_query(self, body: bytes) -> Answer:
         try:
             document = json.loads(body or b"{}")
         except json.JSONDecodeError as exc:
@@ -641,14 +832,19 @@ class QueryHttpServer(HttpServerBase):
             for entry in queries
         ]
         if len(pairs) >= _EXECUTOR_BATCH_THRESHOLD:
-            # Don't stall RTR sessions sharing this loop: the lookup
-            # walk is pure CPU over an immutable snapshot, so it can
-            # run on a worker thread.
-            results = await asyncio.get_running_loop().run_in_executor(
-                None, self.service.validity_batch, pairs)
-        else:
-            results = self.service.validity_batch(pairs)
-        return {"results": [result.to_json() for result in results]}
+            return self._batch_off_loop(pairs)
+        return 200, _results(self.service.validity_batch(pairs))
+
+    async def _batch_off_loop(self, pairs: list) -> Tuple[int, object]:
+        # Don't stall RTR sessions sharing this loop: the lookup walk
+        # is pure CPU over an immutable snapshot, so it can run on a
+        # worker thread.
+        results = await self._off_loop(self.service.validity_batch, pairs)
+        return 200, _results(results)
+
+
+def _results(results) -> Dict[str, object]:
+    return {"results": [result.to_json() for result in results]}
 
 
 def _parse_pair(asn: object, prefix: object) -> Tuple[int, Prefix]:

@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Set
 
 from ..faults.plan import fire_async
 from ..netbase.errors import ReproError
-from ..netbase.loopthread import LoopThread
+from ..netbase.loopthread import LoopThread, close_server
 from ..rpki.vrp import Vrp
 from ..rtr.client import RouterSession, RtrClientError
 from ..rtr.pdu import (
@@ -102,6 +102,8 @@ class AsyncRtrServer:
         self.port = port
         self._server: Optional[asyncio.base_events.Server] = None
         self._writers: Set[asyncio.StreamWriter] = set()
+        self._tasks: Set[asyncio.Task] = set()
+        self._closing = False
         if initial:
             self.state.update(initial)
 
@@ -110,8 +112,9 @@ class AsyncRtrServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> "AsyncRtrServer":
+        self._closing = False
         self._server = await asyncio.start_server(
-            self._handle_connection,
+            self._accept,
             self._requested_host,
             self._requested_port,
         )
@@ -119,18 +122,15 @@ class AsyncRtrServer:
         return self
 
     async def close(self) -> None:
-        # Close client writers BEFORE awaiting wait_closed(): since
-        # Python 3.12.1 wait_closed() also waits for connection
-        # handlers, which sit in reader.read() until their transport
-        # closes — the old order deadlocks with any router connected.
-        if self._server is not None:
-            self._server.close()
-        for writer in list(self._writers):
-            writer.close()
-        self._writers.clear()
-        if self._server is not None:
-            await self._server.wait_closed()
-            self._server = None
+        """Stop accepting, close every router connection, cancel and
+        await every session handler, then wait for the listener."""
+        if self._server is None:
+            return
+        self._closing = True
+        server, self._server = self._server, None
+        await close_server(
+            server, [writer.transport for writer in self._writers],
+            self._tasks)
 
     async def __aenter__(self) -> "AsyncRtrServer":
         return await self.start()
@@ -162,9 +162,14 @@ class AsyncRtrServer:
     # Connection handling
     # ------------------------------------------------------------------
 
-    async def _handle_connection(
+    def _accept(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Register a connection and its handler the moment it is made,
+        so :meth:`close` owns it before the handler first runs."""
+        if self._closing:
+            writer.transport.abort()
+            return
         if (
             self.max_clients is not None
             and len(self._writers) >= self.max_clients
@@ -176,6 +181,14 @@ class AsyncRtrServer:
             return
         self._writers.add(writer)
         self.metrics.increment("connections_opened")
+        task = asyncio.get_running_loop().create_task(
+            self._handle_connection(reader, writer))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+
+    async def _handle_connection(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> None:
         buffer = b""
         try:
             await fire_async("serve.rtr.accept")
@@ -192,14 +205,22 @@ class AsyncRtrServer:
                     break
                 for pdu in pdus:
                     await self._dispatch(writer, pdu)
-        except (OSError, asyncio.CancelledError):
+        except OSError:
             # ConnectionError and injected IO faults alike end the
             # session, never the server.
             pass
         finally:
-            self._writers.discard(writer)
             self.metrics.increment("connections_closed")
             writer.close()
+            try:
+                # Registered until the transport is gone, so close()
+                # can abort one still flushing to a router that
+                # stopped reading.
+                await writer.wait_closed()
+            except OSError:
+                pass
+            finally:
+                self._writers.discard(writer)
 
     async def _dispatch(self, writer: asyncio.StreamWriter, pdu: Pdu) -> None:
         if isinstance(pdu, ResetQueryPdu):

@@ -62,7 +62,7 @@ from ..results.sinks import (
     check_header_compatible,
     topology_digest,
 )
-from .http import HttpRequestError, HttpServerBase, TextPayload
+from .http import Answer, HttpRequestError, HttpServerBase, TextPayload
 from .metrics import ServeMetrics
 
 __all__ = [
@@ -204,11 +204,11 @@ class ShardWorkerServer(HttpServerBase):
     # Routing
     # ------------------------------------------------------------------
 
-    async def _route(
-        self, method: str, path: str, body: bytes
-    ) -> Tuple[int, object]:
+    def _route(
+        self, method: str, path: str, query: str, body: bytes
+    ) -> Answer:
         if path == "/shards" and method == "POST":
-            return await self._dispatch(body)
+            return self._dispatch(body)
         if path == "/shards" and method == "GET":
             return 200, {
                 "shards": [
@@ -222,14 +222,12 @@ class ShardWorkerServer(HttpServerBase):
                 "shards": len(self._jobs),
             }
         if path.startswith("/shards/"):
-            return await self._shard_route(method, path)
+            return self._shard_route(method, path)
         if path in ("/shards", "/status"):
             return 405, {"error": f"{method} not allowed on {path}"}
         return 404, {"error": f"no such endpoint {path}"}
 
-    async def _shard_route(
-        self, method: str, path: str
-    ) -> Tuple[int, object]:
+    def _shard_route(self, method: str, path: str) -> Answer:
         parts = path[len("/shards/"):].split("/")
         try:
             index = int(parts[0])
@@ -241,22 +239,21 @@ class ShardWorkerServer(HttpServerBase):
         if len(parts) == 1 and method == "GET":
             return 200, job.status()
         if parts[1:] == ["records"] and method == "GET":
-            loop = asyncio.get_running_loop()
-            try:
-                text = await loop.run_in_executor(
-                    None, _read_text, job.path)
-            except OSError:
-                return 404, {
-                    "error": f"shard {index} has no records yet"
-                }
-            return 200, TextPayload(text, _JSONL_CONTENT_TYPE)
+            return self._records(index, job.path)
         if parts[1:] == ["cancel"] and method == "POST":
             if job.state == "running":
                 job.cancelled = True
             return 200, job.status()
         return 404, {"error": f"no such endpoint {path}"}
 
-    async def _dispatch(self, body: bytes) -> Tuple[int, object]:
+    async def _records(self, index: int, path: Path) -> Tuple[int, object]:
+        try:
+            text = await self._off_loop(_read_text, path)
+        except OSError:
+            return 404, {"error": f"shard {index} has no records yet"}
+        return 200, TextPayload(text, _JSONL_CONTENT_TYPE)
+
+    def _dispatch(self, body: bytes) -> Tuple[int, object]:
         try:
             document = json.loads(body or b"{}")
         except json.JSONDecodeError as exc:

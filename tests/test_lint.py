@@ -351,6 +351,12 @@ class TestDep003:
          "loop = asyncio.new_event_loop()\nloop.run_forever()\n", [1, 2]),
         (6, "repro.bgp.session",
          "asyncio.run_coroutine_threadsafe(coro, loop).result()\n", [1]),
+        (7, "repro.serve.http",
+         "from urllib.parse import parse_qs, unquote, urlsplit\n"
+         "async def read_http_request(reader: asyncio.StreamReader):\n"
+         "    return await asyncio.wait_for(reader.readline(), 5)\n"
+         "server = await asyncio.start_server(handle, host, port)\n",
+         [1, 2, 3, 4]),
     )
 
     @pytest.mark.parametrize(
@@ -388,6 +394,12 @@ class TestDep003:
          "from ..netbase.loopthread import LoopThread\n"),
         ("repro.netbase.loopthread",
          "loop = asyncio.new_event_loop()\nloop.run_forever()\n"),
+        ("repro.serve.http",
+         "from urllib.parse import unquote\n"
+         "server = await loop.create_server(factory, host, port)\n"
+         "handle = loop.call_later(idle_timeout, check)\n"),
+        ("repro.serve.shards",
+         "future = asyncio.wait_for(reader.readexactly(4), 5)\n"),
     ])
     def test_near_miss_passes(self, module, text):
         assert flags(text, module, "DEP003") == []

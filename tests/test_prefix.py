@@ -339,3 +339,25 @@ class TestFastPath:
         assert Prefix.parse("10.0.0.0/008") == Prefix.parse("10.0.0.0/8")
         with pytest.raises(PrefixLengthError):
             Prefix.parse("10.0.0.0/0033")
+
+
+def _generator_format_ipv4(value: int) -> str:
+    """The formatter ``inet_ntop`` replaced: four decimal octets."""
+    return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
+
+
+class TestFormatIpv4:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.sampled_from([0, 0xFFFFFFFF, 0x7F000001, 0x0A000000]),
+            st.integers(min_value=0, max_value=0xFFFFFFFF),
+        ),
+        st.integers(min_value=0, max_value=32),
+    )
+    def test_inet_ntop_text_is_the_dotted_quad(self, value, length):
+        assert prefix_module._format_ipv4(value) == (
+            _generator_format_ipv4(value))
+        network = value & ~((1 << (32 - length)) - 1) & 0xFFFFFFFF
+        prefix = Prefix(AF_INET, network, length)
+        assert Prefix.parse(str(prefix)) == prefix
