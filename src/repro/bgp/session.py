@@ -4,8 +4,8 @@ What the paper's Figure 1 implies but never draws: routers applying
 RFC 6811 origin validation to real UPDATEs, with VRPs learned over RTR
 (policy is :mod:`repro.bgp.simulation`'s model).  :class:`BgpSession`
 is one session without I/O, its six RFC 4271 §8 states one
-:data:`TABLE`; :class:`BgpSpeaker` drives a session per peer over
-asyncio streams on a :class:`~repro.netbase.loopthread.LoopThread`.
+:data:`TABLE`; :class:`BgpSpeaker` drives each as an :class:`asyncio.Protocol`
+on a :class:`~repro.netbase.loopthread.Listener`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import namedtuple
 from typing import Any, Callable, Optional
 
 from ..netbase.errors import ReproError
-from ..netbase.loopthread import LoopThread
+from ..netbase.loopthread import Listener, LoopThread
 from ..netbase.prefix import Prefix
 from .announcement import Announcement
 from .message import (
@@ -197,6 +197,65 @@ TABLE: dict[tuple[State, Event], tuple[State, Optional[Callable]]] = {
 }
 
 
+class _BgpConnection(asyncio.Protocol):
+    """One peer's connection, whichever side opened it: its bytes, its
+    loss and the clock go to ``session``, and each :class:`Output` is
+    written, learned and signalled inside the callback."""
+
+    def __init__(self, speaker: "BgpSpeaker", session: BgpSession) -> None:
+        self._speaker, self._session = speaker, session
+        self._now = asyncio.get_running_loop().time  # made on the loop
+        self._transport: Optional[asyncio.Transport] = None
+        self._timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        if self._speaker._listener.admit(transport):
+            session, now = self._session, self._now()
+            if session.state is State.IDLE:  # an inbound connection
+                session.handle(Event.PASSIVE_START, now)
+            self._apply(session.handle(Event.TCP_CONFIRMED, now))
+
+    def data_received(self, data: bytes) -> None:
+        self._apply(self._session.receive(data, self._now()))
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self._speaker._listener.release(self._transport):
+            self._apply(self._session.handle(Event.TCP_FAILS, self._now()))
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def _tick(self) -> None:
+        self._apply(self._session.tick(self._now()))
+
+    def _apply(self, out: Output) -> None:
+        """Write, learn and signal ``out``; then re-arm the timer at the
+        session's deadline, or close the connection of an Idle one."""
+        speaker, session = self._speaker, self._session
+        transport = self._transport
+        transport.write(b"".join(map(encode_message, out.send)))
+        if State.ESTABLISHED in out.states:
+            speaker._peers[session.peer_asn] = transport
+            transport.write(b"".join(encode_message(announcement_to_update(
+                route)) for route in speaker._own_routes.values()))
+        for update in out.updates:
+            speaker._learn(session.peer_asn, update)
+        if self._timer is not None:
+            self._timer.cancel()
+        if session.state is State.IDLE:
+            if speaker._peers.get(session.peer_asn) is transport:
+                del speaker._peers[session.peer_asn]
+            transport.close()
+        elif session.deadline is not None:
+            self._timer = asyncio.get_running_loop().call_at(
+                session.deadline, self._tick)
+        speaker._signal()
+
+
 class BgpSpeaker:
     """A BGP-4 speaker on a localhost port, offering ``hold_time`` (0: no
     timers); with a ``vrp_index`` it rejects routes that validate
@@ -221,8 +280,8 @@ class BgpSpeaker:
         self._vrp_index = vrp_index
         self._rejected: list[Announcement] = []
         self._own_routes: dict[Prefix, Announcement] = {}
-        self._peers: dict[int, asyncio.StreamWriter] = {}
-        self._tasks: set[asyncio.Task] = set()
+        self._peers: dict[int, asyncio.Transport] = {}
+        self._listener = Listener(host, port)
         self._loop = LoopThread("bgp-speaker-loop")
 
     def start(self) -> "BgpSpeaker":
@@ -231,7 +290,7 @@ class BgpSpeaker:
 
     def close(self) -> None:
         """Stop listening and end every session; a no-op when stopped."""
-        self._loop.stop(self._shutdown)
+        self._loop.stop(self._listener.close)
 
     def __enter__(self) -> "BgpSpeaker":
         return self.start()
@@ -241,18 +300,8 @@ class BgpSpeaker:
 
     async def _listen(self) -> None:
         self._changed = asyncio.Event()  # which _signal() replaces
-        self._server = await asyncio.start_server(
-            lambda reader, writer: self._run(
-                BgpSession(self._open), reader, writer),
-            self.host, self.port)
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
-
-    async def _shutdown(self) -> None:
-        self._server.close()
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        await self._server.wait_closed()
+        self.host, self.port = await self._listener.open(
+            lambda: _BgpConnection(self, BgpSession(self._open)))
 
     def connect_to(self, host: str, port: int, *, expected_asn: Optional[int] = None,
                    timeout: float = 5.0) -> int:
@@ -260,10 +309,10 @@ class BgpSpeaker:
         session = BgpSession(self._open, expected_asn)
 
         async def connect() -> None:
-            session.handle(Event.START, asyncio.get_running_loop().time())
-            streams = await asyncio.wait_for(
-                asyncio.open_connection(host, port), timeout)
-            asyncio.create_task(self._run(session, *streams))
+            loop = asyncio.get_running_loop()
+            session.handle(Event.START, loop.time())
+            await asyncio.wait_for(loop.create_connection(
+                lambda: _BgpConnection(self, session), host, port), timeout)
 
         self._loop.call(connect())
         self._wait(lambda: session.state in (State.ESTABLISHED, State.IDLE),
@@ -271,53 +320,6 @@ class BgpSpeaker:
         if session.state is State.IDLE:
             raise BgpSessionError(session.error)
         return session.peer_asn
-
-    async def _run(self, session: BgpSession, reader: asyncio.StreamReader,
-                   writer: asyncio.StreamWriter) -> None:
-        """The per-peer coroutine, whichever side connected: feed
-        ``session`` the connection and the clock until it is Idle."""
-        if not self._server.is_serving():  # accepted as close() began
-            writer.close()
-            return
-        task = asyncio.current_task()
-        self._tasks.add(task)
-        clock = asyncio.get_running_loop().time
-        if session.state is State.IDLE:  # an inbound connection
-            session.handle(Event.PASSIVE_START, clock())
-        out = session.handle(Event.TCP_CONFIRMED, clock())
-        try:
-            while True:
-                writer.write(b"".join(map(encode_message, out.send)))
-                if State.ESTABLISHED in out.states:
-                    self._peers[session.peer_asn] = writer
-                    writer.write(b"".join(encode_message(announcement_to_update(
-                        route)) for route in self._own_routes.values()))
-                for update in out.updates:
-                    self._learn(session.peer_asn, update)
-                self._signal()
-                await writer.drain()
-                if session.state is State.IDLE:
-                    return
-                deadline = session.deadline
-                try:
-                    data = await asyncio.wait_for(
-                        reader.read(65536),
-                        None if deadline is None else deadline - clock())
-                except asyncio.TimeoutError:
-                    out = session.tick(clock())
-                    continue
-                except OSError:
-                    data = b""
-                out = (session.receive(data, clock()) if data
-                       else session.handle(Event.TCP_FAILS, clock()))
-        except OSError:
-            pass  # the peer is gone; so is the session
-        finally:
-            self._tasks.discard(task)
-            if self._peers.get(session.peer_asn) is writer:
-                del self._peers[session.peer_asn]
-            writer.close()
-            self._signal()
 
     def _signal(self) -> None:
         """Wake every :meth:`_wait` to check its condition again."""
@@ -359,8 +361,8 @@ class BgpSpeaker:
             self._own_routes[prefix] = announcement
             self.loc_rib.install(announcement)
             data = encode_message(announcement_to_update(announcement))
-        for writer in self._peers.values():
-            writer.write(data)
+        for transport in self._peers.values():
+            transport.write(data)
 
     @property
     def rejected_routes(self) -> list[Announcement]:

@@ -50,8 +50,7 @@ from functools import cached_property
 from typing import Iterator, Optional
 
 from ..netbase.prefix import AF_INET, AF_INET6, Prefix
-from ..rpki.roa import Roa, RoaPrefix
-from ..rpki.scan import scan_roa_payloads
+from ..rpki.roa import Roa, RoaPrefix, scan_roa_payloads
 from ..rpki.vrp import Vrp
 from .allocation import AddressAllocator
 from .distributions import capped_pareto_int, geometric_int

@@ -15,8 +15,7 @@ from .._lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "plan": (
         "FaultPlan", "FaultRule", "PLAN_ENV", "SITES", "active_plan", "fire",
-        "fire_async", "injected_delay", "install", "install_from_env",
-        "uninstall",
+        "injected_delay", "install", "install_from_env", "uninstall",
     ),
     "retry": ("RetryPolicy",),
 })

@@ -22,13 +22,13 @@ threaded through the serve and results tiers::
     jobs.enqueue          a job is about to be appended to the queue
     jobs.execute          a queued job is about to start executing
 
-Code at each site calls :func:`fire` (or :func:`fire_async` inside the
-serve tier's event loop, or :func:`injected_delay` where it may not
-wait) with keyword context (``shard=1``,
-``attempt=0``, ...).  With no plan installed that is one global read
-and a ``return`` — effectively free, which is what lets the hooks live
-on hot paths.  With a plan installed, every matching rule counts the
-hit, and a rule whose 1-based ordinal is scheduled *injects*: raises
+Code at each site calls :func:`fire` (or, inside the serve tier's
+event loop, where a callback may not wait, :func:`injected_delay`)
+with keyword context (``shard=1``, ``attempt=0``, ...).  With no plan
+installed that is one global read and a ``return`` — effectively
+free, which is what lets the hooks live on hot paths.  With a plan
+installed, every matching rule counts the hit, and a rule whose
+1-based ordinal is scheduled *injects*: raises
 an :class:`OSError` (``EIO``/``ENOSPC``), raises
 :class:`ConnectionResetError`, stalls the caller, delays it by a
 deterministically jittered latency, or SIGKILLs the process.  Every
@@ -71,7 +71,6 @@ __all__ = [
     "FaultPlan",
     "active_plan",
     "fire",
-    "fire_async",
     "injected_delay",
     "install",
     "install_from_env",
@@ -399,8 +398,8 @@ def injected_delay(site: str, **context: object) -> float:
     Counts the hit; raises the injected error if a rule is due to
     raise (or SIGKILLs the process); otherwise returns the seconds the
     caller must stall — 0.0 unless a ``stall`` or ``delay`` rule is
-    due.  :func:`fire` and :func:`fire_async` wait by sleeping; a
-    protocol callback, which may not block, defers its work instead.
+    due.  :func:`fire` waits by sleeping; a protocol callback, which
+    may not block, defers its work instead.
     """
     plan = _INSTALLED
     if plan is None:
@@ -423,17 +422,3 @@ def fire(site: str, **context: object) -> None:
     delay = injected_delay(site, **context)
     if delay > 0:
         time.sleep(delay)
-
-
-async def fire_async(site: str, **context: object) -> None:
-    """:func:`fire` for the serve tier's event loop: stalls await
-    ``asyncio.sleep`` instead of blocking the loop."""
-    if _INSTALLED is None:
-        return
-    delay = injected_delay(site, **context)
-    if delay > 0:
-        # Only a running event loop reaches here, so asyncio is loaded
-        # already; the synchronous sites never pay for importing it.
-        import asyncio
-
-        await asyncio.sleep(delay)

@@ -378,11 +378,21 @@ BANS: Tuple[Ban, ...] = (
     ),
     Ban(
         "repro.serve.http", (),
-        ("start_server", "StreamReader", "StreamWriter", "wait_for",
-         "parse_qs", "urlsplit"),
+        ("StreamReader", "StreamWriter", "wait_for", "parse_qs",
+         "urlsplit"),
         "HTTP is one asyncio.Protocol per connection over a sans-I/O "
         "parser, with one timer per connection, and a query string is "
         "read once by query_fields",
+    ),
+    Ban(
+        "repro", (), ("start_server", "close_server"),
+        "every server binds through netbase.loopthread.Listener, which "
+        "owns what it accepted",
+    ),
+    Ban(
+        "repro.bgp", (), ("StreamReader", "StreamWriter", "open_connection"),
+        "a BGP connection, inbound or outbound, is one asyncio.Protocol "
+        "on the speaker's Listener",
     ),
 )
 

@@ -6,15 +6,15 @@ and shard-worker servers and the BGP speaker.  Synchronous callers
 shard-worker`` command, tests) hold them through a facade that owns a
 :class:`LoopThread`.  This is the only place in the package that
 creates a loop, runs it in a thread, or submits coroutines to it from
-outside.  :func:`close_server` is the one way those servers close
-what they accepted.
+outside.  :class:`Listener` is the one way those servers bind, and
+the one way they close what they accepted.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Callable, Coroutine, Iterable, Optional
+from typing import Any, Callable, Coroutine, Optional, Set, Tuple
 
 from .errors import ReproError
 
@@ -80,36 +80,82 @@ class LoopThread:
         self._thread = None
 
 
-async def close_server(
-    server: asyncio.base_events.Server,
-    transports: Iterable[asyncio.BaseTransport],
-    tasks: Iterable["asyncio.Task[Any]"],
-) -> None:
-    """Close ``server`` and everything it accepted.
+class Listener:
+    """One server's listening socket and everything it accepted.
 
-    ``transports`` are the connections the server registered when
-    they were made, ``tasks`` its pending per-connection work.
-    Accepting stops first; one loop turn then lets a connection
-    already accepted get its transport, so no socket is left
-    half-made.  Then the listener closes, every transport is aborted
-    (a peer that stopped reading cannot hold up the close), every task
-    is cancelled and awaited, and the call returns once every
-    transport the server made is gone and the listener is closed.  A
-    connection made after this starts must abort itself.
+    Each protocol's ``connection_made`` calls :meth:`admit` and its
+    ``connection_lost`` :meth:`release`; :attr:`transports` holds the
+    admitted connections, :attr:`tasks` what :meth:`spawn` started.
     """
-    loop = asyncio.get_running_loop()
-    # A waiter taken before close() covers every live transport on
-    # Python 3.11 too, where one taken after close() returns at once.
-    gone = loop.create_task(server.wait_closed())
-    for sock in server.sockets:
-        loop.remove_reader(sock.fileno())
-    await asyncio.sleep(0)
-    server.close()
-    for transport in list(transports):
-        transport.abort()
-    tasks = list(tasks)
-    for task in tasks:
-        task.cancel()
-    await asyncio.gather(*tasks, return_exceptions=True)
-    await gone
-    await server.wait_closed()
+
+    def __init__(self, host: str, port: int) -> None:
+        self._requested = (host, port)
+        self.transports: Set[asyncio.BaseTransport] = set()
+        self.tasks: Set["asyncio.Task[Any]"] = set()
+        self._server: Optional[asyncio.base_events.Server] = None
+        self._closing = False
+
+    async def open(self, protocol_factory: Callable) -> Tuple[str, int]:
+        """Bind and listen; returns the bound ``(host, port)``."""
+        self._closing = False
+        self._server = await asyncio.get_running_loop().create_server(
+            protocol_factory, *self._requested)
+        return self._server.sockets[0].getsockname()[:2]
+
+    def admit(self, transport: asyncio.BaseTransport) -> bool:
+        """Own ``transport``; once close has begun, abort it instead."""
+        if self._closing:
+            transport.abort()
+        else:
+            self.transports.add(transport)
+        return not self._closing
+
+    def full(self, limit: Optional[int]) -> bool:
+        """Are ``limit`` connections admitted (never, for None)?"""
+        return limit is not None and len(self.transports) >= limit
+
+    def release(self, transport: asyncio.BaseTransport) -> bool:
+        """Forget a lost transport; was it admitted?"""
+        admitted = transport in self.transports
+        self.transports.discard(transport)
+        return admitted
+
+    def spawn(self, coro: Coroutine[Any, Any, Any]) -> "asyncio.Task[Any]":
+        """Run ``coro`` as a task that :meth:`close` cancels."""
+        task = asyncio.get_running_loop().create_task(coro)
+        self.tasks.add(task)
+        task.add_done_callback(self.tasks.discard)
+        return task
+
+    async def close(self) -> None:
+        """Close the socket and everything it accepted; a no-op when
+        not open.
+
+        Accepting stops first; one loop turn then lets a connection
+        already accepted get its transport, so no socket is left
+        half-made.  Then the socket closes, every transport is aborted
+        (a peer that stopped reading cannot hold up the close), every
+        task is cancelled and awaited, and the call returns once every
+        transport is gone.  A connection made after this starts is
+        aborted by :meth:`admit`.
+        """
+        if self._server is None:
+            return
+        self._closing = True
+        server, self._server = self._server, None
+        loop = asyncio.get_running_loop()
+        # A waiter taken before close() covers every live transport on
+        # Python 3.11 too, where one taken after close() returns at once.
+        gone = loop.create_task(server.wait_closed())
+        for sock in server.sockets:
+            loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
+        server.close()
+        for transport in list(self.transports):
+            transport.abort()
+        tasks = list(self.tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        await gone
+        await server.wait_closed()

@@ -15,8 +15,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "repository": (
         "ObjectKind", "PublicationPoint", "PublishedObject", "Repository",
     ),
-    "roa": ("Roa", "RoaPrefix"),
-    "scan": ("scan_roa_payloads", "scan_roas"),
+    "roa": ("Roa", "RoaPrefix", "scan_roa_payloads"),
+    "scan": ("scan_roas",),
     "signed_object": ("SignedObject",),
     "validator": ("RelyingParty", "ValidationIssue", "ValidationRun"),
     "vrp": ("Vrp", "parse_vrp", "sort_vrps"),

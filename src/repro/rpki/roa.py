@@ -42,9 +42,9 @@ from ..asn1.der import (
 from ..netbase.asnum import validate_asn
 from ..netbase.errors import PrefixLengthError, ValidationError
 from ..netbase.prefix import AF_INET, AF_INET6, Prefix
-from .vrp import Vrp
+from .vrp import Vrp, sort_vrps
 
-__all__ = ["RoaPrefix", "Roa"]
+__all__ = ["RoaPrefix", "Roa", "scan_roa_payloads"]
 
 _AFI_BYTES = {AF_INET: b"\x00\x01", AF_INET6: b"\x00\x02"}
 _AFI_FAMILY = {v: k for k, v in _AFI_BYTES.items()}
@@ -257,3 +257,16 @@ class Roa:
                     raise ValidationError("ROAIPAddress has extra fields")
                 prefixes.append(RoaPrefix(prefix, max_length))
         return cls(as_id.value, prefixes, version=version)
+
+
+def scan_roa_payloads(roas: Iterable[Roa]) -> list[Vrp]:
+    """Convert already-validated ROA payloads to a sorted VRP list.
+
+    Duplicate tuples are collapsed: two ROAs authorizing the same
+    (prefix, maxLength, ASN) yield one VRP, matching how RTR caches
+    deduplicate announcements.
+    """
+    unique: set[Vrp] = set()
+    for roa in roas:
+        unique.update(roa.vrps())
+    return sort_vrps(unique)

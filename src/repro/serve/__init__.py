@@ -36,8 +36,8 @@ the cache are served by two cooperating components over one VRP set:
   server fans the validated table out to routers.  Responses are
   pre-encoded per serial by :class:`~repro.serve.frames.FrameCache`,
   so 1,000 routers requesting serial *S* trigger one table encode and
-  1,000 buffer writes; writes are backpressure-aware (``drain()`` per
-  client) and every data refresh broadcasts Serial Notify.  Use
+  1,000 buffer writes; a router whose write buffer fills stops being
+  read until it drains, and every data refresh broadcasts Serial Notify.  Use
   :class:`~repro.serve.rtr_async.ThreadedRtrServer` from synchronous
   code — :meth:`repro.core.pipeline.LocalCache.serve` does.
 * **Origin validation queries** (:mod:`repro.serve.query` +

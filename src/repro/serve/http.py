@@ -48,15 +48,13 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import (
-    TYPE_CHECKING, Awaitable, Dict, Optional, Set, Tuple, Union,
-)
+from typing import TYPE_CHECKING, Awaitable, Dict, Optional, Tuple, Union
 from urllib.parse import unquote
 
 from ..faults.plan import injected_delay
 from ..netbase.asnum import parse_asn
 from ..netbase.errors import AsnError, ReproError
-from ..netbase.loopthread import close_server
+from ..netbase.loopthread import Listener
 from ..netbase.prefix import Prefix
 from .metrics import ServeMetrics, ensure_metrics
 from .query import QueryService
@@ -292,19 +290,14 @@ class _HttpConnection(asyncio.Protocol):
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self._transport = transport
         server = self._server
-        if server._closing:
-            transport.abort()
-            return
-        if (
-            server.max_clients is not None
-            and len(server._connections) >= server.max_clients
-        ):
+        if server._listener.full(server.max_clients):
             server.metrics.increment("requests_shed")
             transport.write(encode_response(
                 503, {"error": "server at connection capacity"}, False))
             transport.close()
             return
-        server._connections.add(self)
+        if not server._listener.admit(transport):
+            return
         try:
             delay = injected_delay("serve.http.accept")
         except OSError:
@@ -330,7 +323,7 @@ class _HttpConnection(asyncio.Protocol):
         return True  # half-open: what is buffered still gets answers
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
-        self._server._connections.discard(self)
+        self._server._listener.release(self._transport)
         if self._idle is not None:
             self._idle.cancel()
 
@@ -402,11 +395,7 @@ class _HttpConnection(asyncio.Protocol):
             self._reply(answer, keep_alive)
             return
         self._transport.pause_reading()
-        server._active_requests += 1
-        task = self._task = asyncio.get_running_loop().create_task(
-            self._finish(answer, keep_alive))
-        server._tasks.add(task)
-        task.add_done_callback(server._task_done)
+        self._task = server._listener.spawn(self._finish(answer, keep_alive))
 
     def _reply(self, answer: Tuple[int, object], keep_alive: bool) -> None:
         status, payload = answer
@@ -500,15 +489,9 @@ class HttpServerBase:
         self.max_clients = max_clients
         self.idle_timeout = idle_timeout
         self.drain_timeout = drain_timeout
-        self._requested = (host, port)
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Set[_HttpConnection] = set()
-        self._tasks: Set[asyncio.Task] = set()
-        self._active_requests = 0
+        self.host, self.port = host, port
+        self._listener = Listener(host, port)
         self._draining = False
-        self._closing = False
 
     @property
     def draining(self) -> bool:
@@ -516,10 +499,8 @@ class HttpServerBase:
         return self._draining
 
     async def start(self) -> "HttpServerBase":
-        self._closing = False
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _HttpConnection(self), *self._requested)
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+        self.host, self.port = await self._listener.open(
+            lambda: _HttpConnection(self))
         return self
 
     async def drain(self, timeout: Optional[float] = None) -> float:
@@ -534,26 +515,17 @@ class HttpServerBase:
             timeout = self.drain_timeout
         self._draining = True
         start = time.monotonic()
-        while self._active_requests > 0:
-            if timeout is not None and time.monotonic() - start >= timeout:
-                break
-            await asyncio.sleep(0.005)
+        # Only a deferred answer is a task, and draining defers none.
+        if self._listener.tasks:
+            await asyncio.wait(self._listener.tasks, timeout=timeout)
         elapsed = time.monotonic() - start
         self.metrics.drain_seconds.set(elapsed)
         return elapsed
 
     async def close(self) -> None:
         """Stop accepting, close every accepted connection, cancel and
-        await every pending answer, then wait for the listener."""
-        if self._server is None:
-            return
-        self._closing = True
-        server, self._server = self._server, None
-        await close_server(
-            server,
-            [connection._transport for connection in self._connections],
-            self._tasks,
-        )
+        await every pending answer."""
+        await self._listener.close()
 
     async def __aenter__(self) -> "HttpServerBase":
         return await self.start()
@@ -564,10 +536,6 @@ class HttpServerBase:
     # ------------------------------------------------------------------
     # Requests
     # ------------------------------------------------------------------
-
-    def _task_done(self, task: asyncio.Task) -> None:
-        self._tasks.discard(task)
-        self._active_requests -= 1
 
     def _respond(self, method: str, target: str, body: bytes) -> Answer:
         """Health checks, drain shedding, then the subclass router."""
@@ -594,10 +562,7 @@ class HttpServerBase:
             return 405, {"error": f"{method} not allowed on {path}"}
         if self._draining:
             return 503, {"status": "draining"}
-        if path == "/readyz" and (
-            self.max_clients is not None
-            and len(self._connections) >= self.max_clients
-        ):
+        if path == "/readyz" and self._listener.full(self.max_clients):
             return 503, {"status": "saturated"}
         return 200, {"status": "ok" if path == "/healthz" else "ready"}
 

@@ -4,18 +4,17 @@ The paper's deployment story (§6) needs the local cache to be cheap on
 general-purpose hardware, which rules out a thread per router and a
 table re-encode per Reset Query.  This is the repo's one RTR server:
 
-* **One event loop, zero per-client threads.**  Each router session is
-  a coroutine multiplexed by asyncio; concurrency is bounded by file
-  descriptors, not thread stacks.
+* **One event loop, no per-client thread or task.**  Each router
+  session is an :class:`asyncio.Protocol`; each PDU is answered inside
+  ``data_received``, in arrival order.
 * **Encode once, fan out by reference.**  Responses come from the
   per-serial :class:`~repro.serve.frames.FrameCache`; serving the same
   serial to 1,000 routers performs one table encode and 1,000
   zero-copy buffer writes.
-* **Backpressure-aware.**  After writing a data frame the handler
-  awaits ``drain()``, so one slow router throttles only its own
-  coroutine while others stream at full speed.  Serial Notify
-  broadcasts are 12-byte fire-and-forget writes that never block the
-  update path on a congested peer.
+* **Backpressure-aware.**  A router whose write buffer fills is not
+  read or answered until it drains; it throttles only itself.  Serial
+  Notify broadcasts are 12-byte fire-and-forget writes that never
+  block the update path on a congested peer.
 * **Serial Notify on update.**  :meth:`AsyncRtrServer.update` installs
   a new VRP set through :class:`~repro.rtr.session.CacheState` (no-op
   updates are coalesced there) and broadcasts the cached notify frame.
@@ -32,22 +31,22 @@ its protocol handling with the synchronous client
 from __future__ import annotations
 
 import asyncio
-from typing import Iterable, Optional, Set
+from typing import Iterable, Optional
 
-from ..faults.plan import fire_async
+from ..faults.plan import injected_delay
 from ..netbase.errors import ReproError
-from ..netbase.loopthread import LoopThread, close_server
+from ..netbase.loopthread import Listener, LoopThread
 from ..rpki.vrp import Vrp
 from ..rtr.client import RouterSession, RtrClientError
 from ..rtr.pdu import (
     CacheResetPdu,
     ErrorReportPdu,
     Pdu,
+    PduBuffer,
     PduError,
     ResetQueryPdu,
     SerialNotifyPdu,
     SerialQueryPdu,
-    decode_stream,
     encode_pdu,
 )
 from ..rtr.session import CacheState, VrpDiff
@@ -69,10 +68,10 @@ class AsyncRtrServer:
 
     Production hardening knobs: ``max_clients`` caps concurrent
     sessions (excess connections are closed on accept and counted as
-    ``requests_shed``); ``client_deadline`` bounds every post-write
-    ``drain()`` — a consumer that cannot absorb a frame within the
-    deadline is disconnected (``clients_evicted``) instead of pinning
-    an unbounded write buffer in server memory.
+    ``requests_shed``); ``client_deadline`` bounds how long a router's
+    write buffer may stay full — a consumer that cannot absorb a frame
+    within the deadline is disconnected (``clients_evicted``) instead
+    of pinning an unbounded write buffer in server memory.
     """
 
     def __init__(
@@ -96,14 +95,8 @@ class AsyncRtrServer:
         self.state = CacheState(session_id, history_limit=history_limit)
         self.metrics = ensure_metrics(metrics)
         self.frames = FrameCache(self.state, metrics=self.metrics)
-        self._requested_host = host
-        self._requested_port = port
-        self.host = host
-        self.port = port
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._writers: Set[asyncio.StreamWriter] = set()
-        self._tasks: Set[asyncio.Task] = set()
-        self._closing = False
+        self.host, self.port = host, port
+        self._listener = Listener(host, port)
         if initial:
             self.state.update(initial)
 
@@ -112,25 +105,13 @@ class AsyncRtrServer:
     # ------------------------------------------------------------------
 
     async def start(self) -> "AsyncRtrServer":
-        self._closing = False
-        self._server = await asyncio.start_server(
-            self._accept,
-            self._requested_host,
-            self._requested_port,
-        )
-        self.host, self.port = self._server.sockets[0].getsockname()[:2]
+        self.host, self.port = await self._listener.open(
+            lambda: _RtrConnection(self))
         return self
 
     async def close(self) -> None:
-        """Stop accepting, close every router connection, cancel and
-        await every session handler, then wait for the listener."""
-        if self._server is None:
-            return
-        self._closing = True
-        server, self._server = self._server, None
-        await close_server(
-            server, [writer.transport for writer in self._writers],
-            self._tasks)
+        """Stop accepting and close every router connection."""
+        await self._listener.close()
 
     async def __aenter__(self) -> "AsyncRtrServer":
         return await self.start()
@@ -147,130 +128,149 @@ class AsyncRtrServer:
         diff = self.state.update(vrps)
         if not diff.empty:
             notify = self.frames.notify()
-            for writer in list(self._writers):
-                if writer.is_closing():
-                    continue
+            routers = [transport for transport in self._listener.transports
+                       if not transport.is_closing()]
+            for transport in routers:
                 # 12 bytes, fire-and-forget: a congested router delays
                 # its own notify, never the update path or its peers.
-                writer.write(notify)
-                self.metrics.increment("notifies_sent")
-                self.metrics.increment("bytes_sent", len(notify))
-                self.metrics.increment("pdus_sent")
+                transport.write(notify)
+            self.metrics.increment("notifies_sent", len(routers))
+            self.metrics.increment("bytes_sent", len(notify) * len(routers))
+            self.metrics.increment("pdus_sent", len(routers))
         return diff
 
-    # ------------------------------------------------------------------
-    # Connection handling
-    # ------------------------------------------------------------------
 
-    def _accept(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Register a connection and its handler the moment it is made,
-        so :meth:`close` owns it before the handler first runs."""
-        if self._closing:
-            writer.transport.abort()
-            return
-        if (
-            self.max_clients is not None
-            and len(self._writers) >= self.max_clients
-        ):
+class _RtrConnection(asyncio.Protocol):
+    """One router session: each PDU is answered, in order, inside the
+    callback that completed it, unless the session is held."""
+
+    __slots__ = ("_server", "_transport", "_buffer", "_write_paused",
+                 "_stall", "_evict")
+
+    def __init__(self, server: AsyncRtrServer) -> None:
+        self._server = server
+        self._transport: Optional[asyncio.Transport] = None
+        self._buffer = PduBuffer()
+        self._write_paused = False
+        # An injected stall; the eviction armed while writes are paused.
+        self._stall: Optional[asyncio.TimerHandle] = None
+        self._evict: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self._transport = transport
+        server = self._server
+        if server._listener.full(server.max_clients):
             # Shed at accept: a full house must not grow its memory
             # footprint per extra router; the router retries later.
-            self.metrics.increment("requests_shed")
-            writer.close()
-            return
-        self._writers.add(writer)
-        self.metrics.increment("connections_opened")
-        task = asyncio.get_running_loop().create_task(
-            self._handle_connection(reader, writer))
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
+            server.metrics.increment("requests_shed")
+            transport.close()
+        elif server._listener.admit(transport):
+            server.metrics.increment("connections_opened")
+            self._fault("serve.rtr.accept")
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        buffer = b""
-        try:
-            await fire_async("serve.rtr.accept")
-            while True:
-                chunk = await reader.read(_RECV_CHUNK)
-                if not chunk:
-                    break
-                buffer += chunk
-                try:
-                    pdus, buffer = decode_stream(buffer)
-                except PduError as exc:
-                    await self._send(writer, encode_pdu(ErrorReportPdu(
-                        ErrorReportPdu.CORRUPT_DATA, text=str(exc))), 1)
-                    break
-                for pdu in pdus:
-                    await self._dispatch(writer, pdu)
-        except OSError:
-            # ConnectionError and injected IO faults alike end the
-            # session, never the server.
-            pass
-        finally:
-            self.metrics.increment("connections_closed")
-            writer.close()
+    def data_received(self, data: bytes) -> None:
+        self._buffer.feed(data)
+        self._answer()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self._server._listener.release(self._transport):
+            self._server.metrics.increment("connections_closed")
+        for timer in (self._stall, self._evict):
+            if timer is not None:
+                timer.cancel()
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._transport.pause_reading()
+        if self._server.client_deadline is not None:
+            self._evict = asyncio.get_running_loop().call_later(
+                self._server.client_deadline, self._evict_router)
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        if self._evict is not None:
+            self._evict.cancel()
+        self._resume()
+
+    def _answer(self) -> None:
+        """Answer buffered PDUs in order until the session must wait."""
+        while (
+            self._stall is None
+            and not self._write_paused
+            and not self._transport.is_closing()
+        ):
             try:
-                # Registered until the transport is gone, so close()
-                # can abort one still flushing to a router that
-                # stopped reading.
-                await writer.wait_closed()
-            except OSError:
-                pass
-            finally:
-                self._writers.discard(writer)
+                pdu = self._buffer.next()
+            except PduError as exc:
+                self._send(encode_pdu(ErrorReportPdu(
+                    ErrorReportPdu.CORRUPT_DATA, text=str(exc))), 1, True)
+                return
+            if pdu is None:
+                return
+            self._dispatch(pdu)
 
-    async def _dispatch(self, writer: asyncio.StreamWriter, pdu: Pdu) -> None:
+    def _dispatch(self, pdu: Pdu) -> None:
+        server = self._server
         if isinstance(pdu, ResetQueryPdu):
-            frame, pdu_count = self.frames.full_table()
-            self.metrics.increment("reset_queries")
-            await self._send(writer, frame, pdu_count)
+            server.metrics.increment("reset_queries")
+            self._send(*server.frames.full_table())
         elif isinstance(pdu, SerialQueryPdu):
-            self.metrics.increment("serial_queries")
-            if pdu.session_id != self.state.session_id:
-                self.metrics.increment("cache_resets_sent")
-                await self._send(writer, encode_pdu(CacheResetPdu()), 1)
-                return
-            cached = self.frames.diff(pdu.serial)
+            server.metrics.increment("serial_queries")
+            cached = None
+            if pdu.session_id == server.state.session_id:
+                cached = server.frames.diff(pdu.serial)
             if cached is None:
-                self.metrics.increment("cache_resets_sent")
-                await self._send(writer, encode_pdu(CacheResetPdu()), 1)
-                return
-            frame, pdu_count = cached
-            await self._send(writer, frame, pdu_count)
+                server.metrics.increment("cache_resets_sent")
+                cached = encode_pdu(CacheResetPdu()), 1
+            self._send(*cached)
         else:
-            await self._send(writer, encode_pdu(ErrorReportPdu(
+            self._send(encode_pdu(ErrorReportPdu(
                 ErrorReportPdu.UNSUPPORTED_PDU,
                 text=f"cache cannot handle {type(pdu).__name__}")), 1)
 
-    async def _send(
-        self, writer: asyncio.StreamWriter, frame: bytes, pdu_count: int
-    ) -> None:
-        """One frame, one write, then drain: per-client backpressure.
+    def _send(self, frame: bytes, pdu_count: int, close: bool = False) -> None:
+        """One frame, one write; ``close`` ends the session after it."""
+        if self._fault("serve.rtr.send", frame, pdu_count, close):
+            self._write(frame, pdu_count, close)
 
-        With ``client_deadline`` set the drain is bounded: a consumer
-        that cannot take the frame in time is evicted (its connection
-        closed, the handler unwinding via the read side) so slow
-        routers bound, rather than grow, server memory.
-        """
-        if writer.is_closing():
-            return
-        await fire_async("serve.rtr.send")
-        writer.write(frame)
-        self.metrics.increment("bytes_sent", len(frame))
-        self.metrics.increment("pdus_sent", pdu_count)
+    def _write(self, frame: bytes, pdu_count: int, close: bool) -> None:
+        if not self._transport.is_closing():
+            self._transport.write(frame)
+            self._server.metrics.increment("bytes_sent", len(frame))
+            self._server.metrics.increment("pdus_sent", pdu_count)
+            if close:
+                self._transport.close()
+
+    def _fault(self, site: str, *write: object) -> bool:
+        """Inject at ``site``; may the session go on at once?  An error
+        ends the session, never the server; a stall holds it, then
+        makes the deferred ``write``."""
         try:
-            if self.client_deadline is not None:
-                await asyncio.wait_for(writer.drain(), self.client_deadline)
-            else:
-                await writer.drain()
-        except asyncio.TimeoutError:
-            self.metrics.increment("clients_evicted")
-            writer.close()
-        except ConnectionError:
-            pass
+            delay = injected_delay(site)
+        except OSError:
+            self._transport.close()
+            return False
+        if delay > 0:
+            self._transport.pause_reading()
+            self._stall = asyncio.get_running_loop().call_later(
+                delay, self._release, write)
+        return delay <= 0
+
+    def _release(self, write: tuple) -> None:
+        self._stall = None
+        if write:
+            self._write(*write)
+        self._resume()
+
+    def _resume(self) -> None:
+        if self._stall is None and not self._write_paused:
+            self._transport.resume_reading()
+            self._answer()
+
+    def _evict_router(self) -> None:
+        """The write buffer stayed full for ``client_deadline``."""
+        self._server.metrics.increment("clients_evicted")
+        self._transport.abort()
 
 
 class ThreadedRtrServer:

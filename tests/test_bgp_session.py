@@ -31,6 +31,13 @@ from repro.rpki import Vrp
 from segmentation import splits
 
 
+#: An exception nobody could catch (a handler left pending past its
+#: loop, a transport collected unclosed under ``-W error``) fails the
+#: test that caused it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning")
+
+
 def p(text: str) -> Prefix:
     return Prefix.parse(text)
 

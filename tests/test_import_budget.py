@@ -208,6 +208,24 @@ def test_paper_pipeline_commands_stay_offline(argv, snapshot_dir, tmp_path):
     assert _loaded(modules, _PIPELINE_FORBIDDEN) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--scale", "0.002", "--out-dir", "snap"],
+        ["table1", "--vrps", "{snap}/vrps.csv", "--rib", "{snap}/rib.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dataset_commands_skip_the_signed_object_chain(
+    argv, snapshot_dir, tmp_path
+):
+    """ROA payloads become VRPs in ``repro.rpki.roa``: no validator,
+    no signed object, no RSA."""
+    argv = [part.format(snap=snapshot_dir) for part in argv]
+    modules = _modules_after(argv, tmp_path)
+    assert _loaded(modules, ("repro.rpki.validator", "repro.crypto*")) == []
+
+
 def test_serial_experiment_skips_serve_and_analysis(tmp_path):
     modules = _modules_after(
         ["experiment", "--executor", "serial", "--engine", "array",

@@ -69,6 +69,13 @@ from repro.serve import QueryService
 REPO = Path(__file__).resolve().parent.parent
 
 
+#: An exception nobody could catch (a handler left pending past its
+#: loop, a transport collected unclosed under ``-W error``) fails the
+#: test that caused it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning")
+
+
 @pytest.fixture(autouse=True)
 def no_leftover_plan():
     """Every test starts and ends with no fault plan installed."""

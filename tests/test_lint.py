@@ -354,9 +354,16 @@ class TestDep003:
         (7, "repro.serve.http",
          "from urllib.parse import parse_qs, unquote, urlsplit\n"
          "async def read_http_request(reader: asyncio.StreamReader):\n"
-         "    return await asyncio.wait_for(reader.readline(), 5)\n"
-         "server = await asyncio.start_server(handle, host, port)\n",
-         [1, 2, 3, 4]),
+         "    return await asyncio.wait_for(reader.readline(), 5)\n",
+         [1, 2, 3]),
+        (8, "repro.serve.rtr_async",
+         "server = await asyncio.start_server(handle, host, port)\n"
+         "await close_server(server, transports, tasks)\n", [1, 2]),
+        (9, "repro.bgp.session",
+         "async def _run(self, reader: asyncio.StreamReader,\n"
+         "               writer: asyncio.StreamWriter) -> None:\n"
+         "    streams = await asyncio.open_connection(host, port)\n",
+         [1, 2, 3]),
     )
 
     @pytest.mark.parametrize(
@@ -400,6 +407,13 @@ class TestDep003:
          "handle = loop.call_later(idle_timeout, check)\n"),
         ("repro.serve.shards",
          "future = asyncio.wait_for(reader.readexactly(4), 5)\n"),
+        ("repro.serve.rtr_async",
+         "host, port = await self._listener.open(factory)\n"
+         "await self._listener.close()\n"),
+        ("repro.bgp.session",
+         "await loop.create_connection(factory, host, port)\n"),
+        ("repro.serve.rtr_async",
+         "reader, writer = await asyncio.open_connection(host, port)\n"),
     ])
     def test_near_miss_passes(self, module, text):
         assert flags(text, module, "DEP003") == []

@@ -17,6 +17,7 @@ import re
 import socket
 import sys
 import threading
+import time
 import warnings
 from pathlib import Path
 from urllib.parse import parse_qs, quote
@@ -33,9 +34,17 @@ from repro.netbase.errors import ReproError
 from repro.rpki import Vrp
 from repro.rtr import RtrClient
 from repro.rtr.pdu import (
+    CacheResetPdu,
     CacheResponsePdu,
     EndOfDataPdu,
+    ErrorReportPdu,
+    IncompletePdu,
+    Ipv4PrefixPdu,
     ResetQueryPdu,
+    SerialNotifyPdu,
+    SerialQueryPdu,
+    decode_pdu,
+    decode_stream,
     encode_pdu,
     vrp_to_pdu,
 )
@@ -679,6 +688,196 @@ class TestAsyncRtrServer:
         run(scenario())
 
 
+    @pytest.mark.parametrize("writes", [1, 2], ids=["one-write", "two-writes"])
+    def test_pdus_before_a_malformed_one_are_answered(self, writes):
+        """The answer does not depend on how TCP cut the stream: a Reset
+        Query is answered in full before the malformed PDU after it
+        gets its Error Report (RFC 8210 answers what arrived)."""
+        query, malformed = encode_pdu(ResetQueryPdu()), b"\x09" + b"\x00" * 7
+
+        async def scenario():
+            async with AsyncRtrServer([V1]) as server:
+                reader, writer = await asyncio.open_connection(
+                    server.host, server.port)
+                data = b""
+                if writes == 1:
+                    writer.write(query + malformed)
+                else:
+                    writer.write(query)
+                    pending = bytearray()
+                    data = await read_rtr_answer(reader, pending)
+                    data += bytes(pending)
+                    writer.write(malformed)
+                data += await asyncio.wait_for(reader.read(), 10)
+                writer.close()
+                return data
+
+        pdus, rest = decode_stream(run(scenario()))
+        assert rest == b""
+        assert [type(pdu) for pdu in pdus] == [
+            CacheResponsePdu, Ipv4PrefixPdu, EndOfDataPdu, ErrorReportPdu]
+        assert pdus[-1].error_code == ErrorReportPdu.CORRUPT_DATA
+
+
+#: The PDUs that end a cache's answer on the wire.
+_RTR_LAST = (EndOfDataPdu, CacheResetPdu, ErrorReportPdu, SerialNotifyPdu)
+
+
+async def read_rtr_answer(reader, pending: bytearray) -> bytes:
+    """The bytes of the cache's next answer: its PDUs up to and
+    including one of :data:`_RTR_LAST`.  ``pending`` carries what
+    arrived past it to the next call."""
+    offset = 0
+    while True:
+        try:
+            pdu, length = decode_pdu(bytes(pending), offset)
+        except IncompletePdu:
+            chunk = await asyncio.wait_for(reader.read(65536), 10)
+            assert chunk, "the cache closed the connection mid-answer"
+            pending += chunk
+            continue
+        offset += length
+        if isinstance(pdu, _RTR_LAST):
+            answer = bytes(pending[:offset])
+            del pending[:offset]
+            return answer
+
+
+async def read_to_eof(reader) -> bytes:
+    """What arrives until the cache closes; a reset reads as EOF (the
+    cache may close before reading what the router sent)."""
+    try:
+        return await asyncio.wait_for(reader.read(), 10)
+    except ConnectionResetError:
+        return b""
+
+
+RTR_GOLDEN = Path(__file__).with_name("rtr_golden.jsonl")
+
+
+def rtr_script_exchanges() -> list:
+    """One router's session with an ``AsyncRtrServer`` (session 7,
+    history 2): every query kind the cache answers, and the Serial
+    Notify of each ``update()``; ``[step, answer as hex]`` pairs."""
+    async def scenario():
+        exchanges = []
+        async with AsyncRtrServer(
+            [V1, V2], session_id=7, history_limit=2
+        ) as server:
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            pending = bytearray()
+            first = server.state.serial
+
+            async def record(step):
+                answer = await read_rtr_answer(reader, pending)
+                exchanges.append([step, answer.hex()])
+
+            async def ask(step, pdu):
+                writer.write(encode_pdu(pdu))
+                await record(step)
+
+            await ask("reset query", ResetQueryPdu())
+            await server.update([V1, V2, V3])
+            await record("update: serial notify")
+            current = server.state.serial
+            await ask("serial query at the current serial",
+                      SerialQueryPdu(7, current))
+            await ask("serial query in history", SerialQueryPdu(7, first))
+            for length in (9, 10):
+                await server.update(
+                    [V1, V2, V3, Vrp(p("10.0.0.0/8"), length, 65000)])
+                await record(f"update to /{length}: serial notify")
+            await ask("serial query past history", SerialQueryPdu(7, first))
+            await ask("serial query, wrong session id",
+                      SerialQueryPdu(8, server.state.serial))
+            await ask("unsupported pdu", SerialNotifyPdu(7, 1))
+            assert pending == bytearray()
+            writer.close()
+        return exchanges
+
+    return run(scenario())
+
+
+def write_rtr_golden() -> None:
+    """Re-record :data:`RTR_GOLDEN`, only for a deliberate change of
+    the wire format: from the repository root, ``PYTHONPATH=src:tests
+    python -c "import test_serve; test_serve.write_rtr_golden()"``."""
+    with open(RTR_GOLDEN, "w", encoding="ascii") as handle:
+        for exchange in rtr_script_exchanges():
+            handle.write(json.dumps(exchange) + "\n")
+
+
+class TestRtrResponseBytes:
+    def test_script_answers_byte_for_byte_as_recorded(self):
+        with open(RTR_GOLDEN, encoding="ascii") as handle:
+            golden = [json.loads(line) for line in handle]
+        assert rtr_script_exchanges() == golden
+
+
+class TestRtrFaultSites:
+    """``serve.rtr.accept`` and ``serve.rtr.send``: a reset ends that
+    router's session unanswered and no other, a stall delays the
+    answer without reordering it."""
+
+    def run_under(self, rules, scenario):
+        from repro.faults import FaultPlan, install, uninstall
+
+        plan = install(FaultPlan(rules=rules))
+
+        async def wrapper():
+            async with AsyncRtrServer([V1, V2, V3], session_id=7) as server:
+                await scenario(server)
+
+        try:
+            run(wrapper())
+        finally:
+            uninstall()
+        return plan
+
+    def test_send_stall_delays_a_sync_without_reordering(self):
+        from repro.faults import FaultRule
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            writer.write(encode_pdu(ResetQueryPdu())
+                         + encode_pdu(SerialQueryPdu(7, server.state.serial)))
+            pending = bytearray()
+            first = await read_rtr_answer(reader, pending)
+            second = await read_rtr_answer(reader, pending)
+            assert loop.time() - started >= 0.05
+            assert first == server.frames.full_table()[0]
+            assert second == server.frames.diff(server.state.serial)[0]
+            writer.close()
+
+        plan = self.run_under((FaultRule(
+            site="serve.rtr.send", action="stall", delay=0.05),), scenario)
+        assert [event["site"] for event in plan.fired] == ["serve.rtr.send"]
+
+    @pytest.mark.parametrize("site", ["serve.rtr.accept", "serve.rtr.send"])
+    def test_reset_ends_only_that_routers_session(self, site):
+        from repro.faults import FaultRule
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port)
+            writer.write(encode_pdu(ResetQueryPdu()))
+            assert await read_to_eof(reader) == b""
+            writer.close()
+            router = AsyncRtrClient()
+            await router.connect(server.host, server.port)
+            await router.sync()
+            assert router.vrps == {V1, V2, V3}
+            await router.close()
+
+        plan = self.run_under(
+            (FaultRule(site=site, action="reset"),), scenario)
+        assert [event["site"] for event in plan.fired] == [site]
+
+
 class TestThreadedFacadeAndPipeline:
     def test_sync_client_against_threaded_server(self):
         with ThreadedRtrServer([V1, V2]) as server:
@@ -798,8 +997,9 @@ class TestCloseOwnsEveryConnection:
     """A connection accepted just before ``close()`` is closed by it:
     nothing is left for the collector, and no handler outlives it."""
 
-    @pytest.mark.parametrize("make", [_rtr_facade, _shard_worker_facade],
-                             ids=["rtr", "shard-worker"])
+    @pytest.mark.parametrize(
+        "make", [_rtr_facade, _shard_worker_facade, _bgp_facade],
+        ids=["rtr", "shard-worker", "bgp"])
     def test_raw_connect_then_close_leaves_no_unclosed_transport(
         self, make, monkeypatch, tmp_path
     ):
@@ -822,34 +1022,114 @@ class TestCloseOwnsEveryConnection:
             gc.collect()
         assert unraisable == []
 
-    def test_no_rtr_handler_outlives_close(self):
-        def handlers():
-            return [
-                task for task in asyncio.all_tasks()
-                if task.get_coro().__name__ == "_handle_connection"
-            ]
+    def test_no_task_outlives_close(self):
+        """Three synced routers, a silent connection, an Established BGP
+        session and an HTTP request held by a stall: after each
+        server's ``close()``, no task it started is pending."""
+        from repro.faults import FaultPlan, FaultRule, install, uninstall
+
+        def pending(loop):
+            return [task for task in asyncio.all_tasks(loop)
+                    if task is not asyncio.current_task(loop)]
+
+        def held(loop):
+            return [task for task in pending(loop) if task.get_coro(
+                ).__qualname__.startswith("_HttpConnection.")]
 
         async def scenario():
-            server = await AsyncRtrServer([V1, V2]).start()
+            rtr = await AsyncRtrServer([V1, V2]).start()
+            http = await QueryHttpServer(QueryService(PAPER_ROAS)).start()
             routers = []
             for _ in range(3):
                 router = AsyncRtrClient()
-                await router.connect(server.host, server.port)
+                await router.connect(rtr.host, rtr.port)
                 await router.sync()
                 routers.append(router)
-            _, silent = await asyncio.open_connection(server.host, server.port)
-            deadline = asyncio.get_running_loop().time() + 5
-            while len(handlers()) < 4:
-                assert asyncio.get_running_loop().time() < deadline
+            _, silent = await asyncio.open_connection(rtr.host, rtr.port)
+            reader, writer = await asyncio.open_connection(
+                http.host, http.port)
+            writer.write(VALID_GET)
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + 5
+            while not held(loop):  # the stalled answer is awaited
+                assert loop.time() < deadline
                 await asyncio.sleep(0.01)
-            running = handlers()
-            await server.close()
-            assert all(task.done() for task in running)
+            await rtr.close()
+            assert pending(loop) == held(loop)
+            await http.close()
+            assert pending(loop) == []
+            assert await read_to_eof(reader) == b""
             for router in routers:
                 await router.close()
             silent.close()
+            writer.close()
 
-        run(scenario())
+        install(FaultPlan(rules=(FaultRule(
+            site="serve.http.request", action="stall", delay=30.0),)))
+        try:
+            with BgpSpeaker(111) as origin, BgpSpeaker(3356) as transit:
+                transit.connect_to("127.0.0.1", origin.port, expected_asn=111)
+                origin.wait_for_peer(3356)
+                loops = [origin._loop._loop, transit._loop._loop]
+                run(scenario())
+                origin.close()
+                assert pending(loops[0]) == []
+            assert pending(loops[1]) == []
+        finally:
+            uninstall()
+
+
+class TestNoTaskPerConnection:
+    """RTR and BGP answer inside their protocol callbacks: a busy
+    connection starts no task.  Counted through a task factory, like
+    :class:`TestHttpPipelining`."""
+
+    @staticmethod
+    def recorder(created):
+        """A task factory that records each task's coroutine but the
+        event loop's own, which makes an accepted socket's transport."""
+        def factory(loop, coro, **kwargs):
+            if coro.__qualname__ != "BaseSelectorEventLoop._accept_connection2":
+                created.append(coro.__qualname__)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        return factory
+
+    def test_rtr_serial_queries_create_no_task(self):
+        async def scenario():
+            created = []
+            loop = asyncio.get_running_loop()
+            async with AsyncRtrServer([V1, V2]) as server:
+                loop.set_task_factory(self.recorder(created))
+                try:
+                    router = AsyncRtrClient()
+                    await router.connect(server.host, server.port)
+                    await router.sync()
+                    for _ in range(200):
+                        assert await router.sync() == 2  # Cache Response + EoD
+                    await router.close()
+                finally:
+                    loop.set_task_factory(None)
+                assert server.metrics["serial_queries"] == 200
+            return created
+
+        assert run(scenario()) == []
+
+    def test_an_established_bgp_session_creates_no_task(self):
+        created = []
+        with BgpSpeaker(111, hold_time=3) as origin, \
+                BgpSpeaker(3356, hold_time=3) as transit:
+            transit.connect_to("127.0.0.1", origin.port, expected_asn=111)
+            origin.wait_for_peer(3356)
+            loops = [origin._loop._loop, transit._loop._loop]
+            for loop in loops:
+                loop.call_soon_threadsafe(
+                    loop.set_task_factory, self.recorder(created))
+            time.sleep(2.2)  # two keepalives each way, read and answered
+            for loop in loops:
+                loop.call_soon_threadsafe(loop.set_task_factory, None)
+            assert origin.peers() == [3356] and transit.peers() == [111]
+        assert created == []
 
 
 # ----------------------------------------------------------------------
@@ -1776,8 +2056,8 @@ class TestRtrHardening:
                 # The memory claim: once evicted, the unread frames do
                 # not stay queued in the server's write buffers.
                 outstanding = sum(
-                    router.transport.get_write_buffer_size()
-                    for router in server._writers
+                    router.get_write_buffer_size()
+                    for router in server._listener.transports
                     if not router.is_closing()
                 )
                 assert outstanding < 1 << 20
